@@ -23,10 +23,10 @@ byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.signal import butter, filtfilt
 
 from .dynamics import contact_jacobian
@@ -43,6 +43,7 @@ from .emg import (
 )
 from .errors import (
     DimensionMismatch,
+    NonFinite,
     NumericBlowup,
     RankDeficient,
     SuperlimbError,
@@ -119,26 +120,39 @@ class StepResult:
     lam: np.ndarray
 
 
+def _cholesky(m: np.ndarray, what: str) -> np.ndarray:
+    """Upper Cholesky factor of an SPD matrix for ``dpotrs``; raises
+    RankDeficient with ``what`` when ``m`` is not positive definite."""
+    c, info = dpotrf(m, lower=0, clean=0)
+    if info > 0:
+        raise RankDeficient(what)
+    return c
+
+
 def _advance(
     state: PlantState,
+    a: np.ndarray,
+    h: np.ndarray,
     tau_total: np.ndarray,
     dt: float,
     free: np.ndarray,
+    scripted: np.ndarray,
     j_c: np.ndarray | None,
     v_target: np.ndarray | None,
     scripted_next: tuple[np.ndarray, np.ndarray] | None,
     qdd_scripted: np.ndarray | None,
 ) -> StepResult:
     """Semi-implicit Euler step of the free DoFs with optional bilateral
-    contact and optional position-driven (scripted) DoFs."""
-    model = state.model
-    n = model.n_dof
-    q, qd = state.q, state.qd
-    a = state.mass_matrix()
-    h = state.bias()
-    scripted = np.setdiff1d(np.arange(n), free)
+    contact and optional position-driven (scripted) DoFs.
 
-    qdd = np.zeros(n)
+    ``a`` and ``h`` are the state's inertia matrix and bias; ``free`` and
+    ``scripted`` partition the DoFs."""
+    q, qd = state.q, state.qd
+    for name, arr in (("q", q), ("qd", qd), ("tau_total", tau_total)):
+        if not np.isfinite(arr).all():
+            raise NonFinite(f"{name} contains NaN or Inf")
+
+    qdd = np.zeros(q.size)
     if scripted.size:
         qdd[scripted] = qdd_scripted
     qd_next = qd.copy()
@@ -148,12 +162,13 @@ def _advance(
 
     lam = np.zeros(0)
     if free.size:
-        a_ff = a[np.ix_(free, free)]
+        a_f = a[free]
+        a_ff = a_f[:, free]
         rhs = tau_total[free] - h[free]
         if scripted.size:
-            rhs = rhs - a[np.ix_(free, scripted)] @ qdd[scripted]
-        cho = cho_factor(a_ff)
-        qdd_free = cho_solve(cho, rhs)
+            rhs = rhs - a_f[:, scripted] @ qdd[scripted]
+        cho = _cholesky(a_ff, "inertia of the free joints is not positive definite")
+        qdd_free = dpotrs(cho, rhs)[0]
         if j_c is not None:
             j_f = j_c[:, free]
             k = j_c.shape[0]
@@ -162,16 +177,14 @@ def _advance(
                 raise DimensionMismatch(
                     f"v_target must have shape ({k},), got {vt.shape}"
                 )
-            minv_jt = cho_solve(cho, j_f.T)
+            minv_jt = dpotrs(cho, j_f.T)[0]
             gram = j_f @ minv_jt
             qd_free_pred = qd[free] + dt * qdd_free
             resid = vt - j_c[:, scripted] @ qd_next[scripted] - j_f @ qd_free_pred
-            try:
-                lam = cho_solve(cho_factor(gram), resid / dt)
-            except np.linalg.LinAlgError as exc:
-                raise RankDeficient(
-                    "contact directions are not independent at this posture"
-                ) from exc
+            gram_cho = _cholesky(
+                gram, "contact directions are not independent at this posture"
+            )
+            lam = dpotrs(gram_cho, resid / dt)[0]
             qdd_free = qdd_free + minv_jt @ lam
         qdd[free] = qdd_free
         qd_next[free] = qd[free] + dt * qdd[free]
@@ -181,10 +194,11 @@ def _advance(
         # by the caller through the decoupling path
         lam = np.zeros(j_c.shape[0])
 
-    if max(np.max(np.abs(q_next)), np.max(np.abs(qd_next))) > BLOWUP_LIMIT:
+    # NaN-aware: np.maximum propagates NaN, and NaN fails the comparison
+    peak = np.maximum(np.max(np.abs(q_next)), np.max(np.abs(qd_next)))
+    if not peak <= BLOWUP_LIMIT:
         raise NumericBlowup(
-            f"state magnitude exceeded {BLOWUP_LIMIT:g} (max "
-            f"{max(np.max(np.abs(q_next)), np.max(np.abs(qd_next))):.3e})"
+            f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})"
         )
     return StepResult(q=q_next, qd=qd_next, qdd=qdd, lam=lam)
 
@@ -216,9 +230,12 @@ def integrate_step(
     j_c = contact_jacobian(model, state.q, contact, state=state) if contact else None
     return _advance(
         state,
+        state.mass_matrix(),
+        state.bias(),
         tau,
         dt,
         free=np.arange(model.n_dof),
+        scripted=np.zeros(0, dtype=int),
         j_c=j_c,
         v_target=v_target,
         scripted_next=None,
@@ -428,6 +445,8 @@ def run_scenario(scenario: Scenario) -> SimLog:
         t = float(i * sim.dt)
         try:
             state = model.state(q, qd)
+            a_mat = state.mass_matrix()
+            h_vec = state.bias()
 
             # task-point kinematics
             pk = state.point(ctrl_cfg.chain, joint=ctrl_cfg.joint, at="tip")
@@ -447,8 +466,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
 
             # controller
             if ctrl_cfg.enabled:
-                step_ctrl = replace(ctrl, x_eq=x_eq_t)
-                f_cmd = control_force(step_ctrl, x, xd)
+                f_cmd = control_force(ctrl, x, xd, x_eq=x_eq_t)
                 tau_task = task_to_joint_torque(j_task, f_cmd)
             else:
                 f_cmd = np.zeros(m)
@@ -493,8 +511,6 @@ def run_scenario(scenario: Scenario) -> SimLog:
                 qdd_full = np.zeros(n)
                 if human.size:
                     qdd_full[human] = qdd_h
-                a_mat = state.mass_matrix()
-                h_vec = state.bias()
                 if j_c is not None:
                     snap = DynamicsSnapshot(
                         a=a_mat, h_bias=h_vec, j_c=j_c, qdd=qdd_full
@@ -513,9 +529,12 @@ def run_scenario(scenario: Scenario) -> SimLog:
             else:
                 step = _advance(
                     state,
+                    a_mat,
+                    h_vec,
                     tau_applied,
                     sim.dt,
                     free=srl,
+                    scripted=human,
                     j_c=j_c,
                     v_target=v_target,
                     scripted_next=scripted_next if human.size else None,
@@ -524,7 +543,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
                 q_next, qd_next, qdd, lam_robot = step.q, step.qd, step.qdd, step.lam
                 tau_s_out = tau_applied[srl]
                 if human.size:
-                    gen = state.mass_matrix() @ qdd + state.bias()
+                    gen = a_mat @ qdd + h_vec
                     if j_c is not None and lam_robot.size:
                         gen = gen - j_c.T @ lam_robot
                     tau_h_out = gen[human]

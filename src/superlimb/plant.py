@@ -9,7 +9,13 @@ human chains so q = [q_srl, q_human].
 
 All kinematic quantities (positions, Jacobians, velocity products) are
 computed from one analytic forward pass, so the inertia matrix, the
-Coriolis/gravity bias and point Jacobians are exact up to roundoff.
+Coriolis/gravity bias and point Jacobians are exact up to roundoff.  The
+CoM and tip Jacobians of all links are built as one stacked array right
+after the pass.  The inertia matrix, gravity and bias vectors are
+assembled from the CoM rows link by link, each at most once per state, in
+the dense composite-rigid-body form
+A = sum_l (m_l J_l^T J_l + I_l w_l w_l^T) + diag(rotor)
+(Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6).
 """
 
 from __future__ import annotations
@@ -102,21 +108,49 @@ class PlantModel:
                 raise BadModel("limb chains must be declared before human chains")
         if self.gravity < 0.0 or not np.isfinite(self.gravity):
             raise BadModel(f"gravity must be >= 0, got {self.gravity}")
+        self._derive_structure()
+
+    def _derive_structure(self):
+        """Static facts every state reuses: the DoF count, chain slices,
+        and per-link ancestor and revolute masks (link l is moved by joint
+        g iff ``ancestors[l, g]``; links and joints share indices)."""
+        joints = tuple(j for c in self.chains for j in c.joints)
+        n = len(joints)
+        slices, off = {}, 0
+        ancestors = np.zeros((n, n), dtype=bool)
+        for c in self.chains:
+            k = len(c.joints)
+            slices[c.name] = slice(off, off + k)
+            for local in range(k):
+                ancestors[off + local, off: off + local + 1] = True
+            off += k
+        revolute = np.array([j.kind == REVOLUTE for j in joints])
+        # rotational inertia about each link CoM, I_l w_l w_l^T, with w_l
+        # the link's angular-velocity row (ones on revolute ancestors)
+        spin = []
+        for joint, mask in zip(joints, ancestors):
+            w = (mask & revolute).astype(float)
+            spin.append(joint.inertia * np.outer(w, w) if joint.inertia else None)
+        # (2n, n, 1): joint g moves the CoM (rows < n) and tip of each link
+        movers = np.concatenate((ancestors, ancestors))[:, :, None]
+        object.__setattr__(self, "_joints", joints)
+        object.__setattr__(self, "_n_dof", n)
+        object.__setattr__(self, "_slices", slices)
+        object.__setattr__(self, "_movers", movers)
+        object.__setattr__(self, "_revolute", revolute)
+        object.__setattr__(self, "_spin", tuple(spin))
 
     # --- DoF bookkeeping -------------------------------------------------
 
     @property
     def n_dof(self) -> int:
-        return sum(len(c.joints) for c in self.chains)
+        return self._n_dof
 
     def chain_slice(self, name: str) -> slice:
-        off = 0
-        for c in self.chains:
-            n = len(c.joints)
-            if c.name == name:
-                return slice(off, off + n)
-            off += n
-        raise BadModel(f"no chain named {name!r}")
+        try:
+            return self._slices[name]
+        except KeyError:
+            raise BadModel(f"no chain named {name!r}") from None
 
     def _role_indices(self, role: str) -> np.ndarray:
         idx, off = [], 0
@@ -156,43 +190,36 @@ class PointKinematics:
     acc_bias: np.ndarray | None = None
 
 
-class _LinkFrame:
-    __slots__ = (
-        "kind", "joint", "global_index", "chain_start", "local_index",
-        "pivot", "direction", "com", "com_vel", "com_acc", "tip", "tip_vel",
-        "tip_acc", "ang_vel",
-    )
-
-
 class PlantState:
     """One forward pass over all chains at a given (q, qd).
 
-    Caches per-link frames so the inertia matrix, bias vector, energies and
-    point Jacobians share a single kinematic evaluation.
+    Per-link frames live in one array (row l = link l) so the inertia
+    matrix, bias vector, energies and point Jacobians share a single
+    kinematic evaluation.  The inertia matrix, gravity and bias vectors are
+    computed at most once per state; every call returns a fresh copy.
     """
 
     def __init__(self, model: PlantModel, q, qd=None):
+        n = model.n_dof
         self.model = model
         self.q = np.asarray(q, dtype=float)
-        if self.q.shape != (model.n_dof,):
-            raise DimensionMismatch(
-                f"q must have shape ({model.n_dof},), got {self.q.shape}"
-            )
+        if self.q.shape != (n,):
+            raise DimensionMismatch(f"q must have shape ({n},), got {self.q.shape}")
         self.has_vel = qd is not None
-        self.qd = (
-            np.asarray(qd, dtype=float) if qd is not None else np.zeros(model.n_dof)
-        )
-        if self.qd.shape != (model.n_dof,):
-            raise DimensionMismatch(
-                f"qd must have shape ({model.n_dof},), got {self.qd.shape}"
-            )
-        self._links: list[_LinkFrame] = []
+        self.qd = np.asarray(qd, dtype=float) if qd is not None else np.zeros(n)
+        if self.qd.shape != (n,):
+            raise DimensionMismatch(f"qd must have shape ({n},), got {self.qd.shape}")
         self._forward()
+        self._jac_com, self._jac_tip = self._jacobians()
         self._mass: np.ndarray | None = None
+        self._gravity: np.ndarray | None = None
+        self._bias: np.ndarray | None = None
 
     # --- forward pass ------------------------------------------------------
 
     def _forward(self):
+        rows = []
+        q, qd = self.q.tolist(), self.qd.tolist()
         off = 0
         for chain in self.model.chains:
             ox, oz = chain.base
@@ -200,27 +227,20 @@ class PlantState:
             phi = chain.heading
             phid = 0.0
             for local, joint in enumerate(chain.joints):
-                g = off + local
-                qj = self.q[g]
-                qdj = self.qd[g]
-                lf = _LinkFrame()
-                lf.kind = joint.kind
-                lf.joint = joint
-                lf.global_index = g
-                lf.chain_start = off
-                lf.local_index = local
+                qj = q[off + local]
+                qdj = qd[off + local]
+                pivot = (ox, oz)
                 if joint.kind == REVOLUTE:
                     phi += qj
                     phid += qdj
                     ux, uz = cos(phi), sin(phi)
                     px, pz = -uz, ux  # perp(u)
-                    lf.pivot = (ox, oz)
-                    lf.direction = None
+                    direction = (0.0, 0.0)
                     c = joint.com
-                    lf.com = (ox + c * ux, oz + c * uz)
-                    lf.com_vel = (vox + c * phid * px, voz + c * phid * pz)
-                    lf.com_acc = (aox - c * phid * phid * ux,
-                                  aoz - c * phid * phid * uz)
+                    com = (ox + c * ux, oz + c * uz)
+                    com_vel = (vox + c * phid * px, voz + c * phid * pz)
+                    com_acc = (aox - c * phid * phid * ux,
+                               aoz - c * phid * phid * uz)
                     L = joint.length
                     ox, oz = ox + L * ux, oz + L * uz
                     vox, voz = vox + L * phid * px, voz + L * phid * pz
@@ -229,15 +249,14 @@ class PlantState:
                     a = phi + joint.axis
                     dx, dz = cos(a), sin(a)
                     pdx, pdz = -dz, dx
-                    lf.pivot = (ox, oz)
-                    lf.direction = (dx, dz)
+                    direction = (dx, dz)
                     r = joint.com + qj
-                    lf.com = (ox + r * dx, oz + r * dz)
-                    lf.com_vel = (
+                    com = (ox + r * dx, oz + r * dz)
+                    com_vel = (
                         vox + qdj * dx + r * phid * pdx,
                         voz + qdj * dz + r * phid * pdz,
                     )
-                    lf.com_acc = (
+                    com_acc = (
                         aox + 2.0 * qdj * phid * pdx - r * phid * phid * dx,
                         aoz + 2.0 * qdj * phid * pdz - r * phid * phid * dz,
                     )
@@ -251,86 +270,96 @@ class PlantState:
                         aox + 2.0 * qdj * phid * pdx - s * phid * phid * dx,
                         aoz + 2.0 * qdj * phid * pdz - s * phid * phid * dz,
                     )
-                lf.tip = (ox, oz)
-                lf.tip_vel = (vox, voz)
-                lf.tip_acc = (aox, aoz)
-                lf.ang_vel = phid
-                self._links.append(lf)
+                rows.append(pivot + direction + com + com_vel + com_acc
+                            + (ox, oz, vox, voz, aox, aoz, phid))
             off += len(chain.joints)
+        frames = np.array(rows)
+        self._pivot = frames[:, 0:2]
+        self._direction = frames[:, 2:4]  # prismatic axis; unused for revolute
+        self._com = frames[:, 4:6]
+        self._com_vel = frames[:, 6:8]
+        self._com_acc = frames[:, 8:10]
+        self._tip = frames[:, 10:12]
+        self._tip_vel = frames[:, 12:14]
+        self._tip_acc = frames[:, 14:16]
+        self._ang_vel = frames[:, 16]
 
     # --- Jacobians ----------------------------------------------------------
 
-    def _point_jacobian(self, link: _LinkFrame, pos: tuple[float, float]) -> np.ndarray:
-        jac = np.zeros((2, self.model.n_dof))
-        px, pz = pos
-        for lf in self._links[link.chain_start: link.global_index + 1]:
-            g = lf.global_index
-            if lf.kind == REVOLUTE:
-                rx, rz = px - lf.pivot[0], pz - lf.pivot[1]
-                jac[0, g] = -rz
-                jac[1, g] = rx
-            else:
-                jac[0, g], jac[1, g] = lf.direction
-        return jac
+    def _jacobians(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked (n_links, 2, n) Jacobians of every link CoM and tip.
 
-    def _angular_row(self, link: _LinkFrame) -> np.ndarray:
-        row = np.zeros(self.model.n_dof)
-        for lf in self._links[link.chain_start: link.global_index + 1]:
-            if lf.kind == REVOLUTE:
-                row[lf.global_index] = 1.0
-        return row
+        Column g of a point on link l is zero unless joint g moves link l;
+        a revolute column is the lever arm from the joint's pivot rotated
+        by +90 degrees, a prismatic column the sliding axis."""
+        points = np.concatenate((self._com, self._tip))
+        arm = points[:, None, :] - self._pivot
+        perp = arm[:, :, ::-1] * (-1.0, 1.0)  # (-dz, dx)
+        model = self.model
+        cols = np.where(model._revolute[:, None], perp, self._direction)
+        cols = np.where(model._movers, cols, 0.0)
+        jac = np.ascontiguousarray(cols.transpose(0, 2, 1))
+        n = self.q.size
+        return jac[:n], jac[n:]
 
-    def _find_link(self, chain: str, joint: int | None) -> _LinkFrame:
+    def _link_index(self, chain: str, joint: int | None) -> int:
         sl = self.model.chain_slice(chain)
         n = sl.stop - sl.start
         local = n - 1 if joint is None else joint
         if not (0 <= local < n):
             raise BadModel(f"chain {chain!r} has no joint index {local}")
-        return self._links[sl.start + local]
+        return sl.start + local
 
     def point(self, chain: str, joint: int | None = None, at: str = "tip") -> PointKinematics:
         """Kinematics of a link tip or CoM.  ``joint=None`` means the last
         link of the chain (the end effector)."""
-        lf = self._find_link(chain, joint)
+        lk = self._link_index(chain, joint)
         if at == "tip":
-            pos, vel, acc = lf.tip, lf.tip_vel, lf.tip_acc
+            pos, vel, acc = self._tip[lk], self._tip_vel[lk], self._tip_acc[lk]
+            jac = self._jac_tip[lk].copy()
         elif at == "com":
-            pos, vel, acc = lf.com, lf.com_vel, lf.com_acc
+            pos, vel, acc = self._com[lk], self._com_vel[lk], self._com_acc[lk]
+            jac = self._jac_com[lk].copy()
         else:
             raise BadModel(f"unknown point spec {at!r}")
         return PointKinematics(
-            pos=np.array(pos),
-            jac=self._point_jacobian(lf, pos),
-            vel=np.array(vel) if self.has_vel else None,
-            acc_bias=np.array(acc) if self.has_vel else None,
+            pos=pos.copy(),
+            jac=jac,
+            vel=vel.copy() if self.has_vel else None,
+            acc_bias=acc.copy() if self.has_vel else None,
         )
 
     # --- dynamics -------------------------------------------------------------
+    # Accumulated link by link in declaration order: a single stacked
+    # J^T diag(m) J product would round differently.
 
     def mass_matrix(self) -> np.ndarray:
-        if self._mass is not None:
-            return self._mass
-        n = self.model.n_dof
-        a = np.zeros((n, n))
-        for lf in self._links:
-            j = self._point_jacobian(lf, lf.com)
-            a += lf.joint.mass * (j.T @ j)
-            if lf.joint.inertia:
-                w = self._angular_row(lf)
-                a += lf.joint.inertia * np.outer(w, w)
-            if lf.joint.rotor:
-                a[lf.global_index, lf.global_index] += lf.joint.rotor
-        self._mass = 0.5 * (a + a.T)
-        return self._mass
+        if self._mass is None:
+            n = self.q.size
+            a = np.zeros((n, n))
+            for lk, joint in enumerate(self.model._joints):
+                j = self._jac_com[lk]
+                a += joint.mass * (j.T @ j)
+                spin = self.model._spin[lk]
+                if spin is not None:
+                    a += spin
+                if joint.rotor:
+                    a[lk, lk] += joint.rotor
+            self._mass = 0.5 * (a + a.T)
+        return self._mass.copy()
+
+    def _gravity_vector(self) -> np.ndarray:
+        if self._gravity is None:
+            g = np.zeros(self.q.size)
+            gz = self.model.gravity
+            for lk, joint in enumerate(self.model._joints):
+                g += joint.mass * gz * self._jac_com[lk, 1]
+            self._gravity = g
+        return self._gravity
 
     def gravity_vector(self) -> np.ndarray:
         """Generalized gravity force dV/dq (V = sum of m g z_com)."""
-        g = np.zeros(self.model.n_dof)
-        gz = self.model.gravity
-        for lf in self._links:
-            j = self._point_jacobian(lf, lf.com)
-            g += lf.joint.mass * gz * j[1, :]
-        return g
+        return self._gravity_vector().copy()
 
     def bias(self) -> np.ndarray:
         """Coriolis/centrifugal plus gravity bias h(q, qd).
@@ -338,25 +367,30 @@ class PlantState:
         Equals the generalized force required to hold qdd = 0, so
         A qdd + h = tau is the full equation of motion.
         """
-        h = self.gravity_vector()
-        if self.has_vel:
-            for lf in self._links:
-                j = self._point_jacobian(lf, lf.com)
-                h += lf.joint.mass * (j.T @ np.array(lf.com_acc))
-        return h
+        if self._bias is None:
+            h = self._gravity_vector().copy()
+            if self.has_vel:
+                for lk, joint in enumerate(self.model._joints):
+                    h += joint.mass * (self._jac_com[lk].T @ self._com_acc[lk])
+            self._bias = h
+        return self._bias.copy()
 
     # --- energies (link-wise, independent of mass_matrix) ---------------------
 
     def kinetic_energy(self) -> float:
         t = 0.0
-        for lf in self._links:
-            vx, vz = lf.com_vel
-            t += 0.5 * lf.joint.mass * (vx * vx + vz * vz)
-            t += 0.5 * lf.joint.inertia * lf.ang_vel * lf.ang_vel
-            t += 0.5 * lf.joint.rotor * self.qd[lf.global_index] ** 2
+        com_vel, ang_vel = self._com_vel.tolist(), self._ang_vel.tolist()
+        qd = self.qd.tolist()
+        for lk, joint in enumerate(self.model._joints):
+            vx, vz = com_vel[lk]
+            t += 0.5 * joint.mass * (vx * vx + vz * vz)
+            t += 0.5 * joint.inertia * ang_vel[lk] * ang_vel[lk]
+            t += 0.5 * joint.rotor * qd[lk] ** 2
         return t
 
     def potential_energy(self) -> float:
+        z_com = self._com[:, 1].tolist()
         return sum(
-            lf.joint.mass * self.model.gravity * lf.com[1] for lf in self._links
+            joint.mass * self.model.gravity * z
+            for joint, z in zip(self.model._joints, z_com)
         )

@@ -78,16 +78,24 @@ class TaskSpaceController:
         return self.k_task.shape[0]
 
 
-def control_force(ctrl: TaskSpaceController, x, xdot=None) -> np.ndarray:
+def control_force(ctrl: TaskSpaceController, x, xdot=None, x_eq=None) -> np.ndarray:
     """Commanded task force F = K (x_eq - x) + F_gravity.
 
+    ``x_eq`` (default ``ctrl.x_eq``) evaluates the law about a shifted
+    equilibrium point without building and re-validating a new controller.
     When the controller carries a damping vector and ``xdot`` is given, a
     -damping * xdot term is added.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.shape != (ctrl.m,):
         raise DimensionMismatch(f"x must have shape ({ctrl.m},), got {xv.shape}")
-    f = ctrl.k_task @ (ctrl.x_eq - xv) + ctrl.f_gravity
+    if x_eq is None:
+        x_eq = ctrl.x_eq
+    else:
+        x_eq = np.atleast_1d(np.asarray(x_eq, dtype=float))
+        if x_eq.shape != (ctrl.m,):
+            raise DimensionMismatch(f"x_eq must have shape ({ctrl.m},), got {x_eq.shape}")
+    f = ctrl.k_task @ (x_eq - xv) + ctrl.f_gravity
     if ctrl.damping is not None and xdot is not None:
         xd = np.atleast_1d(np.asarray(xdot, dtype=float))
         if xd.shape != (ctrl.m,):

@@ -1,26 +1,30 @@
 """Tests for the deterministic simulator: synthetic sEMG, the integrator,
 logging, and whole-scenario runs."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from conftest import desk_arm_dict, scenario_path
 
+from superlimb.cli import main
 from superlimb.emg import bandpass, envelope, rectify
 from superlimb.errors import (
     DimensionMismatch,
+    NonFinite,
     NumericBlowup,
     RankDeficient,
     ValidationError,
 )
 from superlimb.harness import generate_emg, integrate_step, run_scenario
-from superlimb.plant import Chain, Joint, PlantModel
+from superlimb.plant import Chain, Joint, PlantModel, PlantState
 from superlimb.scenario import (
     ActivationProfile,
     load_scenario,
     parse_scenario,
 )
+from superlimb.stiffness import TaskSpaceController
 
 
 def single_slider(mass=3.0, heading=math.pi / 2.0, q0=0.4):
@@ -106,6 +110,57 @@ def test_integrate_step_blowup():
     model = single_slider(mass=1.0, heading=0.0)
     with pytest.raises(NumericBlowup):
         integrate_step(model, model.q0, np.zeros(1), np.array([1e13]), 0.01)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_integrate_step_non_finite_inputs(bad):
+    model = single_slider(mass=1.0, heading=0.0)
+    with pytest.raises(NonFinite, match="tau_total"):
+        integrate_step(model, model.q0, np.zeros(1), np.array([bad]), 0.01)
+    with pytest.raises(NonFinite, match="qd"):
+        integrate_step(model, model.q0, np.array([bad]), np.zeros(1), 0.01)
+    with pytest.raises(NonFinite, match="q "):
+        integrate_step(model, np.array([bad]), np.zeros(1), np.zeros(1), 0.01)
+
+
+def test_integrate_step_singular_inertia():
+    # a point mass on its own pivot with no rotational inertia: A = 0
+    model = PlantModel(chains=(Chain(name="rod", joints=(
+        Joint(kind="revolute", mass=1.0, length=0.3, com=0.0),)),))
+    with pytest.raises(RankDeficient):
+        integrate_step(model, model.q0, np.zeros(1), np.zeros(1), 0.01)
+
+
+def test_blowup_guard_catches_nan():
+    # a NaN contact target makes the post-step velocity NaN; the magnitude
+    # guard must not let it through (NaN compares false against the limit)
+    from superlimb.dynamics import ContactSpec
+
+    model = single_slider(mass=3.0)
+    spec = ContactSpec(chain="rail", directions=("z",))
+    with pytest.raises(NumericBlowup):
+        integrate_step(
+            model, model.q0, np.zeros(1), np.zeros(1), 0.005,
+            contact=spec, v_target=np.array([math.nan]),
+        )
+
+
+def test_cli_run_non_finite_torque_exit_code(tmp_path, capsys):
+    # a stiffness of 1e307 N/m over a 100 m offset overflows the commanded
+    # force to inf at the first step
+    data = {
+        "plant": desk_arm_dict(),
+        "sim": {"dt": 0.01, "duration": 0.5, "seed": 0},
+        "controller": {"stiffness_table": [[1e307, 1e307]] * 4, "level": 1,
+                       "x_eq": [0.0, -100.0]},
+    }
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(data))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numeric error: [step 0, t=0s] tau_total contains NaN or Inf")
 
 
 # --- log container --------------------------------------------------------------
@@ -206,6 +261,58 @@ def test_different_seed_changes_csv(tmp_path):
     a = run_to_bytes(emg_scenario(5), tmp_path, "a.csv")
     b = run_to_bytes(emg_scenario(6), tmp_path, "b.csv")
     assert a != b
+
+
+def count_calls(monkeypatch, cls, name) -> list[int]:
+    """Count calls of ``cls.name`` for the rest of the test."""
+    original = vars(cls)[name]
+    cell = [0]
+
+    def counted(*args, **kwargs):
+        cell[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return cell
+
+
+def short_emg_step(seed, onset):
+    """emg_step shortened to 0.5 s; ``onset=None`` keeps the gate shut."""
+    with open(scenario_path("emg_step.json")) as fh:
+        data = json.load(fh)
+    data["sim"]["duration"] = 0.5
+    data["emg"]["seed"] = seed
+    data["emg"]["profile"]["duration"] = 0.5
+    data["emg"]["profile"]["steps"] = [[0.0, 0.0], [0.05, 1.0]]
+    data["emg"]["motion"]["steps"] = (
+        [[0.0, 0.0]] if onset is None else [[0.0, 0.0], [onset, 0.35]]
+    )
+    return parse_scenario(data)
+
+
+def test_step_kernel_call_counts(monkeypatch):
+    # per run: the controller is validated once, and the inertia matrix and
+    # bias are evaluated at most once per step whether or not the gate opens
+    runs = [(3, 0.1), (8, 0.3), (3, None)]
+    scenarios = [short_emg_step(seed, onset) for seed, onset in runs]
+    counters = {
+        "controller": count_calls(monkeypatch, TaskSpaceController, "__post_init__"),
+        "mass_matrix": count_calls(monkeypatch, PlantState, "mass_matrix"),
+        "bias": count_calls(monkeypatch, PlantState, "bias"),
+    }
+    profiles = []
+    for (seed, onset), sc in zip(runs, scenarios):
+        for cell in counters.values():
+            cell[0] = 0
+        log = run_scenario(sc)
+        shifted = np.ptp(log.column("x_eq_z")) > 0.0
+        assert log.column("gate").any() == shifted == (onset is not None)
+        counts = {k: cell[0] for k, cell in counters.items()}
+        assert counts["controller"] == 1
+        assert counts["mass_matrix"] <= len(log)
+        assert counts["bias"] <= len(log)
+        profiles.append(counts)
+    assert profiles[0] == profiles[1] == profiles[2]
 
 
 def test_ungated_run_matches_no_emg_baseline():

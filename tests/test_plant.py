@@ -5,14 +5,36 @@ oracles: the (exactly quadratic) kinetic energy, finite differences of the
 potential energy, and energy conservation of free motion.
 """
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
+from conftest import SCENARIO_DIR, desk_arm_model, scenario_path
 
 from superlimb.errors import BadModel, DimensionMismatch
 from superlimb.numerics import finite_diff_hessian, finite_diff_jacobian
 from superlimb.plant import Chain, Joint, PlantModel
+from superlimb.scenario import load_scenario
+
+
+def bundled_plant_scenarios() -> list[str]:
+    names = []
+    for name in sorted(os.listdir(SCENARIO_DIR)):
+        with open(scenario_path(name)) as fh:
+            if "plant" in json.load(fh):
+                names.append(name)
+    return names
+
+
+def plant_named(name: str) -> PlantModel:
+    if name == "desk":
+        return desk_arm_model()
+    return load_scenario(scenario_path(name)).model
+
+
+ORACLE_PLANTS = ["desk"] + bundled_plant_scenarios()
 
 
 def test_joint_validation():
@@ -82,6 +104,33 @@ def test_mass_matrix_matches_kinetic_energy_hessian(desk_model, rng):
 
     a_fd = finite_diff_hessian(t_of_qd, qd0)
     assert np.max(np.abs(a - a_fd)) <= 1e-6 * (1.0 + np.max(np.abs(a)))
+
+
+@pytest.mark.parametrize("name", ORACLE_PLANTS)
+def test_mass_matrix_quadratic_form_is_kinetic_energy(name, rng):
+    # exact oracle: the link-wise kinetic energy never touches the stacked
+    # Jacobians the inertia matrix is assembled from
+    model = plant_named(name)
+    n = model.n_dof
+    for _ in range(10):
+        q = model.q0 + rng.uniform(-1.0, 1.0, n)
+        qd = rng.standard_normal(n)
+        st = model.state(q, qd)
+        t = st.kinetic_energy()
+        assert 0.5 * qd @ st.mass_matrix() @ qd == pytest.approx(t, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ORACLE_PLANTS)
+def test_dynamics_results_are_not_aliased(name, rng):
+    model = plant_named(name)
+    n = model.n_dof
+    st = model.state(model.q0 + rng.uniform(-1.0, 1.0, n), rng.standard_normal(n))
+    a, g, h = (arr.copy() for arr in (st.mass_matrix(), st.gravity_vector(), st.bias()))
+    for arr in (st.mass_matrix(), st.gravity_vector(), st.bias()):
+        arr += 1.0
+    np.testing.assert_array_equal(st.mass_matrix(), a)
+    np.testing.assert_array_equal(st.gravity_vector(), g)
+    np.testing.assert_array_equal(st.bias(), h)
 
 
 def test_gravity_vector_matches_potential_gradient(desk_model, rng):

@@ -1,5 +1,7 @@
 """Tests for task-space impedance commands and joint friction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,18 @@ def test_control_force_no_damping_ignores_velocity():
     ctrl = make_ctrl()
     f0 = control_force(ctrl, ctrl.x_eq, np.array([5.0, 5.0]))
     np.testing.assert_array_equal(f0, ctrl.f_gravity)
+
+
+def test_control_force_shifted_equilibrium_matches_rebuilt_controller():
+    ctrl = make_ctrl(damping=(40.0, 8.0))
+    x, xdot = np.array([0.05, 0.35]), np.array([0.1, -0.2])
+    shifted = ctrl.x_eq + np.array([0.0, 0.03])
+    np.testing.assert_array_equal(
+        control_force(ctrl, x, xdot, x_eq=shifted),
+        control_force(replace(ctrl, x_eq=shifted), x, xdot),
+    )
+    with pytest.raises(DimensionMismatch):
+        control_force(ctrl, x, xdot, x_eq=np.zeros(3))
 
 
 def test_damping_must_be_vector():
