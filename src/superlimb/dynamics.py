@@ -166,8 +166,8 @@ class ContactSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "directions", tuple(self.directions))
-        if not (1 <= len(self.directions) <= 3):
-            raise DimensionMismatch("contact constrains 1 to 3 directions")
+        if not self.directions:
+            raise DimensionMismatch("contact constrains at least one direction")
         for d in self.directions:
             if d not in ("x", "z"):
                 raise DimensionMismatch(f"unknown direction {d!r}")

@@ -306,24 +306,69 @@ def run_pipeline(
 # --- CSV interfaces -----------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def write_csv(path: str, header: list[str], rows: np.ndarray, flag: int | None = None):
+    """Write a float table as CSV: every value as its shortest round-trip
+    ``repr``, except column ``flag`` (if given), written as ``0``/``1``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows.tolist():
+            cells = list(map(repr, row))
+            if flag is not None:
+                cells[flag] = "1" if row[flag] else "0"
+            fh.write(",".join(cells) + "\n")
+
+
+def _read_csv(
+    path: str, what: str, expected: str, header_ok, n_used: int | None = None
+):
+    """Header and numeric body of a CSV input file.
+
+    Blank lines are skipped; every other row must be as wide as the header
+    and its first ``n_used`` cells (all of them by default) finite numbers.
+    Errors name the file and the 1-based line.
+    """
+    if not os.path.isfile(path):
+        raise MissingFile(f"{what} file not found: {path}")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or not header_ok(header):
+            raise ValidationError(f"{path}: expected header '{expected}'")
+        width = len(header)
+        used = width if n_used is None else n_used
+        rows, lines = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValidationError(
+                    f"{path}, line {reader.line_num}: "
+                    f"{len(row)} cells, the header has {width}"
+                )
+            try:
+                rows.append([float(v) for v in row[:used]])
+            except ValueError as exc:
+                raise ValidationError(
+                    f"{path}, line {reader.line_num}: {exc}"
+                ) from None
+            lines.append(reader.line_num)
+    data = np.array(rows, dtype=float).reshape(len(rows), used)
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        line = lines[int(np.argmax(bad))]
+        raise ValidationError(f"{path}, line {line}: NaN or Inf cell")
+    return header, data
 
 
 def load_trace_csv(path: str) -> EmgTrace:
     """Read a trace CSV with header ``t,ch1[,ch2,...]``; the sampling rate
     is inferred from the (required uniform) time column."""
-    if not os.path.isfile(path):
-        raise MissingFile(f"trace file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0].strip() != "t" or len(header) < 2:
-            raise ValidationError(f"{path}: expected header 't,ch1[,ch2,...]'")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if len(rows) < 2:
+    header, data = _read_csv(
+        path, "trace", "t,ch1[,ch2,...]",
+        lambda h: h[0].strip() == "t" and len(h) >= 2,
+    )
+    if data.shape[0] < 2:
         raise ValidationError(f"{path}: need at least two samples")
-    data = np.asarray(rows, dtype=float)
     t = data[:, 0]
     dts = np.diff(t)
     dt = float(np.median(dts))
@@ -338,30 +383,19 @@ def load_trace_csv(path: str) -> EmgTrace:
 
 
 def write_trace_csv(path: str, trace: EmgTrace):
-    t = trace.times
-    with open(path, "w", newline="") as fh:
-        fh.write("t," + ",".join(n for n, _ in trace.channels) + "\n")
-        cols = [s for _, s in trace.channels]
-        for i in range(trace.n_samples):
-            fh.write(
-                _fmt(t[i]) + "," + ",".join(_fmt(c[i]) for c in cols) + "\n"
-            )
+    names, samples = zip(*trace.channels)
+    write_csv(path, ["t", *names], np.column_stack((trace.times, *samples)))
 
 
 def load_motion_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a motion CSV with header ``t,yaw_rad``; time must be
-    nondecreasing."""
-    if not os.path.isfile(path):
-        raise MissingFile(f"motion file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or [h.strip() for h in header[:2]] != ["t", "yaw_rad"]:
-            raise ValidationError(f"{path}: expected header 't,yaw_rad'")
-        rows = [[float(v) for v in row[:2]] for row in reader if row]
-    if not rows:
+    """Read a motion CSV with header ``t,yaw_rad`` (further columns are
+    ignored); time must be nondecreasing."""
+    _, data = _read_csv(
+        path, "motion", "t,yaw_rad",
+        lambda h: [c.strip() for c in h[:2]] == ["t", "yaw_rad"], n_used=2,
+    )
+    if not data.size:
         raise ValidationError(f"{path}: empty motion stream")
-    data = np.asarray(rows, dtype=float)
     t, yaw = data[:, 0], data[:, 1]
     if np.any(np.diff(t) < 0.0):
         raise ValidationError(f"{path}: time column must be nondecreasing")
@@ -369,19 +403,10 @@ def load_motion_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_pipeline_csv(path: str, result: PipelineResult):
-    with open(path, "w", newline="") as fh:
-        fh.write("t,envelope,activation,force_n,gate,dxeq_m\n")
-        for i in range(result.t.size):
-            fh.write(
-                ",".join(
-                    [
-                        _fmt(result.t[i]),
-                        _fmt(result.envelope[i]),
-                        _fmt(result.activation[i]),
-                        _fmt(result.force[i]),
-                        str(int(result.gate[i])),
-                        _fmt(result.dxeq[i]),
-                    ]
-                )
-                + "\n"
-            )
+    r = result
+    write_csv(
+        path,
+        ["t", "envelope", "activation", "force_n", "gate", "dxeq_m"],
+        np.column_stack((r.t, r.envelope, r.activation, r.force, r.gate, r.dxeq)),
+        flag=4,
+    )

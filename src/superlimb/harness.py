@@ -39,6 +39,7 @@ from .emg import (
     envelope,
     rectify,
     run_pipeline,
+    write_csv,
     zero_order_hold,
 )
 from .errors import (
@@ -246,85 +247,56 @@ def integrate_step(
 # --- logging ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One simulation step: time, SRL state, task-space quantities, the
+class SimLog:
+    """Step log as one preallocated ``(n_steps, n_cols)`` float array plus
+    the CSV column layout: time, SRL state, task-space quantities, the
     contact force on the supported object, mount reaction on the wearer,
     applied/required torques and the sEMG-derived command channel."""
 
-    t: float
-    q_s: np.ndarray
-    qdot_s: np.ndarray
-    x: np.ndarray
-    f_cmd: np.ndarray
-    lam: np.ndarray
-    f_mount: np.ndarray
-    tau_s: np.ndarray
-    tau_h: np.ndarray
-    a: float
-    gate: bool
-    x_eq: np.ndarray
-
-
-class SimLog:
-    """Ordered step records plus the CSV column layout."""
-
     def __init__(self, scenario: Scenario):
         model = scenario.model
-        self.n_s = len(model.srl_indices)
-        self.n_h = len(model.human_indices)
-        self.components = scenario.controller.components
-        self.directions = (
-            scenario.contact.spec.directions if scenario.contact else ()
-        )
-        self.records: list[LogRecord] = []
+        n_s = len(model.srl_indices)
+        n_h = len(model.human_indices)
+        components = scenario.controller.components
+        directions = scenario.contact.spec.directions if scenario.contact else ()
         cols = ["t"]
-        cols += [f"q_s{i}" for i in range(self.n_s)]
-        cols += [f"qdot_s{i}" for i in range(self.n_s)]
-        cols += [f"x_{c}" for c in self.components]
-        cols += [f"f_cmd_{c}" for c in self.components]
-        cols += [f"lambda_{d}" for d in self.directions]
+        cols += [f"q_s{i}" for i in range(n_s)]
+        cols += [f"qdot_s{i}" for i in range(n_s)]
+        cols += [f"x_{c}" for c in components]
+        cols += [f"f_cmd_{c}" for c in components]
+        cols += [f"lambda_{d}" for d in directions]
         cols += ["f_mount_x", "f_mount_z"]
-        cols += [f"tau_s{i}" for i in range(self.n_s)]
-        cols += [f"tau_h{i}" for i in range(self.n_h)]
+        cols += [f"tau_s{i}" for i in range(n_s)]
+        cols += [f"tau_h{i}" for i in range(n_h)]
         cols += ["a", "gate"]
-        cols += [f"x_eq_{c}" for c in self.components]
+        cols += [f"x_eq_{c}" for c in components]
         self.columns = cols
+        self._data = np.empty((scenario.sim.n_steps, len(cols)))
+        self._n = 0
 
-    def append(self, rec: LogRecord):
-        self.records.append(rec)
+    def append(
+        self, t, q_s, qdot_s, x, f_cmd, lam, f_mount, tau_s, tau_h, a, gate, x_eq
+    ):
+        """Store one step's values in column order; ``gate`` is kept as
+        0.0/1.0."""
+        self._data[self._n] = np.hstack(
+            (t, q_s, qdot_s, x, f_cmd, lam, f_mount, tau_s, tau_h, a, gate, x_eq)
+        )
+        self._n += 1
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def _row(self, rec: LogRecord) -> list:
-        out: list = [rec.t]
-        out += list(rec.q_s) + list(rec.qdot_s)
-        out += list(rec.x) + list(rec.f_cmd) + list(rec.lam)
-        out += list(rec.f_mount)
-        out += list(rec.tau_s) + list(rec.tau_h)
-        out += [rec.a, rec.gate]
-        out += list(rec.x_eq)
-        return out
+        return self._n
 
     def column(self, name: str) -> np.ndarray:
-        """Extract one named column across all records."""
+        """Copy of one named column across all steps (``gate`` as bool)."""
         if name not in self.columns:
             raise KeyError(name)
-        idx = self.columns.index(name)
-        return np.array([self._row(r)[idx] for r in self.records])
+        values = self._data[: self._n, self.columns.index(name)]
+        return values.astype(bool) if name == "gate" else values.copy()
 
     def to_csv(self, path: str):
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for rec in self.records:
-                cells = []
-                for v in self._row(rec):
-                    if isinstance(v, (bool, np.bool_)):
-                        cells.append(str(int(v)))
-                    else:
-                        cells.append(repr(float(v)))
-                fh.write(",".join(cells) + "\n")
+        gate = self.columns.index("gate")
+        write_csv(path, self.columns, self._data[: self._n], flag=gate)
 
 
 # --- scenario loop ------------------------------------------------------------
@@ -430,7 +402,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
 
     q = model.q0.copy()
     qd = np.zeros(n)
-    q_h0 = q[human].copy() if human.size else np.zeros(0)
+    q_h0 = q[human]
 
     log = SimLog(scenario)
     x_eq0: np.ndarray | None = (
@@ -509,8 +481,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
                 # hold the SRL posture, drive the human: required torques
                 # and the force split come from inverse dynamics
                 qdd_full = np.zeros(n)
-                if human.size:
-                    qdd_full[human] = qdd_h
+                qdd_full[human] = qdd_h
                 if j_c is not None:
                     snap = DynamicsSnapshot(
                         a=a_mat, h_bias=h_vec, j_c=j_c, qdd=qdd_full
@@ -520,12 +491,11 @@ def run_scenario(scenario: Scenario) -> SimLog:
                 else:
                     tau_req = a_mat @ qdd_full + h_vec
                     lam_robot = np.zeros(0)
-                tau_s_out = tau_req[srl] if srl.size else np.zeros(0)
-                tau_h_out = tau_req[human] if human.size else np.zeros(0)
+                tau_s_out = tau_req[srl]
+                tau_h_out = tau_req[human]
                 qdd = qdd_full
                 q_next, qd_next = q.copy(), qd.copy()
-                if human.size:
-                    q_next[human], qd_next[human] = scripted_next
+                q_next[human], qd_next[human] = scripted_next
             else:
                 step = _advance(
                     state,
@@ -552,20 +522,9 @@ def run_scenario(scenario: Scenario) -> SimLog:
 
             f_mount = _mount_force(state, qdd, lam_robot, scenario)
             log.append(
-                LogRecord(
-                    t=t,
-                    q_s=q[srl].copy(),
-                    qdot_s=qd[srl].copy(),
-                    x=x.copy(),
-                    f_cmd=np.asarray(f_cmd, dtype=float).copy(),
-                    lam=-lam_robot,  # force on the supported object
-                    f_mount=f_mount,
-                    tau_s=np.asarray(tau_s_out, dtype=float).copy(),
-                    tau_h=np.asarray(tau_h_out, dtype=float).copy(),
-                    a=float(act_arr[i]),
-                    gate=bool(gate_arr[i]),
-                    x_eq=np.asarray(x_eq_t, dtype=float).copy(),
-                )
+                t, q[srl], qd[srl], x, f_cmd,
+                -lam_robot,  # force on the supported object
+                f_mount, tau_s_out, tau_h_out, act_arr[i], gate_arr[i], x_eq_t,
             )
             q, qd = q_next, qd_next
         except SuperlimbError as exc:

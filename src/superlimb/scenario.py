@@ -18,30 +18,34 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dynamics import ContactSpec
 from .emg import (
     DEFAULT_BAND,
+    DEFAULT_FS,
     DEFAULT_WINDOW,
     EmgTrace,
     HillParams,
     load_motion_csv,
     load_trace_csv,
 )
-from .errors import MissingFile, ParseError, SuperlimbError
+from .errors import MissingFile, ParseError, SuperlimbError, ValidationError
 from .plant import Chain, Joint, PlantModel
 from .stability import SupportPosture
 from .stiffness import FrictionModel, default_stiffness_table
 
 _REQUIRED = object()
+_COMPONENTS = ("x", "z")
 
 
-def _get(section: dict, key: str, path: str, default=_REQUIRED):
+def _get(section: dict, key: str, path: str, default=_REQUIRED, parse=None):
+    """``section[key]``, checked by ``parse(value, dotted_path)`` if given;
+    the default (taken as is) when the key is absent."""
     if key in section:
-        return section[key]
+        return parse(section[key], f"{path}.{key}") if parse else section[key]
     if default is _REQUIRED:
         raise ParseError(f"{path}.{key}", "required key missing")
     return default
@@ -87,6 +91,24 @@ def _num_list(value, path: str, length: int | None = None) -> np.ndarray:
     if length is not None and out.size != length:
         raise ParseError(path, f"must have {length} entries, got {out.size}")
     return out
+
+
+def _axes(value, path: str) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise ParseError(path, "must be a list")
+    for i, a in enumerate(value):
+        if a not in _COMPONENTS:
+            raise ParseError(f"{path}[{i}]", f"must be one of {_COMPONENTS}")
+    return tuple(value)
+
+
+def _pairs(value, path: str) -> np.ndarray:
+    """``(n, 2)`` array from a list of number pairs."""
+    if not isinstance(value, list):
+        raise ParseError(path, "must be a list")
+    return np.array(
+        [_num_list(s, f"{path}[{i}]", 2) for i, s in enumerate(value)]
+    ).reshape(-1, 2)
 
 
 # --- section dataclasses ------------------------------------------------------
@@ -177,19 +199,19 @@ class ActivationProfile:
 
     def __post_init__(self):
         if not (self.fs > 0.0):
-            raise ParseError("profile.fs", "must be positive")
+            raise ValidationError(f"fs must be positive, got {self.fs}")
         if not (self.duration > 0.0):
-            raise ParseError("profile.duration", "must be positive")
+            raise ValidationError(f"duration must be positive, got {self.duration}")
         if not self.steps:
-            raise ParseError("profile.steps", "must not be empty")
+            raise ValidationError("steps must not be empty")
         prev = -math.inf
-        for t, level in self.steps:
+        for i, (t, level) in enumerate(self.steps):
             if t < prev:
-                raise ParseError("profile.steps", "times must be nondecreasing")
+                raise ValidationError(f"steps[{i}]: times must be nondecreasing")
             prev = t
             if not (0.0 <= level <= 1.0):
-                raise ParseError(
-                    "profile.steps", f"levels must be in [0,1], got {level}"
+                raise ValidationError(
+                    f"steps[{i}]: level must be in [0,1], got {level}"
                 )
 
     def sample(self, t: np.ndarray) -> np.ndarray:
@@ -231,26 +253,19 @@ class Scenario:
 
 # --- parsing ------------------------------------------------------------------
 
-_JOINT_KINDS = ("revolute", "prismatic")
-_COMPONENTS = ("x", "z")
+_HILL_KEYS = tuple(f.name for f in fields(HillParams))
 
 
 def _parse_joint(data, path: str) -> Joint:
     d = _dict(data, path)
-    kind = _str(_get(d, "kind", path), f"{path}.kind")
-    if kind not in _JOINT_KINDS:
-        raise ParseError(f"{path}.kind", f"must be one of {_JOINT_KINDS}")
-    mass = _num(_get(d, "mass", path), f"{path}.mass")
-    if mass <= 0.0:
-        raise ParseError(f"{path}.mass", "must be positive")
-    length = _num(_get(d, "length", path), f"{path}.length")
-    com = _num(_get(d, "com", path, default=length / 2.0), f"{path}.com")
-    inertia = _num(_get(d, "inertia", path, default=0.0), f"{path}.inertia")
-    if inertia < 0.0:
-        raise ParseError(f"{path}.inertia", "must be >= 0")
-    rotor = _num(_get(d, "rotor", path, default=0.0), f"{path}.rotor")
-    axis = _num(_get(d, "axis", path, default=0.0), f"{path}.axis")
-    q0 = _num(_get(d, "q0", path, default=0.0), f"{path}.q0")
+    kind = _get(d, "kind", path)
+    mass = _get(d, "mass", path, parse=_num)
+    length = _get(d, "length", path, parse=_num)
+    com = _get(d, "com", path, default=length / 2.0, parse=_num)
+    inertia = _get(d, "inertia", path, default=0.0, parse=_num)
+    rotor = _get(d, "rotor", path, default=0.0, parse=_num)
+    axis = _get(d, "axis", path, default=0.0, parse=_num)
+    q0 = _get(d, "q0", path, default=0.0, parse=_num)
     try:
         return Joint(
             kind=kind, mass=mass, length=length, com=com,
@@ -262,32 +277,31 @@ def _parse_joint(data, path: str) -> Joint:
 
 def _parse_chain(data, path: str) -> Chain:
     d = _dict(data, path)
-    name = _str(_get(d, "name", path), f"{path}.name")
-    role = _str(_get(d, "role", path, default="srl"), f"{path}.role")
-    if role not in ("srl", "human"):
-        raise ParseError(f"{path}.role", "must be 'srl' or 'human'")
+    name = _get(d, "name", path, parse=_str)
+    role = _get(d, "role", path, default="srl")
     base = _num_list(_get(d, "base", path, default=[0.0, 0.0]), f"{path}.base", 2)
-    heading = _num(_get(d, "heading", path, default=0.0), f"{path}.heading")
+    heading = _get(d, "heading", path, default=0.0, parse=_num)
     joints_raw = _get(d, "joints", path)
-    if not isinstance(joints_raw, list) or not joints_raw:
-        raise ParseError(f"{path}.joints", "must be a non-empty list")
+    if not isinstance(joints_raw, list):
+        raise ParseError(f"{path}.joints", "must be a list")
     joints = tuple(
         _parse_joint(j, f"{path}.joints[{i}]") for i, j in enumerate(joints_raw)
     )
-    return Chain(
-        name=name, joints=joints, base=(base[0], base[1]),
-        heading=heading, role=role,
-    )
+    try:
+        return Chain(
+            name=name, joints=joints, base=(base[0], base[1]),
+            heading=heading, role=role,
+        )
+    except SuperlimbError as exc:
+        raise ParseError(path, str(exc)) from exc
 
 
 def _parse_plant(data, path: str = "plant") -> PlantModel:
     d = _dict(data, path)
-    gravity = _num(_get(d, "gravity", path, default=9.81), f"{path}.gravity")
-    if gravity < 0.0:
-        raise ParseError(f"{path}.gravity", "must be >= 0")
+    gravity = _get(d, "gravity", path, default=9.81, parse=_num)
     chains_raw = _get(d, "chains", path)
-    if not isinstance(chains_raw, list) or not chains_raw:
-        raise ParseError(f"{path}.chains", "must be a non-empty list")
+    if not isinstance(chains_raw, list):
+        raise ParseError(f"{path}.chains", "must be a list")
     chains = tuple(
         _parse_chain(c, f"{path}.chains[{i}]") for i, c in enumerate(chains_raw)
     )
@@ -299,18 +313,18 @@ def _parse_plant(data, path: str = "plant") -> PlantModel:
 
 def _parse_sim(data, path: str = "sim") -> SimParams:
     d = _dict(data, path)
-    dt = _num(_get(d, "dt", path), f"{path}.dt")
+    dt = _get(d, "dt", path, parse=_num)
     if dt <= 0.0:
         raise ParseError(f"{path}.dt", "must be positive")
     if dt > 0.01:
         raise ParseError(f"{path}.dt", "must be <= 0.01 s")
-    duration = _num(_get(d, "duration", path), f"{path}.duration")
+    duration = _get(d, "duration", path, parse=_num)
     if duration < 0.0:
         raise ParseError(f"{path}.duration", "must be >= 0")
-    mode = _str(_get(d, "mode", path, default="tracking"), f"{path}.mode")
+    mode = _get(d, "mode", path, default="tracking", parse=_str)
     if mode not in ("tracking", "inverse-dynamics"):
         raise ParseError(f"{path}.mode", "must be 'tracking' or 'inverse-dynamics'")
-    seed = _int(_get(d, "seed", path, default=0), f"{path}.seed")
+    seed = _get(d, "seed", path, default=0, parse=_int)
     if seed < 0:
         raise ParseError(f"{path}.seed", "must be >= 0")
     return SimParams(dt=dt, duration=duration, mode=mode, seed=seed)
@@ -318,101 +332,61 @@ def _parse_sim(data, path: str = "sim") -> SimParams:
 
 def _parse_contact(data, model: PlantModel, path: str = "contact") -> ContactConfig:
     d = _dict(data, path)
-    chain = _str(_get(d, "chain", path), f"{path}.chain")
+    chain = _get(d, "chain", path, parse=_str)
     if chain not in [c.name for c in model.chains]:
         raise ParseError(f"{path}.chain", f"unknown chain {chain!r}")
     joint = _get(d, "joint", path, default=None)
     if joint is not None:
         joint = _int(joint, f"{path}.joint")
-    dirs_raw = _get(d, "directions", path, default=["z"])
-    if not isinstance(dirs_raw, list) or not dirs_raw:
-        raise ParseError(f"{path}.directions", "must be a non-empty list")
-    for i, a in enumerate(dirs_raw):
-        if a not in _COMPONENTS:
-            raise ParseError(
-                f"{path}.directions[{i}]", f"must be one of {_COMPONENTS}"
-            )
-    if len(set(dirs_raw)) != len(dirs_raw):
+    dirs = _get(d, "directions", path, default=("z",), parse=_axes)
+    if len(set(dirs)) != len(dirs):
         raise ParseError(f"{path}.directions", "directions must be distinct")
     try:
-        spec = ContactSpec(chain=chain, directions=tuple(dirs_raw), joint=joint)
+        spec = ContactSpec(chain=chain, directions=dirs, joint=joint)
     except SuperlimbError as exc:
         raise ParseError(path, str(exc)) from exc
     motion = ContactMotion()
     if "motion" in d:
-        md = _dict(d["motion"], f"{path}.motion")
-        kind = _str(_get(md, "type", f"{path}.motion"), f"{path}.motion.type")
+        m_path = f"{path}.motion"
+        md = _dict(d["motion"], m_path)
+        kind = _get(md, "type", m_path, parse=_str)
         if kind not in ("static", "triangle"):
-            raise ParseError(f"{path}.motion.type", "must be 'static' or 'triangle'")
+            raise ParseError(f"{m_path}.type", "must be 'static' or 'triangle'")
         if kind == "triangle":
-            axis = _str(
-                _get(md, "axis", f"{path}.motion", default="z"),
-                f"{path}.motion.axis",
-            )
+            axis = _get(md, "axis", m_path, default="z", parse=_str)
             if axis not in spec.directions:
                 raise ParseError(
-                    f"{path}.motion.axis",
+                    f"{m_path}.axis",
                     f"must be one of the constrained directions {spec.directions}",
                 )
-            amplitude = _num(
-                _get(md, "amplitude", f"{path}.motion", default=0.02),
-                f"{path}.motion.amplitude",
-            )
-            speed = _num(
-                _get(md, "speed", f"{path}.motion", default=0.02),
-                f"{path}.motion.speed",
-            )
+            amplitude = _get(md, "amplitude", m_path, default=0.02, parse=_num)
+            speed = _get(md, "speed", m_path, default=0.02, parse=_num)
             if amplitude <= 0.0:
-                raise ParseError(f"{path}.motion.amplitude", "must be positive")
+                raise ParseError(f"{m_path}.amplitude", "must be positive")
             if speed <= 0.0:
-                raise ParseError(f"{path}.motion.speed", "must be positive")
+                raise ParseError(f"{m_path}.speed", "must be positive")
             motion = ContactMotion(
                 kind="triangle", axis=axis, amplitude=amplitude, speed=speed
             )
     return ContactConfig(spec=spec, motion=motion)
 
 
-def _default_controller(model: PlantModel) -> ControllerConfig:
-    srl = [c.name for c in model.chains if c.role == "srl"]
-    chain = srl[0] if srl else model.chains[0].name
-    m = len(_COMPONENTS)
-    return ControllerConfig(
-        enabled=True,
-        chain=chain,
-        joint=None,
-        components=_COMPONENTS,
-        table=default_stiffness_table(m),
-        level=1,
-        x_eq=None,
-        f_gravity=np.zeros(m),
-        damping=None,
-        gravity_compensation=True,
-        friction=None,
-    )
-
-
 def _parse_controller(
     data, model: PlantModel, path: str = "controller"
 ) -> ControllerConfig:
     d = _dict(data, path)
-    base = _default_controller(model)
-    enabled = _bool(_get(d, "enabled", path, default=True), f"{path}.enabled")
-    chain = _str(_get(d, "chain", path, default=base.chain), f"{path}.chain")
+    enabled = _get(d, "enabled", path, default=True, parse=_bool)
     names = [c.name for c in model.chains]
+    srl = [c.name for c in model.chains if c.role == "srl"]
+    chain = _get(d, "chain", path, default=(srl or names)[0], parse=_str)
     if chain not in names:
         raise ParseError(f"{path}.chain", f"unknown chain {chain!r}")
     joint = _get(d, "joint", path, default=None)
     if joint is not None:
         joint = _int(joint, f"{path}.joint")
-    comps_raw = _get(d, "components", path, default=list(_COMPONENTS))
-    if not isinstance(comps_raw, list) or not comps_raw:
-        raise ParseError(f"{path}.components", "must be a non-empty list")
-    for i, c in enumerate(comps_raw):
-        if c not in _COMPONENTS:
-            raise ParseError(
-                f"{path}.components[{i}]", f"must be one of {_COMPONENTS}"
-            )
-    comps = tuple(comps_raw)
+    comps = _get(d, "components", path, default=_COMPONENTS, parse=_axes)
+    if not comps:
+        raise ParseError(f"{path}.components", "must not be empty")
     m = len(comps)
 
     if "stiffness_table" in d:
@@ -436,7 +410,7 @@ def _parse_controller(
         table = tuple(entries)
     else:
         table = default_stiffness_table(m)
-    level = _int(_get(d, "level", path, default=1), f"{path}.level")
+    level = _get(d, "level", path, default=1, parse=_int)
     if level not in (1, 2, 3, 4):
         raise ParseError(f"{path}.level", "must be in 1..4")
 
@@ -473,29 +447,22 @@ def _parse_controller(
         if np.any(damping < 0.0):
             raise ParseError(f"{path}.damping", "entries must be >= 0")
 
-    gravity_comp = _bool(
-        _get(d, "gravity_compensation", path, default=True),
-        f"{path}.gravity_compensation",
-    )
+    gravity_comp = _get(d, "gravity_compensation", path, default=True, parse=_bool)
 
     friction = None
     if d.get("friction") is not None:
         fd = _dict(d["friction"], f"{path}.friction")
         n_s = len(model.srl_indices)
 
-        def per_joint(value, key):
+        def per_joint(value, key_path):
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 return np.full(n_s, float(value))
-            return _num_list(value, f"{path}.friction.{key}", n_s)
+            return _num_list(value, key_path, n_s)
 
-        coulomb = per_joint(_get(fd, "coulomb", f"{path}.friction"), "coulomb")
-        viscous = per_joint(
-            _get(fd, "viscous", f"{path}.friction", default=0.0), "viscous"
-        )
-        ratio = _num(
-            _get(fd, "breakaway_ratio", f"{path}.friction", default=1.0),
-            f"{path}.friction.breakaway_ratio",
-        )
+        f_path = f"{path}.friction"
+        coulomb = _get(fd, "coulomb", f_path, parse=per_joint)
+        viscous = _get(fd, "viscous", f_path, default=np.zeros(n_s), parse=per_joint)
+        ratio = _get(fd, "breakaway_ratio", f_path, default=1.0, parse=_num)
         try:
             friction = FrictionModel(
                 coulomb=coulomb, viscous=viscous, stiction_breakaway_ratio=ratio
@@ -520,31 +487,18 @@ def _parse_controller(
 
 def parse_profile(data, path: str = "profile") -> ActivationProfile:
     d = _dict(data, path)
-    fs = _num(_get(d, "fs", path, default=1000.0), f"{path}.fs")
-    duration = _num(_get(d, "duration", path), f"{path}.duration")
-    steps_raw = _get(d, "steps", path)
-    if not isinstance(steps_raw, list) or not steps_raw:
-        raise ParseError(f"{path}.steps", "must be a non-empty list")
-    steps = []
-    for i, s in enumerate(steps_raw):
-        pair = _num_list(s, f"{path}.steps[{i}]", 2)
-        steps.append((float(pair[0]), float(pair[1])))
-    if fs <= 0.0:
-        raise ParseError(f"{path}.fs", "must be positive")
-    if duration <= 0.0:
-        raise ParseError(f"{path}.duration", "must be positive")
-    for i, (_, level) in enumerate(steps):
-        if not (0.0 <= level <= 1.0):
-            raise ParseError(f"{path}.steps[{i}]", "level must be in [0,1]")
-    for i in range(1, len(steps)):
-        if steps[i][0] < steps[i - 1][0]:
-            raise ParseError(f"{path}.steps[{i}]", "times must be nondecreasing")
-    return ActivationProfile(fs=fs, duration=duration, steps=tuple(steps))
+    fs = _get(d, "fs", path, default=DEFAULT_FS, parse=_num)
+    duration = _get(d, "duration", path, parse=_num)
+    steps = tuple(map(tuple, _get(d, "steps", path, parse=_pairs).tolist()))
+    try:
+        return ActivationProfile(fs=fs, duration=duration, steps=steps)
+    except SuperlimbError as exc:
+        raise ParseError(path, str(exc)) from exc
 
 
 def _parse_emg(data, base_dir: str, default_seed: int, path: str = "emg") -> EmgConfig:
     d = _dict(data, path)
-    enabled = _bool(_get(d, "enabled", path, default=True), f"{path}.enabled")
+    enabled = _get(d, "enabled", path, default=True, parse=_bool)
     if not enabled:
         return EmgConfig(enabled=False)
 
@@ -560,35 +514,25 @@ def _parse_emg(data, base_dir: str, default_seed: int, path: str = "emg") -> Emg
     else:
         profile = parse_profile(d["profile"], f"{path}.profile")
 
-    seed = _int(_get(d, "seed", path, default=default_seed), f"{path}.seed")
+    seed = _get(d, "seed", path, default=default_seed, parse=_int)
     if seed < 0:
         raise ParseError(f"{path}.seed", "must be >= 0")
 
-    hill_kwargs = {}
-    if "hill" in d:
-        hd = _dict(d["hill"], f"{path}.hill")
-        for key in (
-            "f_max", "act_tau_rise", "act_tau_fall",
-            "fl_factor", "fv_factor", "mvc_reference",
-        ):
-            if key in hd:
-                hill_kwargs[key] = _num(hd[key], f"{path}.hill.{key}")
-        unknown = set(hd) - {
-            "f_max", "act_tau_rise", "act_tau_fall",
-            "fl_factor", "fv_factor", "mvc_reference",
-        }
-        if unknown:
-            raise ParseError(f"{path}.hill.{sorted(unknown)[0]}", "unknown key")
+    hd = _dict(d.get("hill", {}), f"{path}.hill")
+    unknown = sorted(set(hd) - set(_HILL_KEYS))
+    if unknown:
+        raise ParseError(f"{path}.hill.{unknown[0]}", "unknown key")
+    hill_kwargs = {key: _num(v, f"{path}.hill.{key}") for key, v in hd.items()}
     try:
         hill = HillParams(**hill_kwargs)
     except SuperlimbError as exc:
         raise ParseError(f"{path}.hill", str(exc)) from exc
 
-    threshold = _num(_get(d, "threshold", path, default=0.3), f"{path}.threshold")
-    hysteresis = _num(_get(d, "hysteresis", path, default=0.05), f"{path}.hysteresis")
+    threshold = _get(d, "threshold", path, default=0.3, parse=_num)
+    hysteresis = _get(d, "hysteresis", path, default=0.05, parse=_num)
     if not (threshold > hysteresis >= 0.0):
         raise ParseError(f"{path}.threshold", "need threshold > hysteresis >= 0")
-    gain = _num(_get(d, "gain", path, default=1e-4), f"{path}.gain")
+    gain = _get(d, "gain", path, default=1e-4, parse=_num)
     if gain < 0.0:
         raise ParseError(f"{path}.gain", "must be >= 0")
 
@@ -604,26 +548,18 @@ def _parse_emg(data, base_dir: str, default_seed: int, path: str = "emg") -> Emg
                 os.path.join(base_dir, _str(md["file"], f"{path}.motion.file"))
             )
         else:
-            steps_raw = md["steps"]
-            if not isinstance(steps_raw, list) or not steps_raw:
-                raise ParseError(f"{path}.motion.steps", "must be a non-empty list")
-            pairs = [
-                _num_list(s, f"{path}.motion.steps[{i}]", 2)
-                for i, s in enumerate(steps_raw)
-            ]
-            t = np.array([p[0] for p in pairs])
-            yaw = np.array([p[1] for p in pairs])
-            if np.any(np.diff(t) < 0.0):
-                raise ParseError(
-                    f"{path}.motion.steps", "times must be nondecreasing"
-                )
-            motion = (t, yaw)
+            pairs = _pairs(md["steps"], f"{path}.motion.steps")
+            if not pairs.size:
+                raise ParseError(f"{path}.motion.steps", "must not be empty")
+            if np.any(np.diff(pairs[:, 0]) < 0.0):
+                raise ParseError(f"{path}.motion.steps", "times must be nondecreasing")
+            motion = (pairs[:, 0], pairs[:, 1])
 
     band = DEFAULT_BAND
     if "band" in d:
         b = _num_list(d["band"], f"{path}.band", 2)
         band = (float(b[0]), float(b[1]))
-    window = _num(_get(d, "window", path, default=DEFAULT_WINDOW), f"{path}.window")
+    window = _get(d, "window", path, default=DEFAULT_WINDOW, parse=_num)
     if window <= 0.0:
         raise ParseError(f"{path}.window", "must be positive")
 
@@ -644,7 +580,7 @@ def _parse_emg(data, base_dir: str, default_seed: int, path: str = "emg") -> Emg
 
 def _parse_human_motion(data, model: PlantModel, path: str = "human_motion") -> HumanMotion:
     d = _dict(data, path)
-    kind = _str(_get(d, "type", path), f"{path}.type")
+    kind = _get(d, "type", path, parse=_str)
     if kind not in ("static", "sine"):
         raise ParseError(f"{path}.type", "must be 'static' or 'sine'")
     if kind == "static":
@@ -653,10 +589,10 @@ def _parse_human_motion(data, model: PlantModel, path: str = "human_motion") -> 
     if n_h == 0:
         raise ParseError(path, "plant has no human chain to drive")
     amplitude = _num_list(_get(d, "amplitude", path), f"{path}.amplitude", n_h)
-    frequency = _num(_get(d, "frequency", path, default=0.5), f"{path}.frequency")
+    frequency = _get(d, "frequency", path, default=0.5, parse=_num)
     if frequency <= 0.0:
         raise ParseError(f"{path}.frequency", "must be positive")
-    phase = _num(_get(d, "phase", path, default=0.0), f"{path}.phase")
+    phase = _get(d, "phase", path, default=0.0, parse=_num)
     return HumanMotion(kind="sine", amplitude=amplitude, frequency=frequency, phase=phase)
 
 
@@ -669,11 +605,7 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
         raise ParseError(sorted(unknown)[0], "unknown section")
     model = _parse_plant(_get(data, "plant", "(root)"))
     sim = _parse_sim(_get(data, "sim", "(root)"))
-    controller = (
-        _parse_controller(data["controller"], model)
-        if "controller" in data
-        else _default_controller(model)
-    )
+    controller = _parse_controller(data.get("controller", {}), model)
     contact = (
         _parse_contact(data["contact"], model) if data.get("contact") is not None else None
     )
@@ -710,28 +642,26 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
     )
 
 
-def load_scenario(path: str) -> Scenario:
-    """Load and validate a scenario JSON file."""
+def _load_json(path: str, what: str):
+    """Decoded contents of a JSON file; ``what`` names it in MissingFile."""
     if not os.path.isfile(path):
-        raise MissingFile(f"scenario file not found: {path}")
+        raise MissingFile(f"{what} file not found: {path}")
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError("(root)", f"invalid JSON: {exc}") from exc
+
+
+def load_scenario(path: str) -> Scenario:
+    """Load and validate a scenario JSON file."""
+    data = _load_json(path, "scenario")
     return parse_scenario(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def load_profile(path: str) -> ActivationProfile:
     """Load an activation-profile JSON file (for synthetic sEMG)."""
-    if not os.path.isfile(path):
-        raise MissingFile(f"profile file not found: {path}")
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("(root)", f"invalid JSON: {exc}") from exc
-    return parse_profile(data, "profile")
+    return parse_profile(_load_json(path, "profile"), "profile")
 
 
 # --- named support postures for stability analysis ----------------------------
@@ -744,44 +674,39 @@ def load_profile(path: str) -> ActivationProfile:
 _MG = 9.81
 
 
-def _posture_column(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
-    # rigid mount at the CoM: ik linear, z linear -> K_p equals the servo stiffness
+def _identity_ik(p) -> np.ndarray:
+    return np.asarray(p, dtype=float).copy()
+
+
+def _identity_jac(p) -> np.ndarray:
+    return np.eye(6)
+
+
+def _weight_on_z(mass: float) -> np.ndarray:
     tau = np.zeros(6)
     tau[2] = mass * _MG
-    return SupportPosture(
-        p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=tau,
-        k_q=np.diag([k, k, k, 0.2 * k, 0.2 * k, 0.2 * k]), mass=mass,
-        ik_map=lambda p: np.asarray(p, dtype=float).copy(),
-        z_of_p=lambda p: float(p[2]),
-        ik_jac=lambda p: np.eye(6),
-    )
+    return tau
 
 
-def _posture_hanging(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
-    # CoM a distance r below the mount frame: gravity stiffens the tilt axes
-    tau = np.zeros(6)
-    tau[2] = mass * _MG
-    return SupportPosture(
-        p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=tau,
-        k_q=np.diag([k, k, k, 1.0, 1.0, 1.0]), mass=mass,
-        ik_map=lambda p: np.asarray(p, dtype=float).copy(),
-        z_of_p=lambda p: float(p[2]) - r * math.cos(p[3]) * math.cos(p[4]),
-        ik_jac=lambda p: np.eye(6),
-    )
+def _rigid_panel(tilt_stiffness, com_side: float):
+    """Builder of a panel on a rigid mount (ik linear) with its CoM a
+    distance ``com_side * r`` above the mount frame: below (-1) gravity
+    stiffens the tilt axes, above (+1) it destabilizes them, and at the
+    frame (0) K_p equals the servo stiffness.  ``tilt_stiffness(k)`` is the
+    rotational servo stiffness."""
 
+    def build(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
+        kt = tilt_stiffness(k)
+        offset = com_side * r
+        return SupportPosture(
+            p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=_weight_on_z(mass),
+            k_q=np.diag([k, k, k, kt, kt, kt]), mass=mass,
+            ik_map=_identity_ik,
+            z_of_p=lambda p: float(p[2]) + offset * math.cos(p[3]) * math.cos(p[4]),
+            ik_jac=_identity_jac,
+        )
 
-def _posture_inverted(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
-    # CoM a distance r above the mount frame with no rotational servo
-    # stiffness: gravity destabilizes the tilt axes
-    tau = np.zeros(6)
-    tau[2] = mass * _MG
-    return SupportPosture(
-        p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=tau,
-        k_q=np.diag([k, k, k, 0.0, 0.0, 0.0]), mass=mass,
-        ik_map=lambda p: np.asarray(p, dtype=float).copy(),
-        z_of_p=lambda p: float(p[2]) + r * math.cos(p[3]) * math.cos(p[4]),
-        ik_jac=lambda p: np.eye(6),
-    )
+    return build
 
 
 def _posture_cradle(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
@@ -790,19 +715,14 @@ def _posture_cradle(mass: float, k: float, r: float, gamma: float) -> SupportPos
     a = 2.0 / max(r, 1e-6)
     return SupportPosture(
         p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=np.zeros(6),
-        k_q=np.diag([0.01 * k] * 6), mass=mass,
-        ik_map=lambda p: np.asarray(p, dtype=float).copy(),
-        z_of_p=lambda p: 0.5 * a * (p[0] ** 2 + p[1] ** 2),
-        ik_jac=lambda p: np.eye(6),
+        k_q=np.diag([0.01 * k] * 6), mass=mass, ik_map=_identity_ik,
+        z_of_p=lambda p: 0.5 * a * (p[0] ** 2 + p[1] ** 2), ik_jac=_identity_jac,
     )
 
 
 def _posture_toggle(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
     # loaded vertical joint whose extension couples quadratically to tilt
     # (toggle linkage): the torque-times-curvature term eats servo stiffness
-    tau = np.zeros(6)
-    tau[2] = mass * _MG
-
     def ik(p):
         q = np.asarray(p, dtype=float).copy()
         q[2] = p[2] + gamma * (p[3] ** 2 + p[4] ** 2)
@@ -815,16 +735,16 @@ def _posture_toggle(mass: float, k: float, r: float, gamma: float) -> SupportPos
         return j
 
     return SupportPosture(
-        p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=tau,
+        p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=_weight_on_z(mass),
         k_q=np.diag([k, k, k, 2.0, 2.0, 2.0]), mass=mass,
         ik_map=ik, z_of_p=lambda p: float(p[2]), ik_jac=jac,
     )
 
 
 POSTURES = {
-    "column": _posture_column,
-    "hanging_panel": _posture_hanging,
-    "inverted_panel": _posture_inverted,
+    "column": _rigid_panel(lambda k: 0.2 * k, 0.0),
+    "hanging_panel": _rigid_panel(lambda k: 1.0, -1.0),
+    "inverted_panel": _rigid_panel(lambda k: 0.0, 1.0),
     "cradle": _posture_cradle,
     "toggle_mount": _posture_toggle,
 }
@@ -833,34 +753,29 @@ POSTURES = {
 def build_posture(data: dict, path: str = "stability") -> SupportPosture:
     """Build a named posture from a config section."""
     d = _dict(data, path)
-    name = _str(_get(d, "posture", path), f"{path}.posture")
+    name = _get(d, "posture", path, parse=_str)
     if name not in POSTURES:
         raise ParseError(
             f"{path}.posture", f"unknown posture; choose from {sorted(POSTURES)}"
         )
-    mass = _num(_get(d, "mass", path, default=4.0), f"{path}.mass")
-    if mass <= 0.0:
-        raise ParseError(f"{path}.mass", "must be positive")
-    k = _num(_get(d, "k", path, default=400.0), f"{path}.k")
+    mass = _get(d, "mass", path, default=4.0, parse=_num)
+    k = _get(d, "k", path, default=400.0, parse=_num)
     if k < 0.0:
         raise ParseError(f"{path}.k", "must be >= 0")
-    r = _num(_get(d, "r", path, default=0.3), f"{path}.r")
+    r = _get(d, "r", path, default=0.3, parse=_num)
     if r <= 0.0:
         raise ParseError(f"{path}.r", "must be positive")
-    gamma = _num(_get(d, "gamma", path, default=0.5), f"{path}.gamma")
-    return POSTURES[name](mass, k, r, gamma)
+    gamma = _get(d, "gamma", path, default=0.5, parse=_num)
+    try:
+        return POSTURES[name](mass, k, r, gamma)
+    except SuperlimbError as exc:
+        raise ParseError(path, str(exc)) from exc
 
 
 def load_posture(path: str) -> tuple[SupportPosture, dict]:
     """Load a stability-analysis config file; returns the posture and the
     raw section (for auxiliary keys like a servo margin)."""
-    if not os.path.isfile(path):
-        raise MissingFile(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("(root)", f"invalid JSON: {exc}") from exc
+    data = _load_json(path, "config")
     if not isinstance(data, dict) or "stability" not in data:
         raise ParseError("stability", "required section missing")
     section = _dict(data["stability"], "stability")

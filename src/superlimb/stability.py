@@ -217,15 +217,21 @@ def hessian_qi(posture: SupportPosture, p: np.ndarray, i: int) -> np.ndarray:
     )
 
 
-def _assemble_kp(posture: SupportPosture) -> np.ndarray:
+def _base_stiffness(posture: SupportPosture) -> tuple[np.ndarray, np.ndarray]:
+    """Servo-free part of K_p, m g E_z - sum_i tau_bar_i H_i (not yet
+    symmetrized), and the ik Jacobian J, both at the equilibrium pose."""
     p = posture.p_bar
-    e_z = hessian_ez(posture, p)
-    j = _ik_jacobian(posture, p)
-    k_p = posture.mass * GRAVITY * e_z + j.T @ posture.k_q @ j
+    base = posture.mass * GRAVITY * hessian_ez(posture, p)
     for i in range(posture.n_joint):
         ti = posture.tau_bar[i]
         if ti != 0.0:
-            k_p = k_p - ti * hessian_qi(posture, p, i)
+            base = base - ti * hessian_qi(posture, p, i)
+    return base, _ik_jacobian(posture, p)
+
+
+def _assemble_kp(posture: SupportPosture) -> np.ndarray:
+    base, j = _base_stiffness(posture)
+    k_p = base + j.T @ posture.k_q @ j
     return 0.5 * (k_p + k_p.T)
 
 
@@ -283,14 +289,7 @@ def stabilizing_servo_stiffness(
     """
     if margin < 0.0:
         raise ValidationError(f"margin must be >= 0, got {margin}")
-    p = posture.p_bar
-    e_z = hessian_ez(posture, p)
-    j = _ik_jacobian(posture, p)
-    base = posture.mass * GRAVITY * e_z
-    for i in range(posture.n_joint):
-        ti = posture.tau_bar[i]
-        if ti != 0.0:
-            base = base - ti * hessian_qi(posture, p, i)
+    base, j = _base_stiffness(posture)
     base = 0.5 * (base + base.T)
     jtj = j.T @ j
     scale = max(np.max(np.abs(jtj)), 1e-30)

@@ -225,3 +225,33 @@ def test_log_env_diagnostics(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "INFO superlimb:" in err
     assert stdout == ""  # diagnostics never mix with data
+
+
+@pytest.mark.parametrize(
+    "trace_body, motion_body, bad_file",
+    [
+        ("0,1\n0.001,abc\n", None, "trace.csv"),  # non-numeric cell
+        ("0,1\n0.001\n", None, "trace.csv"),  # ragged row
+        ("0,1\n0.001,nan\n", None, "trace.csv"),  # NaN trace cell is bad input
+        (None, "0.0,0.0\nnan,0.4\n", "motion.csv"),  # NaN motion time
+        (None, "0.0,0.0\n1.5,nan\n", "motion.csv"),  # NaN motion yaw
+    ],
+)
+def test_emg_pipeline_bad_csv_exits_1(tmp_path, capsys, trace_body, motion_body, bad_file):
+    trace = tmp_path / "trace.csv"
+    if trace_body is None:
+        t = np.arange(400) / 1000.0
+        x = np.sin(2 * np.pi * 80.0 * t)
+        trace_body = "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), x.tolist()))
+    trace.write_text("t,ch1\n" + trace_body)
+    argv = ["emg-pipeline", "--in", str(trace), "--out", str(tmp_path / "o.csv")]
+    if motion_body is not None:
+        motion = tmp_path / "motion.csv"
+        motion.write_text("t,yaw_rad\n" + motion_body)
+        argv += ["--motion", str(motion)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith(f"error: {tmp_path / bad_file}, line 3:")
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "o.csv").exists()

@@ -140,6 +140,8 @@ def test_contact_spec_validation():
         ContactSpec(chain="arm", directions=("x", "x"))
     with pytest.raises(DimensionMismatch):
         ContactSpec(chain="arm", directions=("y",))
+    with pytest.raises(DimensionMismatch):
+        ContactSpec(chain="arm", directions=())
     spec = ContactSpec(chain="arm", directions=("z", "x"))
     assert spec.rows == [1, 0]
 

@@ -368,3 +368,55 @@ def test_write_pipeline_csv(tmp_path):
     first = lines[1].split(",")
     assert first[4] in ("0", "1")  # gate column is an integer flag
     assert float(first[0]) == 0.0
+
+
+# --- CSV input checks -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "body, line, reason",
+    [
+        ("0,1\n0.001,abc\n", 3, "abc"),  # non-numeric cell
+        ("0,1\n0.001\n", 3, "1 cells"),  # ragged row
+        ("0,1\n0.001,nan\n0.002,1\n", 3, "NaN or Inf"),
+        ("0,1\n\n0.001,inf\n", 4, "NaN or Inf"),  # blank lines still count
+    ],
+)
+def test_load_trace_rejects_bad_rows(tmp_path, body, line, reason):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,ch1\n" + body)
+    with pytest.raises(ValidationError) as exc:
+        load_trace_csv(str(path))
+    assert not isinstance(exc.value, NonFinite)  # bad input, not a numeric failure
+    assert f"{path}, line {line}:" in str(exc.value)
+    assert reason in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "body, line, reason",
+    [
+        ("0.0,0.0\nnan,0.1\n", 3, "NaN or Inf"),
+        ("0.0,0.0\n0.5,nan\n", 3, "NaN or Inf"),
+        ("0.0,0.0\n0.5,x\n", 3, "'x'"),
+        ("0.0,0.0\n0.5\n", 3, "1 cells"),
+    ],
+)
+def test_load_motion_rejects_bad_rows(tmp_path, body, line, reason):
+    path = tmp_path / "motion.csv"
+    path.write_text("t,yaw_rad\n" + body)
+    with pytest.raises(ValidationError) as exc:
+        load_motion_csv(str(path))
+    assert f"{path}, line {line}:" in str(exc.value)
+    assert reason in str(exc.value)
+
+
+def test_load_motion_keeps_extra_columns(tmp_path):
+    path = tmp_path / "motion.csv"
+    path.write_text("t,yaw_rad,label\n0.0,0.0,rest\n1.5,0.35,turn\n")
+    t, yaw = load_motion_csv(str(path))
+    np.testing.assert_array_equal(t, [0.0, 1.5])
+    np.testing.assert_array_equal(yaw, [0.0, 0.35])
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("t,yaw_rad,label\n0.0,0.0,rest\n1.5,0.35\n")
+    with pytest.raises(ValidationError, match="line 3"):
+        load_motion_csv(str(ragged))

@@ -402,3 +402,36 @@ def test_dependent_contact_directions_report_step():
     with pytest.raises(RankDeficient) as exc:
         run_scenario(parse_scenario(data))
     assert str(exc.value).startswith("[step 0")
+
+
+# --- columnar log ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["emg_step.json", "overhead_inverse.json"])
+def test_log_columns_match_csv(tmp_path, name):
+    sc = load_scenario(scenario_path(name))
+    log = run_scenario(sc)
+    assert len(log) == sc.sim.n_steps
+    path = tmp_path / "log.csv"
+    log.to_csv(str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",") == log.columns
+    table = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    for i, c in enumerate(log.columns):
+        col = log.column(c)
+        assert col.shape == (sc.sim.n_steps,)
+        if c == "gate":
+            assert col.dtype == bool
+            np.testing.assert_array_equal(col, table[:, i] == 1.0)
+        else:
+            np.testing.assert_array_equal(col, table[:, i])
+
+
+def test_log_column_is_a_copy(tmp_path):
+    log = run_scenario(load_scenario(scenario_path("static_hold.json")))
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    log.to_csv(str(before))
+    log.column("lambda_z")[:] = -1.0
+    log.column("gate")[:] = True
+    log.to_csv(str(after))
+    assert before.read_bytes() == after.read_bytes()

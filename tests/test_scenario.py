@@ -1,5 +1,6 @@
 """Tests for scenario/config parsing and the named support postures."""
 
+import dataclasses
 import json
 import math
 
@@ -404,3 +405,55 @@ def test_load_posture_missing_section(tmp_path):
     assert exc.value.key == "stability"
     with pytest.raises(MissingFile):
         load_posture(str(tmp_path / "nope.json"))
+
+
+# --- validation owned by the dataclasses ----------------------------------------
+
+
+def test_joint_invariants_reported_at_the_joint():
+    data = base_scenario()
+    data["plant"]["chains"][0]["joints"][0]["mass"] = -1
+    expect_key(data, "plant.chains[0].joints[0]", "mass")
+
+
+def test_chain_role_reported_at_the_chain():
+    data = base_scenario()
+    data["plant"]["chains"][0]["role"] = "robot"
+    expect_key(data, "plant.chains[0]")
+
+
+def test_emg_profile_invariants_reported_under_the_profile():
+    data = base_scenario()
+    data["emg"] = {"profile": {"fs": 0, "duration": 2.0, "steps": [[0.0, 0.5]]}}
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(data)
+    assert exc.value.key.startswith("emg.profile")
+
+
+def test_omitted_controller_equals_empty_section():
+    data = base_scenario()
+    del data["controller"]
+    omitted = parse_scenario(data).controller
+    data["controller"] = {}
+    empty = parse_scenario(data).controller
+    for f in dataclasses.fields(omitted):
+        a, b = getattr(omitted, f.name), getattr(empty, f.name)
+        if f.name == "table":
+            assert len(a) == len(b)
+            for ka, kb in zip(a, b):
+                np.testing.assert_array_equal(ka, kb)
+        elif isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize("loader", [load_scenario, load_profile, load_posture])
+@pytest.mark.parametrize("body", [b"{not json", b"\xff\xfe{}"])
+def test_loaders_reject_undecodable_files(tmp_path, loader, body):
+    p = tmp_path / "bad.json"
+    p.write_bytes(body)
+    with pytest.raises(ParseError) as exc:
+        loader(str(p))
+    assert exc.value.key == "(root)"
+    assert "invalid JSON" in exc.value.reason
