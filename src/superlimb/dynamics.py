@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
-from .errors import DimensionMismatch, NonFinite
-from .numerics import dyn_consistent_pinv, qr_full
+from .errors import DimensionMismatch, NonFinite, RankDeficient
+from .numerics import dyn_consistent_pinv, lapack_info, qr_full
 from .plant import PlantModel, PlantState
 
 
@@ -40,18 +41,18 @@ class DynamicsSnapshot:
         jc = np.atleast_2d(np.asarray(self.j_c, dtype=float))
         qdd = np.asarray(self.qdd, dtype=float)
         for name, arr in (("a", a), ("h_bias", h), ("j_c", jc), ("qdd", qdd)):
-            if arr.size and not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise NonFinite(f"{name} contains NaN or Inf")
-        n = a.shape[0]
-        if a.shape != (n, n):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"a must be square, got {a.shape}")
+        n = a.shape[0]
         if h.shape != (n,) or qdd.shape != (n,):
             raise DimensionMismatch("h_bias and qdd must match a's dimension")
         if jc.shape[1] != n or not (1 <= jc.shape[0] <= n):
             raise DimensionMismatch(
                 f"j_c must be k x {n} with 1 <= k <= {n}, got {jc.shape}"
             )
-        if np.max(np.abs(a - a.T)) > 1e-9 * (1.0 + np.max(np.abs(a))):
+        if np.abs(a - a.T).max() > 1e-9 * (1.0 + np.abs(a).max()):
             raise DimensionMismatch("a must be symmetric")
         object.__setattr__(self, "a", 0.5 * (a + a.T))
         object.__setattr__(self, "h_bias", h)
@@ -102,6 +103,13 @@ def null_projection(s_kc_qt: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.eye(n) - dyn_consistent_pinv(w, am) @ w
 
 
+def _solve_r(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Back-substitution R x = rhs with the upper-triangular QR factor."""
+    x, info = dtrtrs(r, rhs)
+    lapack_info(info, "dtrtrs", RankDeficient, "contact Jacobian lost row rank")
+    return x
+
+
 def decouple(snapshot: DynamicsSnapshot) -> DecoupledSolution:
     """Split the required generalized force into joint torques and a
     support force.
@@ -114,23 +122,22 @@ def decouple(snapshot: DynamicsSnapshot) -> DecoupledSolution:
     n, k = snapshot.n, snapshot.k
     fact = qr_full(snapshot.j_c.T)
     q, r = fact.q, fact.r
-    s_k, s_kc = selection_matrices(k, n)
-    w = s_kc @ q.T
     b = snapshot.a @ snapshot.qdd + snapshot.h_bias
     if k == n:
         n_kc = np.eye(n)
         tau = np.zeros(n)
     else:
+        w = q[:, k:].T  # S_kc Q^T: the unconstrained rows
         w_pinv = dyn_consistent_pinv(w, snapshot.a)
         n_kc = np.eye(n) - w_pinv @ w
         tau = w_pinv @ (w @ b)
-    lam = np.linalg.solve(r, s_k @ q.T @ (n_kc @ b))
-    residual = snapshot.a @ snapshot.qdd + snapshot.h_bias - tau - snapshot.j_c.T @ lam
+    lam = _solve_r(r, q[:, :k].T @ (n_kc @ b))
+    residual = b - tau - snapshot.j_c.T @ lam
     return DecoupledSolution(
         tau=tau,
         lam=lam,
         n_kc=n_kc,
-        residual_inf=float(np.max(np.abs(residual))) if residual.size else 0.0,
+        residual_inf=float(np.abs(residual).max()),
     )
 
 
@@ -144,9 +151,8 @@ def constraint_force(snapshot: DynamicsSnapshot, tau_applied) -> np.ndarray:
             f"tau_applied must have shape ({snapshot.n},), got {tau.shape}"
         )
     fact = qr_full(snapshot.j_c.T)
-    s_k, _ = selection_matrices(snapshot.k, snapshot.n)
     b = snapshot.a @ snapshot.qdd + snapshot.h_bias - tau
-    return np.linalg.solve(fact.r, s_k @ fact.q.T @ b)
+    return _solve_r(fact.r, fact.q[:, : snapshot.k].T @ b)
 
 
 # --- plant-facing helpers -----------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.signal import butter, filtfilt
 
 from .dynamics import contact_jacobian
@@ -50,6 +49,7 @@ from .errors import (
     SuperlimbError,
     ValidationError,
 )
+from .numerics import cholesky, cholesky_solve
 from .plant import PlantModel, PlantState
 from .scenario import ActivationProfile, Scenario
 from .stiffness import (
@@ -121,15 +121,6 @@ class StepResult:
     lam: np.ndarray
 
 
-def _cholesky(m: np.ndarray, what: str) -> np.ndarray:
-    """Upper Cholesky factor of an SPD matrix for ``dpotrs``; raises
-    RankDeficient with ``what`` when ``m`` is not positive definite."""
-    c, info = dpotrf(m, lower=0, clean=0)
-    if info > 0:
-        raise RankDeficient(what)
-    return c
-
-
 def _advance(
     state: PlantState,
     a: np.ndarray,
@@ -168,8 +159,10 @@ def _advance(
         rhs = tau_total[free] - h[free]
         if scripted.size:
             rhs = rhs - a_f[:, scripted] @ qdd[scripted]
-        cho = _cholesky(a_ff, "inertia of the free joints is not positive definite")
-        qdd_free = dpotrs(cho, rhs)[0]
+        cho = cholesky(
+            a_ff, RankDeficient, "inertia of the free joints is not positive definite"
+        )
+        qdd_free = cholesky_solve(cho, rhs)
         if j_c is not None:
             j_f = j_c[:, free]
             k = j_c.shape[0]
@@ -178,14 +171,14 @@ def _advance(
                 raise DimensionMismatch(
                     f"v_target must have shape ({k},), got {vt.shape}"
                 )
-            minv_jt = dpotrs(cho, j_f.T)[0]
+            minv_jt = cholesky_solve(cho, j_f.T)
             gram = j_f @ minv_jt
             qd_free_pred = qd[free] + dt * qdd_free
             resid = vt - j_c[:, scripted] @ qd_next[scripted] - j_f @ qd_free_pred
-            gram_cho = _cholesky(
-                gram, "contact directions are not independent at this posture"
+            gram_cho = cholesky(
+                gram, RankDeficient, "contact directions are not independent at this posture"
             )
-            lam = dpotrs(gram_cho, resid / dt)[0]
+            lam = cholesky_solve(gram_cho, resid / dt)
             qdd_free = qdd_free + minv_jt @ lam
         qdd[free] = qdd_free
         qd_next[free] = qd[free] + dt * qdd[free]
@@ -350,20 +343,16 @@ def _mount_force(
     """
     model = state.model
     g_vec = np.array([0.0, -model.gravity])
+    jac, acc_bias = state._jac_com, state._com_acc
     total = np.zeros(2)
-    for chain in model.chains:
-        if chain.role != "srl":
-            continue
-        for j in range(len(chain.joints)):
-            pk = state.point(chain.name, joint=j, at="com")
-            acc = pk.jac @ qdd + pk.acc_bias
-            total += chain.joints[j].mass * (acc - g_vec)
+    for lk, mass in model._srl_links:
+        acc = jac[lk] @ qdd + acc_bias[lk]
+        total += mass * (acc - g_vec)
     f_contact = np.zeros(2)
-    if scenario.contact is not None and lam_robot.size:
-        chain_role = {c.name: c.role for c in model.chains}
-        if chain_role[scenario.contact.spec.chain] == "srl":
-            for i, d in enumerate(scenario.contact.spec.directions):
-                f_contact[0 if d == "x" else 1] += lam_robot[i]
+    contact = scenario.contact
+    if contact is not None and lam_robot.size and contact.spec.chain in model._srl_chains:
+        for i, d in enumerate(contact.spec.directions):
+            f_contact[0 if d == "x" else 1] += lam_robot[i]
     return f_contact - total
 
 

@@ -1,10 +1,13 @@
 """Dense linear-algebra kernels used by the rest of the library.
 
-Thin, contract-checked wrappers around LAPACK (via numpy): full QR with a
-fixed sign convention, SVD pseudo-inverse, the inertia-weighted
-(dynamically consistent) pseudo-inverse, finite-difference derivatives and
-a positive-semidefiniteness test.  Everything operates on plain float
-ndarrays; all functions are pure.
+Thin, contract-checked wrappers around LAPACK: full QR with a fixed sign
+convention and the inertia-weighted (dynamically consistent)
+pseudo-inverse call the routines directly, so a 4x4 problem costs little
+more than the factorizations themselves; the SVD pseudo-inverse,
+finite-difference derivatives and the positive-semidefiniteness test go
+through numpy.  Every LAPACK ``info`` is checked and mapped to a
+NumericError.  Everything operates on plain float ndarrays; all functions
+are pure.
 """
 
 from __future__ import annotations
@@ -13,11 +16,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dorgqr, dpotrf, dpotrs, dsyevd
 
 from .errors import (
     DimensionMismatch,
     NonFinite,
     NotSymmetric,
+    NumericError,
     RankDeficient,
     SingularWeight,
 )
@@ -29,14 +34,44 @@ SVD_CUTOFF_FACTOR = 1e-12
 #: condition-number bound beyond which a weighted Gram matrix is singular
 GRAM_COND_MAX = 1e12
 
+_TINY = np.finfo(float).tiny
+
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFinite(f"{name} contains NaN or Inf")
     return a
+
+
+def lapack_info(info: int, routine: str, error=NumericError, reason: str = ""):
+    """Raise ``error`` for a nonzero LAPACK ``info``.
+
+    ``info > 0`` is the routine's own numeric failure (described by
+    ``reason``); ``info < 0`` names an illegal argument and is always a
+    plain NumericError, so no LAPACK failure escapes as a raw exception.
+    """
+    if info > 0:
+        raise error(f"{reason} ({routine} info={info})")
+    if info < 0:
+        raise NumericError(f"{routine}: illegal value in argument {-info}")
+
+
+def cholesky(m: np.ndarray, error, reason: str) -> np.ndarray:
+    """Upper Cholesky factor of a symmetric matrix for ``cholesky_solve``;
+    raises ``error`` with ``reason`` when it is not positive definite."""
+    c, info = dpotrf(m, lower=0, clean=0)
+    lapack_info(info, "dpotrf", error, reason)
+    return c
+
+
+def cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve m x = b given the upper Cholesky factor ``c`` of m."""
+    x, info = dpotrs(c, b)
+    lapack_info(info, "dpotrs")
+    return x
 
 
 def _as_vector(v, name: str = "vector") -> np.ndarray:
@@ -74,20 +109,25 @@ def qr_full(m) -> QrFactorization:
     n, k = a.shape
     if not (n >= k >= 1):
         raise DimensionMismatch(f"need n >= k >= 1, got shape {a.shape}")
-    q, r_full = np.linalg.qr(a, mode="complete")
+    qr, tau, _, info = dgeqrf(a)
+    lapack_info(info, "dgeqrf")
+    # dorgqr expands the k reflectors into all n columns of Q
+    reflectors = np.empty((n, n), order="F")
+    reflectors[:, :k] = qr
+    q, _, info = dorgqr(reflectors, tau, overwrite_a=1)
+    lapack_info(info, "dorgqr")
+    r = qr[:k].copy()
+    for i in range(1, k):
+        r[i, :i] = 0.0  # below the diagonal dgeqrf stores the reflectors
     # fix the sign convention: make every diagonal entry of R non-negative
-    diag = np.diag(r_full[:k, :])
-    flip = np.where(diag < 0.0, -1.0, 1.0)
-    q = q.copy()
-    r_full = r_full.copy()
-    q[:, :k] *= flip[np.newaxis, :]
-    r_full[:k, :] *= flip[:, np.newaxis]
-    r = r_full[:k, :k]
-    d = np.abs(np.diag(r))
-    if d.min() < QR_RANK_RTOL * max(d.max(), np.finfo(float).tiny):
-        raise RankDeficient(
-            f"matrix rank < {k}: |r_ii| range [{d.min():.3e}, {d.max():.3e}]"
-        )
+    # (a -0.0 diagonal flips too, but then the rank check below fails)
+    flip = np.copysign(1.0, r.diagonal())
+    q[:, :k] *= flip
+    r *= flip[:, np.newaxis]
+    d = r.diagonal().tolist()
+    lo, hi = min(d), max(d)
+    if lo < QR_RANK_RTOL * max(hi, _TINY):
+        raise RankDeficient(f"matrix rank < {k}: |r_ii| range [{lo:.3e}, {hi:.3e}]")
     return QrFactorization(q=q, r=r, n=n, k=k)
 
 
@@ -118,26 +158,28 @@ def dyn_consistent_pinv(w, a) -> np.ndarray:
     wm = _as_matrix(w, "w")
     am = _as_matrix(a, "a")
     k, n = wm.shape
-    if am.shape != (n, n):
-        raise DimensionMismatch(f"weight must be {n}x{n}, got {am.shape}")
-    asym = 0.5 * (am + am.T)
-    if np.max(np.abs(am - am.T)) > 1e-9 * (1.0 + np.max(np.abs(am))):
+    if n == 0 or am.shape != (n, n):
+        raise DimensionMismatch(f"weight must be {n}x{n} with n >= 1, got {am.shape}")
+    if np.abs(am - am.T).max() > 1e-9 * (1.0 + np.abs(am).max()):
         raise SingularWeight("weight matrix is not symmetric")
-    try:
-        chol = np.linalg.cholesky(asym) if n else asym
-    except np.linalg.LinAlgError as exc:
-        raise SingularWeight("weight matrix is not positive definite") from exc
+    chol = cholesky(
+        0.5 * (am + am.T), SingularWeight, "weight matrix is not positive definite"
+    )
     if k == 0:
         return np.zeros((n, 0))
     # X = A^-1 W^T via two triangular solves
-    from scipy.linalg import cho_solve
-
-    x = cho_solve((chol, True), wm.T)
+    x = cholesky_solve(chol, wm.T)
     gram = wm @ x
     gram = 0.5 * (gram + gram.T)
-    if np.linalg.cond(gram) > GRAM_COND_MAX:
+    # gram is symmetric PSD, so its 2-norm condition number is the ratio of
+    # its extreme eigenvalues; a non-positive smallest one is singular
+    eig, _, info = dsyevd(gram, compute_v=0)
+    lapack_info(info, "dsyevd", reason="eigenvalues of w a^-1 w^T did not converge")
+    if not eig[0] * GRAM_COND_MAX >= eig[-1] > 0.0:
         raise RankDeficient("w a^-1 w^T is numerically singular")
-    return x @ np.linalg.inv(gram)
+    # X gram^-1 = (gram^-1 X^T)^T, gram being symmetric
+    gram_chol = cholesky(gram, RankDeficient, "w a^-1 w^T is not positive definite")
+    return cholesky_solve(gram_chol, x.T).T
 
 
 def default_fd_step(p0: np.ndarray) -> np.ndarray:

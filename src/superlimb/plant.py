@@ -112,15 +112,19 @@ class PlantModel:
 
     def _derive_structure(self):
         """Static facts every state reuses: the DoF count, chain slices,
-        and per-link ancestor and revolute masks (link l is moved by joint
-        g iff ``ancestors[l, g]``; links and joints share indices)."""
+        the limb's links as (index, mass) pairs, and per-link ancestor and
+        revolute masks (link l is moved by joint g iff ``ancestors[l, g]``;
+        links and joints share indices)."""
         joints = tuple(j for c in self.chains for j in c.joints)
         n = len(joints)
         slices, off = {}, 0
+        srl_links = []
         ancestors = np.zeros((n, n), dtype=bool)
         for c in self.chains:
             k = len(c.joints)
             slices[c.name] = slice(off, off + k)
+            if c.role == ROLE_SRL:
+                srl_links += [(off + i, j.mass) for i, j in enumerate(c.joints)]
             for local in range(k):
                 ancestors[off + local, off: off + local + 1] = True
             off += k
@@ -136,6 +140,10 @@ class PlantModel:
         object.__setattr__(self, "_joints", joints)
         object.__setattr__(self, "_n_dof", n)
         object.__setattr__(self, "_slices", slices)
+        object.__setattr__(self, "_srl_links", tuple(srl_links))
+        object.__setattr__(
+            self, "_srl_chains", frozenset(c.name for c in self.chains if c.role == ROLE_SRL)
+        )
         object.__setattr__(self, "_movers", movers)
         object.__setattr__(self, "_revolute", revolute)
         object.__setattr__(self, "_spin", tuple(spin))

@@ -76,6 +76,27 @@ def test_run_numeric_failure_exit_code(tmp_path, capsys):
     assert err.startswith("numeric error: [step ")
 
 
+def test_run_inverse_dynamics_vanishing_contact_row_exit_code(tmp_path, capsys):
+    # a horizontal, fully stretched arm cannot move its tip along x, so the
+    # x row of the contact Jacobian is exactly zero at q0
+    with open(scenario_path("overhead_inverse.json")) as fh:
+        data = json.load(fh)
+    arm = data["plant"]["chains"][0]
+    arm["heading"] = 0.0
+    for joint in arm["joints"]:
+        joint["q0"] = 0.0
+    data["contact"]["directions"] = ["x"]
+    cfg = tmp_path / "vanishing.json"
+    cfg.write_text(json.dumps(data))
+    code, _, err = run_cli(
+        ["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")], capsys
+    )
+    assert code == 2
+    assert err.startswith("numeric error: [step 0, t=0s] ")
+    assert "rank" in err
+    assert "Traceback" not in err
+
+
 def test_run_deterministic_bytes(tmp_path, capsys):
     outs = []
     for name in ("a.csv", "b.csv"):

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import decoupling_instances
+
+from superlimb import dynamics
 from superlimb.dynamics import (
     ContactSpec,
     DynamicsSnapshot,
@@ -15,7 +18,7 @@ from superlimb.dynamics import (
     plant_dynamics,
     selection_matrices,
 )
-from superlimb.errors import DimensionMismatch, NonFinite
+from superlimb.errors import DimensionMismatch, NonFinite, NumericError, RankDeficient
 from superlimb.numerics import qr_full
 
 
@@ -112,6 +115,85 @@ def test_constraint_force_zero_torque(rng):
     b = snap.a @ snap.qdd + snap.h_bias
     expected = np.linalg.solve(fact.r, (fact.q.T @ b)[:2])
     np.testing.assert_allclose(lam, expected, atol=1e-10)
+
+
+def reference_decouple(snap):
+    """The decoupling in its textbook form: numpy's complete QR with the
+    sign fix, the explicit inverse of the weighted Gram matrix and a
+    general solve on R."""
+    n, k = snap.n, snap.k
+    q, r_full = np.linalg.qr(snap.j_c.T, mode="complete")
+    flip = np.where(np.diag(r_full[:k]) < 0.0, -1.0, 1.0)
+    q[:, :k] *= flip
+    r = r_full[:k, :k] * flip[:, np.newaxis]
+    _, s_kc = selection_matrices(k, n)
+    b = snap.a @ snap.qdd + snap.h_bias
+    if k == n:
+        n_kc, tau = np.eye(n), np.zeros(n)
+    else:
+        w = s_kc @ q.T
+        x = np.linalg.solve(snap.a, w.T)
+        gram = w @ x
+        w_pinv = x @ np.linalg.inv(0.5 * (gram + gram.T))
+        n_kc = np.eye(n) - w_pinv @ w
+        tau = w_pinv @ (w @ b)
+    lam = np.linalg.solve(r, q[:, :k].T @ (n_kc @ b))
+    residual = b - tau - snap.j_c.T @ lam
+    return tau, lam, n_kc, float(np.max(np.abs(residual)))
+
+
+def desk_snapshot(model):
+    q = model.q0
+    qd = np.array([0.1, -0.2, 0.05, 0.02])
+    a, h = plant_dynamics(model, q, qd)
+    j_c = contact_jacobian(model, q, ContactSpec(chain="arm", directions=("z",)))
+    return DynamicsSnapshot(a=a, h_bias=h, j_c=j_c, qdd=np.array([0.3, 0.1, -0.4, 0.0]))
+
+
+def test_decouple_matches_reference_formulas(desk_model, rng):
+    snaps = list(decoupling_instances())
+    snaps += [desk_snapshot(desk_model), random_snapshot(rng, 4, 4)]
+    for snap in snaps:
+        sol = decouple(snap)
+        got = (sol.tau, sol.lam, sol.n_kc, sol.residual_inf)
+        for value, ref in zip(got, reference_decouple(snap)):
+            bound = 1e-12 * (1.0 + np.max(np.abs(ref)))
+            assert np.max(np.abs(value - ref)) <= bound
+
+
+@pytest.mark.parametrize("j_c", [
+    [[0.0, 0.0, 0.0, 0.0]],
+    [[1.0, -2.0, 0.5, 0.3], [0.0, 0.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0, 0.0], [1.0, -2.0, 0.5, 0.3]],
+])
+def test_zero_contact_row_is_rank_deficient(rng, j_c):
+    g = rng.standard_normal((4, 4))
+    snap = DynamicsSnapshot(
+        a=g @ g.T + 4.0 * np.eye(4), h_bias=rng.standard_normal(4),
+        j_c=np.array(j_c), qdd=rng.standard_normal(4),
+    )
+    with pytest.raises(RankDeficient):
+        decouple(snap)
+    with pytest.raises(RankDeficient):
+        constraint_force(snap, np.zeros(4))
+
+
+@pytest.mark.parametrize("info,error", [(1, RankDeficient), (-2, NumericError)])
+def test_back_substitution_failure_is_a_numeric_error(monkeypatch, rng, info, error):
+    # dtrtrs reporting a zero pivot (info > 0) is rank loss of J_c; any
+    # other failure is still a NumericError, never a raw exception
+    real = dynamics.dtrtrs
+
+    def failing(*args, **kwargs):
+        x, _ = real(*args, **kwargs)
+        return x, info
+
+    monkeypatch.setattr(dynamics, "dtrtrs", failing)
+    snap = random_snapshot(rng, 4, 2)
+    with pytest.raises(error, match="dtrtrs"):
+        decouple(snap)
+    with pytest.raises(error, match="dtrtrs"):
+        constraint_force(snap, np.zeros(4))
 
 
 def test_constraint_force_shape_check(rng):

@@ -1,6 +1,7 @@
 """Tests for the deterministic simulator: synthetic sEMG, the integrator,
 logging, and whole-scenario runs."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import desk_arm_dict, scenario_path
 
+from superlimb import dynamics
 from superlimb.cli import main
 from superlimb.emg import bandpass, envelope, rectify
 from superlimb.errors import (
@@ -17,7 +19,7 @@ from superlimb.errors import (
     RankDeficient,
     ValidationError,
 )
-from superlimb.harness import generate_emg, integrate_step, run_scenario
+from superlimb.harness import _mount_force, generate_emg, integrate_step, run_scenario
 from superlimb.plant import Chain, Joint, PlantModel, PlantState
 from superlimb.scenario import (
     ActivationProfile,
@@ -313,6 +315,70 @@ def test_step_kernel_call_counts(monkeypatch):
         assert counts["bias"] <= len(log)
         profiles.append(counts)
     assert profiles[0] == profiles[1] == profiles[2]
+
+
+SIM_SCENARIOS = [
+    "overhead_sweep.json", "press_friction.json", "emg_step.json",
+    "static_hold.json", "overhead_inverse.json",
+]
+
+
+def reference_mount_force(state, qdd, lam_robot, scenario):
+    """Newton over the SRL links through one point(at="com") per link."""
+    model = state.model
+    g_vec = np.array([0.0, -model.gravity])
+    total = np.zeros(2)
+    for chain in model.chains:
+        if chain.role != "srl":
+            continue
+        for j in range(len(chain.joints)):
+            pk = state.point(chain.name, joint=j, at="com")
+            acc = pk.jac @ qdd + pk.acc_bias
+            total += chain.joints[j].mass * (acc - g_vec)
+    f_contact = np.zeros(2)
+    spec = scenario.contact.spec if scenario.contact else None
+    if spec is not None and lam_robot.size:
+        if {c.name: c.role for c in model.chains}[spec.chain] == "srl":
+            for i, d in enumerate(spec.directions):
+                f_contact[0 if d == "x" else 1] += lam_robot[i]
+    return f_contact - total
+
+
+@pytest.mark.parametrize("name", SIM_SCENARIOS)
+def test_mount_force_matches_point_newton_sum(rng, name):
+    sc = load_scenario(scenario_path(name))
+    n = sc.model.n_dof
+    k = len(sc.contact.spec.directions) if sc.contact else 0
+    for _ in range(20):
+        state = sc.model.state(
+            sc.model.q0 + rng.uniform(-0.5, 0.5, n), rng.standard_normal(n)
+        )
+        qdd = rng.standard_normal(n)
+        lam = rng.standard_normal(k)
+        got = _mount_force(state, qdd, lam, sc)
+        ref = reference_mount_force(state, qdd, lam, sc)
+        assert np.array_equal(got, ref)
+
+
+def test_inverse_step_call_counts(monkeypatch):
+    # one plant evaluation and one decoupling per step; the tracer's
+    # install sites (dynamics.decouple, dynamics.qr_full) see every call
+    sc = load_scenario(scenario_path("overhead_inverse.json"))
+    sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.25))
+    counters = {
+        "snapshot": count_calls(monkeypatch, dynamics.DynamicsSnapshot, "__post_init__"),
+        "mass_matrix": count_calls(monkeypatch, PlantState, "mass_matrix"),
+        "bias": count_calls(monkeypatch, PlantState, "bias"),
+        "point": count_calls(monkeypatch, PlantState, "point"),
+        "decouple": count_calls(monkeypatch, dynamics, "decouple"),
+        "qr_full": count_calls(monkeypatch, dynamics, "qr_full"),
+    }
+    log = run_scenario(sc)
+    steps = len(log)
+    assert steps == sc.sim.n_steps == 50
+    counts = {name: cell[0] for name, cell in counters.items()}
+    assert counts.pop("point") <= 2 * steps
+    assert counts == dict.fromkeys(counts, steps)
 
 
 def test_ungated_run_matches_no_emg_baseline():

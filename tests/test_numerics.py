@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superlimb import numerics
 from superlimb.errors import (
     DimensionMismatch,
     NonFinite,
     NotSymmetric,
+    NumericError,
     RankDeficient,
     SingularWeight,
 )
 from superlimb.numerics import (
+    GRAM_COND_MAX,
     dyn_consistent_pinv,
     finite_diff_hessian,
     finite_diff_jacobian,
@@ -50,6 +53,25 @@ def test_qr_full_sign_convention_makes_factorization_unique(rng):
     np.testing.assert_array_equal(f1.r, f2.r)
     # strictly triangular below the diagonal
     assert np.max(np.abs(np.tril(f1.r, -1))) <= 1e-12
+
+
+def reference_qr_full(m):
+    """numpy's complete QR with the non-negative-diagonal sign fix."""
+    k = m.shape[1]
+    q, r_full = np.linalg.qr(m, mode="complete")
+    flip = np.where(np.diag(r_full[:k]) < 0.0, -1.0, 1.0)
+    q[:, :k] *= flip
+    return q, r_full[:k] * flip[:, np.newaxis]
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 3), (8, 8), (4, 1), (7, 1), (5, 3), (8, 2)])
+def test_qr_full_matches_numpy_reference(rng, n, k):
+    for _ in range(20):
+        m = rng.standard_normal((n, k))
+        fact = qr_full(m)
+        q_ref, r_ref = reference_qr_full(m)
+        assert np.abs(fact.q - q_ref).max() <= 1e-12 * (1.0 + np.abs(q_ref).max())
+        assert np.abs(fact.r - r_ref).max() <= 1e-12 * (1.0 + np.abs(r_ref).max())
 
 
 def test_qr_full_rejects_rank_deficient():
@@ -145,6 +167,43 @@ def test_dyn_consistent_pinv_rejects_row_rank_loss():
     w = np.array([[1.0, 0.0], [2.0, 0.0]])  # dependent rows
     with pytest.raises(RankDeficient):
         dyn_consistent_pinv(w, np.eye(2))
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 10**-5.5, 1e-6, 10**-6.5, 1e-8, 0.0])
+def test_dyn_consistent_pinv_gram_bound_is_the_2norm_condition(eps):
+    # two rows at an angle ~eps: cond(w w^T) ~ 4 / eps^2 crosses the bound
+    w = np.array([[1.0, 0.0, 0.0], [1.0, eps, 0.0]])
+    singular = np.linalg.cond(w @ w.T) > GRAM_COND_MAX
+    if singular:
+        with pytest.raises(RankDeficient):
+            dyn_consistent_pinv(w, np.eye(3))
+    else:
+        x = dyn_consistent_pinv(w, np.eye(3))
+        assert np.abs(w @ x - np.eye(2)).max() <= 1e-6
+
+
+@pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr", "dpotrf", "dpotrs", "dsyevd"])
+def test_lapack_failure_is_a_numeric_error(monkeypatch, rng, routine):
+    # an illegal-argument info from any routine surfaces as a NumericError
+    # naming it, never as a raw LinAlgError or ValueError
+    real = getattr(numerics, routine)
+
+    def failing(*args, **kwargs):
+        *out, _ = real(*args, **kwargs)
+        return (*out, -1)
+
+    monkeypatch.setattr(numerics, routine, failing)
+    w = rng.standard_normal((2, 4))
+    with pytest.raises(NumericError, match=routine):
+        qr_full(w.T)
+        dyn_consistent_pinv(w, random_spd(rng, 4))
+
+
+def test_dyn_consistent_pinv_rejects_indefinite_weight_via_dpotrf(rng):
+    a = random_spd(rng, 4)
+    a[3, 3] = -1.0
+    with pytest.raises(SingularWeight, match="dpotrf info=4"):
+        dyn_consistent_pinv(rng.standard_normal((2, 4)), a)
 
 
 @settings(max_examples=50, deadline=None)
