@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatch, NonFinite, RankDeficient
-from .numerics import dyn_consistent_pinv, lapack_info, qr_full
-from .plant import PlantModel, PlantState
+from .numerics import QR_RANK_RTOL, dyn_consistent_pinv, lapack_info, qr_full
+from .plant import AXES, PlantModel, PlantState
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class ContactSpec:
     """Supported point and constrained Cartesian directions.
 
     ``joint=None`` selects the chain's last link (its tip); directions are
-    a subset of ("x", "z") for the planar plant.
+    a subset of ``AXES`` for the planar plant.
     """
 
     chain: str
@@ -175,14 +175,14 @@ class ContactSpec:
         if not self.directions:
             raise DimensionMismatch("contact constrains at least one direction")
         for d in self.directions:
-            if d not in ("x", "z"):
+            if d not in AXES:
                 raise DimensionMismatch(f"unknown direction {d!r}")
         if len(set(self.directions)) != len(self.directions):
             raise DimensionMismatch("duplicate contact directions")
 
     @property
     def rows(self) -> list[int]:
-        return [{"x": 0, "z": 1}[d] for d in self.directions]
+        return [AXES.index(d) for d in self.directions]
 
 
 def plant_dynamics(model: PlantModel, q, qd) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +194,19 @@ def plant_dynamics(model: PlantModel, q, qd) -> tuple[np.ndarray, np.ndarray]:
 def contact_jacobian(
     model: PlantModel, q, contact: ContactSpec, state: PlantState | None = None
 ) -> np.ndarray:
-    """Rows of the support-point Jacobian for the constrained directions."""
+    """Rows of the support-point Jacobian for the constrained directions.
+
+    Raises RankDeficient when a constrained row vanishes against the
+    point's full Jacobian (below ``QR_RANK_RTOL`` times its largest entry):
+    the point cannot move along that direction at this posture, so no
+    finite support force along it is determined."""
     st = state if state is not None else model.state(q)
-    pt = st.point(contact.chain, contact.joint)
-    return pt.jac[contact.rows, :]
+    jac = st.point(contact.chain, contact.joint).jac
+    # Python floats: numpy reductions cost more than the math on a 2 x n Jacobian
+    size = [max(map(abs, row)) for row in jac.tolist()]
+    for d, row in zip(contact.directions, contact.rows):
+        if size[row] < QR_RANK_RTOL * max(size):
+            raise RankDeficient(
+                f"contact Jacobian lost rank: direction {d!r} vanishes at this posture"
+            )
+    return jac[contact.rows, :]

@@ -106,14 +106,6 @@ class HillParams:
                 raise ValidationError(f"{name} must be in (0, 1.5], got {v}")
 
 
-@dataclass(frozen=True)
-class MotionSample:
-    """One yaw measurement of the instrumented shank."""
-
-    t: float
-    yaw: float
-
-
 def _map_channels(trace: EmgTrace, fn) -> EmgTrace:
     return EmgTrace(
         fs=trace.fs,
@@ -149,9 +141,9 @@ def envelope(trace: EmgTrace, window: float) -> EmgTrace:
     Leading samples use the partial window that is available, so the output
     has the same length as the input.
     """
-    if window < 2.0 / trace.fs:
+    if not (2.0 / trace.fs <= window < np.inf):
         raise BadWindow(
-            f"window {window} s shorter than two samples at fs={trace.fs}"
+            f"window must be finite and span two samples at fs={trace.fs}, got {window}"
         )
     n = int(round(window * trace.fs))
 
@@ -219,12 +211,10 @@ def motion_gate(
     return prev
 
 
-def gate_series(
-    yaws: np.ndarray, threshold: float, hysteresis: float, initial: bool = False
-) -> np.ndarray:
-    """Replay the Schmitt trigger over a yaw sequence."""
+def gate_series(yaws: np.ndarray, threshold: float, hysteresis: float) -> np.ndarray:
+    """Replay the Schmitt trigger over a yaw sequence, starting off."""
     out = np.empty(len(yaws), dtype=bool)
-    state = initial
+    state = False
     for i, y in enumerate(yaws):
         state = motion_gate(float(y), threshold, hysteresis, state)
         out[i] = state
@@ -285,8 +275,16 @@ def run_pipeline(
 
     ``motion`` is an optional (t, yaw) stream; without one the gate is held
     open, i.e. the pipeline runs ungated.  Multi-channel traces are reduced
-    by averaging the per-channel envelopes.
+    by averaging the per-channel envelopes.  The gate thresholds and the
+    gain are checked whether or not a motion stream is given.
     """
+    if not (gate_threshold > gate_hysteresis >= 0.0):
+        raise ValidationError(
+            "need threshold > hysteresis >= 0, "
+            f"got ({gate_threshold}, {gate_hysteresis})"
+        )
+    if not (0.0 <= gain < np.inf):
+        raise ValidationError(f"gain must be finite and >= 0, got {gain}")
     filtered = envelope(rectify(bandpass(trace, *band)), window)
     env = np.mean([s for _, s in filtered.channels], axis=0)
     act = activation_series(env, hill, trace.fs)

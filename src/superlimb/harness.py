@@ -33,7 +33,6 @@ from .emg import (
     DEFAULT_BAND,
     DEFAULT_WINDOW,
     EmgTrace,
-    HillParams,
     bandpass,
     envelope,
     rectify,
@@ -50,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import cholesky, cholesky_solve
-from .plant import PlantModel, PlantState
+from .plant import AXES, PlantModel, PlantState
 from .scenario import ActivationProfile, Scenario
 from .stiffness import (
     TaskSpaceController,
@@ -83,6 +82,8 @@ def generate_emg(
     """
     if not (fs > 0.0):
         raise ValidationError(f"fs must be positive, got {fs}")
+    if not (0.0 < mvc_reference < np.inf):
+        raise ValidationError(f"mvc_reference must be finite and > 0, got {mvc_reference}")
     n = int(round(profile.duration * fs))
     if n < 2:
         raise ValidationError("profile duration too short at this sample rate")
@@ -130,51 +131,40 @@ def _advance(
     free: np.ndarray,
     scripted: np.ndarray,
     j_c: np.ndarray | None,
-    v_target: np.ndarray | None,
-    scripted_next: tuple[np.ndarray, np.ndarray] | None,
-    qdd_scripted: np.ndarray | None,
+    v_target: np.ndarray,
+    q_next: np.ndarray,
+    qd_next: np.ndarray,
+    qdd: np.ndarray,
 ) -> StepResult:
     """Semi-implicit Euler step of the free DoFs with optional bilateral
-    contact and optional position-driven (scripted) DoFs.
+    contact.
 
     ``a`` and ``h`` are the state's inertia matrix and bias; ``free`` and
-    ``scripted`` partition the DoFs."""
+    ``scripted`` partition the DoFs.  ``q_next``, ``qd_next`` and ``qdd``
+    are full-length arrays whose scripted entries already hold the
+    position and velocity at the end of the step and the acceleration
+    during it; the free entries are filled in place.  ``v_target`` is the
+    contact point's target velocity along the rows of ``j_c``."""
     q, qd = state.q, state.qd
     for name, arr in (("q", q), ("qd", qd), ("tau_total", tau_total)):
         if not np.isfinite(arr).all():
             raise NonFinite(f"{name} contains NaN or Inf")
 
-    qdd = np.zeros(q.size)
-    if scripted.size:
-        qdd[scripted] = qdd_scripted
-    qd_next = qd.copy()
-    q_next = q.copy()
-    if scripted.size:
-        q_next[scripted], qd_next[scripted] = scripted_next
-
-    lam = np.zeros(0)
+    # with nothing free the split of a contact force is left to the caller
+    lam = np.zeros(0 if j_c is None else j_c.shape[0])
     if free.size:
         a_f = a[free]
-        a_ff = a_f[:, free]
-        rhs = tau_total[free] - h[free]
-        if scripted.size:
-            rhs = rhs - a_f[:, scripted] @ qdd[scripted]
+        rhs = tau_total[free] - h[free] - a_f[:, scripted] @ qdd[scripted]
         cho = cholesky(
-            a_ff, RankDeficient, "inertia of the free joints is not positive definite"
+            a_f[:, free], RankDeficient, "inertia of the free joints is not positive definite"
         )
         qdd_free = cholesky_solve(cho, rhs)
         if j_c is not None:
             j_f = j_c[:, free]
-            k = j_c.shape[0]
-            vt = np.zeros(k) if v_target is None else np.asarray(v_target, dtype=float)
-            if vt.shape != (k,):
-                raise DimensionMismatch(
-                    f"v_target must have shape ({k},), got {vt.shape}"
-                )
             minv_jt = cholesky_solve(cho, j_f.T)
             gram = j_f @ minv_jt
             qd_free_pred = qd[free] + dt * qdd_free
-            resid = vt - j_c[:, scripted] @ qd_next[scripted] - j_f @ qd_free_pred
+            resid = v_target - j_c[:, scripted] @ qd_next[scripted] - j_f @ qd_free_pred
             gram_cho = cholesky(
                 gram, RankDeficient, "contact directions are not independent at this posture"
             )
@@ -183,10 +173,6 @@ def _advance(
         qdd[free] = qdd_free
         qd_next[free] = qd[free] + dt * qdd[free]
         q_next[free] = q[free] + dt * qd_next[free]
-    elif j_c is not None:
-        # fully scripted motion against a contact: force split is handled
-        # by the caller through the decoupling path
-        lam = np.zeros(j_c.shape[0])
 
     # NaN-aware: np.maximum propagates NaN, and NaN fails the comparison
     peak = np.maximum(np.max(np.abs(q_next)), np.max(np.abs(qd_next)))
@@ -211,29 +197,26 @@ def integrate_step(
     ``tau_total`` is the complete applied generalized force (controller
     plus friction); if ``contact`` (a ContactSpec) is given, the
     constraint force that keeps the contact point on its target velocity
-    is solved for and applied on top.
+    (default zero) is solved for and applied on top.
     """
     if not (dt > 0.0):
         raise ValidationError(f"dt must be > 0, got {dt}")
     state = model.state(q, qd)
+    n = model.n_dof
     tau = np.atleast_1d(np.asarray(tau_total, dtype=float))
-    if tau.shape != (model.n_dof,):
-        raise DimensionMismatch(
-            f"tau_total must have shape ({model.n_dof},), got {tau.shape}"
-        )
-    j_c = contact_jacobian(model, state.q, contact, state=state) if contact else None
+    if tau.shape != (n,):
+        raise DimensionMismatch(f"tau_total must have shape ({n},), got {tau.shape}")
+    j_c, vt = None, np.zeros(0)
+    if contact:
+        j_c = contact_jacobian(model, state.q, contact, state=state)
+        k = j_c.shape[0]
+        vt = np.zeros(k) if v_target is None else np.asarray(v_target, dtype=float)
+        if vt.shape != (k,):
+            raise DimensionMismatch(f"v_target must have shape ({k},), got {vt.shape}")
     return _advance(
-        state,
-        state.mass_matrix(),
-        state.bias(),
-        tau,
-        dt,
-        free=np.arange(model.n_dof),
-        scripted=np.zeros(0, dtype=int),
-        j_c=j_c,
-        v_target=v_target,
-        scripted_next=None,
-        qdd_scripted=None,
+        state, state.mass_matrix(), state.bias(), tau, dt,
+        free=np.arange(n), scripted=np.zeros(0, dtype=int), j_c=j_c, v_target=vt,
+        q_next=np.zeros(n), qd_next=np.zeros(n), qdd=np.zeros(n),
     )
 
 
@@ -244,9 +227,13 @@ class SimLog:
     """Step log as one preallocated ``(n_steps, n_cols)`` float array plus
     the CSV column layout: time, SRL state, task-space quantities, the
     contact force on the supported object, mount reaction on the wearer,
-    applied/required torques and the sEMG-derived command channel."""
+    applied/required torques and the sEMG-derived command channel.
 
-    def __init__(self, scenario: Scenario):
+    The columns that do not depend on the plant state (``t``, ``a``,
+    ``gate`` kept as 0.0/1.0, ``x_eq_*``) are given whole at construction;
+    ``append`` fills the rest of one row."""
+
+    def __init__(self, scenario: Scenario, t, a, gate, x_eq):
         model = scenario.model
         n_s = len(model.srl_indices)
         n_h = len(model.human_indices)
@@ -261,19 +248,19 @@ class SimLog:
         cols += ["f_mount_x", "f_mount_z"]
         cols += [f"tau_s{i}" for i in range(n_s)]
         cols += [f"tau_h{i}" for i in range(n_h)]
+        self._state_end = len(cols)
         cols += ["a", "gate"]
         cols += [f"x_eq_{c}" for c in components]
         self.columns = cols
         self._data = np.empty((scenario.sim.n_steps, len(cols)))
+        self._data[:, 0] = t
+        self._data[:, self._state_end:] = np.column_stack((a, gate, x_eq))
         self._n = 0
 
-    def append(
-        self, t, q_s, qdot_s, x, f_cmd, lam, f_mount, tau_s, tau_h, a, gate, x_eq
-    ):
-        """Store one step's values in column order; ``gate`` is kept as
-        0.0/1.0."""
-        self._data[self._n] = np.hstack(
-            (t, q_s, qdot_s, x, f_cmd, lam, f_mount, tau_s, tau_h, a, gate, x_eq)
+    def append(self, q_s, qdot_s, x, f_cmd, lam, f_mount, tau_s, tau_h):
+        """Store one step's state-dependent values in column order."""
+        self._data[self._n, 1 : self._state_end] = np.hstack(
+            (q_s, qdot_s, x, f_cmd, lam, f_mount, tau_s, tau_h)
         )
         self._n += 1
 
@@ -351,86 +338,112 @@ def _mount_force(
     f_contact = np.zeros(2)
     contact = scenario.contact
     if contact is not None and lam_robot.size and contact.spec.chain in model._srl_chains:
-        for i, d in enumerate(contact.spec.directions):
-            f_contact[0 if d == "x" else 1] += lam_robot[i]
+        for row, lam in zip(contact.spec.rows, lam_robot):
+            f_contact[row] += lam
     return f_contact - total
+
+
+def _equilibrium_points(scenario: Scenario, rows: list[int], dxeq: np.ndarray) -> np.ndarray:
+    """Equilibrium point of every step, ``(n_steps, m)``: the configured
+    point (for "auto" the task point at ``q0``) with the gated sEMG shift
+    added on ``z`` wherever it is nonzero."""
+    cfg = scenario.controller
+    x_eq0 = cfg.x_eq
+    if x_eq0 is None:
+        st = scenario.model.state(scenario.model.q0)
+        x_eq0 = st._tip[st._link_index(cfg.chain, cfg.joint)][rows]
+    x_eq = np.tile(x_eq0, (dxeq.size, 1))
+    if "z" in cfg.components:
+        shifted = dxeq != 0.0
+        x_eq[shifted, cfg.components.index("z")] += dxeq[shifted]
+    return x_eq
+
+
+def _scripted_motion(scenario: Scenario, t_sim: np.ndarray):
+    """Full-length ``(n_steps, n)`` arrays of the position and velocity at
+    the end of each step and the acceleration during it: the human joints
+    follow their scripted trajectory, the limb joints stay at rest at
+    ``q0`` (the integrator fills them in tracking mode)."""
+    model, dt = scenario.model, scenario.sim.dt
+    human = model.human_indices
+    q0 = model.q0
+    q_end = np.tile(q0, (t_sim.size, 1))
+    qd_end = np.zeros(q_end.shape)
+    qdd = np.zeros(q_end.shape)
+    if human.size:
+        offsets, q_h0 = scenario.human_motion.offsets, q0[human]
+        for i, t in enumerate(t_sim.tolist()):
+            qdd[i, human] = offsets(t, human.size)[2]
+            dq, qd_end[i, human], _ = offsets(t + dt, human.size)
+            q_end[i, human] = q_h0 + dq
+    return q_end, qd_end, qdd
+
+
+def _contact_velocity(scenario: Scenario, t_sim: np.ndarray) -> np.ndarray:
+    """Target velocity of the contact point along its constrained rows at
+    every step, ``(n_steps, k)``: zero except on the swept axis."""
+    contact = scenario.contact
+    v = np.zeros((t_sim.size, len(contact.spec.directions) if contact else 0))
+    if contact is not None and contact.motion.kind == "triangle":
+        motion = contact.motion
+        axis = contact.spec.directions.index(motion.axis)
+        v[:, axis] = [motion.velocity(t) for t in t_sim.tolist()]
+    return v
 
 
 def run_scenario(scenario: Scenario) -> SimLog:
     """Run one scenario to completion and return the log.
 
-    Per step: sample the sEMG channel, apply the gated equilibrium-point
-    shift, evaluate the task-space controller, map to joint torques, add
-    friction, solve the contact force, and advance the plant.  Scripted
-    (human) joints are position-driven and their required torques are
-    reported, not applied.
+    Everything that does not depend on the plant state is computed once,
+    before the loop: the step times, the sEMG activation and gate, the
+    equilibrium point with the gated shift, the scripted human trajectory
+    and the contact target velocity.  Per step the loop evaluates the
+    plant, the task-space controller, joint torques and friction, solves
+    the contact force and advances the plant.  Scripted (human) joints are
+    position-driven and their required torques are reported, not applied.
     """
     model = scenario.model
     sim = scenario.sim
     ctrl_cfg = scenario.controller
     n = model.n_dof
-    srl = np.array(model.srl_indices, dtype=int)
-    human = np.array(model.human_indices, dtype=int)
+    srl = model.srl_indices
+    human = model.human_indices
+    spec = scenario.contact.spec if scenario.contact else None
 
-    n_steps = sim.n_steps
-    t_sim = np.arange(n_steps) * sim.dt
-    act_arr, gate_arr, dxeq_arr = _emg_channel(scenario, t_sim)
-
-    comps = ctrl_cfg.components
-    comp_rows = np.array([0 if c == "x" else 1 for c in comps], dtype=int)
-    m = len(comps)
-    z_slot = comps.index("z") if "z" in comps else None
+    t_sim = np.arange(sim.n_steps) * sim.dt
+    act, gate, dxeq = _emg_channel(scenario, t_sim)
+    rows = [AXES.index(c) for c in ctrl_cfg.components]
+    x_eq = _equilibrium_points(scenario, rows, dxeq)
+    q_end, qd_end, qdd_in = _scripted_motion(scenario, t_sim)
+    v_target = _contact_velocity(scenario, t_sim)
+    log = SimLog(scenario, t_sim, act, gate, x_eq)
 
     ctrl = TaskSpaceController(
         k_task=ctrl_cfg.table[ctrl_cfg.level - 1],
-        x_eq=np.zeros(m),
+        x_eq=np.zeros(len(rows)),
         f_gravity=ctrl_cfg.f_gravity,
         level=ctrl_cfg.level,
         damping=ctrl_cfg.damping,
     )
-
-    q = model.q0.copy()
-    qd = np.zeros(n)
-    q_h0 = q[human]
-
-    log = SimLog(scenario)
-    x_eq0: np.ndarray | None = (
-        None if ctrl_cfg.x_eq is None else ctrl_cfg.x_eq.copy()
-    )
-
     inverse_mode = sim.mode == "inverse-dynamics"
     if inverse_mode:
         from .dynamics import DynamicsSnapshot, decouple
 
-    for i in range(n_steps):
-        t = float(i * sim.dt)
+    q, qd = model.q0, np.zeros(n)
+    for i in range(sim.n_steps):
         try:
             state = model.state(q, qd)
             a_mat = state.mass_matrix()
             h_vec = state.bias()
 
-            # task-point kinematics
+            # task point and control law
             pk = state.point(ctrl_cfg.chain, joint=ctrl_cfg.joint, at="tip")
-            x = pk.pos[comp_rows]
-            xd = pk.vel[comp_rows]
-            j_task = pk.jac[comp_rows, :]
-            if x_eq0 is None:
-                x_eq0 = x.copy()
-
-            # sEMG channel -> equilibrium shift (exactly zero when ungated)
-            dxeq = float(dxeq_arr[i])
-            if dxeq != 0.0 and z_slot is not None:
-                x_eq_t = x_eq0.copy()
-                x_eq_t[z_slot] += dxeq
-            else:
-                x_eq_t = x_eq0
-
-            # controller
+            x = pk.pos[rows]
             if ctrl_cfg.enabled:
-                f_cmd = control_force(ctrl, x, xd, x_eq=x_eq_t)
-                tau_task = task_to_joint_torque(j_task, f_cmd)
+                f_cmd = control_force(ctrl, x, pk.vel[rows], x_eq=x_eq[i])
+                tau_task = task_to_joint_torque(pk.jac[rows, :], f_cmd)
             else:
-                f_cmd = np.zeros(m)
+                f_cmd = np.zeros(len(rows))
                 tau_task = np.zeros(n)
             tau_applied = np.zeros(n)
             tau_applied[srl] = tau_task[srl]
@@ -441,83 +454,37 @@ def run_scenario(scenario: Scenario) -> SimLog:
                     ctrl_cfg.friction, qd[srl], tau_applied[srl]
                 )
 
-            # scripted human trajectory
-            if human.size:
-                dq_now, _, qdd_h = scenario.human_motion.offsets(t, human.size)
-                dq_next, dv_next, _ = scenario.human_motion.offsets(
-                    t + sim.dt, human.size
-                )
-                scripted_next = (q_h0 + dq_next, dv_next)
-            else:
-                qdd_h = np.zeros(0)
-                scripted_next = (np.zeros(0), np.zeros(0))
-
-            # contact
-            j_c = None
-            v_target = None
-            if scenario.contact is not None:
-                j_c = contact_jacobian(
-                    model, q, scenario.contact.spec, state=state
-                )
-                k = j_c.shape[0]
-                v_target = np.zeros(k)
-                motion = scenario.contact.motion
-                if motion.kind == "triangle":
-                    axis_row = scenario.contact.spec.directions.index(motion.axis)
-                    v_target[axis_row] = motion.velocity(t)
-
+            j_c = contact_jacobian(model, q, spec, state=state) if spec else None
+            q_next, qd_next, qdd = q_end[i], qd_end[i], qdd_in[i]
             if inverse_mode:
                 # hold the SRL posture, drive the human: required torques
                 # and the force split come from inverse dynamics
-                qdd_full = np.zeros(n)
-                qdd_full[human] = qdd_h
-                if j_c is not None:
-                    snap = DynamicsSnapshot(
-                        a=a_mat, h_bias=h_vec, j_c=j_c, qdd=qdd_full
-                    )
+                if j_c is None:
+                    tau_req, lam_robot = a_mat @ qdd + h_vec, np.zeros(0)
+                else:
+                    snap = DynamicsSnapshot(a=a_mat, h_bias=h_vec, j_c=j_c, qdd=qdd)
                     sol = decouple(snap)
                     tau_req, lam_robot = sol.tau, sol.lam
-                else:
-                    tau_req = a_mat @ qdd_full + h_vec
-                    lam_robot = np.zeros(0)
-                tau_s_out = tau_req[srl]
-                tau_h_out = tau_req[human]
-                qdd = qdd_full
-                q_next, qd_next = q.copy(), qd.copy()
-                q_next[human], qd_next[human] = scripted_next
+                tau_s = tau_req[srl]
             else:
-                step = _advance(
-                    state,
-                    a_mat,
-                    h_vec,
-                    tau_applied,
-                    sim.dt,
-                    free=srl,
-                    scripted=human,
-                    j_c=j_c,
-                    v_target=v_target,
-                    scripted_next=scripted_next if human.size else None,
-                    qdd_scripted=qdd_h if human.size else None,
-                )
-                q_next, qd_next, qdd, lam_robot = step.q, step.qd, step.qdd, step.lam
-                tau_s_out = tau_applied[srl]
-                if human.size:
-                    gen = a_mat @ qdd + h_vec
-                    if j_c is not None and lam_robot.size:
-                        gen = gen - j_c.T @ lam_robot
-                    tau_h_out = gen[human]
-                else:
-                    tau_h_out = np.zeros(0)
+                lam_robot = _advance(
+                    state, a_mat, h_vec, tau_applied, sim.dt, srl, human,
+                    j_c, v_target[i], q_next, qd_next, qdd,
+                ).lam
+                tau_req = a_mat @ qdd + h_vec
+                if j_c is not None:
+                    tau_req = tau_req - j_c.T @ lam_robot
+                tau_s = tau_applied[srl]
 
             f_mount = _mount_force(state, qdd, lam_robot, scenario)
             log.append(
-                t, q[srl], qd[srl], x, f_cmd,
+                q[srl], qd[srl], x, f_cmd,
                 -lam_robot,  # force on the supported object
-                f_mount, tau_s_out, tau_h_out, act_arr[i], gate_arr[i], x_eq_t,
+                f_mount, tau_s, tau_req[human],
             )
             q, qd = q_next, qd_next
         except SuperlimbError as exc:
             first = str(exc.args[0]) if exc.args else str(exc)
-            exc.args = (f"[step {i}, t={t:.6g}s] {first}",)
+            exc.args = (f"[step {i}, t={t_sim[i]:.6g}s] {first}",)
             raise
     return log

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Singular, ValidationError
 from .numerics import finite_diff_jacobian, svd_pinv
-from .plant import PlantModel
+from .plant import AXES, PlantModel
 
 ROTATIONAL = "rotational"
 TRANSLATIONAL = "translational"
@@ -136,25 +136,17 @@ class CoupledJacobian:
 class PlantEndpointMap:
     """Closed-chain map backed by a plant chain: selected endpoint
     coordinates as a function of that chain's joint vector, with an analytic
-    Jacobian.  Coordinates are picked from ("x", "z")."""
+    Jacobian.  Coordinates are picked from ``AXES``; the other chains rest
+    at ``q0``."""
 
-    def __init__(
-        self,
-        model: PlantModel,
-        chain: str,
-        components: tuple[str, ...] = ("x", "z"),
-        q_rest=None,
-    ):
+    def __init__(self, model: PlantModel, chain: str, components: tuple[str, ...] = AXES):
         self.model = model
         self.chain = chain
-        rows = {"x": 0, "z": 1}
-        try:
-            self.rows = [rows[c] for c in components]
-        except KeyError as exc:
-            raise ValidationError(f"unknown component {exc.args[0]!r}") from exc
-        self.q_rest = (
-            model.q0 if q_rest is None else np.asarray(q_rest, dtype=float)
-        )
+        for c in components:
+            if c not in AXES:
+                raise ValidationError(f"unknown component {c!r}")
+        self.rows = [AXES.index(c) for c in components]
+        self.q_rest = model.q0
         self.sl = model.chain_slice(chain)
 
     def _full_q(self, q_chain) -> np.ndarray:

@@ -187,12 +187,11 @@ def default_fd_step(p0: np.ndarray) -> np.ndarray:
     return 1e-4 * (1.0 + np.abs(np.asarray(p0, dtype=float)))
 
 
-def finite_diff_jacobian(f: Callable, p0, step=None) -> np.ndarray:
-    """Central-difference Jacobian of a vector map f: R^n -> R^m at p0."""
+def finite_diff_jacobian(f: Callable, p0) -> np.ndarray:
+    """Central-difference Jacobian of a vector map f: R^n -> R^m at p0,
+    with the step of ``default_fd_step``."""
     p = _as_vector(p0, "p0")
-    h = default_fd_step(p) if step is None else np.broadcast_to(
-        np.asarray(step, dtype=float), p.shape
-    )
+    h = default_fd_step(p)
     f0 = np.atleast_1d(np.asarray(f(p), dtype=float))
     jac = np.zeros((f0.size, p.size))
     for i in range(p.size):
@@ -206,17 +205,15 @@ def finite_diff_jacobian(f: Callable, p0, step=None) -> np.ndarray:
     return jac
 
 
-def finite_diff_hessian(f: Callable, p0, step=None) -> np.ndarray:
+def finite_diff_hessian(f: Callable, p0) -> np.ndarray:
     """Symmetrized central-difference Hessian of a scalar map at p0.
 
-    The default step is 1e-4 * (1 + |p0_i|) per coordinate.  Raises
-    NonFinite if any function evaluation is NaN or Inf.
+    The step is 1e-4 * (1 + |p0_i|) per coordinate.  Raises NonFinite if
+    any function evaluation is NaN or Inf.
     """
     p = _as_vector(p0, "p0")
     m = p.size
-    h = default_fd_step(p) if step is None else np.broadcast_to(
-        np.asarray(step, dtype=float), p.shape
-    )
+    h = default_fd_step(p)
 
     def ev(dp):
         v = float(f(p + dp))

@@ -33,6 +33,13 @@ PRISMATIC = "prismatic"
 ROLE_SRL = "srl"
 ROLE_HUMAN = "human"
 
+#: world axes of the plane; an axis's index is its row in point positions
+#: and Jacobians
+AXES = ("x", "z")
+
+#: standard gravity (m/s^2), the default for plants and support postures
+GRAVITY = 9.81
+
 
 @dataclass(frozen=True)
 class Joint:
@@ -91,7 +98,7 @@ class Chain:
 @dataclass(frozen=True)
 class PlantModel:
     chains: tuple[Chain, ...]
-    gravity: float = 9.81
+    gravity: float = GRAVITY
 
     def __post_init__(self):
         object.__setattr__(self, "chains", tuple(self.chains))

@@ -7,10 +7,8 @@ dotted path, and files referenced by a scenario are resolved relative to
 the scenario file and loaded eagerly so missing inputs fail at load time,
 not mid-run.
 
-This module also hosts the registry of named support postures used by the
-stability-analysis CLI; each builder returns the 6-D pose description of
-one overhead-support configuration (3 translations, 3 fixed-axis rotation
-angles).
+It also builds the named support postures of ``stability.POSTURES`` from
+a stability-analysis config section.
 """
 
 from __future__ import annotations
@@ -33,12 +31,11 @@ from .emg import (
     load_trace_csv,
 )
 from .errors import MissingFile, ParseError, SuperlimbError, ValidationError
-from .plant import Chain, Joint, PlantModel
-from .stability import SupportPosture
+from .plant import AXES, GRAVITY, Chain, Joint, PlantModel
+from .stability import POSTURES, SupportPosture
 from .stiffness import FrictionModel, default_stiffness_table
 
 _REQUIRED = object()
-_COMPONENTS = ("x", "z")
 
 
 def _get(section: dict, key: str, path: str, default=_REQUIRED, parse=None):
@@ -97,8 +94,8 @@ def _axes(value, path: str) -> tuple[str, ...]:
     if not isinstance(value, list):
         raise ParseError(path, "must be a list")
     for i, a in enumerate(value):
-        if a not in _COMPONENTS:
-            raise ParseError(f"{path}[{i}]", f"must be one of {_COMPONENTS}")
+        if a not in AXES:
+            raise ParseError(f"{path}[{i}]", f"must be one of {AXES}")
     return tuple(value)
 
 
@@ -298,7 +295,7 @@ def _parse_chain(data, path: str) -> Chain:
 
 def _parse_plant(data, path: str = "plant") -> PlantModel:
     d = _dict(data, path)
-    gravity = _get(d, "gravity", path, default=9.81, parse=_num)
+    gravity = _get(d, "gravity", path, default=GRAVITY, parse=_num)
     chains_raw = _get(d, "chains", path)
     if not isinstance(chains_raw, list):
         raise ParseError(f"{path}.chains", "must be a list")
@@ -384,7 +381,7 @@ def _parse_controller(
     joint = _get(d, "joint", path, default=None)
     if joint is not None:
         joint = _int(joint, f"{path}.joint")
-    comps = _get(d, "components", path, default=_COMPONENTS, parse=_axes)
+    comps = _get(d, "components", path, default=AXES, parse=_axes)
     if not comps:
         raise ParseError(f"{path}.components", "must not be empty")
     m = len(comps)
@@ -665,89 +662,6 @@ def load_profile(path: str) -> ActivationProfile:
 
 
 # --- named support postures for stability analysis ----------------------------
-#
-# Each builder models the supported panel as a rigid body with 6-D pose
-# (x, y, z, rx, ry, rz) held by a 6-DoF servo mount; differences lie in
-# where the CoM sits relative to the mount frame and how the mount joints
-# relate to the pose.  All are exact equilibria by construction.
-
-_MG = 9.81
-
-
-def _identity_ik(p) -> np.ndarray:
-    return np.asarray(p, dtype=float).copy()
-
-
-def _identity_jac(p) -> np.ndarray:
-    return np.eye(6)
-
-
-def _weight_on_z(mass: float) -> np.ndarray:
-    tau = np.zeros(6)
-    tau[2] = mass * _MG
-    return tau
-
-
-def _rigid_panel(tilt_stiffness, com_side: float):
-    """Builder of a panel on a rigid mount (ik linear) with its CoM a
-    distance ``com_side * r`` above the mount frame: below (-1) gravity
-    stiffens the tilt axes, above (+1) it destabilizes them, and at the
-    frame (0) K_p equals the servo stiffness.  ``tilt_stiffness(k)`` is the
-    rotational servo stiffness."""
-
-    def build(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
-        kt = tilt_stiffness(k)
-        offset = com_side * r
-        return SupportPosture(
-            p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=_weight_on_z(mass),
-            k_q=np.diag([k, k, k, kt, kt, kt]), mass=mass,
-            ik_map=_identity_ik,
-            z_of_p=lambda p: float(p[2]) + offset * math.cos(p[3]) * math.cos(p[4]),
-            ik_jac=_identity_jac,
-        )
-
-    return build
-
-
-def _posture_cradle(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
-    # body resting in a curved cradle (height set by the horizontal pose),
-    # no servo torques at all: pure gravity-curvature stability
-    a = 2.0 / max(r, 1e-6)
-    return SupportPosture(
-        p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=np.zeros(6),
-        k_q=np.diag([0.01 * k] * 6), mass=mass, ik_map=_identity_ik,
-        z_of_p=lambda p: 0.5 * a * (p[0] ** 2 + p[1] ** 2), ik_jac=_identity_jac,
-    )
-
-
-def _posture_toggle(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
-    # loaded vertical joint whose extension couples quadratically to tilt
-    # (toggle linkage): the torque-times-curvature term eats servo stiffness
-    def ik(p):
-        q = np.asarray(p, dtype=float).copy()
-        q[2] = p[2] + gamma * (p[3] ** 2 + p[4] ** 2)
-        return q
-
-    def jac(p):
-        j = np.eye(6)
-        j[2, 3] = 2.0 * gamma * p[3]
-        j[2, 4] = 2.0 * gamma * p[4]
-        return j
-
-    return SupportPosture(
-        p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=_weight_on_z(mass),
-        k_q=np.diag([k, k, k, 2.0, 2.0, 2.0]), mass=mass,
-        ik_map=ik, z_of_p=lambda p: float(p[2]), ik_jac=jac,
-    )
-
-
-POSTURES = {
-    "column": _rigid_panel(lambda k: 0.2 * k, 0.0),
-    "hanging_panel": _rigid_panel(lambda k: 1.0, -1.0),
-    "inverted_panel": _rigid_panel(lambda k: 0.0, 1.0),
-    "cradle": _posture_cradle,
-    "toggle_mount": _posture_toggle,
-}
 
 
 def build_posture(data: dict, path: str = "stability") -> SupportPosture:

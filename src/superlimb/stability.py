@@ -19,11 +19,13 @@ renders an unstable posture stable.
 
 The pose vector is treated generically (any dimension); the overhead
 support postures used by the CLI are 6-dimensional (3 translations, 3
-fixed-axis rotation angles, valid locally around the equilibrium).
+fixed-axis rotation angles, valid locally around the equilibrium); their
+builders are registered by name in ``POSTURES``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -40,8 +42,8 @@ from .errors import (
     ValidationError,
 )
 from .numerics import finite_diff_hessian, finite_diff_jacobian, psd_check
+from .plant import GRAVITY
 
-GRAVITY = 9.81
 RESIDUAL_TOL = 1e-6
 PSD_TOL_FACTOR = 1e-8
 CROSSCHECK_RTOL = 1e-3
@@ -107,6 +109,89 @@ class SupportPosture:
     @property
     def n_joint(self) -> int:
         return self.q_bar.size
+
+
+# --- named support postures ---------------------------------------------------
+#
+# Each builder models the supported panel as a rigid body with 6-D pose
+# (x, y, z, rx, ry, rz) held by a 6-DoF servo mount; differences lie in
+# where the CoM sits relative to the mount frame and how the mount joints
+# relate to the pose.  All are exact equilibria by construction.
+
+def _identity_ik(p) -> np.ndarray:
+    return np.asarray(p, dtype=float).copy()
+
+
+def _identity_jac(p) -> np.ndarray:
+    return np.eye(6)
+
+
+def _weight_on_z(mass: float) -> np.ndarray:
+    tau = np.zeros(6)
+    tau[2] = mass * GRAVITY
+    return tau
+
+
+def _rigid_panel(tilt_stiffness, com_side: float):
+    """Builder of a panel on a rigid mount (ik linear) with its CoM a
+    distance ``com_side * r`` above the mount frame: below (-1) gravity
+    stiffens the tilt axes, above (+1) it destabilizes them, and at the
+    frame (0) K_p equals the servo stiffness.  ``tilt_stiffness(k)`` is the
+    rotational servo stiffness."""
+
+    def build(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
+        kt = tilt_stiffness(k)
+        offset = com_side * r
+        return SupportPosture(
+            p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=_weight_on_z(mass),
+            k_q=np.diag([k, k, k, kt, kt, kt]), mass=mass,
+            ik_map=_identity_ik,
+            z_of_p=lambda p: float(p[2]) + offset * math.cos(p[3]) * math.cos(p[4]),
+            ik_jac=_identity_jac,
+        )
+
+    return build
+
+
+def _posture_cradle(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
+    # body resting in a curved cradle (height set by the horizontal pose),
+    # no servo torques at all: pure gravity-curvature stability
+    a = 2.0 / max(r, 1e-6)
+    return SupportPosture(
+        p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=np.zeros(6),
+        k_q=np.diag([0.01 * k] * 6), mass=mass, ik_map=_identity_ik,
+        z_of_p=lambda p: 0.5 * a * (p[0] ** 2 + p[1] ** 2), ik_jac=_identity_jac,
+    )
+
+
+def _posture_toggle(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
+    # loaded vertical joint whose extension couples quadratically to tilt
+    # (toggle linkage): the torque-times-curvature term eats servo stiffness
+    def ik(p):
+        q = np.asarray(p, dtype=float).copy()
+        q[2] = p[2] + gamma * (p[3] ** 2 + p[4] ** 2)
+        return q
+
+    def jac(p):
+        j = np.eye(6)
+        j[2, 3] = 2.0 * gamma * p[3]
+        j[2, 4] = 2.0 * gamma * p[4]
+        return j
+
+    return SupportPosture(
+        p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=_weight_on_z(mass),
+        k_q=np.diag([k, k, k, 2.0, 2.0, 2.0]), mass=mass,
+        ik_map=ik, z_of_p=lambda p: float(p[2]), ik_jac=jac,
+    )
+
+
+POSTURES = {
+    "column": _rigid_panel(lambda k: 0.2 * k, 0.0),
+    "hanging_panel": _rigid_panel(lambda k: 1.0, -1.0),
+    "inverted_panel": _rigid_panel(lambda k: 0.0, 1.0),
+    "cradle": _posture_cradle,
+    "toggle_mount": _posture_toggle,
+}
 
 
 @dataclass(frozen=True)
@@ -287,8 +372,8 @@ def stabilizing_servo_stiffness(
     plain bisection converges; the returned value certifies the condition
     (it is the feasible end of the final bracket).
     """
-    if margin < 0.0:
-        raise ValidationError(f"margin must be >= 0, got {margin}")
+    if not (0.0 <= margin < np.inf):
+        raise ValidationError(f"margin must be finite and >= 0, got {margin}")
     base, j = _base_stiffness(posture)
     base = 0.5 * (base + base.T)
     jtj = j.T @ j

@@ -173,12 +173,10 @@ class FrictionModel:
         object.__setattr__(self, "viscous", v)
 
 
-def friction_torque(
-    model: FrictionModel, qdot, tau_applied, v_eps: float = V_EPS
-) -> np.ndarray:
+def friction_torque(model: FrictionModel, qdot, tau_applied) -> np.ndarray:
     """Joint friction torque.
 
-    Moving joints (|qd| > v_eps) see kinetic friction
+    Moving joints (|qd| > V_EPS) see kinetic friction
     -sign(qd) coulomb - viscous qd; stuck joints resist the applied torque
     up to the breakaway level ratio * coulomb.
     """
@@ -186,7 +184,7 @@ def friction_torque(
     tau = np.atleast_1d(np.asarray(tau_applied, dtype=float))
     if qd.shape != model.coulomb.shape or tau.shape != model.coulomb.shape:
         raise DimensionMismatch("qdot/tau_applied must match friction dimensions")
-    moving = np.abs(qd) > v_eps
+    moving = np.abs(qd) > V_EPS
     kinetic = -np.sign(qd) * model.coulomb - model.viscous * qd
     breakaway = model.stiction_breakaway_ratio * model.coulomb
     holding = -np.clip(tau, -breakaway, breakaway)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (via main(argv))."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -95,6 +96,29 @@ def test_run_inverse_dynamics_vanishing_contact_row_exit_code(tmp_path, capsys):
     assert err.startswith("numeric error: [step 0, t=0s] ")
     assert "rank" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["inverse-dynamics", "tracking"])
+def test_run_vanishing_contact_direction_exit_code(tmp_path, capsys, mode):
+    # an upright arm cannot move its tip vertically: the z row of the
+    # contact Jacobian is ~1e-16 (roundoff), not exactly zero
+    with open(scenario_path("overhead_inverse.json")) as fh:
+        data = json.load(fh)
+    arm = data["plant"]["chains"][0]
+    arm["heading"] = math.pi / 2.0
+    for joint in arm["joints"]:
+        joint["q0"] = 0.0
+    data["contact"]["directions"] = ["z"]
+    data["sim"]["mode"] = mode
+    cfg = tmp_path / "upright.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("numeric error: [step 0, t=0s] ")
+    assert "rank" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_deterministic_bytes(tmp_path, capsys):
@@ -276,3 +300,50 @@ def test_emg_pipeline_bad_csv_exits_1(tmp_path, capsys, trace_body, motion_body,
     assert "Traceback" not in err
     assert out == ""
     assert not (tmp_path / "o.csv").exists()
+
+
+# --- numeric flags --------------------------------------------------------------
+
+
+@pytest.fixture
+def trace_csv(tmp_path):
+    t = np.arange(400) / 1000.0
+    x = np.sin(2 * np.pi * 80.0 * t)
+    path = tmp_path / "trace.csv"
+    path.write_text(
+        "t,ch1\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), x.tolist()))
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("emg-pipeline", ["--window", "nan"]),
+        ("emg-pipeline", ["--window", "inf"]),
+        ("emg-pipeline", ["--gain", "-1"]),
+        ("emg-pipeline", ["--gain", "nan"]),
+        ("emg-pipeline", ["--threshold", "0.05", "--hysteresis", "0.1"]),
+        ("analyze-stability", ["--servo-margin", "nan"]),
+        ("gen-emg", ["--mvc", "nan"]),
+        ("gen-emg", ["--mvc", "0"]),
+    ],
+)
+def test_bad_numeric_flag_exits_1(tmp_path, capsys, trace_csv, command, flags):
+    out = tmp_path / "o.csv"
+    argv = {
+        "emg-pipeline": ["emg-pipeline", "--in", trace_csv, "--out", str(out)],
+        "analyze-stability": [
+            "analyze-stability", "--config", scenario_path("posture_inverted.json"),
+        ],
+        "gen-emg": [
+            "gen-emg", "--profile", scenario_path("emg_profile_step.json"),
+            "--seed", "1", "--out", str(out),
+        ],
+    }[command]
+    code, stdout, err = run_cli(argv + flags, capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert stdout == ""
+    assert not out.exists()

@@ -1,5 +1,8 @@
 """Tests for the torque / support-force decoupling."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +245,22 @@ def test_contact_jacobian_rows(desk_model):
     j = contact_jacobian(desk_model, desk_model.q0, spec)
     pk = desk_model.state(desk_model.q0).point("arm")
     np.testing.assert_array_equal(j, pk.jac[[1], :])
+
+
+def test_contact_jacobian_vanishing_direction_is_rank_deficient(desk_model):
+    # arm straight up: no joint moves the tip vertically (|J_z| ~ 1e-16),
+    # while the horizontal row keeps the arm's full reach
+    arm = desk_model.chains[0]
+    upright = dataclasses.replace(
+        arm, heading=math.pi / 2.0,
+        joints=tuple(dataclasses.replace(j, q0=0.0) for j in arm.joints),
+    )
+    model = dataclasses.replace(desk_model, chains=(upright, desk_model.chains[1]))
+    horizontal = contact_jacobian(model, model.q0, ContactSpec(chain="arm", directions=("x",)))
+    assert np.abs(horizontal).max() == pytest.approx(0.9)
+    for dirs in (("z",), ("x", "z")):
+        with pytest.raises(RankDeficient, match="rank"):
+            contact_jacobian(model, model.q0, ContactSpec(chain="arm", directions=dirs))
 
 
 def test_decouple_on_the_desk_plant(desk_model):
