@@ -12,7 +12,7 @@ not unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -169,6 +169,8 @@ class ContactSpec:
     chain: str
     directions: tuple[str, ...] = ("z",)
     joint: int | None = None
+    #: the directions' rows in point positions and Jacobians
+    rows: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "directions", tuple(self.directions))
@@ -179,10 +181,7 @@ class ContactSpec:
                 raise DimensionMismatch(f"unknown direction {d!r}")
         if len(set(self.directions)) != len(self.directions):
             raise DimensionMismatch("duplicate contact directions")
-
-    @property
-    def rows(self) -> list[int]:
-        return [AXES.index(d) for d in self.directions]
+        object.__setattr__(self, "rows", [AXES.index(d) for d in self.directions])
 
 
 def plant_dynamics(model: PlantModel, q, qd) -> tuple[np.ndarray, np.ndarray]:
@@ -201,12 +200,19 @@ def contact_jacobian(
     the point cannot move along that direction at this posture, so no
     finite support force along it is determined."""
     st = state if state is not None else model.state(q)
-    jac = st.point(contact.chain, contact.joint).jac
-    # Python floats: numpy reductions cost more than the math on a 2 x n Jacobian
-    size = [max(map(abs, row)) for row in jac.tolist()]
+    jac = model.tip_jacobian(st.kin, model.link_index(contact.chain, contact.joint))
+    return np.array(_contact_rows(jac, contact))
+
+
+def _contact_rows(jac, contact: ContactSpec) -> list[list[float]]:
+    """``contact_jacobian`` on the point's full Jacobian given as two
+    float rows (x, z): the constrained rows, with the same rank check."""
+    size = [max(map(abs, row)) for row in jac]
+    floor = QR_RANK_RTOL * max(size)
+    rows = [jac[row] for row in contact.rows]
     for d, row in zip(contact.directions, contact.rows):
-        if size[row] < QR_RANK_RTOL * max(size):
+        if size[row] < floor:
             raise RankDeficient(
                 f"contact Jacobian lost rank: direction {d!r} vanishes at this posture"
             )
-    return jac[contact.rows, :]
+    return rows

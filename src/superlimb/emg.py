@@ -94,12 +94,12 @@ class HillParams:
     mvc_reference: float = 1.0
 
     def __post_init__(self):
-        if not (self.f_max > 0.0):
-            raise ValidationError("f_max must be > 0")
-        if not (self.act_tau_rise > 0.0 and self.act_tau_fall > 0.0):
-            raise ValidationError("activation time constants must be > 0")
-        if not (self.mvc_reference > 0.0):
-            raise ValidationError("mvc_reference must be > 0")
+        if not (0.0 < self.f_max < np.inf):
+            raise ValidationError(f"f_max must be finite and > 0, got {self.f_max}")
+        if not (0.0 < self.act_tau_rise < np.inf and 0.0 < self.act_tau_fall < np.inf):
+            raise ValidationError("activation time constants must be finite and > 0")
+        if not (0.0 < self.mvc_reference < np.inf):
+            raise ValidationError(f"mvc_reference must be finite and > 0, got {self.mvc_reference}")
         for name in ("fl_factor", "fv_factor"):
             v = getattr(self, name)
             if not (0.0 < v <= 1.5):

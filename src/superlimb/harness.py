@@ -24,11 +24,13 @@ byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite, nan
+from operator import mul
 
 import numpy as np
 from scipy.signal import butter, filtfilt
 
-from .dynamics import contact_jacobian
+from .dynamics import _contact_rows, contact_jacobian
 from .emg import (
     DEFAULT_BAND,
     DEFAULT_WINDOW,
@@ -48,11 +50,16 @@ from .errors import (
     SuperlimbError,
     ValidationError,
 )
-from .numerics import cholesky, cholesky_solve
-from .plant import AXES, PlantModel, PlantState
+from .numerics import spd_solve
+from .plant import AXES, Kinematics, PlantModel
 from .scenario import ActivationProfile, Scenario
-from .stiffness import (
+from .stiffness import (  # noqa: F401
     TaskSpaceController,
+    _control_force,
+    _friction_torque,
+    _task_to_joint_torque,
+    # the checked array forms of the loop's control law, kept importable
+    # here where perfbench's tracer (perfbench/tracer.py) wraps them
     control_force,
     friction_torque,
     task_to_joint_torque,
@@ -123,64 +130,59 @@ class StepResult:
 
 
 def _advance(
-    state: PlantState,
-    a: np.ndarray,
-    h: np.ndarray,
-    tau_total: np.ndarray,
-    dt: float,
-    free: np.ndarray,
-    scripted: np.ndarray,
-    j_c: np.ndarray | None,
-    v_target: np.ndarray,
-    q_next: np.ndarray,
-    qd_next: np.ndarray,
-    qdd: np.ndarray,
-) -> StepResult:
+    q, qd, a, h, tau_total, dt: float, free, scripted, j_c, v_target, q_next, qd_next, qdd
+) -> list[float]:
     """Semi-implicit Euler step of the free DoFs with optional bilateral
-    contact.
+    contact, on Python float lists; returns the constraint force on the
+    robot (one entry per row of ``j_c``).
 
-    ``a`` and ``h`` are the state's inertia matrix and bias; ``free`` and
-    ``scripted`` partition the DoFs.  ``q_next``, ``qd_next`` and ``qdd``
-    are full-length arrays whose scripted entries already hold the
-    position and velocity at the end of the step and the acceleration
-    during it; the free entries are filled in place.  ``v_target`` is the
-    contact point's target velocity along the rows of ``j_c``."""
-    q, qd = state.q, state.qd
-    for name, arr in (("q", q), ("qd", qd), ("tau_total", tau_total)):
-        if not np.isfinite(arr).all():
+    ``a`` (rows) and ``h`` are the state's inertia matrix and bias;
+    ``free`` and ``scripted`` partition the DoF indices.  ``q_next``,
+    ``qd_next`` and ``qdd`` are full-length lists whose scripted entries
+    already hold the position and velocity at the end of the step and the
+    acceleration during it; the free entries are filled in place.
+    ``j_c`` holds the contact Jacobian's rows (none without contact) and
+    ``v_target`` the contact point's target velocity along them."""
+    for name, v in (("q", q), ("qd", qd), ("tau_total", tau_total)):
+        if not all(map(isfinite, v)):
             raise NonFinite(f"{name} contains NaN or Inf")
 
     # with nothing free the split of a contact force is left to the caller
-    lam = np.zeros(0 if j_c is None else j_c.shape[0])
-    if free.size:
-        a_f = a[free]
-        rhs = tau_total[free] - h[free] - a_f[:, scripted] @ qdd[scripted]
-        cho = cholesky(
-            a_f[:, free], RankDeficient, "inertia of the free joints is not positive definite"
+    lam = [0.0] * len(j_c)
+    if free:
+        qdd_s = [qdd[s] for s in scripted]
+        rhs = [tau_total[i] - h[i] - sum(map(mul, [a[i][s] for s in scripted], qdd_s))
+               for i in free]
+        j_f = [[row[j] for j in free] for row in j_c]
+        # A_ff^-1 rhs, then the columns of A_ff^-1 J_f^T (one per contact row)
+        qdd_free, *minv_jt = spd_solve(
+            [[a[i][j] for j in free] for i in free], [rhs] + j_f,
+            RankDeficient, "inertia of the free joints is not positive definite",
         )
-        qdd_free = cholesky_solve(cho, rhs)
-        if j_c is not None:
-            j_f = j_c[:, free]
-            minv_jt = cholesky_solve(cho, j_f.T)
-            gram = j_f @ minv_jt
-            qd_free_pred = qd[free] + dt * qdd_free
-            resid = v_target - j_c[:, scripted] @ qd_next[scripted] - j_f @ qd_free_pred
-            gram_cho = cholesky(
-                gram, RankDeficient, "contact directions are not independent at this posture"
+        if j_c:
+            gram = [[sum(map(mul, row, col)) for col in minv_jt] for row in j_f]
+            qd_free_pred = [qd[i] + dt * x for i, x in zip(free, qdd_free)]
+            qd_s = [qd_next[s] for s in scripted]
+            resid = [
+                vt - sum(map(mul, [row[s] for s in scripted], qd_s))
+                - sum(map(mul, rf, qd_free_pred))
+                for vt, row, rf in zip(v_target, j_c, j_f)
+            ]
+            (lam,) = spd_solve(
+                gram, [[r / dt for r in resid]],
+                RankDeficient, "contact directions are not independent at this posture",
             )
-            lam = cholesky_solve(gram_cho, resid / dt)
-            qdd_free = qdd_free + minv_jt @ lam
-        qdd[free] = qdd_free
-        qd_next[free] = qd[free] + dt * qdd[free]
-        q_next[free] = q[free] + dt * qd_next[free]
+            qdd_free = [x + sum(map(mul, col, lam)) for x, col in zip(qdd_free, zip(*minv_jt))]
+        for i, x in zip(free, qdd_free):
+            qdd[i] = x
+            v = qd_next[i] = qd[i] + dt * x
+            q_next[i] = q[i] + dt * v
 
-    # NaN-aware: np.maximum propagates NaN, and NaN fails the comparison
-    peak = np.maximum(np.max(np.abs(q_next)), np.max(np.abs(qd_next)))
-    if not peak <= BLOWUP_LIMIT:
-        raise NumericBlowup(
-            f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})"
-        )
-    return StepResult(q=q_next, qd=qd_next, qdd=qdd, lam=lam)
+    mags = [abs(v) for v in q_next + qd_next]
+    if not all(m <= BLOWUP_LIMIT for m in mags):  # NaN fails the comparison
+        peak = nan if any(m != m for m in mags) else max(mags)
+        raise NumericBlowup(f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})")
+    return lam
 
 
 def integrate_step(
@@ -206,18 +208,18 @@ def integrate_step(
     tau = np.atleast_1d(np.asarray(tau_total, dtype=float))
     if tau.shape != (n,):
         raise DimensionMismatch(f"tau_total must have shape ({n},), got {tau.shape}")
-    j_c, vt = None, np.zeros(0)
+    j_c, vt = [], []
     if contact:
-        j_c = contact_jacobian(model, state.q, contact, state=state)
-        k = j_c.shape[0]
+        j_c = contact_jacobian(model, state.q, contact, state=state).tolist()
+        k = len(j_c)
         vt = np.zeros(k) if v_target is None else np.asarray(v_target, dtype=float)
         if vt.shape != (k,):
             raise DimensionMismatch(f"v_target must have shape ({k},), got {vt.shape}")
-    return _advance(
-        state, state.mass_matrix(), state.bias(), tau, dt,
-        free=np.arange(n), scripted=np.zeros(0, dtype=int), j_c=j_c, v_target=vt,
-        q_next=np.zeros(n), qd_next=np.zeros(n), qdd=np.zeros(n),
-    )
+        vt = vt.tolist()
+    q_next, qd_next, qdd = [0.0] * n, [0.0] * n, [0.0] * n
+    lam = _advance(state.q.tolist(), state.qd.tolist(), state.kin.a, state.kin.h, tau.tolist(),
+                   dt, range(n), (), j_c, vt, q_next, qd_next, qdd)
+    return StepResult(*map(np.array, (q_next, qd_next, qdd, lam)))
 
 
 # --- logging ------------------------------------------------------------------
@@ -257,11 +259,10 @@ class SimLog:
         self._data[:, self._state_end:] = np.column_stack((a, gate, x_eq))
         self._n = 0
 
-    def append(self, q_s, qdot_s, x, f_cmd, lam, f_mount, tau_s, tau_h):
-        """Store one step's state-dependent values in column order."""
-        self._data[self._n, 1 : self._state_end] = np.hstack(
-            (q_s, qdot_s, x, f_cmd, lam, f_mount, tau_s, tau_h)
-        )
+    def append(self, row: list):
+        """Store one step's state-dependent values, given as one flat list
+        in column order (``q_s`` through ``tau_h``)."""
+        self._data[self._n, 1 : self._state_end] = row
         self._n += 1
 
     def __len__(self) -> int:
@@ -319,28 +320,30 @@ def _emg_channel(scenario: Scenario, t_sim: np.ndarray):
     return act, gate, dxeq
 
 
-def _mount_force(
-    state: PlantState, qdd: np.ndarray, lam_robot: np.ndarray, scenario: Scenario
-) -> np.ndarray:
+def _mount_force(kin: Kinematics, qdd, lam_robot, scenario: Scenario) -> list[float]:
     """Force on the wearer at the harness mount (world x, z).
 
     Newton over the SRL links: the mount supplies whatever the contact
     force and gravity do not, so a resting unloaded device weighs on the
     wearer and pressing upward adds the transmitted reaction.
     """
-    model = state.model
-    g_vec = np.array([0.0, -model.gravity])
-    jac, acc_bias = state._jac_com, state._com_acc
-    total = np.zeros(2)
-    for lk, mass in model._srl_links:
-        acc = jac[lk] @ qdd + acc_bias[lk]
-        total += mass * (acc - g_vec)
-    f_contact = np.zeros(2)
+    model = scenario.model
+    fx = fz = 0.0
+    if model._srl_links:
+        # one stacked matmul gives each link's J_l qdd exactly as the
+        # array-valued PlantState.point(at="com") path rounds it
+        jac = np.array([kin.jcom[lk] for lk, _ in model._srl_links])
+        jqdd = (jac @ np.asarray(qdd, dtype=float)).tolist()
+        for (lk, mass), (jx, jz) in zip(model._srl_links, jqdd):
+            ax, az = kin.com_acc[lk]
+            fx += mass * (jx + ax)
+            fz += mass * (jz + az + model.gravity)
+    f_contact = [0.0, 0.0]
     contact = scenario.contact
-    if contact is not None and lam_robot.size and contact.spec.chain in model._srl_chains:
+    if contact is not None and len(lam_robot) and contact.spec.chain in model._srl_chains:
         for row, lam in zip(contact.spec.rows, lam_robot):
             f_contact[row] += lam
-    return f_contact - total
+    return [f_contact[0] - fx, f_contact[1] - fz]
 
 
 def _equilibrium_points(scenario: Scenario, rows: list[int], dxeq: np.ndarray) -> np.ndarray:
@@ -350,8 +353,8 @@ def _equilibrium_points(scenario: Scenario, rows: list[int], dxeq: np.ndarray) -
     cfg = scenario.controller
     x_eq0 = cfg.x_eq
     if x_eq0 is None:
-        st = scenario.model.state(scenario.model.q0)
-        x_eq0 = st._tip[st._link_index(cfg.chain, cfg.joint)][rows]
+        model = scenario.model
+        x_eq0 = model.state(model.q0).point(cfg.chain, joint=cfg.joint).pos[rows]
     x_eq = np.tile(x_eq0, (dxeq.size, 1))
     if "z" in cfg.components:
         shifted = dxeq != 0.0
@@ -398,16 +401,19 @@ def run_scenario(scenario: Scenario) -> SimLog:
     before the loop: the step times, the sEMG activation and gate, the
     equilibrium point with the gated shift, the scripted human trajectory
     and the contact target velocity.  Per step the loop evaluates the
-    plant, the task-space controller, joint torques and friction, solves
-    the contact force and advances the plant.  Scripted (human) joints are
+    plant, the task-space control law and, in tracking mode, joint torques
+    and friction, the contact force and the plant's advance, all in Python
+    floats on the model's step kernel.  Inverse-dynamics mode holds the SRL
+    posture and splits the required force with ``decouple`` on the
+    array-valued ``PlantState``.  Scripted (human) joints are
     position-driven and their required torques are reported, not applied.
     """
     model = scenario.model
     sim = scenario.sim
     ctrl_cfg = scenario.controller
     n = model.n_dof
-    srl = model.srl_indices
-    human = model.human_indices
+    srl = model.srl_indices.tolist()
+    human = model.human_indices.tolist()
     spec = scenario.contact.spec if scenario.contact else None
 
     t_sim = np.arange(sim.n_steps) * sim.dt
@@ -417,6 +423,8 @@ def run_scenario(scenario: Scenario) -> SimLog:
     q_end, qd_end, qdd_in = _scripted_motion(scenario, t_sim)
     v_target = _contact_velocity(scenario, t_sim)
     log = SimLog(scenario, t_sim, act, gate, x_eq)
+    x_eq, v_target = x_eq.tolist(), v_target.tolist()
+    q_end, qd_end, qdd_in = q_end.tolist(), qd_end.tolist(), qdd_in.tolist()
 
     ctrl = TaskSpaceController(
         k_task=ctrl_cfg.table[ctrl_cfg.level - 1],
@@ -425,62 +433,76 @@ def run_scenario(scenario: Scenario) -> SimLog:
         level=ctrl_cfg.level,
         damping=ctrl_cfg.damping,
     )
+    kernel, tip_jacobian = model._kernel, model.tip_jacobian
+    task = model.link_index(ctrl_cfg.chain, ctrl_cfg.joint)
+    contact_link = model.link_index(spec.chain, spec.joint) if spec else None
     inverse_mode = sim.mode == "inverse-dynamics"
     if inverse_mode:
         from .dynamics import DynamicsSnapshot, decouple
 
-    q, qd = model.q0, np.zeros(n)
+    q, qd = model.q0.tolist(), [0.0] * n
     for i in range(sim.n_steps):
         try:
-            state = model.state(q, qd)
-            a_mat = state.mass_matrix()
-            h_vec = state.bias()
+            if inverse_mode:
+                state = model.state(q, qd)
+                kin = state.kin
+            else:
+                kin = kernel(q, qd)
 
             # task point and control law
-            pk = state.point(ctrl_cfg.chain, joint=ctrl_cfg.joint, at="tip")
-            x = pk.pos[rows]
+            tip = kin.tip[task]
+            x = [tip[r] for r in rows]
             if ctrl_cfg.enabled:
-                f_cmd = control_force(ctrl, x, pk.vel[rows], x_eq=x_eq[i])
-                tau_task = task_to_joint_torque(pk.jac[rows, :], f_cmd)
+                vel = kin.tip_vel[task]
+                f_cmd = _control_force(ctrl, x_eq[i], x, [vel[r] for r in rows])
             else:
-                f_cmd = np.zeros(len(rows))
-                tau_task = np.zeros(n)
-            tau_applied = np.zeros(n)
-            tau_applied[srl] = tau_task[srl]
-            if ctrl_cfg.enabled and ctrl_cfg.gravity_compensation and srl.size:
-                tau_applied[srl] += state.gravity_vector()[srl]
-            if ctrl_cfg.friction is not None and srl.size:
-                tau_applied[srl] += friction_torque(
-                    ctrl_cfg.friction, qd[srl], tau_applied[srl]
-                )
+                f_cmd = [0.0] * len(rows)
 
-            j_c = contact_jacobian(model, q, spec, state=state) if spec else None
             q_next, qd_next, qdd = q_end[i], qd_end[i], qdd_in[i]
             if inverse_mode:
                 # hold the SRL posture, drive the human: required torques
                 # and the force split come from inverse dynamics
-                if j_c is None:
-                    tau_req, lam_robot = a_mat @ qdd + h_vec, np.zeros(0)
+                a_mat, h_vec = state.mass_matrix(), state.bias()
+                qdd_vec = np.array(qdd)
+                if spec is None:
+                    tau_req, lam_robot = (a_mat @ qdd_vec + h_vec).tolist(), []
                 else:
-                    snap = DynamicsSnapshot(a=a_mat, h_bias=h_vec, j_c=j_c, qdd=qdd)
-                    sol = decouple(snap)
-                    tau_req, lam_robot = sol.tau, sol.lam
-                tau_s = tau_req[srl]
+                    j_c = contact_jacobian(model, q, spec, state=state)
+                    sol = decouple(DynamicsSnapshot(a=a_mat, h_bias=h_vec, j_c=j_c, qdd=qdd_vec))
+                    tau_req, lam_robot = sol.tau.tolist(), sol.lam.tolist()
+                tau_s = [tau_req[j] for j in srl]
+                tau_h = [tau_req[j] for j in human]
             else:
+                tau = [0.0] * n
+                jac = tip_jacobian(kin, task)
+                if ctrl_cfg.enabled:
+                    tau_task = _task_to_joint_torque(zip(*[jac[r] for r in rows]), f_cmd)
+                    for j in srl:
+                        tau[j] = (tau_task[j] + kin.g[j] if ctrl_cfg.gravity_compensation
+                                  else tau_task[j])
+                if ctrl_cfg.friction is not None:
+                    tau_f = _friction_torque(
+                        ctrl_cfg.friction, [qd[j] for j in srl], [tau[j] for j in srl]
+                    )
+                    for j, tf in zip(srl, tau_f):
+                        tau[j] += tf
+                j_c = _contact_rows(tip_jacobian(kin, contact_link), spec) if spec else []
                 lam_robot = _advance(
-                    state, a_mat, h_vec, tau_applied, sim.dt, srl, human,
+                    q, qd, kin.a, kin.h, tau, sim.dt, srl, human,
                     j_c, v_target[i], q_next, qd_next, qdd,
-                ).lam
-                tau_req = a_mat @ qdd + h_vec
-                if j_c is not None:
-                    tau_req = tau_req - j_c.T @ lam_robot
-                tau_s = tau_applied[srl]
+                )
+                tau_s = [tau[j] for j in srl]
+                tau_h = [
+                    sum(map(mul, kin.a[j], qdd)) + kin.h[j]
+                    - sum(row[j] * lk for row, lk in zip(j_c, lam_robot))
+                    for j in human
+                ]
 
-            f_mount = _mount_force(state, qdd, lam_robot, scenario)
+            f_mount = _mount_force(kin, qdd, lam_robot, scenario)
             log.append(
-                q[srl], qd[srl], x, f_cmd,
-                -lam_robot,  # force on the supported object
-                f_mount, tau_s, tau_req[human],
+                [q[j] for j in srl] + [qd[j] for j in srl] + x + f_cmd
+                + [-lk for lk in lam_robot]  # force on the supported object
+                + f_mount + tau_s + tau_h
             )
             q, qd = q_next, qd_next
         except SuperlimbError as exc:

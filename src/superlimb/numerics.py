@@ -6,13 +6,16 @@ pseudo-inverse call the routines directly, so a 4x4 problem costs little
 more than the factorizations themselves; the SVD pseudo-inverse,
 finite-difference derivatives and the positive-semidefiniteness test go
 through numpy.  Every LAPACK ``info`` is checked and mapped to a
-NumericError.  Everything operates on plain float ndarrays; all functions
-are pure.
+NumericError.  Everything operates on plain float ndarrays, except the
+small positive definite solve that the simulator's step loop runs on
+Python float lists; all functions are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -72,6 +75,43 @@ def cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     x, info = dpotrs(c, b)
     lapack_info(info, "dpotrs")
     return x
+
+
+def spd_solve(m, rhs, error, reason: str) -> list[list[float]]:
+    """Solve m x = b for each b in ``rhs`` in Python floats, ``m`` being a
+    small symmetric positive definite matrix given as rows; raises
+    ``error`` with ``reason`` when it is not positive definite.
+
+    The operations follow LAPACK's unblocked ``dpotf2`` and the column
+    order of BLAS ``dtrsm`` kernels, which multiply by reciprocal pivots;
+    dividing by the pivots instead lets the static-hold scenario drift."""
+    n = len(m)
+    cols = [[] for _ in range(n)]  # cols[k][i] is the factor's entry (i, k)
+    inv = []
+    for j, mj in enumerate(m):
+        cj = cols[j]
+        d = mj[j] - sum(map(mul, cj, cj))
+        if not d > 0.0:  # NaN fails too
+            raise error(f"{reason} (leading minor {j + 1} is {d:.3e})")
+        d = sqrt(d)
+        inv.append(1.0 / d)
+        for k in range(j + 1, n):
+            cols[k].append((mj[k] - sum(map(mul, cj, cols[k]))) * inv[j])
+        cj.append(d)
+    out = []
+    for b in rhs:
+        x = list(b)
+        for i in range(n):  # u^T y = b
+            xi = x[i] = x[i] * inv[i]
+            for k in range(i + 1, n):
+                x[k] -= xi * cols[k][i]
+        for i in range(n - 1, -1, -1):  # u x = y
+            xi = x[i] = x[i] * inv[i]
+            ci = cols[i]
+            for k in range(i):
+                x[k] -= xi * ci[k]
+        out.append(x)
+    return out
 
 
 def _as_vector(v, name: str = "vector") -> np.ndarray:

@@ -9,17 +9,22 @@ human chains so q = [q_srl, q_human].
 
 All kinematic quantities (positions, Jacobians, velocity products) are
 computed from one analytic forward pass, so the inertia matrix, the
-Coriolis/gravity bias and point Jacobians are exact up to roundoff.  The
-CoM and tip Jacobians of all links are built as one stacked array right
-after the pass.  The inertia matrix, gravity and bias vectors are
-assembled from the CoM rows link by link, each at most once per state, in
-the dense composite-rigid-body form
+Coriolis/gravity bias and point Jacobians are exact up to roundoff.  Each
+``PlantModel`` builds, once, a step kernel for its topology: one function
+over plain Python float lists that runs the forward pass, the CoM
+Jacobian columns and the inertia matrix, gravity and bias vectors,
+assembled link by link in the dense composite-rigid-body form
 A = sum_l (m_l J_l^T J_l + I_l w_l w_l^T) + diag(rotor)
-(Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6).
+(Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6).  For the few
+degrees of freedom this package targets, Python floats cost less than
+numpy calls on 3-4 element arrays.  ``PlantState`` is the checked,
+array-valued view of one kernel call; the link-wise energies stay an
+independent oracle for ``A`` and ``h``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from math import cos, sin
 
@@ -119,31 +124,19 @@ class PlantModel:
 
     def _derive_structure(self):
         """Static facts every state reuses: the DoF count, chain slices,
-        the limb's links as (index, mass) pairs, and per-link ancestor and
-        revolute masks (link l is moved by joint g iff ``ancestors[l, g]``;
-        links and joints share indices)."""
+        the limb's links as (index, mass) pairs, and the step kernel of
+        this topology (links and joints share indices)."""
         joints = tuple(j for c in self.chains for j in c.joints)
         n = len(joints)
-        slices, off = {}, 0
-        srl_links = []
-        ancestors = np.zeros((n, n), dtype=bool)
+        slices, srl_links, ancestors, off = {}, [], [], 0
         for c in self.chains:
             k = len(c.joints)
             slices[c.name] = slice(off, off + k)
             if c.role == ROLE_SRL:
                 srl_links += [(off + i, j.mass) for i, j in enumerate(c.joints)]
-            for local in range(k):
-                ancestors[off + local, off: off + local + 1] = True
+            ancestors += [tuple(range(off, off + i + 1)) for i in range(k)]
             off += k
-        revolute = np.array([j.kind == REVOLUTE for j in joints])
-        # rotational inertia about each link CoM, I_l w_l w_l^T, with w_l
-        # the link's angular-velocity row (ones on revolute ancestors)
-        spin = []
-        for joint, mask in zip(joints, ancestors):
-            w = (mask & revolute).astype(float)
-            spin.append(joint.inertia * np.outer(w, w) if joint.inertia else None)
-        # (2n, n, 1): joint g moves the CoM (rows < n) and tip of each link
-        movers = np.concatenate((ancestors, ancestors))[:, :, None]
+        revolute = tuple(j.kind == REVOLUTE for j in joints)
         object.__setattr__(self, "_joints", joints)
         object.__setattr__(self, "_n_dof", n)
         object.__setattr__(self, "_slices", slices)
@@ -151,9 +144,11 @@ class PlantModel:
         object.__setattr__(
             self, "_srl_chains", frozenset(c.name for c in self.chains if c.role == ROLE_SRL)
         )
-        object.__setattr__(self, "_movers", movers)
+        object.__setattr__(self, "_ancestors", tuple(ancestors))
         object.__setattr__(self, "_revolute", revolute)
-        object.__setattr__(self, "_spin", tuple(spin))
+        object.__setattr__(
+            self, "_kernel", _step_kernel(self.chains, n, self.gravity, ancestors, revolute)
+        )
 
     # --- DoF bookkeeping -------------------------------------------------
 
@@ -167,22 +162,14 @@ class PlantModel:
         except KeyError:
             raise BadModel(f"no chain named {name!r}") from None
 
-    def _role_indices(self, role: str) -> np.ndarray:
-        idx, off = [], 0
-        for c in self.chains:
-            n = len(c.joints)
-            if c.role == role:
-                idx.extend(range(off, off + n))
-            off += n
-        return np.array(idx, dtype=int)
-
+    # limb chains come first: q = [q_srl, q_human]
     @property
     def srl_indices(self) -> np.ndarray:
-        return self._role_indices(ROLE_SRL)
+        return np.arange(len(self._srl_links))
 
     @property
     def human_indices(self) -> np.ndarray:
-        return self._role_indices(ROLE_HUMAN)
+        return np.arange(len(self._srl_links), self._n_dof)
 
     @property
     def q0(self) -> np.ndarray:
@@ -190,6 +177,141 @@ class PlantModel:
 
     def state(self, q, qd=None) -> "PlantState":
         return PlantState(self, q, qd)
+
+    def tip_jacobian(self, kin: Kinematics, link: int) -> tuple[list, list]:
+        """Jacobian of a link's tip in the state ``kin`` as two dense float
+        rows (x, z)."""
+        return _point_jacobian(
+            kin.tip[link], self._ancestors[link], self._revolute, kin.pivot, kin.direction,
+            self._n_dof,
+        )
+
+    def link_index(self, chain: str, joint: int | None = None) -> int:
+        """Index of a chain's link (and of the joint carrying it);
+        ``joint=None`` means the chain's last link."""
+        sl = self.chain_slice(chain)
+        n = sl.stop - sl.start
+        local = n - 1 if joint is None else joint
+        if not (0 <= local < n):
+            raise BadModel(f"chain {chain!r} has no joint index {local}")
+        return sl.start + local
+
+
+#: One plant state in Python floats, as a step kernel returns it: per link,
+#: (x, z) pairs of the joint pivot, the sliding direction ((0, 0) if
+#: revolute), the CoM and the tip with their velocities and velocity-product
+#: accelerations (qdd = 0), the angular velocity and the CoM Jacobian as two
+#: dense rows; then A (rows), g and h.
+Kinematics = namedtuple(
+    "Kinematics",
+    "pivot direction com com_vel com_acc tip tip_vel tip_acc ang_vel jcom a g h",
+)
+
+
+def _upper(idx: tuple) -> tuple:
+    """(r, (c >= r ...)) pairs of an index set: one triangle of its block."""
+    return tuple((r, idx[k:]) for k, r in enumerate(idx))
+
+
+def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, revolute):
+    """Build the step kernel of one plant topology: ``kernel(q, qd)`` maps
+    two lists of n floats to the state's ``Kinematics`` in one pass.
+
+    A point at distance r along a joint's unit axis e (turning at the link
+    rate phid, r changing at rate rd) moves at rd e + r phid perp(e) with
+    acceleration bias 2 rd phid perp(e) - r phid^2 e relative to the
+    joint's origin.  A, g = sum_l m_l g J_l,z and h = g + sum_l m_l J_l^T
+    acc_l are accumulated link by link over each link's ancestors."""
+    layout, links, off = [], [], 0
+    for c in chains:
+        joints = []
+        for i, joint in enumerate(c.joints, off):
+            joints.append((i, revolute[i], joint.length, joint.com, joint.axis))
+            spin = tuple(j for j in ancestors[i] if revolute[j])
+            links.append((i, ancestors[i], _upper(ancestors[i]), joint.mass,
+                          joint.mass * gravity, joint.inertia, _upper(spin), joint.rotor))
+        layout.append((c.base, c.heading, joints))
+        off += len(c.joints)
+    upper = tuple((r, c) for r in range(n) for c in range(r + 1, n))
+
+    def kernel(q: list, qd: list) -> Kinematics:
+        pivot, direction, com, com_vel, com_acc = [], [], [], [], []
+        tip, tip_vel, tip_acc, ang_vel, jcom = [], [], [], [], []
+        for (ox, oz), phi, joints in layout:
+            vox = voz = aox = aoz = phid = 0.0
+            for i, is_rev, length, c, axis in joints:
+                pivot.append((ox, oz))
+                if is_rev:
+                    phi += q[i]
+                    phid += qd[i]
+                    ex, ez = cos(phi), sin(phi)
+                    direction.append((0.0, 0.0))
+                    rate, r_com, r_tip = 0.0, c, length
+                else:
+                    ex, ez = cos(phi + axis), sin(phi + axis)
+                    direction.append((ex, ez))
+                    rate, r_com, r_tip = qd[i], c + q[i], length + q[i]
+                px, pz = -ez, ex  # perp(e)
+                com.append((ox + r_com * ex, oz + r_com * ez))
+                com_vel.append((vox + rate * ex + r_com * phid * px,
+                                voz + rate * ez + r_com * phid * pz))
+                com_acc.append((aox + 2.0 * rate * phid * px - r_com * phid * phid * ex,
+                                aoz + 2.0 * rate * phid * pz - r_com * phid * phid * ez))
+                ox, oz = ox + r_tip * ex, oz + r_tip * ez
+                vox, voz = (vox + rate * ex + r_tip * phid * px,
+                            voz + rate * ez + r_tip * phid * pz)
+                aox, aoz = (aox + 2.0 * rate * phid * px - r_tip * phid * phid * ex,
+                            aoz + 2.0 * rate * phid * pz - r_tip * phid * phid * ez)
+                tip.append((ox, oz))
+                tip_vel.append((vox, voz))
+                tip_acc.append((aox, aoz))
+                ang_vel.append(phid)
+                jcom.append(_point_jacobian(com[i], ancestors[i], revolute, pivot, direction, n))
+
+        a = [[0.0] * n for _ in range(n)]
+        g = [0.0] * n
+        for lk, _, pairs, mass, weight, inertia, spin, rotor in links:
+            jx, jz = jcom[lk]
+            for r, cols in pairs:
+                xr, zr = jx[r], jz[r]
+                row = a[r]
+                for c in cols:
+                    row[c] += mass * (xr * jx[c] + zr * jz[c])
+                g[r] += weight * zr
+            if inertia:
+                for r, cols in spin:
+                    row = a[r]
+                    for c in cols:
+                        row[c] += inertia
+            if rotor:
+                a[lk][lk] += rotor
+        for r, c in upper:
+            a[c][r] = a[r][c]
+        h = g[:]
+        for lk, anc, _, mass, *_ in links:
+            jx, jz = jcom[lk]
+            ax, az = com_acc[lk]
+            for c in anc:
+                h[c] += mass * (jx[c] * ax + jz[c] * az)
+        return Kinematics(pivot, direction, com, com_vel, com_acc, tip, tip_vel,
+                          tip_acc, ang_vel, jcom, a, g, h)
+
+    return kernel
+
+
+def _point_jacobian(point, ancestors, revolute, pivot, direction, n: int):
+    """Jacobian of a point on a link as two dense rows (x, z): a revolute
+    column is the lever arm from the joint's pivot rotated by +90 degrees,
+    a prismatic column the sliding axis."""
+    px, pz = point
+    jx, jz = [0.0] * n, [0.0] * n
+    for j in ancestors:
+        if revolute[j]:
+            bx, bz = pivot[j]
+            jx[j], jz[j] = bz - pz, px - bx
+        else:
+            jx[j], jz[j] = direction[j]
+    return jx, jz
 
 
 @dataclass(frozen=True)
@@ -206,13 +328,8 @@ class PointKinematics:
 
 
 class PlantState:
-    """One forward pass over all chains at a given (q, qd).
-
-    Per-link frames live in one array (row l = link l) so the inertia
-    matrix, bias vector, energies and point Jacobians share a single
-    kinematic evaluation.  The inertia matrix, gravity and bias vectors are
-    computed at most once per state; every call returns a fresh copy.
-    """
+    """The plant at a given (q, qd): the checked, array-valued view of one
+    step-kernel call (``kin``).  Every call returns fresh arrays."""
 
     def __init__(self, model: PlantModel, q, qd=None):
         n = model.n_dof
@@ -224,157 +341,34 @@ class PlantState:
         self.qd = np.asarray(qd, dtype=float) if qd is not None else np.zeros(n)
         if self.qd.shape != (n,):
             raise DimensionMismatch(f"qd must have shape ({n},), got {self.qd.shape}")
-        self._forward()
-        self._jac_com, self._jac_tip = self._jacobians()
-        self._mass: np.ndarray | None = None
-        self._gravity: np.ndarray | None = None
-        self._bias: np.ndarray | None = None
-
-    # --- forward pass ------------------------------------------------------
-
-    def _forward(self):
-        rows = []
-        q, qd = self.q.tolist(), self.qd.tolist()
-        off = 0
-        for chain in self.model.chains:
-            ox, oz = chain.base
-            vox = voz = aox = aoz = 0.0
-            phi = chain.heading
-            phid = 0.0
-            for local, joint in enumerate(chain.joints):
-                qj = q[off + local]
-                qdj = qd[off + local]
-                pivot = (ox, oz)
-                if joint.kind == REVOLUTE:
-                    phi += qj
-                    phid += qdj
-                    ux, uz = cos(phi), sin(phi)
-                    px, pz = -uz, ux  # perp(u)
-                    direction = (0.0, 0.0)
-                    c = joint.com
-                    com = (ox + c * ux, oz + c * uz)
-                    com_vel = (vox + c * phid * px, voz + c * phid * pz)
-                    com_acc = (aox - c * phid * phid * ux,
-                               aoz - c * phid * phid * uz)
-                    L = joint.length
-                    ox, oz = ox + L * ux, oz + L * uz
-                    vox, voz = vox + L * phid * px, voz + L * phid * pz
-                    aox, aoz = aox - L * phid * phid * ux, aoz - L * phid * phid * uz
-                else:  # prismatic
-                    a = phi + joint.axis
-                    dx, dz = cos(a), sin(a)
-                    pdx, pdz = -dz, dx
-                    direction = (dx, dz)
-                    r = joint.com + qj
-                    com = (ox + r * dx, oz + r * dz)
-                    com_vel = (
-                        vox + qdj * dx + r * phid * pdx,
-                        voz + qdj * dz + r * phid * pdz,
-                    )
-                    com_acc = (
-                        aox + 2.0 * qdj * phid * pdx - r * phid * phid * dx,
-                        aoz + 2.0 * qdj * phid * pdz - r * phid * phid * dz,
-                    )
-                    s = joint.length + qj
-                    ox, oz = ox + s * dx, oz + s * dz
-                    vox, voz = (
-                        vox + qdj * dx + s * phid * pdx,
-                        voz + qdj * dz + s * phid * pdz,
-                    )
-                    aox, aoz = (
-                        aox + 2.0 * qdj * phid * pdx - s * phid * phid * dx,
-                        aoz + 2.0 * qdj * phid * pdz - s * phid * phid * dz,
-                    )
-                rows.append(pivot + direction + com + com_vel + com_acc
-                            + (ox, oz, vox, voz, aox, aoz, phid))
-            off += len(chain.joints)
-        frames = np.array(rows)
-        self._pivot = frames[:, 0:2]
-        self._direction = frames[:, 2:4]  # prismatic axis; unused for revolute
-        self._com = frames[:, 4:6]
-        self._com_vel = frames[:, 6:8]
-        self._com_acc = frames[:, 8:10]
-        self._tip = frames[:, 10:12]
-        self._tip_vel = frames[:, 12:14]
-        self._tip_acc = frames[:, 14:16]
-        self._ang_vel = frames[:, 16]
-
-    # --- Jacobians ----------------------------------------------------------
-
-    def _jacobians(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (n_links, 2, n) Jacobians of every link CoM and tip.
-
-        Column g of a point on link l is zero unless joint g moves link l;
-        a revolute column is the lever arm from the joint's pivot rotated
-        by +90 degrees, a prismatic column the sliding axis."""
-        points = np.concatenate((self._com, self._tip))
-        arm = points[:, None, :] - self._pivot
-        perp = arm[:, :, ::-1] * (-1.0, 1.0)  # (-dz, dx)
-        model = self.model
-        cols = np.where(model._revolute[:, None], perp, self._direction)
-        cols = np.where(model._movers, cols, 0.0)
-        jac = np.ascontiguousarray(cols.transpose(0, 2, 1))
-        n = self.q.size
-        return jac[:n], jac[n:]
-
-    def _link_index(self, chain: str, joint: int | None) -> int:
-        sl = self.model.chain_slice(chain)
-        n = sl.stop - sl.start
-        local = n - 1 if joint is None else joint
-        if not (0 <= local < n):
-            raise BadModel(f"chain {chain!r} has no joint index {local}")
-        return sl.start + local
+        self.kin = model._kernel(self.q.tolist(), self.qd.tolist())
 
     def point(self, chain: str, joint: int | None = None, at: str = "tip") -> PointKinematics:
         """Kinematics of a link tip or CoM.  ``joint=None`` means the last
         link of the chain (the end effector)."""
-        lk = self._link_index(chain, joint)
+        lk = self.model.link_index(chain, joint)
+        kin = self.kin
         if at == "tip":
-            pos, vel, acc = self._tip[lk], self._tip_vel[lk], self._tip_acc[lk]
-            jac = self._jac_tip[lk].copy()
+            pos, vel, acc, jac = kin.tip[lk], kin.tip_vel[lk], kin.tip_acc[lk], self.model.tip_jacobian(kin, lk)
         elif at == "com":
-            pos, vel, acc = self._com[lk], self._com_vel[lk], self._com_acc[lk]
-            jac = self._jac_com[lk].copy()
+            pos, vel, acc, jac = kin.com[lk], kin.com_vel[lk], kin.com_acc[lk], kin.jcom[lk]
         else:
             raise BadModel(f"unknown point spec {at!r}")
         return PointKinematics(
-            pos=pos.copy(),
-            jac=jac,
-            vel=vel.copy() if self.has_vel else None,
-            acc_bias=acc.copy() if self.has_vel else None,
+            pos=np.array(pos),
+            jac=np.array(jac),
+            vel=np.array(vel) if self.has_vel else None,
+            acc_bias=np.array(acc) if self.has_vel else None,
         )
 
     # --- dynamics -------------------------------------------------------------
-    # Accumulated link by link in declaration order: a single stacked
-    # J^T diag(m) J product would round differently.
 
     def mass_matrix(self) -> np.ndarray:
-        if self._mass is None:
-            n = self.q.size
-            a = np.zeros((n, n))
-            for lk, joint in enumerate(self.model._joints):
-                j = self._jac_com[lk]
-                a += joint.mass * (j.T @ j)
-                spin = self.model._spin[lk]
-                if spin is not None:
-                    a += spin
-                if joint.rotor:
-                    a[lk, lk] += joint.rotor
-            self._mass = 0.5 * (a + a.T)
-        return self._mass.copy()
-
-    def _gravity_vector(self) -> np.ndarray:
-        if self._gravity is None:
-            g = np.zeros(self.q.size)
-            gz = self.model.gravity
-            for lk, joint in enumerate(self.model._joints):
-                g += joint.mass * gz * self._jac_com[lk, 1]
-            self._gravity = g
-        return self._gravity
+        return np.array(self.kin.a)
 
     def gravity_vector(self) -> np.ndarray:
         """Generalized gravity force dV/dq (V = sum of m g z_com)."""
-        return self._gravity_vector().copy()
+        return np.array(self.kin.g)
 
     def bias(self) -> np.ndarray:
         """Coriolis/centrifugal plus gravity bias h(q, qd).
@@ -382,19 +376,13 @@ class PlantState:
         Equals the generalized force required to hold qdd = 0, so
         A qdd + h = tau is the full equation of motion.
         """
-        if self._bias is None:
-            h = self._gravity_vector().copy()
-            if self.has_vel:
-                for lk, joint in enumerate(self.model._joints):
-                    h += joint.mass * (self._jac_com[lk].T @ self._com_acc[lk])
-            self._bias = h
-        return self._bias.copy()
+        return np.array(self.kin.h)
 
     # --- energies (link-wise, independent of mass_matrix) ---------------------
 
     def kinetic_energy(self) -> float:
         t = 0.0
-        com_vel, ang_vel = self._com_vel.tolist(), self._ang_vel.tolist()
+        com_vel, ang_vel = self.kin.com_vel, self.kin.ang_vel
         qd = self.qd.tolist()
         for lk, joint in enumerate(self.model._joints):
             vx, vz = com_vel[lk]
@@ -404,8 +392,7 @@ class PlantState:
         return t
 
     def potential_energy(self) -> float:
-        z_com = self._com[:, 1].tolist()
         return sum(
             joint.mass * self.model.gravity * z
-            for joint, z in zip(self.model._joints, z_com)
+            for joint, (_, z) in zip(self.model._joints, self.kin.com)
         )

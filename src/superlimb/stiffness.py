@@ -10,6 +10,7 @@ reproduces the force-displacement hysteresis of real actuators.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import mul, sub
 
 import numpy as np
 
@@ -95,12 +96,20 @@ def control_force(ctrl: TaskSpaceController, x, xdot=None, x_eq=None) -> np.ndar
         x_eq = np.atleast_1d(np.asarray(x_eq, dtype=float))
         if x_eq.shape != (ctrl.m,):
             raise DimensionMismatch(f"x_eq must have shape ({ctrl.m},), got {x_eq.shape}")
-    f = ctrl.k_task @ (x_eq - xv) + ctrl.f_gravity
     if ctrl.damping is not None and xdot is not None:
         xd = np.atleast_1d(np.asarray(xdot, dtype=float))
         if xd.shape != (ctrl.m,):
             raise DimensionMismatch(f"xdot must have shape ({ctrl.m},)")
-        f = f - ctrl.damping * xd
+        xdot = xd.tolist()
+    return np.array(_control_force(ctrl, x_eq.tolist(), xv.tolist(), xdot))
+
+
+def _control_force(ctrl: TaskSpaceController, x_eq, x, xdot) -> list[float]:
+    """``control_force`` on plain float lists, unchecked."""
+    e = list(map(sub, x_eq, x))
+    f = [sum(map(mul, row, e)) + fg for row, fg in zip(ctrl.k_task.tolist(), ctrl.f_gravity.tolist())]
+    if ctrl.damping is not None and xdot is not None:
+        f = list(map(sub, f, map(mul, ctrl.damping.tolist(), xdot)))
     return f
 
 
@@ -149,7 +158,13 @@ def task_to_joint_torque(j_task, f) -> np.ndarray:
         raise DimensionMismatch(
             f"task Jacobian has {j.shape[0]} rows but force has {fv.shape[0]}"
         )
-    return j.T @ fv
+    return np.array(_task_to_joint_torque(j.T.tolist(), fv.tolist()), dtype=float)
+
+
+def _task_to_joint_torque(j_cols, f) -> list[float]:
+    """``task_to_joint_torque`` on plain float lists, J given by its
+    columns, unchecked."""
+    return [sum(map(mul, col, f)) for col in j_cols]
 
 
 @dataclass(frozen=True)
@@ -184,8 +199,17 @@ def friction_torque(model: FrictionModel, qdot, tau_applied) -> np.ndarray:
     tau = np.atleast_1d(np.asarray(tau_applied, dtype=float))
     if qd.shape != model.coulomb.shape or tau.shape != model.coulomb.shape:
         raise DimensionMismatch("qdot/tau_applied must match friction dimensions")
-    moving = np.abs(qd) > V_EPS
-    kinetic = -np.sign(qd) * model.coulomb - model.viscous * qd
-    breakaway = model.stiction_breakaway_ratio * model.coulomb
-    holding = -np.clip(tau, -breakaway, breakaway)
-    return np.where(moving, kinetic, holding)
+    return np.array(_friction_torque(model, qd.tolist(), tau.tolist()))
+
+
+def _friction_torque(model: FrictionModel, qdot, tau_applied) -> list[float]:
+    """``friction_torque`` on plain float lists, unchecked.  A NaN velocity
+    counts as stuck and a NaN applied torque passes through."""
+    out = []
+    for c, v, w, t in zip(model.coulomb.tolist(), model.viscous.tolist(), qdot, tau_applied):
+        if abs(w) > V_EPS:
+            out.append((-c if w > 0.0 else c) - v * w)
+        else:
+            b = model.stiction_breakaway_ratio * c
+            out.append(-min(max(t, -b), b))
+    return out

@@ -327,6 +327,8 @@ def trace_csv(tmp_path):
         ("analyze-stability", ["--servo-margin", "nan"]),
         ("gen-emg", ["--mvc", "nan"]),
         ("gen-emg", ["--mvc", "0"]),
+        ("emg-pipeline", ["--f-max", "inf"]),
+        ("emg-pipeline", ["--mvc", "inf"]),
     ],
 )
 def test_bad_numeric_flag_exits_1(tmp_path, capsys, trace_csv, command, flags):

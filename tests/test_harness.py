@@ -355,7 +355,7 @@ def test_mount_force_matches_point_newton_sum(rng, name):
         )
         qdd = rng.standard_normal(n)
         lam = rng.standard_normal(k)
-        got = _mount_force(state, qdd, lam, sc)
+        got = _mount_force(state.kin, qdd, lam, sc)
         ref = reference_mount_force(state, qdd, lam, sc)
         assert np.array_equal(got, ref)
 

@@ -21,6 +21,7 @@ from superlimb.numerics import (
     finite_diff_jacobian,
     psd_check,
     qr_full,
+    spd_solve,
     svd_pinv,
 )
 
@@ -204,6 +205,29 @@ def test_dyn_consistent_pinv_rejects_indefinite_weight_via_dpotrf(rng):
     a[3, 3] = -1.0
     with pytest.raises(SingularWeight, match="dpotrf info=4"):
         dyn_consistent_pinv(rng.standard_normal((2, 4)), a)
+
+
+# --- spd_solve ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spd_solve_matches_lapack_cholesky(rng, n):
+    # the step loop's float-list solve agrees with dpotrf/dpotrs to roundoff
+    for _ in range(20):
+        m = random_spd(rng, n)
+        rhs = rng.standard_normal((3, n))
+        got = np.array(spd_solve(m.tolist(), rhs.tolist(), RankDeficient, "m"))
+        chol = numerics.cholesky(m, RankDeficient, "m")
+        ref = numerics.cholesky_solve(chol, rhs.T).T
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
+def test_spd_solve_rejects_matrix_that_is_not_positive_definite(rng, bad):
+    m = random_spd(rng, 3)
+    m[2, 2] = bad
+    with pytest.raises(SingularWeight, match="m is singular .leading minor 3"):
+        spd_solve(m.tolist(), [[1.0, 2.0, 3.0]], SingularWeight, "m is singular")
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,6 +5,7 @@ oracles: the (exactly quadratic) kinetic energy, finite differences of the
 potential energy, and energy conservation of free motion.
 """
 
+import functools
 import json
 import math
 import os
@@ -28,13 +29,34 @@ def bundled_plant_scenarios() -> list[str]:
     return names
 
 
+def mixed_arm_model() -> PlantModel:
+    """The desk plant's chain names around a prismatic joint carried by a
+    revolute one: a slide at an angle to its link, with rotational and
+    rotor inertia on both joints and the chain turned off the axes.  Its
+    CoM and tip accelerations carry the 2 qd phid Coriolis term of a slide
+    under rotation, which no bundled plant reaches."""
+    return PlantModel(chains=(
+        Chain(name="arm", heading=0.4, base=(0.1, -0.2), joints=(
+            Joint(kind="revolute", mass=1.2, length=0.3, com=0.12,
+                  inertia=0.02, rotor=0.05, q0=0.3),
+            Joint(kind="prismatic", mass=0.8, length=0.1, com=0.05,
+                  inertia=0.01, rotor=0.03, axis=0.6, q0=0.2),
+        )),
+        Chain(name="trunk", role="human", heading=1.2, joints=(
+            Joint(kind="revolute", mass=5.0, length=0.4, com=0.2, inertia=0.1),
+        )),
+    ))
+
+
 def plant_named(name: str) -> PlantModel:
     if name == "desk":
         return desk_arm_model()
+    if name == "mixed":
+        return mixed_arm_model()
     return load_scenario(scenario_path(name)).model
 
 
-ORACLE_PLANTS = ["desk"] + bundled_plant_scenarios()
+ORACLE_PLANTS = ["desk", "mixed"] + bundled_plant_scenarios()
 
 
 def test_joint_validation():
@@ -133,15 +155,19 @@ def test_dynamics_results_are_not_aliased(name, rng):
     np.testing.assert_array_equal(st.bias(), h)
 
 
-def test_gravity_vector_matches_potential_gradient(desk_model, rng):
-    q = rng.uniform(-1.0, 1.0, 4)
-    g = desk_model.state(q).gravity_vector()
+def check_gravity_vector_matches_potential_gradient(model, rng):
+    q = rng.uniform(-1.0, 1.0, model.n_dof)
+    g = model.state(q).gravity_vector()
 
     def v(qv):
-        return np.atleast_1d(desk_model.state(qv).potential_energy())
+        return np.atleast_1d(model.state(qv).potential_energy())
 
     g_fd = finite_diff_jacobian(v, q).ravel()
     np.testing.assert_allclose(g, g_fd, atol=1e-6)
+
+
+def test_gravity_vector_matches_potential_gradient(desk_model, rng):
+    check_gravity_vector_matches_potential_gradient(desk_model, rng)
 
 
 def test_bias_at_rest_equals_gravity(desk_model, rng):
@@ -150,60 +176,92 @@ def test_bias_at_rest_equals_gravity(desk_model, rng):
     np.testing.assert_allclose(st.bias(), st.gravity_vector(), atol=1e-12)
 
 
-def test_bias_velocity_terms_antisymmetric_in_energy(desk_model, rng):
+def check_bias_velocity_terms_antisymmetric_in_energy(model, rng):
     # Coriolis forces do no work: qd' (h - g) = d/dt(T) at fixed qd ... the
     # cheap version of that check: qd' C(q,qd) qd = qd' (h - g) must equal
     # the rate of change of T along frozen velocities, which for this
     # parametrization reduces to dT/dq . qd
-    q = rng.uniform(-0.8, 0.8, 4)
-    qd = rng.standard_normal(4)
-    st = desk_model.state(q, qd)
+    q = rng.uniform(-0.8, 0.8, model.n_dof)
+    qd = rng.standard_normal(model.n_dof)
+    st = model.state(q, qd)
     coriolis_power = float(qd @ (st.bias() - st.gravity_vector()))
 
     def t_of_q(qv):
-        return np.atleast_1d(desk_model.state(qv, qd).kinetic_energy())
+        return np.atleast_1d(model.state(qv, qd).kinetic_energy())
 
     dt_dq = finite_diff_jacobian(t_of_q, q).ravel()
     assert coriolis_power == pytest.approx(float(dt_dq @ qd), abs=1e-6)
 
 
+def test_bias_velocity_terms_antisymmetric_in_energy(desk_model, rng):
+    check_bias_velocity_terms_antisymmetric_in_energy(desk_model, rng)
+
+
 # --- point kinematics ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("chain,joint,at", [
-    ("arm", None, "tip"), ("arm", 1, "tip"), ("arm", 0, "com"),
-    ("trunk", None, "tip"),
-])
-def test_point_jacobian_matches_finite_difference(desk_model, rng, chain, joint, at):
-    q = rng.uniform(-1.0, 1.0, 4)
-    pk = desk_model.state(q).point(chain, joint=joint, at=at)
+POINTS = [("arm", None, "tip"), ("arm", 1, "tip"), ("arm", 0, "com"), ("trunk", None, "tip")]
+
+
+def check_point_jacobian_matches_finite_difference(model, rng, chain, joint, at):
+    q = rng.uniform(-1.0, 1.0, model.n_dof)
+    pk = model.state(q).point(chain, joint=joint, at=at)
 
     def pos(qv):
-        return desk_model.state(qv).point(chain, joint=joint, at=at).pos
+        return model.state(qv).point(chain, joint=joint, at=at).pos
 
     jac_fd = finite_diff_jacobian(pos, q)
     np.testing.assert_allclose(pk.jac, jac_fd, atol=1e-7)
 
 
-def test_point_velocity_consistent_with_jacobian(desk_model, rng):
-    q = rng.uniform(-1.0, 1.0, 4)
-    qd = rng.standard_normal(4)
-    pk = desk_model.state(q, qd).point("arm")
+@pytest.mark.parametrize("chain,joint,at", POINTS)
+def test_point_jacobian_matches_finite_difference(desk_model, rng, chain, joint, at):
+    check_point_jacobian_matches_finite_difference(desk_model, rng, chain, joint, at)
+
+
+def check_point_velocity_consistent_with_jacobian(model, rng):
+    q = rng.uniform(-1.0, 1.0, model.n_dof)
+    qd = rng.standard_normal(model.n_dof)
+    pk = model.state(q, qd).point("arm")
     np.testing.assert_allclose(pk.vel, pk.jac @ qd, atol=1e-12)
 
 
-def test_point_acc_bias_matches_jacobian_rate(desk_model, rng):
+def test_point_velocity_consistent_with_jacobian(desk_model, rng):
+    check_point_velocity_consistent_with_jacobian(desk_model, rng)
+
+
+def check_point_acc_bias_matches_jacobian_rate(model, rng):
     # acceleration with qdd = 0 is (dJ/dt) qd; compare against finite
     # differences of J along the flow
-    q = rng.uniform(-0.8, 0.8, 4)
-    qd = rng.standard_normal(4)
-    st = desk_model.state(q, qd)
+    q = rng.uniform(-0.8, 0.8, model.n_dof)
+    qd = rng.standard_normal(model.n_dof)
+    st = model.state(q, qd)
     pk = st.point("arm")
     eps = 1e-6
-    j_plus = desk_model.state(q + eps * qd).point("arm").jac
-    j_minus = desk_model.state(q - eps * qd).point("arm").jac
+    j_plus = model.state(q + eps * qd).point("arm").jac
+    j_minus = model.state(q - eps * qd).point("arm").jac
     jdot_qd = ((j_plus - j_minus) / (2.0 * eps)) @ qd
     np.testing.assert_allclose(pk.acc_bias, jdot_qd, atol=1e-6)
+
+
+def test_point_acc_bias_matches_jacobian_rate(desk_model, rng):
+    check_point_acc_bias_matches_jacobian_rate(desk_model, rng)
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(check_gravity_vector_matches_potential_gradient, id="gravity"),
+    pytest.param(check_bias_velocity_terms_antisymmetric_in_energy, id="bias-power"),
+    pytest.param(check_point_velocity_consistent_with_jacobian, id="velocity"),
+    pytest.param(check_point_acc_bias_matches_jacobian_rate, id="acc-bias"),
+    *(pytest.param(
+        functools.partial(check_point_jacobian_matches_finite_difference, chain=c, joint=j, at=a),
+        id=f"jacobian-{c}-{j}-{a}",
+    ) for c, j, a in POINTS),
+])
+def test_mixed_plant_oracles(check, rng):
+    # every desk-plant oracle, on the plant with a slide under rotation
+    for _ in range(5):
+        check(mixed_arm_model(), rng)
 
 
 def test_prismatic_axis_direction():
