@@ -143,7 +143,7 @@ def _cmd_gen_emg(args) -> int:
     profile = load_profile(args.profile)
     if args.seed < 0:
         raise ValidationError("--seed must be >= 0")
-    trace = generate_emg(profile, profile.fs, args.seed, mvc_reference=args.mvc)
+    trace = generate_emg(profile, args.seed, mvc_reference=args.mvc)
     write_trace_csv(args.out, trace)
     log.info("wrote %d samples to %s", trace.n_samples, args.out)
     return 0

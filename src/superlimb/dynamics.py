@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatch, NonFinite, RankDeficient
 from .numerics import QR_RANK_RTOL, dyn_consistent_pinv, lapack_info, qr_full
-from .plant import AXES, PlantModel, PlantState
+from .plant import AXES, PlantModel
 
 
 @dataclass(frozen=True)
@@ -184,23 +184,15 @@ class ContactSpec:
         object.__setattr__(self, "rows", [AXES.index(d) for d in self.directions])
 
 
-def plant_dynamics(model: PlantModel, q, qd) -> tuple[np.ndarray, np.ndarray]:
-    """Inertia matrix and Coriolis/gravity bias of the plant at (q, qd)."""
-    st = model.state(q, qd)
-    return st.mass_matrix(), st.bias()
-
-
-def contact_jacobian(
-    model: PlantModel, q, contact: ContactSpec, state: PlantState | None = None
-) -> np.ndarray:
+def contact_jacobian(model: PlantModel, q, contact: ContactSpec) -> np.ndarray:
     """Rows of the support-point Jacobian for the constrained directions.
 
     Raises RankDeficient when a constrained row vanishes against the
     point's full Jacobian (below ``QR_RANK_RTOL`` times its largest entry):
     the point cannot move along that direction at this posture, so no
     finite support force along it is determined."""
-    st = state if state is not None else model.state(q)
-    jac = model.tip_jacobian(st.kin, model.link_index(contact.chain, contact.joint))
+    kin = model.state(q).kin
+    jac = model.tip_jacobian(kin, model.link_index(contact.chain, contact.joint))
     return np.array(_contact_rows(jac, contact))
 
 

@@ -122,7 +122,7 @@ def bandpass(trace: EmgTrace, f_lo: float, f_hi: float) -> EmgTrace:
             f"need 0 < f_lo < f_hi < fs/2, got ({f_lo}, {f_hi}) at fs={trace.fs}"
         )
     b, a = butter(1, [f_lo, f_hi], btype="bandpass", fs=trace.fs)
-    pad = 3 * (max(len(a), len(b)) - 1)
+    pad = 3 * max(len(a), len(b))  # filtfilt's default edge padding
     if trace.n_samples <= pad:
         raise ValidationError(
             f"trace too short to filter ({trace.n_samples} samples)"
@@ -187,9 +187,10 @@ def activation_series(
     return out
 
 
-def hill_force(a: float, params: HillParams) -> float:
-    """Muscle force F = a * f_max * fl_factor * fv_factor."""
-    if not (0.0 <= a <= 1.0):
+def hill_force(a, params: HillParams):
+    """Muscle force F = a * f_max * fl_factor * fv_factor of an activation
+    given as a float or, sample by sample, as an array."""
+    if not np.all((a >= 0.0) & (a <= 1.0)):  # NaN fails both
         raise ValidationError(f"activation must be in [0,1], got {a}")
     return a * params.f_max * params.fl_factor * params.fv_factor
 
@@ -221,14 +222,13 @@ def gate_series(yaws: np.ndarray, threshold: float, hysteresis: float) -> np.nda
     return out
 
 
-def map_to_equilibrium(f_muscle: float, gate: bool, gain: float) -> float:
-    """Upward equilibrium-point shift commanded by the muscle force; zero
-    whenever the motion gate is off."""
-    if gain < 0.0:
-        raise ValidationError(f"gain must be >= 0, got {gain}")
-    if not gate:
-        return 0.0
-    return gain * float(f_muscle)
+def map_to_equilibrium(f_muscle, gate, gain: float):
+    """Upward equilibrium-point shift commanded by the muscle force (a float
+    or, sample by sample, an array); zero wherever the motion gate is off."""
+    if not (0.0 <= gain < np.inf):
+        raise ValidationError(f"gain must be finite and >= 0, got {gain}")
+    shift = np.where(gate, gain * np.asarray(f_muscle, dtype=float), 0.0)
+    return shift if shift.ndim else float(shift)
 
 
 def zero_order_hold(
@@ -283,19 +283,17 @@ def run_pipeline(
             "need threshold > hysteresis >= 0, "
             f"got ({gate_threshold}, {gate_hysteresis})"
         )
-    if not (0.0 <= gain < np.inf):
-        raise ValidationError(f"gain must be finite and >= 0, got {gain}")
     filtered = envelope(rectify(bandpass(trace, *band)), window)
     env = np.mean([s for _, s in filtered.channels], axis=0)
     act = activation_series(env, hill, trace.fs)
-    force = act * hill.f_max * hill.fl_factor * hill.fv_factor
+    force = hill_force(act, hill)
     t = trace.times
     if motion is None:
         gate = np.ones(t.size, dtype=bool)
     else:
         yaw = zero_order_hold(t, motion[0], motion[1], initial=0.0)
         gate = gate_series(yaw, gate_threshold, gate_hysteresis)
-    dxeq = np.where(gate, gain * force, 0.0)
+    dxeq = map_to_equilibrium(force, gate, gain)
     return PipelineResult(
         t=t, envelope=env, activation=act, force=force, gate=gate, dxeq=dxeq
     )

@@ -28,9 +28,9 @@ from math import isfinite, nan
 from operator import mul
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
-from .dynamics import _contact_rows, contact_jacobian
+from . import dynamics
+from .dynamics import DynamicsSnapshot, _contact_rows, contact_jacobian  # noqa: F401
 from .emg import (
     DEFAULT_BAND,
     DEFAULT_WINDOW,
@@ -58,8 +58,9 @@ from .stiffness import (  # noqa: F401
     _control_force,
     _friction_torque,
     _task_to_joint_torque,
-    # the checked array forms of the loop's control law, kept importable
-    # here where perfbench's tracer (perfbench/tracer.py) wraps them
+    # the checked array forms of the loop's control law (and of its contact
+    # rows above), kept importable here where perfbench's tracer
+    # (perfbench/tracer.py) wraps them
     control_force,
     friction_torque,
     task_to_joint_torque,
@@ -73,7 +74,6 @@ BLOWUP_LIMIT = 1e9
 
 def generate_emg(
     profile: ActivationProfile,
-    fs: float,
     seed: int,
     mvc_reference: float = 1.0,
     band: tuple[float, float] = DEFAULT_BAND,
@@ -87,8 +87,7 @@ def generate_emg(
     moving RMS), so a fully-on segment lands its envelope at
     ``mvc_reference``.  Identical seeds give identical traces.
     """
-    if not (fs > 0.0):
-        raise ValidationError(f"fs must be positive, got {fs}")
+    fs = profile.fs
     if not (0.0 < mvc_reference < np.inf):
         raise ValidationError(f"mvc_reference must be finite and > 0, got {mvc_reference}")
     n = int(round(profile.duration * fs))
@@ -97,9 +96,8 @@ def generate_emg(
     t = np.arange(n) / fs
     levels = profile.sample(t)
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal(n)
-    b, a = butter(1, list(band), btype="bandpass", fs=fs)
-    carrier = filtfilt(b, a, white)
+    white = EmgTrace(fs=fs, channels=(("noise", rng.standard_normal(n)),))
+    carrier = bandpass(white, *band).channels[0][1]
     rms = float(np.sqrt(np.mean(carrier * carrier)))
     if rms <= 0.0:
         raise ValidationError("degenerate noise carrier")
@@ -210,7 +208,8 @@ def integrate_step(
         raise DimensionMismatch(f"tau_total must have shape ({n},), got {tau.shape}")
     j_c, vt = [], []
     if contact:
-        j_c = contact_jacobian(model, state.q, contact, state=state).tolist()
+        link = model.link_index(contact.chain, contact.joint)
+        j_c = _contact_rows(model.tip_jacobian(state.kin, link), contact)
         k = len(j_c)
         vt = np.zeros(k) if v_target is None else np.asarray(v_target, dtype=float)
         if vt.shape != (k,):
@@ -298,7 +297,6 @@ def _emg_channel(scenario: Scenario, t_sim: np.ndarray):
     if trace is None:
         trace = generate_emg(
             emg.profile,
-            emg.profile.fs,
             emg.seed,
             mvc_reference=emg.hill.mvc_reference,
             band=emg.band,
@@ -331,7 +329,7 @@ def _mount_force(kin: Kinematics, qdd, lam_robot, scenario: Scenario) -> list[fl
     fx = fz = 0.0
     if model._srl_links:
         # one stacked matmul gives each link's J_l qdd exactly as the
-        # array-valued PlantState.point(at="com") path rounds it
+        # array-valued point(at="com") path rounds it
         jac = np.array([kin.jcom[lk] for lk, _ in model._srl_links])
         jqdd = (jac @ np.asarray(qdd, dtype=float)).tolist()
         for (lk, mass), (jx, jz) in zip(model._srl_links, jqdd):
@@ -346,15 +344,16 @@ def _mount_force(kin: Kinematics, qdd, lam_robot, scenario: Scenario) -> list[fl
     return [f_contact[0] - fx, f_contact[1] - fz]
 
 
-def _equilibrium_points(scenario: Scenario, rows: list[int], dxeq: np.ndarray) -> np.ndarray:
+def _equilibrium_points(scenario: Scenario, task: int, rows: list[int], dxeq: np.ndarray):
     """Equilibrium point of every step, ``(n_steps, m)``: the configured
-    point (for "auto" the task point at ``q0``) with the gated sEMG shift
-    added on ``z`` wherever it is nonzero."""
+    point (for "auto" the tip of link ``task`` at ``q0``) with the gated
+    sEMG shift added on ``z`` wherever it is nonzero."""
     cfg = scenario.controller
     x_eq0 = cfg.x_eq
     if x_eq0 is None:
         model = scenario.model
-        x_eq0 = model.state(model.q0).point(cfg.chain, joint=cfg.joint).pos[rows]
+        tip = model._kernel(model.q0.tolist(), [0.0] * model.n_dof).tip[task]
+        x_eq0 = [tip[r] for r in rows]
     x_eq = np.tile(x_eq0, (dxeq.size, 1))
     if "z" in cfg.components:
         shifted = dxeq != 0.0
@@ -400,13 +399,13 @@ def run_scenario(scenario: Scenario) -> SimLog:
     Everything that does not depend on the plant state is computed once,
     before the loop: the step times, the sEMG activation and gate, the
     equilibrium point with the gated shift, the scripted human trajectory
-    and the contact target velocity.  Per step the loop evaluates the
-    plant, the task-space control law and, in tracking mode, joint torques
-    and friction, the contact force and the plant's advance, all in Python
-    floats on the model's step kernel.  Inverse-dynamics mode holds the SRL
-    posture and splits the required force with ``decouple`` on the
-    array-valued ``PlantState``.  Scripted (human) joints are
-    position-driven and their required torques are reported, not applied.
+    and the contact target velocity.  Per step, in both modes, the loop
+    makes one step-kernel call, takes the contact rows and the control law
+    from it in Python floats, then either adds torques, friction and the
+    plant's advance (tracking) or holds the SRL posture and splits the
+    required force with ``decouple`` (inverse dynamics).  Scripted (human)
+    joints are position-driven; their required torques are reported, not
+    applied.
     """
     model = scenario.model
     sim = scenario.sim
@@ -419,7 +418,8 @@ def run_scenario(scenario: Scenario) -> SimLog:
     t_sim = np.arange(sim.n_steps) * sim.dt
     act, gate, dxeq = _emg_channel(scenario, t_sim)
     rows = [AXES.index(c) for c in ctrl_cfg.components]
-    x_eq = _equilibrium_points(scenario, rows, dxeq)
+    task = model.link_index(ctrl_cfg.chain, ctrl_cfg.joint)
+    x_eq = _equilibrium_points(scenario, task, rows, dxeq)
     q_end, qd_end, qdd_in = _scripted_motion(scenario, t_sim)
     v_target = _contact_velocity(scenario, t_sim)
     log = SimLog(scenario, t_sim, act, gate, x_eq)
@@ -434,20 +434,14 @@ def run_scenario(scenario: Scenario) -> SimLog:
         damping=ctrl_cfg.damping,
     )
     kernel, tip_jacobian = model._kernel, model.tip_jacobian
-    task = model.link_index(ctrl_cfg.chain, ctrl_cfg.joint)
     contact_link = model.link_index(spec.chain, spec.joint) if spec else None
     inverse_mode = sim.mode == "inverse-dynamics"
-    if inverse_mode:
-        from .dynamics import DynamicsSnapshot, decouple
 
     q, qd = model.q0.tolist(), [0.0] * n
     for i in range(sim.n_steps):
         try:
-            if inverse_mode:
-                state = model.state(q, qd)
-                kin = state.kin
-            else:
-                kin = kernel(q, qd)
+            kin = kernel(q, qd)
+            j_c = _contact_rows(tip_jacobian(kin, contact_link), spec) if spec else []
 
             # task point and control law
             tip = kin.tip[task]
@@ -462,13 +456,11 @@ def run_scenario(scenario: Scenario) -> SimLog:
             if inverse_mode:
                 # hold the SRL posture, drive the human: required torques
                 # and the force split come from inverse dynamics
-                a_mat, h_vec = state.mass_matrix(), state.bias()
-                qdd_vec = np.array(qdd)
                 if spec is None:
-                    tau_req, lam_robot = (a_mat @ qdd_vec + h_vec).tolist(), []
+                    tau_req = [sum(map(mul, row, qdd)) + hj for row, hj in zip(kin.a, kin.h)]
+                    lam_robot = []
                 else:
-                    j_c = contact_jacobian(model, q, spec, state=state)
-                    sol = decouple(DynamicsSnapshot(a=a_mat, h_bias=h_vec, j_c=j_c, qdd=qdd_vec))
+                    sol = dynamics.decouple(DynamicsSnapshot(kin.a, kin.h, j_c, qdd))
                     tau_req, lam_robot = sol.tau.tolist(), sol.lam.tolist()
                 tau_s = [tau_req[j] for j in srl]
                 tau_h = [tau_req[j] for j in human]
@@ -486,7 +478,6 @@ def run_scenario(scenario: Scenario) -> SimLog:
                     )
                     for j, tf in zip(srl, tau_f):
                         tau[j] += tf
-                j_c = _contact_rows(tip_jacobian(kin, contact_link), spec) if spec else []
                 lam_robot = _advance(
                     q, qd, kin.a, kin.h, tau, sim.dt, srl, human,
                     j_c, v_target[i], q_next, qd_next, qdd,

@@ -30,7 +30,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .errors import BadModel, DimensionMismatch
+from .errors import BadModel, DimensionMismatch, NonFinite
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -329,7 +329,8 @@ class PointKinematics:
 
 class PlantState:
     """The plant at a given (q, qd): the checked, array-valued view of one
-    step-kernel call (``kin``).  Every call returns fresh arrays."""
+    step-kernel call (``kin``).  Raises NonFinite for a NaN or Inf
+    coordinate.  Every call returns fresh arrays."""
 
     def __init__(self, model: PlantModel, q, qd=None):
         n = model.n_dof
@@ -341,6 +342,9 @@ class PlantState:
         self.qd = np.asarray(qd, dtype=float) if qd is not None else np.zeros(n)
         if self.qd.shape != (n,):
             raise DimensionMismatch(f"qd must have shape ({n},), got {self.qd.shape}")
+        for name, v in (("q", self.q), ("qd", self.qd)):
+            if not np.isfinite(v).all():
+                raise NonFinite(f"{name} contains NaN or Inf")
         self.kin = model._kernel(self.q.tolist(), self.qd.tolist())
 
     def point(self, chain: str, joint: int | None = None, at: str = "tip") -> PointKinematics:

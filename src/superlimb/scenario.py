@@ -2,10 +2,10 @@
 
 A scenario file is JSON with sections ``plant`` and ``sim`` (required) and
 ``contact``, ``controller``, ``emg``, ``human_motion`` (optional, defaults
-applied).  Parsing is strict: every error names the offending key with a
-dotted path, and files referenced by a scenario are resolved relative to
-the scenario file and loaded eagerly so missing inputs fail at load time,
-not mid-run.
+applied).  Parsing is strict: an unknown key in any section is an error,
+every error names the offending key with a dotted path, and files
+referenced by a scenario are resolved relative to the scenario file and
+loaded eagerly so missing inputs fail at load time, not mid-run.
 
 It also builds the named support postures of ``stability.POSTURES`` from
 a stability-analysis config section.
@@ -75,9 +75,13 @@ def _str(value, path: str) -> str:
     return value
 
 
-def _dict(value, path: str) -> dict:
+def _dict(value, path: str, keys: tuple[str, ...]) -> dict:
+    """``value`` checked to be an object that uses no key but ``keys``."""
     if not isinstance(value, dict):
         raise ParseError(path, f"must be an object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ParseError(f"{path}.{unknown[0]}", "unknown key")
     return value
 
 
@@ -195,10 +199,10 @@ class ActivationProfile:
     steps: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not (self.fs > 0.0):
-            raise ValidationError(f"fs must be positive, got {self.fs}")
-        if not (self.duration > 0.0):
-            raise ValidationError(f"duration must be positive, got {self.duration}")
+        if not (0.0 < self.fs < math.inf):
+            raise ValidationError(f"fs must be finite and positive, got {self.fs}")
+        if not (0.0 < self.duration < math.inf):
+            raise ValidationError(f"duration must be finite and positive, got {self.duration}")
         if not self.steps:
             raise ValidationError("steps must not be empty")
         prev = -math.inf
@@ -254,7 +258,7 @@ _HILL_KEYS = tuple(f.name for f in fields(HillParams))
 
 
 def _parse_joint(data, path: str) -> Joint:
-    d = _dict(data, path)
+    d = _dict(data, path, ("kind", "mass", "length", "com", "inertia", "rotor", "axis", "q0"))
     kind = _get(d, "kind", path)
     mass = _get(d, "mass", path, parse=_num)
     length = _get(d, "length", path, parse=_num)
@@ -273,7 +277,7 @@ def _parse_joint(data, path: str) -> Joint:
 
 
 def _parse_chain(data, path: str) -> Chain:
-    d = _dict(data, path)
+    d = _dict(data, path, ("name", "role", "base", "heading", "joints"))
     name = _get(d, "name", path, parse=_str)
     role = _get(d, "role", path, default="srl")
     base = _num_list(_get(d, "base", path, default=[0.0, 0.0]), f"{path}.base", 2)
@@ -294,7 +298,7 @@ def _parse_chain(data, path: str) -> Chain:
 
 
 def _parse_plant(data, path: str = "plant") -> PlantModel:
-    d = _dict(data, path)
+    d = _dict(data, path, ("gravity", "chains"))
     gravity = _get(d, "gravity", path, default=GRAVITY, parse=_num)
     chains_raw = _get(d, "chains", path)
     if not isinstance(chains_raw, list):
@@ -309,7 +313,7 @@ def _parse_plant(data, path: str = "plant") -> PlantModel:
 
 
 def _parse_sim(data, path: str = "sim") -> SimParams:
-    d = _dict(data, path)
+    d = _dict(data, path, ("dt", "duration", "mode", "seed"))
     dt = _get(d, "dt", path, parse=_num)
     if dt <= 0.0:
         raise ParseError(f"{path}.dt", "must be positive")
@@ -328,7 +332,7 @@ def _parse_sim(data, path: str = "sim") -> SimParams:
 
 
 def _parse_contact(data, model: PlantModel, path: str = "contact") -> ContactConfig:
-    d = _dict(data, path)
+    d = _dict(data, path, ("chain", "joint", "directions", "motion"))
     chain = _get(d, "chain", path, parse=_str)
     if chain not in [c.name for c in model.chains]:
         raise ParseError(f"{path}.chain", f"unknown chain {chain!r}")
@@ -345,7 +349,7 @@ def _parse_contact(data, model: PlantModel, path: str = "contact") -> ContactCon
     motion = ContactMotion()
     if "motion" in d:
         m_path = f"{path}.motion"
-        md = _dict(d["motion"], m_path)
+        md = _dict(d["motion"], m_path, ("type", "axis", "amplitude", "speed"))
         kind = _get(md, "type", m_path, parse=_str)
         if kind not in ("static", "triangle"):
             raise ParseError(f"{m_path}.type", "must be 'static' or 'triangle'")
@@ -371,7 +375,10 @@ def _parse_contact(data, model: PlantModel, path: str = "contact") -> ContactCon
 def _parse_controller(
     data, model: PlantModel, path: str = "controller"
 ) -> ControllerConfig:
-    d = _dict(data, path)
+    d = _dict(data, path, (
+        "enabled", "chain", "joint", "components", "stiffness_table", "level", "x_eq",
+        "f_gravity", "panel_mass", "damping", "gravity_compensation", "friction",
+    ))
     enabled = _get(d, "enabled", path, default=True, parse=_bool)
     names = [c.name for c in model.chains]
     srl = [c.name for c in model.chains if c.role == "srl"]
@@ -448,7 +455,7 @@ def _parse_controller(
 
     friction = None
     if d.get("friction") is not None:
-        fd = _dict(d["friction"], f"{path}.friction")
+        fd = _dict(d["friction"], f"{path}.friction", ("coulomb", "viscous", "breakaway_ratio"))
         n_s = len(model.srl_indices)
 
         def per_joint(value, key_path):
@@ -483,7 +490,7 @@ def _parse_controller(
 
 
 def parse_profile(data, path: str = "profile") -> ActivationProfile:
-    d = _dict(data, path)
+    d = _dict(data, path, ("fs", "duration", "steps"))
     fs = _get(d, "fs", path, default=DEFAULT_FS, parse=_num)
     duration = _get(d, "duration", path, parse=_num)
     steps = tuple(map(tuple, _get(d, "steps", path, parse=_pairs).tolist()))
@@ -494,7 +501,10 @@ def parse_profile(data, path: str = "profile") -> ActivationProfile:
 
 
 def _parse_emg(data, base_dir: str, default_seed: int, path: str = "emg") -> EmgConfig:
-    d = _dict(data, path)
+    d = _dict(data, path, (
+        "enabled", "trace", "profile", "seed", "hill", "threshold", "hysteresis", "gain",
+        "motion", "band", "window",
+    ))
     enabled = _get(d, "enabled", path, default=True, parse=_bool)
     if not enabled:
         return EmgConfig(enabled=False)
@@ -515,10 +525,7 @@ def _parse_emg(data, base_dir: str, default_seed: int, path: str = "emg") -> Emg
     if seed < 0:
         raise ParseError(f"{path}.seed", "must be >= 0")
 
-    hd = _dict(d.get("hill", {}), f"{path}.hill")
-    unknown = sorted(set(hd) - set(_HILL_KEYS))
-    if unknown:
-        raise ParseError(f"{path}.hill.{unknown[0]}", "unknown key")
+    hd = _dict(d.get("hill", {}), f"{path}.hill", _HILL_KEYS)
     hill_kwargs = {key: _num(v, f"{path}.hill.{key}") for key, v in hd.items()}
     try:
         hill = HillParams(**hill_kwargs)
@@ -535,7 +542,7 @@ def _parse_emg(data, base_dir: str, default_seed: int, path: str = "emg") -> Emg
 
     motion = None
     if d.get("motion") is not None:
-        md = _dict(d["motion"], f"{path}.motion")
+        md = _dict(d["motion"], f"{path}.motion", ("file", "steps"))
         has_file = md.get("file") is not None
         has_steps = md.get("steps") is not None
         if has_file == has_steps:
@@ -576,7 +583,7 @@ def _parse_emg(data, base_dir: str, default_seed: int, path: str = "emg") -> Emg
 
 
 def _parse_human_motion(data, model: PlantModel, path: str = "human_motion") -> HumanMotion:
-    d = _dict(data, path)
+    d = _dict(data, path, ("type", "amplitude", "frequency", "phase"))
     kind = _get(d, "type", path, parse=_str)
     if kind not in ("static", "sine"):
         raise ParseError(f"{path}.type", "must be 'static' or 'sine'")
@@ -666,7 +673,7 @@ def load_profile(path: str) -> ActivationProfile:
 
 def build_posture(data: dict, path: str = "stability") -> SupportPosture:
     """Build a named posture from a config section."""
-    d = _dict(data, path)
+    d = _dict(data, path, ("posture", "mass", "k", "r", "gamma"))
     name = _get(d, "posture", path, parse=_str)
     if name not in POSTURES:
         raise ParseError(
@@ -687,10 +694,10 @@ def build_posture(data: dict, path: str = "stability") -> SupportPosture:
 
 
 def load_posture(path: str) -> tuple[SupportPosture, dict]:
-    """Load a stability-analysis config file; returns the posture and the
-    raw section (for auxiliary keys like a servo margin)."""
+    """Load a stability-analysis config file; returns the posture and its
+    ``stability`` section.  Keys beside that section are ignored."""
     data = _load_json(path, "config")
     if not isinstance(data, dict) or "stability" not in data:
         raise ParseError("stability", "required section missing")
-    section = _dict(data["stability"], "stability")
+    section = data["stability"]
     return build_posture(section), section

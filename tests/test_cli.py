@@ -52,6 +52,20 @@ def test_run_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+def test_run_unknown_key_exit_code(tmp_path, capsys):
+    with open(scenario_path("static_hold.json")) as fh:
+        data = json.load(fh)
+    data["controller"]["levle"] = 3
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(data))
+    code, _, err = run_cli(
+        ["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")], capsys
+    )
+    assert code == 1
+    assert err.startswith("error: controller.levle")
+    assert "Traceback" not in err
+
+
 def test_run_numeric_failure_exit_code(tmp_path, capsys):
     cfg = tmp_path / "blowup.json"
     cfg.write_text(json.dumps({

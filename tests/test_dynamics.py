@@ -18,7 +18,6 @@ from superlimb.dynamics import (
     contact_jacobian,
     decouple,
     null_projection,
-    plant_dynamics,
     selection_matrices,
 )
 from superlimb.errors import DimensionMismatch, NonFinite, NumericError, RankDeficient
@@ -148,7 +147,8 @@ def reference_decouple(snap):
 def desk_snapshot(model):
     q = model.q0
     qd = np.array([0.1, -0.2, 0.05, 0.02])
-    a, h = plant_dynamics(model, q, qd)
+    st = model.state(q, qd)
+    a, h = st.mass_matrix(), st.bias()
     j_c = contact_jacobian(model, q, ContactSpec(chain="arm", directions=("z",)))
     return DynamicsSnapshot(a=a, h_bias=h, j_c=j_c, qdd=np.array([0.3, 0.1, -0.4, 0.0]))
 
@@ -231,15 +231,6 @@ def test_contact_spec_validation():
     assert spec.rows == [1, 0]
 
 
-def test_plant_dynamics_matches_state(desk_model, rng):
-    q = rng.uniform(-0.5, 0.5, 4)
-    qd = rng.standard_normal(4)
-    a, h = plant_dynamics(desk_model, q, qd)
-    st = desk_model.state(q, qd)
-    np.testing.assert_array_equal(a, st.mass_matrix())
-    np.testing.assert_array_equal(h, st.bias())
-
-
 def test_contact_jacobian_rows(desk_model):
     spec = ContactSpec(chain="arm", directions=("z",))
     j = contact_jacobian(desk_model, desk_model.q0, spec)
@@ -267,7 +258,8 @@ def test_decouple_on_the_desk_plant(desk_model):
     # equation of motion at a real configuration with a vertical support
     q = desk_model.q0
     qd = np.array([0.1, -0.2, 0.05, 0.02])
-    a, h = plant_dynamics(desk_model, q, qd)
+    st = desk_model.state(q, qd)
+    a, h = st.mass_matrix(), st.bias()
     spec = ContactSpec(chain="arm", directions=("z",))
     j_c = contact_jacobian(desk_model, q, spec)
     qdd = np.array([0.3, 0.1, -0.4, 0.0])

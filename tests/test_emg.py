@@ -97,6 +97,14 @@ def test_bandpass_too_short():
         bandpass(make_trace(np.zeros(5)), *DEFAULT_BAND)
 
 
+@pytest.mark.parametrize("n", [6, 7, 9])
+def test_bandpass_shorter_than_edge_padding(n):
+    # filtfilt pads each end by three times the biquad's 3 coefficients
+    with pytest.raises(ValidationError, match="too short"):
+        bandpass(make_trace(np.zeros(n)), *DEFAULT_BAND)
+    bandpass(make_trace(np.zeros(10)), *DEFAULT_BAND)
+
+
 def test_bandpass_zero_phase():
     # a symmetric pulse stays symmetric: no group delay
     x = np.zeros(801)
@@ -249,6 +257,23 @@ def test_map_to_equilibrium():
     assert map_to_equilibrium(250.0, True, 1e-4) == pytest.approx(0.025, abs=1e-15)
     with pytest.raises(ValidationError):
         map_to_equilibrium(1.0, True, -1e-4)
+
+
+def test_force_laws_act_sample_by_sample():
+    p = HillParams(f_max=300.0, fl_factor=0.8)
+    a = np.linspace(0.0, 1.0, 7)
+    gate = a > 0.4
+    force = hill_force(a, p)
+    np.testing.assert_array_equal(force, [hill_force(x, p) for x in a.tolist()])
+    np.testing.assert_array_equal(
+        map_to_equilibrium(force, gate, 2e-4),
+        [map_to_equilibrium(f, g, 2e-4) for f, g in zip(force.tolist(), gate.tolist())],
+    )
+    with pytest.raises(ValidationError, match="1.5"):
+        hill_force(np.array([0.2, 1.5]), p)
+    for gain in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="gain"):
+            map_to_equilibrium(force, gate, gain)
 
 
 def test_zero_order_hold():

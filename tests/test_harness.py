@@ -49,10 +49,10 @@ FULL_ON = ActivationProfile(fs=1000.0, duration=4.0, steps=((0.0, 1.0),))
 
 
 def test_generate_emg_deterministic():
-    a = generate_emg(FULL_ON, 1000.0, seed=7)
-    b = generate_emg(FULL_ON, 1000.0, seed=7)
+    a = generate_emg(FULL_ON, seed=7)
+    b = generate_emg(FULL_ON, seed=7)
     np.testing.assert_array_equal(a.channels[0][1], b.channels[0][1])
-    c = generate_emg(FULL_ON, 1000.0, seed=8)
+    c = generate_emg(FULL_ON, seed=8)
     assert not np.array_equal(a.channels[0][1], c.channels[0][1])
 
 
@@ -60,18 +60,23 @@ def test_generate_emg_deterministic():
 def test_generate_emg_calibration(mvc):
     # a fully-on trace pushed through the same downstream chain must land
     # its median envelope at the reference level
-    trace = generate_emg(FULL_ON, 1000.0, seed=3, mvc_reference=mvc)
+    trace = generate_emg(FULL_ON, seed=3, mvc_reference=mvc)
     env = envelope(rectify(bandpass(trace, 20.0, 450.0)), 0.1).channels[0][1]
     settle = 100
     assert float(np.median(env[settle:])) == pytest.approx(mvc, rel=1e-9)
 
 
+@pytest.mark.parametrize("fs, duration", [(math.inf, 1.0), (1000.0, math.inf)])
+def test_generate_emg_needs_a_finite_profile(fs, duration):
+    # the generator takes its sample rate and length from the profile
+    with pytest.raises(ValidationError, match="finite"):
+        generate_emg(ActivationProfile(fs=fs, duration=duration, steps=((0.0, 1.0),)), seed=0)
+
+
 def test_generate_emg_validation():
-    with pytest.raises(ValidationError):
-        generate_emg(FULL_ON, 0.0, seed=0)
     short = ActivationProfile(fs=1000.0, duration=0.001, steps=((0.0, 1.0),))
     with pytest.raises(ValidationError):
-        generate_emg(short, 1000.0, seed=0)
+        generate_emg(short, seed=0)
 
 
 # --- single-step integration ----------------------------------------------------
@@ -121,6 +126,15 @@ def test_integrate_step_non_finite_inputs(bad):
         integrate_step(model, model.q0, np.zeros(1), np.array([bad]), 0.01)
     with pytest.raises(NonFinite, match="qd"):
         integrate_step(model, model.q0, np.array([bad]), np.zeros(1), 0.01)
+    with pytest.raises(NonFinite, match="q "):
+        integrate_step(model, np.array([bad]), np.zeros(1), np.zeros(1), 0.01)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_integrate_step_non_finite_angle(bad):
+    # a revolute angle reaches cos/sin in the step kernel: still NonFinite
+    model = PlantModel(chains=(Chain(name="rod", joints=(
+        Joint(kind="revolute", mass=1.0, length=0.3, com=0.15, inertia=0.01),)),))
     with pytest.raises(NonFinite, match="q "):
         integrate_step(model, np.array([bad]), np.zeros(1), np.zeros(1), 0.01)
 
@@ -278,6 +292,18 @@ def count_calls(monkeypatch, cls, name) -> list[int]:
     return cell
 
 
+def count_kernel_calls(model: PlantModel) -> list[int]:
+    """Count calls of ``model``'s step kernel from now on."""
+    original, cell = model._kernel, [0]
+
+    def counted(q, qd):
+        cell[0] += 1
+        return original(q, qd)
+
+    object.__setattr__(model, "_kernel", counted)
+    return cell
+
+
 def short_emg_step(seed, onset):
     """emg_step shortened to 0.5 s; ``onset=None`` keeps the gate shut."""
     with open(scenario_path("emg_step.json")) as fh:
@@ -365,11 +391,10 @@ def test_inverse_step_call_counts(monkeypatch):
     # install sites (dynamics.decouple, dynamics.qr_full) see every call
     sc = load_scenario(scenario_path("overhead_inverse.json"))
     sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.25))
+    assert sc.controller.x_eq is None  # "auto": one more kernel call, at q0
     counters = {
         "snapshot": count_calls(monkeypatch, dynamics.DynamicsSnapshot, "__post_init__"),
-        "mass_matrix": count_calls(monkeypatch, PlantState, "mass_matrix"),
-        "bias": count_calls(monkeypatch, PlantState, "bias"),
-        "point": count_calls(monkeypatch, PlantState, "point"),
+        "kernel": count_kernel_calls(sc.model),
         "decouple": count_calls(monkeypatch, dynamics, "decouple"),
         "qr_full": count_calls(monkeypatch, dynamics, "qr_full"),
     }
@@ -377,8 +402,22 @@ def test_inverse_step_call_counts(monkeypatch):
     steps = len(log)
     assert steps == sc.sim.n_steps == 50
     counts = {name: cell[0] for name, cell in counters.items()}
-    assert counts.pop("point") <= 2 * steps
+    assert counts.pop("kernel") == steps + 1
     assert counts == dict.fromkeys(counts, steps)
+
+
+@pytest.mark.parametrize("name", SIM_SCENARIOS)
+def test_run_evaluates_the_plant_only_on_the_step_kernel(monkeypatch, name):
+    # both sim modes: one kernel call per step, plus one at q0 for an
+    # "auto" equilibrium point, and no array-valued PlantState at all
+    sc = load_scenario(scenario_path(name))
+    sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.5))
+    states = count_calls(monkeypatch, PlantState, "__init__")
+    kernel = count_kernel_calls(sc.model)
+    log = run_scenario(sc)
+    assert len(log) == sc.sim.n_steps == 100
+    assert states[0] == 0
+    assert kernel[0] == len(log) + (sc.controller.x_eq is None)
 
 
 def test_ungated_run_matches_no_emg_baseline():

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from conftest import SCENARIO_DIR, desk_arm_model, scenario_path
 
-from superlimb.errors import BadModel, DimensionMismatch
+from superlimb.errors import BadModel, DimensionMismatch, NonFinite
+from superlimb.kinematics import PlantEndpointMap
 from superlimb.numerics import finite_diff_hessian, finite_diff_jacobian
 from superlimb.plant import Chain, Joint, PlantModel
 from superlimb.scenario import load_scenario
@@ -304,3 +305,14 @@ def test_rotor_inertia_adds_diagonal():
     a0 = m0.state(q).mass_matrix()
     a1 = m1.state(q).mass_matrix()
     assert a1[0, 0] - a0[0, 0] == pytest.approx(0.25)
+
+
+def test_non_finite_state_is_rejected():
+    rod = PlantModel(chains=(Chain(name="rod", joints=(
+        Joint(kind="revolute", mass=1.0, length=0.3, com=0.15),)),))
+    with pytest.raises(NonFinite, match="q "):
+        rod.state([math.inf])
+    with pytest.raises(NonFinite, match="qd "):
+        rod.state([0.0], [math.nan])
+    with pytest.raises(NonFinite):
+        PlantEndpointMap(rod, "rod")([math.inf])

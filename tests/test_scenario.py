@@ -264,6 +264,40 @@ def test_emg_hill_unknown_key():
     expect_key(data, "emg.hill.foo", "unknown")
 
 
+def every_section_scenario() -> dict:
+    data = base_scenario()
+    data["contact"]["motion"] = {"type": "static"}
+    data["controller"]["friction"] = {"coulomb": 0.1}
+    data["emg"] = {"profile": good_profile(), "hill": {}, "motion": {"steps": [[0.0, 0.0]]}}
+    data["human_motion"] = {"type": "static"}
+    return data
+
+
+SECTIONS = {
+    "plant": lambda d: d["plant"],
+    "plant.chains[0]": lambda d: d["plant"]["chains"][0],
+    "plant.chains[0].joints[0]": lambda d: d["plant"]["chains"][0]["joints"][0],
+    "sim": lambda d: d["sim"],
+    "contact": lambda d: d["contact"],
+    "contact.motion": lambda d: d["contact"]["motion"],
+    "controller": lambda d: d["controller"],
+    "controller.friction": lambda d: d["controller"]["friction"],
+    "emg": lambda d: d["emg"],
+    "emg.profile": lambda d: d["emg"]["profile"],
+    "emg.hill": lambda d: d["emg"]["hill"],
+    "emg.motion": lambda d: d["emg"]["motion"],
+    "human_motion": lambda d: d["human_motion"],
+}
+
+
+@pytest.mark.parametrize("path", SECTIONS)
+def test_unknown_key_in_any_section(path):
+    data = every_section_scenario()
+    parse_scenario(data)
+    SECTIONS[path](data)["levle"] = 3
+    expect_key(data, f"{path}.levle", "unknown key")
+
+
 def test_emg_gate_params():
     data = base_scenario()
     data["emg"] = {"profile": good_profile(), "threshold": 0.05, "hysteresis": 0.1}
@@ -405,6 +439,18 @@ def test_load_posture_missing_section(tmp_path):
     assert exc.value.key == "stability"
     with pytest.raises(MissingFile):
         load_posture(str(tmp_path / "nope.json"))
+
+
+def test_posture_section_is_strict_top_level_is_not(tmp_path):
+    p = tmp_path / "posture.json"
+    section = {"posture": "hanging_panel", "mass": 4.0, "k": 400.0, "r": 0.3, "gamma": 0.5}
+    p.write_text(json.dumps({"stability": section, "servo_margin": 1.0}))
+    assert load_posture(str(p))[0].mass == 4.0
+    p.write_text(json.dumps({"stability": dict(section, masss=5.0)}))
+    with pytest.raises(ParseError) as exc:
+        load_posture(str(p))
+    assert exc.value.key == "stability.masss"
+    assert exc.value.reason == "unknown key"
 
 
 # --- validation owned by the dataclasses ----------------------------------------
