@@ -24,8 +24,7 @@ import os
 import sys
 
 from .emg import (
-    DEFAULT_BAND,
-    DEFAULT_WINDOW,
+    EmgConfig,
     HillParams,
     load_motion_csv,
     load_trace_csv,
@@ -61,19 +60,19 @@ def _build_parser() -> _Parser:
     p_emg.add_argument("--in", dest="trace", required=True, help="trace CSV (t,ch1,...)")
     p_emg.add_argument("--motion", default=None, help="shank yaw CSV (t,yaw_rad)")
     p_emg.add_argument("--out", required=True, help="output CSV")
-    p_emg.add_argument("--gain", type=float, default=1e-4,
+    p_emg.add_argument("--gain", type=float, default=EmgConfig.gain,
                        help="equilibrium shift per newton (m/N)")
-    p_emg.add_argument("--threshold", type=float, default=0.3,
+    p_emg.add_argument("--threshold", type=float, default=EmgConfig.threshold,
                        help="gate-on yaw magnitude (rad)")
-    p_emg.add_argument("--hysteresis", type=float, default=0.05,
+    p_emg.add_argument("--hysteresis", type=float, default=EmgConfig.hysteresis,
                        help="gate hysteresis width (rad)")
-    p_emg.add_argument("--f-max", type=float, default=300.0,
+    p_emg.add_argument("--f-max", type=float, default=HillParams.f_max,
                        help="maximal muscle force (N)")
-    p_emg.add_argument("--mvc", type=float, default=1.0,
+    p_emg.add_argument("--mvc", type=float, default=HillParams.mvc_reference,
                        help="envelope level mapping to full activation")
-    p_emg.add_argument("--band", type=float, nargs=2, default=list(DEFAULT_BAND),
+    p_emg.add_argument("--band", type=float, nargs=2, default=list(EmgConfig.band),
                        metavar=("LO", "HI"), help="band-pass corners (Hz)")
-    p_emg.add_argument("--window", type=float, default=DEFAULT_WINDOW,
+    p_emg.add_argument("--window", type=float, default=EmgConfig.window,
                        help="RMS window (s)")
 
     p_stab = sub.add_parser("analyze-stability", help="certify a support posture")
@@ -86,7 +85,7 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--profile", required=True, help="activation profile JSON")
     p_gen.add_argument("--seed", type=int, required=True, help="RNG seed")
     p_gen.add_argument("--out", required=True, help="output trace CSV")
-    p_gen.add_argument("--mvc", type=float, default=1.0,
+    p_gen.add_argument("--mvc", type=float, default=HillParams.mvc_reference,
                        help="target envelope at full activation")
     return parser
 

@@ -175,12 +175,12 @@ class ContactSpec:
     def __post_init__(self):
         object.__setattr__(self, "directions", tuple(self.directions))
         if not self.directions:
-            raise DimensionMismatch("contact constrains at least one direction")
+            raise DimensionMismatch("must constrain at least one direction", "directions")
         for d in self.directions:
             if d not in AXES:
-                raise DimensionMismatch(f"unknown direction {d!r}")
+                raise DimensionMismatch(f"unknown direction {d!r}", "directions")
         if len(set(self.directions)) != len(self.directions):
-            raise DimensionMismatch("duplicate contact directions")
+            raise DimensionMismatch("must be distinct", "directions")
         object.__setattr__(self, "rows", [AXES.index(d) for d in self.directions])
 
 

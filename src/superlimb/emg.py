@@ -20,8 +20,9 @@ CSV ``t,envelope,activation,force_n,gate,dxeq_m``.
 from __future__ import annotations
 
 import csv
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import butter, filtfilt
@@ -106,6 +107,34 @@ class HillParams:
                 raise ValidationError(f"{name} must be in (0, 1.5], got {v}")
 
 
+def check_band(f_lo: float, f_hi: float, fs: float, key: str | None = None):
+    """Band-pass corners must satisfy 0 < f_lo < f_hi < fs/2."""
+    if not (0.0 < f_lo < f_hi < fs / 2.0):
+        raise BadBand(f"need 0 < f_lo < f_hi < fs/2, got ({f_lo}, {f_hi}) at fs={fs}", key)
+
+
+def check_window(window: float, fs: float, key: str | None = None):
+    """An RMS window must be finite and span two samples."""
+    if not (2.0 / fs <= window < np.inf):
+        raise BadWindow(
+            f"window must be finite and span two samples at fs={fs}, got {window}", key
+        )
+
+
+def check_gate(threshold: float, hysteresis: float, key: str | None = None):
+    """The motion gate needs threshold > hysteresis >= 0."""
+    if not (threshold > hysteresis >= 0.0):
+        raise ValidationError(
+            f"need threshold > hysteresis >= 0, got ({threshold}, {hysteresis})", key
+        )
+
+
+def check_gain(gain: float, key: str | None = None):
+    """The force-to-shift gain must be finite and >= 0."""
+    if not (0.0 <= gain < np.inf):
+        raise ValidationError(f"gain must be finite and >= 0, got {gain}", key)
+
+
 def _map_channels(trace: EmgTrace, fn) -> EmgTrace:
     return EmgTrace(
         fs=trace.fs,
@@ -117,10 +146,7 @@ def _map_channels(trace: EmgTrace, fn) -> EmgTrace:
 def bandpass(trace: EmgTrace, f_lo: float, f_hi: float) -> EmgTrace:
     """Zero-phase band-pass: one second-order (biquad) Butterworth section
     applied forward and backward.  Rejects DC exactly."""
-    if not (0.0 < f_lo < f_hi < trace.fs / 2.0):
-        raise BadBand(
-            f"need 0 < f_lo < f_hi < fs/2, got ({f_lo}, {f_hi}) at fs={trace.fs}"
-        )
+    check_band(f_lo, f_hi, trace.fs)
     b, a = butter(1, [f_lo, f_hi], btype="bandpass", fs=trace.fs)
     pad = 3 * max(len(a), len(b))  # filtfilt's default edge padding
     if trace.n_samples <= pad:
@@ -141,10 +167,7 @@ def envelope(trace: EmgTrace, window: float) -> EmgTrace:
     Leading samples use the partial window that is available, so the output
     has the same length as the input.
     """
-    if not (2.0 / trace.fs <= window < np.inf):
-        raise BadWindow(
-            f"window must be finite and span two samples at fs={trace.fs}, got {window}"
-        )
+    check_window(window, trace.fs)
     n = int(round(window * trace.fs))
 
     def rms(s: np.ndarray) -> np.ndarray:
@@ -200,11 +223,11 @@ def motion_gate(
 ) -> bool:
     """Schmitt trigger on |yaw|: turns on at >= threshold, off at
     <= threshold - hysteresis, holds the previous state in between."""
-    if not (threshold > hysteresis >= 0.0):
-        raise ValidationError(
-            f"need threshold > hysteresis >= 0, got ({threshold}, {hysteresis})"
-        )
-    mag = abs(yaw)
+    check_gate(threshold, hysteresis)
+    return _schmitt(abs(yaw), threshold, hysteresis, prev)
+
+
+def _schmitt(mag: float, threshold: float, hysteresis: float, prev: bool) -> bool:
     if mag >= threshold:
         return True
     if mag <= threshold - hysteresis:
@@ -214,10 +237,11 @@ def motion_gate(
 
 def gate_series(yaws: np.ndarray, threshold: float, hysteresis: float) -> np.ndarray:
     """Replay the Schmitt trigger over a yaw sequence, starting off."""
+    check_gate(threshold, hysteresis)
     out = np.empty(len(yaws), dtype=bool)
     state = False
-    for i, y in enumerate(yaws):
-        state = motion_gate(float(y), threshold, hysteresis, state)
+    for i, y in enumerate(np.asarray(yaws, dtype=float).tolist()):
+        state = _schmitt(abs(y), threshold, hysteresis, state)
         out[i] = state
     return out
 
@@ -225,8 +249,7 @@ def gate_series(yaws: np.ndarray, threshold: float, hysteresis: float) -> np.nda
 def map_to_equilibrium(f_muscle, gate, gain: float):
     """Upward equilibrium-point shift commanded by the muscle force (a float
     or, sample by sample, an array); zero wherever the motion gate is off."""
-    if not (0.0 <= gain < np.inf):
-        raise ValidationError(f"gain must be finite and >= 0, got {gain}")
+    check_gain(gain)
     shift = np.where(gate, gain * np.asarray(f_muscle, dtype=float), 0.0)
     return shift if shift.ndim else float(shift)
 
@@ -244,6 +267,69 @@ def zero_order_hold(
     idx = np.searchsorted(ts, tq, side="right") - 1
     out = np.where(idx >= 0, vs[np.clip(idx, 0, vs.size - 1)], initial)
     return out
+
+
+# --- sEMG sources and settings -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ActivationProfile:
+    """Piecewise-constant activation schedule for synthetic sEMG."""
+
+    duration: float
+    steps: tuple[tuple[float, float], ...]
+    fs: float = DEFAULT_FS
+
+    def __post_init__(self):
+        if not (0.0 < self.fs < math.inf):
+            raise ValidationError(f"fs must be finite and positive, got {self.fs}")
+        if not (0.0 < self.duration < math.inf):
+            raise ValidationError(f"duration must be finite and positive, got {self.duration}")
+        if not self.steps:
+            raise ValidationError("steps must not be empty")
+        prev = -math.inf
+        for i, (t, level) in enumerate(self.steps):
+            if t < prev:
+                raise ValidationError(f"steps[{i}]: times must be nondecreasing")
+            prev = t
+            if not (0.0 <= level <= 1.0):
+                raise ValidationError(f"steps[{i}]: level must be in [0,1], got {level}")
+
+    def sample(self, t: np.ndarray) -> np.ndarray:
+        times, levels = zip(*self.steps)
+        return zero_order_hold(t, times, levels)
+
+
+@dataclass(frozen=True)
+class EmgConfig:
+    """The sEMG command channel of a scenario: one source (recorded trace or
+    synthetic profile) and the pipeline settings, whose defaults the
+    ``emg-pipeline`` flags share.  Band and window are checked when enabled."""
+
+    enabled: bool
+    trace: EmgTrace | None = None
+    profile: ActivationProfile | None = None
+    seed: int = 0
+    hill: HillParams = field(default_factory=HillParams)
+    threshold: float = 0.3
+    hysteresis: float = 0.05
+    gain: float = 1e-4
+    motion: tuple[np.ndarray, np.ndarray] | None = None
+    band: tuple[float, float] = DEFAULT_BAND
+    window: float = DEFAULT_WINDOW
+
+    def __post_init__(self):
+        if not (self.seed >= 0):
+            raise ValidationError("must be >= 0", "seed")
+        check_gate(self.threshold, self.hysteresis, "threshold")
+        check_gain(self.gain, "gain")
+        if not self.enabled:
+            return
+        if (self.trace is None) == (self.profile is None):
+            raise ValidationError("give exactly one of 'trace' or 'profile'")
+        fs = (self.profile if self.trace is None else self.trace).fs
+        check_band(*self.band, fs, "band")
+        check_window(self.window, fs, "window")
 
 
 # --- whole-trace pipeline -----------------------------------------------------
@@ -278,11 +364,7 @@ def run_pipeline(
     by averaging the per-channel envelopes.  The gate thresholds and the
     gain are checked whether or not a motion stream is given.
     """
-    if not (gate_threshold > gate_hysteresis >= 0.0):
-        raise ValidationError(
-            "need threshold > hysteresis >= 0, "
-            f"got ({gate_threshold}, {gate_hysteresis})"
-        )
+    check_gate(gate_threshold, gate_hysteresis)
     filtered = envelope(rectify(bandpass(trace, *band)), window)
     env = np.mean([s for _, s in filtered.channels], axis=0)
     act = activation_series(env, hill, trace.fs)

@@ -13,7 +13,14 @@ class SuperlimbError(Exception):
 
 
 class ValidationError(SuperlimbError):
-    """Bad input: configuration, file contents, or argument domains."""
+    """Bad input: configuration, file contents, or argument domains.  An
+    optional ``key`` (a field name or dotted scenario key) prefixes the
+    message; ``reason`` is the message without it."""
+
+    def __init__(self, reason: str = "", key: str | None = None):
+        self.key = key
+        self.reason = reason
+        super().__init__(f"{key}: {reason}" if key else reason)
 
 
 class NumericError(SuperlimbError):
@@ -95,12 +102,10 @@ class Unachievable(NumericError):
 # --- scenario / harness -----------------------------------------------------
 
 class ParseError(ValidationError):
-    """Scenario file failed validation; carries the offending key."""
+    """A scenario or config file failed validation at a dotted key."""
 
     def __init__(self, key: str, reason: str):
-        self.key = key
-        self.reason = reason
-        super().__init__(f"{key}: {reason}")
+        super().__init__(reason, key)
 
 
 class MissingFile(ValidationError):

@@ -34,6 +34,7 @@ from .dynamics import DynamicsSnapshot, _contact_rows, contact_jacobian  # noqa:
 from .emg import (
     DEFAULT_BAND,
     DEFAULT_WINDOW,
+    ActivationProfile,
     EmgTrace,
     bandpass,
     envelope,
@@ -46,13 +47,14 @@ from .errors import (
     DimensionMismatch,
     NonFinite,
     NumericBlowup,
+    ParseError,
     RankDeficient,
     SuperlimbError,
     ValidationError,
 )
 from .numerics import spd_solve
 from .plant import AXES, Kinematics, PlantModel
-from .scenario import ActivationProfile, Scenario
+from .scenario import Scenario
 from .stiffness import (  # noqa: F401
     TaskSpaceController,
     _control_force,
@@ -415,7 +417,10 @@ def run_scenario(scenario: Scenario) -> SimLog:
     human = model.human_indices.tolist()
     spec = scenario.contact.spec if scenario.contact else None
 
-    t_sim = np.arange(sim.n_steps) * sim.dt
+    try:
+        t_sim = np.arange(sim.n_steps) * sim.dt
+    except (MemoryError, ValueError) as exc:  # more steps than numpy can allocate
+        raise ParseError("sim.duration", f"{sim.n_steps:.4g} steps do not fit in memory") from exc
     act, gate, dxeq = _emg_channel(scenario, t_sim)
     rows = [AXES.index(c) for c in ctrl_cfg.components]
     task = model.link_index(ctrl_cfg.chain, ctrl_cfg.joint)

@@ -52,6 +52,7 @@ class Joint:
 
     length   structural link length (revolute moment arm; prismatic offset)
     com      CoM offset along the link/axis measured from the joint origin
+             (default: the link midpoint, length / 2)
     inertia  rotational inertia about the link CoM
     rotor    reflected actuator inertia added to the joint's diagonal
     axis     prismatic only: direction angle relative to the carrying frame
@@ -61,13 +62,15 @@ class Joint:
     kind: str
     mass: float
     length: float
-    com: float
+    com: float | None = None
     inertia: float = 0.0
     rotor: float = 0.0
     axis: float = 0.0
     q0: float = 0.0
 
     def __post_init__(self):
+        if self.com is None:
+            object.__setattr__(self, "com", self.length / 2.0)
         if self.kind not in (REVOLUTE, PRISMATIC):
             raise BadModel(f"unknown joint kind {self.kind!r}")
         if not (self.mass > 0.0) or not np.isfinite(self.mass):

@@ -7,45 +7,39 @@ every error names the offending key with a dotted path, and files
 referenced by a scenario are resolved relative to the scenario file and
 loaded eagerly so missing inputs fail at load time, not mid-run.
 
+Each section has one schema, a table from its JSON keys to parsers that
+check JSON types only; its defaults and invariants belong to the dataclass
+it builds.  Rules that span sections stay in the section readers.
+
 It also builds the named support postures of ``stability.POSTURES`` from
 a stability-analysis config section.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import cache
 
 import numpy as np
 
 from .dynamics import ContactSpec
 from .emg import (
-    DEFAULT_BAND,
-    DEFAULT_FS,
-    DEFAULT_WINDOW,
-    EmgTrace,
+    ActivationProfile,
+    EmgConfig,
     HillParams,
     load_motion_csv,
     load_trace_csv,
 )
 from .errors import MissingFile, ParseError, SuperlimbError, ValidationError
-from .plant import AXES, GRAVITY, Chain, Joint, PlantModel
-from .stability import POSTURES, SupportPosture
+from .plant import AXES, Chain, Joint, PlantModel
+from .stability import POSTURES, SupportPosture, named_posture  # noqa: F401
 from .stiffness import FrictionModel, default_stiffness_table
 
-_REQUIRED = object()
-
-
-def _get(section: dict, key: str, path: str, default=_REQUIRED, parse=None):
-    """``section[key]``, checked by ``parse(value, dotted_path)`` if given;
-    the default (taken as is) when the key is absent."""
-    if key in section:
-        return parse(section[key], f"{path}.{key}") if parse else section[key]
-    if default is _REQUIRED:
-        raise ParseError(f"{path}.{key}", "required key missing")
-    return default
+# --- JSON type parsers: parse(value, dotted_path) -> value --------------------
 
 
 def _num(value, path: str) -> float:
@@ -75,41 +69,106 @@ def _str(value, path: str) -> str:
     return value
 
 
-def _dict(value, path: str, keys: tuple[str, ...]) -> dict:
-    """``value`` checked to be an object that uses no key but ``keys``."""
-    if not isinstance(value, dict):
-        raise ParseError(path, f"must be an object, got {type(value).__name__}")
-    unknown = sorted(set(value) - set(keys))
-    if unknown:
-        raise ParseError(f"{path}.{unknown[0]}", "unknown key")
-    return value
+def _opt(parse):
+    """``parse``, with JSON null read as None."""
+    return lambda value, path: None if value is None else parse(value, path)
+
+
+def _each(parse):
+    """Parser of a list, each entry read by ``parse``, into a tuple."""
+
+    def read(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ParseError(path, "must be a list")
+        return tuple(parse(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return read
 
 
 def _num_list(value, path: str, length: int | None = None) -> np.ndarray:
     if not isinstance(value, list):
         raise ParseError(path, f"must be a list of numbers, got {value!r}")
-    out = np.array([_num(v, f"{path}[{i}]") for i, v in enumerate(value)])
+    out = np.array(_each(_num)(value, path))
     if length is not None and out.size != length:
         raise ParseError(path, f"must have {length} entries, got {out.size}")
     return out
 
 
-def _axes(value, path: str) -> tuple[str, ...]:
-    if not isinstance(value, list):
-        raise ParseError(path, "must be a list")
-    for i, a in enumerate(value):
-        if a not in AXES:
-            raise ParseError(f"{path}[{i}]", f"must be one of {AXES}")
-    return tuple(value)
+def _pair(value, path: str) -> tuple[float, float]:
+    return tuple(_num_list(value, path, 2).tolist())
+
+
+def _axis(value, path: str) -> str:
+    if value not in AXES:
+        raise ParseError(path, f"must be one of {AXES}")
+    return value
+
+
+_axes = _each(_axis)
 
 
 def _pairs(value, path: str) -> np.ndarray:
     """``(n, 2)`` array from a list of number pairs."""
-    if not isinstance(value, list):
-        raise ParseError(path, "must be a list")
-    return np.array(
-        [_num_list(s, f"{path}[{i}]", 2) for i, s in enumerate(value)]
-    ).reshape(-1, 2)
+    return np.array(_each(_pair)(value, path)).reshape(-1, 2)
+
+
+# --- the reader ---------------------------------------------------------------
+#
+# A schema maps each JSON key of a section to its parser, or to
+# ``(field, parser)`` where the field it fills is named differently.
+
+
+def _entry(key: str, spec) -> tuple:
+    return spec if isinstance(spec, tuple) else (key, spec)
+
+
+def _fields(data, path: str, schema: dict) -> dict:
+    """The keys present in the JSON object ``data``, each parsed by its
+    schema entry, by field name; an unknown key is an error."""
+    if not isinstance(data, dict):
+        raise ParseError(path, f"must be an object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(schema))
+    if unknown:
+        raise ParseError(f"{path}.{unknown[0]}", "unknown key")
+    values = {}
+    for key, value in data.items():
+        name, parse = _entry(key, schema[key])
+        values[name] = parse(value, f"{path}.{key}")
+    return values
+
+
+@cache
+def _required(build) -> tuple[str, ...]:
+    """Names of the arguments of ``build`` that have no default."""
+    params = inspect.signature(build).parameters.values()
+    return tuple(p.name for p in params if p.default is p.empty)
+
+
+def _build(build, path: str, schema: dict, values: dict, required=()):
+    """``build(**values)``, so that only the keys present override its
+    defaults.  A missing argument without a default (or named in
+    ``required``) is reported at its key; a ``ValidationError`` keyed by an
+    argument (``"dt"``, ``"table[0]"``) is re-keyed to that key's dotted
+    path, and any other error of ``build`` to the section's."""
+
+    def key(name):  # the JSON key that fills the argument ``name``
+        return next((k for k, spec in schema.items() if _entry(k, spec)[0] == name), name)
+
+    for name in (*_required(build), *required):
+        if name not in values:
+            raise ParseError(f"{path}.{key(name)}", "required key missing")
+    try:
+        return build(**values)
+    except SuperlimbError as exc:
+        if getattr(exc, "key", None) is None:
+            raise ParseError(path, str(exc)) from exc
+        name, bracket, index = exc.key.partition("[")
+        raise ParseError(f"{path}.{key(name)}{bracket}{index}", exc.reason) from exc
+
+
+def _section(schema: dict, build, required=()):
+    """Parser of a section: ``build`` of the keys it gives."""
+    return lambda data, path: _build(build, path, schema, _fields(data, path, schema), required)
 
 
 # --- section dataclasses ------------------------------------------------------
@@ -117,10 +176,26 @@ def _pairs(value, path: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimParams:
+    """Step size, horizon, simulation mode and seed of one run."""
+
     dt: float
     duration: float
     mode: str = "tracking"
     seed: int = 0
+
+    def __post_init__(self):
+        if not (self.dt > 0.0):
+            raise ValidationError("must be positive", "dt")
+        if not (self.dt <= 0.01):
+            raise ValidationError("must be <= 0.01 s", "dt")
+        if not (self.duration >= 0.0):
+            raise ValidationError("must be >= 0", "duration")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValidationError(f"gives no finite step count at dt={self.dt}", "duration")
+        if self.mode not in ("tracking", "inverse-dynamics"):
+            raise ValidationError("must be 'tracking' or 'inverse-dynamics'", "mode")
+        if not (self.seed >= 0):
+            raise ValidationError("must be >= 0", "seed")
 
     @property
     def n_steps(self) -> int:
@@ -141,6 +216,15 @@ class ContactMotion:
     amplitude: float = 0.02
     speed: float = 0.02
 
+    def __post_init__(self):
+        if self.kind not in ("static", "triangle"):
+            raise ValidationError("must be 'static' or 'triangle'", "kind")
+        if self.axis not in AXES:
+            raise ValidationError(f"must be one of {AXES}", "axis")
+        for name in ("amplitude", "speed"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ValidationError("must be finite and positive", name)
+
     def velocity(self, t: float) -> float:
         """Signed axis target velocity at time t (starts rising)."""
         if self.kind == "static":
@@ -160,66 +244,43 @@ class ContactConfig:
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Task-space stiffness controller setup for the SRL chain."""
+    """Task-space stiffness controller setup for the SRL chain; ``table``
+    holds the four stiffness levels and ``x_eq=None`` means the initial
+    task position."""
 
-    enabled: bool
     chain: str
-    joint: int | None
-    components: tuple[str, ...]
-    table: tuple[np.ndarray, ...]
-    level: int
-    x_eq: np.ndarray | None  # None = take the initial task position
-    f_gravity: np.ndarray
-    damping: np.ndarray | None
-    gravity_compensation: bool
-    friction: FrictionModel | None
-
-
-@dataclass(frozen=True)
-class EmgConfig:
-    enabled: bool
-    trace: EmgTrace | None = None
-    profile: "ActivationProfile | None" = None
-    seed: int = 0
-    hill: HillParams = field(default_factory=HillParams)
-    threshold: float = 0.3
-    hysteresis: float = 0.05
-    gain: float = 1e-4
-    motion: tuple[np.ndarray, np.ndarray] | None = None
-    band: tuple[float, float] = DEFAULT_BAND
-    window: float = DEFAULT_WINDOW
-
-
-@dataclass(frozen=True)
-class ActivationProfile:
-    """Piecewise-constant activation schedule for synthetic sEMG."""
-
-    fs: float
-    duration: float
-    steps: tuple[tuple[float, float], ...]
+    enabled: bool = True
+    joint: int | None = None
+    components: tuple[str, ...] = AXES
+    table: tuple[np.ndarray, ...] | None = None
+    level: int = 1
+    x_eq: np.ndarray | None = None
+    f_gravity: np.ndarray | None = None
+    damping: np.ndarray | None = None
+    gravity_compensation: bool = True
+    friction: FrictionModel | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.fs < math.inf):
-            raise ValidationError(f"fs must be finite and positive, got {self.fs}")
-        if not (0.0 < self.duration < math.inf):
-            raise ValidationError(f"duration must be finite and positive, got {self.duration}")
-        if not self.steps:
-            raise ValidationError("steps must not be empty")
-        prev = -math.inf
-        for i, (t, level) in enumerate(self.steps):
-            if t < prev:
-                raise ValidationError(f"steps[{i}]: times must be nondecreasing")
-            prev = t
-            if not (0.0 <= level <= 1.0):
-                raise ValidationError(
-                    f"steps[{i}]: level must be in [0,1], got {level}"
-                )
-
-    def sample(self, t: np.ndarray) -> np.ndarray:
-        times = np.array([s[0] for s in self.steps])
-        levels = np.array([s[1] for s in self.steps])
-        idx = np.searchsorted(times, t, side="right") - 1
-        return np.where(idx >= 0, levels[np.clip(idx, 0, levels.size - 1)], 0.0)
+        m = len(self.components)
+        if not m:
+            raise ValidationError("must not be empty", "components")
+        if self.table is None:
+            object.__setattr__(self, "table", default_stiffness_table(m))
+        if len(self.table) != 4:
+            raise ValidationError("must list exactly 4 levels", "table")
+        for i, k in enumerate(self.table):
+            if np.shape(k) != (m, m):
+                raise ValidationError(f"matrix must be {m}x{m}", f"table[{i}]")
+        if self.level not in (1, 2, 3, 4):
+            raise ValidationError("must be in 1..4", "level")
+        if self.f_gravity is None:
+            object.__setattr__(self, "f_gravity", np.zeros(m))
+        for name in ("x_eq", "f_gravity", "damping"):
+            v = getattr(self, name)
+            if v is not None and np.size(v) != m:
+                raise ValidationError(f"must have {m} entries, got {np.size(v)}", name)
+        if self.damping is not None and np.any(np.asarray(self.damping) < 0.0):
+            raise ValidationError("entries must be >= 0", "damping")
 
 
 @dataclass(frozen=True)
@@ -231,9 +292,21 @@ class HumanMotion:
     frequency: float = 0.5
     phase: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("static", "sine"):
+            raise ValidationError("must be 'static' or 'sine'", "kind")
+        if self.kind == "sine" and not (
+            self.amplitude is not None and np.all(np.isfinite(self.amplitude))
+        ):
+            raise ValidationError("a sine needs finite amplitudes", "amplitude")
+        if not (0.0 < self.frequency < math.inf):
+            raise ValidationError("must be finite and positive", "frequency")
+        if not math.isfinite(self.phase):
+            raise ValidationError("must be finite", "phase")
+
     def offsets(self, t: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(dq, dqdot, dqddot) relative to the rest posture at time t."""
-        if self.kind == "static" or self.amplitude is None:
+        if self.kind == "static":
             return np.zeros(n), np.zeros(n), np.zeros(n)
         w = 2.0 * math.pi * self.frequency
         s = math.sin(w * t + self.phase)
@@ -252,398 +325,203 @@ class Scenario:
     human_motion: HumanMotion = field(default_factory=HumanMotion)
 
 
-# --- parsing ------------------------------------------------------------------
+# --- section schemas ----------------------------------------------------------
 
-_HILL_KEYS = tuple(f.name for f in fields(HillParams))
-
-
-def _parse_joint(data, path: str) -> Joint:
-    d = _dict(data, path, ("kind", "mass", "length", "com", "inertia", "rotor", "axis", "q0"))
-    kind = _get(d, "kind", path)
-    mass = _get(d, "mass", path, parse=_num)
-    length = _get(d, "length", path, parse=_num)
-    com = _get(d, "com", path, default=length / 2.0, parse=_num)
-    inertia = _get(d, "inertia", path, default=0.0, parse=_num)
-    rotor = _get(d, "rotor", path, default=0.0, parse=_num)
-    axis = _get(d, "axis", path, default=0.0, parse=_num)
-    q0 = _get(d, "q0", path, default=0.0, parse=_num)
-    try:
-        return Joint(
-            kind=kind, mass=mass, length=length, com=com,
-            inertia=inertia, rotor=rotor, axis=axis, q0=q0,
-        )
-    except SuperlimbError as exc:
-        raise ParseError(path, str(exc)) from exc
-
-
-def _parse_chain(data, path: str) -> Chain:
-    d = _dict(data, path, ("name", "role", "base", "heading", "joints"))
-    name = _get(d, "name", path, parse=_str)
-    role = _get(d, "role", path, default="srl")
-    base = _num_list(_get(d, "base", path, default=[0.0, 0.0]), f"{path}.base", 2)
-    heading = _get(d, "heading", path, default=0.0, parse=_num)
-    joints_raw = _get(d, "joints", path)
-    if not isinstance(joints_raw, list):
-        raise ParseError(f"{path}.joints", "must be a list")
-    joints = tuple(
-        _parse_joint(j, f"{path}.joints[{i}]") for i, j in enumerate(joints_raw)
-    )
-    try:
-        return Chain(
-            name=name, joints=joints, base=(base[0], base[1]),
-            heading=heading, role=role,
-        )
-    except SuperlimbError as exc:
-        raise ParseError(path, str(exc)) from exc
+_JOINT = {
+    "kind": _str, "mass": _num, "length": _num, "com": _num, "inertia": _num,
+    "rotor": _num, "axis": _num, "q0": _num,
+}
+_CHAIN = {
+    "name": _str, "role": _str, "base": _pair, "heading": _num,
+    "joints": _each(_section(_JOINT, Joint)),
+}
+_PLANT = {"gravity": _num, "chains": _each(_section(_CHAIN, Chain))}
+_SIM = {"dt": _num, "duration": _num, "mode": _str, "seed": _int}
+_CONTACT = {
+    "chain": _str, "joint": _opt(_int), "directions": _axes,
+    "motion": _section(
+        {"type": ("kind", _str), "axis": _str, "amplitude": _num, "speed": _num},
+        ContactMotion, required=("kind",),
+    ),
+}
+_HUMAN_MOTION = {
+    "type": ("kind", _str), "amplitude": _num_list, "frequency": _num, "phase": _num,
+}
+_PROFILE = {
+    "fs": _num, "duration": _num,
+    "steps": lambda value, path: tuple(map(tuple, _pairs(value, path).tolist())),
+}
+_HILL = {f.name: _num for f in fields(HillParams)}
+_STABILITY = {"posture": _str, "mass": _num, "k": _num, "r": _num, "gamma": _num}
 
 
-def _parse_plant(data, path: str = "plant") -> PlantModel:
-    d = _dict(data, path, ("gravity", "chains"))
-    gravity = _get(d, "gravity", path, default=GRAVITY, parse=_num)
-    chains_raw = _get(d, "chains", path)
-    if not isinstance(chains_raw, list):
-        raise ParseError(f"{path}.chains", "must be a list")
-    chains = tuple(
-        _parse_chain(c, f"{path}.chains[{i}]") for i, c in enumerate(chains_raw)
-    )
-    try:
-        return PlantModel(chains=chains, gravity=gravity)
-    except SuperlimbError as exc:
-        raise ParseError(path, str(exc)) from exc
+# --- section readers ----------------------------------------------------------
 
 
-def _parse_sim(data, path: str = "sim") -> SimParams:
-    d = _dict(data, path, ("dt", "duration", "mode", "seed"))
-    dt = _get(d, "dt", path, parse=_num)
-    if dt <= 0.0:
-        raise ParseError(f"{path}.dt", "must be positive")
-    if dt > 0.01:
-        raise ParseError(f"{path}.dt", "must be <= 0.01 s")
-    duration = _get(d, "duration", path, parse=_num)
-    if duration < 0.0:
-        raise ParseError(f"{path}.duration", "must be >= 0")
-    mode = _get(d, "mode", path, default="tracking", parse=_str)
-    if mode not in ("tracking", "inverse-dynamics"):
-        raise ParseError(f"{path}.mode", "must be 'tracking' or 'inverse-dynamics'")
-    seed = _get(d, "seed", path, default=0, parse=_int)
-    if seed < 0:
-        raise ParseError(f"{path}.seed", "must be >= 0")
-    return SimParams(dt=dt, duration=duration, mode=mode, seed=seed)
+def _stiffness_table(value, path: str) -> tuple[np.ndarray, ...]:
+    """Stiffness levels, each a list of per-direction diagonal entries or a
+    full matrix given as a list of equally long rows."""
+
+    def level(row, row_path):
+        if isinstance(row, list) and row and isinstance(row[0], list):
+            return np.array(_each(lambda r, p: _num_list(r, p, len(row[0])))(row, row_path))
+        return np.diag(_num_list(row, row_path))
+
+    return _each(level)(value, path)
+
+
+def _auto_or_list(value, path: str) -> np.ndarray | None:
+    if isinstance(value, str):
+        if value != "auto":
+            raise ParseError(path, "must be 'auto' or a list of numbers")
+        return None
+    return _num_list(value, path)
 
 
 def _parse_contact(data, model: PlantModel, path: str = "contact") -> ContactConfig:
-    d = _dict(data, path, ("chain", "joint", "directions", "motion"))
-    chain = _get(d, "chain", path, parse=_str)
-    if chain not in [c.name for c in model.chains]:
-        raise ParseError(f"{path}.chain", f"unknown chain {chain!r}")
-    joint = _get(d, "joint", path, default=None)
-    if joint is not None:
-        joint = _int(joint, f"{path}.joint")
-    dirs = _get(d, "directions", path, default=("z",), parse=_axes)
-    if len(set(dirs)) != len(dirs):
-        raise ParseError(f"{path}.directions", "directions must be distinct")
-    try:
-        spec = ContactSpec(chain=chain, directions=dirs, joint=joint)
-    except SuperlimbError as exc:
-        raise ParseError(path, str(exc)) from exc
-    motion = ContactMotion()
-    if "motion" in d:
-        m_path = f"{path}.motion"
-        md = _dict(d["motion"], m_path, ("type", "axis", "amplitude", "speed"))
-        kind = _get(md, "type", m_path, parse=_str)
-        if kind not in ("static", "triangle"):
-            raise ParseError(f"{m_path}.type", "must be 'static' or 'triangle'")
-        if kind == "triangle":
-            axis = _get(md, "axis", m_path, default="z", parse=_str)
-            if axis not in spec.directions:
-                raise ParseError(
-                    f"{m_path}.axis",
-                    f"must be one of the constrained directions {spec.directions}",
-                )
-            amplitude = _get(md, "amplitude", m_path, default=0.02, parse=_num)
-            speed = _get(md, "speed", m_path, default=0.02, parse=_num)
-            if amplitude <= 0.0:
-                raise ParseError(f"{m_path}.amplitude", "must be positive")
-            if speed <= 0.0:
-                raise ParseError(f"{m_path}.speed", "must be positive")
-            motion = ContactMotion(
-                kind="triangle", axis=axis, amplitude=amplitude, speed=speed
-            )
+    values = _fields(data, path, _CONTACT)
+    motion = values.pop("motion", ContactConfig.motion)
+    spec = _build(ContactSpec, path, _CONTACT, values)
+    if spec.chain not in [c.name for c in model.chains]:
+        raise ParseError(f"{path}.chain", f"unknown chain {spec.chain!r}")
+    if motion.kind == "triangle" and motion.axis not in spec.directions:
+        raise ParseError(
+            f"{path}.motion.axis",
+            f"must be one of the constrained directions {spec.directions}",
+        )
     return ContactConfig(spec=spec, motion=motion)
 
 
 def _parse_controller(
     data, model: PlantModel, path: str = "controller"
 ) -> ControllerConfig:
-    d = _dict(data, path, (
-        "enabled", "chain", "joint", "components", "stiffness_table", "level", "x_eq",
-        "f_gravity", "panel_mass", "damping", "gravity_compensation", "friction",
-    ))
-    enabled = _get(d, "enabled", path, default=True, parse=_bool)
-    names = [c.name for c in model.chains]
-    srl = [c.name for c in model.chains if c.role == "srl"]
-    chain = _get(d, "chain", path, default=(srl or names)[0], parse=_str)
-    if chain not in names:
+    n_s = len(model.srl_indices)
+
+    def per_joint(value, key_path):
+        if isinstance(value, list):
+            return _num_list(value, key_path, n_s)
+        return np.full(n_s, _num(value, key_path))
+
+    schema = {
+        "enabled": _bool, "chain": _str, "joint": _opt(_int), "components": _axes,
+        "stiffness_table": ("table", _stiffness_table), "level": _int,
+        "x_eq": _auto_or_list, "f_gravity": _num_list, "panel_mass": _num,
+        "damping": _opt(_num_list), "gravity_compensation": _bool,
+        "friction": _opt(_section(
+            {"coulomb": per_joint, "viscous": per_joint,
+             "breakaway_ratio": ("stiction_breakaway_ratio", _num)},
+            FrictionModel,
+        )),
+    }
+    values = _fields(data, path, schema)
+    # limb chains come first, so the first chain is the limb if there is one
+    chain = values.setdefault("chain", model.chains[0].name)
+    if chain not in [c.name for c in model.chains]:
         raise ParseError(f"{path}.chain", f"unknown chain {chain!r}")
-    joint = _get(d, "joint", path, default=None)
-    if joint is not None:
-        joint = _int(joint, f"{path}.joint")
-    comps = _get(d, "components", path, default=AXES, parse=_axes)
-    if not comps:
-        raise ParseError(f"{path}.components", "must not be empty")
-    m = len(comps)
-
-    if "stiffness_table" in d:
-        tab_raw = d["stiffness_table"]
-        if not isinstance(tab_raw, list) or len(tab_raw) != 4:
-            raise ParseError(f"{path}.stiffness_table", "must list exactly 4 levels")
-        entries = []
-        for i, row in enumerate(tab_raw):
-            row_path = f"{path}.stiffness_table[{i}]"
-            if isinstance(row, list) and row and isinstance(row[0], list):
-                # full matrix: list of rows
-                k = np.array(
-                    [list(_num_list(r, f"{row_path}[{j}]", m)) for j, r in enumerate(row)]
-                )
-                if k.shape != (m, m):
-                    raise ParseError(row_path, f"matrix must be {m}x{m}")
-            else:
-                # per-direction diagonal entries
-                k = np.diag(_num_list(row, row_path, m))
-            entries.append(k)
-        table = tuple(entries)
-    else:
-        table = default_stiffness_table(m)
-    level = _get(d, "level", path, default=1, parse=_int)
-    if level not in (1, 2, 3, 4):
-        raise ParseError(f"{path}.level", "must be in 1..4")
-
-    x_eq_raw = _get(d, "x_eq", path, default="auto")
-    if isinstance(x_eq_raw, str):
-        if x_eq_raw != "auto":
-            raise ParseError(f"{path}.x_eq", "must be 'auto' or a list of numbers")
-        x_eq = None
-    else:
-        x_eq = _num_list(x_eq_raw, f"{path}.x_eq", m)
-
-    if "f_gravity" in d and "panel_mass" in d:
+    panel_mass = values.pop("panel_mass", None)
+    if panel_mass is not None and "f_gravity" in values:
         raise ParseError(
             f"{path}.f_gravity", "give either f_gravity or panel_mass, not both"
         )
-    if "panel_mass" in d:
-        pm = _num(d["panel_mass"], f"{path}.panel_mass")
-        if pm < 0.0:
-            raise ParseError(f"{path}.panel_mass", "must be >= 0")
-        f_gravity = np.zeros(m)
-        if "z" not in comps:
-            raise ParseError(
-                f"{path}.panel_mass", "needs a 'z' task component to act on"
-            )
-        f_gravity[comps.index("z")] = pm * model.gravity
-    elif "f_gravity" in d:
-        f_gravity = _num_list(d["f_gravity"], f"{path}.f_gravity", m)
-    else:
-        f_gravity = np.zeros(m)
-
-    damping = None
-    if d.get("damping") is not None:
-        damping = _num_list(d["damping"], f"{path}.damping", m)
-        if np.any(damping < 0.0):
-            raise ParseError(f"{path}.damping", "entries must be >= 0")
-
-    gravity_comp = _get(d, "gravity_compensation", path, default=True, parse=_bool)
-
-    friction = None
-    if d.get("friction") is not None:
-        fd = _dict(d["friction"], f"{path}.friction", ("coulomb", "viscous", "breakaway_ratio"))
-        n_s = len(model.srl_indices)
-
-        def per_joint(value, key_path):
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                return np.full(n_s, float(value))
-            return _num_list(value, key_path, n_s)
-
-        f_path = f"{path}.friction"
-        coulomb = _get(fd, "coulomb", f_path, parse=per_joint)
-        viscous = _get(fd, "viscous", f_path, default=np.zeros(n_s), parse=per_joint)
-        ratio = _get(fd, "breakaway_ratio", f_path, default=1.0, parse=_num)
-        try:
-            friction = FrictionModel(
-                coulomb=coulomb, viscous=viscous, stiction_breakaway_ratio=ratio
-            )
-        except SuperlimbError as exc:
-            raise ParseError(f"{path}.friction", str(exc)) from exc
-
-    return ControllerConfig(
-        enabled=enabled,
-        chain=chain,
-        joint=joint,
-        components=comps,
-        table=table,
-        level=level,
-        x_eq=x_eq,
-        f_gravity=f_gravity,
-        damping=damping,
-        gravity_compensation=gravity_comp,
-        friction=friction,
-    )
+    config = _build(ControllerConfig, path, schema, values)
+    if panel_mass is None:
+        return config
+    panel_path = f"{path}.panel_mass"
+    if panel_mass < 0.0:
+        raise ParseError(panel_path, "must be >= 0")
+    if "z" not in config.components:
+        raise ParseError(panel_path, "needs a 'z' task component to act on")
+    f_gravity = np.zeros(len(config.components))
+    f_gravity[config.components.index("z")] = panel_mass * model.gravity
+    return replace(config, f_gravity=f_gravity)
 
 
 def parse_profile(data, path: str = "profile") -> ActivationProfile:
-    d = _dict(data, path, ("fs", "duration", "steps"))
-    fs = _get(d, "fs", path, default=DEFAULT_FS, parse=_num)
-    duration = _get(d, "duration", path, parse=_num)
-    steps = tuple(map(tuple, _get(d, "steps", path, parse=_pairs).tolist()))
-    try:
-        return ActivationProfile(fs=fs, duration=duration, steps=steps)
-    except SuperlimbError as exc:
-        raise ParseError(path, str(exc)) from exc
+    return _section(_PROFILE, ActivationProfile)(data, path)
+
+
+def _emg_motion(value, path: str):
+    """The ``emg.motion`` section: its file name, or ``(t, yaw)`` arrays
+    from its steps."""
+    d = _fields(value, path, {"file": _opt(_str), "steps": _opt(_pairs)})
+    if (d.get("file") is None) == (d.get("steps") is None):
+        raise ParseError(path, "give exactly one of 'file' or 'steps'")
+    if d.get("file") is not None:
+        return d["file"]
+    pairs, steps_path = d["steps"], f"{path}.steps"
+    if not pairs.size:
+        raise ParseError(steps_path, "must not be empty")
+    if np.any(np.diff(pairs[:, 0]) < 0.0):
+        raise ParseError(steps_path, "times must be nondecreasing")
+    return pairs[:, 0], pairs[:, 1]
+
+
+_EMG = {
+    "enabled": _bool, "trace": _opt(_str), "profile": _opt(parse_profile), "seed": _int,
+    "hill": _section(_HILL, HillParams), "threshold": _num, "hysteresis": _num,
+    "gain": _num, "motion": _opt(_emg_motion), "band": _pair, "window": _num,
+}
 
 
 def _parse_emg(data, base_dir: str, default_seed: int, path: str = "emg") -> EmgConfig:
-    d = _dict(data, path, (
-        "enabled", "trace", "profile", "seed", "hill", "threshold", "hysteresis", "gain",
-        "motion", "band", "window",
-    ))
-    enabled = _get(d, "enabled", path, default=True, parse=_bool)
-    if not enabled:
+    values = {"enabled": True, "seed": default_seed, **_fields(data, path, _EMG)}
+    if not values["enabled"]:
         return EmgConfig(enabled=False)
-
-    has_trace = d.get("trace") is not None
-    has_profile = d.get("profile") is not None
-    if has_trace == has_profile:
-        raise ParseError(path, "give exactly one of 'trace' or 'profile'")
-    trace = None
-    profile = None
-    if has_trace:
-        rel = _str(d["trace"], f"{path}.trace")
-        trace = load_trace_csv(os.path.join(base_dir, rel))
-    else:
-        profile = parse_profile(d["profile"], f"{path}.profile")
-
-    seed = _get(d, "seed", path, default=default_seed, parse=_int)
-    if seed < 0:
-        raise ParseError(f"{path}.seed", "must be >= 0")
-
-    hd = _dict(d.get("hill", {}), f"{path}.hill", _HILL_KEYS)
-    hill_kwargs = {key: _num(v, f"{path}.hill.{key}") for key, v in hd.items()}
-    try:
-        hill = HillParams(**hill_kwargs)
-    except SuperlimbError as exc:
-        raise ParseError(f"{path}.hill", str(exc)) from exc
-
-    threshold = _get(d, "threshold", path, default=0.3, parse=_num)
-    hysteresis = _get(d, "hysteresis", path, default=0.05, parse=_num)
-    if not (threshold > hysteresis >= 0.0):
-        raise ParseError(f"{path}.threshold", "need threshold > hysteresis >= 0")
-    gain = _get(d, "gain", path, default=1e-4, parse=_num)
-    if gain < 0.0:
-        raise ParseError(f"{path}.gain", "must be >= 0")
-
-    motion = None
-    if d.get("motion") is not None:
-        md = _dict(d["motion"], f"{path}.motion", ("file", "steps"))
-        has_file = md.get("file") is not None
-        has_steps = md.get("steps") is not None
-        if has_file == has_steps:
-            raise ParseError(f"{path}.motion", "give exactly one of 'file' or 'steps'")
-        if has_file:
-            motion = load_motion_csv(
-                os.path.join(base_dir, _str(md["file"], f"{path}.motion.file"))
-            )
-        else:
-            pairs = _pairs(md["steps"], f"{path}.motion.steps")
-            if not pairs.size:
-                raise ParseError(f"{path}.motion.steps", "must not be empty")
-            if np.any(np.diff(pairs[:, 0]) < 0.0):
-                raise ParseError(f"{path}.motion.steps", "times must be nondecreasing")
-            motion = (pairs[:, 0], pairs[:, 1])
-
-    band = DEFAULT_BAND
-    if "band" in d:
-        b = _num_list(d["band"], f"{path}.band", 2)
-        band = (float(b[0]), float(b[1]))
-    window = _get(d, "window", path, default=DEFAULT_WINDOW, parse=_num)
-    if window <= 0.0:
-        raise ParseError(f"{path}.window", "must be positive")
-
-    return EmgConfig(
-        enabled=True,
-        trace=trace,
-        profile=profile,
-        seed=seed,
-        hill=hill,
-        threshold=threshold,
-        hysteresis=hysteresis,
-        gain=gain,
-        motion=motion,
-        band=band,
-        window=window,
-    )
+    # files are read here, relative to the scenario; a trace given beside a
+    # profile is left for EmgConfig to reject unread
+    if values.get("trace") is not None and values.get("profile") is None:
+        values["trace"] = load_trace_csv(os.path.join(base_dir, values["trace"]))
+    if isinstance(values.get("motion"), str):
+        values["motion"] = load_motion_csv(os.path.join(base_dir, values["motion"]))
+    return _build(EmgConfig, path, _EMG, values)
 
 
 def _parse_human_motion(data, model: PlantModel, path: str = "human_motion") -> HumanMotion:
-    d = _dict(data, path, ("type", "amplitude", "frequency", "phase"))
-    kind = _get(d, "type", path, parse=_str)
-    if kind not in ("static", "sine"):
-        raise ParseError(f"{path}.type", "must be 'static' or 'sine'")
-    if kind == "static":
-        return HumanMotion()
-    n_h = len(model.human_indices)
-    if n_h == 0:
-        raise ParseError(path, "plant has no human chain to drive")
-    amplitude = _num_list(_get(d, "amplitude", path), f"{path}.amplitude", n_h)
-    frequency = _get(d, "frequency", path, default=0.5, parse=_num)
-    if frequency <= 0.0:
-        raise ParseError(f"{path}.frequency", "must be positive")
-    phase = _get(d, "phase", path, default=0.0, parse=_num)
-    return HumanMotion(kind="sine", amplitude=amplitude, frequency=frequency, phase=phase)
+    motion = _section(_HUMAN_MOTION, HumanMotion, required=("kind",))(data, path)
+    if motion.kind == "sine":
+        n_h = len(model.human_indices)
+        if n_h == 0:
+            raise ParseError(path, "plant has no human chain to drive")
+        if motion.amplitude.size != n_h:
+            raise ParseError(
+                f"{path}.amplitude", f"must have {n_h} entries, got {motion.amplitude.size}"
+            )
+    return motion
 
 
 def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
     """Validate a scenario dictionary and assemble the runtime objects."""
     if not isinstance(data, dict):
         raise ParseError("(root)", "scenario must be a JSON object")
-    unknown = set(data) - {"plant", "sim", "contact", "controller", "emg", "human_motion"}
+    unknown = set(data) - {"plant", "sim", "controller", "contact", "emg", "human_motion"}
     if unknown:
         raise ParseError(sorted(unknown)[0], "unknown section")
-    model = _parse_plant(_get(data, "plant", "(root)"))
-    sim = _parse_sim(_get(data, "sim", "(root)"))
+    for name in ("plant", "sim"):
+        if name not in data:
+            raise ParseError(f"(root).{name}", "required key missing")
+    model = _section(_PLANT, PlantModel)(data["plant"], "plant")
+    sim = _section(_SIM, SimParams)(data["sim"], "sim")
     controller = _parse_controller(data.get("controller", {}), model)
-    contact = (
-        _parse_contact(data["contact"], model) if data.get("contact") is not None else None
-    )
-    emg = (
-        _parse_emg(data["emg"], base_dir, sim.seed)
-        if data.get("emg") is not None
-        else EmgConfig(enabled=False)
-    )
-    human_motion = (
-        _parse_human_motion(data["human_motion"], model)
-        if data.get("human_motion") is not None
-        else HumanMotion()
-    )
+    optional = {
+        "contact": lambda d: _parse_contact(d, model),
+        "emg": lambda d: _parse_emg(d, base_dir, sim.seed),
+        "human_motion": lambda d: _parse_human_motion(d, model),
+    }
+    scenario = Scenario(model, sim, controller, **{
+        name: read(data[name]) for name, read in optional.items() if data.get(name) is not None
+    })
 
-    if emg.enabled:
+    if scenario.emg.enabled:
         if not controller.enabled:
             raise ParseError("emg.enabled", "needs an enabled controller to act on")
         if "z" not in controller.components:
             raise ParseError(
                 "emg.enabled", "needs a 'z' task component for the equilibrium shift"
             )
-    if sim.mode == "inverse-dynamics" and contact is not None:
-        if contact.motion.kind != "static":
-            raise ParseError(
-                "sim.mode", "inverse-dynamics mode supports static contacts only"
-            )
-    return Scenario(
-        model=model,
-        sim=sim,
-        controller=controller,
-        contact=contact,
-        emg=emg,
-        human_motion=human_motion,
-    )
+    contact = scenario.contact
+    if sim.mode == "inverse-dynamics" and contact is not None and contact.motion.kind != "static":
+        raise ParseError("sim.mode", "inverse-dynamics mode supports static contacts only")
+    return scenario
 
 
 def _load_json(path: str, what: str):
@@ -673,24 +551,7 @@ def load_profile(path: str) -> ActivationProfile:
 
 def build_posture(data: dict, path: str = "stability") -> SupportPosture:
     """Build a named posture from a config section."""
-    d = _dict(data, path, ("posture", "mass", "k", "r", "gamma"))
-    name = _get(d, "posture", path, parse=_str)
-    if name not in POSTURES:
-        raise ParseError(
-            f"{path}.posture", f"unknown posture; choose from {sorted(POSTURES)}"
-        )
-    mass = _get(d, "mass", path, default=4.0, parse=_num)
-    k = _get(d, "k", path, default=400.0, parse=_num)
-    if k < 0.0:
-        raise ParseError(f"{path}.k", "must be >= 0")
-    r = _get(d, "r", path, default=0.3, parse=_num)
-    if r <= 0.0:
-        raise ParseError(f"{path}.r", "must be positive")
-    gamma = _get(d, "gamma", path, default=0.5, parse=_num)
-    try:
-        return POSTURES[name](mass, k, r, gamma)
-    except SuperlimbError as exc:
-        raise ParseError(path, str(exc)) from exc
+    return _section(_STABILITY, named_posture)(data, path)
 
 
 def load_posture(path: str) -> tuple[SupportPosture, dict]:

@@ -20,7 +20,8 @@ renders an unstable posture stable.
 The pose vector is treated generically (any dimension); the overhead
 support postures used by the CLI are 6-dimensional (3 translations, 3
 fixed-axis rotation angles, valid locally around the equilibrium); their
-builders are registered by name in ``POSTURES``.
+builders are registered by name in ``POSTURES`` and built, with their
+default parameters, by ``named_posture``.
 """
 
 from __future__ import annotations
@@ -192,6 +193,21 @@ POSTURES = {
     "cradle": _posture_cradle,
     "toggle_mount": _posture_toggle,
 }
+
+
+def named_posture(
+    posture: str, mass: float = 4.0, k: float = 400.0, r: float = 0.3, gamma: float = 0.5
+) -> SupportPosture:
+    """The posture ``POSTURES[posture]`` of a body of ``mass`` held with
+    servo stiffness ``k``, CoM offset ``r`` and toggle coupling ``gamma``
+    (each builder uses the parameters its model has)."""
+    if posture not in POSTURES:
+        raise ValidationError(f"unknown posture; choose from {sorted(POSTURES)}", "posture")
+    if not (k >= 0.0):
+        raise ValidationError("must be >= 0", "k")
+    if not (r > 0.0):
+        raise ValidationError("must be positive", "r")
+    return POSTURES[posture](mass, k, r, gamma)
 
 
 @dataclass(frozen=True)

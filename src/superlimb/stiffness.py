@@ -172,12 +172,13 @@ class FrictionModel:
     """Per-joint Coulomb + viscous friction with a stiction band."""
 
     coulomb: np.ndarray
-    viscous: np.ndarray
+    viscous: np.ndarray | None = None  # None: no viscous friction
     stiction_breakaway_ratio: float = 1.0
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coulomb, dtype=float))
-        v = np.atleast_1d(np.asarray(self.viscous, dtype=float))
+        v = np.zeros(c.shape) if self.viscous is None else np.atleast_1d(
+            np.asarray(self.viscous, dtype=float))
         if c.shape != v.shape:
             raise DimensionMismatch("coulomb and viscous must have the same length")
         if np.any(c < 0.0) or np.any(v < 0.0):

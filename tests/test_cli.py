@@ -363,3 +363,22 @@ def test_bad_numeric_flag_exits_1(tmp_path, capsys, trace_csv, command, flags):
     assert "Traceback" not in err
     assert stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("duration", 1e308),  # no finite step count
+    ("duration", 1e12),  # 2e14 steps: beyond the address space
+    ("dt", 1e-300),  # 2e300 steps
+])
+def test_run_unallocatable_step_count_exits_1(tmp_path, capsys, key, value):
+    with open(scenario_path("static_hold.json")) as fh:
+        data = json.load(fh)
+    data["sim"][key] = value
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: sim.")
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -1,0 +1,142 @@
+"""Scenario schemas: defaults and invariants owned by the section types,
+the sEMG settings checked against their source at load, and a parse-level
+fuzz test over the bundled scenarios."""
+
+import copy
+import json
+import math
+import os
+
+import numpy as np
+import pytest
+from conftest import desk_arm_dict, scenario_path
+
+from superlimb.errors import ParseError, SuperlimbError, ValidationError
+from superlimb.plant import Joint
+from superlimb.scenario import (
+    ActivationProfile,
+    ContactMotion,
+    ControllerConfig,
+    EmgConfig,
+    HumanMotion,
+    SimParams,
+    parse_scenario,
+)
+
+
+def base_scenario() -> dict:
+    return {
+        "plant": desk_arm_dict(),
+        "sim": {"dt": 0.005, "duration": 1.0, "seed": 1},
+        "contact": {"chain": "arm", "directions": ["z"]},
+        "controller": {"level": 2, "panel_mass": 3.0},
+    }
+
+
+def good_profile() -> dict:
+    return {"duration": 2.0, "steps": [[0.0, 0.5]]}
+
+
+def expect_key(data: dict, key: str, reason_part: str = "", base_dir: str = ".") -> ParseError:
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(data, base_dir)
+    assert exc.value.key == key
+    assert reason_part in exc.value.reason
+    return exc.value
+
+
+# --- library types reject bad values at construction ----------------------------
+
+
+LIBRARY_CASES = {
+    "sim-dt": (lambda: SimParams(dt=0.0, duration=1.0), "dt"),
+    "sim-mode": (lambda: SimParams(dt=0.001, duration=1.0, mode="forward"), "mode"),
+    "sim-steps": (lambda: SimParams(dt=0.005, duration=1e308), "duration"),
+    "contact-speed": (lambda: ContactMotion(kind="triangle", speed=0.0), "speed"),
+    "human-frequency": (
+        lambda: HumanMotion(kind="sine", amplitude=np.ones(1), frequency=0.0), "frequency"),
+    "human-amplitude": (lambda: HumanMotion(kind="sine"), "amplitude"),
+    "emg-gate": (
+        lambda: EmgConfig(enabled=True, profile=ActivationProfile(duration=2.0, steps=((0.0, 0.5),)),
+                          threshold=0.05, hysteresis=0.1),
+        "threshold"),
+    "emg-source": (lambda: EmgConfig(enabled=True), None),
+    "controller-level": (lambda: ControllerConfig(chain="arm", level=0), "level"),
+    "controller-table": (lambda: ControllerConfig(chain="arm", table=(np.eye(2),) * 3), "table"),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_CASES)
+def test_library_types_validate_at_construction(case):
+    make, key = LIBRARY_CASES[case]
+    with pytest.raises(ValidationError) as exc:
+        make()
+    assert exc.value.key == key
+
+
+def test_joint_com_defaults_to_link_midpoint():
+    assert Joint(kind="revolute", mass=1.0, length=0.3).com == 0.15
+    data = base_scenario()
+    del data["plant"]["chains"][0]["joints"][0]["com"]
+    joint = parse_scenario(data).model.chains[0].joints[0]
+    assert joint.com == joint.length / 2.0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("band", [500.0, 600.0]),
+    ("band", [450.0, 20.0]),
+    ("window", 0.001),
+])
+def test_emg_band_and_window_checked_against_source_rate(key, value):
+    with open(scenario_path("emg_step.json")) as fh:
+        data = json.load(fh)
+    data["emg"][key] = value
+    err = expect_key(data, f"emg.{key}")
+    assert "fs=1000.0" in err.reason
+
+
+def test_emg_trace_band_checked_against_trace_rate(tmp_path):
+    (tmp_path / "trace.csv").write_text("t,ch1\n" + "".join(
+        f"{i / 2000.0},{0.1 * i}\n" for i in range(20)))
+    data = base_scenario()
+    data["emg"] = {"trace": "trace.csv", "band": [20.0, 900.0]}
+    parse_scenario(data, base_dir=str(tmp_path))
+    data["emg"]["band"] = [20.0, 1200.0]  # above the trace's Nyquist rate
+    expect_key(data, "emg.band", "fs=2000.0", str(tmp_path))
+
+
+# --- parse-level fuzz: only the package's own errors escape ---------------------
+
+FUZZ_VALUES = [None, True, 0, -1, 2**70, 1e308, -1e308, 1e-300, math.nan, math.inf,
+               -math.inf, "", "z", [], [0], [[]], {}]
+
+
+def json_paths(node, prefix=()):
+    """Path of every value below ``node``, containers included."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for k, v in items:
+        yield prefix + (k,)
+        yield from json_paths(v, prefix + (k,))
+
+
+@pytest.mark.parametrize("name", ["overhead_sweep", "press_friction", "emg_step",
+                                  "static_hold", "overhead_inverse"])
+def test_parse_fuzz_raises_only_superlimb_errors(name):
+    path = scenario_path(f"{name}.json")
+    with open(path) as fh:
+        original = json.load(fh)
+    base_dir = os.path.dirname(path)
+    for where in json_paths(original):
+        for value in FUZZ_VALUES:
+            data = copy.deepcopy(original)
+            node = data
+            for k in where[:-1]:
+                node = node[k]
+            node[where[-1]] = value
+            try:
+                parse_scenario(data, base_dir).sim.n_steps
+            except SuperlimbError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the escape under test
+                pytest.fail(f"{where} = {value!r}: {type(exc).__name__}: {exc}")
