@@ -6,7 +6,9 @@ Subcommands:
 * ``emg-pipeline`` — process a recorded sEMG trace (optionally gated by a
   shank-yaw motion stream) into envelope/activation/force/shift columns.
 * ``analyze-stability`` — certify a named support posture; prints
-  key=value lines and the stiffness-matrix eigenvalues on stdout.
+  key=value lines (verdict, margin, the finite-difference cross-check's
+  relative error and the equilibrium residual) and the stiffness-matrix
+  eigenvalues on stdout.
 * ``gen-emg`` — synthesize a deterministic sEMG trace from an activation
   profile.
 
@@ -128,6 +130,8 @@ def _cmd_analyze_stability(args) -> int:
         f"is_stable={'true' if report.is_stable else 'false'}",
         f"margin={repr(float(report.margin))}",
         f"diagnostic_mismatch={'true' if report.diagnostic_mismatch else 'false'}",
+        f"crosscheck_rel_err={repr(report.crosscheck_rel_err)}",
+        f"equilibrium_residual={repr(report.equilibrium_residual)}",
     ]
     for i, ev in enumerate(report.eigenvalues):
         lines.append(f"eig{i}={repr(float(ev))}")

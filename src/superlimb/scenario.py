@@ -34,7 +34,7 @@ from .emg import (
     load_motion_csv,
     load_trace_csv,
 )
-from .errors import MissingFile, ParseError, SuperlimbError, ValidationError
+from .errors import BadModel, MissingFile, ParseError, SuperlimbError, ValidationError
 from .plant import AXES, Chain, Joint, PlantModel
 from .stability import POSTURES, SupportPosture, named_posture  # noqa: F401
 from .stiffness import FrictionModel, default_stiffness_table
@@ -264,6 +264,8 @@ class ControllerConfig:
         m = len(self.components)
         if not m:
             raise ValidationError("must not be empty", "components")
+        if len(set(self.components)) != m:
+            raise ValidationError("must be distinct", "components")
         if self.table is None:
             object.__setattr__(self, "table", default_stiffness_table(m))
         if len(self.table) != 4:
@@ -378,12 +380,21 @@ def _auto_or_list(value, path: str) -> np.ndarray | None:
     return _num_list(value, path)
 
 
+def _check_link(model: PlantModel, chain: str, joint: int | None, path: str):
+    """``chain`` is a chain of ``model`` and ``joint`` one of its joints."""
+    if chain not in [c.name for c in model.chains]:
+        raise ParseError(f"{path}.chain", f"unknown chain {chain!r}")
+    try:
+        model.link_index(chain, joint)
+    except BadModel as exc:
+        raise ParseError(f"{path}.joint", exc.reason) from exc
+
+
 def _parse_contact(data, model: PlantModel, path: str = "contact") -> ContactConfig:
     values = _fields(data, path, _CONTACT)
     motion = values.pop("motion", ContactConfig.motion)
     spec = _build(ContactSpec, path, _CONTACT, values)
-    if spec.chain not in [c.name for c in model.chains]:
-        raise ParseError(f"{path}.chain", f"unknown chain {spec.chain!r}")
+    _check_link(model, spec.chain, spec.joint, path)
     if motion.kind == "triangle" and motion.axis not in spec.directions:
         raise ParseError(
             f"{path}.motion.axis",
@@ -416,8 +427,7 @@ def _parse_controller(
     values = _fields(data, path, schema)
     # limb chains come first, so the first chain is the limb if there is one
     chain = values.setdefault("chain", model.chains[0].name)
-    if chain not in [c.name for c in model.chains]:
-        raise ParseError(f"{path}.chain", f"unknown chain {chain!r}")
+    _check_link(model, chain, values.get("joint"), path)
     panel_mass = values.pop("panel_mass", None)
     if panel_mass is not None and "f_gravity" in values:
         raise ParseError(

@@ -12,10 +12,11 @@ has Hessian
 with E_z the Hessian of the CoM height, J = dq/dp and H_i the Hessian of
 the i-th joint coordinate, all evaluated at the equilibrium pose.  The
 posture is stable in the quasi-static sense iff K_p is positive
-semidefinite.  This module assembles K_p term by term, certifies it
-against the finite-difference Hessian of U (the two must agree at an
-equilibrium), and can search for the minimal uniform servo stiffness that
-renders an unstable posture stable.
+semidefinite.  This module assembles K_p term by term, from closed-form
+Hessians where the posture supplies them and finite differences
+otherwise, certifies it against the finite-difference Hessian of U (the
+two must agree at an equilibrium), and solves for the minimal uniform
+servo stiffness that renders an unstable posture stable.
 
 The pose vector is treated generically (any dimension); the overhead
 support postures used by the CLI are 6-dimensional (3 translations, 3
@@ -32,10 +33,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import (
     DimensionMismatch,
     IkFailure,
+    NonFinite,
     NotSymmetric,
     RankDeficient,
     SuperlimbError,
@@ -48,7 +51,6 @@ from .plant import GRAVITY
 RESIDUAL_TOL = 1e-6
 PSD_TOL_FACTOR = 1e-8
 CROSSCHECK_RTOL = 1e-3
-BISECTION_TOL = 1e-6
 DEFAULT_ALPHA_MAX = 1e6
 
 
@@ -63,8 +65,11 @@ class SupportPosture:
 
     ik_map sends a body pose to the support-chain joint vector; z_of_p
     sends a pose to the body CoM height.  Both only need to be evaluable
-    in a neighborhood of p_bar.  An analytic Jacobian of ik_map may be
-    supplied via ik_jac; otherwise finite differences are used.
+    in a neighborhood of p_bar.  Analytic derivatives may be supplied: the
+    Jacobian of ik_map via ik_jac, the Hessian of z_of_p via z_hess
+    (n_pose, n_pose) and the Hessians of the joint coordinates via ik_hess
+    (n_joint, n_pose, n_pose); finite differences stand in for any that
+    is not given.
     """
 
     p_bar: np.ndarray
@@ -75,6 +80,8 @@ class SupportPosture:
     ik_map: Callable[[np.ndarray], np.ndarray]
     z_of_p: Callable[[np.ndarray], float]
     ik_jac: Callable[[np.ndarray], np.ndarray] | None = None
+    z_hess: Callable[[np.ndarray], np.ndarray] | None = None
+    ik_hess: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         p = np.atleast_1d(np.asarray(self.p_bar, dtype=float))
@@ -127,6 +134,10 @@ def _identity_jac(p) -> np.ndarray:
     return np.eye(6)
 
 
+def _zero_ik_hess(p) -> np.ndarray:
+    return np.zeros((6, 6, 6))
+
+
 def _weight_on_z(mass: float) -> np.ndarray:
     tau = np.zeros(6)
     tau[2] = mass * GRAVITY
@@ -143,12 +154,20 @@ def _rigid_panel(tilt_stiffness, com_side: float):
     def build(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
         kt = tilt_stiffness(k)
         offset = com_side * r
+
+        def z_hess(p):
+            c3, s3, c4, s4 = math.cos(p[3]), math.sin(p[3]), math.cos(p[4]), math.sin(p[4])
+            h = np.zeros((6, 6))
+            h[3, 3] = h[4, 4] = -offset * c3 * c4
+            h[3, 4] = h[4, 3] = offset * s3 * s4
+            return h
+
         return SupportPosture(
             p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=_weight_on_z(mass),
             k_q=np.diag([k, k, k, kt, kt, kt]), mass=mass,
             ik_map=_identity_ik,
             z_of_p=lambda p: float(p[2]) + offset * math.cos(p[3]) * math.cos(p[4]),
-            ik_jac=_identity_jac,
+            ik_jac=_identity_jac, z_hess=z_hess, ik_hess=_zero_ik_hess,
         )
 
     return build
@@ -162,6 +181,7 @@ def _posture_cradle(mass: float, k: float, r: float, gamma: float) -> SupportPos
         p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=np.zeros(6),
         k_q=np.diag([0.01 * k] * 6), mass=mass, ik_map=_identity_ik,
         z_of_p=lambda p: 0.5 * a * (p[0] ** 2 + p[1] ** 2), ik_jac=_identity_jac,
+        z_hess=lambda p: np.diag([a, a, 0.0, 0.0, 0.0, 0.0]), ik_hess=_zero_ik_hess,
     )
 
 
@@ -179,10 +199,16 @@ def _posture_toggle(mass: float, k: float, r: float, gamma: float) -> SupportPos
         j[2, 4] = 2.0 * gamma * p[4]
         return j
 
+    def ik_hess(p):
+        h = np.zeros((6, 6, 6))
+        h[2, 3, 3] = h[2, 4, 4] = 2.0 * gamma
+        return h
+
     return SupportPosture(
         p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=_weight_on_z(mass),
         k_q=np.diag([k, k, k, 2.0, 2.0, 2.0]), mass=mass,
         ik_map=ik, z_of_p=lambda p: float(p[2]), ik_jac=jac,
+        z_hess=lambda p: np.zeros((6, 6)), ik_hess=ik_hess,
     )
 
 
@@ -212,13 +238,17 @@ def named_posture(
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """PSD verdict on the assembled posture stiffness matrix."""
+    """PSD verdict on the assembled posture stiffness matrix, with the
+    relative error of the finite-difference cross-check and the inf-norm
+    of the equilibrium residual (N) it was certified at."""
 
     k_p: np.ndarray
     eigenvalues: np.ndarray
     is_stable: bool
     margin: float
     diagnostic_mismatch: bool = False
+    crosscheck_rel_err: float = math.nan
+    equilibrium_residual: float = math.nan
 
     def __post_init__(self):
         k = np.atleast_2d(np.asarray(self.k_p, dtype=float))
@@ -302,20 +332,40 @@ def potential(posture: SupportPosture, p: np.ndarray) -> float:
     )
 
 
+def _closure_hessian(closure, name: str, p: np.ndarray, shape: tuple) -> np.ndarray:
+    """A posture's analytic Hessian closure at p, shape-checked, finite
+    and symmetrized in its last two axes."""
+    h = np.asarray(closure(p), dtype=float)
+    if h.shape != shape:
+        raise DimensionMismatch(f"{name} must return shape {shape}, got {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise NonFinite(f"{name} returned NaN/Inf at p={np.asarray(p)}")
+    return 0.5 * (h + np.swapaxes(h, -1, -2))
+
+
 def hessian_ez(posture: SupportPosture, p: np.ndarray) -> np.ndarray:
-    """Hessian of the CoM height with respect to the pose (symmetrized)."""
-    return finite_diff_hessian(lambda pp: _z(posture, pp), np.asarray(p, dtype=float))
+    """Hessian of the CoM height with respect to the pose (symmetrized):
+    the posture's ``z_hess`` if it has one, else finite differences."""
+    p = np.asarray(p, dtype=float)
+    if posture.z_hess is not None:
+        n = posture.n_pose
+        return _closure_hessian(posture.z_hess, "z_hess", p, (n, n))
+    return finite_diff_hessian(lambda pp: _z(posture, pp), p)
 
 
 def hessian_qi(posture: SupportPosture, p: np.ndarray, i: int) -> np.ndarray:
-    """Hessian of the i-th support joint coordinate with respect to the pose."""
+    """Hessian of the i-th support joint coordinate with respect to the
+    pose: from the posture's ``ik_hess`` if it has one, else finite
+    differences."""
     if not (0 <= i < posture.n_joint):
         raise DimensionMismatch(
             f"joint index {i} out of range for {posture.n_joint} joints"
         )
-    return finite_diff_hessian(
-        lambda pp: float(_ik(posture, pp)[i]), np.asarray(p, dtype=float)
-    )
+    p = np.asarray(p, dtype=float)
+    if posture.ik_hess is not None:
+        n = posture.n_pose
+        return _closure_hessian(posture.ik_hess, "ik_hess", p, (posture.n_joint, n, n))[i]
+    return finite_diff_hessian(lambda pp: float(_ik(posture, pp)[i]), p)
 
 
 def _base_stiffness(posture: SupportPosture) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +393,8 @@ def stiffness_matrix_kp(posture: SupportPosture) -> StabilityReport:
     1e-6 N with no human force).  The analytic assembly is cross-checked
     against the finite-difference Hessian of the potential; disagreement
     beyond 0.1% relative raises a DiagnosticMismatch warning and flags the
-    report, since at a true equilibrium the two are the same matrix.
+    report, since at a true equilibrium the two are the same matrix.  The
+    report carries that relative error and the residual.
     """
     res = equilibrium_residual(posture, np.zeros(posture.n_pose))
     res_inf = float(np.max(np.abs(res))) if res.size else 0.0
@@ -354,12 +405,12 @@ def stiffness_matrix_kp(posture: SupportPosture) -> StabilityReport:
     k_p = _assemble_kp(posture)
     fd = finite_diff_hessian(lambda pp: potential(posture, pp), posture.p_bar)
     denom = max(np.max(np.abs(k_p)), np.max(np.abs(fd)), 1e-30)
-    mismatch = False
-    if denom > 1e-9 and np.max(np.abs(k_p - fd)) / denom > CROSSCHECK_RTOL:
-        mismatch = True
+    rel_err = float(np.max(np.abs(k_p - fd)) / denom)
+    mismatch = denom > 1e-9 and rel_err > CROSSCHECK_RTOL
+    if mismatch:
         warnings.warn(
             "assembled stiffness disagrees with the potential Hessian "
-            f"(rel err {np.max(np.abs(k_p - fd)) / denom:.3e})",
+            f"(rel err {rel_err:.3e})",
             DiagnosticMismatch,
             stacklevel=2,
         )
@@ -372,6 +423,8 @@ def stiffness_matrix_kp(posture: SupportPosture) -> StabilityReport:
         is_stable=is_stable,
         margin=float(min_eig),
         diagnostic_mismatch=mismatch,
+        crosscheck_rel_err=rel_err,
+        equilibrium_residual=res_inf,
     )
 
 
@@ -384,9 +437,11 @@ def stabilizing_servo_stiffness(
 
     Finds the smallest alpha such that replacing the servo stiffness by
     alpha*I makes the posture stiffness PSD with min eigenvalue >= margin.
-    The min-eigenvalue of base + alpha J'J is nondecreasing in alpha, so a
-    plain bisection converges; the returned value certifies the condition
-    (it is the feasible end of the final bracket).
+    That is base + alpha J'J - margin I >= 0, so alpha is the largest
+    eigenvalue of the symmetric-definite pencil (margin I - base, J'J)
+    (zero if that is negative).  The returned value certifies the
+    condition: where roundoff leaves the min eigenvalue a hair below the
+    margin, alpha is stepped up by a few ulps until it is met.
     """
     if not (0.0 <= margin < np.inf):
         raise ValidationError(f"margin must be finite and >= 0, got {margin}")
@@ -398,21 +453,14 @@ def stabilizing_servo_stiffness(
         raise RankDeficient(
             "servo stiffness cannot act on all pose directions (J'J singular)"
         )
-
-    def min_eig(alpha: float) -> float:
-        return float(np.linalg.eigvalsh(base + alpha * jtj)[0])
-
-    if min_eig(0.0) >= margin:
-        return 0.0
-    if min_eig(alpha_max) < margin:
+    need = margin * np.eye(posture.n_pose) - base
+    alpha = max(0.0, float(eigh(need, jtj, eigvals_only=True)[-1]))
+    step = float(np.spacing(max(alpha, 1.0)))
+    while alpha <= alpha_max and np.linalg.eigvalsh(base + alpha * jtj)[0] < margin:
+        alpha += step
+        step *= 2.0
+    if not alpha <= alpha_max:  # NaN alpha_max too
         raise Unachievable(
             f"no alpha <= {alpha_max:g} reaches stability margin {margin:g}"
         )
-    lo, hi = 0.0, alpha_max
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if min_eig(mid) >= margin:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return alpha

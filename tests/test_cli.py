@@ -246,6 +246,26 @@ def test_analyze_stability_rescue(capsys):
     assert float(kv["servo_alpha"]) == pytest.approx(4.0 * 9.81 * 0.3 + 1.0, abs=2e-6)
 
 
+def test_analyze_stability_reports_crosscheck_and_residual(capsys):
+    code, out, _ = run_cli(
+        ["analyze-stability", "--config", scenario_path("posture_inverted.json"),
+         "--servo-margin", "1.0"],
+        capsys,
+    )
+    assert code == 0
+    keys = [line.split("=", 1)[0] for line in out.splitlines()]
+    at = keys.index("diagnostic_mismatch")
+    assert keys[at + 1:at + 3] == ["crosscheck_rel_err", "equilibrium_residual"]
+    assert keys[:at + 1] == ["posture", "mass", "is_stable", "margin", "diagnostic_mismatch"]
+    assert keys[at + 3:] == [f"eig{i}" for i in range(6)] + ["servo_alpha"]
+    kv = parse_kv(out)
+    assert 0.0 <= float(kv["crosscheck_rel_err"]) < 1e-3
+    assert 0.0 <= float(kv["equilibrium_residual"]) < 1e-6
+    # the margin and the rescue are closed forms, not approximations
+    assert float(kv["margin"]) == pytest.approx(-4.0 * 9.81 * 0.3, rel=1e-12)
+    assert float(kv["servo_alpha"]) == pytest.approx(4.0 * 9.81 * 0.3 + 1.0, rel=1e-12)
+
+
 def test_analyze_stability_missing_section(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"posture": "column"}))
@@ -380,5 +400,19 @@ def test_run_unallocatable_step_count_exits_1(tmp_path, capsys, key, value):
     code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 1
     assert err.startswith("error: sim.")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_repeated_controller_component_exits_1(tmp_path, capsys):
+    with open(scenario_path("static_hold.json")) as fh:
+        data = json.load(fh)
+    data["controller"]["components"] = ["z", "z"]
+    cfg = tmp_path / "twice.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: controller.components: must be distinct")
     assert "Traceback" not in err
     assert not out.exists()

@@ -1,6 +1,6 @@
 """Scenario schemas: defaults and invariants owned by the section types,
-the sEMG settings checked against their source at load, and a parse-level
-fuzz test over the bundled scenarios."""
+the sEMG settings and chain links checked against their source at load,
+and a parse-level fuzz test over the bundled scenarios."""
 
 import copy
 import json
@@ -140,3 +140,32 @@ def test_parse_fuzz_raises_only_superlimb_errors(name):
                 pass
             except Exception as exc:  # noqa: BLE001 - the escape under test
                 pytest.fail(f"{where} = {value!r}: {type(exc).__name__}: {exc}")
+
+
+# --- controller components and chain links are checked at load ------------------
+
+
+def static_hold() -> dict:
+    with open(scenario_path("static_hold.json")) as fh:
+        return json.load(fh)
+
+
+def test_controller_components_must_be_distinct():
+    with pytest.raises(ValidationError) as exc:
+        ControllerConfig(chain="arm", components=("z", "z"))
+    assert exc.value.key == "components"
+    data = static_hold()
+    data["controller"]["components"] = ["z", "z"]
+    expect_key(data, "controller.components", "must be distinct")
+
+
+@pytest.mark.parametrize("joint", [7, 3, -1])
+@pytest.mark.parametrize("section", ["contact", "controller"])
+def test_link_joint_checked_against_chain(section, joint):
+    data = static_hold()  # its arm has joints 0..2
+    data[section]["joint"] = joint
+    expect_key(data, f"{section}.joint", f"no joint index {joint}")
+    data[section]["joint"] = 2  # the arm's last joint parses
+    scenario = parse_scenario(data)
+    parsed = scenario.contact.spec if section == "contact" else scenario.controller
+    assert parsed.joint == 2

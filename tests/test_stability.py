@@ -1,5 +1,6 @@
 """Tests for the quasi-static posture stability certification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,14 +15,19 @@ from superlimb.errors import (
     ValidationError,
 )
 from superlimb.scenario import POSTURES, build_posture
+from superlimb.numerics import finite_diff_hessian
 from superlimb.stability import (
+    CROSSCHECK_RTOL,
     GRAVITY,
+    RESIDUAL_TOL,
     DiagnosticMismatch,
     StabilityReport,
     SupportPosture,
+    _base_stiffness,
     equilibrium_residual,
     hessian_ez,
     hessian_qi,
+    named_posture,
     potential,
     stabilizing_servo_stiffness,
     stiffness_matrix_kp,
@@ -295,3 +301,132 @@ def test_toggle_uses_gamma():
     rep = stiffness_matrix_kp(named("toggle_mount", gamma=0.01))
     assert rep.margin == pytest.approx(2.0 - 2 * 0.01 * MG, rel=1e-6)
     assert rep.is_stable  # small coupling no longer eats the servo stiffness
+
+
+# --- analytic Hessians and the closed-form rescue -------------------------------
+
+PARITY = {"mass": 7.0, "k": 150.0, "r": 0.5, "gamma": 0.2}
+HESSIAN_POINTS = {
+    "defaults": ({}, None),
+    "parity": (PARITY, None),
+    "off-equilibrium": ({}, 7),
+}
+
+
+@pytest.mark.parametrize("point", HESSIAN_POINTS)
+@pytest.mark.parametrize("name", sorted(POSTURES))
+def test_named_posture_hessians_match_finite_differences(name, point):
+    params, seed = HESSIAN_POINTS[point]
+    posture = named_posture(name, **params)
+    assert posture.z_hess is not None and posture.ik_hess is not None
+    p = posture.p_bar
+    if seed is not None:
+        p = p + np.random.default_rng(seed).uniform(-0.2, 0.2, posture.n_pose)
+    pairs = [(hessian_ez(posture, p), finite_diff_hessian(posture.z_of_p, p))]
+    for i in range(posture.n_joint):
+        pairs.append((hessian_qi(posture, p, i),
+                      finite_diff_hessian(lambda pp, i=i: posture.ik_map(pp)[i], p)))
+    for analytic, fd in pairs:
+        scale = max(1.0, float(np.max(np.abs(analytic))))
+        np.testing.assert_allclose(analytic, fd, rtol=0.0, atol=1e-6 * scale)
+
+
+def test_planted_z_hess_error_is_flagged():
+    good = named("hanging_panel")
+    bad = dataclasses.replace(good, z_hess=lambda p: 2.0 * good.z_hess(p))
+    with pytest.warns(DiagnosticMismatch):
+        rep = stiffness_matrix_kp(bad)
+    assert rep.diagnostic_mismatch
+    assert rep.crosscheck_rel_err > CROSSCHECK_RTOL
+
+
+def test_hessian_closure_shapes_are_checked():
+    toggle = named("toggle_mount")
+    bad_ik = dataclasses.replace(toggle, ik_hess=lambda p: np.zeros((6, 6)))
+    with pytest.raises(DimensionMismatch, match="ik_hess"):
+        hessian_qi(bad_ik, bad_ik.p_bar, 2)
+    with pytest.raises(DimensionMismatch, match="ik_hess"):
+        stiffness_matrix_kp(bad_ik)
+    bad_z = dataclasses.replace(toggle, z_hess=lambda p: np.zeros((5, 5)))
+    with pytest.raises(DimensionMismatch, match="z_hess"):
+        stabilizing_servo_stiffness(bad_z, margin=1.0)
+
+
+def closed_form(name, mass=4.0, k=400.0, r=0.3, gamma=0.5):
+    """(K_p diagonal, servo-free base diagonal) of a named posture at its
+    equilibrium, where each has J = I and diagonal Hessians."""
+    mg = mass * GRAVITY
+    tilt = {"column": 0.0, "hanging_panel": mg * r, "inverted_panel": -mg * r,
+            "cradle": 0.0, "toggle_mount": -2.0 * gamma * mg}[name]
+    curv = mg * 2.0 / r if name == "cradle" else 0.0
+    base = np.array([curv, curv, 0.0, tilt, tilt, 0.0])
+    k_q = {"column": [k] * 3 + [0.2 * k] * 3, "hanging_panel": [k] * 3 + [1.0] * 3,
+           "inverted_panel": [k] * 3 + [0.0] * 3, "cradle": [0.01 * k] * 6,
+           "toggle_mount": [k] * 3 + [2.0] * 3}[name]
+    return base + np.array(k_q), base
+
+
+@pytest.mark.parametrize("params", [{}, PARITY], ids=["defaults", "parity"])
+@pytest.mark.parametrize("name", sorted(POSTURES))
+def test_margin_and_servo_alpha_are_closed_forms(name, params):
+    posture = named_posture(name, **params)
+    kp, base = closed_form(name, **params)
+    rep = stiffness_matrix_kp(posture)
+    assert rep.margin == pytest.approx(np.min(kp), rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(rep.eigenvalues, np.sort(kp), rtol=1e-12, atol=1e-12)
+    assert not rep.diagnostic_mismatch
+    assert rep.crosscheck_rel_err < CROSSCHECK_RTOL
+    assert rep.equilibrium_residual <= RESIDUAL_TOL
+    margin = 1.5
+    alpha = stabilizing_servo_stiffness(posture, margin=margin)
+    expected = max(0.0, margin - np.min(base))
+    assert alpha == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    # the returned value certifies itself, with no tolerance
+    servo_free, jac = _base_stiffness(posture)
+    assert np.linalg.eigvalsh(servo_free + alpha * jac.T @ jac)[0] >= margin
+
+
+def test_closed_form_rescue_matches_bisection_on_a_generic_posture():
+    # linear ik with a non-orthogonal Jacobian (J'J != I) and a CoM height
+    # that is a concave quadratic; no Hessian closures, so the assembly
+    # runs on finite differences
+    jac = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.3], [0.2, 0.0, 1.5]])
+    curv = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])
+    mass = 1.5
+    posture = SupportPosture(
+        p_bar=np.zeros(3), q_bar=np.zeros(3), tau_bar=np.zeros(3),
+        k_q=np.eye(3), mass=mass,
+        ik_map=lambda p: jac @ np.asarray(p, float),
+        z_of_p=lambda p: -0.5 * float(p @ curv @ p),
+        ik_jac=lambda p: jac,
+    )
+    margin = 0.8
+    alpha = stabilizing_servo_stiffness(posture, margin=margin)
+
+    base, jtj = -mass * GRAVITY * curv, jac.T @ jac
+
+    def reaches(a):
+        return np.linalg.eigvalsh(base + a * jtj)[0] >= margin
+
+    lo, hi = 0.0, 1e4
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+    assert alpha == pytest.approx(hi, rel=1e-6)
+
+
+def test_servo_alpha_certifies_itself_over_a_seeded_grid():
+    # on some grid points the closed-form alpha falls a few ulps short of
+    # the margin in roundoff; the returned value must still certify
+    rng = np.random.default_rng(5)
+    for t in range(50):
+        name = sorted(POSTURES)[t % 5]
+        params = {"mass": rng.uniform(2.0, 6.0), "k": rng.uniform(200.0, 800.0),
+                  "r": rng.uniform(0.1, 0.5), "gamma": rng.uniform(0.2, 1.0)}
+        margin = float(rng.uniform(0.5, 5.0))
+        posture = named_posture(name, **params)
+        alpha = stabilizing_servo_stiffness(posture, margin=margin)
+        _, base = closed_form(name, **params)
+        assert alpha == pytest.approx(max(0.0, margin - np.min(base)), rel=1e-12)
+        servo_free, jac = _base_stiffness(posture)
+        assert np.linalg.eigvalsh(servo_free + alpha * jac.T @ jac)[0] >= margin
