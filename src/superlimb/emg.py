@@ -39,6 +39,8 @@ from .errors import (
 DEFAULT_BAND = (20.0, 450.0)
 DEFAULT_FS = 1000.0
 DEFAULT_WINDOW = 0.1
+#: filtfilt's default edge padding of the band-pass biquad: 3 x its 3 coefficients
+FILTER_PAD = 9
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,12 @@ def check_window(window: float, fs: float, key: str | None = None):
         )
 
 
+def check_samples(n: int, key: str | None = None):
+    """A trace to band-pass must be longer than the filter's edge padding."""
+    if not n > FILTER_PAD:
+        raise ValidationError(f"trace too short to filter ({n} samples)", key)
+
+
 def check_gate(threshold: float, hysteresis: float, key: str | None = None):
     """The motion gate needs threshold > hysteresis >= 0."""
     if not (threshold > hysteresis >= 0.0):
@@ -147,12 +155,8 @@ def bandpass(trace: EmgTrace, f_lo: float, f_hi: float) -> EmgTrace:
     """Zero-phase band-pass: one second-order (biquad) Butterworth section
     applied forward and backward.  Rejects DC exactly."""
     check_band(f_lo, f_hi, trace.fs)
+    check_samples(trace.n_samples)
     b, a = butter(1, [f_lo, f_hi], btype="bandpass", fs=trace.fs)
-    pad = 3 * max(len(a), len(b))  # filtfilt's default edge padding
-    if trace.n_samples <= pad:
-        raise ValidationError(
-            f"trace too short to filter ({trace.n_samples} samples)"
-        )
     return _map_channels(trace, lambda s: filtfilt(b, a, s))
 
 
@@ -285,6 +289,8 @@ class ActivationProfile:
             raise ValidationError(f"fs must be finite and positive, got {self.fs}")
         if not (0.0 < self.duration < math.inf):
             raise ValidationError(f"duration must be finite and positive, got {self.duration}")
+        if not math.isfinite(self.duration * self.fs):
+            raise ValidationError(f"gives no finite sample count at fs={self.fs}", "duration")
         if not self.steps:
             raise ValidationError("steps must not be empty")
         prev = -math.inf
@@ -294,6 +300,10 @@ class ActivationProfile:
             prev = t
             if not (0.0 <= level <= 1.0):
                 raise ValidationError(f"steps[{i}]: level must be in [0,1], got {level}")
+
+    @property
+    def n_samples(self) -> int:
+        return int(round(self.duration * self.fs))
 
     def sample(self, t: np.ndarray) -> np.ndarray:
         times, levels = zip(*self.steps)
@@ -327,9 +337,10 @@ class EmgConfig:
             return
         if (self.trace is None) == (self.profile is None):
             raise ValidationError("give exactly one of 'trace' or 'profile'")
-        fs = (self.profile if self.trace is None else self.trace).fs
-        check_band(*self.band, fs, "band")
-        check_window(self.window, fs, "window")
+        source = self.profile if self.trace is None else self.trace
+        check_samples(source.n_samples, "profile.duration" if self.trace is None else "trace")
+        check_band(*self.band, source.fs, "band")
+        check_window(self.window, source.fs, "window")
 
 
 # --- whole-trace pipeline -----------------------------------------------------

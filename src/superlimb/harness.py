@@ -37,6 +37,7 @@ from .emg import (
     ActivationProfile,
     EmgTrace,
     bandpass,
+    check_samples,
     envelope,
     rectify,
     run_pipeline,
@@ -80,6 +81,7 @@ def generate_emg(
     mvc_reference: float = 1.0,
     band: tuple[float, float] = DEFAULT_BAND,
     window: float = DEFAULT_WINDOW,
+    path: str = "profile",
 ) -> EmgTrace:
     """Synthesize a single-channel sEMG trace following an activation
     schedule.
@@ -87,18 +89,22 @@ def generate_emg(
     Band-limited zero-mean noise is amplitude-modulated by the profile and
     calibrated through the actual downstream chain (band-pass, rectify,
     moving RMS), so a fully-on segment lands its envelope at
-    ``mvc_reference``.  Identical seeds give identical traces.
+    ``mvc_reference``.  Identical seeds give identical traces.  Errors of
+    the sample count are keyed at ``path``'s duration.
     """
     fs = profile.fs
     if not (0.0 < mvc_reference < np.inf):
         raise ValidationError(f"mvc_reference must be finite and > 0, got {mvc_reference}")
-    n = int(round(profile.duration * fs))
-    if n < 2:
-        raise ValidationError("profile duration too short at this sample rate")
-    t = np.arange(n) / fs
-    levels = profile.sample(t)
+    n = profile.n_samples
+    check_samples(n, f"{path}.duration")
     rng = np.random.default_rng(seed)
-    white = EmgTrace(fs=fs, channels=(("noise", rng.standard_normal(n)),))
+    try:
+        t = np.arange(n) / fs
+        noise = rng.standard_normal(n)
+    except (MemoryError, ValueError) as exc:  # more samples than numpy can allocate
+        raise ParseError(f"{path}.duration", f"{n:.4g} samples do not fit in memory") from exc
+    levels = profile.sample(t)
+    white = EmgTrace(fs=fs, channels=(("noise", noise),))
     carrier = bandpass(white, *band).channels[0][1]
     rms = float(np.sqrt(np.mean(carrier * carrier)))
     if rms <= 0.0:
@@ -303,6 +309,7 @@ def _emg_channel(scenario: Scenario, t_sim: np.ndarray):
             mvc_reference=emg.hill.mvc_reference,
             band=emg.band,
             window=emg.window,
+            path="emg.profile",
         )
     pipe = run_pipeline(
         trace,

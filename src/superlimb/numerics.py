@@ -296,7 +296,7 @@ def psd_check(m, tol: float) -> tuple[bool, float]:
         raise NotSymmetric(
             f"asymmetry {np.max(np.abs(a - a.T)):.3e} exceeds tol {tol:.3e}"
         )
-    sym = 0.5 * (a + a.T)
+    sym = _as_matrix(0.5 * (a + a.T), "m")  # a + a.T can overflow
     eigs = np.linalg.eigvalsh(sym)
     min_eig = float(eigs[0])
     return min_eig >= -float(tol), min_eig

@@ -37,7 +37,7 @@ from .emg import (
 from .errors import BadModel, MissingFile, ParseError, SuperlimbError, ValidationError
 from .plant import AXES, Chain, Joint, PlantModel
 from .stability import POSTURES, SupportPosture, named_posture  # noqa: F401
-from .stiffness import FrictionModel, default_stiffness_table
+from .stiffness import FrictionModel, check_level, check_table, default_stiffness_table
 
 # --- JSON type parsers: parse(value, dotted_path) -> value --------------------
 
@@ -266,15 +266,9 @@ class ControllerConfig:
             raise ValidationError("must not be empty", "components")
         if len(set(self.components)) != m:
             raise ValidationError("must be distinct", "components")
-        if self.table is None:
-            object.__setattr__(self, "table", default_stiffness_table(m))
-        if len(self.table) != 4:
-            raise ValidationError("must list exactly 4 levels", "table")
-        for i, k in enumerate(self.table):
-            if np.shape(k) != (m, m):
-                raise ValidationError(f"matrix must be {m}x{m}", f"table[{i}]")
-        if self.level not in (1, 2, 3, 4):
-            raise ValidationError("must be in 1..4", "level")
+        table = default_stiffness_table(m) if self.table is None else self.table
+        object.__setattr__(self, "table", check_table(table, m))
+        check_level(self.level)
         if self.f_gravity is None:
             object.__setattr__(self, "f_gravity", np.zeros(m))
         for name in ("x_eq", "f_gravity", "damping"):
@@ -528,6 +522,11 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
             raise ParseError(
                 "emg.enabled", "needs a 'z' task component for the equilibrium shift"
             )
+    motion = scenario.human_motion
+    if motion.kind == "sine" and not math.isfinite(
+        2.0 * math.pi * motion.frequency * (sim.n_steps * sim.dt) + motion.phase
+    ):
+        raise ParseError("human_motion.frequency", f"gives no finite phase within {sim.duration} s")
     contact = scenario.contact
     if sim.mode == "inverse-dynamics" and contact is not None and contact.motion.kind != "static":
         raise ParseError("sim.mode", "inverse-dynamics mode supports static contacts only")

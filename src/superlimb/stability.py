@@ -98,17 +98,13 @@ class SupportPosture:
             )
         if not (self.mass > 0.0 and np.isfinite(self.mass)):
             raise ValidationError(f"mass must be > 0, got {self.mass}")
-        asym = np.max(np.abs(kq - kq.T)) if kq.size else 0.0
-        if asym > 1e-9 * max(1.0, np.max(np.abs(kq))):
-            raise NotSymmetric("k_q must be symmetric")
-        kq = 0.5 * (kq + kq.T)
         ok, min_eig = psd_check(kq, tol=1e-9 * max(1.0, np.max(np.abs(kq))))
         if not ok:
             raise ValidationError(f"k_q must be PSD (min eigenvalue {min_eig:g})")
         object.__setattr__(self, "p_bar", p)
         object.__setattr__(self, "q_bar", q)
         object.__setattr__(self, "tau_bar", tau)
-        object.__setattr__(self, "k_q", kq)
+        object.__setattr__(self, "k_q", 0.5 * (kq + kq.T))
 
     @property
     def n_pose(self) -> int:
@@ -369,8 +365,8 @@ def hessian_qi(posture: SupportPosture, p: np.ndarray, i: int) -> np.ndarray:
 
 
 def _base_stiffness(posture: SupportPosture) -> tuple[np.ndarray, np.ndarray]:
-    """Servo-free part of K_p, m g E_z - sum_i tau_bar_i H_i (not yet
-    symmetrized), and the ik Jacobian J, both at the equilibrium pose."""
+    """Servo-free part of K_p, m g E_z - sum_i tau_bar_i H_i (exactly
+    symmetric, as each Hessian is), and the ik Jacobian J at p_bar."""
     p = posture.p_bar
     base = posture.mass * GRAVITY * hessian_ez(posture, p)
     for i in range(posture.n_joint):
@@ -414,14 +410,13 @@ def stiffness_matrix_kp(posture: SupportPosture) -> StabilityReport:
             DiagnosticMismatch,
             stacklevel=2,
         )
-    tol = PSD_TOL_FACTOR * np.max(np.abs(k_p)) if k_p.size else 0.0
-    is_stable, min_eig = psd_check(k_p, tol=tol)
+    tol = PSD_TOL_FACTOR * np.max(np.abs(k_p))
     eigs = np.linalg.eigvalsh(k_p)
     return StabilityReport(
         k_p=k_p,
         eigenvalues=eigs,
-        is_stable=is_stable,
-        margin=float(min_eig),
+        is_stable=bool(eigs[0] >= -tol),
+        margin=float(eigs[0]),
         diagnostic_mismatch=mismatch,
         crosscheck_rel_err=rel_err,
         equilibrium_residual=res_inf,
@@ -446,7 +441,6 @@ def stabilizing_servo_stiffness(
     if not (0.0 <= margin < np.inf):
         raise ValidationError(f"margin must be finite and >= 0, got {margin}")
     base, j = _base_stiffness(posture)
-    base = 0.5 * (base + base.T)
     jtj = j.T @ j
     scale = max(np.max(np.abs(jtj)), 1e-30)
     if np.linalg.eigvalsh(jtj)[0] < 1e-12 * scale:

@@ -14,7 +14,7 @@ from operator import mul, sub
 
 import numpy as np
 
-from .errors import BadLevel, DimensionMismatch, SingularStiffness
+from .errors import BadLevel, DimensionMismatch, NotSymmetric, SingularStiffness, ValidationError
 from .numerics import psd_check, svd_pinv
 
 #: velocity deadband separating stuck from moving joints (rad/s)
@@ -29,13 +29,34 @@ def default_stiffness_table(m: int = 2) -> tuple[np.ndarray, ...]:
     return tuple(level * np.eye(m) for level in DEFAULT_LEVELS)
 
 
-def _check_psd(k: np.ndarray, what: str):
+def check_table(table, m: int) -> tuple[np.ndarray, ...]:
+    """The four stiffness levels as float m x m matrices, each symmetric
+    and PSD to 1e-8 max(1, max|K|); errors are keyed ``table`` or
+    ``table[i]``."""
+    if len(table) != 4:
+        raise BadLevel(f"must list exactly 4 levels, got {len(table)}", "table")
+    return tuple(_check_stiffness(k, m, f"table[{i}]") for i, k in enumerate(table))
+
+
+def check_level(level) -> int:
+    """A stiffness level: an integer from 1 to 4, keyed ``level``."""
+    if not isinstance(level, (int, np.integer)) or not 1 <= level <= 4:
+        raise BadLevel(f"must be an integer in 1..4, got {level!r}", "level")
+    return int(level)
+
+
+def _check_stiffness(k, m: int, key: str) -> np.ndarray:
+    k = np.atleast_2d(np.asarray(k, dtype=float))
+    if k.shape != (m, m):
+        raise DimensionMismatch(f"matrix must be {m}x{m}, got {k.shape}", key)
     tol = 1e-8 * max(1.0, float(np.max(np.abs(k))))
-    ok, min_eig = psd_check(k, tol)
+    try:
+        ok, min_eig = psd_check(k, tol)
+    except NotSymmetric as exc:
+        raise ValidationError(f"matrix must be symmetric ({exc})", key) from exc
     if not ok:
-        raise DimensionMismatch(
-            f"{what} must be symmetric PSD (min eigenvalue {min_eig:.3e})"
-        )
+        raise ValidationError(f"matrix must be PSD (min eigenvalue {min_eig:.3e})", key)
+    return k
 
 
 @dataclass(frozen=True)
@@ -51,17 +72,14 @@ class TaskSpaceController:
     damping: np.ndarray | None = None
 
     def __post_init__(self):
-        k = np.atleast_2d(np.asarray(self.k_task, dtype=float))
+        m = len(np.atleast_2d(self.k_task))
+        k = _check_stiffness(self.k_task, m, "k_task")
         x = np.atleast_1d(np.asarray(self.x_eq, dtype=float))
         fg = np.atleast_1d(np.asarray(self.f_gravity, dtype=float))
-        m = k.shape[0]
-        if k.shape != (m, m):
-            raise DimensionMismatch(f"k_task must be square, got {k.shape}")
         if x.shape != (m,) or fg.shape != (m,):
             raise DimensionMismatch("x_eq and f_gravity must match k_task dimension")
-        _check_psd(k, "k_task")
-        if self.level is not None and self.level not in (1, 2, 3, 4):
-            raise BadLevel(f"level must be in 1..4, got {self.level}")
+        if self.level is not None:
+            check_level(self.level)
         d = self.damping
         if d is not None:
             d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -79,29 +97,21 @@ class TaskSpaceController:
         return self.k_task.shape[0]
 
 
-def control_force(ctrl: TaskSpaceController, x, xdot=None, x_eq=None) -> np.ndarray:
+def control_force(ctrl: TaskSpaceController, x, xdot=None) -> np.ndarray:
     """Commanded task force F = K (x_eq - x) + F_gravity.
 
-    ``x_eq`` (default ``ctrl.x_eq``) evaluates the law about a shifted
-    equilibrium point without building and re-validating a new controller.
     When the controller carries a damping vector and ``xdot`` is given, a
     -damping * xdot term is added.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if xv.shape != (ctrl.m,):
         raise DimensionMismatch(f"x must have shape ({ctrl.m},), got {xv.shape}")
-    if x_eq is None:
-        x_eq = ctrl.x_eq
-    else:
-        x_eq = np.atleast_1d(np.asarray(x_eq, dtype=float))
-        if x_eq.shape != (ctrl.m,):
-            raise DimensionMismatch(f"x_eq must have shape ({ctrl.m},), got {x_eq.shape}")
     if ctrl.damping is not None and xdot is not None:
         xd = np.atleast_1d(np.asarray(xdot, dtype=float))
         if xd.shape != (ctrl.m,):
             raise DimensionMismatch(f"xdot must have shape ({ctrl.m},)")
         xdot = xd.tolist()
-    return np.array(_control_force(ctrl, x_eq.tolist(), xv.tolist(), xdot))
+    return np.array(_control_force(ctrl, ctrl.x_eq.tolist(), xv.tolist(), xdot))
 
 
 def _control_force(ctrl: TaskSpaceController, x_eq, x, xdot) -> list[float]:
@@ -117,16 +127,8 @@ def set_stiffness_level(
     ctrl: TaskSpaceController, level: int, table
 ) -> TaskSpaceController:
     """Select one of the four configured stiffness matrices (1-based)."""
-    entries = [np.atleast_2d(np.asarray(k, dtype=float)) for k in table]
-    if len(entries) != 4:
-        raise BadLevel(f"stiffness table must have exactly 4 entries, got {len(entries)}")
-    if not isinstance(level, (int, np.integer)) or not (1 <= level <= 4):
-        raise BadLevel(f"level must be in 1..4, got {level}")
-    for i, k in enumerate(entries):
-        if k.shape != (ctrl.m, ctrl.m):
-            raise DimensionMismatch(f"table entry {i + 1} has shape {k.shape}")
-        _check_psd(k, f"table entry {i + 1}")
-    return replace(ctrl, k_task=entries[level - 1], level=int(level))
+    level = check_level(level)
+    return replace(ctrl, k_task=check_table(table, ctrl.m)[level - 1], level=level)
 
 
 def shift_equilibrium(ctrl: TaskSpaceController, delta_f) -> TaskSpaceController:

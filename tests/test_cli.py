@@ -416,3 +416,51 @@ def test_run_repeated_controller_component_exits_1(tmp_path, capsys):
     assert err.startswith("error: controller.components: must be distinct")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _level_table(i: int, matrix) -> list:
+    """The default diagonal stiffness table with level ``i + 1`` replaced."""
+    table = [[[k, 0.0], [0.0, k]] for k in (100.0, 200.0, 400.0, 800.0)]
+    table[i] = matrix
+    return table
+
+
+@pytest.mark.parametrize("i, matrix", [
+    (1, [[200.0, 50.0], [0.0, 200.0]]),  # the selected level, asymmetric
+    (1, [[200.0, 0.0], [0.0, -5.0]]),  # the selected level, not PSD
+    (0, [[100.0, 50.0], [0.0, 100.0]]),  # a level not selected, asymmetric
+    (3, [[800.0, 0.0], [0.0, -1.0]]),  # a level not selected, not PSD
+])
+def test_run_bad_stiffness_level_exits_1(tmp_path, capsys, i, matrix):
+    with open(scenario_path("static_hold.json")) as fh:
+        data = json.load(fh)  # selects level 2
+    data["controller"]["stiffness_table"] = _level_table(i, matrix)
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: controller.stiffness_table[{i}]: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("fs", 1e308),  # no finite sample count
+    ("duration", 1e308),
+    ("duration", 2**70),  # more samples than numpy can allocate
+    ("duration", 0.008),  # 8 samples: too short to filter
+])
+def test_gen_emg_bad_sample_count_exits_1(tmp_path, capsys, key, value):
+    with open(scenario_path("emg_profile_step.json")) as fh:
+        data = json.load(fh)
+    data[key] = value
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(data))
+    out = tmp_path / "t.csv"
+    code, _, err = run_cli(
+        ["gen-emg", "--profile", str(profile), "--seed", "1", "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: profile.duration: ")
+    assert "Traceback" not in err
+    assert not out.exists()

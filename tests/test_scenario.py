@@ -110,12 +110,12 @@ def test_parse_emg_profile_and_seed_default():
 def test_parse_emg_trace_file(tmp_path):
     trace = tmp_path / "trace.csv"
     trace.write_text("t,ch1\n" + "".join(
-        f"{i / 1000.0},{0.1 * i}\n" for i in range(5)))
+        f"{i / 1000.0},{0.1 * i}\n" for i in range(10)))
     data = base_scenario()
     data["emg"] = {"trace": "trace.csv",
                    "motion": {"steps": [[0.0, 0.0], [1.0, 0.4]]}}
     sc = parse_scenario(data, base_dir=str(tmp_path))
-    assert sc.emg.trace.n_samples == 5
+    assert sc.emg.trace.n_samples == 10
     np.testing.assert_array_equal(sc.emg.motion[1], [0.0, 0.4])
 
 

@@ -1,6 +1,6 @@
 """Scenario schemas: defaults and invariants owned by the section types,
 the sEMG settings and chain links checked against their source at load,
-and a parse-level fuzz test over the bundled scenarios."""
+and parse- and run-level fuzz tests over the bundled scenarios."""
 
 import copy
 import json
@@ -12,6 +12,7 @@ import pytest
 from conftest import desk_arm_dict, scenario_path
 
 from superlimb.errors import ParseError, SuperlimbError, ValidationError
+from superlimb.harness import run_scenario
 from superlimb.plant import Joint
 from superlimb.scenario import (
     ActivationProfile,
@@ -142,6 +143,42 @@ def test_parse_fuzz_raises_only_superlimb_errors(name):
                 pytest.fail(f"{where} = {value!r}: {type(exc).__name__}: {exc}")
 
 
+# --- run-level fuzz: a parsed scenario runs or fails with the package's errors --
+
+# values that fail, if at all, without allocating: no count like 1e6, which
+# could reserve gigabytes on a host that overcommits memory
+RUN_FUZZ_VALUES = [2**70, 1e308, -1e308, 1e-300, 0, -1]
+
+
+@pytest.mark.parametrize("name", ["overhead_sweep", "press_friction", "emg_step",
+                                  "static_hold", "overhead_inverse"])
+def test_run_fuzz_raises_only_superlimb_errors(name):
+    path = scenario_path(f"{name}.json")
+    with open(path) as fh:
+        original = json.load(fh)
+    original["sim"]["duration"] = 0.05
+    base_dir = os.path.dirname(path)
+    numeric = [where for where in json_paths(original) if where != ("sim", "duration")
+               and type(_at(original, where)) in (int, float)]
+    for where in numeric:
+        for value in RUN_FUZZ_VALUES:
+            data = copy.deepcopy(original)
+            node = _at(data, where[:-1])
+            node[where[-1]] = value
+            try:
+                run_scenario(parse_scenario(data, base_dir))
+            except SuperlimbError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the escape under test
+                pytest.fail(f"{where} = {value!r}: {type(exc).__name__}: {exc}")
+
+
+def _at(node, where):
+    for k in where:
+        node = node[k]
+    return node
+
+
 # --- controller components and chain links are checked at load ------------------
 
 
@@ -169,3 +206,83 @@ def test_link_joint_checked_against_chain(section, joint):
     scenario = parse_scenario(data)
     parsed = scenario.contact.spec if section == "contact" else scenario.controller
     assert parsed.joint == 2
+
+
+# --- every stiffness level is checked at load, symmetric and PSD -----------------
+
+
+@pytest.mark.parametrize("matrix, reason", [
+    ([[100.0, 50.0], [0.0, 100.0]], "symmetric"),
+    ([[100.0, 0.0], [0.0, -1.0]], "PSD"),
+])
+@pytest.mark.parametrize("i", [0, 1, 3])  # static_hold selects level 2
+def test_every_stiffness_level_checked_at_load(i, matrix, reason):
+    data = static_hold()
+    table = [[[k, 0.0], [0.0, k]] for k in (100.0, 200.0, 400.0, 800.0)]
+    table[i] = matrix
+    data["controller"]["stiffness_table"] = table
+    expect_key(data, f"controller.stiffness_table[{i}]", reason)
+    with pytest.raises(ValidationError) as exc:
+        ControllerConfig(chain="arm", table=tuple(np.array(k) for k in table))
+    assert exc.value.key == f"table[{i}]"
+
+
+# --- sEMG sources: long enough to filter, a sample count that fits ---------------
+
+
+def test_emg_profile_too_short_to_filter_fails_at_load():
+    data = base_scenario()
+    data["emg"] = {"profile": {"fs": 1000.0, "duration": 0.008, "steps": [[0.0, 0.5]]}}
+    expect_key(data, "emg.profile.duration", "too short to filter (8 samples)")
+    data["emg"]["profile"]["duration"] = 0.01  # 10 samples outlast the padding
+    parse_scenario(data)
+
+
+def test_emg_trace_too_short_to_filter_fails_at_load(tmp_path):
+    def write(n):
+        (tmp_path / "trace.csv").write_text("t,ch1\n" + "".join(
+            f"{i / 1000.0},{0.1 * i}\n" for i in range(n)))
+
+    data = base_scenario()
+    data["emg"] = {"trace": "trace.csv"}
+    write(8)
+    expect_key(data, "emg.trace", "too short to filter (8 samples)", str(tmp_path))
+    write(10)
+    parse_scenario(data, base_dir=str(tmp_path))
+
+
+def emg_step() -> dict:
+    with open(scenario_path("emg_step.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("key", ["fs", "duration"])
+def test_emg_profile_without_finite_sample_count_fails_at_load(key):
+    data = emg_step()
+    data["emg"]["profile"][key] = 1e308
+    expect_key(data, "emg.profile.duration", "no finite sample count")
+
+
+@pytest.mark.parametrize("key", ["fs", "duration"])
+def test_emg_profile_unallocatable_sample_count_fails_keyed(key):
+    data = emg_step()
+    data["sim"]["duration"] = 0.05
+    data["emg"]["profile"][key] = 2**70
+    scenario = parse_scenario(data, os.path.dirname(scenario_path("emg_step.json")))
+    with pytest.raises(ParseError) as exc:
+        run_scenario(scenario)
+    assert exc.value.key == "emg.profile.duration"
+    assert "samples do not fit in memory" in exc.value.reason
+
+
+def test_human_motion_phase_must_stay_finite_within_the_run():
+    with open(scenario_path("overhead_inverse.json")) as fh:
+        data = json.load(fh)
+    data["human_motion"]["frequency"] = 1e308
+    expect_key(data, "human_motion.frequency", "no finite phase")
+    # the same frequency overflows only over a longer run
+    data["human_motion"]["frequency"] = 1e307
+    data["sim"]["duration"] = 1.0
+    parse_scenario(data)
+    data["sim"]["duration"] = 3.0
+    expect_key(data, "human_motion.frequency", "no finite phase")

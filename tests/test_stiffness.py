@@ -1,11 +1,9 @@
 """Tests for task-space impedance commands and joint friction."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from superlimb.errors import BadLevel, DimensionMismatch, SingularStiffness
+from superlimb.errors import BadLevel, DimensionMismatch, SingularStiffness, ValidationError
 from superlimb.stiffness import (
     DEFAULT_LEVELS,
     FrictionModel,
@@ -63,18 +61,6 @@ def test_control_force_no_damping_ignores_velocity():
     ctrl = make_ctrl()
     f0 = control_force(ctrl, ctrl.x_eq, np.array([5.0, 5.0]))
     np.testing.assert_array_equal(f0, ctrl.f_gravity)
-
-
-def test_control_force_shifted_equilibrium_matches_rebuilt_controller():
-    ctrl = make_ctrl(damping=(40.0, 8.0))
-    x, xdot = np.array([0.05, 0.35]), np.array([0.1, -0.2])
-    shifted = ctrl.x_eq + np.array([0.0, 0.03])
-    np.testing.assert_array_equal(
-        control_force(ctrl, x, xdot, x_eq=shifted),
-        control_force(replace(ctrl, x_eq=shifted), x, xdot),
-    )
-    with pytest.raises(DimensionMismatch):
-        control_force(ctrl, x, xdot, x_eq=np.zeros(3))
 
 
 def test_damping_must_be_vector():
@@ -215,3 +201,23 @@ def test_frictionless_spring_is_conservative():
     mid = 0.5 * (forces[1:] + forces[:-1])
     work = float(np.sum(mid * dx))
     assert abs(work) < 1e-10
+
+
+ASYMMETRIC = np.array([[100.0, 50.0], [0.0, 100.0]])
+
+
+def test_controller_rejects_asymmetric_stiffness():
+    with pytest.raises(ValidationError) as exc:
+        make_ctrl(k=ASYMMETRIC)
+    assert exc.value.key == "k_task"
+    assert "symmetric" in exc.value.reason
+
+
+@pytest.mark.parametrize("i", [0, 2])
+def test_set_stiffness_level_rejects_asymmetric_entry(i):
+    table = list(default_stiffness_table())
+    table[i] = ASYMMETRIC
+    with pytest.raises(ValidationError) as exc:
+        set_stiffness_level(make_ctrl(), 1, table)
+    assert exc.value.key == f"table[{i}]"
+
