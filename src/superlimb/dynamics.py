@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import DimensionMismatch, NonFinite, RankDeficient
-from .numerics import QR_RANK_RTOL, dyn_consistent_pinv, lapack_info, qr_full
+from .errors import DimensionMismatch, NonFinite, RankDeficient, SingularWeight
+from .numerics import QR_RANK_RTOL, dyn_consistent_pinv, lapack_info, qr_full, spd_solve
 from .plant import AXES, PlantModel
 
 
@@ -54,7 +54,11 @@ class DynamicsSnapshot:
             )
         if np.abs(a - a.T).max() > 1e-9 * (1.0 + np.abs(a).max()):
             raise DimensionMismatch("a must be symmetric")
-        object.__setattr__(self, "a", 0.5 * (a + a.T))
+        a = 0.5 * (a + a.T)
+        if not np.isfinite(a).all():
+            raise NonFinite("a + a^T overflows")
+        spd_solve(a.tolist(), (), SingularWeight, "a is not positive definite")
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "h_bias", h)
         object.__setattr__(self, "j_c", jc)
         object.__setattr__(self, "qdd", qdd)
@@ -114,24 +118,29 @@ def decouple(snapshot: DynamicsSnapshot) -> DecoupledSolution:
     """Split the required generalized force into joint torques and a
     support force.
 
-    Computes the QR factorization J_c^T = Q [R; 0], solves the
-    unconstrained rows for tau through the inertia-weighted pseudo-inverse,
-    and backs out lambda from the constrained rows.  Raises RankDeficient
-    if J_c loses row rank and SingularWeight if A is not SPD.
+    With J_c^T = Q1 R from ``qr_full`` and b = A qdd + h, one k-by-k solve
+    gives y = (Q1^T A Q1)^-1 Q1^T A b; then lambda = R^-1 y and
+    tau = b - Q1 y.  The projector Q1 (Q1^T A Q1)^-1 Q1^T A is I - W^+ W
+    with W = S_kc Q^T and the inertia-weighted W^+ (Mistry, Buchli &
+    Schaal, ICRA 2010), formed without A^-1 or W.  Raises RankDeficient if
+    J_c loses row rank and SingularWeight if Q1^T A Q1 is not SPD.
     """
     n, k = snapshot.n, snapshot.k
     fact = qr_full(snapshot.j_c.T)
-    q, r = fact.q, fact.r
+    q1, r = fact.q[:, :k], fact.r
     b = snapshot.a @ snapshot.qdd + snapshot.h_bias
     if k == n:
         n_kc = np.eye(n)
         tau = np.zeros(n)
+        y = q1.T @ b
     else:
-        w = q[:, k:].T  # S_kc Q^T: the unconstrained rows
-        w_pinv = dyn_consistent_pinv(w, snapshot.a)
-        n_kc = np.eye(n) - w_pinv @ w
-        tau = w_pinv @ (w @ b)
-    lam = _solve_r(r, q[:, :k].T @ (n_kc @ b))
+        q1t_a = q1.T @ snapshot.a
+        g = np.array(spd_solve((q1t_a @ q1).tolist(), q1t_a.T.tolist(), SingularWeight,
+                               "q1^T a q1 is not positive definite")).T
+        n_kc = q1 @ g
+        y = g @ b
+        tau = b - q1 @ y
+    lam = _solve_r(r, y)
     residual = b - tau - snapshot.j_c.T @ lam
     return DecoupledSolution(
         tau=tau,

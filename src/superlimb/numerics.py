@@ -1,14 +1,13 @@
 """Dense linear-algebra kernels used by the rest of the library.
 
-Thin, contract-checked wrappers around LAPACK: full QR with a fixed sign
-convention and the inertia-weighted (dynamically consistent)
-pseudo-inverse call the routines directly, so a 4x4 problem costs little
-more than the factorizations themselves; the SVD pseudo-inverse,
-finite-difference derivatives and the positive-semidefiniteness test go
-through numpy.  Every LAPACK ``info`` is checked and mapped to a
-NumericError.  Everything operates on plain float ndarrays, except the
-small positive definite solve that the simulator's step loop runs on
-Python float lists; all functions are pure.
+Thin, contract-checked wrappers: full QR with a fixed sign convention
+calls LAPACK directly, so a 4x4 problem costs little more than the
+factorization itself, and every LAPACK ``info`` is checked and mapped to a
+NumericError.  The one Cholesky, ``spd_solve``, runs on Python float lists
+(the simulator's step loop calls it); the inertia-weighted (dynamically
+consistent) pseudo-inverse solves through it.  The SVD pseudo-inverse,
+finite-difference derivatives and the eigenvalue tests go through numpy.
+Everything else operates on plain float ndarrays; all functions are pure.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from operator import mul
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dorgqr, dpotrf, dpotrs, dsyevd
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import (
     DimensionMismatch,
@@ -60,21 +59,6 @@ def lapack_info(info: int, routine: str, error=NumericError, reason: str = ""):
         raise error(f"{reason} ({routine} info={info})")
     if info < 0:
         raise NumericError(f"{routine}: illegal value in argument {-info}")
-
-
-def cholesky(m: np.ndarray, error, reason: str) -> np.ndarray:
-    """Upper Cholesky factor of a symmetric matrix for ``cholesky_solve``;
-    raises ``error`` with ``reason`` when it is not positive definite."""
-    c, info = dpotrf(m, lower=0, clean=0)
-    lapack_info(info, "dpotrf", error, reason)
-    return c
-
-
-def cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve m x = b given the upper Cholesky factor ``c`` of m."""
-    x, info = dpotrs(c, b)
-    lapack_info(info, "dpotrs")
-    return x
 
 
 def spd_solve(m, rhs, error, reason: str) -> list[list[float]]:
@@ -202,24 +186,25 @@ def dyn_consistent_pinv(w, a) -> np.ndarray:
         raise DimensionMismatch(f"weight must be {n}x{n} with n >= 1, got {am.shape}")
     if np.abs(am - am.T).max() > 1e-9 * (1.0 + np.abs(am).max()):
         raise SingularWeight("weight matrix is not symmetric")
-    chol = cholesky(
-        0.5 * (am + am.T), SingularWeight, "weight matrix is not positive definite"
-    )
+    sym = _as_matrix(0.5 * (am + am.T), "a")  # am + am.T can overflow
+    # X = A^-1 W^T, one solve per row of w
+    x = np.array(spd_solve(sym.tolist(), wm.tolist(), SingularWeight,
+                           "weight matrix is not positive definite")).T
     if k == 0:
         return np.zeros((n, 0))
-    # X = A^-1 W^T via two triangular solves
-    x = cholesky_solve(chol, wm.T)
     gram = wm @ x
     gram = 0.5 * (gram + gram.T)
     # gram is symmetric PSD, so its 2-norm condition number is the ratio of
     # its extreme eigenvalues; a non-positive smallest one is singular
-    eig, _, info = dsyevd(gram, compute_v=0)
-    lapack_info(info, "dsyevd", reason="eigenvalues of w a^-1 w^T did not converge")
+    try:
+        eig = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalues of w a^-1 w^T did not converge: {exc}") from exc
     if not eig[0] * GRAM_COND_MAX >= eig[-1] > 0.0:
         raise RankDeficient("w a^-1 w^T is numerically singular")
-    # X gram^-1 = (gram^-1 X^T)^T, gram being symmetric
-    gram_chol = cholesky(gram, RankDeficient, "w a^-1 w^T is not positive definite")
-    return cholesky_solve(gram_chol, x.T).T
+    # the rows of X gram^-1 are gram^-1 times the rows of X, gram being symmetric
+    return np.array(spd_solve(gram.tolist(), x.tolist(), RankDeficient,
+                              "w a^-1 w^T is not positive definite"))
 
 
 def default_fd_step(p0: np.ndarray) -> np.ndarray:

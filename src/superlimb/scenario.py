@@ -523,10 +523,17 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
                 "emg.enabled", "needs a 'z' task component for the equilibrium shift"
             )
     motion = scenario.human_motion
-    if motion.kind == "sine" and not math.isfinite(
-        2.0 * math.pi * motion.frequency * (sim.n_steps * sim.dt) + motion.phase
-    ):
-        raise ParseError("human_motion.frequency", f"gives no finite phase within {sim.duration} s")
+    if motion.kind == "sine":
+        w = 2.0 * math.pi * motion.frequency
+        if not math.isfinite(w * (sim.n_steps * sim.dt) + motion.phase):
+            raise ParseError(
+                "human_motion.frequency", f"gives no finite phase within {sim.duration} s"
+            )
+        # HumanMotion.offsets scales the amplitudes by w and by w^2
+        peak = float(np.abs(motion.amplitude).max())
+        if not math.isfinite(peak * w * w):  # (peak * w) * w: covers the velocity too
+            raise ParseError("human_motion.frequency", f"gives no finite scripted velocity "
+                             f"or acceleration at amplitude {peak:g}")
     contact = scenario.contact
     if sim.mode == "inverse-dynamics" and contact is not None and contact.motion.kind != "static":
         raise ParseError("sim.mode", "inverse-dynamics mode supports static contacts only")

@@ -404,6 +404,22 @@ def test_run_unallocatable_step_count_exits_1(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_run_overflowing_human_motion_exits_1(tmp_path, capsys):
+    # the phase stays finite, but a * (2 pi f)^2 overflows: a config error
+    with open(scenario_path("overhead_inverse.json")) as fh:
+        data = json.load(fh)
+    data["human_motion"]["frequency"] = 1e155
+    data["sim"]["duration"] = 0.05
+    cfg = tmp_path / "fast.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: human_motion.frequency")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_repeated_controller_component_exits_1(tmp_path, capsys):
     with open(scenario_path("static_hold.json")) as fh:
         data = json.load(fh)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from superlimb.dynamics import (
     null_projection,
     selection_matrices,
 )
-from superlimb.errors import DimensionMismatch, NonFinite, NumericError, RankDeficient
+from superlimb.errors import (
+    DimensionMismatch,
+    NonFinite,
+    NumericError,
+    RankDeficient,
+    SingularWeight,
+)
 from superlimb.numerics import qr_full
 
 
@@ -46,6 +53,16 @@ def test_snapshot_validation(rng):
                          j_c=np.ones((1, 3)), qdd=np.zeros(3))
     with pytest.raises(DimensionMismatch):
         DynamicsSnapshot(a=a, h_bias=np.zeros(3), j_c=np.ones((4, 3)), qdd=np.zeros(3))
+
+
+@pytest.mark.parametrize("a,error", [
+    (np.diag([1.0, -1.0, 1.0]), SingularWeight),  # indefinite
+    (np.diag([1.0, 1.0, 0.0]), SingularWeight),  # singular
+    (np.diag([1.7e308, 1.0, 1.0]), NonFinite),  # a + a^T overflows
+])
+def test_snapshot_rejects_weight_that_is_not_positive_definite(a, error):
+    with pytest.raises(error):
+        DynamicsSnapshot(a=a, h_bias=np.zeros(3), j_c=np.ones((1, 3)), qdd=np.zeros(3))
 
 
 def test_selection_matrices():
@@ -162,6 +179,89 @@ def test_decouple_matches_reference_formulas(desk_model, rng):
         for value, ref in zip(got, reference_decouple(snap)):
             bound = 1e-12 * (1.0 + np.max(np.abs(ref)))
             assert np.max(np.abs(value - ref)) <= bound
+
+
+def exact_decouple(snap):
+    """(lambda, tau, b) of ``decouple`` in exact rationals, from the normal
+    equations lambda = (J_c A J_c^T)^-1 J_c A b and tau = b - J_c^T lambda:
+    the same split, whose squared condition exact arithmetic absorbs."""
+    def mat(m):  # a vector becomes a column
+        return [[Fraction(v) for v in row] for row in np.asarray(m).reshape(len(m), -1).tolist()]
+
+    def mul(x, y):
+        return [[sum(p * q for p, q in zip(row, col)) for col in zip(*y)] for row in x]
+
+    def add(x, y, sign=1):
+        return [[u + sign * v for u, v in zip(r, s)] for r, s in zip(x, y)]
+
+    a, jc = mat(snap.a), mat(snap.j_c)
+    jct = [list(col) for col in zip(*jc)]
+    b = add(mul(a, mat(snap.qdd)), mat(snap.h_bias))
+    # Gauss-Jordan on [J_c A J_c^T | J_c A b]; exact, so any nonzero pivot does
+    ja = mul(jc, a)
+    rows = [g + r for g, r in zip(mul(ja, jct), mul(ja, b))]
+    k = len(rows)
+    for i in range(k):
+        piv = next(r for r in range(i, k) if rows[r][i] != 0)
+        rows[i], rows[piv] = rows[piv], rows[i]
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for r in range(k):
+            if r != i:
+                rows[r] = [u - rows[r][i] * v for u, v in zip(rows[r], rows[i])]
+    lam = [row[k:] for row in rows]
+    tau = add(b, mul(jct, lam), -1)
+    return tuple(np.array([float(v) for (v,) in m]) for m in (lam, tau, b))
+
+
+A_REF = np.array([[2.0, 0.3, 0.1, 0.2], [0.3, 1.0, 0.2, -0.1],
+                  [0.1, 0.2, 0.5, 0.05], [0.2, -0.1, 0.05, 3.0]])
+QDD_REF = np.array([0.3, -0.2, 0.5, 0.1])
+
+
+def reference_snapshot(j_c, h_bias=(0.4, -1.1, 0.7, 2.0)):
+    return DynamicsSnapshot(a=A_REF, h_bias=np.array(h_bias), j_c=np.array(j_c), qdd=QDD_REF)
+
+
+def test_decouple_nearly_parallel_contact_rows_keep_qr_accuracy():
+    # two rows 1e-6 rad apart: cond(J_c) ~ 1e6, so the normal equations
+    # (J_c A J_c^T) lambda = J_c A b, whose condition is its square, lose
+    # 8e-4 of lambda here; the QR form loses 1e-10
+    theta = 1e-6
+    snap = reference_snapshot([[1.0, 0.0, 0.5, -0.2],
+                               [math.cos(theta), math.sin(theta), 0.5, -0.2]])
+    lam_ref, _, _ = exact_decouple(snap)
+    lam = decouple(snap).lam
+    assert np.abs(lam - lam_ref).max() <= 1e-6 * np.abs(lam_ref).max()
+
+
+def test_decouple_contact_carrying_almost_all_of_b():
+    # tau = b - Q1 y cancels when the contact carries the force: with
+    # 99.9 % of b on the contact, tau still holds to roundoff of |b|
+    j_c = np.array([[0.2, -1.0, 0.4, 0.1]])
+    h = 1e6 * j_c[0] + np.array([1.0, -2.0, 0.5, 3.0]) - A_REF @ QDD_REF
+    snap = reference_snapshot(j_c, h_bias=h)
+    lam_ref, tau_ref, b = exact_decouple(snap)
+    assert np.abs(j_c.T @ lam_ref).max() >= 0.999 * np.abs(b).max()
+    tau = decouple(snap).tau
+    assert np.abs(tau - tau_ref).max() <= 1e-14 * np.abs(b).max()
+
+
+def test_decouple_heavy_trunk_decoupled_from_the_contact(desk_model):
+    # a 1e12 trunk the contact does not touch: the A^-1-weighted Gram
+    # matrix of the complement spans 1e12 in eigenvalue and was rejected
+    # as singular, while Q1^T A Q1 never sees the trunk
+    snap = desk_snapshot(desk_model)
+    a = np.zeros((4, 4))
+    a[:3, :3] = snap.a[:3, :3]
+    a[3, 3] = 1e12
+    assert not snap.j_c[:, 3].any()
+    heavy = DynamicsSnapshot(a=a, h_bias=snap.h_bias, j_c=snap.j_c, qdd=snap.qdd)
+    lam_ref, tau_ref, _ = exact_decouple(heavy)
+    sol = decouple(heavy)
+    assert np.abs(sol.lam - lam_ref).max() <= 1e-12 * np.abs(lam_ref).max()
+    for block in (slice(0, 3), slice(3, 4)):
+        err = np.abs(sol.tau[block] - tau_ref[block]).max()
+        assert err <= 1e-12 * np.abs(tau_ref[block]).max()
 
 
 @pytest.mark.parametrize("j_c", [
