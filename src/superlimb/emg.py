@@ -107,6 +107,8 @@ class HillParams:
             v = getattr(self, name)
             if not (0.0 < v <= 1.5):
                 raise ValidationError(f"{name} must be in (0, 1.5], got {v}")
+        if not math.isfinite(self.f_max * self.fl_factor * self.fv_factor):
+            raise ValidationError("full-activation force f_max * fl_factor * fv_factor overflows")
 
 
 def check_band(f_lo: float, f_hi: float, fs: float, key: str | None = None):
@@ -137,10 +139,18 @@ def check_gate(threshold: float, hysteresis: float, key: str | None = None):
         )
 
 
-def check_gain(gain: float, key: str | None = None):
-    """The force-to-shift gain must be finite and >= 0."""
+def check_gain(gain: float, key: str | None = None, hill: HillParams | None = None):
+    """The force-to-shift gain must be finite and >= 0; given ``hill``, its
+    shift at the full-activation muscle force (finite by ``HillParams``)
+    must be finite too."""
     if not (0.0 <= gain < np.inf):
         raise ValidationError(f"gain must be finite and >= 0, got {gain}", key)
+    if hill is None:
+        return
+    f_full = hill_force(1.0, hill)
+    if not math.isfinite(gain * f_full):
+        raise ValidationError(f"gain {gain:g} gives no finite equilibrium shift at the "
+                              f"full-activation muscle force ({f_full:g} N)", key)
 
 
 def _map_channels(trace: EmgTrace, fn) -> EmgTrace:
@@ -332,7 +342,7 @@ class EmgConfig:
         if not (self.seed >= 0):
             raise ValidationError("must be >= 0", "seed")
         check_gate(self.threshold, self.hysteresis, "threshold")
-        check_gain(self.gain, "gain")
+        check_gain(self.gain, "gain", self.hill)
         if not self.enabled:
             return
         if (self.trace is None) == (self.profile is None):
@@ -373,9 +383,11 @@ def run_pipeline(
     ``motion`` is an optional (t, yaw) stream; without one the gate is held
     open, i.e. the pipeline runs ungated.  Multi-channel traces are reduced
     by averaging the per-channel envelopes.  The gate thresholds and the
-    gain are checked whether or not a motion stream is given.
+    gain are checked, before any filtering, whether or not a motion stream
+    is given.
     """
     check_gate(gate_threshold, gate_hysteresis)
+    check_gain(gain, hill=hill)
     filtered = envelope(rectify(bandpass(trace, *band)), window)
     env = np.mean([s for _, s in filtered.channels], axis=0)
     act = activation_series(env, hill, trace.fs)

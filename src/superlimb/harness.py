@@ -30,7 +30,7 @@ from operator import mul
 import numpy as np
 
 from . import dynamics
-from .dynamics import DynamicsSnapshot, _contact_rows, contact_jacobian  # noqa: F401
+from .dynamics import _contact_rows, contact_jacobian  # noqa: F401
 from .emg import (
     DEFAULT_BAND,
     DEFAULT_WINDOW,
@@ -412,7 +412,8 @@ def run_scenario(scenario: Scenario) -> SimLog:
     makes one step-kernel call, takes the contact rows and the control law
     from it in Python floats, then either adds torques, friction and the
     plant's advance (tracking) or holds the SRL posture and splits the
-    required force with ``decouple`` (inverse dynamics).  Scripted (human)
+    required force with ``decouple`` on the kernel's float lists (inverse
+    dynamics), with no array round trip.  Scripted (human)
     joints are position-driven; their required torques are reported, not
     applied.
     """
@@ -472,8 +473,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
                     tau_req = [sum(map(mul, row, qdd)) + hj for row, hj in zip(kin.a, kin.h)]
                     lam_robot = []
                 else:
-                    sol = dynamics.decouple(DynamicsSnapshot(kin.a, kin.h, j_c, qdd))
-                    tau_req, lam_robot = sol.tau.tolist(), sol.lam.tolist()
+                    tau_req, lam_robot = dynamics.decouple((kin.a, kin.h, j_c, qdd))
                 tau_s = [tau_req[j] for j in srl]
                 tau_h = [tau_req[j] for j in human]
             else:

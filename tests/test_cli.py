@@ -420,6 +420,38 @@ def test_run_overflowing_human_motion_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value,error", [
+    # gain * f_max overflows, so the gated equilibrium shift would: a config
+    # error at load, not a numeric failure once the gate opens
+    ("gain", 1e308, "error: emg.gain: gain 1e+308 gives no finite equilibrium shift"),
+    # f_max * fl_factor overflows: the Hill parameters are at fault, not the gain
+    ("hill", {"f_max": 1.5e308, "fl_factor": 1.5}, "error: emg.hill: full-activation force"),
+])
+def test_run_overflowing_emg_force_exits_1(tmp_path, capsys, key, value, error):
+    with open(scenario_path("emg_step.json")) as fh:
+        data = json.load(fh)
+    data["emg"][key] = value
+    cfg = tmp_path / "emg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith(error)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_emg_pipeline_overflowing_gain_exits_1(tmp_path, capsys, trace_csv):
+    # the same rule as a scenario's emg.gain, checked before any filtering
+    out = tmp_path / "o.csv"
+    argv = ["emg-pipeline", "--in", trace_csv, "--out", str(out), "--gain", "1e308"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: gain 1e+308 gives no finite equilibrium shift")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_repeated_controller_component_exits_1(tmp_path, capsys):
     with open(scenario_path("static_hold.json")) as fh:
         data = json.load(fh)

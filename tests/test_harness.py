@@ -387,8 +387,8 @@ def test_mount_force_matches_point_newton_sum(rng, name):
 
 
 def test_inverse_step_call_counts(monkeypatch):
-    # one plant evaluation and one decoupling per step; the tracer's
-    # install sites (dynamics.decouple, dynamics.qr_full) see every call
+    # one plant evaluation and one decoupling per step, on the kernel's
+    # float lists: no array-valued snapshot and no LAPACK QR in the loop
     sc = load_scenario(scenario_path("overhead_inverse.json"))
     sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.25))
     assert sc.controller.x_eq is None  # "auto": one more kernel call, at q0
@@ -402,8 +402,7 @@ def test_inverse_step_call_counts(monkeypatch):
     steps = len(log)
     assert steps == sc.sim.n_steps == 50
     counts = {name: cell[0] for name, cell in counters.items()}
-    assert counts.pop("kernel") == steps + 1
-    assert counts == dict.fromkeys(counts, steps)
+    assert counts == {"snapshot": 0, "kernel": steps + 1, "decouple": steps, "qr_full": 0}
 
 
 @pytest.mark.parametrize("name", SIM_SCENARIOS)
