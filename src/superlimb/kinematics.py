@@ -15,12 +15,11 @@ the limb has spare joints) and guards against singularities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, Singular, ValidationError
-from .numerics import finite_diff_jacobian, svd_pinv
+from .numerics import svd_pinv
 from .plant import AXES, PlantModel
 
 ROTATIONAL = "rotational"
@@ -163,20 +162,17 @@ class PlantEndpointMap:
         return pt.jac[np.ix_(self.rows, range(self.sl.start, self.sl.stop))]
 
 
-def coupled_jacobian(config: CoupledConfig, fk_model: Callable) -> CoupledJacobian:
+def coupled_jacobian(config: CoupledConfig, fk_model: PlantEndpointMap) -> CoupledJacobian:
     """Build the coupled rate map at ``config``.
 
     ``fk_model`` maps the closed-chain limb joints q_s1 to the driven human
-    coordinates q_h1.  If it exposes a ``jacobian`` method that analytic
-    Jacobian is used; otherwise central differences are taken.
+    coordinates q_h1; its ``jacobian`` method (a ``PlantEndpointMap`` has
+    one) gives the closed-chain block.
     """
     q_s1 = config.q_s[list(config.partition.s1)]
     n_h1 = len(config.partition.h1)
     n_s1 = len(config.partition.s1)
-    if hasattr(fk_model, "jacobian"):
-        j_hat = np.atleast_2d(np.asarray(fk_model.jacobian(q_s1), dtype=float))
-    else:
-        j_hat = finite_diff_jacobian(fk_model, q_s1)
+    j_hat = np.atleast_2d(np.asarray(fk_model.jacobian(q_s1), dtype=float))
     if j_hat.shape != (n_h1, n_s1):
         raise DimensionMismatch(
             f"closed-chain Jacobian must be {n_h1}x{n_s1}, got {j_hat.shape}"

@@ -1,12 +1,11 @@
 """Dense linear-algebra kernels used by the rest of the library.
 
 Thin, contract-checked wrappers: full QR with a fixed sign convention
-calls LAPACK directly, so a 4x4 problem costs little more than the
-factorization itself, and every LAPACK ``info`` is checked and mapped to a
-NumericError.  The one Cholesky, ``spd_solve``, runs on Python float lists
-(the simulator's step loop calls it); the inertia-weighted (dynamically
-consistent) pseudo-inverse solves through it.  The SVD pseudo-inverse,
-finite-difference derivatives and the eigenvalue tests go through numpy.
+and a rank rule.  The one Cholesky, ``spd_solve``, runs on Python float
+lists (the simulator's step loop calls it); the inertia-weighted
+(dynamically consistent) pseudo-inverse solves through it.  The QR, the
+SVD pseudo-inverse, finite-difference derivatives and the eigenvalue
+tests go through numpy.
 Everything else operates on plain float ndarrays; all functions are pure.
 """
 
@@ -18,7 +17,6 @@ from operator import mul
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import (
     DimensionMismatch,
@@ -46,19 +44,6 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         raise NonFinite(f"{name} contains NaN or Inf")
     return a
-
-
-def lapack_info(info: int, routine: str, error=NumericError, reason: str = ""):
-    """Raise ``error`` for a nonzero LAPACK ``info``.
-
-    ``info > 0`` is the routine's own numeric failure (described by
-    ``reason``); ``info < 0`` names an illegal argument and is always a
-    plain NumericError, so no LAPACK failure escapes as a raw exception.
-    """
-    if info > 0:
-        raise error(f"{reason} ({routine} info={info})")
-    if info < 0:
-        raise NumericError(f"{routine}: illegal value in argument {-info}")
 
 
 def spd_solve(m, rhs, error, reason: str) -> list[list[float]]:
@@ -133,16 +118,8 @@ def qr_full(m) -> QrFactorization:
     n, k = a.shape
     if not (n >= k >= 1):
         raise DimensionMismatch(f"need n >= k >= 1, got shape {a.shape}")
-    qr, tau, _, info = dgeqrf(a)
-    lapack_info(info, "dgeqrf")
-    # dorgqr expands the k reflectors into all n columns of Q
-    reflectors = np.empty((n, n), order="F")
-    reflectors[:, :k] = qr
-    q, _, info = dorgqr(reflectors, tau, overwrite_a=1)
-    lapack_info(info, "dorgqr")
-    r = qr[:k].copy()
-    for i in range(1, k):
-        r[i, :i] = 0.0  # below the diagonal dgeqrf stores the reflectors
+    q, r = np.linalg.qr(a, mode="complete")
+    r = r[:k]
     # fix the sign convention: make every diagonal entry of R non-negative
     # (a -0.0 diagonal flips too, but then the rank check below fails)
     flip = np.copysign(1.0, r.diagonal())
@@ -231,7 +208,8 @@ def finite_diff_jacobian(f: Callable, p0) -> np.ndarray:
 
 
 def finite_diff_hessian(f: Callable, p0) -> np.ndarray:
-    """Symmetrized central-difference Hessian of a scalar map at p0.
+    """Central-difference Hessian of a scalar map at p0, symmetric by
+    construction.
 
     The step is 1e-4 * (1 + |p0_i|) per coordinate.  Raises NonFinite if
     any function evaluation is NaN or Inf.
@@ -260,7 +238,7 @@ def finite_diff_hessian(f: Callable, p0) -> np.ndarray:
             )
             hess[i, j] = val
             hess[j, i] = val
-    return 0.5 * (hess + hess.T)
+    return hess
 
 
 def psd_check(m, tol: float) -> tuple[bool, float]:
@@ -277,11 +255,10 @@ def psd_check(m, tol: float) -> tuple[bool, float]:
         raise ValueError("tol must be >= 0")
     if a.size == 0:
         return True, 0.0
-    if np.max(np.abs(a - a.T)) > tol:
-        raise NotSymmetric(
-            f"asymmetry {np.max(np.abs(a - a.T)):.3e} exceeds tol {tol:.3e}"
-        )
-    sym = _as_matrix(0.5 * (a + a.T), "m")  # a + a.T can overflow
-    eigs = np.linalg.eigvalsh(sym)
+    with np.errstate(over="ignore"):  # an asymmetry that overflows is still one
+        asym = np.max(np.abs(a - a.T))
+    if asym > tol:
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tol {tol:.3e}")
+    eigs = np.linalg.eigvalsh(0.5 * a + 0.5 * a.T)  # a + a.T could overflow
     min_eig = float(eigs[0])
     return min_eig >= -float(tol), min_eig

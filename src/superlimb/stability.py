@@ -12,11 +12,12 @@ has Hessian
 with E_z the Hessian of the CoM height, J = dq/dp and H_i the Hessian of
 the i-th joint coordinate, all evaluated at the equilibrium pose.  The
 posture is stable in the quasi-static sense iff K_p is positive
-semidefinite.  This module assembles K_p term by term, from closed-form
-Hessians where the posture supplies them and finite differences
-otherwise, certifies it against the finite-difference Hessian of U (the
-two must agree at an equilibrium), and solves for the minimal uniform
-servo stiffness that renders an unstable posture stable.
+semidefinite.  This module assembles K_p term by term from the closed-form
+derivatives every posture supplies, certifies it against the
+finite-difference Hessian of U (an independent check: the two must agree
+at an equilibrium), and solves for the minimal uniform servo stiffness
+that renders an unstable posture stable.  Floating-point overflow inside
+the certificate is a NonFinite error, never a warning.
 
 The pose vector is treated generically (any dimension); the overhead
 support postures used by the CLI are 6-dimensional (3 translations, 3
@@ -27,9 +28,10 @@ default parameters, by ``named_posture``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -59,17 +61,21 @@ class DiagnosticMismatch(UserWarning):
     Hessian of the potential beyond tolerance."""
 
 
+def _check_mass(mass) -> None:
+    if not (mass > 0.0 and math.isfinite(float(mass) * GRAVITY)):
+        raise ValidationError(f"must be > 0 with a finite weight m g, got {mass}", "mass")
+
+
 @dataclass(frozen=True)
 class SupportPosture:
     """Equilibrium posture of a supported body.
 
     ik_map sends a body pose to the support-chain joint vector; z_of_p
     sends a pose to the body CoM height.  Both only need to be evaluable
-    in a neighborhood of p_bar.  Analytic derivatives may be supplied: the
-    Jacobian of ik_map via ik_jac, the Hessian of z_of_p via z_hess
-    (n_pose, n_pose) and the Hessians of the joint coordinates via ik_hess
-    (n_joint, n_pose, n_pose); finite differences stand in for any that
-    is not given.
+    in a neighborhood of p_bar.  Their derivatives are required closures
+    of the pose: ik_jac, the Jacobian of ik_map (n_joint, n_pose); z_hess,
+    the Hessian of z_of_p (n_pose, n_pose); and ik_hess, the Hessians of
+    the joint coordinates (n_joint, n_pose, n_pose).
     """
 
     p_bar: np.ndarray
@@ -79,11 +85,15 @@ class SupportPosture:
     mass: float
     ik_map: Callable[[np.ndarray], np.ndarray]
     z_of_p: Callable[[np.ndarray], float]
-    ik_jac: Callable[[np.ndarray], np.ndarray] | None = None
-    z_hess: Callable[[np.ndarray], np.ndarray] | None = None
-    ik_hess: Callable[[np.ndarray], np.ndarray] | None = None
+    ik_jac: Callable[[np.ndarray], np.ndarray]
+    z_hess: Callable[[np.ndarray], np.ndarray]
+    ik_hess: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
+        for name in ("ik_map", "z_of_p", "ik_jac", "z_hess", "ik_hess"):
+            if not callable(getattr(self, name)):
+                raise ValidationError(f"{name} must be a callable of the pose")
+        _check_mass(self.mass)
         p = np.atleast_1d(np.asarray(self.p_bar, dtype=float))
         q = np.atleast_1d(np.asarray(self.q_bar, dtype=float))
         tau = np.atleast_1d(np.asarray(self.tau_bar, dtype=float))
@@ -96,15 +106,13 @@ class SupportPosture:
             raise DimensionMismatch(
                 f"k_q must be {q.size}x{q.size}, got {kq.shape}"
             )
-        if not (self.mass > 0.0 and np.isfinite(self.mass)):
-            raise ValidationError(f"mass must be > 0, got {self.mass}")
         ok, min_eig = psd_check(kq, tol=1e-9 * max(1.0, np.max(np.abs(kq))))
         if not ok:
             raise ValidationError(f"k_q must be PSD (min eigenvalue {min_eig:g})")
         object.__setattr__(self, "p_bar", p)
         object.__setattr__(self, "q_bar", q)
         object.__setattr__(self, "tau_bar", tau)
-        object.__setattr__(self, "k_q", 0.5 * (kq + kq.T))
+        object.__setattr__(self, "k_q", 0.5 * kq + 0.5 * kq.T)
 
     @property
     def n_pose(self) -> int:
@@ -120,7 +128,14 @@ class SupportPosture:
 # Each builder models the supported panel as a rigid body with 6-D pose
 # (x, y, z, rx, ry, rz) held by a 6-DoF servo mount; differences lie in
 # where the CoM sits relative to the mount frame and how the mount joints
-# relate to the pose.  All are exact equilibria by construction.
+# relate to the pose.  All are exact equilibria by construction.  A
+# stiffness or coupling a builder derives from its parameters must be
+# finite, and an error names the parameter it comes from.
+
+def _finite(value: float, what: str, key: str) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"gives {what} = {value}, which is not finite", key)
+
 
 def _identity_ik(p) -> np.ndarray:
     return np.asarray(p, dtype=float).copy()
@@ -150,6 +165,7 @@ def _rigid_panel(tilt_stiffness, com_side: float):
     def build(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
         kt = tilt_stiffness(k)
         offset = com_side * r
+        _finite(mass * GRAVITY * offset, "gravity stiffness m g r", "r")
 
         def z_hess(p):
             c3, s3, c4, s4 = math.cos(p[3]), math.sin(p[3]), math.cos(p[4]), math.sin(p[4])
@@ -173,6 +189,7 @@ def _posture_cradle(mass: float, k: float, r: float, gamma: float) -> SupportPos
     # body resting in a curved cradle (height set by the horizontal pose),
     # no servo torques at all: pure gravity-curvature stability
     a = 2.0 / max(r, 1e-6)
+    _finite(mass * GRAVITY * a, "gravity stiffness 2 m g / r", "r")
     return SupportPosture(
         p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=np.zeros(6),
         k_q=np.diag([0.01 * k] * 6), mass=mass, ik_map=_identity_ik,
@@ -184,6 +201,8 @@ def _posture_cradle(mass: float, k: float, r: float, gamma: float) -> SupportPos
 def _posture_toggle(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
     # loaded vertical joint whose extension couples quadratically to tilt
     # (toggle linkage): the torque-times-curvature term eats servo stiffness
+    _finite(2.0 * gamma * mass * GRAVITY, "coupling stiffness 2 gamma m g", "gamma")
+
     def ik(p):
         q = np.asarray(p, dtype=float).copy()
         q[2] = p[2] + gamma * (p[3] ** 2 + p[4] ** 2)
@@ -229,34 +248,38 @@ def named_posture(
         raise ValidationError("must be >= 0", "k")
     if not (r > 0.0):
         raise ValidationError("must be positive", "r")
+    _check_mass(mass)  # before the builders derive stiffnesses from the weight
     return POSTURES[posture](mass, k, r, gamma)
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """PSD verdict on the assembled posture stiffness matrix, with the
-    relative error of the finite-difference cross-check and the inf-norm
-    of the equilibrium residual (N) it was certified at."""
+    """PSD verdict on a posture stiffness matrix k_p, with the relative
+    error of the finite-difference cross-check and the inf-norm of the
+    equilibrium residual (N) it was certified at.  The ascending
+    eigenvalues of k_p, the margin (the smallest) and the verdict (margin
+    >= -PSD_TOL_FACTOR max|k_p|) are derived from k_p."""
 
     k_p: np.ndarray
-    eigenvalues: np.ndarray
-    is_stable: bool
-    margin: float
     diagnostic_mismatch: bool = False
     crosscheck_rel_err: float = math.nan
     equilibrium_residual: float = math.nan
+    eigenvalues: np.ndarray = field(init=False)
+    margin: float = field(init=False)
+    is_stable: bool = field(init=False)
 
     def __post_init__(self):
         k = np.atleast_2d(np.asarray(self.k_p, dtype=float))
-        scale = max(np.max(np.abs(k)), 1e-30)
+        if not np.all(np.isfinite(k)):
+            raise NonFinite("k_p contains NaN or Inf")
+        scale = np.max(np.abs(k))
         if np.max(np.abs(k - k.T)) > 1e-6 * scale:
             raise NotSymmetric("k_p must be symmetric")
-        ev = np.sort(np.atleast_1d(np.asarray(self.eigenvalues, dtype=float)))
-        ref = np.linalg.eigvalsh(0.5 * (k + k.T))
-        if np.max(np.abs(ev - ref)) > 1e-8 * max(1.0, scale):
-            raise ValidationError("eigenvalues inconsistent with k_p")
+        eigs = np.linalg.eigvalsh(k)
         object.__setattr__(self, "k_p", k)
-        object.__setattr__(self, "eigenvalues", ev)
+        object.__setattr__(self, "eigenvalues", eigs)
+        object.__setattr__(self, "margin", float(eigs[0]))
+        object.__setattr__(self, "is_stable", bool(eigs[0] >= -PSD_TOL_FACTOR * scale))
 
 
 def _ik(posture: SupportPosture, p: np.ndarray) -> np.ndarray:
@@ -280,16 +303,20 @@ def _z(posture: SupportPosture, p: np.ndarray) -> float:
     return z
 
 
+def _derivative(posture: SupportPosture, name: str, p: np.ndarray, shape: tuple) -> np.ndarray:
+    """The posture's derivative closure ``name`` at p, shape-checked and
+    finite."""
+    p = np.asarray(p, dtype=float)
+    d = np.asarray(getattr(posture, name)(p), dtype=float)
+    if d.shape != shape:
+        raise DimensionMismatch(f"{name} must return shape {shape}, got {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise NonFinite(f"{name} returned NaN/Inf at p={p}")
+    return d
+
+
 def _ik_jacobian(posture: SupportPosture, p: np.ndarray) -> np.ndarray:
-    if posture.ik_jac is not None:
-        j = np.atleast_2d(np.asarray(posture.ik_jac(p), dtype=float))
-    else:
-        j = finite_diff_jacobian(lambda pp: _ik(posture, pp), p)
-    if j.shape != (posture.n_joint, posture.n_pose):
-        raise DimensionMismatch(
-            f"ik Jacobian must be {(posture.n_joint, posture.n_pose)}, got {j.shape}"
-        )
-    return j
+    return _derivative(posture, "ik_jac", p, (posture.n_joint, posture.n_pose))
 
 
 def equilibrium_residual(posture: SupportPosture, f_h: np.ndarray) -> np.ndarray:
@@ -328,40 +355,23 @@ def potential(posture: SupportPosture, p: np.ndarray) -> float:
     )
 
 
-def _closure_hessian(closure, name: str, p: np.ndarray, shape: tuple) -> np.ndarray:
-    """A posture's analytic Hessian closure at p, shape-checked, finite
-    and symmetrized in its last two axes."""
-    h = np.asarray(closure(p), dtype=float)
-    if h.shape != shape:
-        raise DimensionMismatch(f"{name} must return shape {shape}, got {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise NonFinite(f"{name} returned NaN/Inf at p={np.asarray(p)}")
-    return 0.5 * (h + np.swapaxes(h, -1, -2))
-
-
 def hessian_ez(posture: SupportPosture, p: np.ndarray) -> np.ndarray:
-    """Hessian of the CoM height with respect to the pose (symmetrized):
-    the posture's ``z_hess`` if it has one, else finite differences."""
-    p = np.asarray(p, dtype=float)
-    if posture.z_hess is not None:
-        n = posture.n_pose
-        return _closure_hessian(posture.z_hess, "z_hess", p, (n, n))
-    return finite_diff_hessian(lambda pp: _z(posture, pp), p)
+    """Hessian of the CoM height with respect to the pose: the posture's
+    ``z_hess``, symmetrized."""
+    h = _derivative(posture, "z_hess", p, (posture.n_pose, posture.n_pose))
+    return 0.5 * (h + h.T)
 
 
 def hessian_qi(posture: SupportPosture, p: np.ndarray, i: int) -> np.ndarray:
     """Hessian of the i-th support joint coordinate with respect to the
-    pose: from the posture's ``ik_hess`` if it has one, else finite
-    differences."""
+    pose: the posture's ``ik_hess``, symmetrized."""
     if not (0 <= i < posture.n_joint):
         raise DimensionMismatch(
             f"joint index {i} out of range for {posture.n_joint} joints"
         )
-    p = np.asarray(p, dtype=float)
-    if posture.ik_hess is not None:
-        n = posture.n_pose
-        return _closure_hessian(posture.ik_hess, "ik_hess", p, (posture.n_joint, n, n))[i]
-    return finite_diff_hessian(lambda pp: float(_ik(posture, pp)[i]), p)
+    n = posture.n_pose
+    h = _derivative(posture, "ik_hess", p, (posture.n_joint, n, n))[i]
+    return 0.5 * (h + h.T)
 
 
 def _base_stiffness(posture: SupportPosture) -> tuple[np.ndarray, np.ndarray]:
@@ -376,12 +386,22 @@ def _base_stiffness(posture: SupportPosture) -> tuple[np.ndarray, np.ndarray]:
     return base, _ik_jacobian(posture, p)
 
 
-def _assemble_kp(posture: SupportPosture) -> np.ndarray:
-    base, j = _base_stiffness(posture)
-    k_p = base + j.T @ posture.k_q @ j
-    return 0.5 * (k_p + k_p.T)
+def _overflow_is_numeric(certify):
+    """``certify`` with floating-point overflow, invalid operations and
+    division by zero raised as NonFinite instead of warned about."""
+
+    @functools.wraps(certify)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return certify(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise NonFinite(f"{certify.__name__}: {exc}") from exc
+
+    return guarded
 
 
+@_overflow_is_numeric
 def stiffness_matrix_kp(posture: SupportPosture) -> StabilityReport:
     """Assemble the posture stiffness matrix and certify it.
 
@@ -398,7 +418,9 @@ def stiffness_matrix_kp(posture: SupportPosture) -> StabilityReport:
         raise ValidationError(
             f"posture is not an equilibrium (residual {res_inf:.3e} N)"
         )
-    k_p = _assemble_kp(posture)
+    base, j = _base_stiffness(posture)
+    k_p = base + j.T @ posture.k_q @ j
+    k_p = 0.5 * k_p + 0.5 * k_p.T
     fd = finite_diff_hessian(lambda pp: potential(posture, pp), posture.p_bar)
     denom = max(np.max(np.abs(k_p)), np.max(np.abs(fd)), 1e-30)
     rel_err = float(np.max(np.abs(k_p - fd)) / denom)
@@ -408,21 +430,12 @@ def stiffness_matrix_kp(posture: SupportPosture) -> StabilityReport:
             "assembled stiffness disagrees with the potential Hessian "
             f"(rel err {rel_err:.3e})",
             DiagnosticMismatch,
-            stacklevel=2,
+            stacklevel=3,
         )
-    tol = PSD_TOL_FACTOR * np.max(np.abs(k_p))
-    eigs = np.linalg.eigvalsh(k_p)
-    return StabilityReport(
-        k_p=k_p,
-        eigenvalues=eigs,
-        is_stable=bool(eigs[0] >= -tol),
-        margin=float(eigs[0]),
-        diagnostic_mismatch=mismatch,
-        crosscheck_rel_err=rel_err,
-        equilibrium_residual=res_inf,
-    )
+    return StabilityReport(k_p, mismatch, rel_err, res_inf)
 
 
+@_overflow_is_numeric
 def stabilizing_servo_stiffness(
     posture: SupportPosture,
     margin: float = 0.0,

@@ -274,6 +274,26 @@ def test_analyze_stability_missing_section(tmp_path, capsys):
     assert "stability" in err
 
 
+@pytest.mark.parametrize("name, key, value, code, prefix", [
+    ("toggle_mount", "gamma", 1e308, 1, "error: stability.gamma: "),
+    ("cradle", "mass", 1e308, 1, "error: stability.mass: "),
+    ("inverted_panel", "r", 1e308, 1, "error: stability.r: "),
+    ("toggle_mount", "gamma", 1e200, 2, "numeric error: "),  # the FD cross-check overflows
+    ("column", "k", 1e308, 0, ""),
+])
+def test_analyze_stability_extreme_parameter_exit_codes(tmp_path, capsys, name, key, value,
+                                                        code, prefix):
+    # a parameter whose derived weight, stiffness or coupling is not finite
+    # is a keyed config error; overflow inside the certificate is numeric
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"stability": {"posture": name, key: value}}))
+    got, _, err = run_cli(["analyze-stability", "--config", str(cfg),
+                           "--servo-margin", "1.0"], capsys)
+    assert got == code
+    assert err.startswith(prefix) if prefix else err == ""
+    assert "Traceback" not in err
+
+
 # --- argument handling ----------------------------------------------------------
 
 

@@ -1,17 +1,19 @@
 """Scenario schemas: defaults and invariants owned by the section types,
 the sEMG settings and chain links checked against their source at load,
-and parse- and run-level fuzz tests over the bundled scenarios."""
+parse- and run-level fuzz tests over the bundled scenarios, and a fuzz of
+the stability-analysis section."""
 
 import copy
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 from conftest import desk_arm_dict, scenario_path
 
-from superlimb.errors import ParseError, SuperlimbError, ValidationError
+from superlimb.errors import NumericError, ParseError, SuperlimbError, ValidationError
 from superlimb.harness import run_scenario
 from superlimb.plant import Joint
 from superlimb.scenario import (
@@ -21,7 +23,14 @@ from superlimb.scenario import (
     EmgConfig,
     HumanMotion,
     SimParams,
+    build_posture,
     parse_scenario,
+)
+from superlimb.stability import (
+    POSTURES,
+    DiagnosticMismatch,
+    stabilizing_servo_stiffness,
+    stiffness_matrix_kp,
 )
 
 
@@ -288,3 +297,35 @@ def test_human_motion_phase_must_stay_finite_within_the_run():
     parse_scenario(data)
     data["sim"]["duration"] = 3.0
     expect_key(data, "human_motion.frequency", "no finite phase")
+
+
+# --- stability-section fuzz: parameter errors are keyed, overflow is numeric -----
+
+STABILITY_FUZZ_VALUES = [1e308, -1e308, 1e200, 1e-320, 0.0]
+
+
+def test_stability_fuzz_keys_parameter_errors_and_never_warns():
+    # a parameter whose derived weight, stiffness or coupling is not finite
+    # fails at load, keyed to it; any other failure is the certificate's
+    # own, and no floating-point warning escapes either way
+    rng = np.random.default_rng(17)
+    for name in sorted(POSTURES):
+        for key in ("mass", "k", "r", "gamma"):
+            drawn = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-320.0, 308.0, 4)
+            for value in STABILITY_FUZZ_VALUES + drawn.tolist():
+                section = {"posture": name, key: value}
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    warnings.simplefilter("ignore", DiagnosticMismatch)
+                    try:
+                        posture = build_posture(section)
+                    except ParseError as exc:
+                        assert exc.key == f"stability.{key}", f"{section}: {exc}"
+                        continue
+                    try:
+                        stiffness_matrix_kp(posture)
+                        stabilizing_servo_stiffness(posture, margin=1.0)
+                    except (NumericError, ValidationError):
+                        pass
+                    except Exception as exc:  # noqa: BLE001 - the escape under test
+                        pytest.fail(f"{section}: {type(exc).__name__}: {exc}")

@@ -9,6 +9,7 @@ import pytest
 from superlimb.errors import (
     DimensionMismatch,
     IkFailure,
+    NonFinite,
     NotSymmetric,
     RankDeficient,
     Unachievable,
@@ -34,6 +35,14 @@ from superlimb.stability import (
 )
 
 MG = 4.0 * GRAVITY  # default posture mass
+CLOSURES = ("ik_map", "z_of_p", "ik_jac", "z_hess", "ik_hess")
+
+
+def flat(n):
+    """Derivative closures of an n-D posture whose ik map is linear and
+    whose CoM height has zero curvature."""
+    return {"ik_jac": lambda p: np.eye(n), "z_hess": lambda p: np.zeros((n, n)),
+            "ik_hess": lambda p: np.zeros((n, n, n))}
 
 
 def slider_posture(mass=2.0, tau=None, k=50.0):
@@ -47,7 +56,7 @@ def slider_posture(mass=2.0, tau=None, k=50.0):
         mass=mass,
         ik_map=lambda p: np.asarray(p, float).copy(),
         z_of_p=lambda p: float(p[0]),
-        ik_jac=lambda p: np.eye(1),
+        **flat(1),
     )
 
 
@@ -77,33 +86,61 @@ def test_residual_shape_check():
 # --- posture container ----------------------------------------------------------
 
 
+def closures(posture):
+    return {name: getattr(posture, name) for name in CLOSURES}
+
+
 def test_posture_validation():
-    good = slider_posture()
+    good = closures(slider_posture())
     with pytest.raises(DimensionMismatch):
         SupportPosture(p_bar=np.zeros(1), q_bar=np.zeros(1), tau_bar=np.zeros(2),
-                       k_q=np.eye(1), mass=1.0, ik_map=good.ik_map, z_of_p=good.z_of_p)
+                       k_q=np.eye(1), mass=1.0, **good)
     with pytest.raises(DimensionMismatch):
         SupportPosture(p_bar=np.zeros(1), q_bar=np.zeros(1), tau_bar=np.zeros(1),
-                       k_q=np.eye(2), mass=1.0, ik_map=good.ik_map, z_of_p=good.z_of_p)
+                       k_q=np.eye(2), mass=1.0, **good)
     with pytest.raises(NotSymmetric):
         SupportPosture(p_bar=np.zeros(2), q_bar=np.zeros(2), tau_bar=np.zeros(2),
-                       k_q=np.array([[1.0, 0.5], [0.0, 1.0]]), mass=1.0,
-                       ik_map=good.ik_map, z_of_p=good.z_of_p)
+                       k_q=np.array([[1.0, 0.5], [0.0, 1.0]]), mass=1.0, **good)
     with pytest.raises(ValidationError):
         SupportPosture(p_bar=np.zeros(1), q_bar=np.zeros(1), tau_bar=np.zeros(1),
-                       k_q=-np.eye(1), mass=1.0, ik_map=good.ik_map,
-                       z_of_p=good.z_of_p)
-    with pytest.raises(ValidationError):
-        slider_posture(mass=-1.0)
+                       k_q=-np.eye(1), mass=1.0, **good)
+    for mass in (-1.0, 1e308):  # the weight m g must be finite too
+        with pytest.raises(ValidationError) as exc:
+            slider_posture(mass=mass)
+        assert exc.value.key == "mass"
+
+
+@pytest.mark.parametrize("name", ["ik_jac", "z_hess", "ik_hess"])
+def test_posture_without_a_derivative_closure_is_rejected(name):
+    given = closures(slider_posture())
+    fields = dict(p_bar=np.zeros(1), q_bar=np.zeros(1), tau_bar=np.zeros(1),
+                  k_q=np.eye(1), mass=1.0)
+    del given[name]
+    with pytest.raises(TypeError, match=name):
+        SupportPosture(**fields, **given)
+    with pytest.raises(ValidationError, match=name):
+        SupportPosture(**fields, **given, **{name: None})
 
 
 def test_report_validation():
     with pytest.raises(NotSymmetric):
-        StabilityReport(k_p=np.array([[1.0, 1.0], [0.0, 1.0]]),
-                        eigenvalues=np.ones(2), is_stable=True, margin=1.0)
-    with pytest.raises(ValidationError):
-        StabilityReport(k_p=np.eye(2), eigenvalues=np.array([1.0, 5.0]),
-                        is_stable=True, margin=1.0)
+        StabilityReport(k_p=np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(NonFinite):
+        StabilityReport(k_p=np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def test_report_derives_its_verdict_from_kp():
+    rng = np.random.default_rng(3)
+    for n in (1, 3, 6):
+        a = rng.standard_normal((n, n))
+        k_p = a + a.T
+        rep = StabilityReport(k_p)
+        eigs = np.linalg.eigvalsh(k_p)
+        assert rep.eigenvalues.tobytes() == eigs.tobytes()
+        assert rep.margin == eigs[0]
+        assert rep.is_stable == bool(eigs[0] >= -1e-8 * np.max(np.abs(k_p)))
+    assert StabilityReport(np.eye(2)).is_stable
+    assert not StabilityReport(-np.eye(2)).is_stable
 
 
 def test_potential_shape_check():
@@ -121,14 +158,14 @@ def test_ik_failures_are_reported():
         p_bar=np.zeros(1), q_bar=np.zeros(1), tau_bar=np.zeros(1),
         k_q=np.eye(1), mass=1.0,
         ik_map=lambda p: (_ for _ in ()).throw(ValueError("boom")),
-        z_of_p=lambda p: 0.0,
+        z_of_p=lambda p: 0.0, **flat(1),
     )
     with pytest.raises(IkFailure):
         potential(bad, np.zeros(1))
     wrong_shape = SupportPosture(
         p_bar=np.zeros(1), q_bar=np.zeros(1), tau_bar=np.zeros(1),
         k_q=np.eye(1), mass=1.0,
-        ik_map=lambda p: np.zeros(3), z_of_p=lambda p: 0.0,
+        ik_map=lambda p: np.zeros(3), z_of_p=lambda p: 0.0, **flat(1),
     )
     with pytest.raises(IkFailure):
         potential(wrong_shape, np.zeros(1))
@@ -224,7 +261,7 @@ def test_mismatch_between_assembly_and_potential_is_flagged():
         k_q=np.eye(2), mass=1.0,
         ik_map=lambda p: np.asarray(p, float).copy(),
         z_of_p=lambda p: 0.0,
-        ik_jac=lambda p: 2.0 * np.eye(2),
+        **dict(flat(2), ik_jac=lambda p: 2.0 * np.eye(2)),
     )
     with pytest.warns(DiagnosticMismatch):
         rep = stiffness_matrix_kp(posture)
@@ -276,7 +313,7 @@ def test_rescue_rank_deficient_jacobian():
         k_q=np.eye(2), mass=1.0,
         ik_map=lambda p: np.array([p[0] + p[1], p[0] + p[1]]),
         z_of_p=lambda p: 0.0,
-        ik_jac=lambda p: np.array([[1.0, 1.0], [1.0, 1.0]]),
+        **dict(flat(2), ik_jac=lambda p: np.array([[1.0, 1.0], [1.0, 1.0]])),
     )
     with pytest.raises(RankDeficient):
         stabilizing_servo_stiffness(posture)
@@ -318,7 +355,6 @@ HESSIAN_POINTS = {
 def test_named_posture_hessians_match_finite_differences(name, point):
     params, seed = HESSIAN_POINTS[point]
     posture = named_posture(name, **params)
-    assert posture.z_hess is not None and posture.ik_hess is not None
     p = posture.p_bar
     if seed is not None:
         p = p + np.random.default_rng(seed).uniform(-0.2, 0.2, posture.n_pose)
@@ -388,8 +424,7 @@ def test_margin_and_servo_alpha_are_closed_forms(name, params):
 
 def test_closed_form_rescue_matches_bisection_on_a_generic_posture():
     # linear ik with a non-orthogonal Jacobian (J'J != I) and a CoM height
-    # that is a concave quadratic; no Hessian closures, so the assembly
-    # runs on finite differences
+    # that is a concave quadratic
     jac = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.3], [0.2, 0.0, 1.5]])
     curv = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])
     mass = 1.5
@@ -398,7 +433,8 @@ def test_closed_form_rescue_matches_bisection_on_a_generic_posture():
         k_q=np.eye(3), mass=mass,
         ik_map=lambda p: jac @ np.asarray(p, float),
         z_of_p=lambda p: -0.5 * float(p @ curv @ p),
-        ik_jac=lambda p: jac,
+        ik_jac=lambda p: jac, z_hess=lambda p: -curv,
+        ik_hess=lambda p: np.zeros((3, 3, 3)),
     )
     margin = 0.8
     alpha = stabilizing_servo_stiffness(posture, margin=margin)
