@@ -33,6 +33,7 @@ from .errors import (
     DimensionMismatch,
     MissingFile,
     NonFinite,
+    RankDeficient,
     ValidationError,
 )
 
@@ -118,10 +119,12 @@ def check_band(f_lo: float, f_hi: float, fs: float, key: str | None = None):
 
 
 def check_window(window: float, fs: float, key: str | None = None):
-    """An RMS window must be finite and span two samples."""
-    if not (2.0 / fs <= window < np.inf):
+    """An RMS window must be finite, span two samples and hold a finite
+    number of them (``window * fs``)."""
+    if not (2.0 / fs <= window < np.inf and math.isfinite(window * fs)):
         raise BadWindow(
-            f"window must be finite and span two samples at fs={fs}, got {window}", key
+            f"window must be finite and span two samples, with window * fs finite, "
+            f"at fs={fs}, got {window}", key
         )
 
 
@@ -163,11 +166,25 @@ def _map_channels(trace: EmgTrace, fn) -> EmgTrace:
 
 def bandpass(trace: EmgTrace, f_lo: float, f_hi: float) -> EmgTrace:
     """Zero-phase band-pass: one second-order (biquad) Butterworth section
-    applied forward and backward.  Rejects DC exactly."""
+    applied forward and backward.  Rejects DC exactly.  A band whose
+    filter has no initial state (a corner so low that a pole rounds onto 1)
+    is RankDeficient, and samples whose filtering overflows are NonFinite."""
     check_band(f_lo, f_hi, trace.fs)
     check_samples(trace.n_samples)
     b, a = butter(1, [f_lo, f_hi], btype="bandpass", fs=trace.fs)
-    return _map_channels(trace, lambda s: filtfilt(b, a, s))
+
+    def filtered(s: np.ndarray) -> np.ndarray:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = filtfilt(b, a, s)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient(f"bandpass: band ({f_lo:g}, {f_hi:g}) Hz gives a "
+                                f"degenerate filter at fs={trace.fs:g} ({exc})") from exc
+        if not np.all(np.isfinite(out)):
+            raise NonFinite("bandpass: the filtered samples overflow")
+        return out
+
+    return _map_channels(trace, filtered)
 
 
 def rectify(trace: EmgTrace) -> EmgTrace:
@@ -179,13 +196,17 @@ def envelope(trace: EmgTrace, window: float) -> EmgTrace:
     """Causal moving-RMS envelope with the given window in seconds.
 
     Leading samples use the partial window that is available, so the output
-    has the same length as the input.
+    has the same length as the input.  Squares whose running sum overflows
+    are a NonFinite error.
     """
     check_window(window, trace.fs)
     n = int(round(window * trace.fs))
 
     def rms(s: np.ndarray) -> np.ndarray:
-        c = np.concatenate([[0.0], np.cumsum(s * s)])
+        with np.errstate(over="ignore"):
+            c = np.concatenate([[0.0], np.cumsum(s * s)])
+        if not np.isfinite(c[-1]):  # the running sum of squares is nondecreasing
+            raise NonFinite("envelope: the sum of squared samples overflows")
         counts = np.minimum(np.arange(1, s.size + 1), n)
         lo = np.maximum(np.arange(1, s.size + 1) - n, 0)
         acc = c[1:] - c[lo]
@@ -424,41 +445,55 @@ def _read_csv(
 ):
     """Header and numeric body of a CSV input file.
 
-    Blank lines are skipped; every other row must be as wide as the header
-    and its first ``n_used`` cells (all of them by default) finite numbers.
-    Errors name the file and the 1-based line.
+    The file must be UTF-8 text.  Blank lines are skipped; every other row
+    must be as wide as the header and its first ``n_used`` cells (all of
+    them by default) finite numbers.  Errors name the file and the 1-based
+    line.
     """
     if not os.path.isfile(path):
         raise MissingFile(f"{what} file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or not header_ok(header):
-            raise ValidationError(f"{path}: expected header '{expected}'")
-        width = len(header)
-        used = width if n_used is None else n_used
-        rows, lines = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValidationError(
-                    f"{path}, line {reader.line_num}: "
-                    f"{len(row)} cells, the header has {width}"
-                )
-            try:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header or not header_ok(header):
+                raise ValidationError(f"{path}: expected header '{expected}'")
+            width = len(header)
+            used = width if n_used is None else n_used
+            rows, lines = [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ValidationError(
+                        f"{path}, line {reader.line_num}: "
+                        f"{len(row)} cells, the header has {width}"
+                    )
                 rows.append([float(v) for v in row[:used]])
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}, line {reader.line_num}: {exc}"
-                ) from None
-            lines.append(reader.line_num)
+                lines.append(reader.line_num)
+    except UnicodeDecodeError as exc:  # the file is decoded in chunks: find the line
+        line = _first_line_not_utf8(path)
+        raise ValidationError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+    except (csv.Error, ValueError) as exc:  # a NUL byte, an unclosed quote, a bad number
+        raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from None
     data = np.array(rows, dtype=float).reshape(len(rows), used)
     bad = ~np.isfinite(data).all(axis=1)
     if bad.any():
         line = lines[int(np.argmax(bad))]
         raise ValidationError(f"{path}, line {line}: NaN or Inf cell")
     return header, data
+
+
+def _first_line_not_utf8(path: str) -> int:
+    """1-based number of the first line of a file that is not UTF-8 (0 if
+    every line is)."""
+    with open(path, "rb") as fh:
+        for n, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return n
+    return 0
 
 
 def load_trace_csv(path: str) -> EmgTrace:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, nan
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .numerics import spd_solve
 from .plant import AXES, Kinematics, PlantModel
 from .scenario import Scenario
 from .stiffness import (  # noqa: F401
-    TaskSpaceController,
     _control_force,
     _friction_torque,
     _task_to_joint_torque,
@@ -117,7 +116,11 @@ def generate_emg(
     kappa = float(np.median(env[settle:]))
     if kappa <= 0.0:
         raise ValidationError("envelope calibration failed")
-    samples = levels * carrier * (mvc_reference / kappa)
+    with np.errstate(over="ignore"):
+        samples = levels * carrier * (mvc_reference / kappa)
+    if not np.all(np.isfinite(samples)):
+        raise ValidationError(f"mvc_reference {mvc_reference:g} calibrates sEMG samples "
+                              "past the float range")
     return EmgTrace(fs=fs, channels=(("ch1", samples),))
 
 
@@ -136,42 +139,40 @@ class StepResult:
 
 
 def _advance(
-    q, qd, a, h, tau_total, dt: float, free, scripted, j_c, v_target, q_next, qd_next, qdd
+    q, qd, a, h, tau_total, dt: float, m: int, j_c, v_target, q_next, qd_next, qdd
 ) -> list[float]:
-    """Semi-implicit Euler step of the free DoFs with optional bilateral
-    contact, on Python float lists; returns the constraint force on the
-    robot (one entry per row of ``j_c``).
+    """Semi-implicit Euler step of the first ``m`` (free) DoFs with optional
+    bilateral contact, on Python float lists; returns the constraint force
+    on the robot (one entry per row of ``j_c``).
 
-    ``a`` (rows) and ``h`` are the state's inertia matrix and bias;
-    ``free`` and ``scripted`` partition the DoF indices.  ``q_next``,
+    ``a`` (rows) and ``h`` are the state's inertia matrix and bias, and
+    ``tau_total`` the applied torque on the free DoFs.  ``q_next``,
     ``qd_next`` and ``qdd`` are full-length lists whose scripted entries
-    already hold the position and velocity at the end of the step and the
-    acceleration during it; the free entries are filled in place.
-    ``j_c`` holds the contact Jacobian's rows (none without contact) and
-    ``v_target`` the contact point's target velocity along them."""
+    (from ``m`` on) already hold the end-of-step position and velocity and
+    the acceleration; the free entries are filled in place.  ``j_c`` holds
+    the contact Jacobian's rows (none without contact) and ``v_target`` the
+    contact point's target velocity along them."""
     for name, v in (("q", q), ("qd", qd), ("tau_total", tau_total)):
         if not all(map(isfinite, v)):
             raise NonFinite(f"{name} contains NaN or Inf")
 
     # with nothing free the split of a contact force is left to the caller
     lam = [0.0] * len(j_c)
-    if free:
-        qdd_s = [qdd[s] for s in scripted]
-        rhs = [tau_total[i] - h[i] - sum(map(mul, [a[i][s] for s in scripted], qdd_s))
-               for i in free]
-        j_f = [[row[j] for j in free] for row in j_c]
+    if m:
+        qdd_s = qdd[m:]
+        rhs = [t - hi - sum(map(mul, row[m:], qdd_s)) for t, hi, row in zip(tau_total, h, a)]
+        j_f = [row[:m] for row in j_c]
         # A_ff^-1 rhs, then the columns of A_ff^-1 J_f^T (one per contact row)
         qdd_free, *minv_jt = spd_solve(
-            [[a[i][j] for j in free] for i in free], [rhs] + j_f,
+            [row[:m] for row in a[:m]], [rhs] + j_f,
             RankDeficient, "inertia of the free joints is not positive definite",
         )
         if j_c:
             gram = [[sum(map(mul, row, col)) for col in minv_jt] for row in j_f]
-            qd_free_pred = [qd[i] + dt * x for i, x in zip(free, qdd_free)]
-            qd_s = [qd_next[s] for s in scripted]
+            qd_free_pred = [v + dt * x for v, x in zip(qd, qdd_free)]
+            qd_s = qd_next[m:]
             resid = [
-                vt - sum(map(mul, [row[s] for s in scripted], qd_s))
-                - sum(map(mul, rf, qd_free_pred))
+                vt - sum(map(mul, row[m:], qd_s)) - sum(map(mul, rf, qd_free_pred))
                 for vt, row, rf in zip(v_target, j_c, j_f)
             ]
             (lam,) = spd_solve(
@@ -179,14 +180,14 @@ def _advance(
                 RankDeficient, "contact directions are not independent at this posture",
             )
             qdd_free = [x + sum(map(mul, col, lam)) for x, col in zip(qdd_free, zip(*minv_jt))]
-        for i, x in zip(free, qdd_free):
+        for i, x in enumerate(qdd_free):
             qdd[i] = x
             v = qd_next[i] = qd[i] + dt * x
             q_next[i] = q[i] + dt * v
 
     mags = [abs(v) for v in q_next + qd_next]
-    if not all(m <= BLOWUP_LIMIT for m in mags):  # NaN fails the comparison
-        peak = nan if any(m != m for m in mags) else max(mags)
+    if not all(x <= BLOWUP_LIMIT for x in mags):  # NaN fails the comparison
+        peak = nan if any(x != x for x in mags) else max(mags)
         raise NumericBlowup(f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})")
     return lam
 
@@ -225,7 +226,7 @@ def integrate_step(
         vt = vt.tolist()
     q_next, qd_next, qdd = [0.0] * n, [0.0] * n, [0.0] * n
     lam = _advance(state.q.tolist(), state.qd.tolist(), state.kin.a, state.kin.h, tau.tolist(),
-                   dt, range(n), (), j_c, vt, q_next, qd_next, qdd)
+                   dt, n, j_c, vt, q_next, qd_next, qdd)
     return StepResult(*map(np.array, (q_next, qd_next, qdd, lam)))
 
 
@@ -408,21 +409,19 @@ def run_scenario(scenario: Scenario) -> SimLog:
     Everything that does not depend on the plant state is computed once,
     before the loop: the step times, the sEMG activation and gate, the
     equilibrium point with the gated shift, the scripted human trajectory
-    and the contact target velocity.  Per step, in both modes, the loop
-    makes one step-kernel call, takes the contact rows and the control law
-    from it in Python floats, then either adds torques, friction and the
-    plant's advance (tracking) or holds the SRL posture and splits the
-    required force with ``decouple`` on the kernel's float lists (inverse
-    dynamics), with no array round trip.  Scripted (human)
-    joints are position-driven; their required torques are reported, not
-    applied.
+    and the contact target velocity; the controller was checked at load.
+    Per step, in both modes, the loop makes one step-kernel call, takes the
+    contact rows and the control law from it in Python floats, then either
+    applies J^T f, gravity load and friction to the limb's joints and
+    advances them (tracking) or holds the SRL posture and splits the
+    required force with ``decouple`` (inverse dynamics).  Vectors split at
+    ``m``: limb joints come first, then the position-driven human joints,
+    whose required torques are reported, not applied.
     """
     model = scenario.model
     sim = scenario.sim
     ctrl_cfg = scenario.controller
-    n = model.n_dof
-    srl = model.srl_indices.tolist()
-    human = model.human_indices.tolist()
+    n, m = model.n_dof, len(model.srl_indices)
     spec = scenario.contact.spec if scenario.contact else None
 
     try:
@@ -439,13 +438,12 @@ def run_scenario(scenario: Scenario) -> SimLog:
     x_eq, v_target = x_eq.tolist(), v_target.tolist()
     q_end, qd_end, qdd_in = q_end.tolist(), qd_end.tolist(), qdd_in.tolist()
 
-    ctrl = TaskSpaceController(
-        k_task=ctrl_cfg.table[ctrl_cfg.level - 1],
-        x_eq=np.zeros(len(rows)),
-        f_gravity=ctrl_cfg.f_gravity,
-        level=ctrl_cfg.level,
-        damping=ctrl_cfg.damping,
-    )
+    # the control law and friction as float lists, once per run
+    k_task, f_gravity, damping = (None if v is None else np.asarray(v, dtype=float).tolist()
+                                  for v in (ctrl_cfg.table[ctrl_cfg.level - 1],
+                                            ctrl_cfg.f_gravity, ctrl_cfg.damping))
+    fr = ctrl_cfg.friction
+    friction = fr and (fr.coulomb.tolist(), fr.viscous.tolist(), fr.stiction_breakaway_ratio)
     kernel, tip_jacobian = model._kernel, model.tip_jacobian
     contact_link = model.link_index(spec.chain, spec.joint) if spec else None
     inverse_mode = sim.mode == "inverse-dynamics"
@@ -461,7 +459,8 @@ def run_scenario(scenario: Scenario) -> SimLog:
             x = [tip[r] for r in rows]
             if ctrl_cfg.enabled:
                 vel = kin.tip_vel[task]
-                f_cmd = _control_force(ctrl, x_eq[i], x, [vel[r] for r in rows])
+                f_cmd = _control_force(k_task, f_gravity, damping, x_eq[i], x,
+                                       [vel[r] for r in rows])
             else:
                 f_cmd = [0.0] * len(rows)
 
@@ -474,36 +473,29 @@ def run_scenario(scenario: Scenario) -> SimLog:
                     lam_robot = []
                 else:
                     tau_req, lam_robot = dynamics.decouple((kin.a, kin.h, j_c, qdd))
-                tau_s = [tau_req[j] for j in srl]
-                tau_h = [tau_req[j] for j in human]
+                tau_s, tau_h = tau_req[:m], tau_req[m:]
             else:
-                tau = [0.0] * n
-                jac = tip_jacobian(kin, task)
+                # the limb's torque: J^T f on its joints, its gravity load, friction
+                tau_s = [0.0] * m
                 if ctrl_cfg.enabled:
-                    tau_task = _task_to_joint_torque(zip(*[jac[r] for r in rows]), f_cmd)
-                    for j in srl:
-                        tau[j] = (tau_task[j] + kin.g[j] if ctrl_cfg.gravity_compensation
-                                  else tau_task[j])
-                if ctrl_cfg.friction is not None:
-                    tau_f = _friction_torque(
-                        ctrl_cfg.friction, [qd[j] for j in srl], [tau[j] for j in srl]
-                    )
-                    for j, tf in zip(srl, tau_f):
-                        tau[j] += tf
+                    jac = tip_jacobian(kin, task)
+                    tau_task = _task_to_joint_torque(zip(*[jac[r][:m] for r in rows]), f_cmd)
+                    tau_s = list(map(add, tau_task, kin.g))
+                if friction is not None:
+                    tau_s = list(map(add, tau_s, _friction_torque(*friction, qd[:m], tau_s)))
                 lam_robot = _advance(
-                    q, qd, kin.a, kin.h, tau, sim.dt, srl, human,
+                    q, qd, kin.a, kin.h, tau_s, sim.dt, m,
                     j_c, v_target[i], q_next, qd_next, qdd,
                 )
-                tau_s = [tau[j] for j in srl]
                 tau_h = [
                     sum(map(mul, kin.a[j], qdd)) + kin.h[j]
                     - sum(row[j] * lk for row, lk in zip(j_c, lam_robot))
-                    for j in human
+                    for j in range(m, n)
                 ]
 
             f_mount = _mount_force(kin, qdd, lam_robot, scenario)
             log.append(
-                [q[j] for j in srl] + [qd[j] for j in srl] + x + f_cmd
+                q[:m] + qd[:m] + x + f_cmd
                 + [-lk for lk in lam_robot]  # force on the supported object
                 + f_mount + tau_s + tau_h
             )

@@ -257,7 +257,6 @@ class ControllerConfig:
     x_eq: np.ndarray | None = None
     f_gravity: np.ndarray | None = None
     damping: np.ndarray | None = None
-    gravity_compensation: bool = True
     friction: FrictionModel | None = None
 
     def __post_init__(self):
@@ -411,7 +410,7 @@ def _parse_controller(
         "enabled": _bool, "chain": _str, "joint": _opt(_int), "components": _axes,
         "stiffness_table": ("table", _stiffness_table), "level": _int,
         "x_eq": _auto_or_list, "f_gravity": _num_list, "panel_mass": _num,
-        "damping": _opt(_num_list), "gravity_compensation": _bool,
+        "damping": _opt(_num_list),
         "friction": _opt(_section(
             {"coulomb": per_joint, "viscous": per_joint,
              "breakaway_ratio": ("stiction_breakaway_ratio", _num)},

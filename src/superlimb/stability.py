@@ -47,10 +47,11 @@ from .errors import (
     Unachievable,
     ValidationError,
 )
-from .numerics import finite_diff_hessian, finite_diff_jacobian, psd_check
+from .numerics import default_fd_step, finite_diff_hessian, finite_diff_jacobian, psd_check
 from .plant import GRAVITY
 
 RESIDUAL_TOL = 1e-6
+EPS = float(np.finfo(float).eps)
 PSD_TOL_FACTOR = 1e-8
 CROSSCHECK_RTOL = 1e-3
 DEFAULT_ALPHA_MAX = 1e6
@@ -331,12 +332,23 @@ def equilibrium_residual(posture: SupportPosture, f_h: np.ndarray) -> np.ndarray
         raise DimensionMismatch(
             f"f_h must have shape ({posture.n_pose},), got {fh.shape}"
         )
+    return _residual(posture, fh)[0]
+
+
+def _residual(posture: SupportPosture, fh: np.ndarray) -> tuple[np.ndarray, float]:
+    """``equilibrium_residual``, unchecked, and the largest |z_c| among the
+    finite-difference sample points of its gravity gradient."""
+    z_abs = []
+
+    def z(pp):
+        v = _z(posture, pp)
+        z_abs.append(abs(v))
+        return np.atleast_1d(v)
+
     p = posture.p_bar
-    grad_z = finite_diff_jacobian(
-        lambda pp: np.atleast_1d(_z(posture, pp)), p
-    ).ravel()
+    grad_z = finite_diff_jacobian(z, p).ravel()
     j = _ik_jacobian(posture, p)
-    return -posture.mass * GRAVITY * grad_z + fh + j.T @ posture.tau_bar
+    return -posture.mass * GRAVITY * grad_z + fh + j.T @ posture.tau_bar, max(z_abs)
 
 
 def potential(posture: SupportPosture, p: np.ndarray) -> float:
@@ -405,18 +417,22 @@ def _overflow_is_numeric(certify):
 def stiffness_matrix_kp(posture: SupportPosture) -> StabilityReport:
     """Assemble the posture stiffness matrix and certify it.
 
-    Requires the posture to actually be an equilibrium (residual below
-    1e-6 N with no human force).  The analytic assembly is cross-checked
+    Requires the posture to actually be an equilibrium with no human
+    force: residual below 1e-6 max(1, m g) N plus the roundoff floor of its
+    central-difference gravity gradient, m g eps max|z_c| / min h over the
+    difference's sample points.  The analytic assembly is cross-checked
     against the finite-difference Hessian of the potential; disagreement
     beyond 0.1% relative raises a DiagnosticMismatch warning and flags the
     report, since at a true equilibrium the two are the same matrix.  The
     report carries that relative error and the residual.
     """
-    res = equilibrium_residual(posture, np.zeros(posture.n_pose))
+    res, z_max = _residual(posture, np.zeros(posture.n_pose))
     res_inf = float(np.max(np.abs(res))) if res.size else 0.0
-    if res_inf > RESIDUAL_TOL:
+    weight, h_min = posture.mass * GRAVITY, float(np.min(default_fd_step(posture.p_bar)))
+    bound = RESIDUAL_TOL * max(1.0, weight) + weight * EPS * z_max / h_min
+    if res_inf > bound:
         raise ValidationError(
-            f"posture is not an equilibrium (residual {res_inf:.3e} N)"
+            f"posture is not an equilibrium (residual {res_inf:.3e} N, bound {bound:.3e} N)"
         )
     base, j = _base_stiffness(posture)
     k_p = base + j.T @ posture.k_q @ j

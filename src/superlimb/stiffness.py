@@ -111,15 +111,18 @@ def control_force(ctrl: TaskSpaceController, x, xdot=None) -> np.ndarray:
         if xd.shape != (ctrl.m,):
             raise DimensionMismatch(f"xdot must have shape ({ctrl.m},)")
         xdot = xd.tolist()
-    return np.array(_control_force(ctrl, ctrl.x_eq.tolist(), xv.tolist(), xdot))
+    damping = None if ctrl.damping is None else ctrl.damping.tolist()
+    return np.array(_control_force(ctrl.k_task.tolist(), ctrl.f_gravity.tolist(), damping,
+                                   ctrl.x_eq.tolist(), xv.tolist(), xdot))
 
 
-def _control_force(ctrl: TaskSpaceController, x_eq, x, xdot) -> list[float]:
-    """``control_force`` on plain float lists, unchecked."""
+def _control_force(k_task, f_gravity, damping, x_eq, x, xdot) -> list[float]:
+    """``control_force`` on plain float lists (``k_task`` by its rows,
+    ``damping`` None for none), unchecked."""
     e = list(map(sub, x_eq, x))
-    f = [sum(map(mul, row, e)) + fg for row, fg in zip(ctrl.k_task.tolist(), ctrl.f_gravity.tolist())]
-    if ctrl.damping is not None and xdot is not None:
-        f = list(map(sub, f, map(mul, ctrl.damping.tolist(), xdot)))
+    f = [sum(map(mul, row, e)) + fg for row, fg in zip(k_task, f_gravity)]
+    if damping is not None and xdot is not None:
+        f = list(map(sub, f, map(mul, damping, xdot)))
     return f
 
 
@@ -202,17 +205,19 @@ def friction_torque(model: FrictionModel, qdot, tau_applied) -> np.ndarray:
     tau = np.atleast_1d(np.asarray(tau_applied, dtype=float))
     if qd.shape != model.coulomb.shape or tau.shape != model.coulomb.shape:
         raise DimensionMismatch("qdot/tau_applied must match friction dimensions")
-    return np.array(_friction_torque(model, qd.tolist(), tau.tolist()))
+    return np.array(_friction_torque(model.coulomb.tolist(), model.viscous.tolist(),
+                                     model.stiction_breakaway_ratio, qd.tolist(), tau.tolist()))
 
 
-def _friction_torque(model: FrictionModel, qdot, tau_applied) -> list[float]:
-    """``friction_torque`` on plain float lists, unchecked.  A NaN velocity
-    counts as stuck and a NaN applied torque passes through."""
+def _friction_torque(coulomb, viscous, ratio: float, qdot, tau_applied) -> list[float]:
+    """``friction_torque`` on plain float lists, ``ratio`` the stiction
+    breakaway ratio, unchecked.  A NaN velocity counts as stuck and a NaN
+    applied torque passes through."""
     out = []
-    for c, v, w, t in zip(model.coulomb.tolist(), model.viscous.tolist(), qdot, tau_applied):
+    for c, v, w, t in zip(coulomb, viscous, qdot, tau_applied):
         if abs(w) > V_EPS:
             out.append((-c if w > 0.0 else c) - v * w)
         else:
-            b = model.stiction_breakaway_ratio * c
+            b = ratio * c
             out.append(-min(max(t, -b), b))
     return out

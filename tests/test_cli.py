@@ -356,6 +356,52 @@ def test_emg_pipeline_bad_csv_exits_1(tmp_path, capsys, trace_body, motion_body,
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("bad_file", ["trace.csv", "motion.csv"])
+def test_emg_pipeline_non_utf8_csv_exits_1(tmp_path, capsys, bad_file):
+    t = np.arange(400) / 1000.0
+    (tmp_path / "trace.csv").write_text("t,ch1\n" + "".join(
+        f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), np.sin(80.0 * t).tolist())))
+    (tmp_path / "motion.csv").write_text("t,yaw_rad\n0.0,0.0\n1.5,0.4\n")
+    path = tmp_path / bad_file
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:3] + b"\xff" + lines[2][3:]
+    path.write_bytes(b"\n".join(lines))
+    argv = ["emg-pipeline", "--in", str(tmp_path / "trace.csv"),
+            "--motion", str(tmp_path / "motion.csv"), "--out", str(tmp_path / "o.csv")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith(f"error: {path}, line 3: not UTF-8 text")
+    assert out == ""
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_run_non_utf8_motion_file_exits_1(tmp_path, capsys):
+    with open(scenario_path("emg_step.json")) as fh:
+        data = json.load(fh)
+    data["emg"]["motion"] = {"file": "motion.csv"}
+    (tmp_path / "motion.csv").write_bytes(b"t,yaw_rad\n0.0,0.0\n1.5,0.\xff4\n")
+    cfg = tmp_path / "emg.json"
+    cfg.write_text(json.dumps(data))
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")],
+                           capsys)
+    assert code == 1
+    assert err.startswith(f"error: {tmp_path / 'motion.csv'}, line 3: not UTF-8 text")
+
+
+def test_emg_pipeline_overflowing_sample_is_numeric(tmp_path, capsys, trace_csv):
+    # a finite sample whose square overflows: the envelope reports it, and
+    # no floating-point warning is printed on the way
+    trace = tmp_path / "trace.csv"
+    lines = trace.read_text().splitlines()
+    lines[101] = lines[101].split(",")[0] + ",1e200"
+    trace.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["emg-pipeline", "--in", trace_csv, "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("numeric error: envelope: the sum of squared samples overflows")
+    assert not out.exists()
+
+
 # --- numeric flags --------------------------------------------------------------
 
 
@@ -383,6 +429,8 @@ def trace_csv(tmp_path):
         ("gen-emg", ["--mvc", "0"]),
         ("emg-pipeline", ["--f-max", "inf"]),
         ("emg-pipeline", ["--mvc", "inf"]),
+        ("emg-pipeline", ["--window", "1e308"]),  # window * fs is not finite
+        ("gen-emg", ["--mvc", "1e308"]),  # the calibrated samples overflow
     ],
 )
 def test_bad_numeric_flag_exits_1(tmp_path, capsys, trace_csv, command, flags):

@@ -319,8 +319,9 @@ def short_emg_step(seed, onset):
 
 
 def test_step_kernel_call_counts(monkeypatch):
-    # per run: the controller is validated once, and the inertia matrix and
-    # bias are evaluated at most once per step whether or not the gate opens
+    # per run: no controller is built (its rules ran at load), and the
+    # inertia matrix and bias are evaluated at most once per step whether or
+    # not the gate opens
     runs = [(3, 0.1), (8, 0.3), (3, None)]
     scenarios = [short_emg_step(seed, onset) for seed, onset in runs]
     counters = {
@@ -336,7 +337,7 @@ def test_step_kernel_call_counts(monkeypatch):
         shifted = np.ptp(log.column("x_eq_z")) > 0.0
         assert log.column("gate").any() == shifted == (onset is not None)
         counts = {k: cell[0] for k, cell in counters.items()}
-        assert counts["controller"] == 1
+        assert counts["controller"] == 0
         assert counts["mass_matrix"] <= len(log)
         assert counts["bias"] <= len(log)
         profiles.append(counts)

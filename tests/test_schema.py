@@ -96,6 +96,7 @@ def test_joint_com_defaults_to_link_midpoint():
     ("band", [500.0, 600.0]),
     ("band", [450.0, 20.0]),
     ("window", 0.001),
+    ("window", 1e308),  # window * fs, its sample count, is not finite
 ])
 def test_emg_band_and_window_checked_against_source_rate(key, value):
     with open(scenario_path("emg_step.json")) as fh:
@@ -194,6 +195,13 @@ def _at(node, where):
 def static_hold() -> dict:
     with open(scenario_path("static_hold.json")) as fh:
         return json.load(fh)
+
+
+def test_gravity_compensation_is_an_unknown_key():
+    # the limb always carries its own gravity load; there is no switch
+    data = static_hold()
+    data["controller"]["gravity_compensation"] = False
+    expect_key(data, "controller.gravity_compensation", "unknown key")
 
 
 def test_controller_components_must_be_distinct():

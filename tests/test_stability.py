@@ -253,6 +253,20 @@ def test_non_equilibrium_is_rejected():
         stiffness_matrix_kp(slider_posture(tau=0.0))
 
 
+@pytest.mark.parametrize("name, stable", [("hanging_panel", True), ("inverted_panel", False)])
+@pytest.mark.parametrize("key, value", [
+    ("mass", 1e12), ("mass", 1e200), ("r", 1e6), ("r", 1e10), ("r", 1e200),
+])
+def test_heavy_or_far_offset_posture_certifies(name, stable, key, value):
+    # both are exact equilibria; the residual of the central-difference
+    # gravity gradient grows with the weight and with |z_c|, and so does
+    # the bound it is held to
+    rep = stiffness_matrix_kp(named_posture(name, **{key: value}))
+    assert rep.is_stable == stable
+    assert rep.crosscheck_rel_err <= 1e-7
+    assert not rep.diagnostic_mismatch
+
+
 def test_mismatch_between_assembly_and_potential_is_flagged():
     # an inconsistent analytic ik Jacobian makes the assembled matrix
     # disagree with the actual potential's curvature
