@@ -146,7 +146,12 @@ def _cmd_gen_emg(args) -> int:
     profile = load_profile(args.profile)
     if args.seed < 0:
         raise ValidationError("--seed must be >= 0")
-    trace = generate_emg(profile, args.seed, mvc_reference=args.mvc)
+    try:
+        trace = generate_emg(profile, args.seed, mvc_reference=args.mvc)
+    except ValidationError as exc:
+        if exc.key != "mvc_reference":
+            raise
+        raise ValidationError(f"--mvc {exc.reason}") from exc
     write_trace_csv(args.out, trace)
     log.info("wrote %d samples to %s", trace.n_samples, args.out)
     return 0

@@ -25,7 +25,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from .errors import (
     BadBand,
@@ -168,7 +167,11 @@ def bandpass(trace: EmgTrace, f_lo: float, f_hi: float) -> EmgTrace:
     """Zero-phase band-pass: one second-order (biquad) Butterworth section
     applied forward and backward.  Rejects DC exactly.  A band whose
     filter has no initial state (a corner so low that a pole rounds onto 1)
-    is RankDeficient, and samples whose filtering overflows are NonFinite."""
+    is RankDeficient, and samples whose filtering overflows are NonFinite.
+    SciPy's signal module is imported here, on the first call, so a run
+    that never filters does not pay its import time."""
+    from scipy.signal import butter, filtfilt
+
     check_band(f_lo, f_hi, trace.fs)
     check_samples(trace.n_samples)
     b, a = butter(1, [f_lo, f_hi], btype="bandpass", fs=trace.fs)

@@ -89,11 +89,12 @@ def generate_emg(
     calibrated through the actual downstream chain (band-pass, rectify,
     moving RMS), so a fully-on segment lands its envelope at
     ``mvc_reference``.  Identical seeds give identical traces.  Errors of
-    the sample count are keyed at ``path``'s duration.
+    the sample count are keyed at ``path``'s duration, and those of the
+    calibration at ``mvc_reference``, for the caller to re-key.
     """
     fs = profile.fs
     if not (0.0 < mvc_reference < np.inf):
-        raise ValidationError(f"mvc_reference must be finite and > 0, got {mvc_reference}")
+        raise ValidationError(f"must be finite and > 0, got {mvc_reference}", "mvc_reference")
     n = profile.n_samples
     check_samples(n, f"{path}.duration")
     rng = np.random.default_rng(seed)
@@ -119,8 +120,8 @@ def generate_emg(
     with np.errstate(over="ignore"):
         samples = levels * carrier * (mvc_reference / kappa)
     if not np.all(np.isfinite(samples)):
-        raise ValidationError(f"mvc_reference {mvc_reference:g} calibrates sEMG samples "
-                              "past the float range")
+        raise ValidationError(f"{mvc_reference:g} calibrates sEMG samples past the float "
+                              "range", "mvc_reference")
     return EmgTrace(fs=fs, channels=(("ch1", samples),))
 
 
@@ -304,14 +305,13 @@ def _emg_channel(scenario: Scenario, t_sim: np.ndarray):
         return z, np.zeros(t_sim.size, dtype=bool), z.copy()
     trace = emg.trace
     if trace is None:
-        trace = generate_emg(
-            emg.profile,
-            emg.seed,
-            mvc_reference=emg.hill.mvc_reference,
-            band=emg.band,
-            window=emg.window,
-            path="emg.profile",
-        )
+        try:
+            trace = generate_emg(emg.profile, emg.seed, mvc_reference=emg.hill.mvc_reference,
+                                 band=emg.band, window=emg.window, path="emg.profile")
+        except ValidationError as exc:
+            if exc.key != "mvc_reference":
+                raise
+            raise ParseError("emg.hill.mvc_reference", exc.reason) from exc
     pipe = run_pipeline(
         trace,
         emg.hill,

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (
     DimensionMismatch,
@@ -99,6 +98,8 @@ class SupportPosture:
         q = np.atleast_1d(np.asarray(self.q_bar, dtype=float))
         tau = np.atleast_1d(np.asarray(self.tau_bar, dtype=float))
         kq = np.atleast_2d(np.asarray(self.k_q, dtype=float))
+        if p.size == 0:
+            raise ValidationError("the pose must have at least one coordinate", "p_bar")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q)) and np.all(np.isfinite(tau))):
             raise ValidationError("posture vectors must be finite")
         if tau.shape != q.shape:
@@ -465,8 +466,12 @@ def stabilizing_servo_stiffness(
     eigenvalue of the symmetric-definite pencil (margin I - base, J'J)
     (zero if that is negative).  The returned value certifies the
     condition: where roundoff leaves the min eigenvalue a hair below the
-    margin, alpha is stepped up by a few ulps until it is met.
+    margin, alpha is stepped up by a few ulps until it is met.  SciPy's
+    linalg module is imported on the first call: a certificate alone does
+    not need it.
     """
+    from scipy.linalg import eigh
+
     if not (0.0 <= margin < np.inf):
         raise ValidationError(f"margin must be finite and >= 0, got {margin}")
     base, j = _base_stiffness(posture)

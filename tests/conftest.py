@@ -75,3 +75,15 @@ def desk_model() -> PlantModel:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def trace_csv(tmp_path) -> str:
+    """A 0.4 s single-channel 80 Hz sine trace CSV at 1 kHz."""
+    t = np.arange(400) / 1000.0
+    x = np.sin(2 * np.pi * 80.0 * t)
+    path = tmp_path / "trace.csv"
+    path.write_text(
+        "t,ch1\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), x.tolist()))
+    )
+    return str(path)

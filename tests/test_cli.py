@@ -405,17 +405,6 @@ def test_emg_pipeline_overflowing_sample_is_numeric(tmp_path, capsys, trace_csv)
 # --- numeric flags --------------------------------------------------------------
 
 
-@pytest.fixture
-def trace_csv(tmp_path):
-    t = np.arange(400) / 1000.0
-    x = np.sin(2 * np.pi * 80.0 * t)
-    path = tmp_path / "trace.csv"
-    path.write_text(
-        "t,ch1\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), x.tolist()))
-    )
-    return str(path)
-
-
 @pytest.mark.parametrize(
     "command, flags",
     [
@@ -506,6 +495,36 @@ def test_run_overflowing_emg_force_exits_1(tmp_path, capsys, key, value, error):
     assert code == 1
     assert err.startswith(error)
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_overflowing_mvc_reference_exits_1(tmp_path, capsys):
+    # the synthetic trace's calibration overflows: the scenario key is named
+    with open(scenario_path("emg_step.json")) as fh:
+        data = json.load(fh)
+    data["sim"]["duration"] = 0.05
+    data["emg"]["hill"]["mvc_reference"] = 1e308
+    cfg = tmp_path / "mvc.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    assert err == ("error: emg.hill.mvc_reference: 1e+308 calibrates sEMG samples "
+                   "past the float range\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mvc, error", [
+    ("1e308", "error: --mvc 1e+308 calibrates sEMG samples past the float range\n"),
+    ("nan", "error: --mvc must be finite and > 0, got nan\n"),
+])
+def test_gen_emg_bad_mvc_names_the_flag(tmp_path, capsys, mvc, error):
+    out = tmp_path / "t.csv"
+    code, _, err = run_cli(
+        ["gen-emg", "--profile", scenario_path("emg_profile_step.json"), "--seed", "1",
+         "--out", str(out), "--mvc", mvc], capsys)
+    assert code == 1
+    assert err == error
     assert not out.exists()
 
 

@@ -73,6 +73,18 @@ def test_generate_emg_needs_a_finite_profile(fs, duration):
         generate_emg(ActivationProfile(fs=fs, duration=duration, steps=((0.0, 1.0),)), seed=0)
 
 
+@pytest.mark.parametrize("mvc, reason", [
+    (0.0, "must be finite and > 0"),
+    (1e308, "1e+308 calibrates sEMG samples past the float range"),
+])
+def test_generate_emg_keys_mvc_reference(mvc, reason):
+    # keyed by the argument, so each caller can name its own key or flag
+    with pytest.raises(ValidationError) as exc:
+        generate_emg(FULL_ON, seed=3, mvc_reference=mvc)
+    assert exc.value.key == "mvc_reference"
+    assert exc.value.reason.startswith(reason)
+
+
 def test_generate_emg_validation():
     short = ActivationProfile(fs=1000.0, duration=0.001, steps=((0.0, 1.0),))
     with pytest.raises(ValidationError):

@@ -110,6 +110,15 @@ def test_posture_validation():
         assert exc.value.key == "mass"
 
 
+def test_empty_pose_is_rejected_at_build():
+    # a pose with no coordinates has no stiffness matrix to certify
+    with pytest.raises(ValidationError) as exc:
+        SupportPosture(p_bar=np.zeros(0), q_bar=np.zeros(1), tau_bar=np.zeros(1),
+                       k_q=np.eye(1), mass=1.0, ik_map=lambda p: np.zeros(1),
+                       z_of_p=lambda p: 0.0, **flat(0))
+    assert exc.value.key == "p_bar"
+
+
 @pytest.mark.parametrize("name", ["ik_jac", "z_hess", "ik_hess"])
 def test_posture_without_a_derivative_closure_is_rejected(name):
     given = closures(slider_posture())
