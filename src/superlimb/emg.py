@@ -218,34 +218,31 @@ def envelope(trace: EmgTrace, window: float) -> EmgTrace:
     return _map_channels(trace, rms)
 
 
-def activation(
-    envelope_value: float, params: HillParams, prev_a: float, dt: float
-) -> float:
-    """One step of first-order activation dynamics.
-
-    The envelope is normalized by mvc_reference and clamped to [0, 1] to
-    form the drive u; activation relaxes towards u with the rise constant
-    when increasing and the fall constant otherwise.
-    """
-    if not (dt > 0.0):
-        raise ValidationError(f"dt must be > 0, got {dt}")
-    u = min(max(float(envelope_value) / params.mvc_reference, 0.0), 1.0)
-    tau = params.act_tau_rise if u > prev_a else params.act_tau_fall
-    a = prev_a + (dt / tau) * (u - prev_a)
-    return min(max(a, 0.0), 1.0)
-
-
 def activation_series(
     env: np.ndarray, params: HillParams, fs: float, a0: float = 0.0
 ) -> np.ndarray:
-    """Run the activation dynamics over a whole envelope array."""
+    """First-order activation dynamics over a whole envelope array sampled
+    at ``fs``, starting from activation ``a0``.
+
+    Each envelope sample is normalized by mvc_reference and clamped to
+    [0, 1] to form the drive u; activation relaxes towards u with the rise
+    constant when increasing and the fall constant otherwise, and is
+    clamped to [0, 1].
+    """
+    if not (0.0 < fs < math.inf):
+        raise ValidationError(f"fs must be finite and > 0, got {fs}")
     dt = 1.0 / fs
-    out = np.empty(env.size)
+    mvc, k_rise, k_fall = params.mvc_reference, dt / params.act_tau_rise, dt / params.act_tau_fall
+    samples = np.asarray(env, dtype=float).tolist()
+    out = [0.0] * len(samples)
     a = a0
-    for i, e in enumerate(env):
-        a = activation(e, params, a, dt)
+    for i, e in enumerate(samples):
+        u = e / mvc
+        u = 0.0 if u < 0.0 else 1.0 if u > 1.0 else u
+        a += (k_rise if u > a else k_fall) * (u - a)
+        a = 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
         out[i] = a
-    return out
+    return np.array(out)
 
 
 def hill_force(a, params: HillParams):
@@ -256,32 +253,22 @@ def hill_force(a, params: HillParams):
     return a * params.f_max * params.fl_factor * params.fv_factor
 
 
-def motion_gate(
-    yaw: float, threshold: float, hysteresis: float, prev: bool = False
-) -> bool:
-    """Schmitt trigger on |yaw|: turns on at >= threshold, off at
-    <= threshold - hysteresis, holds the previous state in between."""
-    check_gate(threshold, hysteresis)
-    return _schmitt(abs(yaw), threshold, hysteresis, prev)
-
-
-def _schmitt(mag: float, threshold: float, hysteresis: float, prev: bool) -> bool:
-    if mag >= threshold:
-        return True
-    if mag <= threshold - hysteresis:
-        return False
-    return prev
-
-
 def gate_series(yaws: np.ndarray, threshold: float, hysteresis: float) -> np.ndarray:
-    """Replay the Schmitt trigger over a yaw sequence, starting off."""
+    """Schmitt trigger on |yaw| replayed over a yaw sequence, starting off:
+    the gate turns on at >= threshold, off at <= threshold - hysteresis,
+    and holds its previous state in between."""
     check_gate(threshold, hysteresis)
-    out = np.empty(len(yaws), dtype=bool)
+    off = threshold - hysteresis
+    mags = np.abs(np.asarray(yaws, dtype=float)).tolist()
+    out = [False] * len(mags)
     state = False
-    for i, y in enumerate(np.asarray(yaws, dtype=float).tolist()):
-        state = _schmitt(abs(y), threshold, hysteresis, state)
+    for i, mag in enumerate(mags):
+        if mag >= threshold:
+            state = True
+        elif mag <= off:
+            state = False
         out[i] = state
-    return out
+    return np.array(out, dtype=bool)
 
 
 def map_to_equilibrium(f_muscle, gate, gain: float):

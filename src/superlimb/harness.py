@@ -383,11 +383,10 @@ def _scripted_motion(scenario: Scenario, t_sim: np.ndarray):
     qd_end = np.zeros(q_end.shape)
     qdd = np.zeros(q_end.shape)
     if human.size:
-        offsets, q_h0 = scenario.human_motion.offsets, q0[human]
-        for i, t in enumerate(t_sim.tolist()):
-            qdd[i, human] = offsets(t, human.size)[2]
-            dq, qd_end[i, human], _ = offsets(t + dt, human.size)
-            q_end[i, human] = q_h0 + dq
+        offsets = scenario.human_motion.offsets
+        qdd[:, human] = offsets(t_sim, human.size)[2]
+        dq, qd_end[:, human], _ = offsets(t_sim + dt, human.size)
+        q_end[:, human] = q0[human] + dq
     return q_end, qd_end, qdd
 
 
@@ -399,7 +398,7 @@ def _contact_velocity(scenario: Scenario, t_sim: np.ndarray) -> np.ndarray:
     if contact is not None and contact.motion.kind == "triangle":
         motion = contact.motion
         axis = contact.spec.directions.index(motion.axis)
-        v[:, axis] = [motion.velocity(t) for t in t_sim.tolist()]
+        v[:, axis] = motion.velocity(t_sim)
     return v
 
 

@@ -224,16 +224,19 @@ class ContactMotion:
         for name in ("amplitude", "speed"):
             if not (0.0 < getattr(self, name) < math.inf):
                 raise ValidationError("must be finite and positive", name)
+        if self.kind == "triangle" and not self.amplitude / self.speed > 0.0:
+            raise ValidationError(f"the quarter period amplitude / speed underflows to 0 "
+                                  f"at speed {self.speed:g}", "amplitude")
 
-    def velocity(self, t: float) -> float:
-        """Signed axis target velocity at time t (starts rising)."""
+    def velocity(self, t) -> np.ndarray:
+        """Signed axis target velocity at the times ``t``, an array (or a
+        float, as a 0-d array) of the same shape; a sweep starts rising."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "static":
-            return 0.0
+            return np.zeros(t.shape)
         quarter = self.amplitude / self.speed
-        phase = t % (4.0 * quarter)
-        if phase < quarter or phase >= 3.0 * quarter:
-            return self.speed
-        return -self.speed
+        phase = np.mod(t, 4.0 * quarter)
+        return np.where((phase < quarter) | (phase >= 3.0 * quarter), self.speed, -self.speed)
 
 
 @dataclass(frozen=True)
@@ -299,13 +302,16 @@ class HumanMotion:
         if not math.isfinite(self.phase):
             raise ValidationError("must be finite", "phase")
 
-    def offsets(self, t: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(dq, dqdot, dqddot) relative to the rest posture at time t."""
+    def offsets(self, t, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dq, dqdot, dqddot) relative to the rest posture of the ``n``
+        joints at the times ``t``, an array (or a float, as a 0-d array):
+        each of shape ``t.shape + (n,)``."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "static":
-            return np.zeros(n), np.zeros(n), np.zeros(n)
+            return tuple(np.zeros(t.shape + (n,)) for _ in range(3))
         w = 2.0 * math.pi * self.frequency
-        s = math.sin(w * t + self.phase)
-        c = math.cos(w * t + self.phase)
+        arg = (w * t + self.phase)[..., None]
+        s, c = np.sin(arg), np.cos(arg)
         a = self.amplitude
         return a * s, a * w * c, -a * w * w * s
 

@@ -135,6 +135,47 @@ def test_run_vanishing_contact_direction_exit_code(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+def test_run_inverse_dynamics_massless_tip_exit_code(tmp_path, capsys):
+    # a chain-end revolute link with its CoM on its pivot and no inertia or
+    # rotor adds a zero row and column to A: the inverse step's positive
+    # definiteness check is what catches it
+    with open(scenario_path("overhead_inverse.json")) as fh:
+        data = json.load(fh)
+    tip = data["plant"]["chains"][0]["joints"][-1]
+    tip["com"], tip["inertia"] = 0.0, 0.0
+    data["sim"]["duration"] = 0.05
+    cfg = tmp_path / "massless_tip.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert err == ("numeric error: [step 0, t=0s] a is not positive definite "
+                   "(leading minor 3 is 0.000e+00)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("amplitude, speed, code", [
+    (1e-300, 1e300, 1),  # the quarter period amplitude / speed underflows to 0
+    (1e300, 1e-300, 0),  # it overflows: one rising ramp for the whole run
+])
+def test_run_extreme_triangle_sweep(tmp_path, capsys, amplitude, speed, code):
+    with open(scenario_path("overhead_sweep.json")) as fh:
+        data = json.load(fh)
+    data["contact"]["motion"].update(amplitude=amplitude, speed=speed)
+    data["sim"]["duration"] = 0.05
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    got, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out)], capsys)
+    assert got == code
+    if code:
+        assert err.startswith("error: contact.motion.amplitude: ")
+        assert not out.exists()
+    else:
+        assert err == ""
+        assert out.exists()
+
+
 def test_run_deterministic_bytes(tmp_path, capsys):
     outs = []
     for name in ("a.csv", "b.csv"):

@@ -10,7 +10,6 @@ from superlimb.emg import (
     DEFAULT_WINDOW,
     EmgTrace,
     HillParams,
-    activation,
     activation_series,
     bandpass,
     envelope,
@@ -19,7 +18,6 @@ from superlimb.emg import (
     load_motion_csv,
     load_trace_csv,
     map_to_equilibrium,
-    motion_gate,
     rectify,
     run_pipeline,
     write_pipeline_csv,
@@ -168,15 +166,18 @@ def test_sine_envelope_matches_rms():
 
 def test_activation_first_order_steps():
     p = HillParams()
-    up = activation(1.0, p, 0.5, 0.001)
-    assert up == pytest.approx(0.5 + (0.001 / p.act_tau_rise) * 0.5, abs=1e-15)
-    down = activation(0.0, p, 0.5, 0.001)
-    assert down == pytest.approx(0.5 - (0.001 / p.act_tau_fall) * 0.5, abs=1e-15)
+    up = activation_series(np.array([1.0]), p, 1000.0, a0=0.5)
+    assert up[0] == pytest.approx(0.5 + (0.001 / p.act_tau_rise) * 0.5, abs=1e-15)
+    down = activation_series(np.array([0.0]), p, 1000.0, a0=0.5)
+    assert down[0] == pytest.approx(0.5 - (0.001 / p.act_tau_fall) * 0.5, abs=1e-15)
 
 
-def test_activation_dt_validation():
-    with pytest.raises(ValidationError):
-        activation(0.5, HillParams(), 0.0, 0.0)
+def test_activation_series_fs_validation():
+    # checked once per call, before any sample: an empty envelope too
+    for fs in (0.0, -1000.0, np.inf, np.nan):
+        for env in (np.array([0.5]), np.array([])):
+            with pytest.raises(ValidationError, match="fs must be finite and > 0"):
+                activation_series(env, HillParams(), fs)
 
 
 def test_activation_series_monotone_response():
@@ -215,9 +216,9 @@ def test_hill_force_domain():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=200))
-def test_activation_stays_in_unit_interval(env):
-    a = activation_series(np.asarray(env), HillParams(), 1000.0)
+@given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=200), st.floats(0.0, 1.0))
+def test_activation_stays_in_unit_interval(env, a0):
+    a = activation_series(np.asarray(env), HillParams(), 1000.0, a0=a0)
     assert np.all(a >= 0.0) and np.all(a <= 1.0)
 
 
@@ -225,31 +226,43 @@ def test_activation_stays_in_unit_interval(env):
 
 
 def test_motion_gate_schmitt():
+    # on at |yaw| >= 0.3, off at |yaw| <= 0.25, held in between; starts off
     thr, hys = 0.3, 0.05
-    assert motion_gate(0.31, thr, hys) is True
-    assert motion_gate(-0.31, thr, hys) is True
-    assert motion_gate(0.2, thr, hys, prev=True) is False
-    assert motion_gate(0.27, thr, hys, prev=True) is True
-    assert motion_gate(0.27, thr, hys, prev=False) is False
-    assert motion_gate(0.25, thr, hys, prev=True) is False
+    for yaws, gate in [
+        ([0.31], [True]),
+        ([-0.31], [True]),
+        ([0.27], [False]),
+        ([0.31, 0.2], [True, False]),
+        ([0.31, 0.27], [True, True]),
+        ([0.31, 0.25], [True, False]),
+        ([-0.31, -0.27, -0.25], [True, True, False]),
+        ([0.3, -0.26, 0.0, 0.29], [True, True, False, False]),
+    ]:
+        np.testing.assert_array_equal(gate_series(np.array(yaws), thr, hys), gate)
 
 
 def test_motion_gate_validation():
-    with pytest.raises(ValidationError):
-        motion_gate(0.0, 0.1, 0.2)
-    with pytest.raises(ValidationError):
-        motion_gate(0.0, 0.1, -0.01)
+    # checked once per call, with or without yaw samples
+    for yaws in (np.array([0.0]), np.array([])):
+        with pytest.raises(ValidationError):
+            gate_series(yaws, 0.1, 0.2)
+        with pytest.raises(ValidationError):
+            gate_series(yaws, 0.1, -0.01)
 
 
 def test_gate_series_replays_single_steps():
-    yaws = np.array([0.0, 0.35, 0.28, 0.2, 0.28, 0.4, 0.0])
+    yaws = np.array([0.0, 0.35, 0.28, 0.2, 0.28, 0.4, 0.0, -0.33, -0.27, -0.1])
     out = gate_series(yaws, 0.3, 0.05)
     state, manual = False, []
-    for y in yaws:
-        state = motion_gate(float(y), 0.3, 0.05, state)
+    for y in yaws.tolist():
+        if abs(y) >= 0.3:
+            state = True
+        elif abs(y) <= 0.3 - 0.05:
+            state = False
         manual.append(state)
     np.testing.assert_array_equal(out, manual)
-    np.testing.assert_array_equal(out, [False, True, True, False, False, True, False])
+    np.testing.assert_array_equal(out[:7], [False, True, True, False, False, True, False])
+    assert out.dtype == bool
 
 
 def test_map_to_equilibrium():

@@ -23,6 +23,8 @@ from superlimb.harness import _mount_force, generate_emg, integrate_step, run_sc
 from superlimb.plant import Chain, Joint, PlantModel, PlantState
 from superlimb.scenario import (
     ActivationProfile,
+    ContactMotion,
+    HumanMotion,
     load_scenario,
     parse_scenario,
 )
@@ -465,6 +467,23 @@ def test_inverse_dynamics_holds_srl_posture():
     w = 2.0 * math.pi * 0.5
     expected_amp = 55.0 * 0.03 * w * w
     assert np.max(tau_h) - mean == pytest.approx(expected_amp, rel=0.01)
+
+
+@pytest.mark.parametrize("duration", [0.05, 0.5])
+def test_scripted_signals_are_computed_once_per_run(monkeypatch, duration):
+    # the sway is evaluated at the step times and at their ends, the sweep
+    # at the step times: two and one array calls, whatever the step count
+    with open(scenario_path("overhead_sweep.json")) as fh:
+        data = json.load(fh)
+    data["sim"]["duration"] = duration
+    data["human_motion"] = {"type": "sine", "amplitude": [0.03], "frequency": 0.5}
+    sc = parse_scenario(data)
+    offsets = count_calls(monkeypatch, HumanMotion, "offsets")
+    velocity = count_calls(monkeypatch, ContactMotion, "velocity")
+    log = run_scenario(sc)
+    assert len(log) == sc.sim.n_steps == round(duration / 0.005)
+    assert offsets[0] <= 2
+    assert velocity[0] <= 1
 
 
 def test_human_sine_in_tracking_mode():

@@ -197,6 +197,11 @@ def test_contact_validation():
     data["contact"]["motion"] = {"type": "triangle", "amplitude": -0.01}
     expect_key(data, "contact.motion.amplitude")
 
+    # a quarter period amplitude / speed that underflows to 0 has no sweep
+    data = base_scenario()
+    data["contact"]["motion"] = {"type": "triangle", "amplitude": 1e-300, "speed": 1e300}
+    expect_key(data, "contact.motion.amplitude", "underflows to 0")
+
 
 # --- validation: controller -----------------------------------------------------
 
@@ -356,6 +361,24 @@ def test_human_motion_offsets():
         np.testing.assert_array_equal(arr, np.zeros(2))
 
 
+def test_human_motion_offsets_match_scalar_formulas():
+    # one array call equals the per-time formula with math.sin/math.cos
+    # bit for bit, so the scripted CSV columns do not depend on the form
+    amp = [0.03, -0.02]
+    hm = HumanMotion(kind="sine", amplitude=np.array(amp), frequency=0.7, phase=0.4)
+    t = np.arange(1601) * 0.005
+    dq, dqd, dqdd = hm.offsets(t, 2)
+    assert dq.shape == dqd.shape == dqdd.shape == (t.size, 2)
+    w = 2.0 * math.pi * 0.7
+    for i, ti in enumerate(t.tolist()):
+        s, c = math.sin(w * ti + 0.4), math.cos(w * ti + 0.4)
+        assert dq[i].tolist() == [a * s for a in amp]
+        assert dqd[i].tolist() == [a * w * c for a in amp]
+        assert dqdd[i].tolist() == [-a * w * w * s for a in amp]
+    for arr in HumanMotion().offsets(t, 3):
+        np.testing.assert_array_equal(arr, np.zeros((t.size, 3)))
+
+
 # --- file loading ---------------------------------------------------------------
 
 
@@ -420,6 +443,24 @@ def test_triangle_velocity_schedule():
 
 def test_static_motion_velocity():
     assert ContactMotion().velocity(1.23) == 0.0
+    np.testing.assert_array_equal(ContactMotion().velocity(np.arange(5.0)), np.zeros(5))
+
+
+@pytest.mark.parametrize("amplitude, speed", [(0.02, 0.02), (0.03, 0.02), (0.015, 0.01)])
+def test_triangle_velocity_matches_scalar_formula(amplitude, speed):
+    # one array call equals the per-time schedule bit for bit, on the step
+    # times and on each turnaround and its neighbouring floats
+    m = ContactMotion(kind="triangle", amplitude=amplitude, speed=speed)
+    quarter = amplitude / speed
+    turns = np.array([k * quarter for k in range(9)])
+    t = np.concatenate([np.arange(1601) * 0.005, turns,
+                        np.nextafter(turns, -np.inf), np.nextafter(turns, np.inf)])
+    t = t[t >= 0.0]
+    v = m.velocity(t)
+    assert v.shape == t.shape
+    for ti, vi in zip(t.tolist(), v.tolist()):
+        phase = ti % (4.0 * quarter)
+        assert vi == (speed if phase < quarter or phase >= 3.0 * quarter else -speed)
 
 
 # --- posture configs ------------------------------------------------------------
