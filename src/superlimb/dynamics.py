@@ -18,7 +18,6 @@ hands it with no array round trip; ``constraint_force`` shares its QR.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from math import hypot, isfinite
@@ -27,7 +26,7 @@ from operator import add, mul
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, RankDeficient, SingularWeight
-from .numerics import QR_RANK_RTOL, dyn_consistent_pinv, spd_solve
+from .numerics import QR_RANK_RTOL, check_rank, dyn_consistent_pinv, spd_solve, symmetric_part
 # unused here: perfbench's tracer (perfbench/tracer.py) wraps it in this module
 from .numerics import qr_full  # noqa: F401
 from .plant import AXES, PlantModel
@@ -60,11 +59,9 @@ class DynamicsSnapshot:
             raise DimensionMismatch(
                 f"j_c must be k x {n} with 1 <= k <= {n}, got {jc.shape}"
             )
-        with np.errstate(invalid="ignore", over="ignore"):  # NaN or Inf: _check_values
-            if np.abs(a - a.T).max() > 1e-9 * (1.0 + np.abs(a).max()):
-                raise DimensionMismatch("a must be symmetric")
+        sym = symmetric_part(a, DimensionMismatch, "a must be symmetric")
         _check_values(a.tolist(), h.tolist(), jc.tolist(), qdd.tolist())
-        object.__setattr__(self, "a", 0.5 * (a + a.T))
+        object.__setattr__(self, "a", sym)
         object.__setattr__(self, "h_bias", h)
         object.__setattr__(self, "j_c", jc)
         object.__setattr__(self, "qdd", qdd)
@@ -133,8 +130,7 @@ def _contact_qr(j_c) -> tuple[list[list[float]], list[list[float]]]:
 
     Classical Gram-Schmidt with one reorthogonalization, which keeps Q1
     orthonormal to roundoff even for nearly parallel rows.  Raises
-    RankDeficient when the smallest r_ii falls below ``QR_RANK_RTOL``
-    times the largest (NaN included)."""
+    RankDeficient by ``qr_full``'s rank rule (``check_rank``)."""
     k = len(j_c)
     q1, r = [], [[0.0] * k for _ in range(k)]
     for j, v in enumerate(j_c):
@@ -146,11 +142,7 @@ def _contact_qr(j_c) -> tuple[list[list[float]], list[list[float]]]:
                     r[i][j] += ci
         d = r[j][j] = hypot(*v)
         q1.append([x / d for x in v] if d > 0.0 else v)
-    diag = [r[i][i] for i in range(k)]
-    lo, hi = min(diag), max(diag)
-    floor = QR_RANK_RTOL * max(hi, sys.float_info.min)
-    if not all(d >= floor for d in diag):
-        raise RankDeficient(f"matrix rank < {k}: |r_ii| range [{lo:.3e}, {hi:.3e}]")
+    check_rank([r[i][i] for i in range(k)])
     return q1, r
 
 

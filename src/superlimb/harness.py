@@ -45,7 +45,6 @@ from .emg import (
     zero_order_hold,
 )
 from .errors import (
-    DimensionMismatch,
     NonFinite,
     NumericBlowup,
     ParseError,
@@ -60,6 +59,7 @@ from .stiffness import (  # noqa: F401
     _control_force,
     _friction_torque,
     _task_to_joint_torque,
+    check_vectors,
     # the checked array forms of the loop's control law (and of its contact
     # rows above), kept importable here where perfbench's tracer
     # (perfbench/tracer.py) wraps them
@@ -152,10 +152,10 @@ def _advance(
     (from ``m`` on) already hold the end-of-step position and velocity and
     the acceleration; the free entries are filled in place.  ``j_c`` holds
     the contact Jacobian's rows (none without contact) and ``v_target`` the
-    contact point's target velocity along them."""
-    for name, v in (("q", q), ("qd", qd), ("tau_total", tau_total)):
-        if not all(map(isfinite, v)):
-            raise NonFinite(f"{name} contains NaN or Inf")
+    contact point's target velocity along them.  ``q`` and ``qd`` are finite:
+    a ``PlantState`` checked them, or the last step's blow-up bound did."""
+    if not all(map(isfinite, tau_total)):
+        raise NonFinite("tau_total contains NaN or Inf")
 
     # with nothing free the split of a contact force is left to the caller
     lam = [0.0] * len(j_c)
@@ -213,17 +213,13 @@ def integrate_step(
         raise ValidationError(f"dt must be > 0, got {dt}")
     state = model.state(q, qd)
     n = model.n_dof
-    tau = np.atleast_1d(np.asarray(tau_total, dtype=float))
-    if tau.shape != (n,):
-        raise DimensionMismatch(f"tau_total must have shape ({n},), got {tau.shape}")
+    (tau,) = check_vectors(n, tau_total=tau_total)
     j_c, vt = [], []
     if contact:
         link = model.link_index(contact.chain, contact.joint)
         j_c = _contact_rows(model.tip_jacobian(state.kin, link), contact)
         k = len(j_c)
-        vt = np.zeros(k) if v_target is None else np.asarray(v_target, dtype=float)
-        if vt.shape != (k,):
-            raise DimensionMismatch(f"v_target must have shape ({k},), got {vt.shape}")
+        (vt,) = check_vectors(k, v_target=np.zeros(k) if v_target is None else v_target)
         vt = vt.tolist()
     q_next, qd_next, qdd = [0.0] * n, [0.0] * n, [0.0] * n
     lam = _advance(state.q.tolist(), state.qd.tolist(), state.kin.a, state.kin.h, tau.tolist(),
@@ -466,7 +462,10 @@ def run_scenario(scenario: Scenario) -> SimLog:
             q_next, qd_next, qdd = q_end[i], qd_end[i], qdd_in[i]
             if inverse_mode:
                 # hold the SRL posture, drive the human: required torques
-                # and the force split come from inverse dynamics
+                # and the force split come from inverse dynamics; the
+                # commanded force is logged, not applied, so it is checked here
+                if not all(map(isfinite, f_cmd)):
+                    raise NonFinite("f_cmd contains NaN or Inf")
                 if spec is None:
                     tau_req = [sum(map(mul, row, qdd)) + hj for row, hj in zip(kin.a, kin.h)]
                     lam_robot = []

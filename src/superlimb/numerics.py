@@ -37,10 +37,10 @@ GRAM_COND_MAX = 1e12
 _TINY = np.finfo(float).tiny
 
 
-def _as_matrix(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-D, got shape {a.shape}")
+def _as_array(x, name: str, ndim: int) -> np.ndarray:
+    a = np.asarray(x, dtype=float)
+    if a.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be {ndim}-D, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFinite(f"{name} contains NaN or Inf")
     return a
@@ -83,13 +83,26 @@ def spd_solve(m, rhs, error, reason: str) -> list[list[float]]:
     return out
 
 
-def _as_vector(v, name: str = "vector") -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise NonFinite(f"{name} contains NaN or Inf")
-    return a
+def symmetric_part(a: np.ndarray, error, reason: str) -> np.ndarray:
+    """0.5 (a + a^T) of a square float array symmetric to 1e-9 (1 + max|a|),
+    else ``error`` with ``reason`` (an overflowing asymmetry is one); raises
+    NonFinite for a NaN or Inf entry or an ``a + a^T`` that overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.abs(a - a.T).max() > 1e-9 * (1.0 + np.abs(a).max()):
+            raise error(reason)
+        sym = 0.5 * (a + a.T)
+    if not np.isfinite(sym).all():
+        raise NonFinite("a + a^T overflows" if np.isfinite(a).all() else "a contains NaN or Inf")
+    return sym
+
+
+def check_rank(diag: list[float]):
+    """Raise RankDeficient unless every |r_ii| of a QR factorization, given
+    as ``diag``, is at least ``QR_RANK_RTOL`` times the largest (NaN fails)."""
+    lo, hi = min(diag), max(diag)
+    floor = QR_RANK_RTOL * max(hi, _TINY)
+    if not all(d >= floor for d in diag):
+        raise RankDeficient(f"matrix rank < {len(diag)}: |r_ii| range [{lo:.3e}, {hi:.3e}]")
 
 
 @dataclass(frozen=True)
@@ -114,7 +127,7 @@ def qr_full(m) -> QrFactorization:
     ``QR_RANK_RTOL`` times the largest, i.e. the columns of ``m`` are not
     numerically independent.
     """
-    a = _as_matrix(m, "m")
+    a = _as_array(m, "m", 2)
     n, k = a.shape
     if not (n >= k >= 1):
         raise DimensionMismatch(f"need n >= k >= 1, got shape {a.shape}")
@@ -125,10 +138,7 @@ def qr_full(m) -> QrFactorization:
     flip = np.copysign(1.0, r.diagonal())
     q[:, :k] *= flip
     r *= flip[:, np.newaxis]
-    d = r.diagonal().tolist()
-    lo, hi = min(d), max(d)
-    if lo < QR_RANK_RTOL * max(hi, _TINY):
-        raise RankDeficient(f"matrix rank < {k}: |r_ii| range [{lo:.3e}, {hi:.3e}]")
+    check_rank(r.diagonal().tolist())
     return QrFactorization(q=q, r=r, n=n, k=k)
 
 
@@ -139,7 +149,7 @@ def svd_pinv(m) -> np.ndarray:
     to zero, so an (effectively) zero matrix maps to the zero matrix of the
     transposed shape.
     """
-    a = _as_matrix(m, "m")
+    a = _as_array(m, "m", 2)
     if a.size == 0:
         return np.zeros(a.shape[::-1])
     return np.linalg.pinv(a, rcond=max(a.shape) * SVD_CUTOFF_FACTOR)
@@ -156,14 +166,12 @@ def dyn_consistent_pinv(w, a) -> np.ndarray:
     Raises SingularWeight if ``a`` is not SPD and RankDeficient if the
     weighted Gram matrix w a^-1 w^T is (numerically) singular.
     """
-    wm = _as_matrix(w, "w")
-    am = _as_matrix(a, "a")
+    wm = _as_array(w, "w", 2)
+    am = _as_array(a, "a", 2)
     k, n = wm.shape
     if n == 0 or am.shape != (n, n):
         raise DimensionMismatch(f"weight must be {n}x{n} with n >= 1, got {am.shape}")
-    if np.abs(am - am.T).max() > 1e-9 * (1.0 + np.abs(am).max()):
-        raise SingularWeight("weight matrix is not symmetric")
-    sym = _as_matrix(0.5 * (am + am.T), "a")  # am + am.T can overflow
+    sym = symmetric_part(am, SingularWeight, "weight matrix is not symmetric")
     # X = A^-1 W^T, one solve per row of w
     x = np.array(spd_solve(sym.tolist(), wm.tolist(), SingularWeight,
                            "weight matrix is not positive definite")).T
@@ -192,7 +200,7 @@ def default_fd_step(p0: np.ndarray) -> np.ndarray:
 def finite_diff_jacobian(f: Callable, p0) -> np.ndarray:
     """Central-difference Jacobian of a vector map f: R^n -> R^m at p0,
     with the step of ``default_fd_step``."""
-    p = _as_vector(p0, "p0")
+    p = _as_array(p0, "p0", 1)
     h = default_fd_step(p)
     f0 = np.atleast_1d(np.asarray(f(p), dtype=float))
     jac = np.zeros((f0.size, p.size))
@@ -214,7 +222,7 @@ def finite_diff_hessian(f: Callable, p0) -> np.ndarray:
     The step is 1e-4 * (1 + |p0_i|) per coordinate.  Raises NonFinite if
     any function evaluation is NaN or Inf.
     """
-    p = _as_vector(p0, "p0")
+    p = _as_array(p0, "p0", 1)
     m = p.size
     h = default_fd_step(p)
 
@@ -248,7 +256,7 @@ def psd_check(m, tol: float) -> tuple[bool, float]:
     the asymmetry exceeds ``tol`` (inf-norm) NotSymmetric is raised.  The
     verdict is min_eigenvalue >= -tol.
     """
-    a = _as_matrix(m, "m")
+    a = _as_array(m, "m", 2)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
     if float(tol) < 0.0:

@@ -123,6 +123,11 @@ class PlantModel:
                 raise BadModel("limb chains must be declared before human chains")
         if self.gravity < 0.0 or not np.isfinite(self.gravity):
             raise BadModel(f"gravity must be >= 0, got {self.gravity}")
+        for ci, c in enumerate(self.chains):
+            for ji, joint in enumerate(c.joints):
+                if not np.isfinite(joint.mass * self.gravity):
+                    raise BadModel(f"weight {joint.mass:g} kg * {self.gravity:g} m/s^2 is not "
+                                   "finite", f"chains[{ci}].joints[{ji}].mass")
         self._derive_structure()
 
     def _derive_structure(self):

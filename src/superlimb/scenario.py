@@ -36,8 +36,14 @@ from .emg import (
 )
 from .errors import BadModel, MissingFile, ParseError, SuperlimbError, ValidationError
 from .plant import AXES, Chain, Joint, PlantModel
-from .stability import POSTURES, SupportPosture, named_posture  # noqa: F401
-from .stiffness import FrictionModel, check_level, check_table, default_stiffness_table
+from .stability import SupportPosture, named_posture
+from .stiffness import (
+    FrictionModel,
+    check_level,
+    check_table,
+    check_vectors,
+    default_stiffness_table,
+)
 
 # --- JSON type parsers: parse(value, dotted_path) -> value --------------------
 
@@ -271,14 +277,10 @@ class ControllerConfig:
         table = default_stiffness_table(m) if self.table is None else self.table
         object.__setattr__(self, "table", check_table(table, m))
         check_level(self.level)
-        if self.f_gravity is None:
-            object.__setattr__(self, "f_gravity", np.zeros(m))
-        for name in ("x_eq", "f_gravity", "damping"):
-            v = getattr(self, name)
-            if v is not None and np.size(v) != m:
-                raise ValidationError(f"must have {m} entries, got {np.size(v)}", name)
-        if self.damping is not None and np.any(np.asarray(self.damping) < 0.0):
-            raise ValidationError("entries must be >= 0", "damping")
+        f_gravity = np.zeros(m) if self.f_gravity is None else self.f_gravity
+        vectors = {"x_eq": self.x_eq, "f_gravity": f_gravity, "damping": self.damping}
+        for name, v in zip(vectors, check_vectors(m, **vectors)):
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)
@@ -433,6 +435,9 @@ def _parse_controller(
             f"{path}.f_gravity", "give either f_gravity or panel_mass, not both"
         )
     config = _build(ControllerConfig, path, schema, values)
+    if config.enabled and chain not in model._srl_chains:
+        raise ParseError(f"{path}.chain", f"{chain!r} is a human chain; the controller "
+                         "drives a limb chain")
     if panel_mass is None:
         return config
     panel_path = f"{path}.panel_mass"
@@ -440,8 +445,12 @@ def _parse_controller(
         raise ParseError(panel_path, "must be >= 0")
     if "z" not in config.components:
         raise ParseError(panel_path, "needs a 'z' task component to act on")
+    weight = panel_mass * model.gravity
+    if not math.isfinite(weight):
+        raise ParseError(panel_path, f"weight {panel_mass:g} kg * {model.gravity:g} m/s^2 "
+                         "is not finite")
     f_gravity = np.zeros(len(config.components))
-    f_gravity[config.components.index("z")] = panel_mass * model.gravity
+    f_gravity[config.components.index("z")] = weight
     return replace(config, f_gravity=f_gravity)
 
 

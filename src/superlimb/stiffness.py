@@ -45,6 +45,21 @@ def check_level(level) -> int:
     return int(level)
 
 
+def check_vectors(m: int, **vectors) -> list:
+    """Each named vector as a float array of shape ``(m,)`` (None passes
+    through), errors keyed by its name; a ``damping`` must be >= 0."""
+    out = []
+    for key, v in vectors.items():
+        if v is not None:
+            v = np.atleast_1d(np.asarray(v, dtype=float))
+            if v.shape != (m,):
+                raise DimensionMismatch(f"must have shape ({m},), got {v.shape}", key)
+            if key == "damping" and np.any(v < 0.0):
+                raise DimensionMismatch("entries must be >= 0", key)
+        out.append(v)
+    return out
+
+
 def _check_stiffness(k, m: int, key: str) -> np.ndarray:
     k = np.atleast_2d(np.asarray(k, dtype=float))
     if k.shape != (m, m):
@@ -74,19 +89,12 @@ class TaskSpaceController:
     def __post_init__(self):
         m = len(np.atleast_2d(self.k_task))
         k = _check_stiffness(self.k_task, m, "k_task")
-        x = np.atleast_1d(np.asarray(self.x_eq, dtype=float))
-        fg = np.atleast_1d(np.asarray(self.f_gravity, dtype=float))
-        if x.shape != (m,) or fg.shape != (m,):
-            raise DimensionMismatch("x_eq and f_gravity must match k_task dimension")
+        x, fg, d = check_vectors(m, x_eq=self.x_eq, f_gravity=self.f_gravity,
+                                 damping=self.damping)
+        if x is None or fg is None:
+            raise DimensionMismatch("x_eq and f_gravity must be given")
         if self.level is not None:
             check_level(self.level)
-        d = self.damping
-        if d is not None:
-            d = np.atleast_1d(np.asarray(d, dtype=float))
-            if d.shape != (m,):
-                raise DimensionMismatch("damping must be one value per direction")
-            if np.any(d < 0.0):
-                raise DimensionMismatch("damping must be >= 0")
         object.__setattr__(self, "k_task", k)
         object.__setattr__(self, "x_eq", x)
         object.__setattr__(self, "f_gravity", fg)
@@ -103,15 +111,9 @@ def control_force(ctrl: TaskSpaceController, x, xdot=None) -> np.ndarray:
     When the controller carries a damping vector and ``xdot`` is given, a
     -damping * xdot term is added.
     """
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.shape != (ctrl.m,):
-        raise DimensionMismatch(f"x must have shape ({ctrl.m},), got {xv.shape}")
-    if ctrl.damping is not None and xdot is not None:
-        xd = np.atleast_1d(np.asarray(xdot, dtype=float))
-        if xd.shape != (ctrl.m,):
-            raise DimensionMismatch(f"xdot must have shape ({ctrl.m},)")
-        xdot = xd.tolist()
-    damping = None if ctrl.damping is None else ctrl.damping.tolist()
+    damped = ctrl.damping is not None and xdot is not None
+    xv, xd = check_vectors(ctrl.m, x=x, xdot=xdot if damped else None)
+    damping, xdot = (ctrl.damping.tolist(), xd.tolist()) if damped else (None, None)
     return np.array(_control_force(ctrl.k_task.tolist(), ctrl.f_gravity.tolist(), damping,
                                    ctrl.x_eq.tolist(), xv.tolist(), xdot))
 
@@ -141,9 +143,7 @@ def shift_equilibrium(ctrl: TaskSpaceController, delta_f) -> TaskSpaceController
     stiffness cannot produce the requested change (delta_f outside the
     range of a singular K).
     """
-    df = np.atleast_1d(np.asarray(delta_f, dtype=float))
-    if df.shape != (ctrl.m,):
-        raise DimensionMismatch(f"delta_f must have shape ({ctrl.m},)")
+    (df,) = check_vectors(ctrl.m, delta_f=delta_f)
     if not np.any(df):
         return ctrl
     dx = svd_pinv(ctrl.k_task) @ df
@@ -201,10 +201,7 @@ def friction_torque(model: FrictionModel, qdot, tau_applied) -> np.ndarray:
     -sign(qd) coulomb - viscous qd; stuck joints resist the applied torque
     up to the breakaway level ratio * coulomb.
     """
-    qd = np.atleast_1d(np.asarray(qdot, dtype=float))
-    tau = np.atleast_1d(np.asarray(tau_applied, dtype=float))
-    if qd.shape != model.coulomb.shape or tau.shape != model.coulomb.shape:
-        raise DimensionMismatch("qdot/tau_applied must match friction dimensions")
+    qd, tau = check_vectors(model.coulomb.size, qdot=qdot, tau_applied=tau_applied)
     return np.array(_friction_torque(model.coulomb.tolist(), model.viscous.tolist(),
                                      model.stiction_breakaway_ratio, qd.tolist(), tau.tolist()))
 

@@ -46,12 +46,11 @@ from superlimb.numerics import (
 )
 from superlimb.plant import Chain, Joint, PlantModel
 from superlimb.scenario import (
-    POSTURES,
     build_posture,
     load_scenario,
     parse_scenario,
 )
-from superlimb.stability import potential, stiffness_matrix_kp
+from superlimb.stability import POSTURES, potential, stiffness_matrix_kp
 
 
 @contextlib.contextmanager

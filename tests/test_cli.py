@@ -640,3 +640,76 @@ def test_gen_emg_bad_sample_count_exits_1(tmp_path, capsys, key, value):
     assert err.startswith("error: profile.duration: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _run_edited(tmp_path, capsys, name: str, edit) -> tuple[int, str, bool]:
+    """Run a bundled scenario after ``edit`` changed its JSON in place;
+    returns the exit code, stderr and whether a log was written."""
+    with open(scenario_path(f"{name}.json")) as fh:
+        data = json.load(fh)
+    edit(data)
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out)], capsys)
+    return code, err, out.exists()
+
+
+def test_run_controller_on_human_chain_exits_1(tmp_path, capsys):
+    # the controller's J^T f acts on limb joints only: on the trunk it
+    # would log a commanded force that no joint applies
+    code, err, wrote = _run_edited(
+        tmp_path, capsys, "static_hold", lambda d: d["controller"].update(chain="trunk"))
+    assert (code, wrote) == (1, False)
+    assert err == ("error: controller.chain: 'trunk' is a human chain; the controller "
+                   "drives a limb chain\n")
+
+
+def test_run_default_controller_chain_of_a_plant_without_limb_exits_1(tmp_path, capsys):
+    def human_only(data):
+        data["plant"]["chains"] = data["plant"]["chains"][1:]
+        del data["contact"]
+
+    code, err, wrote = _run_edited(tmp_path, capsys, "static_hold", human_only)
+    assert (code, wrote) == (1, False)
+    assert err == ("error: controller.chain: 'trunk' is a human chain; the controller "
+                   "drives a limb chain\n")
+
+
+def test_run_disabled_controller_may_name_a_human_chain(tmp_path, capsys):
+    code, err, wrote = _run_edited(
+        tmp_path, capsys, "static_hold",
+        lambda d: d["controller"].update(chain="trunk", enabled=False))
+    assert (code, err, wrote) == (0, "", True)
+
+
+@pytest.mark.parametrize("name", ["static_hold", "overhead_inverse"])
+def test_run_overflowing_panel_weight_exits_1(tmp_path, capsys, name):
+    def heavy_panel(data):
+        data["controller"]["panel_mass"] = 1e308
+        data["sim"]["duration"] = 0.05
+
+    code, err, wrote = _run_edited(tmp_path, capsys, name, heavy_panel)
+    assert (code, wrote) == (1, False)
+    assert err == "error: controller.panel_mass: weight 1e+308 kg * 9.81 m/s^2 is not finite\n"
+
+
+def test_run_overflowing_joint_weight_exits_1(tmp_path, capsys):
+    code, err, wrote = _run_edited(
+        tmp_path, capsys, "static_hold",
+        lambda d: d["plant"]["chains"][0]["joints"][2].update(mass=1e308))
+    assert (code, wrote) == (1, False)
+    assert err == ("error: plant.chains[0].joints[2].mass: weight 1e+308 kg * 9.81 m/s^2 "
+                   "is not finite\n")
+
+
+def test_run_inverse_dynamics_non_finite_commanded_force_exits_2(tmp_path, capsys):
+    # the inverse step logs the commanded force without applying it, so it
+    # checks the force itself, as tracking does through tau_total
+    def stiff(data):
+        data["controller"].update(stiffness_table=[[1e308, 1e308]] * 4, x_eq=[0.0, -5.0])
+        data["sim"]["duration"] = 0.05
+
+    code, err, wrote = _run_edited(tmp_path, capsys, "overhead_inverse", stiff)
+    assert (code, wrote) == (2, False)
+    assert err == "numeric error: [step 0, t=0s] f_cmd contains NaN or Inf\n"

@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from superlimb import numerics
+from superlimb.dynamics import _contact_qr
 from superlimb.errors import (
     DimensionMismatch,
     NonFinite,
@@ -163,6 +166,27 @@ def test_dyn_consistent_pinv_rejects_bad_weight(rng):
     asym[0, 1] = 0.5
     with pytest.raises(SingularWeight):
         dyn_consistent_pinv(w, asym)
+
+
+@pytest.mark.parametrize("a, error", [
+    ([[1e308, 1e308], [1e308, 1e308]], NonFinite),  # symmetric, but a + a^T overflows
+    ([[1e308, -1e308], [1e308, 1e308]], SingularWeight),  # its asymmetry overflows
+])
+def test_dyn_consistent_pinv_overflowing_weight(a, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(error):
+            dyn_consistent_pinv(np.eye(2)[:1], np.array(a))
+
+
+def test_qr_rank_rule_is_shared_by_the_contact_qr():
+    # the numpy QR and the Gram-Schmidt one of the contact rows report rank
+    # loss with one rule and one message
+    j_c = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]
+    with pytest.raises(RankDeficient, match="matrix rank < 2: "):
+        qr_full(np.array(j_c).T)
+    with pytest.raises(RankDeficient, match="matrix rank < 2: "):
+        _contact_qr(j_c)
 
 
 def test_dyn_consistent_pinv_rejects_row_rank_loss():

@@ -32,6 +32,7 @@ from superlimb.stability import (
     stabilizing_servo_stiffness,
     stiffness_matrix_kp,
 )
+from superlimb.stiffness import TaskSpaceController
 
 
 def base_scenario() -> dict:
@@ -73,6 +74,12 @@ LIBRARY_CASES = {
     "emg-source": (lambda: EmgConfig(enabled=True), None),
     "controller-level": (lambda: ControllerConfig(chain="arm", level=0), "level"),
     "controller-table": (lambda: ControllerConfig(chain="arm", table=(np.eye(2),) * 3), "table"),
+    # one vector check serves both controller types: shape (m,), keyed by field
+    "controller-damping-shape": (
+        lambda: ControllerConfig(chain="arm", damping=np.ones((2, 1))), "damping"),
+    "task-controller-x-eq": (
+        lambda: TaskSpaceController(k_task=np.eye(2), x_eq=np.zeros(3), f_gravity=np.zeros(2)),
+        "x_eq"),
 }
 
 

@@ -15,11 +15,12 @@ from superlimb.errors import (
     Unachievable,
     ValidationError,
 )
-from superlimb.scenario import POSTURES, build_posture
+from superlimb.scenario import build_posture
 from superlimb.numerics import finite_diff_hessian
 from superlimb.stability import (
     CROSSCHECK_RTOL,
     GRAVITY,
+    POSTURES,
     RESIDUAL_TOL,
     DiagnosticMismatch,
     StabilityReport,

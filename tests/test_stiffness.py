@@ -76,6 +76,8 @@ def test_controller_shape_validation():
     with pytest.raises(DimensionMismatch):
         TaskSpaceController(k_task=np.ones((2, 3)), x_eq=np.zeros(2),
                             f_gravity=np.zeros(2))
+    with pytest.raises(DimensionMismatch):  # only the damping is optional
+        TaskSpaceController(k_task=np.eye(2), x_eq=None, f_gravity=np.zeros(2))
 
 
 def test_shift_equilibrium_consistency():
