@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from math import hypot, isfinite
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import DimensionMismatch, NonFinite, RankDeficient, SingularWeight
 from .numerics import QR_RANK_RTOL, check_rank, dyn_consistent_pinv, spd_solve, symmetric_part
 # unused here: perfbench's tracer (perfbench/tracer.py) wraps it in this module
 from .numerics import qr_full  # noqa: F401
-from .plant import AXES, PlantModel
+from .plant import AXES
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,12 @@ def null_projection(s_kc_qt: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _check_values(a, h, j_c, qdd):
     """The value rules of a decoupling's inputs, on Python float lists
-    (``a`` and ``j_c`` as rows): NonFinite for a NaN or Inf entry or an
-    ``a + a^T`` that overflows, SingularWeight unless ``a`` is positive
-    definite."""
+    (``a`` and ``j_c`` as rows): NonFinite for a NaN or Inf entry,
+    SingularWeight unless ``a`` is positive definite.  An overflow further
+    on is left to the caller's check of its output."""
     for name, values in (("a", chain(*a)), ("h_bias", h), ("j_c", chain(*j_c)), ("qdd", qdd)):
         if not all(map(isfinite, values)):
             raise NonFinite(f"{name} contains NaN or Inf")
-    if not all(map(isfinite, map(add, chain(*a), chain(*zip(*a))))):
-        raise NonFinite("a + a^T overflows")
     spd_solve(a, (), SingularWeight, "a is not positive definite")
 
 
@@ -265,21 +263,14 @@ class ContactSpec:
         object.__setattr__(self, "rows", [AXES.index(d) for d in self.directions])
 
 
-def contact_jacobian(model: PlantModel, q, contact: ContactSpec) -> np.ndarray:
-    """Rows of the support-point Jacobian for the constrained directions.
+def contact_jacobian(jac, contact: ContactSpec) -> list[list[float]]:
+    """Rows of the support-point Jacobian for the constrained directions,
+    from the point's full Jacobian given as two float rows (x, z).
 
     Raises RankDeficient when a constrained row vanishes against the
     point's full Jacobian (below ``QR_RANK_RTOL`` times its largest entry):
     the point cannot move along that direction at this posture, so no
     finite support force along it is determined."""
-    kin = model.state(q).kin
-    jac = model.tip_jacobian(kin, model.link_index(contact.chain, contact.joint))
-    return np.array(_contact_rows(jac, contact))
-
-
-def _contact_rows(jac, contact: ContactSpec) -> list[list[float]]:
-    """``contact_jacobian`` on the point's full Jacobian given as two
-    float rows (x, z): the constrained rows, with the same rank check."""
     size = [max(map(abs, row)) for row in jac]
     floor = QR_RANK_RTOL * max(size)
     rows = [jac[row] for row in contact.rows]

@@ -30,7 +30,7 @@ from operator import add, mul
 import numpy as np
 
 from . import dynamics
-from .dynamics import _contact_rows, contact_jacobian  # noqa: F401
+from .dynamics import contact_jacobian
 from .emg import (
     DEFAULT_BAND,
     DEFAULT_WINDOW,
@@ -55,18 +55,7 @@ from .errors import (
 from .numerics import spd_solve
 from .plant import AXES, Kinematics, PlantModel
 from .scenario import Scenario
-from .stiffness import (  # noqa: F401
-    _control_force,
-    _friction_torque,
-    _task_to_joint_torque,
-    check_vectors,
-    # the checked array forms of the loop's control law (and of its contact
-    # rows above), kept importable here where perfbench's tracer
-    # (perfbench/tracer.py) wraps them
-    control_force,
-    friction_torque,
-    task_to_joint_torque,
-)
+from .stiffness import check_vectors, control_force, friction_torque, task_to_joint_torque
 
 BLOWUP_LIMIT = 1e9
 
@@ -217,7 +206,7 @@ def integrate_step(
     j_c, vt = [], []
     if contact:
         link = model.link_index(contact.chain, contact.joint)
-        j_c = _contact_rows(model.tip_jacobian(state.kin, link), contact)
+        j_c = contact_jacobian(model.tip_jacobian(state.kin, link), contact)
         k = len(j_c)
         (vt,) = check_vectors(k, v_target=np.zeros(k) if v_target is None else v_target)
         vt = vt.tolist()
@@ -266,7 +255,11 @@ class SimLog:
 
     def append(self, row: list):
         """Store one step's state-dependent values, given as one flat list
-        in column order (``q_s`` through ``tau_h``)."""
+        in column order (``q_s`` through ``tau_h``); raises NonFinite
+        naming the first column whose value is NaN or Inf."""
+        if not all(map(isfinite, row)):
+            col, v = next((c, v) for c, v in zip(self.columns[1:], row) if not isfinite(v))
+            raise NonFinite(f"{col} is {v}")
         self._data[self._n, 1 : self._state_end] = row
         self._n += 1
 
@@ -447,25 +440,22 @@ def run_scenario(scenario: Scenario) -> SimLog:
     for i in range(sim.n_steps):
         try:
             kin = kernel(q, qd)
-            j_c = _contact_rows(tip_jacobian(kin, contact_link), spec) if spec else []
+            j_c = contact_jacobian(tip_jacobian(kin, contact_link), spec) if spec else []
 
             # task point and control law
             tip = kin.tip[task]
             x = [tip[r] for r in rows]
             if ctrl_cfg.enabled:
                 vel = kin.tip_vel[task]
-                f_cmd = _control_force(k_task, f_gravity, damping, x_eq[i], x,
-                                       [vel[r] for r in rows])
+                f_cmd = control_force(k_task, f_gravity, damping, x_eq[i], x,
+                                      [vel[r] for r in rows])
             else:
                 f_cmd = [0.0] * len(rows)
 
             q_next, qd_next, qdd = q_end[i], qd_end[i], qdd_in[i]
             if inverse_mode:
                 # hold the SRL posture, drive the human: required torques
-                # and the force split come from inverse dynamics; the
-                # commanded force is logged, not applied, so it is checked here
-                if not all(map(isfinite, f_cmd)):
-                    raise NonFinite("f_cmd contains NaN or Inf")
+                # and the force split come from inverse dynamics
                 if spec is None:
                     tau_req = [sum(map(mul, row, qdd)) + hj for row, hj in zip(kin.a, kin.h)]
                     lam_robot = []
@@ -477,10 +467,10 @@ def run_scenario(scenario: Scenario) -> SimLog:
                 tau_s = [0.0] * m
                 if ctrl_cfg.enabled:
                     jac = tip_jacobian(kin, task)
-                    tau_task = _task_to_joint_torque(zip(*[jac[r][:m] for r in rows]), f_cmd)
+                    tau_task = task_to_joint_torque(zip(*[jac[r][:m] for r in rows]), f_cmd)
                     tau_s = list(map(add, tau_task, kin.g))
                 if friction is not None:
-                    tau_s = list(map(add, tau_s, _friction_torque(*friction, qd[:m], tau_s)))
+                    tau_s = list(map(add, tau_s, friction_torque(*friction, qd[:m], tau_s)))
                 lam_robot = _advance(
                     q, qd, kin.a, kin.h, tau_s, sim.dt, m,
                     j_c, v_target[i], q_next, qd_next, qdd,

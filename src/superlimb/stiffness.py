@@ -105,22 +105,11 @@ class TaskSpaceController:
         return self.k_task.shape[0]
 
 
-def control_force(ctrl: TaskSpaceController, x, xdot=None) -> np.ndarray:
-    """Commanded task force F = K (x_eq - x) + F_gravity.
+def control_force(k_task, f_gravity, damping, x_eq, x, xdot) -> list[float]:
+    """Commanded task force F = K (x_eq - x) + F_gravity - damping * xdot.
 
-    When the controller carries a damping vector and ``xdot`` is given, a
-    -damping * xdot term is added.
-    """
-    damped = ctrl.damping is not None and xdot is not None
-    xv, xd = check_vectors(ctrl.m, x=x, xdot=xdot if damped else None)
-    damping, xdot = (ctrl.damping.tolist(), xd.tolist()) if damped else (None, None)
-    return np.array(_control_force(ctrl.k_task.tolist(), ctrl.f_gravity.tolist(), damping,
-                                   ctrl.x_eq.tolist(), xv.tolist(), xdot))
-
-
-def _control_force(k_task, f_gravity, damping, x_eq, x, xdot) -> list[float]:
-    """``control_force`` on plain float lists (``k_task`` by its rows,
-    ``damping`` None for none), unchecked."""
+    Plain float lists in (``k_task`` by its rows, ``damping`` None for no
+    damping term), unchecked: the controller's values are checked at load."""
     e = list(map(sub, x_eq, x))
     f = [sum(map(mul, row, e)) + fg for row, fg in zip(k_task, f_gravity)]
     if damping is not None and xdot is not None:
@@ -155,20 +144,11 @@ def shift_equilibrium(ctrl: TaskSpaceController, delta_f) -> TaskSpaceController
     return replace(ctrl, x_eq=ctrl.x_eq + dx)
 
 
-def task_to_joint_torque(j_task, f) -> np.ndarray:
-    """Static map of a task force to joint torques: tau = J^T F."""
-    j = np.atleast_2d(np.asarray(j_task, dtype=float))
-    fv = np.atleast_1d(np.asarray(f, dtype=float))
-    if j.shape[0] != fv.shape[0]:
-        raise DimensionMismatch(
-            f"task Jacobian has {j.shape[0]} rows but force has {fv.shape[0]}"
-        )
-    return np.array(_task_to_joint_torque(j.T.tolist(), fv.tolist()), dtype=float)
+def task_to_joint_torque(j_cols, f) -> list[float]:
+    """Static map of a task force to joint torques: tau = J^T F.
 
-
-def _task_to_joint_torque(j_cols, f) -> list[float]:
-    """``task_to_joint_torque`` on plain float lists, J given by its
-    columns, unchecked."""
+    Plain float lists in, J given by its columns, unchecked: the loop
+    takes both from the step kernel and the control law."""
     return [sum(map(mul, col, f)) for col in j_cols]
 
 
@@ -194,22 +174,14 @@ class FrictionModel:
         object.__setattr__(self, "viscous", v)
 
 
-def friction_torque(model: FrictionModel, qdot, tau_applied) -> np.ndarray:
+def friction_torque(coulomb, viscous, ratio: float, qdot, tau_applied) -> list[float]:
     """Joint friction torque.
 
     Moving joints (|qd| > V_EPS) see kinetic friction
     -sign(qd) coulomb - viscous qd; stuck joints resist the applied torque
-    up to the breakaway level ratio * coulomb.
-    """
-    qd, tau = check_vectors(model.coulomb.size, qdot=qdot, tau_applied=tau_applied)
-    return np.array(_friction_torque(model.coulomb.tolist(), model.viscous.tolist(),
-                                     model.stiction_breakaway_ratio, qd.tolist(), tau.tolist()))
-
-
-def _friction_torque(coulomb, viscous, ratio: float, qdot, tau_applied) -> list[float]:
-    """``friction_torque`` on plain float lists, ``ratio`` the stiction
-    breakaway ratio, unchecked.  A NaN velocity counts as stuck and a NaN
-    applied torque passes through."""
+    up to the breakaway level ``ratio`` * coulomb.  Plain float lists in,
+    unchecked: a ``FrictionModel`` checked the coefficients at load.  A NaN
+    velocity counts as stuck and a NaN applied torque passes through."""
     out = []
     for c, v, w, t in zip(coulomb, viscous, qdot, tau_applied):
         if abs(w) > V_EPS:

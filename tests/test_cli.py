@@ -704,12 +704,32 @@ def test_run_overflowing_joint_weight_exits_1(tmp_path, capsys):
 
 
 def test_run_inverse_dynamics_non_finite_commanded_force_exits_2(tmp_path, capsys):
-    # the inverse step logs the commanded force without applying it, so it
-    # checks the force itself, as tracking does through tau_total
+    # the inverse step logs the commanded force without applying it: the
+    # logged row's check names it
     def stiff(data):
         data["controller"].update(stiffness_table=[[1e308, 1e308]] * 4, x_eq=[0.0, -5.0])
         data["sim"]["duration"] = 0.05
 
     code, err, wrote = _run_edited(tmp_path, capsys, "overhead_inverse", stiff)
     assert (code, wrote) == (2, False)
-    assert err == "numeric error: [step 0, t=0s] f_cmd contains NaN or Inf\n"
+    assert err == "numeric error: [step 0, t=0s] f_cmd_z is -inf\n"
+
+
+def heavy_trunk(mode):
+    """overhead_inverse with a finite 1e307 kg trunk swaying at 50 Hz, run
+    in ``mode``: its weight and inertial force leave the float range."""
+    def edit(data):
+        data["plant"]["chains"][1]["joints"][0]["mass"] = 1e307
+        data["human_motion"]["frequency"] = 50.0
+        data["sim"].update(duration=0.05, mode=mode)
+    return edit
+
+
+@pytest.mark.parametrize("mode, column", [
+    ("inverse-dynamics", "lambda_z is nan"),
+    ("tracking", "tau_h0 is -inf"),
+])
+def test_run_non_finite_logged_value_exits_2(tmp_path, capsys, mode, column):
+    code, err, wrote = _run_edited(tmp_path, capsys, "overhead_inverse", heavy_trunk(mode))
+    assert (code, wrote) == (2, False)
+    assert err == f"numeric error: [step 1, t=0.005s] {column}\n"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import desk_arm_dict, scenario_path
 
-from superlimb import dynamics
+from superlimb import dynamics, harness
 from superlimb.cli import main
 from superlimb.emg import bandpass, envelope, rectify
 from superlimb.errors import (
@@ -418,6 +418,22 @@ def test_inverse_step_call_counts(monkeypatch):
     assert steps == sc.sim.n_steps == 50
     counts = {name: cell[0] for name, cell in counters.items()}
     assert counts == {"snapshot": 0, "kernel": steps + 1, "decouple": steps, "qr_full": 0}
+
+
+@pytest.mark.parametrize("name, per_step", [
+    ("press_friction.json", [1, 1, 1, 1]),
+    ("overhead_inverse.json", [1, 0, 0, 1]),  # nothing is applied: no J^T f, no friction
+])
+def test_step_law_call_counts(monkeypatch, name, per_step):
+    # the loop calls each step law by its public name in harness, once per
+    # step where it applies
+    sc = load_scenario(scenario_path(name))
+    sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.25))
+    laws = ["control_force", "task_to_joint_torque", "friction_torque", "contact_jacobian"]
+    cells = [count_calls(monkeypatch, harness, law) for law in laws]
+    steps = len(run_scenario(sc))
+    assert steps == sc.sim.n_steps == 50
+    assert [cell[0] for cell in cells] == [k * steps for k in per_step]
 
 
 @pytest.mark.parametrize("name", SIM_SCENARIOS)
