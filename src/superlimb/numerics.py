@@ -12,7 +12,7 @@ Everything else operates on plain float ndarrays; all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 from operator import mul
 from typing import Callable
 
@@ -199,16 +199,17 @@ def default_fd_step(p0: np.ndarray) -> np.ndarray:
 
 def finite_diff_jacobian(f: Callable, p0) -> np.ndarray:
     """Central-difference Jacobian of a vector map f: R^n -> R^m at p0,
-    with the step of ``default_fd_step``."""
+    with the step of ``default_fd_step``.  Each evaluation gets its own
+    copy of the pose."""
     p = _as_array(p0, "p0", 1)
     h = default_fd_step(p)
-    f0 = np.atleast_1d(np.asarray(f(p), dtype=float))
+    steps = np.diag(h)  # row i is h_i e_i
+    up, dn = p + steps, p - steps
+    f0 = np.array(f(p.copy()), dtype=float, ndmin=1, copy=None)
     jac = np.zeros((f0.size, p.size))
     for i in range(p.size):
-        dp = np.zeros_like(p)
-        dp[i] = h[i]
-        fp = np.atleast_1d(np.asarray(f(p + dp), dtype=float))
-        fm = np.atleast_1d(np.asarray(f(p - dp), dtype=float))
+        fp = np.array(f(up[i].copy()), dtype=float, ndmin=1, copy=None)
+        fm = np.array(f(dn[i].copy()), dtype=float, ndmin=1, copy=None)
         jac[:, i] = (fp - fm) / (2.0 * h[i])
     if not np.all(np.isfinite(jac)):
         raise NonFinite("map returned NaN/Inf during differentiation")
@@ -219,29 +220,33 @@ def finite_diff_hessian(f: Callable, p0) -> np.ndarray:
     """Central-difference Hessian of a scalar map at p0, symmetric by
     construction.
 
-    The step is 1e-4 * (1 + |p0_i|) per coordinate.  Raises NonFinite if
-    any function evaluation is NaN or Inf.
+    The step is 1e-4 * (1 + |p0_i|) per coordinate.  Each evaluation gets
+    its own copy of the pose, so a map that writes into its argument moves
+    no later point.  Raises NonFinite if any function evaluation is NaN or
+    Inf.
     """
     p = _as_array(p0, "p0", 1)
     m = p.size
     h = default_fd_step(p)
+    steps = np.diag(h)  # row i is h_i e_i
+    up, dn = p + steps, p - steps
 
-    def ev(dp):
-        v = float(f(p + dp))
-        if not np.isfinite(v):
+    def ev(pp):
+        v = float(f(pp))
+        if not isfinite(v):
             raise NonFinite("function returned NaN/Inf during differentiation")
         return v
 
     hess = np.zeros((m, m))
-    f0 = ev(np.zeros_like(p))
+    f0 = ev(p + 0.0)  # not p.copy(): p + 0 reads a -0.0 coordinate as +0.0
     for i in range(m):
-        ei = np.zeros_like(p)
-        ei[i] = h[i]
-        hess[i, i] = (ev(ei) - 2.0 * f0 + ev(-ei)) / (h[i] * h[i])
+        ui, di = up[i], dn[i]
+        hess[i, i] = (ev(ui.copy()) - 2.0 * f0 + ev(di.copy())) / (h[i] * h[i])
         for j in range(i + 1, m):
-            ej = np.zeros_like(p)
-            ej[j] = h[j]
-            val = (ev(ei + ej) - ev(ei - ej) - ev(-ei + ej) + ev(-ei - ej)) / (
+            # the offsets have disjoint support, so (p + h_i e_i) + h_j e_j
+            # is the point p + (h_i e_i + h_j e_j), bit for bit
+            sj = steps[j]
+            val = (ev(ui + sj) - ev(ui - sj) - ev(di + sj) + ev(di - sj)) / (
                 4.0 * h[i] * h[j]
             )
             hess[i, j] = val

@@ -140,7 +140,7 @@ def _finite(value: float, what: str, key: str) -> None:
 
 
 def _identity_ik(p) -> np.ndarray:
-    return np.asarray(p, dtype=float).copy()
+    return np.array(p, dtype=float)
 
 
 def _identity_jac(p) -> np.ndarray:
@@ -190,7 +190,7 @@ def _rigid_panel(tilt_stiffness, com_side: float):
 def _posture_cradle(mass: float, k: float, r: float, gamma: float) -> SupportPosture:
     # body resting in a curved cradle (height set by the horizontal pose),
     # no servo torques at all: pure gravity-curvature stability
-    a = 2.0 / max(r, 1e-6)
+    a = 2.0 / r
     _finite(mass * GRAVITY * a, "gravity stiffness 2 m g / r", "r")
     return SupportPosture(
         p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=np.zeros(6),
@@ -206,7 +206,7 @@ def _posture_toggle(mass: float, k: float, r: float, gamma: float) -> SupportPos
     _finite(2.0 * gamma * mass * GRAVITY, "coupling stiffness 2 gamma m g", "gamma")
 
     def ik(p):
-        q = np.asarray(p, dtype=float).copy()
+        q = np.array(p, dtype=float)
         q[2] = p[2] + gamma * (p[3] ** 2 + p[4] ** 2)
         return q
 
@@ -286,7 +286,7 @@ class StabilityReport:
 
 def _ik(posture: SupportPosture, p: np.ndarray) -> np.ndarray:
     try:
-        q = np.atleast_1d(np.asarray(posture.ik_map(p), dtype=float))
+        q = np.array(posture.ik_map(p), dtype=float, ndmin=1, copy=None)
     except SuperlimbError:
         raise
     except Exception as exc:  # user closure blew up: report as an IK failure
@@ -300,7 +300,7 @@ def _ik(posture: SupportPosture, p: np.ndarray) -> np.ndarray:
 
 def _z(posture: SupportPosture, p: np.ndarray) -> float:
     z = float(posture.z_of_p(p))
-    if not np.isfinite(z):
+    if not math.isfinite(z):
         raise IkFailure(f"z_of_p returned non-finite value at p={np.asarray(p)}")
     return z
 
@@ -344,7 +344,7 @@ def _residual(posture: SupportPosture, fh: np.ndarray) -> tuple[np.ndarray, floa
     def z(pp):
         v = _z(posture, pp)
         z_abs.append(abs(v))
-        return np.atleast_1d(v)
+        return v
 
     p = posture.p_bar
     grad_z = finite_diff_jacobian(z, p).ravel()
@@ -355,7 +355,7 @@ def _residual(posture: SupportPosture, fh: np.ndarray) -> tuple[np.ndarray, floa
 def potential(posture: SupportPosture, p: np.ndarray) -> float:
     """Total potential of the supported body at pose p: gravity term, work
     of the constant torque offset, and the servo spring energy."""
-    pv = np.atleast_1d(np.asarray(p, dtype=float))
+    pv = np.array(p, dtype=float, ndmin=1, copy=None)
     if pv.shape != (posture.n_pose,):
         raise DimensionMismatch(
             f"p must have shape ({posture.n_pose},), got {pv.shape}"

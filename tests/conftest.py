@@ -1,4 +1,5 @@
-"""Shared fixtures: the two reference plants used across the test suite."""
+"""Shared fixtures: the two reference plants used across the test suite,
+and a reference finite-difference stencil."""
 
 import math
 import os
@@ -6,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+from superlimb.errors import NonFinite
+from superlimb.numerics import _as_array, default_fd_step
 from superlimb.plant import Chain, Joint, PlantModel
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -65,6 +68,54 @@ def desk_arm_model() -> PlantModel:
         ),
         gravity=9.81,
     )
+
+
+def reference_fd_jacobian(f, p0) -> np.ndarray:
+    """``numerics.finite_diff_jacobian`` as a plain loop that builds each
+    offset from zeros: the reference its stencil must match bit for bit."""
+    p = _as_array(p0, "p0", 1)
+    h = default_fd_step(p)
+    f0 = np.atleast_1d(np.asarray(f(p), dtype=float))
+    jac = np.zeros((f0.size, p.size))
+    for i in range(p.size):
+        dp = np.zeros_like(p)
+        dp[i] = h[i]
+        fp = np.atleast_1d(np.asarray(f(p + dp), dtype=float))
+        fm = np.atleast_1d(np.asarray(f(p - dp), dtype=float))
+        jac[:, i] = (fp - fm) / (2.0 * h[i])
+    if not np.all(np.isfinite(jac)):
+        raise NonFinite("map returned NaN/Inf during differentiation")
+    return jac
+
+
+def reference_fd_hessian(f, p0) -> np.ndarray:
+    """``numerics.finite_diff_hessian`` as a plain loop that builds each
+    offset from zeros: the reference its stencil must match bit for bit."""
+    p = _as_array(p0, "p0", 1)
+    m = p.size
+    h = default_fd_step(p)
+
+    def ev(dp):
+        v = float(f(p + dp))
+        if not np.isfinite(v):
+            raise NonFinite("function returned NaN/Inf during differentiation")
+        return v
+
+    hess = np.zeros((m, m))
+    f0 = ev(np.zeros_like(p))
+    for i in range(m):
+        ei = np.zeros_like(p)
+        ei[i] = h[i]
+        hess[i, i] = (ev(ei) - 2.0 * f0 + ev(-ei)) / (h[i] * h[i])
+        for j in range(i + 1, m):
+            ej = np.zeros_like(p)
+            ej[j] = h[j]
+            val = (ev(ei + ej) - ev(ei - ej) - ev(-ei + ej) + ev(-ei - ej)) / (
+                4.0 * h[i] * h[j]
+            )
+            hess[i, j] = val
+            hess[j, i] = val
+    return hess
 
 
 @pytest.fixture

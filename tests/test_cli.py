@@ -318,6 +318,7 @@ def test_analyze_stability_missing_section(tmp_path, capsys):
 @pytest.mark.parametrize("name, key, value, code, prefix", [
     ("toggle_mount", "gamma", 1e308, 1, "error: stability.gamma: "),
     ("cradle", "mass", 1e308, 1, "error: stability.mass: "),
+    ("cradle", "r", 1e-308, 1, "error: stability.r: "),  # 2 m g / r overflows
     ("inverted_panel", "r", 1e308, 1, "error: stability.r: "),
     ("toggle_mount", "gamma", 1e200, 2, "numeric error: "),  # the FD cross-check overflows
     ("column", "k", 1e308, 0, ""),

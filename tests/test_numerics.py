@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+from conftest import reference_fd_hessian, reference_fd_jacobian
 from superlimb import numerics
 from superlimb.dynamics import _contact_qr
 from superlimb.errors import (
@@ -294,6 +295,64 @@ def test_finite_diff_hessian_is_symmetric(rng):
 def test_finite_diff_nonfinite_function_raises():
     with pytest.raises(NonFinite):
         finite_diff_hessian(lambda p: float("nan"), np.zeros(2))
+
+
+def fd_closures(rng, n):
+    """Seeded scalar and vector maps of an n-D point: a quadratic, a
+    trigonometric one, and one that tells -0.0 from +0.0 (atan2), so
+    that a point built with another zero's sign shows."""
+    h, g = random_spd(rng, n), rng.standard_normal(n)
+    a, w = rng.standard_normal((3, n)), rng.standard_normal(n)
+    scalar = [lambda p: 0.5 * p @ h @ p + g @ p - 1.7,
+              lambda p: float(np.sin(w @ p) * np.exp(np.cos(p).sum())),
+              lambda p: float(np.arctan2(p, -1.0) @ w)]
+    vector = [lambda p: h @ p + g,
+              lambda p: np.sin(a @ p) * np.cos(p[0]),
+              lambda p: np.arctan2(p, -1.0)]
+    return scalar, vector
+
+
+def fd_points(rng, n):
+    p0 = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 50.0], n)
+    zeros = p0.copy()
+    zeros[::2] = -0.0
+    zeros[1::2] = 0.0
+    return [p0, zeros]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_finite_diff_stencil_matches_reference_bitwise(seed, n):
+    rng = np.random.default_rng(seed)
+    scalar, vector = fd_closures(rng, n)
+    for p0 in fd_points(rng, n):
+        for f in scalar:
+            assert finite_diff_hessian(f, p0).tobytes() == reference_fd_hessian(f, p0).tobytes()
+        for f in vector:
+            assert finite_diff_jacobian(f, p0).tobytes() == reference_fd_jacobian(f, p0).tobytes()
+
+
+def scribbling(f):
+    """f, then overwrite the point it was given."""
+
+    def g(p):
+        value = f(p)
+        p[:] = 1e3
+        return value
+
+    return g
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_finite_diff_map_writing_into_its_argument_moves_no_point(seed):
+    rng = np.random.default_rng(seed)
+    scalar, vector = fd_closures(rng, 4)
+    p0 = rng.standard_normal(4)
+    kept = p0.copy()
+    for diff, maps in ((finite_diff_hessian, scalar), (finite_diff_jacobian, vector)):
+        for f in maps:
+            assert diff(scribbling(f), p0).tobytes() == diff(f, p0).tobytes()
+            assert p0.tobytes() == kept.tobytes()
 
 
 # --- psd_check ----------------------------------------------------------------

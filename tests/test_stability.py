@@ -1,11 +1,14 @@
 """Tests for the quasi-static posture stability certification."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from conftest import reference_fd_hessian, reference_fd_jacobian
+from superlimb import stability
 from superlimb.errors import (
     DimensionMismatch,
     IkFailure,
@@ -426,7 +429,8 @@ def closed_form(name, mass=4.0, k=400.0, r=0.3, gamma=0.5):
     return base + np.array(k_q), base
 
 
-@pytest.mark.parametrize("params", [{}, PARITY], ids=["defaults", "parity"])
+@pytest.mark.parametrize("params", [{}, PARITY, {"r": 1e-7}],
+                         ids=["defaults", "parity", "tiny-r"])
 @pytest.mark.parametrize("name", sorted(POSTURES))
 def test_margin_and_servo_alpha_are_closed_forms(name, params):
     posture = named_posture(name, **params)
@@ -444,6 +448,35 @@ def test_margin_and_servo_alpha_are_closed_forms(name, params):
     # the returned value certifies itself, with no tolerance
     servo_free, jac = _base_stiffness(posture)
     assert np.linalg.eigvalsh(servo_free + alpha * jac.T @ jac)[0] >= margin
+
+
+@pytest.mark.parametrize("params", [{}, PARITY], ids=["defaults", "parity"])
+@pytest.mark.parametrize("name", sorted(POSTURES))
+def test_certificate_matches_the_reference_stencil(name, params, monkeypatch):
+    # the cross-check and the residual give the same numbers, bit for bit,
+    # as with a stencil that builds every offset from zeros
+    def certify(posture):
+        rep = stiffness_matrix_kp(posture)
+        return (rep.crosscheck_rel_err, rep.equilibrium_residual, rep.eigenvalues.tobytes(),
+                rep.margin, rep.is_stable, stabilizing_servo_stiffness(posture, margin=1.5))
+
+    posture = named_posture(name, **params)
+    u = functools.partial(potential, posture)
+    assert (finite_diff_hessian(u, posture.p_bar).tobytes()
+            == reference_fd_hessian(u, posture.p_bar).tobytes())
+    got = certify(posture)
+    monkeypatch.setattr(stability, "finite_diff_hessian", reference_fd_hessian)
+    monkeypatch.setattr(stability, "finite_diff_jacobian", reference_fd_jacobian)
+    assert got == certify(posture)
+
+
+def test_scalar_ik_map_of_a_one_coordinate_pose_is_accepted():
+    slider = slider_posture()
+    scalar = dataclasses.replace(slider, ik_map=lambda p: float(p[0]))
+    for p in (np.array([0.01]), 0.01):
+        assert potential(scalar, p) == potential(slider, p)
+    assert (stiffness_matrix_kp(scalar).k_p.tobytes()
+            == stiffness_matrix_kp(slider).k_p.tobytes())
 
 
 def test_closed_form_rescue_matches_bisection_on_a_generic_posture():
