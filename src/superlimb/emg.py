@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,9 @@ DEFAULT_FS = 1000.0
 DEFAULT_WINDOW = 0.1
 #: filtfilt's default edge padding of the band-pass biquad: 3 x its 3 coefficients
 FILTER_PAD = 9
+#: rows ``write_csv`` formats at a time; a larger block is no faster, and one of
+#: 256 rows of a 21-column simulation log adds about 0.5 MB to the peak RSS
+_CSV_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -419,15 +423,20 @@ def run_pipeline(
 
 
 def write_csv(path: str, header: list[str], rows: np.ndarray, flag: int | None = None):
-    """Write a float table as CSV: every value as its shortest round-trip
-    ``repr``, except column ``flag`` (if given), written as ``0``/``1``."""
+    """Write a float table of one or more columns as CSV: every value as its
+    shortest round-trip ``repr``, except column ``flag`` (if given),
+    written as ``0``/``1``.
+
+    Rows are formatted ``_CSV_BLOCK`` at a time, column by column; the
+    bytes are those of formatting each row on its own."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows.tolist():
-            cells = list(map(repr, row))
+        for start in range(0, len(rows), _CSV_BLOCK):
+            cols = rows[start : start + _CSV_BLOCK].T.tolist()
+            cells = [list(map(repr, col)) for col in cols]
             if flag is not None:
-                cells[flag] = "1" if row[flag] else "0"
-            fh.write(",".join(cells) + "\n")
+                cells[flag] = ["1" if v else "0" for v in cols[flag]]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _read_csv(
@@ -450,7 +459,7 @@ def _read_csv(
                 raise ValidationError(f"{path}: expected header '{expected}'")
             width = len(header)
             used = width if n_used is None else n_used
-            rows, lines = [], []
+            values, lines = array("d"), []
             for row in reader:
                 if not row:
                     continue
@@ -459,14 +468,14 @@ def _read_csv(
                         f"{path}, line {reader.line_num}: "
                         f"{len(row)} cells, the header has {width}"
                     )
-                rows.append([float(v) for v in row[:used]])
+                values.extend(map(float, row[:used]))
                 lines.append(reader.line_num)
     except UnicodeDecodeError as exc:  # the file is decoded in chunks: find the line
         line = _first_line_not_utf8(path)
         raise ValidationError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
     except (csv.Error, ValueError) as exc:  # a NUL byte, an unclosed quote, a bad number
         raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from None
-    data = np.array(rows, dtype=float).reshape(len(rows), used)
+    data = np.array(values).reshape(len(lines), used)
     bad = ~np.isfinite(data).all(axis=1)
     if bad.any():
         line = lines[int(np.argmax(bad))]

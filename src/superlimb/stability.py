@@ -66,6 +66,13 @@ def _check_mass(mass) -> None:
         raise ValidationError(f"must be > 0 with a finite weight m g, got {mass}", "mass")
 
 
+def _vector(v, key: str) -> np.ndarray:
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.ndim != 1:
+        raise DimensionMismatch(f"must be 1-D, got shape {v.shape}", key)
+    return v
+
+
 @dataclass(frozen=True)
 class SupportPosture:
     """Equilibrium posture of a supported body.
@@ -94,9 +101,7 @@ class SupportPosture:
             if not callable(getattr(self, name)):
                 raise ValidationError(f"{name} must be a callable of the pose")
         _check_mass(self.mass)
-        p = np.atleast_1d(np.asarray(self.p_bar, dtype=float))
-        q = np.atleast_1d(np.asarray(self.q_bar, dtype=float))
-        tau = np.atleast_1d(np.asarray(self.tau_bar, dtype=float))
+        p, q, tau = (_vector(getattr(self, name), name) for name in ("p_bar", "q_bar", "tau_bar"))
         kq = np.atleast_2d(np.asarray(self.k_q, dtype=float))
         if p.size == 0:
             raise ValidationError("the pose must have at least one coordinate", "p_bar")

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from superlimb.emg import (
+    _CSV_BLOCK,
     DEFAULT_BAND,
     DEFAULT_WINDOW,
     EmgTrace,
     HillParams,
+    _read_csv,
     activation_series,
     bandpass,
     envelope,
@@ -20,6 +23,7 @@ from superlimb.emg import (
     map_to_equilibrium,
     rectify,
     run_pipeline,
+    write_csv,
     write_pipeline_csv,
     write_trace_csv,
     zero_order_hold,
@@ -361,9 +365,11 @@ def test_load_trace_errors(tmp_path):
     with pytest.raises(ValidationError):
         load_trace_csv(str(bad_header))
     short = tmp_path / "short.csv"
-    short.write_text("t,ch1\n0.0,1.0\n")
-    with pytest.raises(ValidationError):
-        load_trace_csv(str(short))
+    for body in ("0.0,1.0\n", "", "\n\n"):  # one row, header only, blank lines only
+        short.write_text("t,ch1\n" + body)
+        with pytest.raises(ValidationError) as exc:
+            load_trace_csv(str(short))
+        assert str(exc.value) == f"{short}: need at least two samples"
     jitter = tmp_path / "jitter.csv"
     jitter.write_text("t,ch1\n0.0,1.0\n0.001,2.0\n0.005,3.0\n")
     with pytest.raises(ValidationError):
@@ -411,6 +417,18 @@ def test_write_pipeline_csv(tmp_path):
 # --- CSV input checks -----------------------------------------------------------
 
 
+NOT_A_FLOAT = "could not convert string to float: 'abc'"
+
+
+def _long_body(bad_line: int, bad_row: str) -> str:
+    """Body of a 3,000-row trace with two blank lines after its 1,000th row
+    and ``bad_row`` on physical line ``bad_line`` (the header is line 1)."""
+    lines = [f"{i / 1000!r},{i % 7 / 7!r}" for i in range(3000)]
+    lines[1000:1000] = ["", ""]
+    lines[bad_line - 2] = bad_row
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize(
     "body, line, reason",
     [
@@ -418,6 +436,15 @@ def test_write_pipeline_csv(tmp_path):
         ("0,1\n0.001\n", 3, "1 cells"),  # ragged row
         ("0,1\n0.001,nan\n0.002,1\n", 3, "NaN or Inf"),
         ("0,1\n\n0.001,inf\n", 4, "NaN or Inf"),  # blank lines still count
+        # far past the first rows and after blank lines, the physical line
+        pytest.param(_long_body(1004, "2.5,abc"), 1004, NOT_A_FLOAT, id="far-cell-1004"),
+        pytest.param(_long_body(2750, "2.5,abc"), 2750, NOT_A_FLOAT, id="far-cell-2750"),
+        pytest.param(_long_body(2750, "2.5"), 2750, "1 cells, the header has 2",
+                     id="far-short-row"),
+        pytest.param(_long_body(2750, "2.5,1,1"), 2750, "3 cells, the header has 2",
+                     id="far-long-row"),
+        pytest.param(_long_body(2750, "2.5,-inf"), 2750, "NaN or Inf cell", id="far-inf"),
+        pytest.param(_long_body(3002, "nan,0.5"), 3002, "NaN or Inf cell", id="far-nan-time"),
     ],
 )
 def test_load_trace_rejects_bad_rows(tmp_path, body, line, reason):
@@ -449,12 +476,72 @@ def test_load_motion_rejects_bad_rows(tmp_path, body, line, reason):
 
 
 def test_load_motion_keeps_extra_columns(tmp_path):
+    # n_used < width: the extra columns are checked for width only, never parsed
     path = tmp_path / "motion.csv"
-    path.write_text("t,yaw_rad,label\n0.0,0.0,rest\n1.5,0.35,turn\n")
+    path.write_text("t,yaw_rad,label,gain\n0.0,0.0,rest,x\n1.5,0.35,turn,nan\n")
     t, yaw = load_motion_csv(str(path))
     np.testing.assert_array_equal(t, [0.0, 1.5])
     np.testing.assert_array_equal(yaw, [0.0, 0.35])
+    _, data = _read_csv(str(path), "motion", "t,yaw_rad", lambda h: True, n_used=2)
+    assert data.shape == (2, 2)
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("t,yaw_rad,label\n0.0,0.0,rest\n1.5,0.35\n")
     with pytest.raises(ValidationError, match="line 3"):
         load_motion_csv(str(ragged))
+
+
+def test_quoted_numeric_cells_parse(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text('"t","ch1"\n"0.0","1.5"\n0.001,"-2.5e-3"\n"0.002",3\n')
+    tr = load_trace_csv(str(path))
+    np.testing.assert_array_equal(tr.channels[0][1], [1.5, -2.5e-3, 3.0])
+    assert tr.t0 == 0.0
+
+
+# --- CSV writer -----------------------------------------------------------------
+
+
+def _rowwise_csv(header: list[str], rows: np.ndarray, flag: int | None = None) -> bytes:
+    """The writer's former row-by-row loop: the oracle for its bytes."""
+    out = [",".join(header) + "\n"]
+    for row in rows.tolist():
+        cells = list(map(repr, row))
+        if flag is not None:
+            cells[flag] = "1" if row[flag] else "0"
+        out.append(",".join(cells) + "\n")
+    return "".join(out).encode()
+
+
+#: values whose shortest repr takes every form: signed zero, subnormal,
+#: exponent, the 1e16 switch to exponent form, an inexact sum, big integers
+AWKWARD = [-0.0, 5e-324, 1e-05, 1e16, 1e22, 0.1 + 0.2, 2.0**53 + 2.0, 12345678901234567890.0,
+           -1.0, 0.0, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 3])
+@pytest.mark.parametrize("flag", [None, 4])
+def test_write_csv_bytes_match_the_rowwise_loop(tmp_path, n, flag):
+    header = ["t", "a", "b", "c", "gate", "d"]
+    rows = np.resize(np.array(AWKWARD), (n, len(header)))  # each column cycles through AWKWARD
+    path = tmp_path / "out.csv"
+    write_csv(str(path), header, rows, flag=flag)
+    assert path.read_bytes() == _rowwise_csv(header, rows, flag)
+
+
+_TABLES = hnp.arrays(
+    float,
+    st.tuples(st.integers(0, _CSV_BLOCK + 2), st.integers(1, 4)),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TABLES)
+def test_csv_round_trip_is_bitwise(tmp_path_factory, x):
+    path = str(tmp_path_factory.mktemp("csv") / "x.csv")
+    header = [f"c{i}" for i in range(x.shape[1])]
+    write_csv(path, header, x)
+    got_header, back = _read_csv(path, "table", "c0,...", lambda h: True)
+    assert got_header == header
+    assert back.shape == x.shape
+    assert back.tobytes() == x.tobytes()  # -0.0 and subnormals included

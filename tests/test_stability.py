@@ -123,6 +123,17 @@ def test_empty_pose_is_rejected_at_build():
     assert exc.value.key == "p_bar"
 
 
+@pytest.mark.parametrize("name", ["p_bar", "q_bar", "tau_bar"])
+def test_posture_vector_that_is_not_1d_is_rejected_by_name(name):
+    fields = dict(p_bar=np.zeros(2), q_bar=np.zeros(2), tau_bar=np.zeros(2), k_q=np.eye(2),
+                  mass=1.0, ik_map=lambda p: np.zeros(2), z_of_p=lambda p: 0.0, **flat(2))
+    fields[name] = np.zeros((1, 2))
+    with pytest.raises(DimensionMismatch) as exc:
+        SupportPosture(**fields)
+    assert exc.value.key == name
+    assert str(exc.value) == f"{name}: must be 1-D, got shape (1, 2)"
+
+
 @pytest.mark.parametrize("name", ["ik_jac", "z_hess", "ik_hess"])
 def test_posture_without_a_derivative_closure_is_rejected(name):
     given = closures(slider_posture())
