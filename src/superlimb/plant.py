@@ -10,10 +10,12 @@ human chains so q = [q_srl, q_human].
 All kinematic quantities (positions, Jacobians, velocity products) are
 computed from one analytic forward pass, so the inertia matrix, the
 Coriolis/gravity bias and point Jacobians are exact up to roundoff.  Each
-``PlantModel`` builds, once, a step kernel for its topology: one function
-over plain Python float lists that runs the forward pass, the CoM
-Jacobian columns and the inertia matrix, gravity and bias vectors,
-assembled link by link in the dense composite-rigid-body form
+``PlantModel`` generates, once, the step kernel of its topology as
+straight-line source with its constants inlined (the code-generation
+approach of RobCoGen, Frigerio et al., JOSER 2016): one function over
+plain Python float lists that runs the forward pass, the CoM Jacobian
+columns and the inertia matrix, gravity and bias vectors, assembled link
+by link in the dense composite-rigid-body form
 A = sum_l (m_l J_l^T J_l + I_l w_l w_l^T) + diag(rotor)
 (Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6).  For the few
 degrees of freedom this package targets, Python floats cost less than
@@ -101,6 +103,9 @@ class Chain:
             raise BadModel(f"chain {self.name!r} has no joints")
         object.__setattr__(self, "joints", tuple(self.joints))
         object.__setattr__(self, "base", (float(self.base[0]), float(self.base[1])))
+        for name, value in (("base", self.base), ("heading", self.heading)):
+            if not np.isfinite(value).all():
+                raise BadModel(f"must be finite in chain {self.name!r}, got {value}", name)
 
 
 @dataclass(frozen=True)
@@ -216,95 +221,98 @@ Kinematics = namedtuple(
 )
 
 
-def _upper(idx: tuple) -> tuple:
-    """(r, (c >= r ...)) pairs of an index set: one triangle of its block."""
-    return tuple((r, idx[k:]) for k, r in enumerate(idx))
-
-
 def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, revolute):
-    """Build the step kernel of one plant topology: ``kernel(q, qd)`` maps
+    """Generate the step kernel of one plant topology: ``kernel(q, qd)`` maps
     two lists of n floats to the state's ``Kinematics`` in one pass.
 
     A point at distance r along a joint's unit axis e (turning at the link
     rate phid, r changing at rate rd) moves at rd e + r phid perp(e) with
     acceleration bias 2 rd phid perp(e) - r phid^2 e relative to the
     joint's origin.  A, g = sum_l m_l g J_l,z and h = g + sum_l m_l J_l^T
-    acc_l are accumulated link by link over each link's ancestors."""
-    layout, links, off = [], [], 0
+    acc_l are accumulated link by link over each link's ancestors.
+
+    The kernel is straight-line source, compiled once: the chain, joint,
+    link and ancestor loops are unrolled and every joint constant is a float
+    literal.  Each operation keeps the order of the link-by-link loop, zero
+    terms and ``0.0 +`` starts included, so the result is the same to the
+    bit.  A sum grows by one statement per term, so no expression nests
+    deeper as the DoF count grows."""
+    def lit(x) -> str:
+        return repr(float(x))
+
+    body = [f"{''.join(f'q{i}, ' for i in range(n))}= q",
+            f"{''.join(f'qd{i}, ' for i in range(n))}= qd"]
+    out = {name: [] for name in Kinematics._fields}
+    sums, h_sums = {}, {}  # each sum's terms in the loop's order: link by link
     for c in chains:
-        joints = []
-        for i, joint in enumerate(c.joints, off):
-            joints.append((i, revolute[i], joint.length, joint.com, joint.axis))
-            spin = tuple(j for j in ancestors[i] if revolute[j])
-            links.append((i, ancestors[i], _upper(ancestors[i]), joint.mass,
-                          joint.mass * gravity, joint.inertia, _upper(spin), joint.rotor))
-        layout.append((c.base, c.heading, joints))
-        off += len(c.joints)
-    upper = tuple((r, c) for r in range(n) for c in range(r + 1, n))
-
-    def kernel(q: list, qd: list) -> Kinematics:
-        pivot, direction, com, com_vel, com_acc = [], [], [], [], []
-        tip, tip_vel, tip_acc, ang_vel, jcom = [], [], [], [], []
-        for (ox, oz), phi, joints in layout:
-            vox = voz = aox = aoz = phid = 0.0
-            for i, is_rev, length, c, axis in joints:
-                pivot.append((ox, oz))
-                if is_rev:
-                    phi += q[i]
-                    phid += qd[i]
-                    ex, ez = cos(phi), sin(phi)
-                    direction.append((0.0, 0.0))
-                    rate, r_com, r_tip = 0.0, c, length
+        ox, oz = map(lit, c.base)
+        phi, phid, vx, vz, ax, az = lit(c.heading), "0.0", "0.0", "0.0", "0.0", "0.0"
+        for i, joint in enumerate(c.joints, len(out["pivot"])):
+            out["pivot"].append((ox, oz))
+            if revolute[i]:
+                body += [f"p{i} = {phi} + q{i}", f"w{i} = {phid} + qd{i}",
+                         f"ex{i}, ez{i} = cos(p{i}), sin(p{i})"]
+                phi, phid = f"p{i}", f"w{i}"
+                out["direction"].append(("0.0", "0.0"))
+                rate, r_com, r_tip = "0.0", lit(joint.com), lit(joint.length)
+            else:
+                e = f"{phi} + {lit(joint.axis)}"
+                body += [f"ex{i}, ez{i} = cos({e}), sin({e})",
+                         f"rc{i}, rt{i} = {lit(joint.com)} + q{i}, {lit(joint.length)} + q{i}"]
+                out["direction"].append((f"ex{i}", f"ez{i}"))
+                rate, r_com, r_tip = f"qd{i}", f"rc{i}", f"rt{i}"
+            for p, r in (("c", r_com), ("", r_tip)):  # CoM, then tip; perp(e) = (-ez, ex)
+                body += [
+                    f"{p}x{i}, {p}z{i} = {ox} + {r} * ex{i}, {oz} + {r} * ez{i}",
+                    f"{p}vx{i}, {p}vz{i} = {vx} + {rate} * ex{i} + {r} * {phid} * -ez{i}, "
+                    f"{vz} + {rate} * ez{i} + {r} * {phid} * ex{i}",
+                    f"{p}ax{i}, {p}az{i} = {ax} + 2.0 * {rate} * {phid} * -ez{i} - "
+                    f"{r} * {phid} * {phid} * ex{i}, {az} + 2.0 * {rate} * {phid} * ex{i} - "
+                    f"{r} * {phid} * {phid} * ez{i}",
+                ]
+            ox, oz, vx, vz, ax, az = (f"{v}{i}" for v in ("x", "z", "vx", "vz", "ax", "az"))
+            out["ang_vel"].append(phid)
+            anc, jx, jz = ancestors[i], ["0.0"] * n, ["0.0"] * n
+            for j in anc:
+                if revolute[j]:
+                    jx[j], jz[j] = f"jx{i}_{j}", f"jz{i}_{j}"
+                    bx, bz = out["pivot"][j]
+                    body.append(f"jx{i}_{j}, jz{i}_{j} = {bz} - cz{i}, cx{i} - {bx}")
                 else:
-                    ex, ez = cos(phi + axis), sin(phi + axis)
-                    direction.append((ex, ez))
-                    rate, r_com, r_tip = qd[i], c + q[i], length + q[i]
-                px, pz = -ez, ex  # perp(e)
-                com.append((ox + r_com * ex, oz + r_com * ez))
-                com_vel.append((vox + rate * ex + r_com * phid * px,
-                                voz + rate * ez + r_com * phid * pz))
-                com_acc.append((aox + 2.0 * rate * phid * px - r_com * phid * phid * ex,
-                                aoz + 2.0 * rate * phid * pz - r_com * phid * phid * ez))
-                ox, oz = ox + r_tip * ex, oz + r_tip * ez
-                vox, voz = (vox + rate * ex + r_tip * phid * px,
-                            voz + rate * ez + r_tip * phid * pz)
-                aox, aoz = (aox + 2.0 * rate * phid * px - r_tip * phid * phid * ex,
-                            aoz + 2.0 * rate * phid * pz - r_tip * phid * phid * ez)
-                tip.append((ox, oz))
-                tip_vel.append((vox, voz))
-                tip_acc.append((aox, aoz))
-                ang_vel.append(phid)
-                jcom.append(_point_jacobian(com[i], ancestors[i], revolute, pivot, direction, n))
+                    jx[j], jz[j] = out["direction"][j]
+            out["jcom"].append((jx, jz))
+            m, spin = lit(joint.mass), [j for j in anc if revolute[j] and joint.inertia]
+            for k, r in enumerate(anc):
+                for s in anc[k:]:
+                    sums.setdefault(f"a{r}_{s}", []).append(
+                        f"{m} * ({jx[r]} * {jx[s]} + {jz[r]} * {jz[s]})")
+                sums.setdefault(f"g{r}", []).append(f"{lit(joint.mass * gravity)} * {jz[r]}")
+                h_sums.setdefault(f"h{r}", []).append(
+                    f"{m} * ({jx[r]} * cax{i} + {jz[r]} * caz{i})")
+            for k, r in enumerate(spin):
+                for s in spin[k:]:
+                    sums[f"a{r}_{s}"].append(lit(joint.inertia))
+            if joint.rotor:
+                sums[f"a{i}_{i}"].append(lit(joint.rotor))
+    for name, x in (("com", "cx"), ("com_vel", "cvx"), ("com_acc", "cax"),
+                    ("tip", "x"), ("tip_vel", "vx"), ("tip_acc", "ax")):
+        out[name] = [(f"{x}{i}", f"{x[:-1]}z{i}") for i in range(n)]
+    for key, terms in (sums | h_sums).items():  # h starts from the finished g
+        body.append(f"{key} = {'g' + key[1:] if key[0] == 'h' else '0.0'} + {terms[0]}")
+        body += [f"{key} += {term}" for term in terms[1:]]
+    out["a"] = [[k if (k := f"a{min(r, s)}_{max(r, s)}") in sums else "0.0" for s in range(n)]
+                for r in range(n)]
+    out["g"], out["h"] = [f"g{r}" for r in range(n)], [f"h{r}" for r in range(n)]
 
-        a = [[0.0] * n for _ in range(n)]
-        g = [0.0] * n
-        for lk, _, pairs, mass, weight, inertia, spin, rotor in links:
-            jx, jz = jcom[lk]
-            for r, cols in pairs:
-                xr, zr = jx[r], jz[r]
-                row = a[r]
-                for c in cols:
-                    row[c] += mass * (xr * jx[c] + zr * jz[c])
-                g[r] += weight * zr
-            if inertia:
-                for r, cols in spin:
-                    row = a[r]
-                    for c in cols:
-                        row[c] += inertia
-            if rotor:
-                a[lk][lk] += rotor
-        for r, c in upper:
-            a[c][r] = a[r][c]
-        h = g[:]
-        for lk, anc, _, mass, *_ in links:
-            jx, jz = jcom[lk]
-            ax, az = com_acc[lk]
-            for c in anc:
-                h[c] += mass * (jx[c] * ax + jz[c] * az)
-        return Kinematics(pivot, direction, com, com_vel, com_acc, tip, tip_vel,
-                          tip_acc, ang_vel, jcom, a, g, h)
+    def expr(v) -> str:
+        return v if isinstance(v, str) else (
+            f"[{', '.join(map(expr, v))}]" if isinstance(v, list) else f"({', '.join(map(expr, v))})")
 
-    return kernel
+    body.append(f"return Kinematics({', '.join(expr(out[f]) for f in Kinematics._fields)})")
+    source = "def kernel(q, qd):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {"cos": cos, "sin": sin, "Kinematics": Kinematics}
+    exec(compile(source, f"<step kernel: {', '.join(c.name for c in chains)}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _point_jacobian(point, ancestors, revolute, pivot, direction, n: int):

@@ -1,15 +1,16 @@
 """Shared fixtures: the two reference plants used across the test suite,
-and a reference finite-difference stencil."""
+the reference loop step kernel and a reference finite-difference stencil."""
 
 import math
 import os
+from math import cos, sin
 
 import numpy as np
 import pytest
 
 from superlimb.errors import NonFinite
 from superlimb.numerics import _as_array, default_fd_step
-from superlimb.plant import Chain, Joint, PlantModel
+from superlimb.plant import Chain, Joint, Kinematics, PlantModel, _point_jacobian
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -116,6 +117,98 @@ def reference_fd_hessian(f, p0) -> np.ndarray:
             hess[i, j] = val
             hess[j, i] = val
     return hess
+
+
+def _upper(idx: tuple) -> tuple:
+    """(r, (c >= r ...)) pairs of an index set: one triangle of its block."""
+    return tuple((r, idx[k:]) for k, r in enumerate(idx))
+
+
+def reference_step_kernel(model: PlantModel):
+    """``model``'s step kernel as the loop over a tuple layout that the
+    generated straight-line kernel unrolls: the reference it must match bit
+    for bit.  A point at distance r along a joint's unit axis e (turning at
+    the link rate phid, r changing at rate rd) moves at rd e + r phid
+    perp(e) with acceleration bias 2 rd phid perp(e) - r phid^2 e relative
+    to the joint's origin.  A, g = sum_l m_l g J_l,z and h = g + sum_l m_l
+    J_l^T acc_l are accumulated link by link over each link's ancestors."""
+    n, gravity = model.n_dof, model.gravity
+    ancestors, revolute = model._ancestors, model._revolute
+    layout, links, off = [], [], 0
+    for c in model.chains:
+        joints = []
+        for i, joint in enumerate(c.joints, off):
+            joints.append((i, revolute[i], joint.length, joint.com, joint.axis))
+            spin = tuple(j for j in ancestors[i] if revolute[j])
+            links.append((i, ancestors[i], _upper(ancestors[i]), joint.mass,
+                          joint.mass * gravity, joint.inertia, _upper(spin), joint.rotor))
+        layout.append((c.base, c.heading, joints))
+        off += len(c.joints)
+    upper = tuple((r, c) for r in range(n) for c in range(r + 1, n))
+
+    def kernel(q: list, qd: list) -> Kinematics:
+        pivot, direction, com, com_vel, com_acc = [], [], [], [], []
+        tip, tip_vel, tip_acc, ang_vel, jcom = [], [], [], [], []
+        for (ox, oz), phi, joints in layout:
+            vox = voz = aox = aoz = phid = 0.0
+            for i, is_rev, length, c, axis in joints:
+                pivot.append((ox, oz))
+                if is_rev:
+                    phi += q[i]
+                    phid += qd[i]
+                    ex, ez = cos(phi), sin(phi)
+                    direction.append((0.0, 0.0))
+                    rate, r_com, r_tip = 0.0, c, length
+                else:
+                    ex, ez = cos(phi + axis), sin(phi + axis)
+                    direction.append((ex, ez))
+                    rate, r_com, r_tip = qd[i], c + q[i], length + q[i]
+                px, pz = -ez, ex  # perp(e)
+                com.append((ox + r_com * ex, oz + r_com * ez))
+                com_vel.append((vox + rate * ex + r_com * phid * px,
+                                voz + rate * ez + r_com * phid * pz))
+                com_acc.append((aox + 2.0 * rate * phid * px - r_com * phid * phid * ex,
+                                aoz + 2.0 * rate * phid * pz - r_com * phid * phid * ez))
+                ox, oz = ox + r_tip * ex, oz + r_tip * ez
+                vox, voz = (vox + rate * ex + r_tip * phid * px,
+                            voz + rate * ez + r_tip * phid * pz)
+                aox, aoz = (aox + 2.0 * rate * phid * px - r_tip * phid * phid * ex,
+                            aoz + 2.0 * rate * phid * pz - r_tip * phid * phid * ez)
+                tip.append((ox, oz))
+                tip_vel.append((vox, voz))
+                tip_acc.append((aox, aoz))
+                ang_vel.append(phid)
+                jcom.append(_point_jacobian(com[i], ancestors[i], revolute, pivot, direction, n))
+
+        a = [[0.0] * n for _ in range(n)]
+        g = [0.0] * n
+        for lk, _, pairs, mass, weight, inertia, spin, rotor in links:
+            jx, jz = jcom[lk]
+            for r, cols in pairs:
+                xr, zr = jx[r], jz[r]
+                row = a[r]
+                for c in cols:
+                    row[c] += mass * (xr * jx[c] + zr * jz[c])
+                g[r] += weight * zr
+            if inertia:
+                for r, cols in spin:
+                    row = a[r]
+                    for c in cols:
+                        row[c] += inertia
+            if rotor:
+                a[lk][lk] += rotor
+        for r, c in upper:
+            a[c][r] = a[r][c]
+        h = g[:]
+        for lk, anc, _, mass, *_ in links:
+            jx, jz = jcom[lk]
+            ax, az = com_acc[lk]
+            for c in anc:
+                h[c] += mass * (jx[c] * ax + jz[c] * az)
+        return Kinematics(pivot, direction, com, com_vel, com_acc, tip, tip_vel,
+                          tip_acc, ang_vel, jcom, a, g, h)
+
+    return kernel
 
 
 @pytest.fixture

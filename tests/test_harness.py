@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import desk_arm_dict, scenario_path
+from conftest import desk_arm_dict, reference_step_kernel, scenario_path
 
 from superlimb import dynamics, harness
 from superlimb.cli import main
@@ -448,6 +448,21 @@ def test_run_evaluates_the_plant_only_on_the_step_kernel(monkeypatch, name):
     assert len(log) == sc.sim.n_steps == 100
     assert states[0] == 0
     assert kernel[0] == len(log) + (sc.controller.x_eq is None)
+
+
+@pytest.mark.parametrize("name", SIM_SCENARIOS)
+def test_run_on_reference_kernel_logs_the_same_bytes(name):
+    # the generated step kernel against the loop it unrolls, through a whole
+    # run in either sim mode: every logged value is the same to the bit
+    logs = []
+    for use_reference in (False, True):
+        sc = load_scenario(scenario_path(name))
+        sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.5))
+        if use_reference:
+            object.__setattr__(sc.model, "_kernel", reference_step_kernel(sc.model))
+        logs.append(run_scenario(sc))
+    assert logs[0].columns == logs[1].columns
+    assert logs[0]._data.tobytes() == logs[1]._data.tobytes()
 
 
 def test_ungated_run_matches_no_emg_baseline():

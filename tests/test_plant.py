@@ -5,14 +5,18 @@ oracles: the (exactly quadratic) kinetic energy, finite differences of the
 potential energy, and energy conservation of free motion.
 """
 
+import cProfile
 import functools
 import json
 import math
 import os
+import pstats
 
 import numpy as np
 import pytest
-from conftest import SCENARIO_DIR, desk_arm_model, scenario_path
+from conftest import SCENARIO_DIR, desk_arm_model, reference_step_kernel, scenario_path
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superlimb.errors import BadModel, DimensionMismatch, NonFinite
 from superlimb.kinematics import PlantEndpointMap
@@ -86,6 +90,18 @@ def test_duplicate_chain_names_rejected():
     j = Joint(kind="prismatic", mass=1.0, length=0.0, com=0.0)
     with pytest.raises(BadModel):
         PlantModel(chains=(Chain(name="a", joints=(j,)), Chain(name="a", joints=(j,))))
+
+
+@pytest.mark.parametrize("field, frame", [
+    ("heading", {"heading": math.inf}),
+    ("base", {"base": (math.nan, 0.0)}),
+])
+def test_chain_frame_must_be_finite(field, frame):
+    # the frame becomes float literals of the generated step kernel
+    rod = Joint(kind="revolute", mass=1.0, length=0.2)
+    with pytest.raises(BadModel, match="must be finite in chain 'arm'") as err:
+        Chain(name="arm", joints=(rod,), **frame)
+    assert err.value.key == field
 
 
 def test_q0_and_slices(desk_model):
@@ -316,3 +332,87 @@ def test_non_finite_state_is_rejected():
         rod.state([0.0], [math.nan])
     with pytest.raises(NonFinite):
         PlantEndpointMap(rod, "rod")([math.inf])
+
+
+def kernel_bits(value, lists: list):
+    """A step kernel's result with every float as ``float.hex``, so that
+    -0.0 and 0.0 differ, and every container as its type and items; the id
+    of every list goes to ``lists``."""
+    if type(value) is float:
+        return value.hex()
+    if type(value) is list:
+        lists.append(id(value))
+    return type(value).__name__, [kernel_bits(v, lists) for v in value]
+
+
+@st.composite
+def plants(draw) -> PlantModel:
+    """1-3 chains of 1-5 mixed revolute/prismatic joints, limb chains first,
+    with zero and nonzero inertias and rotors and frames off the axes."""
+    extra = st.sampled_from([0.0]) | st.floats(1e-3, 0.5)
+    n_chains = draw(st.integers(1, 3))
+    n_srl = draw(st.integers(0, n_chains))
+    chains = []
+    for k in range(n_chains):
+        joints = []
+        for _ in range(draw(st.integers(1, 5))):
+            kind = draw(st.sampled_from(["revolute", "prismatic"]))
+            joints.append(Joint(
+                kind=kind, mass=draw(st.floats(0.1, 10.0)),
+                length=draw(st.floats(0.05 if kind == "revolute" else 0.0, 1.0)),
+                com=draw(st.floats(-0.5, 1.0)), inertia=draw(extra), rotor=draw(extra),
+                axis=draw(st.floats(-3.2, 3.2)),
+            ))
+        chains.append(Chain(
+            name=f"c{k}", role="srl" if k < n_srl else "human", joints=tuple(joints),
+            base=(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))),
+            heading=draw(st.floats(-3.2, 3.2)),
+        ))
+    return PlantModel(chains=tuple(chains), gravity=draw(st.floats(0.0, 20.0)))
+
+
+COORDS = st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plants(), st.data())
+def test_generated_kernel_matches_reference_loop(model, data):
+    # all 13 Kinematics fields to the bit, and fresh lists on every call
+    n = model.n_dof
+    q, qd = (data.draw(st.lists(COORDS, min_size=n, max_size=n)) for _ in range(2))
+    lists = []
+    first, second = model._kernel(q, qd), model._kernel(q, qd)
+    bits = kernel_bits(first, lists)
+    assert bits == kernel_bits(reference_step_kernel(model)(q, qd), [])
+    assert kernel_bits(second, lists) == bits
+    assert len(set(lists)) == len(lists)
+
+
+def test_thirty_dof_chain_kernel_matches_reference_loop(rng):
+    # each sum grows one statement per term: a long chain compiles, however
+    # many terms A's first element collects
+    joints = tuple(
+        Joint(kind="prismatic" if k % 5 == 4 else "revolute", mass=1.0 + 0.1 * k,
+              length=0.1, inertia=0.01, rotor=0.02 * (k % 2), axis=0.3)
+        for k in range(30)
+    )
+    model = PlantModel(chains=(Chain(name="long", joints=joints, base=(0.1, -0.2),
+                                     heading=0.5),))
+    reference = reference_step_kernel(model)
+    for _ in range(5):
+        q, qd = rng.uniform(-1.0, 1.0, 30).tolist(), rng.standard_normal(30).tolist()
+        assert kernel_bits(model._kernel(q, qd), []) == kernel_bits(reference(q, qd), [])
+
+
+def test_kernel_is_named_after_its_chains(desk_model):
+    # profiles and tracebacks attribute the generated code to the kernel
+    name = "<step kernel: arm, trunk>"
+    profile = cProfile.Profile()
+    profile.runcall(desk_model._kernel, [0.0] * 4, [0.0] * 4)
+    assert (name, 1, "kernel") in pstats.Stats(profile).stats
+    with pytest.raises(ValueError) as err:
+        desk_model._kernel([0.0], [0.0])
+    tb = err.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code.co_filename == name
