@@ -7,7 +7,10 @@ is integrated with a semi-implicit Euler step.  A bilateral point contact
 (the supported panel) is enforced by solving for the constraint force
 that makes the post-step contact velocity match the scripted support
 motion; for a static support with a clean initial state this is exactly
-the zero-contact-acceleration condition, and it does not drift.
+the zero-contact-acceleration condition, and it does not drift.  The step
+and its two Cholesky solves run as straight-line code generated once per
+shape (DoFs, free DoFs, contact rows), to the bit what the list-based
+loop and ``numerics.spd_solve`` computed.
 
 Sign conventions: the constraint force returned by the dynamics layer
 acts on the robot; logs report ``lambda`` as the force exerted on the
@@ -24,7 +27,8 @@ byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, nan
+from functools import cache
+from math import isfinite, nan, sqrt
 from operator import add, mul
 
 import numpy as np
@@ -52,7 +56,6 @@ from .errors import (
     SuperlimbError,
     ValidationError,
 )
-from .numerics import spd_solve
 from .plant import AXES, Kinematics, PlantModel
 from .scenario import Scenario
 from .stiffness import check_vectors, control_force, friction_torque, task_to_joint_torque
@@ -128,6 +131,113 @@ class StepResult:
     lam: np.ndarray
 
 
+def _blowup(values):
+    """Raise NumericBlowup naming the largest of |``values``| (NaN if any)."""
+    mags = [abs(v) for v in values]
+    peak = nan if any(x != x for x in mags) else max(mags)
+    raise NumericBlowup(f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})")
+
+
+def _sum(body: list[str], terms: list[str], name: str = "s") -> str:
+    """Append statements leaving ``sum(terms)`` in ``name``: 0.0 plus each
+    term, left to right, as ``sum()``'s int 0 start rounds (-0.0 included).
+    Returns " - name" to subtract it, or "" for no terms (x - 0 is x)."""
+    if not terms:
+        return ""
+    body += [f"{name} = 0.0 + {terms[0]}"] + [f"{name} += {term}" for term in terms[1:]]
+    return f" - {name}"
+
+
+def _spd_solve_source(body: list[str], entry, size: int, solves, tag: str, reason: str):
+    """Append ``numerics.spd_solve`` unrolled for one size, operation for
+    operation (reciprocal pivots): factor the matrix whose entry (j, c),
+    c >= j, is named ``entry(j, c)``, raising RankDeficient with ``reason``
+    at a pivot that is not positive, then solve for each ``(out, rhs)`` of
+    ``solves``, leaving the solution for the names ``rhs`` in ``out0``, ..."""
+    def f(i, j):  # the factor's entry (i, j), i > j
+        return f"l{tag}{i}_{j}"
+
+    for j in range(size):
+        s = _sum(body, [f"{f(j, i)} * {f(j, i)}" for i in range(j)])
+        text = f"{reason} (leading minor {j + 1} is {{d:.3e}})"
+        body += [f"d = {entry(j, j)}{s}", "if not d > 0.0:  # NaN fails too",
+                 f"    raise RankDeficient(f{text!r})", f"i{tag}{j} = 1.0 / sqrt(d)"]
+        for c in range(j + 1, size):
+            s = _sum(body, [f"{f(j, i)} * {f(c, i)}" for i in range(j)])
+            body.append(f"{f(c, j)} = ({entry(j, c)}{s}) * i{tag}{j}")
+    for out, rhs in solves:
+        body.append(f"{''.join(f'{out}{i}, ' for i in range(size))}= {', '.join(rhs)},")
+        for i in range(size):  # u^T y = b
+            body.append(f"{out}{i} *= i{tag}{i}")
+            body += [f"{out}{c} -= {out}{i} * {f(c, i)}" for c in range(i + 1, size)]
+        for i in reversed(range(size)):  # u x = y
+            body.append(f"{out}{i} *= i{tag}{i}")
+            body += [f"{out}{c} -= {out}{i} * {f(i, c)}" for c in range(i)]
+
+
+@cache
+def _contact_step(n: int, m: int, k: int):
+    """Generate ``_advance`` for n DoFs, the first m free, and k contact
+    rows as straight-line source over named floats, compiled once per shape
+    (the code-generation approach of RobCoGen, Frigerio et al., JOSER 2016).
+    Every operation keeps the order of the list-and-``sum()`` loop it
+    unrolls, so the result is the same to the bit."""
+    free, scripted, rows = range(m), range(m, n), range(k)
+    body = []
+
+    def unpack(name: str, src: str, size: int = n):
+        body.append(f"{''.join(f'{name}{i}, ' for i in range(size))}= {src}")
+
+    for name, src in ("q", "q"), ("v", "qd"), ("dd", "qdd"), ("qn", "q_next"), ("vn", "qd_next"):
+        unpack(name, src)
+    if m:
+        unpack("t", "tau_total", m)
+        body += [f"if not ({' and '.join(f'isfinite(t{i})' for i in free)}):",
+                 "    raise NonFinite('tau_total contains NaN or Inf')"]
+        unpack("h", "h")
+        for i in free:
+            unpack(f"a{i}_", f"a[{i}]")
+        for r in rows:
+            unpack(f"c{r}_", f"j_c[{r}]")
+        for i in free:  # tau - h - A_fs qdd_s, then A_ff^-1 of it and of each J_f row
+            s = _sum(body, [f"a{i}_{j} * dd{j}" for j in scripted])
+            body.append(f"r{i} = t{i} - h{i}{s}")
+        solves = [("x", [f"r{i}" for i in free])]
+        solves += [(f"u{r}_", [f"c{r}_{i}" for i in free]) for r in rows]
+        _spd_solve_source(body, lambda j, c: f"a{j}_{c}", m, solves,
+                          "a", "inertia of the free joints is not positive definite")
+        if k:
+            unpack("vt", "v_target", k)
+            for r in rows:  # the Gram matrix's factored triangle
+                for c in range(r, k):
+                    _sum(body, [f"c{r}_{i} * u{c}_{i}" for i in free], f"G{r}_{c}")
+            body += [f"p{i} = v{i} + dt * x{i}" for i in free]
+            for r in rows:  # the contact velocity's residual, over dt
+                s = _sum(body, [f"c{r}_{j} * vn{j}" for j in scripted])
+                body.append(f"e{r} = vt{r}{s}")
+                s = _sum(body, [f"c{r}_{i} * p{i}" for i in free])
+                body.append(f"e{r} = (e{r}{s}) / dt")
+            _spd_solve_source(body, lambda j, c: f"G{j}_{c}", k, [("lam", [f"e{r}" for r in rows])],
+                              "g", "contact directions are not independent at this posture")
+            for i in free:
+                _sum(body, [f"u{r}_{i} * lam{r}" for r in rows])
+                body.append(f"x{i} = x{i} + s")
+        for i in free:
+            body += [f"vn{i} = v{i} + dt * x{i}", f"qn{i} = q{i} + dt * vn{i}"]
+        for name, out in (("x", "qdd"), ("vn", "qd_next"), ("qn", "q_next")):
+            body.append(f"{out}[:{m}] = {', '.join(f'{name}{i}' for i in free)},")
+    within = " and ".join(f"-{BLOWUP_LIMIT!r} <= {v}{i} <= {BLOWUP_LIMIT!r}"
+                          for v in ("qn", "vn") for i in range(n))
+    body += [f"if not ({within}):  # NaN fails the comparison", "    _blowup(q_next + qd_next)",
+             f"return [{', '.join(f'lam{r}' if m else '0.0' for r in rows)}]"]
+    source = ("def step(q, qd, a, h, tau_total, dt, j_c, v_target, q_next, qd_next, qdd):\n"
+              + "".join(f"    {line}\n" for line in body))
+    namespace = {"isfinite": isfinite, "sqrt": sqrt, "NonFinite": NonFinite,
+                 "RankDeficient": RankDeficient, "_blowup": _blowup}
+    exec(compile(source, f"<contact solve: n={n}, m={m}, k={k}>", "exec"), namespace)
+    return namespace["step"]
+
+
 def _advance(
     q, qd, a, h, tau_total, dt: float, m: int, j_c, v_target, q_next, qd_next, qdd
 ) -> list[float]:
@@ -142,44 +252,11 @@ def _advance(
     the acceleration; the free entries are filled in place.  ``j_c`` holds
     the contact Jacobian's rows (none without contact) and ``v_target`` the
     contact point's target velocity along them.  ``q`` and ``qd`` are finite:
-    a ``PlantState`` checked them, or the last step's blow-up bound did."""
-    if not all(map(isfinite, tau_total)):
-        raise NonFinite("tau_total contains NaN or Inf")
-
-    # with nothing free the split of a contact force is left to the caller
-    lam = [0.0] * len(j_c)
-    if m:
-        qdd_s = qdd[m:]
-        rhs = [t - hi - sum(map(mul, row[m:], qdd_s)) for t, hi, row in zip(tau_total, h, a)]
-        j_f = [row[:m] for row in j_c]
-        # A_ff^-1 rhs, then the columns of A_ff^-1 J_f^T (one per contact row)
-        qdd_free, *minv_jt = spd_solve(
-            [row[:m] for row in a[:m]], [rhs] + j_f,
-            RankDeficient, "inertia of the free joints is not positive definite",
-        )
-        if j_c:
-            gram = [[sum(map(mul, row, col)) for col in minv_jt] for row in j_f]
-            qd_free_pred = [v + dt * x for v, x in zip(qd, qdd_free)]
-            qd_s = qd_next[m:]
-            resid = [
-                vt - sum(map(mul, row[m:], qd_s)) - sum(map(mul, rf, qd_free_pred))
-                for vt, row, rf in zip(v_target, j_c, j_f)
-            ]
-            (lam,) = spd_solve(
-                gram, [[r / dt for r in resid]],
-                RankDeficient, "contact directions are not independent at this posture",
-            )
-            qdd_free = [x + sum(map(mul, col, lam)) for x, col in zip(qdd_free, zip(*minv_jt))]
-        for i, x in enumerate(qdd_free):
-            qdd[i] = x
-            v = qd_next[i] = qd[i] + dt * x
-            q_next[i] = q[i] + dt * v
-
-    mags = [abs(v) for v in q_next + qd_next]
-    if not all(x <= BLOWUP_LIMIT for x in mags):  # NaN fails the comparison
-        peak = nan if any(x != x for x in mags) else max(mags)
-        raise NumericBlowup(f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})")
-    return lam
+    a ``PlantState`` checked them, or the last step's blow-up bound did.
+    With nothing free the split of a contact force is left to the caller.
+    The step runs in the code ``_contact_step`` generates for its shape."""
+    return _contact_step(len(q), m, len(j_c))(
+        q, qd, a, h, tau_total, dt, j_c, v_target, q_next, qd_next, qdd)
 
 
 def integrate_step(

@@ -2,8 +2,9 @@
 
 Thin, contract-checked wrappers: full QR with a fixed sign convention
 and a rank rule.  The one Cholesky, ``spd_solve``, runs on Python float
-lists (the simulator's step loop calls it); the inertia-weighted
-(dynamically consistent) pseudo-inverse solves through it.  The QR, the
+lists (the inverse-dynamics split calls it, and the simulator's tracking
+step runs it unrolled); the inertia-weighted (dynamically consistent)
+pseudo-inverse solves through it.  The QR, the
 SVD pseudo-inverse, finite-difference derivatives and the eigenvalue
 tests go through numpy.
 Everything else operates on plain float ndarrays; all functions are pure.

@@ -551,6 +551,10 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
     contact = scenario.contact
     if sim.mode == "inverse-dynamics" and contact is not None and contact.motion.kind != "static":
         raise ParseError("sim.mode", "inverse-dynamics mode supports static contacts only")
+    if sim.mode == "tracking" and contact is not None and contact.spec.chain not in model._srl_chains:
+        # the tracking step solves the contact force through the limb's free joints
+        raise ParseError("contact.chain", f"{contact.spec.chain!r} is a human chain; in tracking "
+                         "mode the contact must be on a limb chain")
     return scenario
 
 

@@ -1,15 +1,18 @@
 """Shared fixtures: the two reference plants used across the test suite,
-the reference loop step kernel and a reference finite-difference stencil."""
+the reference loop step kernel, the reference list-based contact solve and
+a reference finite-difference stencil."""
 
 import math
 import os
-from math import cos, sin
+from math import cos, isfinite, nan, sin
+from operator import mul
 
 import numpy as np
 import pytest
 
-from superlimb.errors import NonFinite
-from superlimb.numerics import _as_array, default_fd_step
+from superlimb.errors import NonFinite, NumericBlowup, RankDeficient
+from superlimb.harness import BLOWUP_LIMIT
+from superlimb.numerics import _as_array, default_fd_step, spd_solve
 from superlimb.plant import Chain, Joint, Kinematics, PlantModel, _point_jacobian
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -209,6 +212,51 @@ def reference_step_kernel(model: PlantModel):
                           tip_acc, ang_vel, jcom, a, g, h)
 
     return kernel
+
+
+def reference_advance(
+    q, qd, a, h, tau_total, dt: float, m: int, j_c, v_target, q_next, qd_next, qdd
+) -> list[float]:
+    """``harness._advance`` as list comprehensions, ``sum()`` and two
+    ``spd_solve`` calls: the loop its generated straight-line solve must
+    match bit for bit, errors included."""
+    if not all(map(isfinite, tau_total)):
+        raise NonFinite("tau_total contains NaN or Inf")
+
+    # with nothing free the split of a contact force is left to the caller
+    lam = [0.0] * len(j_c)
+    if m:
+        qdd_s = qdd[m:]
+        rhs = [t - hi - sum(map(mul, row[m:], qdd_s)) for t, hi, row in zip(tau_total, h, a)]
+        j_f = [row[:m] for row in j_c]
+        # A_ff^-1 rhs, then the columns of A_ff^-1 J_f^T (one per contact row)
+        qdd_free, *minv_jt = spd_solve(
+            [row[:m] for row in a[:m]], [rhs] + j_f,
+            RankDeficient, "inertia of the free joints is not positive definite",
+        )
+        if j_c:
+            gram = [[sum(map(mul, row, col)) for col in minv_jt] for row in j_f]
+            qd_free_pred = [v + dt * x for v, x in zip(qd, qdd_free)]
+            qd_s = qd_next[m:]
+            resid = [
+                vt - sum(map(mul, row[m:], qd_s)) - sum(map(mul, rf, qd_free_pred))
+                for vt, row, rf in zip(v_target, j_c, j_f)
+            ]
+            (lam,) = spd_solve(
+                gram, [[r / dt for r in resid]],
+                RankDeficient, "contact directions are not independent at this posture",
+            )
+            qdd_free = [x + sum(map(mul, col, lam)) for x, col in zip(qdd_free, zip(*minv_jt))]
+        for i, x in enumerate(qdd_free):
+            qdd[i] = x
+            v = qd_next[i] = qd[i] + dt * x
+            q_next[i] = q[i] + dt * v
+
+    mags = [abs(v) for v in q_next + qd_next]
+    if not all(x <= BLOWUP_LIMIT for x in mags):  # NaN fails the comparison
+        peak = nan if any(x != x for x in mags) else max(mags)
+        raise NumericBlowup(f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})")
+    return lam
 
 
 @pytest.fixture

@@ -677,6 +677,22 @@ def test_run_default_controller_chain_of_a_plant_without_limb_exits_1(tmp_path, 
                    "drives a limb chain\n")
 
 
+@pytest.mark.parametrize("limb", [True, False], ids=["with-limb", "human-only"])
+def test_run_contact_on_human_chain_in_tracking_mode_exits_1(tmp_path, capsys, limb):
+    # with a limb the trunk's contact row has no free part (its Gram matrix
+    # is 0); without one nothing is free and the force would log as 0
+    def on_trunk(data):
+        data["contact"]["chain"] = "trunk"
+        if not limb:
+            data["plant"]["chains"] = data["plant"]["chains"][1:]
+            data["controller"]["enabled"] = False
+
+    code, err, wrote = _run_edited(tmp_path, capsys, "overhead_sweep", on_trunk)
+    assert (code, wrote) == (1, False)
+    assert err == ("error: contact.chain: 'trunk' is a human chain; in tracking mode the "
+                   "contact must be on a limb chain\n")
+
+
 def test_run_disabled_controller_may_name_a_human_chain(tmp_path, capsys):
     code, err, wrote = _run_edited(
         tmp_path, capsys, "static_hold",

@@ -4,10 +4,13 @@ logging, and whole-scenario runs."""
 import dataclasses
 import json
 import math
+from functools import cache
 
 import numpy as np
 import pytest
-from conftest import desk_arm_dict, reference_step_kernel, scenario_path
+from conftest import desk_arm_dict, reference_advance, reference_step_kernel, scenario_path
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superlimb import dynamics, harness
 from superlimb.cli import main
@@ -17,6 +20,7 @@ from superlimb.errors import (
     NonFinite,
     NumericBlowup,
     RankDeficient,
+    SuperlimbError,
     ValidationError,
 )
 from superlimb.harness import _mount_force, generate_emg, integrate_step, run_scenario
@@ -191,6 +195,106 @@ def test_cli_run_non_finite_torque_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("numeric error: [step 0, t=0s] tau_total contains NaN or Inf")
+
+
+# --- generated contact solve ----------------------------------------------------
+
+
+def advance_outcome(advance, args):
+    """What one ``_advance``-shaped call does to fresh copies of ``args``:
+    the result and the three filled lists as ``float.hex``, or the error's
+    class and message."""
+    q, qd, a, h, tau, dt, m, j_c, vt, q_next, qd_next, qdd = args
+    q_next, qd_next, qdd = list(q_next), list(qd_next), list(qdd)
+    try:
+        lam = advance(list(q), list(qd), [list(r) for r in a], list(h), list(tau), dt, m,
+                      [list(r) for r in j_c], list(vt), q_next, qd_next, qdd)
+    except SuperlimbError as exc:
+        return type(exc), str(exc)
+    return tuple([float.hex(x) for x in v] for v in (lam, qdd, qd_next, q_next))
+
+
+def assert_same_advance(args):
+    got = advance_outcome(harness._advance, args)
+    assert got == advance_outcome(reference_advance, args)
+    return got
+
+
+# every value reaches the solve with either sign of zero
+signed = st.sampled_from([0.0, -0.0]) | st.floats(-8.0, 8.0)
+
+
+@st.composite
+def advance_args(draw):
+    m, n_s, k = draw(st.integers(0, 5)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    n = max(m + n_s, 1)
+
+    def vec(size):
+        return draw(st.lists(signed, min_size=size, max_size=size))
+
+    # symmetric and diagonally dominant, hence positive definite
+    off = [vec(n) for _ in range(n)]
+    a = [[off[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
+    for r in range(n):
+        a[r][r] = sum(abs(x) for c, x in enumerate(a[r]) if c != r) + draw(st.floats(0.05, 4.0))
+    free_zeros = [0.0] * m
+    return (vec(n), vec(n), a, vec(n), vec(m), draw(st.floats(1e-4, 1e-2)), m,
+            [vec(n) for _ in range(k)], vec(k),
+            free_zeros + vec(n - m), free_zeros + vec(n - m), free_zeros + vec(n - m))
+
+
+@settings(max_examples=400, deadline=None)
+@given(advance_args())
+def test_generated_advance_matches_reference(args):
+    # lam, qdd, qd_next and q_next to the bit for every (n, m, k) shape with
+    # m = 0-5 free DoFs, up to 2 scripted ones and 0-2 contact rows, or the
+    # same error class and message
+    assert_same_advance(args)
+
+
+def identity(n):
+    return [[float(r == c) for c in range(n)] for r in range(n)]
+
+
+def advance_case(a, m, j_c=(), tau=None, vt=None, scripted=(), dt=0.01):
+    n = len(a)
+    tau = [1.0] * m if tau is None else tau
+    vt = [0.0] * len(j_c) if vt is None else vt
+    tail = list(scripted) + [0.0] * (n - m - len(scripted))
+    q_next = [0.0] * m + tail
+    return ([0.1] * n, [0.0] * n, a, [0.5] * n, tau, dt, m, list(j_c), vt,
+            q_next, [0.0] * n, [0.0] * n)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    pytest.param(advance_case([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 3),
+                 RankDeficient, "positive definite (leading minor 1 is -1.000e+00)",
+                 id="minor-1"),
+    pytest.param(advance_case([[1.0, 2.0, 0.0, 0.5], [2.0, 1.0, 0.0, 0.0],
+                               [0.0, 0.0, 1.0, 0.0], [0.5, 0.0, 0.0, 9.0]], 3),
+                 RankDeficient, "positive definite (leading minor 2 is -3.000e+00)",
+                 id="minor-2"),
+    pytest.param(advance_case([[4.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], 3),
+                 RankDeficient, "positive definite (leading minor 3 is 0.000e+00)",
+                 id="minor-3"),
+    pytest.param(advance_case(identity(3), 2, j_c=[[1.0, 0.0, 3.0], [1.0, -0.0, -1.0]]),
+                 RankDeficient, "contact directions are not independent at this posture "
+                 "(leading minor 2 is 0.000e+00)", id="rank-1-gram"),
+    pytest.param(advance_case(identity(3), 3, tau=[1.0, math.nan, 1.0]),
+                 NonFinite, "tau_total contains NaN or Inf", id="nan-tau"),
+    pytest.param(advance_case(identity(2), 2, tau=[-math.inf, 1.0], j_c=[[1.0, 0.0]]),
+                 NonFinite, "tau_total contains NaN or Inf", id="inf-tau"),
+    pytest.param(advance_case(identity(2), 2, tau=[1e13, 0.0]),
+                 NumericBlowup, "exceeded 1e+09 (max 1.000e+11)", id="blowup"),
+    pytest.param(advance_case(identity(2), 1, j_c=[[1.0, 0.0]], vt=[math.nan]),
+                 NumericBlowup, "(max nan)", id="blowup-nan"),
+    pytest.param(advance_case(identity(2), 0, j_c=[[0.0, 1.0]], scripted=[-2e9]),
+                 NumericBlowup, "(max 2.000e+09)", id="blowup-scripted"),
+])
+def test_generated_advance_raises_as_reference(args, error, message):
+    # each of the solve's errors: the same class and text as the loop's
+    got = assert_same_advance(args)
+    assert got[0] is error and message in got[1], got
 
 
 # --- log container --------------------------------------------------------------
@@ -421,15 +525,17 @@ def test_inverse_step_call_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("name, per_step", [
-    ("press_friction.json", [1, 1, 1, 1]),
-    ("overhead_inverse.json", [1, 0, 0, 1]),  # nothing is applied: no J^T f, no friction
+    ("press_friction.json", [1, 1, 1, 1, 1]),
+    # nothing is applied: no J^T f, no friction, and decouple replaces the step
+    ("overhead_inverse.json", [1, 0, 0, 1, 0]),
 ])
 def test_step_law_call_counts(monkeypatch, name, per_step):
-    # the loop calls each step law by its public name in harness, once per
-    # step where it applies
+    # the loop calls each step law and the contact solve by its name in
+    # harness, once per step where it applies
     sc = load_scenario(scenario_path(name))
     sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.25))
-    laws = ["control_force", "task_to_joint_torque", "friction_torque", "contact_jacobian"]
+    laws = ["control_force", "task_to_joint_torque", "friction_torque", "contact_jacobian",
+            "_advance"]
     cells = [count_calls(monkeypatch, harness, law) for law in laws]
     steps = len(run_scenario(sc))
     assert steps == sc.sim.n_steps == 50
@@ -463,6 +569,55 @@ def test_run_on_reference_kernel_logs_the_same_bytes(name):
         logs.append(run_scenario(sc))
     assert logs[0].columns == logs[1].columns
     assert logs[0]._data.tobytes() == logs[1]._data.tobytes()
+
+
+@cache
+def full_run(name: str) -> harness.SimLog:
+    """The log of one bundled scenario run at its own settings."""
+    return run_scenario(load_scenario(scenario_path(name)))
+
+
+@pytest.mark.parametrize("name", SIM_SCENARIOS)
+def test_run_on_reference_advance_logs_the_same_bytes(monkeypatch, name):
+    # the generated contact solve against the list-based loop, through a
+    # whole bundled run: every logged value is the same to the bit
+    monkeypatch.setattr(harness, "_advance", reference_advance)
+    log = run_scenario(load_scenario(scenario_path(name)))
+    assert log.columns == full_run(name).columns
+    assert log._data.tobytes() == full_run(name)._data.tobytes()
+
+
+def test_contact_solve_is_generated_once_per_shape():
+    step = harness._contact_step(4, 3, 1)
+    assert harness._contact_step(4, 3, 1) is step
+    assert step.__code__.co_filename == "<contact solve: n=4, m=3, k=1>"
+
+
+# --- physics regression guards --------------------------------------------------
+
+
+@pytest.mark.parametrize("name", SIM_SCENARIOS[:4])
+def test_support_force_pushes_at_the_default_step(name):
+    # the bilateral contact never pulls the panel down in a bundled tracking
+    # run (minima 20.1, 22.2, 29.4 and 29.4 N)
+    assert full_run(name).column("lambda_z").min() >= 0.0
+
+
+def test_overhead_sweep_contact_stays_near_its_path_over_32_s():
+    # the velocity-level constraint lets the supported point drift from its
+    # scripted triangle (7.65 mm by 32 s); the bound catches a faster drift
+    with open(scenario_path("overhead_sweep.json")) as fh:
+        data = json.load(fh)
+    data["sim"]["duration"] = 32.0
+    sc = parse_scenario(data)
+    log = run_scenario(sc)
+    motion, dt = sc.contact.motion, sc.sim.dt
+    t, x_z = log.column("t"), log.column("x_z")
+    quarter = motion.amplitude / motion.speed
+    phase = np.mod(t, 4.0 * quarter)
+    v = np.where((phase < quarter) | (phase >= 3.0 * quarter), motion.speed, -motion.speed)
+    path = np.concatenate([[0.0], np.cumsum(v * dt)[:-1]])
+    assert np.max(np.abs(x_z - x_z[0] - path)) <= 0.010
 
 
 def test_ungated_run_matches_no_emg_baseline():

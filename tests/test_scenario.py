@@ -162,6 +162,16 @@ def test_inverse_dynamics_requires_static_contact():
     assert "inverse-dynamics" in err.reason
 
 
+def test_contact_on_human_chain_only_in_inverse_dynamics():
+    # the tracking step solves the contact force through the limb's free
+    # joints; inverse dynamics splits it over every joint
+    data = base_scenario()
+    data["contact"]["chain"] = "trunk"
+    expect_key(data, "contact.chain", "'trunk' is a human chain")
+    data["sim"]["mode"] = "inverse-dynamics"
+    assert parse_scenario(data).contact.spec.chain == "trunk"
+
+
 def test_unknown_section():
     data = base_scenario()
     data["extras"] = {}
