@@ -551,10 +551,12 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
     contact = scenario.contact
     if sim.mode == "inverse-dynamics" and contact is not None and contact.motion.kind != "static":
         raise ParseError("sim.mode", "inverse-dynamics mode supports static contacts only")
-    if sim.mode == "tracking" and contact is not None and contact.spec.chain not in model._srl_chains:
-        # the tracking step solves the contact force through the limb's free joints
-        raise ParseError("contact.chain", f"{contact.spec.chain!r} is a human chain; in tracking "
-                         "mode the contact must be on a limb chain")
+    if contact is not None and contact.spec.chain not in model._srl_chains:
+        # the limb carries the support force: on a human chain the tracking
+        # step has no free joint to solve it through, and inverse dynamics
+        # would log the wearer's own weight as support
+        raise ParseError("contact.chain", f"{contact.spec.chain!r} is a human chain; the "
+                         "contact must be on a limb chain")
     return scenario
 
 

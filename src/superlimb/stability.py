@@ -326,24 +326,12 @@ def _ik_jacobian(posture: SupportPosture, p: np.ndarray) -> np.ndarray:
     return _derivative(posture, "ik_jac", p, (posture.n_joint, posture.n_pose))
 
 
-def equilibrium_residual(posture: SupportPosture, f_h: np.ndarray) -> np.ndarray:
-    """Generalized-force balance at the equilibrium pose.
-
-    Gravity enters as the generalized force of the height potential,
-    -m g dz_c/dp, so a balanced posture (servo torques plus any human
-    force carrying the weight) gives a zero vector.
-    """
-    fh = np.atleast_1d(np.asarray(f_h, dtype=float))
-    if fh.shape != (posture.n_pose,):
-        raise DimensionMismatch(
-            f"f_h must have shape ({posture.n_pose},), got {fh.shape}"
-        )
-    return _residual(posture, fh)[0]
-
-
-def _residual(posture: SupportPosture, fh: np.ndarray) -> tuple[np.ndarray, float]:
-    """``equilibrium_residual``, unchecked, and the largest |z_c| among the
-    finite-difference sample points of its gravity gradient."""
+def _residual(posture: SupportPosture) -> tuple[np.ndarray, float]:
+    """Generalized-force balance at the equilibrium pose with no human force,
+    and the largest |z_c| among the finite-difference sample points of its
+    gravity gradient.  Gravity enters as the generalized force of the height
+    potential, -m g dz_c/dp, so a posture whose servo torques carry the
+    weight gives a zero vector."""
     z_abs = []
 
     def z(pp):
@@ -354,7 +342,7 @@ def _residual(posture: SupportPosture, fh: np.ndarray) -> tuple[np.ndarray, floa
     p = posture.p_bar
     grad_z = finite_diff_jacobian(z, p).ravel()
     j = _ik_jacobian(posture, p)
-    return -posture.mass * GRAVITY * grad_z + fh + j.T @ posture.tau_bar, max(z_abs)
+    return -posture.mass * GRAVITY * grad_z + j.T @ posture.tau_bar, max(z_abs)
 
 
 def potential(posture: SupportPosture, p: np.ndarray) -> float:
@@ -432,7 +420,7 @@ def stiffness_matrix_kp(posture: SupportPosture) -> StabilityReport:
     report, since at a true equilibrium the two are the same matrix.  The
     report carries that relative error and the residual.
     """
-    res, z_max = _residual(posture, np.zeros(posture.n_pose))
+    res, z_max = _residual(posture)
     res_inf = float(np.max(np.abs(res))) if res.size else 0.0
     weight, h_min = posture.mass * GRAVITY, float(np.min(default_fd_step(posture.p_bar)))
     bound = RESIDUAL_TOL * max(1.0, weight) + weight * EPS * z_max / h_min

@@ -689,8 +689,21 @@ def test_run_contact_on_human_chain_in_tracking_mode_exits_1(tmp_path, capsys, l
 
     code, err, wrote = _run_edited(tmp_path, capsys, "overhead_sweep", on_trunk)
     assert (code, wrote) == (1, False)
-    assert err == ("error: contact.chain: 'trunk' is a human chain; in tracking mode the "
-                   "contact must be on a limb chain\n")
+    assert err == ("error: contact.chain: 'trunk' is a human chain; the contact must be on "
+                   "a limb chain\n")
+
+
+def test_run_contact_on_human_chain_in_inverse_dynamics_exits_1(tmp_path, capsys):
+    # the split would let the panel hold the wearer up: lambda_z would log
+    # the 55 kg trunk's weight, -539.55 N
+    def on_trunk(data):
+        data["contact"]["chain"] = "trunk"
+        data["sim"]["duration"] = 0.05
+
+    code, err, wrote = _run_edited(tmp_path, capsys, "overhead_inverse", on_trunk)
+    assert (code, wrote) == (1, False)
+    assert err == ("error: contact.chain: 'trunk' is a human chain; the contact must be on "
+                   "a limb chain\n")
 
 
 def test_run_disabled_controller_may_name_a_human_chain(tmp_path, capsys):

@@ -252,6 +252,14 @@ def test_generated_advance_matches_reference(args):
     assert_same_advance(args)
 
 
+def test_builtin_float_sum_rounds_left_to_right():
+    # the step laws' sum(map(mul, ...)), the oracles and the bundled CSV bytes
+    # assume it; from Python 3.12 on, sum() of floats is compensated
+    assert sum([0.1] * 10) == 0.9999999999999999, (
+        "sum() of floats is compensated on this Python; pyproject.toml caps "
+        "requires-python at <3.12 for this reason")
+
+
 def identity(n):
     return [[float(r == c) for c in range(n)] for r in range(n)]
 

@@ -162,14 +162,13 @@ def test_inverse_dynamics_requires_static_contact():
     assert "inverse-dynamics" in err.reason
 
 
-def test_contact_on_human_chain_only_in_inverse_dynamics():
-    # the tracking step solves the contact force through the limb's free
-    # joints; inverse dynamics splits it over every joint
+def test_contact_on_human_chain_is_rejected_in_both_modes():
+    # the limb carries the support force in both sim modes
     data = base_scenario()
     data["contact"]["chain"] = "trunk"
-    expect_key(data, "contact.chain", "'trunk' is a human chain")
-    data["sim"]["mode"] = "inverse-dynamics"
-    assert parse_scenario(data).contact.spec.chain == "trunk"
+    for mode in ("tracking", "inverse-dynamics"):
+        data["sim"]["mode"] = mode
+        expect_key(data, "contact.chain", "'trunk' is a human chain; the contact must be on a limb")
 
 
 def test_unknown_section():

@@ -29,7 +29,6 @@ from superlimb.stability import (
     StabilityReport,
     SupportPosture,
     _base_stiffness,
-    equilibrium_residual,
     hessian_ez,
     hessian_qi,
     named_posture,
@@ -68,23 +67,15 @@ def slider_posture(mass=2.0, tau=None, k=50.0):
 
 
 def test_residual_balanced_slider_is_zero():
-    res = equilibrium_residual(slider_posture(), np.zeros(1))
-    assert abs(res[0]) < 1e-9
+    rep = stiffness_matrix_kp(slider_posture())
+    assert rep.equilibrium_residual < 1e-9
 
 
 def test_residual_unpowered_slider_shows_weight():
-    res = equilibrium_residual(slider_posture(tau=0.0), np.zeros(1))
-    assert res[0] == pytest.approx(-2.0 * GRAVITY, abs=1e-9)
-
-
-def test_residual_human_force_carries_weight():
-    res = equilibrium_residual(slider_posture(tau=0.0), np.array([2.0 * GRAVITY]))
-    assert abs(res[0]) < 1e-9
-
-
-def test_residual_shape_check():
-    with pytest.raises(DimensionMismatch):
-        equilibrium_residual(slider_posture(), np.zeros(2))
+    # with no servo torque the whole weight, 2 kg * 9.81 m/s^2, is left over
+    weight = r"posture is not an equilibrium \(residual 1\.962e\+01 N"
+    with pytest.raises(ValidationError, match=weight):
+        stiffness_matrix_kp(slider_posture(tau=0.0))
 
 
 # --- posture container ----------------------------------------------------------
