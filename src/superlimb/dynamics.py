@@ -9,24 +9,26 @@ on R then yields the support force.  The returned pair is one feasible
 solution of the underdetermined system - the split between actuation and
 support is not unique.
 
-The split runs on Python float lists (``_decouple_rows``), and the value
-rules of its inputs are written once (``_check_values``).  ``decouple``
-takes a ``DynamicsSnapshot``, the library's checked array form, or the
-step kernel's float lists, which the simulator's inverse-dynamics step
-hands it with no array round trip; ``constraint_force`` shares its QR.
+The split and the value rules of its inputs run as straight-line code
+that ``_split`` generates once per shape, to the bit what a loop over
+Python float lists computes.  ``decouple`` takes a ``DynamicsSnapshot``,
+the library's checked array form, or the step kernel's float lists, which
+the simulator's inverse-dynamics step hands it with no array round trip;
+``constraint_force`` factors with the list-based ``_contact_qr``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from math import hypot, isfinite
+from functools import cache
+from math import hypot, isfinite, sqrt
 from operator import mul
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, RankDeficient, SingularWeight
-from .numerics import QR_RANK_RTOL, check_rank, dyn_consistent_pinv, spd_solve, symmetric_part
+from .numerics import (QR_RANK_RTOL, _spd_solve_source, _sum, check_rank, dyn_consistent_pinv,
+                       symmetric_part)
 # unused here: perfbench's tracer (perfbench/tracer.py) wraps it in this module
 from .numerics import qr_full  # noqa: F401
 from .plant import AXES
@@ -60,7 +62,7 @@ class DynamicsSnapshot:
                 f"j_c must be k x {n} with 1 <= k <= {n}, got {jc.shape}"
             )
         sym = symmetric_part(a, DimensionMismatch, "a must be symmetric")
-        _check_values(a.tolist(), h.tolist(), jc.tolist(), qdd.tolist())
+        _split(n, jc.shape[0], None)(sym.tolist(), h.tolist(), jc.tolist(), qdd.tolist())
         object.__setattr__(self, "a", sym)
         object.__setattr__(self, "h_bias", h)
         object.__setattr__(self, "j_c", jc)
@@ -110,17 +112,6 @@ def null_projection(s_kc_qt: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.eye(n) - dyn_consistent_pinv(w, am) @ w
 
 
-def _check_values(a, h, j_c, qdd):
-    """The value rules of a decoupling's inputs, on Python float lists
-    (``a`` and ``j_c`` as rows): NonFinite for a NaN or Inf entry,
-    SingularWeight unless ``a`` is positive definite.  An overflow further
-    on is left to the caller's check of its output."""
-    for name, values in (("a", chain(*a)), ("h_bias", h), ("j_c", chain(*j_c)), ("qdd", qdd)):
-        if not all(map(isfinite, values)):
-            raise NonFinite(f"{name} contains NaN or Inf")
-    spd_solve(a, (), SingularWeight, "a is not positive definite")
-
-
 def _contact_qr(j_c) -> tuple[list[list[float]], list[list[float]]]:
     """J_c^T = Q1 R in Python floats, ``j_c`` given as its k rows: the k
     orthonormal columns of Q1 (as rows) and the k-by-k upper-triangular R
@@ -152,71 +143,102 @@ def _back_substitute(r, y) -> list[float]:
     return x
 
 
-def _decouple_rows(a, h, j_c, qdd, projector: bool = False):
-    """``decouple`` on Python float lists: ``a`` (symmetric, as rows), the
-    bias ``h``, the contact rows ``j_c`` and the acceleration ``qdd``.
-    Returns ``(tau, lam, n_kc)``, the projector ``n_kc`` (as rows) only
-    when ``projector`` is set and None otherwise.
+@cache
+def _split(n: int, k: int, projector: bool | None):
+    """``decouple``'s split for n DoFs and k contact rows, ``split(a, h, j_c,
+    qdd)`` on float lists (``a``, ``j_c`` as rows), as straight-line source
+    compiled once per shape (the code generation of RobCoGen, Frigerio et
+    al., JOSER 2016).  It keeps every operation of the list-and-``sum()``
+    loop it unrolls, so results and error messages are the same to the bit:
+    the value rules first (NonFinite for a NaN or Inf, the first input named
+    winning; SingularWeight unless ``a`` is positive definite), which are
+    all with ``projector`` None; then ``_contact_qr``'s Gram-Schmidt and the
+    split, returning ``(tau, lam)``, and with ``projector`` the rows of N."""
+    cols, rows, body = range(n), range(k), []
 
-    With J_c^T = Q1 R and b = A qdd + h, one k-by-k solve gives
-    y = (Q1^T A Q1)^-1 Q1^T A b; then lambda = R^-1 y and tau = b - Q1 y.
-    The projector Q1 (Q1^T A Q1)^-1 Q1^T A is I - W^+ W with W = S_kc Q^T
-    and the inertia-weighted W^+ (Mistry, Buchli & Schaal, ICRA 2010),
-    formed without A^-1 or W.  With k = n the torque is zero and y = Q1^T b.
+    def names(form: str, size: int = n) -> str:
+        return ", ".join(form.format(i) for i in range(size))
 
-    The inputs are taken as checked (``_check_values``).  Raises
-    RankDeficient if J_c loses row rank and SingularWeight if Q1^T A Q1 is
-    not SPD."""
-    q1, r = _contact_qr(j_c)
-    n = len(a)
-    b = [sum(map(mul, row, qdd)) + hi for row, hi in zip(a, h)]
-    n_kc = None
-    if len(q1) == n:
-        tau = [0.0] * n
-        y = [sum(map(mul, qi, b)) for qi in q1]
-        if projector:
-            n_kc = [[float(i == j) for j in range(n)] for i in range(n)]
-    else:
-        aq = [[sum(map(mul, row, qi)) for row in a] for qi in q1]  # rows of Q1^T A
-        rhs = [[sum(map(mul, aqi, b)) for aqi in aq]]
-        if projector:  # the columns of Q1^T A, so that (Q1^T A Q1)^-1 Q1^T A comes too
-            rhs += [list(col) for col in zip(*aq)]
-        y, *g = spd_solve([[sum(map(mul, aqi, qj)) for qj in q1] for aqi in aq], rhs,
-                          SingularWeight, "q1^T a q1 is not positive definite")
-        q1_rows = list(zip(*q1))
-        tau = [bi - sum(map(mul, qrow, y)) for bi, qrow in zip(b, q1_rows)]
-        if projector:
-            n_kc = [[sum(map(mul, qrow, gc)) for gc in g] for qrow in q1_rows]
-    return tau, _back_substitute(r, y), n_kc
+    body += [f"{names(f'a{r}_{{}}')}, = a[{r}]" for r in cols] + [f"{names('h{}')}, = h"]
+    body += [f"{names(f'q{r}_{{}}')}, = j_c[{r}]" for r in rows] + [f"{names('dd{}')}, = qdd"]
+    scans = {"a": [f"a{r}_{c}" for r in cols for c in cols], "h_bias": [f"h{i}" for i in cols],
+             "j_c": [f"q{r}_{c}" for r in rows for c in cols], "qdd": [f"dd{i}" for i in cols]}
+    for name, entries in scans.items():
+        body += [f"if not ({' and '.join(f'isfinite({v})' for v in entries)}):",
+                 f"    raise NonFinite('{name} contains NaN or Inf')"]
+    _spd_solve_source(body, lambda j, c: f"a{j}_{c}", n, (), "a", SingularWeight,
+                      "a is not positive definite")
+    if projector is not None:
+        for j in rows:  # Gram-Schmidt with one reorthogonalization; Q1's rows replace J_c's
+            for again in range(2 if j else 0):
+                for i in range(j):
+                    _sum(body, [f"q{i}_{x} * q{j}_{x}" for x in cols], f"p{i}")
+                for x in cols:
+                    s = _sum(body, [f"p{i} * q{i}_{x}" for i in range(j)])
+                    body.append(f"q{j}_{x} = q{j}_{x}{s}")
+                body += [f"r{i}_{j} {'+=' if again else '= 0.0 +'} p{i}" for i in range(j)]
+            body += [f"r{j}_{j} = hypot({names(f'q{j}_{{}}')})", f"if r{j}_{j} > 0.0:",
+                     f"    {names(f'q{j}_{{}}')} = {names(f'q{j}_{{}} / r{j}_{j}')}"]
+        body.append(f"check_rank([{', '.join(f'r{i}_{i}' for i in rows)}])")
+        for x in cols:
+            _sum(body, [f"a{x}_{c} * dd{c}" for c in cols], f"b{x}")
+            body.append(f"b{x} += h{x}")
+        if k == n:
+            for i in rows:
+                _sum(body, [f"q{i}_{x} * b{x}" for x in cols], f"y{i}")
+            out = [f"[{names('0.0')}]", repr([[float(i == j) for j in cols] for i in cols])]
+        else:
+            for i in rows:  # the rows of Q1^T A, Q1^T A b and the triangle of Q1^T A Q1
+                for r in cols:
+                    _sum(body, [f"a{r}_{x} * q{i}_{x}" for x in cols], f"w{i}_{r}")
+                _sum(body, [f"w{i}_{r} * b{r}" for r in cols], f"e{i}")
+                for j in range(i, k):
+                    _sum(body, [f"w{i}_{x} * q{j}_{x}" for x in cols], f"m{i}_{j}")
+            # with the projector, the columns of Q1^T A give (Q1^T A Q1)^-1 Q1^T A too
+            solves = [("y", [f"e{i}" for i in rows])]
+            solves += [(f"g{c}_", [f"w{i}_{c}" for i in rows]) for c in cols if projector]
+            _spd_solve_source(body, lambda j, c: f"m{j}_{c}", k, solves, "m", SingularWeight,
+                              "q1^T a q1 is not positive definite")
+            for x in cols:
+                s = _sum(body, [f"q{i}_{x} * y{i}" for i in rows])
+                body.append(f"t{x} = b{x}{s}")
+                for c in cols if projector else ():
+                    _sum(body, [f"q{i}_{x} * g{c}_{i}" for i in rows], f"n{x}_{c}")
+            out = [f"[{names('t{}')}]",
+                   "[" + ", ".join(f"[{names(f'n{x}_{{}}')}]" for x in cols) + "]"]
+        for i in reversed(rows):  # R lambda = y
+            s = _sum(body, [f"r{i}_{j} * lam{j}" for j in range(i + 1, k)])
+            body.append(f"lam{i} = (y{i}{s}) / r{i}_{i}")
+        body.append(f"return {out[0]}, [{names('lam{}', k)}]{', ' + out[1] if projector else ''}")
+    source = "def split(a, h, j_c, qdd):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {"isfinite": isfinite, "sqrt": sqrt, "hypot": hypot, "check_rank": check_rank,
+                 "NonFinite": NonFinite, "SingularWeight": SingularWeight}
+    exec(compile(source, f"<inverse split: n={n}, k={k}>", "exec"), namespace)
+    return namespace["split"]
 
 
 def decouple(snapshot: DynamicsSnapshot | tuple) -> DecoupledSolution | tuple:
     """Split the required generalized force into joint torques and a
-    support force with ``_decouple_rows``.
+    support force in the code ``_split`` generates: with J_c^T = Q1 R and
+    b = A qdd + h, y = (Q1^T A Q1)^-1 Q1^T A b, lambda = R^-1 y and
+    tau = b - Q1 y (with k = n, tau = 0 and y = Q1^T b).  The projector
+    N = Q1 (Q1^T A Q1)^-1 Q1^T A is I - W^+ W with W = S_kc Q^T and the
+    inertia-weighted W^+ (Mistry, Buchli & Schaal, ICRA 2010).
 
     Given a ``DynamicsSnapshot`` (checked when it was built), returns the
-    ``DecoupledSolution``, with the null projection used and the equation's
-    residual.  Given the step kernel's ``(a, h, j_c, qdd)`` as a tuple of
-    Python float lists (``a`` symmetric, as rows; ``j_c`` as its k rows),
-    checks their values (``_check_values``, no shape check) and returns
-    only ``(tau, lam)`` as lists: the simulator's inverse-dynamics step,
-    with no array round trip.  One entry point serves both, so every
-    decoupling goes through ``decouple`` (perfbench's tracer counts it
-    here).  Raises RankDeficient if J_c loses row rank and SingularWeight
-    if Q1^T A Q1 is not SPD.
-    """
+    ``DecoupledSolution`` with N and the equation's residual.  Given the
+    step kernel's ``(a, h, j_c, qdd)`` float lists (``a`` symmetric, as
+    rows; ``j_c`` as its k rows), checks their values (no shape check) and
+    returns ``(tau, lam)`` lists: the simulator's inverse-dynamics step
+    (perfbench's tracer counts it here).  Raises RankDeficient if J_c loses
+    row rank and SingularWeight if Q1^T A Q1 is not SPD."""
     if not isinstance(snapshot, DynamicsSnapshot):
-        _check_values(*snapshot)
-        return _decouple_rows(*snapshot)[:2]
-    rows = (snapshot.a, snapshot.h_bias, snapshot.j_c, snapshot.qdd)
-    tau, lam, n_kc = map(np.array, _decouple_rows(*(m.tolist() for m in rows), projector=True))
-    residual = snapshot.a @ snapshot.qdd + snapshot.h_bias - tau - snapshot.j_c.T @ lam
-    return DecoupledSolution(
-        tau=tau,
-        lam=lam,
-        n_kc=n_kc,
-        residual_inf=float(np.abs(residual).max()),
-    )
+        return _split(len(snapshot[0]), len(snapshot[2]), False)(*snapshot)
+    a, h, j_c, qdd = snapshot.a, snapshot.h_bias, snapshot.j_c, snapshot.qdd
+    tau, lam, n_kc = map(np.array, _split(*j_c.shape[::-1], True)(
+        a.tolist(), h.tolist(), j_c.tolist(), qdd.tolist()))
+    residual = a @ qdd + h - tau - j_c.T @ lam
+    return DecoupledSolution(tau, lam, n_kc, residual_inf=float(np.abs(residual).max()))
 
 
 def constraint_force(snapshot: DynamicsSnapshot, tau_applied) -> np.ndarray:

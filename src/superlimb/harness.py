@@ -56,6 +56,7 @@ from .errors import (
     SuperlimbError,
     ValidationError,
 )
+from .numerics import _spd_solve_source, _sum
 from .plant import AXES, Kinematics, PlantModel
 from .scenario import Scenario
 from .stiffness import check_vectors, control_force, friction_torque, task_to_joint_torque
@@ -138,43 +139,6 @@ def _blowup(values):
     raise NumericBlowup(f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})")
 
 
-def _sum(body: list[str], terms: list[str], name: str = "s") -> str:
-    """Append statements leaving ``sum(terms)`` in ``name``: 0.0 plus each
-    term, left to right, as ``sum()``'s int 0 start rounds (-0.0 included).
-    Returns " - name" to subtract it, or "" for no terms (x - 0 is x)."""
-    if not terms:
-        return ""
-    body += [f"{name} = 0.0 + {terms[0]}"] + [f"{name} += {term}" for term in terms[1:]]
-    return f" - {name}"
-
-
-def _spd_solve_source(body: list[str], entry, size: int, solves, tag: str, reason: str):
-    """Append ``numerics.spd_solve`` unrolled for one size, operation for
-    operation (reciprocal pivots): factor the matrix whose entry (j, c),
-    c >= j, is named ``entry(j, c)``, raising RankDeficient with ``reason``
-    at a pivot that is not positive, then solve for each ``(out, rhs)`` of
-    ``solves``, leaving the solution for the names ``rhs`` in ``out0``, ..."""
-    def f(i, j):  # the factor's entry (i, j), i > j
-        return f"l{tag}{i}_{j}"
-
-    for j in range(size):
-        s = _sum(body, [f"{f(j, i)} * {f(j, i)}" for i in range(j)])
-        text = f"{reason} (leading minor {j + 1} is {{d:.3e}})"
-        body += [f"d = {entry(j, j)}{s}", "if not d > 0.0:  # NaN fails too",
-                 f"    raise RankDeficient(f{text!r})", f"i{tag}{j} = 1.0 / sqrt(d)"]
-        for c in range(j + 1, size):
-            s = _sum(body, [f"{f(j, i)} * {f(c, i)}" for i in range(j)])
-            body.append(f"{f(c, j)} = ({entry(j, c)}{s}) * i{tag}{j}")
-    for out, rhs in solves:
-        body.append(f"{''.join(f'{out}{i}, ' for i in range(size))}= {', '.join(rhs)},")
-        for i in range(size):  # u^T y = b
-            body.append(f"{out}{i} *= i{tag}{i}")
-            body += [f"{out}{c} -= {out}{i} * {f(c, i)}" for c in range(i + 1, size)]
-        for i in reversed(range(size)):  # u x = y
-            body.append(f"{out}{i} *= i{tag}{i}")
-            body += [f"{out}{c} -= {out}{i} * {f(i, c)}" for c in range(i)]
-
-
 @cache
 def _contact_step(n: int, m: int, k: int):
     """Generate ``_advance`` for n DoFs, the first m free, and k contact
@@ -205,7 +169,7 @@ def _contact_step(n: int, m: int, k: int):
         solves = [("x", [f"r{i}" for i in free])]
         solves += [(f"u{r}_", [f"c{r}_{i}" for i in free]) for r in rows]
         _spd_solve_source(body, lambda j, c: f"a{j}_{c}", m, solves,
-                          "a", "inertia of the free joints is not positive definite")
+                          "a", RankDeficient, "inertia of the free joints is not positive definite")
         if k:
             unpack("vt", "v_target", k)
             for r in rows:  # the Gram matrix's factored triangle
@@ -218,7 +182,8 @@ def _contact_step(n: int, m: int, k: int):
                 s = _sum(body, [f"c{r}_{i} * p{i}" for i in free])
                 body.append(f"e{r} = (e{r}{s}) / dt")
             _spd_solve_source(body, lambda j, c: f"G{j}_{c}", k, [("lam", [f"e{r}" for r in rows])],
-                              "g", "contact directions are not independent at this posture")
+                              "g", RankDeficient,
+                              "contact directions are not independent at this posture")
             for i in free:
                 _sum(body, [f"u{r}_{i} * lam{r}" for r in rows])
                 body.append(f"x{i} = x{i} + s")

@@ -2,9 +2,10 @@
 
 Thin, contract-checked wrappers: full QR with a fixed sign convention
 and a rank rule.  The one Cholesky, ``spd_solve``, runs on Python float
-lists (the inverse-dynamics split calls it, and the simulator's tracking
-step runs it unrolled); the inertia-weighted (dynamically consistent)
-pseudo-inverse solves through it.  The QR, the
+lists; the inertia-weighted (dynamically consistent) pseudo-inverse solves
+through it, and ``_spd_solve_source`` unrolls it, operation for operation,
+into the straight-line code of the simulator's contact solve and of the
+inverse-dynamics split.  The QR, the
 SVD pseudo-inverse, finite-difference derivatives and the eigenvalue
 tests go through numpy.
 Everything else operates on plain float ndarrays; all functions are pure.
@@ -82,6 +83,43 @@ def spd_solve(m, rhs, error, reason: str) -> list[list[float]]:
                 x[k] -= xi * ci[k]
         out.append(x)
     return out
+
+
+def _sum(body: list[str], terms: list[str], name: str = "s") -> str:
+    """Append statements leaving ``sum(terms)`` in ``name``: 0.0 plus each
+    term, left to right, as ``sum()``'s int 0 start rounds (-0.0 included).
+    Returns " - name" to subtract it, or "" for no terms (x - 0 is x)."""
+    if not terms:
+        return ""
+    body += [f"{name} = 0.0 + {terms[0]}"] + [f"{name} += {term}" for term in terms[1:]]
+    return f" - {name}"
+
+
+def _spd_solve_source(body: list[str], entry, size: int, solves, tag: str, error, reason: str):
+    """Append ``spd_solve`` unrolled for one size, operation for operation:
+    factor the matrix whose entry (j, c), c >= j, is named ``entry(j, c)``
+    into names ``l<tag>...``/``i<tag>...``, raising ``error`` (by its class
+    name) with ``reason`` at a pivot that is not positive, then solve for
+    each ``(out, rhs)`` of ``solves``, leaving the solution in ``out0``, ..."""
+    def f(i, j):  # the factor's entry (i, j), i > j
+        return f"l{tag}{i}_{j}"
+
+    for j in range(size):
+        s = _sum(body, [f"{f(j, i)} * {f(j, i)}" for i in range(j)])
+        text = f"{reason} (leading minor {j + 1} is {{d:.3e}})"
+        body += [f"d = {entry(j, j)}{s}", "if not d > 0.0:  # NaN fails too",
+                 f"    raise {error.__name__}(f{text!r})", f"i{tag}{j} = 1.0 / sqrt(d)"]
+        for c in range(j + 1, size):
+            s = _sum(body, [f"{f(j, i)} * {f(c, i)}" for i in range(j)])
+            body.append(f"{f(c, j)} = ({entry(j, c)}{s}) * i{tag}{j}")
+    for out, rhs in solves:
+        body.append(f"{''.join(f'{out}{i}, ' for i in range(size))}= {', '.join(rhs)},")
+        for i in range(size):  # u^T y = b
+            body.append(f"{out}{i} *= i{tag}{i}")
+            body += [f"{out}{c} -= {out}{i} * {f(c, i)}" for c in range(i + 1, size)]
+        for i in reversed(range(size)):  # u x = y
+            body.append(f"{out}{i} *= i{tag}{i}")
+            body += [f"{out}{c} -= {out}{i} * {f(i, c)}" for c in range(i)]
 
 
 def symmetric_part(a: np.ndarray, error, reason: str) -> np.ndarray:

@@ -396,6 +396,11 @@ def _parse_contact(data, model: PlantModel, path: str = "contact") -> ContactCon
     motion = values.pop("motion", ContactConfig.motion)
     spec = _build(ContactSpec, path, _CONTACT, values)
     _check_link(model, spec.chain, spec.joint, path)
+    # chains have fixed bases: only the joints up to the contacted one move its point
+    moving = model.link_index(spec.chain, spec.joint) - model.chain_slice(spec.chain).start + 1
+    if len(spec.directions) > moving:
+        raise ParseError(f"{path}.directions", f"{len(spec.directions)} directions, but only "
+                         f"{moving} joint(s) move the contacted point")
     if motion.kind == "triangle" and motion.axis not in spec.directions:
         raise ParseError(
             f"{path}.motion.axis",

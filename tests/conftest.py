@@ -1,16 +1,18 @@
 """Shared fixtures: the two reference plants used across the test suite,
 the reference loop step kernel, the reference list-based contact solve and
-a reference finite-difference stencil."""
+inverse-dynamics split, and a reference finite-difference stencil."""
 
 import math
 import os
+from itertools import chain
 from math import cos, isfinite, nan, sin
 from operator import mul
 
 import numpy as np
 import pytest
 
-from superlimb.errors import NonFinite, NumericBlowup, RankDeficient
+from superlimb.dynamics import _back_substitute, _contact_qr
+from superlimb.errors import NonFinite, NumericBlowup, RankDeficient, SingularWeight
 from superlimb.harness import BLOWUP_LIMIT
 from superlimb.numerics import _as_array, default_fd_step, spd_solve
 from superlimb.plant import Chain, Joint, Kinematics, PlantModel, _point_jacobian
@@ -257,6 +259,38 @@ def reference_advance(
         peak = nan if any(x != x for x in mags) else max(mags)
         raise NumericBlowup(f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})")
     return lam
+
+
+def reference_decouple(rows, projector: bool = False):
+    """``dynamics.decouple`` on the step kernel's float lists ``(a, h, j_c,
+    qdd)`` as the loop over lists, ``sum()`` and ``spd_solve`` that its
+    generated split must match bit for bit, errors included: the value
+    rules, ``_contact_qr``, one k-by-k solve and ``_back_substitute``.
+    Returns ``(tau, lam)``, and with ``projector`` the rows of ``n_kc``
+    too."""
+    a, h, j_c, qdd = rows
+    for name, values in (("a", chain(*a)), ("h_bias", h), ("j_c", chain(*j_c)), ("qdd", qdd)):
+        if not all(map(isfinite, values)):
+            raise NonFinite(f"{name} contains NaN or Inf")
+    spd_solve(a, (), SingularWeight, "a is not positive definite")
+    q1, r = _contact_qr(j_c)
+    n = len(a)
+    b = [sum(map(mul, row, qdd)) + hi for row, hi in zip(a, h)]
+    if len(q1) == n:
+        tau = [0.0] * n
+        y = [sum(map(mul, qi, b)) for qi in q1]
+        n_kc = [[float(i == j) for j in range(n)] for i in range(n)]
+    else:
+        aq = [[sum(map(mul, row, qi)) for row in a] for qi in q1]  # rows of Q1^T A
+        # Q1^T A b, then the columns of Q1^T A for (Q1^T A Q1)^-1 Q1^T A
+        rhs = [[sum(map(mul, aqi, b)) for aqi in aq]] + [list(col) for col in zip(*aq)]
+        y, *g = spd_solve([[sum(map(mul, aqi, qj)) for qj in q1] for aqi in aq], rhs,
+                          SingularWeight, "q1^T a q1 is not positive definite")
+        q1_rows = list(zip(*q1))
+        tau = [bi - sum(map(mul, qrow, y)) for bi, qrow in zip(b, q1_rows)]
+        n_kc = [[sum(map(mul, qrow, gc)) for gc in g] for qrow in q1_rows]
+    lam = _back_substitute(r, y)
+    return (tau, lam, n_kc) if projector else (tau, lam)
 
 
 @pytest.fixture

@@ -135,6 +135,26 @@ def test_run_vanishing_contact_direction_exit_code(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["tracking", "inverse-dynamics"])
+def test_run_contact_directions_beyond_the_moving_joints_exit_code(tmp_path, capsys, mode):
+    # a 1-joint arm held along x and z: an input error at load in either
+    # mode, not a rank failure at step 0
+    with open(scenario_path("overhead_inverse.json")) as fh:
+        data = json.load(fh)
+    arm = data["plant"]["chains"][0]
+    arm["joints"] = arm["joints"][:1]
+    data["contact"]["directions"] = ["x", "z"]
+    data["sim"]["mode"] = mode
+    cfg = tmp_path / "one_joint.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o.csv"
+    code, _, err = run_cli(["run", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1
+    assert err == ("error: contact.directions: 2 directions, but only 1 joint(s) move "
+                   "the contacted point\n")
+    assert not out.exists()
+
+
 def test_run_inverse_dynamics_massless_tip_exit_code(tmp_path, capsys):
     # a chain-end revolute link with its CoM on its pivot and no inertia or
     # rotor adds a zero row and column to A: the inverse step's positive

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import reference_decouple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from superlimb.errors import (
     NonFinite,
     RankDeficient,
     SingularWeight,
+    SuperlimbError,
 )
 from superlimb.numerics import qr_full
 
@@ -135,7 +137,7 @@ def test_constraint_force_zero_torque(rng):
     np.testing.assert_allclose(lam, expected, atol=1e-10)
 
 
-def reference_decouple(snap):
+def textbook_decouple(snap):
     """The decoupling in its textbook form: numpy's complete QR with the
     sign fix, the explicit inverse of the weighted Gram matrix and a
     general solve on R."""
@@ -182,7 +184,7 @@ def test_decouple_matches_reference_formulas(desk_model, rng):
     for snap in snaps:
         sol = decouple(snap)
         got = (sol.tau, sol.lam, sol.n_kc, sol.residual_inf)
-        for value, ref in zip(got, reference_decouple(snap)):
+        for value, ref in zip(got, textbook_decouple(snap)):
             bound = 1e-12 * (1.0 + np.max(np.abs(ref)))
             assert np.max(np.abs(value - ref)) <= bound
 
@@ -326,6 +328,98 @@ def test_list_core_matches_exact_reference(data):
         assert tau == [0.0] * n
     sol = decouple(snap)
     assert np.array_equal(sol.tau, tau) and np.array_equal(sol.lam, lam)
+
+
+# --- generated split ------------------------------------------------------------
+
+
+def split_outcome(split, rows, projector=False):
+    """What one split of fresh copies of ``rows`` = (a, h, j_c, qdd) returns,
+    as ``float.hex``, or the error's class and message."""
+    a, h, j_c, qdd = rows
+    try:
+        out = split(([list(r) for r in a], list(h), [list(r) for r in j_c], list(qdd)),
+                    projector)
+    except SuperlimbError as exc:
+        return type(exc), str(exc)
+    vectors = list(out[:2]) + (list(out[2]) if projector else [])  # tau, lam, rows of n_kc
+    return [[float.hex(x) for x in v] for v in vectors]
+
+
+def generated_decouple(rows, projector):
+    """``decouple`` in the tuple form, or with ``projector`` in the snapshot
+    form (``(tau, lam, n_kc)`` as lists), errors at construction included."""
+    if not projector:
+        return decouple(rows)
+    sol = decouple(DynamicsSnapshot(*(np.array(m, dtype=float) for m in rows)))
+    return sol.tau.tolist(), sol.lam.tolist(), sol.n_kc.tolist()
+
+
+# every value reaches the split with either sign of zero
+signed = st.sampled_from([0.0, -0.0]) | st.floats(-8.0, 8.0)
+
+
+@st.composite
+def split_rows(draw):
+    """(a, h, j_c, qdd) for n = 1-5 and k = 1..n: a symmetric, diagonally
+    dominant a (or one with a zero row and column, as a massless tip gives,
+    or one that need not be positive definite), contact rows that may be
+    zero or (nearly) parallel to the one before, and NaN or Inf entries in
+    any of the four inputs."""
+    n = draw(st.integers(1, 5), label="n")
+    k = draw(st.integers(1, n), label="k")
+
+    def vec(size):
+        return draw(st.lists(signed, min_size=size, max_size=size))
+
+    off = [vec(n) for _ in range(n)]
+    a = [[off[min(r, c)][max(r, c)] for c in range(n)] for r in range(n)]
+    kind = draw(st.sampled_from(["spd"] * 4 + ["zero", "any"]), label="a")
+    if kind != "any":
+        for r in range(n):
+            a[r][r] = sum(abs(x) for c, x in enumerate(a[r]) if c != r) + draw(st.floats(0.05, 4.0))
+    if kind == "zero":
+        z = draw(st.integers(0, n - 1), label="zero index")
+        for r in range(n):
+            a[r][z] = a[z][r] = 0.0
+    j_c = []
+    for _ in range(k):
+        kinds = ["random"] * 8 + ["zero"] + (["parallel", "near"] if j_c else [])
+        row = draw(st.sampled_from(kinds), label="row")
+        if row == "random":
+            j_c.append(vec(n))
+        elif row == "zero":
+            j_c.append([draw(st.sampled_from([0.0, -0.0])) for _ in range(n)])
+        else:
+            scale = draw(st.floats(-4.0, 4.0))
+            tilt = draw(st.floats(1e-9, 1e-5)) if row == "near" else 0.0
+            j_c.append([scale * x + tilt * (i + 1) for i, x in enumerate(j_c[-1])])
+    rows = [a, vec(n), j_c, vec(n)]
+    if draw(st.sampled_from([False] * 3 + [True]), label="non-finite"):
+        for target in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
+            vector = rows[target]
+            if target in (0, 2):  # a row of a matrix
+                vector = vector[draw(st.integers(0, len(vector) - 1))]
+            vector[draw(st.integers(0, n - 1))] = draw(
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+    return rows
+
+
+@settings(max_examples=600, deadline=None)
+@given(split_rows(), st.booleans())
+def test_generated_split_matches_reference(rows, projector):
+    # tau, lambda and (in the snapshot form) n_kc to the bit for every
+    # (n, k) shape, or the same error class and message: a NaN or Inf
+    # (the first input named wins), a weight that is not positive definite,
+    # or contact rows that lose rank
+    got = split_outcome(generated_decouple, rows, projector)
+    assert got == split_outcome(reference_decouple, rows, projector)
+
+
+def test_split_is_generated_once_per_shape():
+    split = dynamics._split(4, 1, False)
+    assert dynamics._split(4, 1, False) is split
+    assert split.__code__.co_filename == "<inverse split: n=4, k=1>"
 
 
 def test_constraint_force_shape_check(rng):

@@ -8,7 +8,13 @@ from functools import cache
 
 import numpy as np
 import pytest
-from conftest import desk_arm_dict, reference_advance, reference_step_kernel, scenario_path
+from conftest import (
+    desk_arm_dict,
+    reference_advance,
+    reference_decouple,
+    reference_step_kernel,
+    scenario_path,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -601,6 +607,21 @@ def test_contact_solve_is_generated_once_per_shape():
     assert step.__code__.co_filename == "<contact solve: n=4, m=3, k=1>"
 
 
+@pytest.mark.parametrize("directions", [["z"], ["x", "z"]])
+def test_inverse_run_on_reference_decouple_logs_the_same_bytes(monkeypatch, directions):
+    # the generated split against the list-based loop, through the bundled
+    # inverse-dynamics run and its k = 2 edit: every logged value is the
+    # same to the bit
+    with open(scenario_path("overhead_inverse.json")) as fh:
+        data = json.load(fh)
+    data["contact"]["directions"] = directions
+    generated = run_scenario(parse_scenario(data))
+    monkeypatch.setattr(dynamics, "decouple", reference_decouple)
+    reference = run_scenario(parse_scenario(data))
+    assert reference.columns == generated.columns
+    assert reference._data.tobytes() == generated._data.tobytes()
+
+
 # --- physics regression guards --------------------------------------------------
 
 
@@ -712,20 +733,20 @@ def test_blowup_reports_step():
 
 
 def test_dependent_contact_directions_report_step():
+    # a stretched 2-joint rod: both joints move its tip across the rod, so x
+    # and z are dependent at this posture (a 1-joint rod fails at load)
+    link = {"kind": "revolute", "mass": 1.0, "length": 0.3, "com": 0.15, "inertia": 0.01}
     data = {
         "plant": {
             "chains": [
                 {
                     "name": "rod", "role": "srl", "base": [0.0, 0.0],
                     "heading": 0.0,
-                    "joints": [
-                        {"kind": "revolute", "mass": 1.0, "length": 0.3,
-                         "com": 0.15, "inertia": 0.01, "q0": 0.5},
-                    ],
+                    "joints": [{**link, "q0": 0.5}, {**link, "q0": 0.0}],
                 },
             ],
         },
-        "sim": {"dt": 0.005, "duration": 0.5, "seed": 0},
+        "sim": {"dt": 0.005, "duration": 0.5, "seed": 0, "mode": "inverse-dynamics"},
         "contact": {"chain": "rod", "directions": ["x", "z"]},
         "controller": {"enabled": False},
     }

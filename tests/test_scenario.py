@@ -212,6 +212,24 @@ def test_contact_validation():
     expect_key(data, "contact.motion.amplitude", "underflows to 0")
 
 
+@pytest.mark.parametrize("mode", ["tracking", "inverse-dynamics"])
+def test_contact_directions_beyond_the_joints_that_move_the_point(mode):
+    # chains have fixed bases, so a point that one joint moves cannot be
+    # held along two independent directions at any posture
+    data = base_scenario()
+    data["sim"]["mode"] = mode
+    data["contact"] = {"chain": "arm", "directions": ["x", "z"], "joint": 0}
+    expect_key(data, "contact.directions", "2 directions, but only 1 joint(s) move")
+    data["contact"]["joint"] = 1
+    assert parse_scenario(data).contact.spec.directions == ("x", "z")
+    # joint None is the chain's tip: every joint of a 1-joint arm, which is one
+    data["plant"]["chains"][0]["joints"] = data["plant"]["chains"][0]["joints"][:1]
+    data["contact"]["joint"] = None
+    expect_key(data, "contact.directions", "only 1 joint(s) move")
+    data["contact"]["directions"] = ["z"]
+    assert parse_scenario(data).contact.spec.directions == ("z",)
+
+
 # --- validation: controller -----------------------------------------------------
 
 
