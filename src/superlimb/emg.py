@@ -24,6 +24,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -45,6 +46,10 @@ FILTER_PAD = 9
 #: rows ``write_csv`` formats at a time; a larger block is no faster, and one of
 #: 256 rows of a 21-column simulation log adds about 0.5 MB to the peak RSS
 _CSV_BLOCK = 64
+#: cells of a block, past its first row and the flag column, equal to the
+#: cell above them, below which ``write_csv`` formats every cell: there the
+#: numpy work of sharing texts costs about what the ``repr`` calls it saves
+_CSV_SHARED = 128
 
 
 @dataclass(frozen=True)
@@ -167,6 +172,17 @@ def _map_channels(trace: EmgTrace, fn) -> EmgTrace:
     )
 
 
+@cache
+def _band_design(f_lo: float, f_hi: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """The band-pass biquad's coefficients ``(b, a)`` for one checked band
+    and sampling rate, designed once and kept read-only."""
+    from scipy.signal import butter
+
+    b, a = butter(1, [f_lo, f_hi], btype="bandpass", fs=fs)
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
+
+
 def bandpass(trace: EmgTrace, f_lo: float, f_hi: float) -> EmgTrace:
     """Zero-phase band-pass: one second-order (biquad) Butterworth section
     applied forward and backward.  Rejects DC exactly.  A band whose
@@ -174,11 +190,11 @@ def bandpass(trace: EmgTrace, f_lo: float, f_hi: float) -> EmgTrace:
     is RankDeficient, and samples whose filtering overflows are NonFinite.
     SciPy's signal module is imported here, on the first call, so a run
     that never filters does not pay its import time."""
-    from scipy.signal import butter, filtfilt
+    from scipy.signal import filtfilt
 
     check_band(f_lo, f_hi, trace.fs)
     check_samples(trace.n_samples)
-    b, a = butter(1, [f_lo, f_hi], btype="bandpass", fs=trace.fs)
+    b, a = _band_design(f_lo, f_hi, trace.fs)
 
     def filtered(s: np.ndarray) -> np.ndarray:
         try:
@@ -427,15 +443,35 @@ def write_csv(path: str, header: list[str], rows: np.ndarray, flag: int | None =
     shortest round-trip ``repr``, except column ``flag`` (if given),
     written as ``0``/``1``.
 
-    Rows are formatted ``_CSV_BLOCK`` at a time, column by column; the
-    bytes are those of formatting each row on its own."""
+    Rows are formatted ``_CSV_BLOCK`` at a time, column by column.  Inside
+    a block's column, a cell whose 64-bit pattern equals the cell above it
+    reuses that cell's text (so 0.0 and -0.0 never share one), once the
+    block has ``_CSV_SHARED`` such cells.  The bytes are those of
+    formatting each row on its own."""
+    bits = rows.view(np.uint64)
+    n_blocks = -(-len(rows) // _CSV_BLOCK)
+    shared = np.zeros(n_blocks * _CSV_BLOCK, dtype=np.intp)  # per row, cells equal to the one above
+    same = bits[1:] == bits[:-1]
+    if flag is not None:
+        same[:, flag] = False
+    shared[1 : len(rows)] = np.count_nonzero(same, axis=1)
+    shared[::_CSV_BLOCK] = 0  # a block's first row is formatted whole
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _CSV_BLOCK):
-            cols = rows[start : start + _CSV_BLOCK].T.tolist()
-            cells = [list(map(repr, col)) for col in cols]
+        for start, n_shared in zip(range(0, len(rows), _CSV_BLOCK),
+                                   shared.reshape(n_blocks, _CSV_BLOCK).sum(axis=1).tolist()):
+            cols = rows[start : start + _CSV_BLOCK].T
+            if n_shared < _CSV_SHARED:
+                cells = [None if j == flag else list(map(repr, col))
+                         for j, col in enumerate(cols.tolist())]
+            else:
+                col_bits = bits[start : start + _CSV_BLOCK].T
+                fresh = np.ones(cols.shape, dtype=bool)  # the cell differs from the one above
+                np.not_equal(col_bits[:, 1:], col_bits[:, :-1], out=fresh[:, 1:])
+                texts = np.array(list(map(repr, cols[fresh].tolist())), dtype=object)
+                cells = texts[np.cumsum(fresh).reshape(fresh.shape) - 1].tolist()
             if flag is not None:
-                cells[flag] = ["1" if v else "0" for v in cols[flag]]
+                cells[flag] = ["1" if v else "0" for v in cols[flag].tolist()]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

@@ -56,8 +56,8 @@ from .errors import (
     SuperlimbError,
     ValidationError,
 )
-from .numerics import _spd_solve_source, _sum
-from .plant import AXES, Kinematics, PlantModel
+from .numerics import GRAM_PIVOT_RTOL, _spd_solve_source, _sum
+from .plant import AXES, PlantModel
 from .scenario import Scenario
 from .stiffness import check_vectors, control_force, friction_torque, task_to_joint_torque
 
@@ -183,7 +183,8 @@ def _contact_step(n: int, m: int, k: int):
                 body.append(f"e{r} = (e{r}{s}) / dt")
             _spd_solve_source(body, lambda j, c: f"G{j}_{c}", k, [("lam", [f"e{r}" for r in rows])],
                               "g", RankDeficient,
-                              "contact directions are not independent at this posture")
+                              "contact directions are not independent at this posture",
+                              GRAM_PIVOT_RTOL)
             for i in free:
                 _sum(body, [f"u{r}_{i} * lam{r}" for r in rows])
                 body.append(f"x{i} = x{i} + s")
@@ -269,7 +270,8 @@ class SimLog:
 
     The columns that do not depend on the plant state (``t``, ``a``,
     ``gate`` kept as 0.0/1.0, ``x_eq_*``) are given whole at construction;
-    ``append`` fills the rest of one row."""
+    ``append`` fills the rest of one row, and ``run_scenario`` the
+    ``f_mount`` cells of every row at the end of the run."""
 
     def __init__(self, scenario: Scenario, t, a, gate, x_eq):
         model = scenario.model
@@ -283,7 +285,9 @@ class SimLog:
         cols += [f"x_{c}" for c in components]
         cols += [f"f_cmd_{c}" for c in components]
         cols += [f"lambda_{d}" for d in directions]
+        self._lambda = slice(len(cols) - len(directions), len(cols))
         cols += ["f_mount_x", "f_mount_z"]
+        self._mount = slice(len(cols) - 2, len(cols))
         cols += [f"tau_s{i}" for i in range(n_s)]
         cols += [f"tau_h{i}" for i in range(n_h)]
         self._state_end = len(cols)
@@ -297,13 +301,20 @@ class SimLog:
 
     def append(self, row: list):
         """Store one step's state-dependent values, given as one flat list
-        in column order (``q_s`` through ``tau_h``); raises NonFinite
-        naming the first column whose value is NaN or Inf."""
-        if not all(map(isfinite, row)):
-            col, v = next((c, v) for c, v in zip(self.columns[1:], row) if not isfinite(v))
-            raise NonFinite(f"{col} is {v}")
+        in column order (``q_s`` through ``tau_h``, any finite placeholder
+        in the ``f_mount`` cells); raises NonFinite naming the first column
+        whose value is NaN or Inf.  A rejected row stays in place, uncounted."""
         self._data[self._n, 1 : self._state_end] = row
+        if not all(map(isfinite, row)):
+            self._check_row(self._n)
         self._n += 1
+
+    def _check_row(self, i: int):
+        """Raise NonFinite naming the first of row ``i``'s columns ``q_s``
+        through ``tau_h`` whose value is NaN or Inf."""
+        for col, v in zip(self.columns[1:], self._data[i, 1 : self._state_end].tolist()):
+            if not isfinite(v):
+                raise NonFinite(f"{col} is {v}")
 
     def __len__(self) -> int:
         return self._n
@@ -359,30 +370,66 @@ def _emg_channel(scenario: Scenario, t_sim: np.ndarray):
     return act, gate, dxeq
 
 
-def _mount_force(kin: Kinematics, qdd, lam_robot, scenario: Scenario) -> list[float]:
-    """Force on the wearer at the harness mount (world x, z).
+def _mount_force(scenario: Scenario, mount: list, qdd: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Force on the wearer at the harness mount (world x, z) at every step
+    of a run, ``(steps, 2)``.
 
     Newton over the SRL links: the mount supplies whatever the contact
     force and gravity do not, so a resting unloaded device weighs on the
-    wearer and pressing upward adds the transmitted reaction.
+    wearer and pressing upward adds the transmitted reaction.  ``mount``
+    holds each step's ``Kinematics.mount``, and ``qdd`` ``(steps, n)`` and
+    ``lam`` ``(steps, k)`` the accelerations and the constraint force on
+    the robot.
     """
     model = scenario.model
-    fx = fz = 0.0
-    if model._srl_links:
+    links = model._srl_links
+    steps, n = qdd.shape
+    fx = fz = cx = cz = np.zeros(steps)
+    if links and steps:
+        rows = np.array(mount)
+        cut = 2 * len(links) * n
         # one stacked matmul gives each link's J_l qdd exactly as the
-        # array-valued point(at="com") path rounds it
-        jac = np.array([kin.jcom[lk] for lk, _ in model._srl_links])
-        jqdd = (jac @ np.asarray(qdd, dtype=float)).tolist()
-        for (lk, mass), (jx, jz) in zip(model._srl_links, jqdd):
-            ax, az = kin.com_acc[lk]
-            fx += mass * (jx + ax)
-            fz += mass * (jz + az + model.gravity)
-    f_contact = [0.0, 0.0]
+        # array-valued point(at="com") path rounds it, step by step
+        jqdd = np.matmul(rows[:, :cut].reshape(steps, len(links), 2, n), qdd[:, None, :, None])
+        for l, (_, mass) in enumerate(links):  # the Newton sum in link order
+            fx = fx + mass * (jqdd[:, l, 0, 0] + rows[:, cut + 2 * l])
+            fz = fz + mass * (jqdd[:, l, 1, 0] + rows[:, cut + 2 * l + 1] + model.gravity)
     contact = scenario.contact
-    if contact is not None and len(lam_robot) and contact.spec.chain in model._srl_chains:
-        for row, lam in zip(contact.spec.rows, lam_robot):
-            f_contact[row] += lam
-    return [f_contact[0] - fx, f_contact[1] - fz]
+    if contact is not None and contact.spec.chain in model._srl_chains:
+        for row, col in zip(contact.spec.rows, lam.T):
+            if row:
+                cz = cz + col
+            else:
+                cx = cx + col
+    return np.column_stack((cx - fx, cz - fz))
+
+
+def _check_mount_force(log: SimLog, scenario: Scenario, mount: list, qdd: list, t_sim):
+    """Fill the ``f_mount`` cells of the log's first ``len(mount)`` rows
+    from one ``_mount_force`` product, and raise NonFinite, with its step,
+    at the first row that then holds a NaN or Inf: the error the row's own
+    check would have raised."""
+    steps = len(mount)
+    data = log._data
+    qdd = np.array(qdd[:steps], dtype=float).reshape(steps, scenario.model.n_dof)
+    # the logged support force is the constraint force negated, so negating
+    # it back gives each bit of the force on the robot
+    f = _mount_force(scenario, mount, qdd, -data[:steps, log._lambda])
+    data[:steps, log._mount] = f
+    bad = np.flatnonzero(~np.isfinite(f).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        try:
+            log._check_row(i)
+        except NonFinite as exc:
+            _at_step(exc, i, t_sim[i])
+            raise exc from None
+
+
+def _at_step(exc: SuperlimbError, i: int, t: float):
+    """Prefix an error's message with the step and time it arose at."""
+    first = str(exc.args[0]) if exc.args else str(exc)
+    exc.args = (f"[step {i}, t={t:.6g}s] {first}",)
 
 
 def _equilibrium_points(scenario: Scenario, task: int, rows: list[int], dxeq: np.ndarray):
@@ -479,8 +526,9 @@ def run_scenario(scenario: Scenario) -> SimLog:
     inverse_mode = sim.mode == "inverse-dynamics"
 
     q, qd = model.q0.tolist(), [0.0] * n
-    for i in range(sim.n_steps):
-        try:
+    mount = []  # each logged step's Kinematics.mount, for one mount-force product
+    try:
+        for i in range(sim.n_steps):
             kin = kernel(q, qd)
             j_c = contact_jacobian(tip_jacobian(kin, contact_link), spec) if spec else []
 
@@ -523,15 +571,18 @@ def run_scenario(scenario: Scenario) -> SimLog:
                     for j in range(m, n)
                 ]
 
-            f_mount = _mount_force(kin, qdd, lam_robot, scenario)
+            mount.append(kin.mount)
             log.append(
                 q[:m] + qd[:m] + x + f_cmd
                 + [-lk for lk in lam_robot]  # force on the supported object
-                + f_mount + tau_s + tau_h
+                + [0.0, 0.0] + tau_s + tau_h  # f_mount, filled after the loop
             )
             q, qd = q_next, qd_next
-        except SuperlimbError as exc:
-            first = str(exc.args[0]) if exc.args else str(exc)
-            exc.args = (f"[step {i}, t={t_sim[i]:.6g}s] {first}",)
-            raise
+    except SuperlimbError as exc:
+        # a NaN or Inf mount force of an earlier step, or of an earlier
+        # column of this step's row, is the first error
+        _check_mount_force(log, scenario, mount, qdd_in, t_sim)
+        _at_step(exc, i, t_sim[i])
+        raise
+    _check_mount_force(log, scenario, mount, qdd_in, t_sim)
     return log

@@ -31,6 +31,12 @@ from .errors import (
 
 #: relative threshold below which a QR diagonal entry counts as zero
 QR_RANK_RTOL = 1e-10
+#: relative floor of a Gram matrix's Cholesky pivots: a pivot over its
+#: diagonal entry is the squared sine of the angle between that row and the
+#: span of the rows before it, and where the angle is zero rounding leaves
+#: about 1e-16 of it; the floor on the (unsquared) angle is 1e-5, as the QR
+#: rank rule's is QR_RANK_RTOL on |r_ii|
+GRAM_PIVOT_RTOL = 1e-10
 #: factor applied to max(n, k) * sigma_max when truncating singular values
 SVD_CUTOFF_FACTOR = 1e-12
 #: condition-number bound beyond which a weighted Gram matrix is singular
@@ -48,10 +54,11 @@ def _as_array(x, name: str, ndim: int) -> np.ndarray:
     return a
 
 
-def spd_solve(m, rhs, error, reason: str) -> list[list[float]]:
+def spd_solve(m, rhs, error, reason: str, rtol: float = 0.0) -> list[list[float]]:
     """Solve m x = b for each b in ``rhs`` in Python floats, ``m`` being a
     small symmetric positive definite matrix given as rows; raises
-    ``error`` with ``reason`` when it is not positive definite.
+    ``error`` with ``reason`` when it is not positive definite, or when a
+    pivot is below ``rtol`` times its diagonal entry.
 
     The operations follow LAPACK's unblocked ``dpotf2`` and the column
     order of BLAS ``dtrsm`` kernels, which multiply by reciprocal pivots;
@@ -62,7 +69,7 @@ def spd_solve(m, rhs, error, reason: str) -> list[list[float]]:
     for j, mj in enumerate(m):
         cj = cols[j]
         d = mj[j] - sum(map(mul, cj, cj))
-        if not d > 0.0:  # NaN fails too
+        if not d > 0.0 or d < rtol * mj[j]:  # NaN fails too
             raise error(f"{reason} (leading minor {j + 1} is {d:.3e})")
         d = sqrt(d)
         inv.append(1.0 / d)
@@ -95,19 +102,22 @@ def _sum(body: list[str], terms: list[str], name: str = "s") -> str:
     return f" - {name}"
 
 
-def _spd_solve_source(body: list[str], entry, size: int, solves, tag: str, error, reason: str):
+def _spd_solve_source(body: list[str], entry, size: int, solves, tag: str, error, reason: str,
+                      rtol: float = 0.0):
     """Append ``spd_solve`` unrolled for one size, operation for operation:
     factor the matrix whose entry (j, c), c >= j, is named ``entry(j, c)``
     into names ``l<tag>...``/``i<tag>...``, raising ``error`` (by its class
-    name) with ``reason`` at a pivot that is not positive, then solve for
-    each ``(out, rhs)`` of ``solves``, leaving the solution in ``out0``, ..."""
+    name) with ``reason`` at a pivot that is not positive (or is below
+    ``rtol`` times its diagonal entry), then solve for each ``(out, rhs)``
+    of ``solves``, leaving the solution in ``out0``, ..."""
     def f(i, j):  # the factor's entry (i, j), i > j
         return f"l{tag}{i}_{j}"
 
     for j in range(size):
         s = _sum(body, [f"{f(j, i)} * {f(j, i)}" for i in range(j)])
         text = f"{reason} (leading minor {j + 1} is {{d:.3e}})"
-        body += [f"d = {entry(j, j)}{s}", "if not d > 0.0:  # NaN fails too",
+        floor = f" or d < {rtol!r} * {entry(j, j)}" if rtol else ""
+        body += [f"d = {entry(j, j)}{s}", f"if not d > 0.0{floor}:  # NaN fails too",
                  f"    raise {error.__name__}(f{text!r})", f"i{tag}{j} = 1.0 / sqrt(d)"]
         for c in range(j + 1, size):
             s = _sum(body, [f"{f(j, i)} * {f(c, i)}" for i in range(j)])

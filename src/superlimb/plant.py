@@ -214,10 +214,12 @@ class PlantModel:
 #: (x, z) pairs of the joint pivot, the sliding direction ((0, 0) if
 #: revolute), the CoM and the tip with their velocities and velocity-product
 #: accelerations (qdd = 0), the angular velocity and the CoM Jacobian as two
-#: dense rows; then A (rows), g and h.
+#: dense rows; then A (rows), g and h; and last ``mount``, what the mount
+#: force reads of the limb's links as one flat tuple: their CoM Jacobians'
+#: x and z rows, link by link, then their CoM accelerations' (x, z) pairs.
 Kinematics = namedtuple(
     "Kinematics",
-    "pivot direction com com_vel com_acc tip tip_vel tip_acc ang_vel jcom a g h",
+    "pivot direction com com_vel com_acc tip tip_vel tip_acc ang_vel jcom a g h mount",
 )
 
 
@@ -303,6 +305,9 @@ def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, r
     out["a"] = [[k if (k := f"a{min(r, s)}_{max(r, s)}") in sums else "0.0" for s in range(n)]
                 for r in range(n)]
     out["g"], out["h"] = [f"g{r}" for r in range(n)], [f"h{r}" for r in range(n)]
+    limb = range(sum(len(c.joints) for c in chains if c.role == ROLE_SRL))
+    out["mount"] = tuple([v for i in limb for row in out["jcom"][i] for v in row]
+                         + [v for i in limb for v in out["com_acc"][i]])
 
     def expr(v) -> str:
         return v if isinstance(v, str) else (

@@ -1,6 +1,7 @@
 """Shared fixtures: the two reference plants used across the test suite,
 the reference loop step kernel, the reference list-based contact solve and
-inverse-dynamics split, and a reference finite-difference stencil."""
+inverse-dynamics split, the reference CSV block writer, and a reference
+finite-difference stencil."""
 
 import math
 import os
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 from superlimb.dynamics import _back_substitute, _contact_qr
+from superlimb.emg import _CSV_BLOCK
 from superlimb.errors import NonFinite, NumericBlowup, RankDeficient, SingularWeight
 from superlimb.harness import BLOWUP_LIMIT
-from superlimb.numerics import _as_array, default_fd_step, spd_solve
+from superlimb.numerics import GRAM_PIVOT_RTOL, _as_array, default_fd_step, spd_solve
 from superlimb.plant import Chain, Joint, Kinematics, PlantModel, _point_jacobian
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -210,8 +212,11 @@ def reference_step_kernel(model: PlantModel):
             ax, az = com_acc[lk]
             for c in anc:
                 h[c] += mass * (jx[c] * ax + jz[c] * az)
+        limb = range(len(model._srl_links))
+        mount = tuple(chain([v for i in limb for row in jcom[i] for v in row],
+                            *(com_acc[i] for i in limb)))
         return Kinematics(pivot, direction, com, com_vel, com_acc, tip, tip_vel,
-                          tip_acc, ang_vel, jcom, a, g, h)
+                          tip_acc, ang_vel, jcom, a, g, h, mount)
 
     return kernel
 
@@ -247,6 +252,7 @@ def reference_advance(
             (lam,) = spd_solve(
                 gram, [[r / dt for r in resid]],
                 RankDeficient, "contact directions are not independent at this posture",
+                GRAM_PIVOT_RTOL,
             )
             qdd_free = [x + sum(map(mul, col, lam)) for x, col in zip(qdd_free, zip(*minv_jt))]
         for i, x in enumerate(qdd_free):
@@ -291,6 +297,19 @@ def reference_decouple(rows, projector: bool = False):
         n_kc = [[sum(map(mul, qrow, gc)) for gc in g] for qrow in q1_rows]
     lam = _back_substitute(r, y)
     return (tau, lam, n_kc) if projector else (tau, lam)
+
+
+def reference_write_csv(path: str, header: list[str], rows: np.ndarray, flag: int | None = None):
+    """``emg.write_csv`` as the block writer that formats every cell with
+    ``repr``: the oracle its shared texts must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK):
+            cols = rows[start : start + _CSV_BLOCK].T.tolist()
+            cells = [list(map(repr, col)) for col in cols]
+            if flag is not None:
+                cells[flag] = ["1" if v else "0" for v in cols[flag]]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 @pytest.fixture

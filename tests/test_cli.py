@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import scenario_path
 
+from superlimb import plant
 from superlimb.cli import main
 
 
@@ -153,6 +154,23 @@ def test_run_contact_directions_beyond_the_moving_joints_exit_code(tmp_path, cap
     assert err == ("error: contact.directions: 2 directions, but only 1 joint(s) move "
                    "the contacted point\n")
     assert not out.exists()
+
+
+def test_run_tracking_dependent_contact_directions_exit_2(tmp_path, capsys):
+    # the arm's first two links stretched in line and held along x and z:
+    # the directions are dependent at q0, and the contact Gram matrix's
+    # second pivot (1.1e-16) is positive only by rounding
+    def stretched(data):
+        arm = data["plant"]["chains"][0]
+        arm["joints"] = arm["joints"][:2]
+        arm["joints"][0]["q0"] = arm["joints"][1]["q0"] = 0.0
+        data["contact"]["directions"] = ["x", "z"]
+        data["sim"]["mode"] = "tracking"
+
+    code, err, wrote = _run_edited(tmp_path, capsys, "overhead_inverse", stretched)
+    assert (code, wrote) == (2, False)
+    assert err.startswith("numeric error: [step 0, t=0s] contact directions are not "
+                          "independent at this posture (leading minor 2 is ")
 
 
 def test_run_inverse_dynamics_massless_tip_exit_code(tmp_path, capsys):
@@ -763,6 +781,31 @@ def test_run_inverse_dynamics_non_finite_commanded_force_exits_2(tmp_path, capsy
     code, err, wrote = _run_edited(tmp_path, capsys, "overhead_inverse", stiff)
     assert (code, wrote) == (2, False)
     assert err == "numeric error: [step 0, t=0s] f_cmd_z is -inf\n"
+
+
+@pytest.mark.parametrize("mode", ["inverse-dynamics", "tracking"])
+def test_run_non_finite_mount_force_exits_2(tmp_path, capsys, monkeypatch, mode):
+    # the mount force of a whole run is one product after the loop; an Inf
+    # in it still exits 2 and is named at its step, and no log is written
+    generate = plant._step_kernel
+
+    def poisoned_kernel(*args):
+        kernel, calls = generate(*args), [0]
+
+        def poisoned(q, qd):
+            calls[0] += 1  # call 1 is the "auto" equilibrium point at q0
+            kin = kernel(q, qd)
+            if calls[0] != 5:
+                return kin
+            return kin._replace(mount=kin.mount[:-2] + (math.inf, kin.mount[-1]))
+
+        return poisoned
+
+    monkeypatch.setattr(plant, "_step_kernel", poisoned_kernel)
+    code, err, wrote = _run_edited(tmp_path, capsys, "overhead_inverse",
+                                   lambda d: d["sim"].update(duration=0.05, mode=mode))
+    assert (code, wrote) == (2, False)
+    assert err == "numeric error: [step 3, t=0.015s] f_mount_x is -inf\n"
 
 
 def heavy_trunk(mode):

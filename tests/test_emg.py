@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import reference_write_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from superlimb.emg import (
     _CSV_BLOCK,
+    _CSV_SHARED,
     DEFAULT_BAND,
     DEFAULT_WINDOW,
     EmgTrace,
@@ -85,6 +87,26 @@ def test_bandpass_rejects_dc():
     out = bandpass(tr, *DEFAULT_BAND)
     residual = np.max(np.abs(out.channels[0][1])) / 3.5
     assert residual < 1e-6
+
+
+def test_bandpass_designs_each_band_once(monkeypatch, rng):
+    # the biquad is designed once per (band, rate); later calls reuse it and
+    # filter to the same bits as a fresh design
+    import scipy.signal
+
+    from superlimb import emg
+
+    emg._band_design.cache_clear()
+    designs = []
+    butter = scipy.signal.butter
+    monkeypatch.setattr(scipy.signal, "butter", lambda *a, **k: designs.append(a) or butter(*a, **k))
+    tr = make_trace(rng.standard_normal(500))
+    first, again = (bandpass(tr, *DEFAULT_BAND).channels[0][1] for _ in range(2))
+    b, a = butter(1, list(DEFAULT_BAND), btype="bandpass", fs=tr.fs)
+    assert first.tobytes() == again.tobytes() == scipy.signal.filtfilt(b, a, tr.channels[0][1]).tobytes()
+    bandpass(tr, 30.0, 400.0)
+    bandpass(make_trace(tr.channels[0][1], fs=2000.0), *DEFAULT_BAND)
+    assert len(designs) == 3
 
 
 def test_bandpass_band_validation():
@@ -526,6 +548,56 @@ def test_write_csv_bytes_match_the_rowwise_loop(tmp_path, n, flag):
     path = tmp_path / "out.csv"
     write_csv(str(path), header, rows, flag=flag)
     assert path.read_bytes() == _rowwise_csv(header, rows, flag)
+
+
+#: run values: both zeros (which must never share text), a subnormal, an
+#: inexact sum, NaN and Inf, and any float
+_RUN_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 0.1 + 0.2, 1.0, float("nan"), float("inf")]) | st.floats()
+
+
+@st.composite
+def _tables_with_runs(draw):
+    """A table whose columns are runs of equal values (1 to 70 long, so a
+    run may cross a block), with an optional flag column."""
+    n = draw(st.sampled_from([0, 1, _CSV_BLOCK, _CSV_BLOCK + 1]) | st.integers(0, 2 * _CSV_BLOCK + 3))
+    width = draw(st.integers(1, 5))
+    cols = []
+    for _ in range(width):
+        col = []
+        while len(col) < n:
+            col += [draw(_RUN_VALUES)] * draw(st.integers(1, 70))
+        cols.append(col[:n])
+    flag = draw(st.none() | st.integers(0, width - 1))
+    return np.array(cols, dtype=float).reshape(width, n).T, flag
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables_with_runs())
+def test_write_csv_matches_the_block_writer(tmp_path_factory, table):
+    # runs of equal values share their text; the bytes are the block
+    # writer's, which formats every cell
+    rows, flag = table
+    folder = tmp_path_factory.mktemp("csv")
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    write_csv(str(folder / "got.csv"), header, rows, flag=flag)
+    reference_write_csv(str(folder / "ref.csv"), header, rows, flag=flag)
+    assert (folder / "got.csv").read_bytes() == (folder / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, _CSV_BLOCK, _CSV_BLOCK + 1, 3 * _CSV_BLOCK])
+@pytest.mark.parametrize("held", [0, 4])
+def test_write_csv_keeps_adjacent_zeros_apart(tmp_path, n, held):
+    # 0.0 and -0.0 compare equal but differ in their bit patterns, and so
+    # in their text; a flag column of either zero writes 0.  With four held
+    # columns a full block has 4 * 63 >= _CSV_SHARED cells that repeat the
+    # cell above them, so its texts are shared
+    assert 4 * (_CSV_BLOCK - 1) >= _CSV_SHARED
+    zeros = np.resize([0.0, -0.0, -0.0, 0.0], n)
+    rows = np.column_stack((zeros, zeros, np.full((held, n), 0.1 + 0.2).T))
+    path = tmp_path / "z.csv"
+    write_csv(str(path), ["a", "gate"] + [f"h{i}" for i in range(held)], rows, flag=1)
+    body = path.read_text().splitlines()[1:]
+    assert body == [",".join([repr(z), "0"] + ["0.30000000000000004"] * held) for z in zeros.tolist()]
 
 
 _TABLES = hnp.arrays(

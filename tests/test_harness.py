@@ -505,18 +505,24 @@ def reference_mount_force(state, qdd, lam_robot, scenario):
 
 @pytest.mark.parametrize("name", SIM_SCENARIOS)
 def test_mount_force_matches_point_newton_sum(rng, name):
+    # one product over a batch of steps, each row to the bit what the
+    # point(at="com") path gives for its own step; zero terms included
     sc = load_scenario(scenario_path(name))
     n = sc.model.n_dof
     k = len(sc.contact.spec.directions) if sc.contact else 0
-    for _ in range(20):
-        state = sc.model.state(
-            sc.model.q0 + rng.uniform(-0.5, 0.5, n), rng.standard_normal(n)
-        )
-        qdd = rng.standard_normal(n)
-        lam = rng.standard_normal(k)
-        got = _mount_force(state.kin, qdd, lam, sc)
-        ref = reference_mount_force(state, qdd, lam, sc)
-        assert np.array_equal(got, ref)
+    for steps in (1, 2, 37):
+        states = [
+            sc.model.state(sc.model.q0 + rng.uniform(-0.5, 0.5, n), rng.standard_normal(n))
+            for _ in range(steps)
+        ]
+        qdd = rng.standard_normal((steps, n))
+        qdd[::3, 0] = -0.0
+        lam = rng.standard_normal((steps, k))
+        got = _mount_force(sc, [state.kin.mount for state in states], qdd, lam)
+        assert got.shape == (steps, 2)
+        for state, q_dd, lam_robot, row in zip(states, qdd, lam, got):
+            ref = reference_mount_force(state, q_dd, lam_robot, sc)
+            assert row.tobytes() == ref.tobytes()
 
 
 def test_inverse_step_call_counts(monkeypatch):
@@ -746,13 +752,99 @@ def test_dependent_contact_directions_report_step():
                 },
             ],
         },
-        "sim": {"dt": 0.005, "duration": 0.5, "seed": 0, "mode": "inverse-dynamics"},
+        "sim": {"dt": 0.005, "duration": 0.5, "seed": 0},
         "contact": {"chain": "rod", "directions": ["x", "z"]},
         "controller": {"enabled": False},
     }
-    with pytest.raises(RankDeficient) as exc:
-        run_scenario(parse_scenario(data))
-    assert str(exc.value).startswith("[step 0")
+    for mode, reason in [
+        ("inverse-dynamics", "matrix rank < 2"),
+        # the contact Gram matrix's second pivot rounds to 3.9e-16 of its
+        # diagonal entry, which only a relative floor rejects
+        ("tracking", "contact directions are not independent at this posture"),
+    ]:
+        data["sim"]["mode"] = mode
+        with pytest.raises(RankDeficient) as exc:
+            run_scenario(parse_scenario(data))
+        assert str(exc.value).startswith("[step 0, t=0s] " + reason)
+
+
+def poison_kernel(sc, edits: dict):
+    """Replace the scenario plant's step kernel by one that applies
+    ``edits[i]`` to the ``Kinematics`` of step i; the call at q0 for an
+    "auto" equilibrium point, which comes first, is left alone."""
+    kernel, calls = sc.model._kernel, [-int(sc.controller.x_eq is None)]
+
+    def poisoned(q, qd):
+        step = calls[0]
+        calls[0] += 1
+        edit = edits.get(step)
+        return kernel(q, qd) if edit is None else edit(kernel(q, qd))
+
+    object.__setattr__(sc.model, "_kernel", poisoned)
+
+
+def inf_mount(kin):
+    """The last limb link's CoM acceleration (x) made infinite in the mount
+    force's input only: f_mount_x is -inf, every other logged value finite."""
+    return kin._replace(mount=kin.mount[:-2] + (math.inf, kin.mount[-1]))
+
+
+def inf_trunk_bias(kin):
+    """The trunk joint's bias made infinite: in tracking mode the logged
+    ``tau_h0`` (after f_mount) is inf; in inverse dynamics ``decouple``
+    rejects it before anything is logged."""
+    return kin._replace(h=kin.h[:-1] + [math.inf])
+
+
+def nan_tip_vel(kin):
+    """Every link tip's velocity at NaN: the commanded force's damping term
+    is NaN, so the logged f_cmd_x, before f_mount, is nan in inverse
+    dynamics, and the tracking step rejects the torque it applies."""
+    return kin._replace(tip_vel=[(math.nan, math.nan)] * len(kin.tip_vel))
+
+
+def both(*edits):
+    """The edits applied in turn."""
+    def edit(kin):
+        for e in edits:
+            kin = e(kin)
+        return kin
+    return edit
+
+
+@pytest.mark.parametrize("mode, edits, message", [
+    # the mount force alone, at step 3 of either mode
+    ("tracking", {3: inf_mount}, "[step 3, t=0.015s] f_mount_x is -inf"),
+    ("inverse-dynamics", {3: inf_mount}, "[step 3, t=0.015s] f_mount_x is -inf"),
+    # before a later step's error, in the loop or in the log
+    ("inverse-dynamics", {2: inf_mount, 5: inf_trunk_bias},
+     "[step 2, t=0.01s] f_mount_x is -inf"),
+    ("tracking", {2: inf_mount, 5: inf_trunk_bias}, "[step 2, t=0.01s] f_mount_x is -inf"),
+    ("tracking", {2: inf_mount, 3: nan_tip_vel}, "[step 2, t=0.01s] f_mount_x is -inf"),
+    # before a later column of the same step
+    ("tracking", {2: both(inf_mount, inf_trunk_bias)}, "[step 2, t=0.01s] f_mount_x is -inf"),
+    # but after an error earlier in the same step: in the loop or in the log
+    ("inverse-dynamics", {2: both(inf_mount, inf_trunk_bias)},
+     "[step 2, t=0.01s] h_bias contains NaN or Inf"),
+    ("inverse-dynamics", {2: both(inf_mount, nan_tip_vel)}, "[step 2, t=0.01s] f_cmd_x is nan"),
+    # the controls: each other error alone
+    ("inverse-dynamics", {5: inf_trunk_bias}, "[step 5, t=0.025s] h_bias contains NaN or Inf"),
+    ("tracking", {5: inf_trunk_bias}, "[step 5, t=0.025s] tau_h0 is inf"),
+    ("inverse-dynamics", {3: nan_tip_vel}, "[step 3, t=0.015s] f_cmd_x is nan"),
+    ("tracking", {3: nan_tip_vel}, "[step 3, t=0.015s] tau_total contains NaN or Inf"),
+])
+def test_deferred_mount_force_reports_the_first_error(mode, edits, message):
+    # the mount force is computed once, after the loop, but a NaN or Inf in
+    # it is reported at its own step and column, as a row check would have
+    with open(scenario_path("overhead_inverse.json")) as fh:
+        data = json.load(fh)
+    data["sim"].update(mode=mode, duration=0.05)
+    data["controller"]["damping"] = [2.0, 2.0]
+    sc = parse_scenario(data)
+    poison_kernel(sc, edits)
+    with pytest.raises(NonFinite) as exc:
+        run_scenario(sc)
+    assert str(exc.value) == message
 
 
 # --- columnar log ---------------------------------------------------------------

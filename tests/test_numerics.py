@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra kernels."""
 
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from superlimb.errors import (
 )
 from superlimb.numerics import (
     GRAM_COND_MAX,
+    GRAM_PIVOT_RTOL,
     dyn_consistent_pinv,
     finite_diff_hessian,
     finite_diff_jacobian,
@@ -247,6 +249,21 @@ def test_spd_solve_rejects_matrix_that_is_not_positive_definite(rng, bad):
     m[2, 2] = bad
     with pytest.raises(SingularWeight, match="m is singular .leading minor 3"):
         spd_solve(m.tolist(), [[1.0, 2.0, 3.0]], SingularWeight, "m is singular")
+
+
+@pytest.mark.parametrize("angle, passes", [(1e-6, False), (1e-4, True)])
+def test_spd_solve_relative_pivot_floor(angle, passes):
+    # the Gram matrix of two unit rows ``angle`` apart: its second pivot,
+    # sin(angle)^2, is positive either way, but below the relative floor at
+    # 1e-6 rad; with no floor both solve
+    c = math.cos(angle)
+    gram = [[1.0, c], [c, 1.0]]
+    spd_solve(gram, [[1.0, 0.0]], RankDeficient, "rows")
+    if passes:
+        spd_solve(gram, [[1.0, 0.0]], RankDeficient, "rows", GRAM_PIVOT_RTOL)
+    else:
+        with pytest.raises(RankDeficient, match="rows .leading minor 2"):
+            spd_solve(gram, [[1.0, 0.0]], RankDeficient, "rows", GRAM_PIVOT_RTOL)
 
 
 @settings(max_examples=50, deadline=None)

@@ -377,7 +377,7 @@ COORDS = st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0)
 @settings(max_examples=150, deadline=None)
 @given(plants(), st.data())
 def test_generated_kernel_matches_reference_loop(model, data):
-    # all 13 Kinematics fields to the bit, and fresh lists on every call
+    # all 14 Kinematics fields to the bit, and fresh lists on every call
     n = model.n_dof
     q, qd = (data.draw(st.lists(COORDS, min_size=n, max_size=n)) for _ in range(2))
     lists = []
