@@ -171,7 +171,7 @@ def _setup_logging():
              "warn": logging.WARNING}.get(level_name, logging.WARNING)
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    log.addHandler(handler)
+    log.handlers = [handler]  # one handler, on the current stderr, however often main runs
     log.setLevel(level)
 
 

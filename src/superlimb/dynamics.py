@@ -10,28 +10,31 @@ solution of the underdetermined system - the split between actuation and
 support is not unique.
 
 The split and the value rules of its inputs run as straight-line code
-that ``_split`` generates once per shape, to the bit what a loop over
-Python float lists computes.  ``decouple`` takes a ``DynamicsSnapshot``,
-the library's checked array form, or the step kernel's float lists, which
-the simulator's inverse-dynamics step hands it with no array round trip;
-``constraint_force`` factors with the list-based ``_contact_qr``.
+that ``_split`` generates once per shape with ``numerics``' emitters, to the
+bit what a loop over Python float lists computes.  ``decouple`` takes a
+``DynamicsSnapshot``, the library's checked array form, or the step
+kernel's float lists, which the simulator's inverse-dynamics step hands it
+with no array round trip; ``constraint_force`` factors with ``_contact_qr``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import hypot, isfinite, sqrt
+from math import hypot
 from operator import mul
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, RankDeficient, SingularWeight
-from .numerics import (QR_RANK_RTOL, _spd_solve_source, _sum, check_rank, dyn_consistent_pinv,
-                       symmetric_part)
+from .errors import DimensionMismatch, RankDeficient, SingularWeight
+from .numerics import (QR_RANK_RTOL, _check_finite, _function, _spd_solve_source, _sum, _unpack,
+                       check_rank, dyn_consistent_pinv, symmetric_part)
 # unused here: perfbench's tracer (perfbench/tracer.py) wraps it in this module
 from .numerics import qr_full  # noqa: F401
 from .plant import AXES
+
+#: why a contact's rows are rank deficient, in the tracking solve and the split
+DEPENDENT_CONTACTS = "contact directions are not independent at this posture"
 
 
 @dataclass(frozen=True)
@@ -112,14 +115,14 @@ def null_projection(s_kc_qt: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.eye(n) - dyn_consistent_pinv(w, am) @ w
 
 
-def _contact_qr(j_c) -> tuple[list[list[float]], list[list[float]]]:
+def _contact_qr(j_c, reason: str = "") -> tuple[list[list[float]], list[list[float]]]:
     """J_c^T = Q1 R in Python floats, ``j_c`` given as its k rows: the k
     orthonormal columns of Q1 (as rows) and the k-by-k upper-triangular R
     with a non-negative diagonal, the factorization ``qr_full`` returns.
 
     Classical Gram-Schmidt with one reorthogonalization, which keeps Q1
     orthonormal to roundoff even for nearly parallel rows.  Raises
-    RankDeficient by ``qr_full``'s rank rule (``check_rank``)."""
+    RankDeficient by ``qr_full``'s rank rule (``check_rank``, with ``reason``)."""
     k = len(j_c)
     q1, r = [], [[0.0] * k for _ in range(k)]
     for j, v in enumerate(j_c):
@@ -131,7 +134,7 @@ def _contact_qr(j_c) -> tuple[list[list[float]], list[list[float]]]:
                     r[i][j] += ci
         d = r[j][j] = hypot(*v)
         q1.append([x / d for x in v] if d > 0.0 else v)
-    check_rank([r[i][i] for i in range(k)])
+    check_rank([r[i][i] for i in range(k)], reason)
     return q1, r
 
 
@@ -159,13 +162,13 @@ def _split(n: int, k: int, projector: bool | None):
     def names(form: str, size: int = n) -> str:
         return ", ".join(form.format(i) for i in range(size))
 
-    body += [f"{names(f'a{r}_{{}}')}, = a[{r}]" for r in cols] + [f"{names('h{}')}, = h"]
-    body += [f"{names(f'q{r}_{{}}')}, = j_c[{r}]" for r in rows] + [f"{names('dd{}')}, = qdd"]
+    for name, src in [*((f"a{r}_", f"a[{r}]") for r in cols), ("h", "h"),
+                      *((f"q{r}_", f"j_c[{r}]") for r in rows), ("dd", "qdd")]:
+        _unpack(body, name, src, n)
     scans = {"a": [f"a{r}_{c}" for r in cols for c in cols], "h_bias": [f"h{i}" for i in cols],
              "j_c": [f"q{r}_{c}" for r in rows for c in cols], "qdd": [f"dd{i}" for i in cols]}
     for name, entries in scans.items():
-        body += [f"if not ({' and '.join(f'isfinite({v})' for v in entries)}):",
-                 f"    raise NonFinite('{name} contains NaN or Inf')"]
+        _check_finite(body, entries, name)
     _spd_solve_source(body, lambda j, c: f"a{j}_{c}", n, (), "a", SingularWeight,
                       "a is not positive definite")
     if projector is not None:
@@ -179,7 +182,7 @@ def _split(n: int, k: int, projector: bool | None):
                 body += [f"r{i}_{j} {'+=' if again else '= 0.0 +'} p{i}" for i in range(j)]
             body += [f"r{j}_{j} = hypot({names(f'q{j}_{{}}')})", f"if r{j}_{j} > 0.0:",
                      f"    {names(f'q{j}_{{}}')} = {names(f'q{j}_{{}} / r{j}_{j}')}"]
-        body.append(f"check_rank([{', '.join(f'r{i}_{i}' for i in rows)}])")
+        body.append(f"check_rank([{', '.join(f'r{i}_{i}' for i in rows)}], {DEPENDENT_CONTACTS!r})")
         for x in cols:
             _sum(body, [f"a{x}_{c} * dd{c}" for c in cols], f"b{x}")
             body.append(f"b{x} += h{x}")
@@ -210,11 +213,8 @@ def _split(n: int, k: int, projector: bool | None):
             s = _sum(body, [f"r{i}_{j} * lam{j}" for j in range(i + 1, k)])
             body.append(f"lam{i} = (y{i}{s}) / r{i}_{i}")
         body.append(f"return {out[0]}, [{names('lam{}', k)}]{', ' + out[1] if projector else ''}")
-    source = "def split(a, h, j_c, qdd):\n" + "".join(f"    {line}\n" for line in body)
-    namespace = {"isfinite": isfinite, "sqrt": sqrt, "hypot": hypot, "check_rank": check_rank,
-                 "NonFinite": NonFinite, "SingularWeight": SingularWeight}
-    exec(compile(source, f"<inverse split: n={n}, k={k}>", "exec"), namespace)
-    return namespace["split"]
+    return _function("split(a, h, j_c, qdd)", body, f"inverse split: n={n}, k={k}",
+                     check_rank=check_rank)
 
 
 def decouple(snapshot: DynamicsSnapshot | tuple) -> DecoupledSolution | tuple:

@@ -8,9 +8,9 @@ is integrated with a semi-implicit Euler step.  A bilateral point contact
 that makes the post-step contact velocity match the scripted support
 motion; for a static support with a clean initial state this is exactly
 the zero-contact-acceleration condition, and it does not drift.  The step
-and its two Cholesky solves run as straight-line code generated once per
-shape (DoFs, free DoFs, contact rows), to the bit what the list-based
-loop and ``numerics.spd_solve`` computed.
+and its two Cholesky solves run as straight-line code that ``numerics``'
+emitters generate once per shape (DoFs, free DoFs, contact rows), to the
+bit what a loop over Python float lists computes.
 
 Sign conventions: the constraint force returned by the dynamics layer
 acts on the robot; logs report ``lambda`` as the force exerted on the
@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import isfinite, nan, sqrt
+from math import isfinite, nan
 from operator import add, mul
 
 import numpy as np
 
 from . import dynamics
-from .dynamics import contact_jacobian
+from .dynamics import DEPENDENT_CONTACTS, contact_jacobian
 from .emg import (
     DEFAULT_BAND,
     DEFAULT_WINDOW,
@@ -56,7 +56,7 @@ from .errors import (
     SuperlimbError,
     ValidationError,
 )
-from .numerics import GRAM_PIVOT_RTOL, _spd_solve_source, _sum
+from .numerics import GRAM_PIVOT_RTOL, _check_finite, _function, _spd_solve_source, _sum, _unpack
 from .plant import AXES, PlantModel
 from .scenario import Scenario
 from .stiffness import check_vectors, control_force, friction_torque, task_to_joint_torque
@@ -146,23 +146,17 @@ def _contact_step(n: int, m: int, k: int):
     (the code-generation approach of RobCoGen, Frigerio et al., JOSER 2016).
     Every operation keeps the order of the list-and-``sum()`` loop it
     unrolls, so the result is the same to the bit."""
-    free, scripted, rows = range(m), range(m, n), range(k)
-    body = []
-
-    def unpack(name: str, src: str, size: int = n):
-        body.append(f"{''.join(f'{name}{i}, ' for i in range(size))}= {src}")
-
+    free, scripted, rows, body = range(m), range(m, n), range(k), []
     for name, src in ("q", "q"), ("v", "qd"), ("dd", "qdd"), ("qn", "q_next"), ("vn", "qd_next"):
-        unpack(name, src)
+        _unpack(body, name, src, n)
     if m:
-        unpack("t", "tau_total", m)
-        body += [f"if not ({' and '.join(f'isfinite(t{i})' for i in free)}):",
-                 "    raise NonFinite('tau_total contains NaN or Inf')"]
-        unpack("h", "h")
+        _unpack(body, "t", "tau_total", m)
+        _check_finite(body, [f"t{i}" for i in free], "tau_total")
+        _unpack(body, "h", "h", n)
         for i in free:
-            unpack(f"a{i}_", f"a[{i}]")
+            _unpack(body, f"a{i}_", f"a[{i}]", n)
         for r in rows:
-            unpack(f"c{r}_", f"j_c[{r}]")
+            _unpack(body, f"c{r}_", f"j_c[{r}]", n)
         for i in free:  # tau - h - A_fs qdd_s, then A_ff^-1 of it and of each J_f row
             s = _sum(body, [f"a{i}_{j} * dd{j}" for j in scripted])
             body.append(f"r{i} = t{i} - h{i}{s}")
@@ -171,7 +165,7 @@ def _contact_step(n: int, m: int, k: int):
         _spd_solve_source(body, lambda j, c: f"a{j}_{c}", m, solves,
                           "a", RankDeficient, "inertia of the free joints is not positive definite")
         if k:
-            unpack("vt", "v_target", k)
+            _unpack(body, "vt", "v_target", k)
             for r in rows:  # the Gram matrix's factored triangle
                 for c in range(r, k):
                     _sum(body, [f"c{r}_{i} * u{c}_{i}" for i in free], f"G{r}_{c}")
@@ -182,9 +176,7 @@ def _contact_step(n: int, m: int, k: int):
                 s = _sum(body, [f"c{r}_{i} * p{i}" for i in free])
                 body.append(f"e{r} = (e{r}{s}) / dt")
             _spd_solve_source(body, lambda j, c: f"G{j}_{c}", k, [("lam", [f"e{r}" for r in rows])],
-                              "g", RankDeficient,
-                              "contact directions are not independent at this posture",
-                              GRAM_PIVOT_RTOL)
+                              "g", RankDeficient, DEPENDENT_CONTACTS, GRAM_PIVOT_RTOL)
             for i in free:
                 _sum(body, [f"u{r}_{i} * lam{r}" for r in rows])
                 body.append(f"x{i} = x{i} + s")
@@ -196,12 +188,8 @@ def _contact_step(n: int, m: int, k: int):
                           for v in ("qn", "vn") for i in range(n))
     body += [f"if not ({within}):  # NaN fails the comparison", "    _blowup(q_next + qd_next)",
              f"return [{', '.join(f'lam{r}' if m else '0.0' for r in rows)}]"]
-    source = ("def step(q, qd, a, h, tau_total, dt, j_c, v_target, q_next, qd_next, qdd):\n"
-              + "".join(f"    {line}\n" for line in body))
-    namespace = {"isfinite": isfinite, "sqrt": sqrt, "NonFinite": NonFinite,
-                 "RankDeficient": RankDeficient, "_blowup": _blowup}
-    exec(compile(source, f"<contact solve: n={n}, m={m}, k={k}>", "exec"), namespace)
-    return namespace["step"]
+    return _function("step(q, qd, a, h, tau_total, dt, j_c, v_target, q_next, qd_next, qdd)",
+                     body, f"contact solve: n={n}, m={m}, k={k}", _blowup=_blowup)
 
 
 def _advance(

@@ -1,25 +1,25 @@
 """Dense linear-algebra kernels used by the rest of the library.
 
-Thin, contract-checked wrappers: full QR with a fixed sign convention
-and a rank rule.  The one Cholesky, ``spd_solve``, runs on Python float
-lists; the inertia-weighted (dynamically consistent) pseudo-inverse solves
-through it, and ``_spd_solve_source`` unrolls it, operation for operation,
-into the straight-line code of the simulator's contact solve and of the
-inverse-dynamics split.  The QR, the
-SVD pseudo-inverse, finite-difference derivatives and the eigenvalue
-tests go through numpy.
+Thin, contract-checked wrappers: full QR with a fixed sign convention and
+a rank rule, the SVD pseudo-inverse, finite-difference derivatives and the
+eigenvalue tests go through numpy.  The one Cholesky, ``_spd_solve_source``,
+emits straight-line code over Python floats; ``spd_solve`` compiles it per
+shape, and the contact solve and inverse-dynamics split inline it.  With
+``_unpack``, ``_check_finite`` and ``_sum`` it emits the generated code of
+the library, which ``_function``, the one compile site, turns into functions.
 Everything else operates on plain float ndarrays; all functions are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
-from operator import mul
+from functools import cache
+from math import cos, hypot, isfinite, sin, sqrt
 from typing import Callable
 
 import numpy as np
 
+from . import errors
 from .errors import (
     DimensionMismatch,
     NonFinite,
@@ -54,65 +54,56 @@ def _as_array(x, name: str, ndim: int) -> np.ndarray:
     return a
 
 
-def spd_solve(m, rhs, error, reason: str, rtol: float = 0.0) -> list[list[float]]:
-    """Solve m x = b for each b in ``rhs`` in Python floats, ``m`` being a
-    small symmetric positive definite matrix given as rows; raises
-    ``error`` with ``reason`` when it is not positive definite, or when a
-    pivot is below ``rtol`` times its diagonal entry.
-
-    The operations follow LAPACK's unblocked ``dpotf2`` and the column
-    order of BLAS ``dtrsm`` kernels, which multiply by reciprocal pivots;
-    dividing by the pivots instead lets the static-hold scenario drift."""
-    n = len(m)
-    cols = [[] for _ in range(n)]  # cols[k][i] is the factor's entry (i, k)
-    inv = []
-    for j, mj in enumerate(m):
-        cj = cols[j]
-        d = mj[j] - sum(map(mul, cj, cj))
-        if not d > 0.0 or d < rtol * mj[j]:  # NaN fails too
-            raise error(f"{reason} (leading minor {j + 1} is {d:.3e})")
-        d = sqrt(d)
-        inv.append(1.0 / d)
-        for k in range(j + 1, n):
-            cols[k].append((mj[k] - sum(map(mul, cj, cols[k]))) * inv[j])
-        cj.append(d)
-    out = []
-    for b in rhs:
-        x = list(b)
-        for i in range(n):  # u^T y = b
-            xi = x[i] = x[i] * inv[i]
-            for k in range(i + 1, n):
-                x[k] -= xi * cols[k][i]
-        for i in range(n - 1, -1, -1):  # u x = y
-            xi = x[i] = x[i] * inv[i]
-            ci = cols[i]
-            for k in range(i):
-                x[k] -= xi * ci[k]
-        out.append(x)
-    return out
+def _unpack(body: list[str], name: str, src: str, size: int):
+    """Append the statement ``name0, name1, ... = src`` of ``size`` names."""
+    body.append(f"{''.join(f'{name}{i}, ' for i in range(size))}= {src}")
 
 
-def _sum(body: list[str], terms: list[str], name: str = "s") -> str:
-    """Append statements leaving ``sum(terms)`` in ``name``: 0.0 plus each
-    term, left to right, as ``sum()``'s int 0 start rounds (-0.0 included).
+def _check_finite(body: list[str], names, what: str):
+    """Append the check raising NonFinite for ``what`` unless all ``names`` are finite."""
+    body += [f"if not ({' and '.join(f'isfinite({v})' for v in names)}):",
+             f"    raise NonFinite('{what} contains NaN or Inf')"]
+
+
+def _sum(body: list[str], terms: list[str], name: str = "s", start: str = "0.0") -> str:
+    """Append statements leaving ``start`` plus each term, left to right, in
+    ``name``; the 0.0 start rounds as ``sum()``'s int 0 does (-0.0 included).
     Returns " - name" to subtract it, or "" for no terms (x - 0 is x)."""
     if not terms:
         return ""
-    body += [f"{name} = 0.0 + {terms[0]}"] + [f"{name} += {term}" for term in terms[1:]]
+    body += [f"{name} = {start} + {terms[0]}"] + [f"{name} += {term}" for term in terms[1:]]
     return f" - {name}"
+
+
+#: the globals of generated code besides its caller's names
+_GLOBALS = {**{f.__name__: f for f in (cos, sin, sqrt, hypot, isfinite)},
+            **{name: v for name, v in vars(errors).items() if isinstance(v, type)}}
+
+
+def _function(signature: str, body: list[str], label: str, **names):
+    """The function ``def signature:`` over ``body``, compiled as ``<label>``
+    with ``_GLOBALS`` and ``names`` as its globals: the library's one compile site."""
+    namespace = {**_GLOBALS, **names}
+    exec(compile(f"def {signature}:\n" + "".join(f"    {line}\n" for line in body),
+                 f"<{label}>", "exec"), namespace)
+    return namespace[signature[:signature.index("(")]]
 
 
 def _spd_solve_source(body: list[str], entry, size: int, solves, tag: str, error, reason: str,
                       rtol: float = 0.0):
-    """Append ``spd_solve`` unrolled for one size, operation for operation:
-    factor the matrix whose entry (j, c), c >= j, is named ``entry(j, c)``
-    into names ``l<tag>...``/``i<tag>...``, raising ``error`` (by its class
-    name) with ``reason`` at a pivot that is not positive (or is below
-    ``rtol`` times its diagonal entry), then solve for each ``(out, rhs)``
-    of ``solves``, leaving the solution in ``out0``, ..."""
+    """Append the Cholesky solve for one size as straight-line code: factor
+    the matrix whose entry (j, c), c >= j, is named ``entry(j, c)`` into
+    names ``l<tag>...``/``i<tag>...``, raising ``error`` (by its class name)
+    with ``reason`` at a pivot that is not positive (or is below ``rtol``
+    times its diagonal entry), then solve for each ``(out, rhs)`` of
+    ``solves``, leaving the solution in ``out0``, ...  The operations follow
+    LAPACK's unblocked ``dpotf2`` and the column order of BLAS ``dtrsm``
+    kernels, which multiply by reciprocal pivots; dividing by the pivots
+    instead lets the static-hold scenario drift."""
     def f(i, j):  # the factor's entry (i, j), i > j
         return f"l{tag}{i}_{j}"
 
+    reason = reason.replace("{", "{{").replace("}", "}}")  # literal text of an f-string
     for j in range(size):
         s = _sum(body, [f"{f(j, i)} * {f(j, i)}" for i in range(j)])
         text = f"{reason} (leading minor {j + 1} is {{d:.3e}})"
@@ -123,13 +114,33 @@ def _spd_solve_source(body: list[str], entry, size: int, solves, tag: str, error
             s = _sum(body, [f"{f(j, i)} * {f(c, i)}" for i in range(j)])
             body.append(f"{f(c, j)} = ({entry(j, c)}{s}) * i{tag}{j}")
     for out, rhs in solves:
-        body.append(f"{''.join(f'{out}{i}, ' for i in range(size))}= {', '.join(rhs)},")
+        _unpack(body, out, f"{', '.join(rhs)},", size)
         for i in range(size):  # u^T y = b
             body.append(f"{out}{i} *= i{tag}{i}")
             body += [f"{out}{c} -= {out}{i} * {f(c, i)}" for c in range(i + 1, size)]
         for i in reversed(range(size)):  # u x = y
             body.append(f"{out}{i} *= i{tag}{i}")
             body += [f"{out}{c} -= {out}{i} * {f(i, c)}" for c in range(i)]
+
+
+@cache
+def _spd_solver(size: int, count: int, error, reason: str, rtol: float):
+    solves = [(f"x{r}_", [f"rhs[{r}][{i}]" for i in range(size)]) for r in range(count)]
+    body = []
+    _spd_solve_source(body, lambda j, c: f"m[{j}][{c}]", size, solves, "", error, reason, rtol)
+    rows = (", ".join(f"{out}{i}" for i in range(size)) for out, _ in solves)
+    body.append(f"return [{', '.join(f'[{row}]' for row in rows)}]")
+    return _function("solve(m, rhs)", body, f"spd solve: n={size}, rhs={count}",
+                     **{error.__name__: error})
+
+
+def spd_solve(m, rhs, error, reason: str, rtol: float = 0.0) -> list[list[float]]:
+    """Solve m x = b for each row b of ``rhs`` in Python floats, ``m`` being
+    a small symmetric positive definite matrix given as rows (n >= 1);
+    raises ``error`` with ``reason`` when it is not positive definite, or
+    when a pivot is below ``rtol`` times its diagonal entry.  Runs the code of
+    ``_spd_solve_source``, compiled once per (n, len(rhs), error, reason, rtol)."""
+    return _spd_solver(len(m), len(rhs), error, reason, rtol)(m, rhs)
 
 
 def symmetric_part(a: np.ndarray, error, reason: str) -> np.ndarray:
@@ -145,13 +156,15 @@ def symmetric_part(a: np.ndarray, error, reason: str) -> np.ndarray:
     return sym
 
 
-def check_rank(diag: list[float]):
-    """Raise RankDeficient unless every |r_ii| of a QR factorization, given
-    as ``diag``, is at least ``QR_RANK_RTOL`` times the largest (NaN fails)."""
+def check_rank(diag: list[float], reason: str = ""):
+    """Raise RankDeficient, saying ``reason`` if given, unless each |r_ii| of a QR
+    factorization, ``diag``, is at least ``QR_RANK_RTOL`` times the largest (NaN fails)."""
     lo, hi = min(diag), max(diag)
     floor = QR_RANK_RTOL * max(hi, _TINY)
     if not all(d >= floor for d in diag):
-        raise RankDeficient(f"matrix rank < {len(diag)}: |r_ii| range [{lo:.3e}, {hi:.3e}]")
+        span = f"|r_ii| range [{lo:.3e}, {hi:.3e}]"
+        raise RankDeficient(f"{reason} ({span})" if reason
+                            else f"matrix rank < {len(diag)}: {span}")
 
 
 @dataclass(frozen=True)

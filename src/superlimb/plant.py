@@ -10,8 +10,8 @@ human chains so q = [q_srl, q_human].
 All kinematic quantities (positions, Jacobians, velocity products) are
 computed from one analytic forward pass, so the inertia matrix, the
 Coriolis/gravity bias and point Jacobians are exact up to roundoff.  Each
-``PlantModel`` generates, once, the step kernel of its topology as
-straight-line source with its constants inlined (the code-generation
+``PlantModel`` generates, once, the step kernel of its topology with
+``numerics``' emitters, constants inlined (the code-generation
 approach of RobCoGen, Frigerio et al., JOSER 2016): one function over
 plain Python float lists that runs the forward pass, the CoM Jacobian
 columns and the inertia matrix, gravity and bias vectors, assembled link
@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from math import cos, sin
 
 import numpy as np
 
 from .errors import BadModel, DimensionMismatch, NonFinite
+from .numerics import _function, _sum, _unpack
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -242,8 +242,9 @@ def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, r
     def lit(x) -> str:
         return repr(float(x))
 
-    body = [f"{''.join(f'q{i}, ' for i in range(n))}= q",
-            f"{''.join(f'qd{i}, ' for i in range(n))}= qd"]
+    body = []
+    _unpack(body, "q", "q", n)
+    _unpack(body, "qd", "qd", n)
     out = {name: [] for name in Kinematics._fields}
     sums, h_sums = {}, {}  # each sum's terms in the loop's order: link by link
     for c in chains:
@@ -300,8 +301,7 @@ def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, r
                     ("tip", "x"), ("tip_vel", "vx"), ("tip_acc", "ax")):
         out[name] = [(f"{x}{i}", f"{x[:-1]}z{i}") for i in range(n)]
     for key, terms in (sums | h_sums).items():  # h starts from the finished g
-        body.append(f"{key} = {'g' + key[1:] if key[0] == 'h' else '0.0'} + {terms[0]}")
-        body += [f"{key} += {term}" for term in terms[1:]]
+        _sum(body, terms, key, f"g{key[1:]}" if key[0] == "h" else "0.0")
     out["a"] = [[k if (k := f"a{min(r, s)}_{max(r, s)}") in sums else "0.0" for s in range(n)]
                 for r in range(n)]
     out["g"], out["h"] = [f"g{r}" for r in range(n)], [f"h{r}" for r in range(n)]
@@ -314,10 +314,8 @@ def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, r
             f"[{', '.join(map(expr, v))}]" if isinstance(v, list) else f"({', '.join(map(expr, v))})")
 
     body.append(f"return Kinematics({', '.join(expr(out[f]) for f in Kinematics._fields)})")
-    source = "def kernel(q, qd):\n" + "".join(f"    {line}\n" for line in body)
-    namespace = {"cos": cos, "sin": sin, "Kinematics": Kinematics}
-    exec(compile(source, f"<step kernel: {', '.join(c.name for c in chains)}>", "exec"), namespace)
-    return namespace["kernel"]
+    return _function("kernel(q, qd)", body, f"step kernel: {', '.join(c.name for c in chains)}",
+                     Kinematics=Kinematics)
 
 
 def _point_jacobian(point, ancestors, revolute, pivot, direction, n: int):

@@ -1,12 +1,12 @@
 """Shared fixtures: the two reference plants used across the test suite,
-the reference loop step kernel, the reference list-based contact solve and
-inverse-dynamics split, the reference CSV block writer, and a reference
-finite-difference stencil."""
+the reference loop step kernel, the reference loop Cholesky solve, the
+reference list-based contact solve and inverse-dynamics split, the
+reference CSV block writer, and a reference finite-difference stencil."""
 
 import math
 import os
 from itertools import chain
-from math import cos, isfinite, nan, sin
+from math import cos, isfinite, nan, sin, sqrt
 from operator import mul
 
 import numpy as np
@@ -16,7 +16,7 @@ from superlimb.dynamics import _back_substitute, _contact_qr
 from superlimb.emg import _CSV_BLOCK
 from superlimb.errors import NonFinite, NumericBlowup, RankDeficient, SingularWeight
 from superlimb.harness import BLOWUP_LIMIT
-from superlimb.numerics import GRAM_PIVOT_RTOL, _as_array, default_fd_step, spd_solve
+from superlimb.numerics import GRAM_PIVOT_RTOL, _as_array, default_fd_step
 from superlimb.plant import Chain, Joint, Kinematics, PlantModel, _point_jacobian
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -221,12 +221,46 @@ def reference_step_kernel(model: PlantModel):
     return kernel
 
 
+def reference_spd_solve(m, rhs, error, reason: str, rtol: float = 0.0) -> list[list[float]]:
+    """``numerics.spd_solve`` as the loop over float lists that its
+    generated straight-line code must match bit for bit, errors included:
+    LAPACK's unblocked ``dpotf2``, then the column order of BLAS ``dtrsm``
+    kernels, which multiply by reciprocal pivots."""
+    n = len(m)
+    cols = [[] for _ in range(n)]  # cols[k][i] is the factor's entry (i, k)
+    inv = []
+    for j, mj in enumerate(m):
+        cj = cols[j]
+        d = mj[j] - sum(map(mul, cj, cj))
+        if not d > 0.0 or d < rtol * mj[j]:  # NaN fails too
+            raise error(f"{reason} (leading minor {j + 1} is {d:.3e})")
+        d = sqrt(d)
+        inv.append(1.0 / d)
+        for k in range(j + 1, n):
+            cols[k].append((mj[k] - sum(map(mul, cj, cols[k]))) * inv[j])
+        cj.append(d)
+    out = []
+    for b in rhs:
+        x = list(b)
+        for i in range(n):  # u^T y = b
+            xi = x[i] = x[i] * inv[i]
+            for k in range(i + 1, n):
+                x[k] -= xi * cols[k][i]
+        for i in range(n - 1, -1, -1):  # u x = y
+            xi = x[i] = x[i] * inv[i]
+            ci = cols[i]
+            for k in range(i):
+                x[k] -= xi * ci[k]
+        out.append(x)
+    return out
+
+
 def reference_advance(
     q, qd, a, h, tau_total, dt: float, m: int, j_c, v_target, q_next, qd_next, qdd
 ) -> list[float]:
     """``harness._advance`` as list comprehensions, ``sum()`` and two
-    ``spd_solve`` calls: the loop its generated straight-line solve must
-    match bit for bit, errors included."""
+    ``reference_spd_solve`` calls: the loop its generated straight-line
+    solve must match bit for bit, errors included."""
     if not all(map(isfinite, tau_total)):
         raise NonFinite("tau_total contains NaN or Inf")
 
@@ -237,7 +271,7 @@ def reference_advance(
         rhs = [t - hi - sum(map(mul, row[m:], qdd_s)) for t, hi, row in zip(tau_total, h, a)]
         j_f = [row[:m] for row in j_c]
         # A_ff^-1 rhs, then the columns of A_ff^-1 J_f^T (one per contact row)
-        qdd_free, *minv_jt = spd_solve(
+        qdd_free, *minv_jt = reference_spd_solve(
             [row[:m] for row in a[:m]], [rhs] + j_f,
             RankDeficient, "inertia of the free joints is not positive definite",
         )
@@ -249,7 +283,7 @@ def reference_advance(
                 vt - sum(map(mul, row[m:], qd_s)) - sum(map(mul, rf, qd_free_pred))
                 for vt, row, rf in zip(v_target, j_c, j_f)
             ]
-            (lam,) = spd_solve(
+            (lam,) = reference_spd_solve(
                 gram, [[r / dt for r in resid]],
                 RankDeficient, "contact directions are not independent at this posture",
                 GRAM_PIVOT_RTOL,
@@ -269,17 +303,17 @@ def reference_advance(
 
 def reference_decouple(rows, projector: bool = False):
     """``dynamics.decouple`` on the step kernel's float lists ``(a, h, j_c,
-    qdd)`` as the loop over lists, ``sum()`` and ``spd_solve`` that its
-    generated split must match bit for bit, errors included: the value
-    rules, ``_contact_qr``, one k-by-k solve and ``_back_substitute``.
+    qdd)`` as the loop over lists, ``sum()`` and ``reference_spd_solve``
+    that its generated split must match bit for bit, errors included: the
+    value rules, ``_contact_qr``, one k-by-k solve and ``_back_substitute``.
     Returns ``(tau, lam)``, and with ``projector`` the rows of ``n_kc``
     too."""
     a, h, j_c, qdd = rows
     for name, values in (("a", chain(*a)), ("h_bias", h), ("j_c", chain(*j_c)), ("qdd", qdd)):
         if not all(map(isfinite, values)):
             raise NonFinite(f"{name} contains NaN or Inf")
-    spd_solve(a, (), SingularWeight, "a is not positive definite")
-    q1, r = _contact_qr(j_c)
+    reference_spd_solve(a, (), SingularWeight, "a is not positive definite")
+    q1, r = _contact_qr(j_c, "contact directions are not independent at this posture")
     n = len(a)
     b = [sum(map(mul, row, qdd)) + hi for row, hi in zip(a, h)]
     if len(q1) == n:
@@ -290,8 +324,8 @@ def reference_decouple(rows, projector: bool = False):
         aq = [[sum(map(mul, row, qi)) for row in a] for qi in q1]  # rows of Q1^T A
         # Q1^T A b, then the columns of Q1^T A for (Q1^T A Q1)^-1 Q1^T A
         rhs = [[sum(map(mul, aqi, b)) for aqi in aq]] + [list(col) for col in zip(*aq)]
-        y, *g = spd_solve([[sum(map(mul, aqi, qj)) for qj in q1] for aqi in aq], rhs,
-                          SingularWeight, "q1^T a q1 is not positive definite")
+        y, *g = reference_spd_solve([[sum(map(mul, aqi, qj)) for qj in q1] for aqi in aq], rhs,
+                                    SingularWeight, "q1^T a q1 is not positive definite")
         q1_rows = list(zip(*q1))
         tau = [bi - sum(map(mul, qrow, y)) for bi, qrow in zip(b, q1_rows)]
         n_kc = [[sum(map(mul, qrow, gc)) for gc in g] for qrow in q1_rows]

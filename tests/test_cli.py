@@ -406,6 +406,17 @@ def test_log_env_diagnostics(tmp_path, capsys, monkeypatch):
     assert stdout == ""  # diagnostics never mix with data
 
 
+def test_log_lines_print_once_however_often_main_runs(tmp_path, capsys, monkeypatch, trace_csv):
+    # each main() call in one process used to add one more stderr handler,
+    # so its n-th call printed every INFO line n times
+    monkeypatch.setenv("SUPERLIMB_LOG", "info")
+    for _ in range(2):
+        code, _, err = run_cli(["emg-pipeline", "--in", trace_csv,
+                                "--out", str(tmp_path / "pipeline.csv")], capsys)
+        assert code == 0
+        assert err.count("INFO superlimb: wrote 400 samples") == 1, err
+
+
 @pytest.mark.parametrize(
     "trace_body, motion_body, bad_file",
     [

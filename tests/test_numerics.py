@@ -1,7 +1,10 @@
 """Tests for the dense linear-algebra kernels."""
 
+import ast
 import math
 import warnings
+from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from conftest import reference_fd_hessian, reference_fd_jacobian
+from conftest import reference_fd_hessian, reference_fd_jacobian, reference_spd_solve
 from superlimb import numerics
 from superlimb.dynamics import _contact_qr
 from superlimb.errors import (
@@ -264,6 +267,73 @@ def test_spd_solve_relative_pivot_floor(angle, passes):
     else:
         with pytest.raises(RankDeficient, match="rows .leading minor 2"):
             spd_solve(gram, [[1.0, 0.0]], RankDeficient, "rows", GRAM_PIVOT_RTOL)
+
+
+@st.composite
+def spd_problems(draw):
+    """``spd_solve`` arguments: the Gram matrix of 1-5 rows, which a
+    repeated, scaled or barely tilted row makes singular or nearly so, with
+    a zero, negative or NaN entry sometimes put in; 0-3 right-hand sides;
+    either error class, a reason (one with braces), and no pivot floor or
+    the Gram floor."""
+    n = draw(st.integers(1, 5), label="n")
+    signed = st.floats(-4.0, 4.0)
+    g = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random"] * 4 + (["scaled", "near"] if g else [])))
+        if kind == "random":
+            g.append(draw(st.lists(signed, min_size=n, max_size=n)))
+        else:
+            scale, tilt = draw(signed), draw(st.floats(1e-9, 1e-4)) if kind == "near" else 0.0
+            g.append([scale * x + tilt * (i + 1) for i, x in enumerate(g[-1])])
+    m = [[sum(map(mul, gi, gj)) for gj in g] for gi in g]
+    for _ in range(draw(st.integers(0, 2), label="edits")):
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[r][c] = m[c][r] = draw(st.sampled_from([0.0, -0.0, -1.0, math.nan]))
+    rhs = draw(st.lists(st.lists(signed, min_size=n, max_size=n), max_size=3), label="rhs")
+    return (m, rhs, draw(st.sampled_from([RankDeficient, SingularWeight])),
+            draw(st.sampled_from(["m is singular", "rows {i} and {j}"])),
+            draw(st.sampled_from([0.0, GRAM_PIVOT_RTOL])))
+
+
+def solve_outcome(solve, args):
+    """Every solution float as ``float.hex``, or the error's class and text."""
+    try:
+        return [[x.hex() for x in row] for row in solve(*args)]
+    except NumericError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(spd_problems())
+def test_generated_spd_solve_matches_reference(args):
+    # the solution to the bit, or the same error class and message, at
+    # zero, negative, NaN and floored pivots
+    assert solve_outcome(spd_solve, args) == solve_outcome(reference_spd_solve, args)
+
+
+def test_generated_code_is_compiled_in_one_place():
+    # exec and compile run only in numerics._function, so every generator
+    # gets the same globals through the one compile path
+    sites = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Name) and node.func.id in ("exec", "compile"):
+                sites.append((".".join(self.scope), node.func.id))
+            self.generic_visit(node)
+
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        Visitor(path.stem).visit(ast.parse(path.read_text(), str(path)))
+    assert sorted(sites) == [("numerics._function", "compile"), ("numerics._function", "exec")]
 
 
 @settings(max_examples=50, deadline=None)
