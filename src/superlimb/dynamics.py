@@ -14,23 +14,19 @@ that ``_split`` generates once per shape with ``numerics``' emitters, to the
 bit what a loop over Python float lists computes.  ``decouple`` takes a
 ``DynamicsSnapshot``, the library's checked array form, or the step
 kernel's float lists, which the simulator's inverse-dynamics step hands it
-with no array round trip; ``constraint_force`` factors with ``_contact_qr``.
+with no array round trip; ``constraint_force`` factors with ``qr_full``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import hypot
-from operator import mul
 
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient, SingularWeight
 from .numerics import (QR_RANK_RTOL, _check_finite, _function, _spd_solve_source, _sum, _unpack,
-                       check_rank, dyn_consistent_pinv, symmetric_part)
-# unused here: perfbench's tracer (perfbench/tracer.py) wraps it in this module
-from .numerics import qr_full  # noqa: F401
+                       check_rank, dyn_consistent_pinv, qr_full, symmetric_part)
 from .plant import AXES
 
 #: why a contact's rows are rank deficient, in the tracking solve and the split
@@ -115,37 +111,6 @@ def null_projection(s_kc_qt: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.eye(n) - dyn_consistent_pinv(w, am) @ w
 
 
-def _contact_qr(j_c, reason: str = "") -> tuple[list[list[float]], list[list[float]]]:
-    """J_c^T = Q1 R in Python floats, ``j_c`` given as its k rows: the k
-    orthonormal columns of Q1 (as rows) and the k-by-k upper-triangular R
-    with a non-negative diagonal, the factorization ``qr_full`` returns.
-
-    Classical Gram-Schmidt with one reorthogonalization, which keeps Q1
-    orthonormal to roundoff even for nearly parallel rows.  Raises
-    RankDeficient by ``qr_full``'s rank rule (``check_rank``, with ``reason``)."""
-    k = len(j_c)
-    q1, r = [], [[0.0] * k for _ in range(k)]
-    for j, v in enumerate(j_c):
-        if q1:
-            for _ in range(2):
-                c = [sum(map(mul, qi, v)) for qi in q1]
-                v = [x - sum(map(mul, c, col)) for x, col in zip(v, zip(*q1))]
-                for i, ci in enumerate(c):
-                    r[i][j] += ci
-        d = r[j][j] = hypot(*v)
-        q1.append([x / d for x in v] if d > 0.0 else v)
-    check_rank([r[i][i] for i in range(k)], reason)
-    return q1, r
-
-
-def _back_substitute(r, y) -> list[float]:
-    """x with R x = y, R upper triangular with a nonzero diagonal."""
-    x = list(y)
-    for i in range(len(x) - 1, -1, -1):
-        x[i] = (x[i] - sum(map(mul, r[i][i + 1:], x[i + 1:]))) / r[i][i]
-    return x
-
-
 @cache
 def _split(n: int, k: int, projector: bool | None):
     """``decouple``'s split for n DoFs and k contact rows, ``split(a, h, j_c,
@@ -155,8 +120,9 @@ def _split(n: int, k: int, projector: bool | None):
     loop it unrolls, so results and error messages are the same to the bit:
     the value rules first (NonFinite for a NaN or Inf, the first input named
     winning; SingularWeight unless ``a`` is positive definite), which are
-    all with ``projector`` None; then ``_contact_qr``'s Gram-Schmidt and the
-    split, returning ``(tau, lam)``, and with ``projector`` the rows of N."""
+    all with ``projector`` None; then J_c^T = Q1 R by Gram-Schmidt with one
+    reorthogonalization (``qr_full``'s R and rank rule) and the split,
+    returning ``(tau, lam)``, and with ``projector`` the rows of N."""
     cols, rows, body = range(n), range(k), []
 
     def names(form: str, size: int = n) -> str:
@@ -226,7 +192,8 @@ def decouple(snapshot: DynamicsSnapshot | tuple) -> DecoupledSolution | tuple:
     inertia-weighted W^+ (Mistry, Buchli & Schaal, ICRA 2010).
 
     Given a ``DynamicsSnapshot`` (checked when it was built), returns the
-    ``DecoupledSolution`` with N and the equation's residual.  Given the
+    ``DecoupledSolution`` with N and the equation's residual (NaN or Inf
+    when the force overflows, with no RuntimeWarning).  Given the
     step kernel's ``(a, h, j_c, qdd)`` float lists (``a`` symmetric, as
     rows; ``j_c`` as its k rows), checks their values (no shape check) and
     returns ``(tau, lam)`` lists: the simulator's inverse-dynamics step
@@ -237,13 +204,14 @@ def decouple(snapshot: DynamicsSnapshot | tuple) -> DecoupledSolution | tuple:
     a, h, j_c, qdd = snapshot.a, snapshot.h_bias, snapshot.j_c, snapshot.qdd
     tau, lam, n_kc = map(np.array, _split(*j_c.shape[::-1], True)(
         a.tolist(), h.tolist(), j_c.tolist(), qdd.tolist()))
-    residual = a @ qdd + h - tau - j_c.T @ lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = a @ qdd + h - tau - j_c.T @ lam
     return DecoupledSolution(tau, lam, n_kc, residual_inf=float(np.abs(residual).max()))
 
 
 def constraint_force(snapshot: DynamicsSnapshot, tau_applied) -> np.ndarray:
     """Support force implied by the motion under a known applied torque:
-    lambda = R^-1 Q1^T (A qdd + h - tau), with ``decouple``'s factors.
+    lambda = R^-1 Q1^T (A qdd + h - tau), J_c^T = Q1 R by ``qr_full``.
     This is the sensor-equivalent contact force, in contrast to decouple()
     which also chooses the torque."""
     tau = np.asarray(tau_applied, dtype=float)
@@ -251,9 +219,9 @@ def constraint_force(snapshot: DynamicsSnapshot, tau_applied) -> np.ndarray:
         raise DimensionMismatch(
             f"tau_applied must have shape ({snapshot.n},), got {tau.shape}"
         )
-    q1, r = _contact_qr(snapshot.j_c.tolist())
-    b = (snapshot.a @ snapshot.qdd + snapshot.h_bias - tau).tolist()
-    return np.array(_back_substitute(r, [sum(map(mul, qi, b)) for qi in q1]))
+    qr = qr_full(snapshot.j_c.T)
+    b = snapshot.a @ snapshot.qdd + snapshot.h_bias - tau
+    return np.linalg.solve(qr.r, qr.q[:, :qr.k].T @ b)
 
 
 # --- plant-facing helpers -----------------------------------------------------

@@ -447,7 +447,8 @@ def write_csv(path: str, header: list[str], rows: np.ndarray, flag: int | None =
     a block's column, a cell whose 64-bit pattern equals the cell above it
     reuses that cell's text (so 0.0 and -0.0 never share one), once the
     block has ``_CSV_SHARED`` such cells.  The bytes are those of
-    formatting each row on its own."""
+    formatting each row on its own.  Raises ValidationError, naming the
+    path, when the file cannot be opened for writing."""
     bits = rows.view(np.uint64)
     n_blocks = -(-len(rows) // _CSV_BLOCK)
     shared = np.zeros(n_blocks * _CSV_BLOCK, dtype=np.intp)  # per row, cells equal to the one above
@@ -456,7 +457,11 @@ def write_csv(path: str, header: list[str], rows: np.ndarray, flag: int | None =
         same[:, flag] = False
     shared[1 : len(rows)] = np.count_nonzero(same, axis=1)
     shared[::_CSV_BLOCK] = 0  # a block's first row is formatted whole
-    with open(path, "w", newline="") as fh:
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
+    with fh:
         fh.write(",".join(header) + "\n")
         for start, n_shared in zip(range(0, len(rows), _CSV_BLOCK),
                                    shared.reshape(n_blocks, _CSV_BLOCK).sum(axis=1).tolist()):

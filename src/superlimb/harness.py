@@ -237,7 +237,7 @@ def integrate_step(
     j_c, vt = [], []
     if contact:
         link = model.link_index(contact.chain, contact.joint)
-        j_c = contact_jacobian(model.tip_jacobian(state.kin, link), contact)
+        j_c = contact_jacobian(state.kin.tip_jac[link], contact)
         k = len(j_c)
         (vt,) = check_vectors(k, v_target=np.zeros(k) if v_target is None else v_target)
         vt = vt.tolist()
@@ -509,7 +509,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
                                             ctrl_cfg.f_gravity, ctrl_cfg.damping))
     fr = ctrl_cfg.friction
     friction = fr and (fr.coulomb.tolist(), fr.viscous.tolist(), fr.stiction_breakaway_ratio)
-    kernel, tip_jacobian = model._kernel, model.tip_jacobian
+    kernel = model._kernel
     contact_link = model.link_index(spec.chain, spec.joint) if spec else None
     inverse_mode = sim.mode == "inverse-dynamics"
 
@@ -518,7 +518,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
     try:
         for i in range(sim.n_steps):
             kin = kernel(q, qd)
-            j_c = contact_jacobian(tip_jacobian(kin, contact_link), spec) if spec else []
+            j_c = contact_jacobian(kin.tip_jac[contact_link], spec) if spec else []
 
             # task point and control law
             tip = kin.tip[task]
@@ -544,7 +544,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
                 # the limb's torque: J^T f on its joints, its gravity load, friction
                 tau_s = [0.0] * m
                 if ctrl_cfg.enabled:
-                    jac = tip_jacobian(kin, task)
+                    jac = kin.tip_jac[task]
                     tau_task = task_to_joint_torque(zip(*[jac[r][:m] for r in rows]), f_cmd)
                     tau_s = list(map(add, tau_task, kin.g))
                 if friction is not None:

@@ -13,9 +13,9 @@ Coriolis/gravity bias and point Jacobians are exact up to roundoff.  Each
 ``PlantModel`` generates, once, the step kernel of its topology with
 ``numerics``' emitters, constants inlined (the code-generation
 approach of RobCoGen, Frigerio et al., JOSER 2016): one function over
-plain Python float lists that runs the forward pass, the CoM Jacobian
-columns and the inertia matrix, gravity and bias vectors, assembled link
-by link in the dense composite-rigid-body form
+plain Python float lists that runs the forward pass, every link's CoM and
+tip Jacobians and the inertia matrix, gravity and bias vectors, assembled
+link by link in the dense composite-rigid-body form
 A = sum_l (m_l J_l^T J_l + I_l w_l w_l^T) + diag(rotor)
 (Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6).  For the few
 degrees of freedom this package targets, Python floats cost less than
@@ -157,8 +157,6 @@ class PlantModel:
         object.__setattr__(
             self, "_srl_chains", frozenset(c.name for c in self.chains if c.role == ROLE_SRL)
         )
-        object.__setattr__(self, "_ancestors", tuple(ancestors))
-        object.__setattr__(self, "_revolute", revolute)
         object.__setattr__(
             self, "_kernel", _step_kernel(self.chains, n, self.gravity, ancestors, revolute)
         )
@@ -191,14 +189,6 @@ class PlantModel:
     def state(self, q, qd=None) -> "PlantState":
         return PlantState(self, q, qd)
 
-    def tip_jacobian(self, kin: Kinematics, link: int) -> tuple[list, list]:
-        """Jacobian of a link's tip in the state ``kin`` as two dense float
-        rows (x, z)."""
-        return _point_jacobian(
-            kin.tip[link], self._ancestors[link], self._revolute, kin.pivot, kin.direction,
-            self._n_dof,
-        )
-
     def link_index(self, chain: str, joint: int | None = None) -> int:
         """Index of a chain's link (and of the joint carrying it);
         ``joint=None`` means the chain's last link."""
@@ -211,15 +201,15 @@ class PlantModel:
 
 
 #: One plant state in Python floats, as a step kernel returns it: per link,
-#: (x, z) pairs of the joint pivot, the sliding direction ((0, 0) if
-#: revolute), the CoM and the tip with their velocities and velocity-product
-#: accelerations (qdd = 0), the angular velocity and the CoM Jacobian as two
-#: dense rows; then A (rows), g and h; and last ``mount``, what the mount
-#: force reads of the limb's links as one flat tuple: their CoM Jacobians'
-#: x and z rows, link by link, then their CoM accelerations' (x, z) pairs.
+#: (x, z) pairs of the CoM and the tip with their velocities and
+#: velocity-product accelerations (qdd = 0), the angular velocity, and the
+#: CoM and tip Jacobians, each as two dense rows (x, z); then A (rows), g
+#: and h; and last ``mount``, what the mount force reads of the limb's links
+#: as one flat tuple: their CoM Jacobians' x and z rows, link by link, then
+#: their CoM accelerations' (x, z) pairs.
 Kinematics = namedtuple(
     "Kinematics",
-    "pivot direction com com_vel com_acc tip tip_vel tip_acc ang_vel jcom a g h mount",
+    "com com_vel com_acc tip tip_vel tip_acc ang_vel jcom tip_jac a g h mount",
 )
 
 
@@ -246,23 +236,24 @@ def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, r
     _unpack(body, "q", "q", n)
     _unpack(body, "qd", "qd", n)
     out = {name: [] for name in Kinematics._fields}
+    pivot, direction = [], []  # each joint's origin and sliding axis ((0, 0) if revolute)
     sums, h_sums = {}, {}  # each sum's terms in the loop's order: link by link
     for c in chains:
         ox, oz = map(lit, c.base)
         phi, phid, vx, vz, ax, az = lit(c.heading), "0.0", "0.0", "0.0", "0.0", "0.0"
-        for i, joint in enumerate(c.joints, len(out["pivot"])):
-            out["pivot"].append((ox, oz))
+        for i, joint in enumerate(c.joints, len(pivot)):
+            pivot.append((ox, oz))
             if revolute[i]:
                 body += [f"p{i} = {phi} + q{i}", f"w{i} = {phid} + qd{i}",
                          f"ex{i}, ez{i} = cos(p{i}), sin(p{i})"]
                 phi, phid = f"p{i}", f"w{i}"
-                out["direction"].append(("0.0", "0.0"))
+                direction.append(("0.0", "0.0"))
                 rate, r_com, r_tip = "0.0", lit(joint.com), lit(joint.length)
             else:
                 e = f"{phi} + {lit(joint.axis)}"
                 body += [f"ex{i}, ez{i} = cos({e}), sin({e})",
                          f"rc{i}, rt{i} = {lit(joint.com)} + q{i}, {lit(joint.length)} + q{i}"]
-                out["direction"].append((f"ex{i}", f"ez{i}"))
+                direction.append((f"ex{i}", f"ez{i}"))
                 rate, r_com, r_tip = f"qd{i}", f"rc{i}", f"rt{i}"
             for p, r in (("c", r_com), ("", r_tip)):  # CoM, then tip; perp(e) = (-ez, ex)
                 body += [
@@ -275,15 +266,18 @@ def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, r
                 ]
             ox, oz, vx, vz, ax, az = (f"{v}{i}" for v in ("x", "z", "vx", "vz", "ax", "az"))
             out["ang_vel"].append(phid)
-            anc, jx, jz = ancestors[i], ["0.0"] * n, ["0.0"] * n
+            anc = ancestors[i]
+            jx, jz, tx, tz = (["0.0"] * n for _ in range(4))
             for j in anc:
-                if revolute[j]:
-                    jx[j], jz[j] = f"jx{i}_{j}", f"jz{i}_{j}"
-                    bx, bz = out["pivot"][j]
-                    body.append(f"jx{i}_{j}, jz{i}_{j} = {bz} - cz{i}, cx{i} - {bx}")
-                else:
-                    jx[j], jz[j] = out["direction"][j]
+                if revolute[j]:  # the lever arm from the pivot turned +90 degrees
+                    bx, bz = pivot[j]
+                    for p, t, rx, rz in (("c", "j", jx, jz), ("", "t", tx, tz)):  # CoM, then tip
+                        rx[j], rz[j] = f"{t}x{i}_{j}", f"{t}z{i}_{j}"
+                        body.append(f"{rx[j]}, {rz[j]} = {bz} - {p}z{i}, {p}x{i} - {bx}")
+                else:  # the sliding axis
+                    jx[j], jz[j] = tx[j], tz[j] = direction[j]
             out["jcom"].append((jx, jz))
+            out["tip_jac"].append((tx, tz))
             m, spin = lit(joint.mass), [j for j in anc if revolute[j] and joint.inertia]
             for k, r in enumerate(anc):
                 for s in anc[k:]:
@@ -316,21 +310,6 @@ def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, r
     body.append(f"return Kinematics({', '.join(expr(out[f]) for f in Kinematics._fields)})")
     return _function("kernel(q, qd)", body, f"step kernel: {', '.join(c.name for c in chains)}",
                      Kinematics=Kinematics)
-
-
-def _point_jacobian(point, ancestors, revolute, pivot, direction, n: int):
-    """Jacobian of a point on a link as two dense rows (x, z): a revolute
-    column is the lever arm from the joint's pivot rotated by +90 degrees,
-    a prismatic column the sliding axis."""
-    px, pz = point
-    jx, jz = [0.0] * n, [0.0] * n
-    for j in ancestors:
-        if revolute[j]:
-            bx, bz = pivot[j]
-            jx[j], jz[j] = bz - pz, px - bx
-        else:
-            jx[j], jz[j] = direction[j]
-    return jx, jz
 
 
 @dataclass(frozen=True)
@@ -372,7 +351,7 @@ class PlantState:
         lk = self.model.link_index(chain, joint)
         kin = self.kin
         if at == "tip":
-            pos, vel, acc, jac = kin.tip[lk], kin.tip_vel[lk], kin.tip_acc[lk], self.model.tip_jacobian(kin, lk)
+            pos, vel, acc, jac = kin.tip[lk], kin.tip_vel[lk], kin.tip_acc[lk], kin.tip_jac[lk]
         elif at == "com":
             pos, vel, acc, jac = kin.com[lk], kin.com_vel[lk], kin.com_acc[lk], kin.jcom[lk]
         else:

@@ -1,23 +1,23 @@
 """Shared fixtures: the two reference plants used across the test suite,
 the reference loop step kernel, the reference loop Cholesky solve, the
-reference list-based contact solve and inverse-dynamics split, the
-reference CSV block writer, and a reference finite-difference stencil."""
+reference list-based contact solve, Gram-Schmidt QR and inverse-dynamics
+split, the reference CSV block writer, and a reference finite-difference
+stencil."""
 
 import math
 import os
 from itertools import chain
-from math import cos, isfinite, nan, sin, sqrt
+from math import cos, hypot, isfinite, nan, sin, sqrt
 from operator import mul
 
 import numpy as np
 import pytest
 
-from superlimb.dynamics import _back_substitute, _contact_qr
 from superlimb.emg import _CSV_BLOCK
 from superlimb.errors import NonFinite, NumericBlowup, RankDeficient, SingularWeight
 from superlimb.harness import BLOWUP_LIMIT
-from superlimb.numerics import GRAM_PIVOT_RTOL, _as_array, default_fd_step
-from superlimb.plant import Chain, Joint, Kinematics, PlantModel, _point_jacobian
+from superlimb.numerics import GRAM_PIVOT_RTOL, _as_array, check_rank, default_fd_step
+from superlimb.plant import REVOLUTE, Chain, Joint, Kinematics, PlantModel
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -138,13 +138,16 @@ def reference_step_kernel(model: PlantModel):
     the link rate phid, r changing at rate rd) moves at rd e + r phid
     perp(e) with acceleration bias 2 rd phid perp(e) - r phid^2 e relative
     to the joint's origin.  A, g = sum_l m_l g J_l,z and h = g + sum_l m_l
-    J_l^T acc_l are accumulated link by link over each link's ancestors."""
+    J_l^T acc_l are accumulated link by link over each link's ancestors.
+    A point's Jacobian column of a revolute ancestor is the lever arm from
+    its pivot turned by +90 degrees, of a prismatic one the sliding axis."""
     n, gravity = model.n_dof, model.gravity
-    ancestors, revolute = model._ancestors, model._revolute
-    layout, links, off = [], [], 0
+    revolute = [j.kind == REVOLUTE for c in model.chains for j in c.joints]
+    layout, links, ancestors, off = [], [], [], 0
     for c in model.chains:
         joints = []
         for i, joint in enumerate(c.joints, off):
+            ancestors.append(tuple(range(off, i + 1)))
             joints.append((i, revolute[i], joint.length, joint.com, joint.axis))
             spin = tuple(j for j in ancestors[i] if revolute[j])
             links.append((i, ancestors[i], _upper(ancestors[i]), joint.mass,
@@ -153,9 +156,20 @@ def reference_step_kernel(model: PlantModel):
         off += len(c.joints)
     upper = tuple((r, c) for r in range(n) for c in range(r + 1, n))
 
+    def point_jacobian(point, anc, pivot, direction):
+        px, pz = point
+        jx, jz = [0.0] * n, [0.0] * n
+        for j in anc:
+            if revolute[j]:
+                bx, bz = pivot[j]
+                jx[j], jz[j] = bz - pz, px - bx
+            else:
+                jx[j], jz[j] = direction[j]
+        return jx, jz
+
     def kernel(q: list, qd: list) -> Kinematics:
         pivot, direction, com, com_vel, com_acc = [], [], [], [], []
-        tip, tip_vel, tip_acc, ang_vel, jcom = [], [], [], [], []
+        tip, tip_vel, tip_acc, ang_vel, jcom, tip_jac = [], [], [], [], [], []
         for (ox, oz), phi, joints in layout:
             vox = voz = aox = aoz = phid = 0.0
             for i, is_rev, length, c, axis in joints:
@@ -185,7 +199,8 @@ def reference_step_kernel(model: PlantModel):
                 tip_vel.append((vox, voz))
                 tip_acc.append((aox, aoz))
                 ang_vel.append(phid)
-                jcom.append(_point_jacobian(com[i], ancestors[i], revolute, pivot, direction, n))
+                jcom.append(point_jacobian(com[i], ancestors[i], pivot, direction))
+                tip_jac.append(point_jacobian(tip[i], ancestors[i], pivot, direction))
 
         a = [[0.0] * n for _ in range(n)]
         g = [0.0] * n
@@ -215,8 +230,8 @@ def reference_step_kernel(model: PlantModel):
         limb = range(len(model._srl_links))
         mount = tuple(chain([v for i in limb for row in jcom[i] for v in row],
                             *(com_acc[i] for i in limb)))
-        return Kinematics(pivot, direction, com, com_vel, com_acc, tip, tip_vel,
-                          tip_acc, ang_vel, jcom, a, g, h, mount)
+        return Kinematics(com, com_vel, com_acc, tip, tip_vel, tip_acc, ang_vel, jcom,
+                          tip_jac, a, g, h, mount)
 
     return kernel
 
@@ -299,6 +314,38 @@ def reference_advance(
         peak = nan if any(x != x for x in mags) else max(mags)
         raise NumericBlowup(f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})")
     return lam
+
+
+def _contact_qr(j_c, reason: str = "") -> tuple[list[list[float]], list[list[float]]]:
+    """J_c^T = Q1 R in Python floats, ``j_c`` given as its k rows: the k
+    orthonormal columns of Q1 (as rows) and the k-by-k upper-triangular R
+    with a non-negative diagonal, the factorization ``qr_full`` returns.
+
+    Classical Gram-Schmidt with one reorthogonalization, which keeps Q1
+    orthonormal to roundoff even for nearly parallel rows: the loop that
+    ``dynamics._split`` unrolls.  Raises RankDeficient by ``qr_full``'s rank
+    rule (``check_rank``, with ``reason``)."""
+    k = len(j_c)
+    q1, r = [], [[0.0] * k for _ in range(k)]
+    for j, v in enumerate(j_c):
+        if q1:
+            for _ in range(2):
+                c = [sum(map(mul, qi, v)) for qi in q1]
+                v = [x - sum(map(mul, c, col)) for x, col in zip(v, zip(*q1))]
+                for i, ci in enumerate(c):
+                    r[i][j] += ci
+        d = r[j][j] = hypot(*v)
+        q1.append([x / d for x in v] if d > 0.0 else v)
+    check_rank([r[i][i] for i in range(k)], reason)
+    return q1, r
+
+
+def _back_substitute(r, y) -> list[float]:
+    """x with R x = y, R upper triangular with a nonzero diagonal."""
+    x = list(y)
+    for i in range(len(x) - 1, -1, -1):
+        x[i] = (x[i] - sum(map(mul, r[i][i + 1:], x[i + 1:]))) / r[i][i]
+    return x
 
 
 def reference_decouple(rows, projector: bool = False):

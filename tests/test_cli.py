@@ -289,6 +289,22 @@ def test_emg_pipeline_missing_trace(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["run", "emg-pipeline", "gen-emg"])
+@pytest.mark.parametrize("target", ["missing-dir", "dir"])
+def test_unwritable_out_exits_1(tmp_path, capsys, trace_csv, command, target):
+    # the one CSV writer behind all three reports the path, not a traceback
+    out = tmp_path / "no-such-dir" / "x.csv" if target == "missing-dir" else tmp_path
+    argv = {
+        "run": ["run", "--config", scenario_path("static_hold.json")],
+        "emg-pipeline": ["emg-pipeline", "--in", trace_csv],
+        "gen-emg": ["gen-emg", "--profile", scenario_path("emg_profile_step.json"),
+                    "--seed", "1"],
+    }[command]
+    code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+    reason = "No such file or directory" if target == "missing-dir" else "Is a directory"
+    assert (code, stdout, err) == (1, "", f"error: cannot write {out}: {reason}\n")
+
+
 # --- analyze-stability ----------------------------------------------------------
 
 

@@ -3,10 +3,11 @@
 import dataclasses
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
-from conftest import reference_decouple
+from conftest import _back_substitute, _contact_qr, reference_decouple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,12 +130,14 @@ def test_constraint_force_coincides_with_decouple(rng):
 
 
 def test_constraint_force_zero_torque(rng):
+    # numpy's QR and solve on R agree with the list oracle's Gram-Schmidt
+    # and back-substitution to 1e-12 of the force (well-conditioned rows)
     snap = random_snapshot(rng, 4, 2)
     lam = constraint_force(snap, np.zeros(4))
-    fact = qr_full(snap.j_c.T)
-    b = snap.a @ snap.qdd + snap.h_bias
-    expected = np.linalg.solve(fact.r, (fact.q.T @ b)[:2])
-    np.testing.assert_allclose(lam, expected, atol=1e-10)
+    q1, r = _contact_qr(snap.j_c.tolist())
+    b = (snap.a @ snap.qdd + snap.h_bias).tolist()
+    expected = np.array(_back_substitute(r, [sum(map(mul, qi, b)) for qi in q1]))
+    assert np.abs(lam - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def textbook_decouple(snap):
@@ -165,7 +168,7 @@ def textbook_decouple(snap):
 def contact_rows(model, q, spec):
     """``contact_jacobian`` of ``spec``'s point at ``q``, as an array."""
     st = model.state(q)
-    jac = model.tip_jacobian(st.kin, model.link_index(spec.chain, spec.joint))
+    jac = st.kin.tip_jac[model.link_index(spec.chain, spec.joint)]
     return np.array(contact_jacobian(jac, spec))
 
 
@@ -247,11 +250,27 @@ def test_contact_qr_keeps_nearly_parallel_rows_orthonormal():
     # to 1e-10, the reorthogonalization restores it to roundoff
     theta = 1e-6
     j_c = [[1.0, 0.0, 0.5, -0.2], [math.cos(theta), math.sin(theta), 0.5, -0.2]]
-    q1, r = dynamics._contact_qr(j_c)
+    q1, r = _contact_qr(j_c)
     q1, r = np.array(q1).T, np.array(r)
     assert np.abs(q1.T @ q1 - np.eye(2)).max() <= 1e-14
     assert r[1, 0] == 0.0 and (np.diag(r) > 0.0).all()
     assert np.abs(q1 @ r - np.array(j_c).T).max() <= 1e-15
+    # constraint_force, on numpy's QR, measures under decouple's torque the
+    # force decouple's split reports, to cond(J_c) ~ 1e6 times roundoff
+    snap = reference_snapshot(j_c)
+    sol = decouple(snap)
+    lam = constraint_force(snap, sol.tau)
+    assert np.abs(lam - sol.lam).max() <= 1e-9 * np.abs(sol.lam).max()
+
+
+def test_decouple_overflowing_force_reports_a_nan_residual():
+    # a lone contact row at the smallest normal float passes the relative
+    # rank rule, and lambda = y / r_11 overflows: the snapshot form returns
+    # the split's infinite force with a NaN residual, and no RuntimeWarning
+    snap = DynamicsSnapshot(a=np.eye(2), h_bias=np.zeros(2), j_c=np.array([[2.0 ** -1022, 0.0]]),
+                            qdd=np.array([4.0, 0.0]))
+    sol = decouple(snap)
+    assert sol.lam.tolist() == [math.inf] and math.isnan(sol.residual_inf)
 
 
 def test_decouple_contact_carrying_almost_all_of_b():

@@ -14,7 +14,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from conftest import reference_fd_hessian, reference_fd_jacobian, reference_spd_solve
 from superlimb import numerics
-from superlimb.dynamics import _contact_qr
+from superlimb.dynamics import DEPENDENT_CONTACTS, decouple
 from superlimb.errors import (
     DimensionMismatch,
     NonFinite,
@@ -26,6 +26,7 @@ from superlimb.errors import (
 from superlimb.numerics import (
     GRAM_COND_MAX,
     GRAM_PIVOT_RTOL,
+    QR_RANK_RTOL,
     dyn_consistent_pinv,
     finite_diff_hessian,
     finite_diff_jacobian,
@@ -186,13 +187,20 @@ def test_dyn_consistent_pinv_overflowing_weight(a, error):
 
 
 def test_qr_rank_rule_is_shared_by_the_contact_qr():
-    # the numpy QR and the Gram-Schmidt one of the contact rows report rank
-    # loss with one rule and one message
-    j_c = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]
-    with pytest.raises(RankDeficient, match="matrix rank < 2: "):
-        qr_full(np.array(j_c).T)
-    with pytest.raises(RankDeficient, match="matrix rank < 2: "):
-        _contact_qr(j_c)
+    # qr_full and the Gram-Schmidt QR of decouple's generated split draw the
+    # rank boundary in one place, check_rank: rows whose |r22| / |r11| is
+    # eps, clearly above and clearly below QR_RANK_RTOL
+    a, h, qdd = np.eye(3).tolist(), [0.5, -1.0, 2.0], [0.1, 0.2, -0.3]
+    for eps, full_rank in [(1e2 * QR_RANK_RTOL, True), (1e-2 * QR_RANK_RTOL, False)]:
+        j_c = [[1.0, 0.0, 0.0], [1.0, eps, 0.0]]
+        if full_rank:
+            assert qr_full(np.array(j_c).T).r[1, 1] == pytest.approx(eps, rel=1e-6)
+            decouple((a, h, j_c, qdd))
+            continue
+        with pytest.raises(RankDeficient, match="matrix rank < 2: "):
+            qr_full(np.array(j_c).T)
+        with pytest.raises(RankDeficient, match=DEPENDENT_CONTACTS):
+            decouple((a, h, j_c, qdd))
 
 
 def test_dyn_consistent_pinv_rejects_row_rank_loss():

@@ -236,6 +236,19 @@ def test_point_jacobian_matches_finite_difference(desk_model, rng, chain, joint,
     check_point_jacobian_matches_finite_difference(desk_model, rng, chain, joint, at)
 
 
+@pytest.mark.parametrize("name", ORACLE_PLANTS)
+def test_kernel_tip_jacobians_match_finite_difference(name, rng):
+    # every link's tip_jac, prismatic trunks and presses included, against
+    # central differences of the kernel's own tip positions
+    model = plant_named(name)
+    n = model.n_dof
+    q = model.q0 + rng.uniform(-1.0, 1.0, n)
+    tip_jac = model.state(q).kin.tip_jac
+    for link in range(n):
+        jac_fd = finite_diff_jacobian(lambda qv: model.state(qv).kin.tip[link], q)
+        np.testing.assert_allclose(tip_jac[link], jac_fd, atol=1e-7)
+
+
 def check_point_velocity_consistent_with_jacobian(model, rng):
     q = rng.uniform(-1.0, 1.0, model.n_dof)
     qd = rng.standard_normal(model.n_dof)
@@ -377,7 +390,7 @@ COORDS = st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0)
 @settings(max_examples=150, deadline=None)
 @given(plants(), st.data())
 def test_generated_kernel_matches_reference_loop(model, data):
-    # all 14 Kinematics fields to the bit, and fresh lists on every call
+    # all 13 Kinematics fields to the bit, and fresh lists on every call
     n = model.n_dof
     q, qd = (data.draw(st.lists(COORDS, min_size=n, max_size=n)) for _ in range(2))
     lists = []
