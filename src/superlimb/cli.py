@@ -28,6 +28,7 @@ import sys
 from .emg import (
     EmgConfig,
     HillParams,
+    check_writable,
     load_motion_csv,
     load_trace_csv,
     run_pipeline,
@@ -93,6 +94,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
+    check_writable(args.out)
     scenario = load_scenario(args.config)
     log.info("scenario %s: %d steps at dt=%g", args.config,
              scenario.sim.n_steps, scenario.sim.dt)
@@ -103,6 +105,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_emg_pipeline(args) -> int:
+    check_writable(args.out)
     trace = load_trace_csv(args.trace)
     motion = load_motion_csv(args.motion) if args.motion else None
     hill = HillParams(f_max=args.f_max, mvc_reference=args.mvc)
@@ -143,6 +146,7 @@ def _cmd_analyze_stability(args) -> int:
 
 
 def _cmd_gen_emg(args) -> int:
+    check_writable(args.out)
     profile = load_profile(args.profile)
     if args.seed < 0:
         raise ValidationError("--seed must be >= 0")

@@ -20,8 +20,10 @@ CSV ``t,envelope,activation,force_n,gate,dxeq_m``.
 from __future__ import annotations
 
 import csv
+import errno
 import math
 import os
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from functools import cache
@@ -50,6 +52,8 @@ _CSV_BLOCK = 64
 #: cell above them, below which ``write_csv`` formats every cell: there the
 #: numpy work of sharing texts costs about what the ``repr`` calls it saves
 _CSV_SHARED = 128
+#: bytes that numpy's float converter strips around a cell and ``float`` does not
+_INFO_SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -276,19 +280,16 @@ def hill_force(a, params: HillParams):
 def gate_series(yaws: np.ndarray, threshold: float, hysteresis: float) -> np.ndarray:
     """Schmitt trigger on |yaw| replayed over a yaw sequence, starting off:
     the gate turns on at >= threshold, off at <= threshold - hysteresis,
-    and holds its previous state in between."""
+    and holds its previous state in between.  A NaN yaw holds it too.
+
+    The state at sample i is set by the latest sample <= i that is an on
+    or an off event; before the first event the gate is off."""
     check_gate(threshold, hysteresis)
-    off = threshold - hysteresis
-    mags = np.abs(np.asarray(yaws, dtype=float)).tolist()
-    out = [False] * len(mags)
-    state = False
-    for i, mag in enumerate(mags):
-        if mag >= threshold:
-            state = True
-        elif mag <= off:
-            state = False
-        out[i] = state
-    return np.array(out, dtype=bool)
+    mags = np.abs(np.asarray(yaws, dtype=float))
+    on = mags >= threshold
+    event = on | (mags <= threshold - hysteresis)
+    last = np.maximum.accumulate(np.where(event, np.arange(mags.size), -1))
+    return (last >= 0) & on[last]
 
 
 def map_to_equilibrium(f_muscle, gate, gain: float):
@@ -438,6 +439,22 @@ def run_pipeline(
 # --- CSV interfaces -----------------------------------------------------------
 
 
+def check_writable(path: str):
+    """Raise the ValidationError ``write_csv`` raises for an output path it
+    could not open, without creating a file: a missing parent directory, a
+    path that is a directory, or a place this process may not write."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValidationError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def write_csv(path: str, header: list[str], rows: np.ndarray, flag: int | None = None):
     """Write a float table of one or more columns as CSV: every value as its
     shortest round-trip ``repr``, except column ``flag`` (if given),
@@ -489,9 +506,53 @@ def _read_csv(
     must be as wide as the header and its first ``n_used`` cells (all of
     them by default) finite numbers.  Errors name the file and the 1-based
     line.
+
+    A file whose every column is read goes through numpy's tokenizer
+    (``_load_numeric``); any other file, and any file that tokenizer
+    rejects, is read by ``_scan_csv``, which raises every error.
     """
     if not os.path.isfile(path):
         raise MissingFile(f"{what} file not found: {path}")
+    table = _load_numeric(path, header_ok, n_used)
+    return _scan_csv(path, expected, header_ok, n_used) if table is None else table
+
+
+def _load_numeric(path: str, header_ok, n_used: int | None):
+    """``_read_csv``'s header and table through ``np.loadtxt``, or None
+    where ``_scan_csv`` must read the file.
+
+    numpy's converter and ``float`` both end in CPython's correctly rounded
+    string-to-double, so a table numpy accepts has the scan's bits.  numpy
+    reads less than ``float`` does (quoted cells, ``1_0``, non-ASCII
+    digits); those files, an empty body, rows of another width, a cell
+    that is not finite and text that is not UTF-8 go to the scan.  The one
+    cell numpy reads and ``float`` refuses is a number next to an ASCII
+    information separator (0x1C-0x1F): numpy strips these as whitespace,
+    so a file holding one goes to the scan too."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if any(sep in raw for sep in _INFO_SEPARATORS):
+        return None
+    del raw
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            if not header or not header_ok(header) or n_used not in (None, len(header)):
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # numpy's "no data" on an empty body
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except (csv.Error, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    if data.shape[1] != len(header) or not np.isfinite(data).all():
+        return None
+    return header, data
+
+
+def _scan_csv(path: str, expected: str, header_ok, n_used: int | None):
+    """``_read_csv`` row by row with ``csv.reader`` and ``float``: the
+    reader of every file numpy's tokenizer does not take, and of every
+    error message."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)

@@ -4,8 +4,10 @@ reference list-based contact solve, Gram-Schmidt QR and inverse-dynamics
 split, the reference CSV block writer, and a reference finite-difference
 stencil."""
 
+import csv
 import math
 import os
+from array import array
 from itertools import chain
 from math import cos, hypot, isfinite, nan, sin, sqrt
 from operator import mul
@@ -13,8 +15,15 @@ from operator import mul
 import numpy as np
 import pytest
 
-from superlimb.emg import _CSV_BLOCK
-from superlimb.errors import NonFinite, NumericBlowup, RankDeficient, SingularWeight
+from superlimb.emg import _CSV_BLOCK, _first_line_not_utf8, check_gate
+from superlimb.errors import (
+    MissingFile,
+    NonFinite,
+    NumericBlowup,
+    RankDeficient,
+    SingularWeight,
+    ValidationError,
+)
 from superlimb.harness import BLOWUP_LIMIT
 from superlimb.numerics import GRAM_PIVOT_RTOL, _as_array, check_rank, default_fd_step
 from superlimb.plant import REVOLUTE, Chain, Joint, Kinematics, PlantModel
@@ -391,6 +400,63 @@ def reference_write_csv(path: str, header: list[str], rows: np.ndarray, flag: in
             if flag is not None:
                 cells[flag] = ["1" if v else "0" for v in cols[flag]]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def reference_read_csv(
+    path: str, what: str, expected: str, header_ok, n_used: int | None = None
+):
+    """``emg._read_csv`` as the line-by-line ``csv.reader`` scan it ran for
+    every file: the oracle for numpy's tokenizer in front of it, tables
+    and error messages alike."""
+    if not os.path.isfile(path):
+        raise MissingFile(f"{what} file not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header or not header_ok(header):
+                raise ValidationError(f"{path}: expected header '{expected}'")
+            width = len(header)
+            used = width if n_used is None else n_used
+            values, lines = array("d"), []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ValidationError(
+                        f"{path}, line {reader.line_num}: "
+                        f"{len(row)} cells, the header has {width}"
+                    )
+                values.extend(map(float, row[:used]))
+                lines.append(reader.line_num)
+    except UnicodeDecodeError as exc:
+        line = _first_line_not_utf8(path)
+        raise ValidationError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+    except (csv.Error, ValueError) as exc:
+        raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from None
+    data = np.array(values).reshape(len(lines), used)
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        line = lines[int(np.argmax(bad))]
+        raise ValidationError(f"{path}, line {line}: NaN or Inf cell")
+    return header, data
+
+
+def reference_gate_series(yaws, threshold: float, hysteresis: float) -> np.ndarray:
+    """``emg.gate_series`` as the per-sample Schmitt-trigger loop: the
+    oracle for its event-index form."""
+    check_gate(threshold, hysteresis)
+    off = threshold - hysteresis
+    mags = np.abs(np.asarray(yaws, dtype=float)).tolist()
+    out = [False] * len(mags)
+    state = False
+    for i, mag in enumerate(mags):
+        if mag >= threshold:
+            state = True
+        elif mag <= off:
+            state = False
+        out[i] = state
+    return np.array(out, dtype=bool)
 
 
 @pytest.fixture

@@ -2,12 +2,13 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from conftest import scenario_path
 
-from superlimb import plant
+from superlimb import cli, plant
 from superlimb.cli import main
 
 
@@ -290,19 +291,33 @@ def test_emg_pipeline_missing_trace(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "emg-pipeline", "gen-emg"])
-@pytest.mark.parametrize("target", ["missing-dir", "dir"])
-def test_unwritable_out_exits_1(tmp_path, capsys, trace_csv, command, target):
-    # the one CSV writer behind all three reports the path, not a traceback
-    out = tmp_path / "no-such-dir" / "x.csv" if target == "missing-dir" else tmp_path
+@pytest.mark.parametrize("target", ["missing-dir", "dir", "read-only-dir"])
+def test_unwritable_out_exits_1(tmp_path, monkeypatch, capsys, trace_csv, command, target):
+    # the path is checked before any work, with the message the CSV writer
+    # gives when it cannot open the file, and nothing is created
+    for name in ("run_scenario", "run_pipeline", "generate_emg"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("ran before --out was checked"))
+    out = {
+        "missing-dir": tmp_path / "no-such-dir" / "x.csv",
+        "dir": tmp_path,
+        "read-only-dir": tmp_path / "ro" / "x.csv",
+    }[target]
+    if target == "read-only-dir":
+        out.parent.mkdir(mode=0o555)
+        if os.access(out.parent, os.W_OK):
+            pytest.skip("this process may write a mode 0555 directory (it runs as root)")
     argv = {
         "run": ["run", "--config", scenario_path("static_hold.json")],
         "emg-pipeline": ["emg-pipeline", "--in", trace_csv],
         "gen-emg": ["gen-emg", "--profile", scenario_path("emg_profile_step.json"),
                     "--seed", "1"],
     }[command]
+    before = sorted(tmp_path.rglob("*"))
     code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
-    reason = "No such file or directory" if target == "missing-dir" else "Is a directory"
+    reason = {"missing-dir": "No such file or directory", "dir": "Is a directory",
+              "read-only-dir": "Permission denied"}[target]
     assert (code, stdout, err) == (1, "", f"error: cannot write {out}: {reason}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # --- analyze-stability ----------------------------------------------------------
@@ -460,6 +475,7 @@ def test_emg_pipeline_bad_csv_exits_1(tmp_path, capsys, trace_body, motion_body,
     assert err.startswith(f"error: {tmp_path / bad_file}, line 3:")
     assert "Traceback" not in err
     assert out == ""
+    assert not (tmp_path / "o.csv").exists()  # checking --out first created nothing
     assert not (tmp_path / "o.csv").exists()
 
 

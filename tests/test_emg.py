@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import reference_write_csv
-from hypothesis import given, settings
+from conftest import reference_gate_series, reference_read_csv, reference_write_csv
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from superlimb import emg
 from superlimb.emg import (
     _CSV_BLOCK,
     _CSV_SHARED,
@@ -17,6 +18,7 @@ from superlimb.emg import (
     _read_csv,
     activation_series,
     bandpass,
+    check_writable,
     envelope,
     gate_series,
     hill_force,
@@ -279,16 +281,29 @@ def test_motion_gate_validation():
 def test_gate_series_replays_single_steps():
     yaws = np.array([0.0, 0.35, 0.28, 0.2, 0.28, 0.4, 0.0, -0.33, -0.27, -0.1])
     out = gate_series(yaws, 0.3, 0.05)
-    state, manual = False, []
-    for y in yaws.tolist():
-        if abs(y) >= 0.3:
-            state = True
-        elif abs(y) <= 0.3 - 0.05:
-            state = False
-        manual.append(state)
-    np.testing.assert_array_equal(out, manual)
+    np.testing.assert_array_equal(out, reference_gate_series(yaws, 0.3, 0.05))
     np.testing.assert_array_equal(out[:7], [False, True, True, False, False, True, False])
     assert out.dtype == bool
+
+
+@st.composite
+def _gate_cases(draw):
+    """Yaws around a drawn gate: its edges exactly, NaN, +-Inf and any
+    value within twice the threshold."""
+    thr = draw(st.floats(1e-3, 10.0))
+    hys = draw(st.floats(0.0, thr, exclude_max=True))
+    edges = [thr, -thr, thr - hys, hys - thr, 0.0, float("nan"), float("inf"), -float("inf")]
+    yaws = draw(st.lists(st.sampled_from(edges) | st.floats(-2 * thr, 2 * thr), max_size=60))
+    return np.array(yaws, dtype=float), thr, hys
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gate_cases())
+def test_gate_series_matches_the_schmitt_loop(case):
+    yaws, thr, hys = case
+    got = gate_series(yaws, thr, hys)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, reference_gate_series(yaws, thr, hys))
 
 
 def test_map_to_equilibrium():
@@ -458,6 +473,8 @@ def _long_body(bad_line: int, bad_row: str) -> str:
         ("0,1\n0.001\n", 3, "1 cells"),  # ragged row
         ("0,1\n0.001,nan\n0.002,1\n", 3, "NaN or Inf"),
         ("0,1\n\n0.001,inf\n", 4, "NaN or Inf"),  # blank lines still count
+        # numpy would strip the information separator; float does not
+        ("0,1\n0.001,\x1c2\n", 3, "could not convert string to float"),
         # far past the first rows and after blank lines, the physical line
         pytest.param(_long_body(1004, "2.5,abc"), 1004, NOT_A_FLOAT, id="far-cell-1004"),
         pytest.param(_long_body(2750, "2.5,abc"), 2750, NOT_A_FLOAT, id="far-cell-2750"),
@@ -518,6 +535,105 @@ def test_quoted_numeric_cells_parse(tmp_path):
     tr = load_trace_csv(str(path))
     np.testing.assert_array_equal(tr.channels[0][1], [1.5, -2.5e-3, 3.0])
     assert tr.t0 == 0.0
+
+
+def test_plain_numeric_files_skip_the_scan(tmp_path, monkeypatch, trace_csv):
+    # numpy's tokenizer reads them, with the scan's tables
+    monkeypatch.setattr(emg, "_scan_csv", lambda *a: pytest.fail("a plain file reached the scan"))
+    motion = tmp_path / "motion.csv"
+    motion.write_text("t,yaw_rad\r\n0.0,0.1\r\n\r\n0.5, -0.35\r\n1.0,+2e-3")
+    trace = load_trace_csv(trace_csv)
+    t, yaw = load_motion_csv(str(motion))
+    _, want = reference_read_csv(trace_csv, "trace", "", lambda h: True)
+    np.testing.assert_array_equal(trace.channels[0][1], want[:, 1])
+    _, want = reference_read_csv(str(motion), "motion", "", lambda h: True, 2)
+    np.testing.assert_array_equal(np.column_stack((t, yaw)), want)
+
+
+_FORMATS = [repr, "%.6g".__mod__, "%.17g".__mod__, "%.6f".__mod__]
+_PADS = st.sampled_from(["", " ", "  ", "\t"])
+#: cells numpy's tokenizer reads unlike ``float`` (quoted, ``1_0``, a
+#: non-ASCII digit, an information separator), not finite, or not numbers
+_ODD_CELLS = ['"1.5"', '" -2e-3 "', "1_0", "\u0661", "\x1c1", "1\x1f", "nan", "-inf",
+              "Infinity", "1e400", "abc", "0x10", "+-1", "", " "]
+
+
+@st.composite
+def _cells(draw, odd: bool):
+    if odd and draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(_ODD_CELLS))
+    text = draw(st.sampled_from(_FORMATS))(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    if not text.startswith("-") and draw(st.booleans()):
+        text = "+" + text
+    return draw(_PADS) + text + draw(_PADS)
+
+
+@st.composite
+def _csv_files(draw):
+    """Bytes of a CSV file: numeric rows and blank lines,
+    with LF, CRLF, CR or mixed line ends; half the files also hold odd
+    cells, whitespace-only and ragged rows and, now and then, a byte that
+    is not UTF-8."""
+    width = draw(st.integers(2, 4))
+    odd = draw(st.booleans())
+    lines = [",".join(["t"] + [f"c{i}" for i in range(1, width)])]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 9)) if odd else draw(st.integers(0, 7))
+        if kind == 0:
+            lines.append("")
+        elif kind == 8:
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        else:
+            n = draw(st.sampled_from([1, width - 1, width + 1])) if kind == 9 else width
+            lines.append(",".join(draw(_cells(odd)) for _ in range(n)))
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r", None]))
+    text = "".join(line + (ends or draw(st.sampled_from(["\n", "\r\n"]))) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = text.encode()
+    if odd and draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(len(lines[0]) + 1, max(len(data), len(lines[0]) + 1)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _read_outcome(read, path: str, n_used):
+    try:
+        header, data = read(path, "table", "t,...", lambda h: True, n_used)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return header, data.shape, data.view(np.uint64).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_files())
+@example(b"t,a,b\r0,1.5,-2\r1, 2 ,3\r")  # CR-only line ends
+@example(b"t,a\n0,\x1c1\n")  # numpy alone reads the separator as whitespace
+@example(b"t,a\n")  # an empty body, on which numpy warns
+@example(b't,a\n"0",1_0\n')
+@pytest.mark.filterwarnings("error")
+def test_read_csv_matches_the_scan(tmp_path_factory, data):
+    # the same header and array bits, or the same error and message, as
+    # the line-by-line scan, whichever reader takes the file
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_bytes(data)
+    for n_used in (None, 2):
+        got = _read_outcome(_read_csv, str(path), n_used)
+        assert got == _read_outcome(reference_read_csv, str(path), n_used)
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "dir", "file-as-dir"])
+def test_check_writable_raises_what_write_csv_raises(tmp_path, target):
+    (tmp_path / "f").write_text("")
+    path = str({"missing-dir": tmp_path / "no" / "x.csv", "dir": tmp_path,
+                "file-as-dir": tmp_path / "f" / "x.csv"}[target])
+    with pytest.raises(ValidationError) as opened:
+        write_csv(path, ["a"], np.zeros((1, 1)))
+    with pytest.raises(ValidationError) as checked:
+        check_writable(path)
+    assert str(checked.value) == str(opened.value)
+    check_writable(str(tmp_path / "new.csv"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]  # the check creates nothing
 
 
 # --- CSV writer -----------------------------------------------------------------
