@@ -597,6 +597,18 @@ def _first_line_not_utf8(path: str) -> int:
     return 0
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-D float array without NaN, to the bit:
+    the mean of the middle value or values, summed from 0.0 as np.mean sums
+    (so a -0.0 middle gives 0.0).  It skips the ``numpy.ma`` import that
+    np.median costs on its first call, and warns of no overflow."""
+    half = x.size // 2
+    if x.size % 2:
+        return 0.0 + np.partition(x, half)[half].item()
+    lo, hi = np.partition(x, (half - 1, half))[half - 1 : half + 1].tolist()
+    return (0.0 + lo + hi) / 2
+
+
 def load_trace_csv(path: str) -> EmgTrace:
     """Read a trace CSV with header ``t,ch1[,ch2,...]``; the sampling rate
     is inferred from the (required uniform) time column."""
@@ -608,7 +620,7 @@ def load_trace_csv(path: str) -> EmgTrace:
         raise ValidationError(f"{path}: need at least two samples")
     t = data[:, 0]
     dts = np.diff(t)
-    dt = float(np.median(dts))
+    dt = _median(dts)
     if dt <= 0.0 or np.max(np.abs(dts - dt)) > 1e-6 * max(dt, 1e-12):
         raise ValidationError(f"{path}: time column must be uniformly increasing")
     names = [h.strip() for h in header[1:]]

@@ -7,10 +7,11 @@ is integrated with a semi-implicit Euler step.  A bilateral point contact
 (the supported panel) is enforced by solving for the constraint force
 that makes the post-step contact velocity match the scripted support
 motion; for a static support with a clean initial state this is exactly
-the zero-contact-acceleration condition, and it does not drift.  The step
-and its two Cholesky solves run as straight-line code that ``numerics``'
-emitters generate once per shape (DoFs, free DoFs, contact rows), to the
-bit what a loop over Python float lists computes.
+the zero-contact-acceleration condition, and it does not drift.  The step,
+its two Cholesky solves and the scripted joints' torques run as
+straight-line code that ``numerics``' emitters generate once per shape
+(DoFs, free DoFs, contact rows), to the bit what a loop over Python float
+lists computes.
 
 Sign conventions: the constraint force returned by the dynamics layer
 acts on the robot; logs report ``lambda`` as the force exerted on the
@@ -149,14 +150,14 @@ def _contact_step(n: int, m: int, k: int):
     free, scripted, rows, body = range(m), range(m, n), range(k), []
     for name, src in ("q", "q"), ("v", "qd"), ("dd", "qdd"), ("qn", "q_next"), ("vn", "qd_next"):
         _unpack(body, name, src, n)
+    _unpack(body, "h", "h", n)
+    for i in range(n):
+        _unpack(body, f"a{i}_", f"a[{i}]", n)
+    for r in rows:
+        _unpack(body, f"c{r}_", f"j_c[{r}]", n)
     if m:
         _unpack(body, "t", "tau_total", m)
         _check_finite(body, [f"t{i}" for i in free], "tau_total")
-        _unpack(body, "h", "h", n)
-        for i in free:
-            _unpack(body, f"a{i}_", f"a[{i}]", n)
-        for r in rows:
-            _unpack(body, f"c{r}_", f"j_c[{r}]", n)
         for i in free:  # tau - h - A_fs qdd_s, then A_ff^-1 of it and of each J_f row
             s = _sum(body, [f"a{i}_{j} * dd{j}" for j in scripted])
             body.append(f"r{i} = t{i} - h{i}{s}")
@@ -184,20 +185,28 @@ def _contact_step(n: int, m: int, k: int):
             body += [f"vn{i} = v{i} + dt * x{i}", f"qn{i} = q{i} + dt * vn{i}"]
         for name, out in (("x", "qdd"), ("vn", "qd_next"), ("qn", "q_next")):
             body.append(f"{out}[:{m}] = {', '.join(f'{name}{i}' for i in free)},")
+    else:  # nothing free: the force is left to the caller, zero here
+        body += [f"lam{r} = 0.0" for r in rows]
     within = " and ".join(f"-{BLOWUP_LIMIT!r} <= {v}{i} <= {BLOWUP_LIMIT!r}"
                           for v in ("qn", "vn") for i in range(n))
-    body += [f"if not ({within}):  # NaN fails the comparison", "    _blowup(q_next + qd_next)",
-             f"return [{', '.join(f'lam{r}' if m else '0.0' for r in rows)}]"]
+    body += [f"if not ({within}):  # NaN fails the comparison", "    _blowup(q_next + qd_next)"]
+    for j in scripted:  # tau_h: A qdd + h - J_c^T lam, as two sum()s over the rows
+        _sum(body, [f"a{j}_{i} * {'x' if i < m else 'dd'}{i}" for i in range(n)], f"th{j}")
+        s = _sum(body, [f"c{r}_{j} * lam{r}" for r in rows])
+        body.append(f"th{j} = th{j} + h{j}{s}")
+    body.append(f"return [{', '.join(f'lam{r}' for r in rows)}], "
+                f"[{', '.join(f'th{j}' for j in scripted)}]")
     return _function("step(q, qd, a, h, tau_total, dt, j_c, v_target, q_next, qd_next, qdd)",
                      body, f"contact solve: n={n}, m={m}, k={k}", _blowup=_blowup)
 
 
 def _advance(
     q, qd, a, h, tau_total, dt: float, m: int, j_c, v_target, q_next, qd_next, qdd
-) -> list[float]:
+) -> tuple[list[float], list[float]]:
     """Semi-implicit Euler step of the first ``m`` (free) DoFs with optional
     bilateral contact, on Python float lists; returns the constraint force
-    on the robot (one entry per row of ``j_c``).
+    on the robot (one entry per row of ``j_c``) and the torques the other,
+    scripted joints need, A qdd + h - J_c^T lam on their rows.
 
     ``a`` (rows) and ``h`` are the state's inertia matrix and bias, and
     ``tau_total`` the applied torque on the free DoFs.  ``q_next``,
@@ -207,8 +216,9 @@ def _advance(
     the contact Jacobian's rows (none without contact) and ``v_target`` the
     contact point's target velocity along them.  ``q`` and ``qd`` are finite:
     a ``PlantState`` checked them, or the last step's blow-up bound did.
-    With nothing free the split of a contact force is left to the caller.
-    The step runs in the code ``_contact_step`` generates for its shape."""
+    With nothing free the split of a contact force is left to the caller,
+    and the force is zero.  The step runs in the code ``_contact_step``
+    generates for its shape."""
     return _contact_step(len(q), m, len(j_c))(
         q, qd, a, h, tau_total, dt, j_c, v_target, q_next, qd_next, qdd)
 
@@ -242,8 +252,8 @@ def integrate_step(
         (vt,) = check_vectors(k, v_target=np.zeros(k) if v_target is None else v_target)
         vt = vt.tolist()
     q_next, qd_next, qdd = [0.0] * n, [0.0] * n, [0.0] * n
-    lam = _advance(state.q.tolist(), state.qd.tolist(), state.kin.a, state.kin.h, tau.tolist(),
-                   dt, n, j_c, vt, q_next, qd_next, qdd)
+    lam, _ = _advance(state.q.tolist(), state.qd.tolist(), state.kin.a, state.kin.h,
+                      tau.tolist(), dt, n, j_c, vt, q_next, qd_next, qdd)
     return StepResult(*map(np.array, (q_next, qd_next, qdd, lam)))
 
 
@@ -475,11 +485,12 @@ def run_scenario(scenario: Scenario) -> SimLog:
     before the loop: the step times, the sEMG activation and gate, the
     equilibrium point with the gated shift, the scripted human trajectory
     and the contact target velocity; the controller was checked at load.
-    Per step, in both modes, the loop makes one step-kernel call, takes the
-    contact rows and the control law from it in Python floats, then either
-    applies J^T f, gravity load and friction to the limb's joints and
-    advances them (tracking) or holds the SRL posture and splits the
-    required force with ``decouple`` (inverse dynamics).  Vectors split at
+    Per step, in both modes, the loop makes one call of the plant's run
+    kernel, takes the contact rows and the control law from it in Python
+    floats, then either applies J^T f, gravity load and friction to the
+    limb's joints and advances them with ``_advance``, which also returns
+    the human joints' torques (tracking), or holds the SRL posture and
+    splits the required force with ``decouple`` (inverse dynamics).  Vectors split at
     ``m``: limb joints come first, then the position-driven human joints,
     whose required torques are reported, not applied.
     """
@@ -549,15 +560,10 @@ def run_scenario(scenario: Scenario) -> SimLog:
                     tau_s = list(map(add, tau_task, kin.g))
                 if friction is not None:
                     tau_s = list(map(add, tau_s, friction_torque(*friction, qd[:m], tau_s)))
-                lam_robot = _advance(
+                lam_robot, tau_h = _advance(
                     q, qd, kin.a, kin.h, tau_s, sim.dt, m,
                     j_c, v_target[i], q_next, qd_next, qdd,
                 )
-                tau_h = [
-                    sum(map(mul, kin.a[j], qdd)) + kin.h[j]
-                    - sum(row[j] * lk for row, lk in zip(j_c, lam_robot))
-                    for j in range(m, n)
-                ]
 
             mount.append(kin.mount)
             log.append(

@@ -6,12 +6,14 @@ eigenvalue tests go through numpy.  The one Cholesky, ``_spd_solve_source``,
 emits straight-line code over Python floats; ``spd_solve`` compiles it per
 shape, and the contact solve and inverse-dynamics split inline it.  With
 ``_unpack``, ``_check_finite`` and ``_sum`` it emits the generated code of
-the library, which ``_function``, the one compile site, turns into functions.
+the library, which ``_function``, the one compile site, turns into functions;
+``_live`` drops the statements whose values nothing returned depends on.
 Everything else operates on plain float ndarrays; all functions are pure.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache
 from math import cos, hypot, isfinite, sin, sqrt
@@ -87,6 +89,39 @@ def _function(signature: str, body: list[str], label: str, **names):
     exec(compile(f"def {signature}:\n" + "".join(f"    {line}\n" for line in body),
                  f"<{label}>", "exec"), namespace)
     return namespace[signature[:signature.index("(")]]
+
+
+#: a statement that stores plain names, with nothing but names, float
+#: literals, ``+``, ``-``, ``*`` and parentheses in its values: the targets,
+#: the operator before the ``=`` (none for a store), the values
+_STORE = re.compile(r"((?:\w+, )*\w+) ([-+*]?)= ([\w. +*(),-]*)", re.ASCII)
+#: what makes such values able to raise: a call, a power
+_RAISES = re.compile(r"\w\(|\*\*", re.ASCII)
+#: a name in generated code (not the exponent of a float literal)
+_NAME = re.compile(r"\b[A-Za-z_]\w*", re.ASCII)
+
+
+def _live(body: list[str]) -> list[str]:
+    """``body`` without the statements whose values nothing after them
+    reads: one backward liveness pass over straight-line code, by names.
+    A statement goes only if it is a ``_STORE`` of one value per target,
+    none of them live, that cannot raise.  Every other line stays, with
+    its effects: control flow, a call, a division, an unpacking, a
+    subscript store, the return; each name it mentions is live.  Kept
+    lines keep their text and order."""
+    live, kept = set(), []
+    for line in reversed(body):
+        used, store = line, _STORE.fullmatch(line)
+        targets = store[1].split(", ") if store else ()
+        if targets and len(targets) == store[3].count(",") + 1 and not _RAISES.search(store[3]):
+            if live.isdisjoint(targets):
+                continue
+            if not store[2]:  # a store, not an update: the values before it are dead
+                live.difference_update(targets)
+            used = store[3]
+        live.update(_NAME.findall(used))
+        kept.append(line)
+    return kept[::-1]
 
 
 def _spd_solve_source(body: list[str], entry, size: int, solves, tag: str, error, reason: str,

@@ -10,7 +10,7 @@ human chains so q = [q_srl, q_human].
 All kinematic quantities (positions, Jacobians, velocity products) are
 computed from one analytic forward pass, so the inertia matrix, the
 Coriolis/gravity bias and point Jacobians are exact up to roundoff.  Each
-``PlantModel`` generates, once, the step kernel of its topology with
+``PlantModel`` generates the step kernel of its topology with
 ``numerics``' emitters, constants inlined (the code-generation
 approach of RobCoGen, Frigerio et al., JOSER 2016): one function over
 plain Python float lists that runs the forward pass, every link's CoM and
@@ -19,20 +19,24 @@ link by link in the dense composite-rigid-body form
 A = sum_l (m_l J_l^T J_l + I_l w_l w_l^T) + diag(rotor)
 (Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6).  For the few
 degrees of freedom this package targets, Python floats cost less than
-numpy calls on 3-4 element arrays.  ``PlantState`` is the checked,
-array-valued view of one kernel call; the link-wise energies stay an
-independent oracle for ``A`` and ``h``.
+numpy calls on 3-4 element arrays.  The kernel comes in two variants from
+the same lines: the run kernel, built with the model, returns only the
+``RunKinematics`` fields a scenario run reads; the full kernel, built on
+the first ``PlantState``, returns all of ``Kinematics``.  ``PlantState``
+is the checked, array-valued view of one full-kernel call; the link-wise
+energies stay an independent oracle for ``A`` and ``h``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BadModel, DimensionMismatch, NonFinite
-from .numerics import _function, _sum, _unpack
+from .numerics import _function, _live, _sum, _unpack
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -137,8 +141,8 @@ class PlantModel:
 
     def _derive_structure(self):
         """Static facts every state reuses: the DoF count, chain slices,
-        the limb's links as (index, mass) pairs, and the step kernel of
-        this topology (links and joints share indices)."""
+        the limb's links as (index, mass) pairs, and the run kernel of this
+        topology (links and joints share indices)."""
         joints = tuple(j for c in self.chains for j in c.joints)
         n = len(joints)
         slices, srl_links, ancestors, off = {}, [], [], 0
@@ -157,9 +161,16 @@ class PlantModel:
         object.__setattr__(
             self, "_srl_chains", frozenset(c.name for c in self.chains if c.role == ROLE_SRL)
         )
-        object.__setattr__(
-            self, "_kernel", _step_kernel(self.chains, n, self.gravity, ancestors, revolute)
-        )
+        topology = (self.chains, n, self.gravity, tuple(ancestors), revolute)
+        object.__setattr__(self, "_topology", topology)
+        object.__setattr__(self, "_kernel", _step_kernel(*topology, RunKinematics))
+
+    @cached_property
+    def _full_kernel(self):
+        """The step kernel returning every ``Kinematics`` field, which
+        ``PlantState`` reads.  It is generated on the first state, so that a
+        scenario run, which calls only the run kernel, compiles one kernel."""
+        return _step_kernel(*self._topology)
 
     # --- DoF bookkeeping -------------------------------------------------
 
@@ -212,10 +223,16 @@ Kinematics = namedtuple(
     "com com_vel com_acc tip tip_vel tip_acc ang_vel jcom tip_jac a g h mount",
 )
 
+#: The ``Kinematics`` fields that ``run_scenario`` reads, and all that the
+#: plant's run kernel (``PlantModel._kernel``) returns.
+RunKinematics = namedtuple("RunKinematics", "tip tip_vel tip_jac a g h mount")
 
-def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, revolute):
+
+def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, revolute,
+                 returns=Kinematics):
     """Generate the step kernel of one plant topology: ``kernel(q, qd)`` maps
-    two lists of n floats to the state's ``Kinematics`` in one pass.
+    two lists of n floats to the state's ``Kinematics`` in one pass, or to
+    the fields of ``returns``, a namedtuple of some of them.
 
     A point at distance r along a joint's unit axis e (turning at the link
     rate phid, r changing at rate rd) moves at rd e + r phid perp(e) with
@@ -228,7 +245,11 @@ def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, r
     literal.  Each operation keeps the order of the link-by-link loop, zero
     terms and ``0.0 +`` starts included, so the result is the same to the
     bit.  A sum grows by one statement per term, so no expression nests
-    deeper as the DoF count grows."""
+    deeper as the DoF count grows.  ``numerics._live`` then drops each
+    statement that no returned field reads; the lines left are the full
+    kernel's, so the fields that stay are the same to the bit.  Its only
+    calls, ``cos`` and ``sin``, feed every link's tip, so no statement that
+    could raise goes."""
     def lit(x) -> str:
         return repr(float(x))
 
@@ -307,9 +328,11 @@ def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, r
         return v if isinstance(v, str) else (
             f"[{', '.join(map(expr, v))}]" if isinstance(v, list) else f"({', '.join(map(expr, v))})")
 
-    body.append(f"return Kinematics({', '.join(expr(out[f]) for f in Kinematics._fields)})")
-    return _function("kernel(q, qd)", body, f"step kernel: {', '.join(c.name for c in chains)}",
-                     Kinematics=Kinematics)
+    body.append(f"return {returns.__name__}({', '.join(expr(out[f]) for f in returns._fields)})")
+    label = ", ".join(c.name for c in chains)
+    label += "" if returns is RunKinematics else " (all fields)"
+    return _function("kernel(q, qd)", _live(body), f"step kernel: {label}",
+                     **{returns.__name__: returns})
 
 
 @dataclass(frozen=True)
@@ -327,8 +350,8 @@ class PointKinematics:
 
 class PlantState:
     """The plant at a given (q, qd): the checked, array-valued view of one
-    step-kernel call (``kin``).  Raises NonFinite for a NaN or Inf
-    coordinate.  Every call returns fresh arrays."""
+    full step-kernel call (``kin``, all of ``Kinematics``).  Raises
+    NonFinite for a NaN or Inf coordinate.  Every call returns fresh arrays."""
 
     def __init__(self, model: PlantModel, q, qd=None):
         n = model.n_dof
@@ -343,7 +366,7 @@ class PlantState:
         for name, v in (("q", self.q), ("qd", self.qd)):
             if not np.isfinite(v).all():
                 raise NonFinite(f"{name} contains NaN or Inf")
-        self.kin = model._kernel(self.q.tolist(), self.qd.tolist())
+        self.kin = model._full_kernel(self.q.tolist(), self.qd.tolist())
 
     def point(self, chain: str, joint: int | None = None, at: str = "tip") -> PointKinematics:
         """Kinematics of a link tip or CoM.  ``joint=None`` means the last

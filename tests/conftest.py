@@ -281,10 +281,11 @@ def reference_spd_solve(m, rhs, error, reason: str, rtol: float = 0.0) -> list[l
 
 def reference_advance(
     q, qd, a, h, tau_total, dt: float, m: int, j_c, v_target, q_next, qd_next, qdd
-) -> list[float]:
+) -> tuple[list[float], list[float]]:
     """``harness._advance`` as list comprehensions, ``sum()`` and two
     ``reference_spd_solve`` calls: the loop its generated straight-line
-    solve must match bit for bit, errors included."""
+    solve must match bit for bit, errors included.  The scripted joints'
+    torques are the back-out ``run_scenario`` computed after the solve."""
     if not all(map(isfinite, tau_total)):
         raise NonFinite("tau_total contains NaN or Inf")
 
@@ -322,7 +323,11 @@ def reference_advance(
     if not all(x <= BLOWUP_LIMIT for x in mags):  # NaN fails the comparison
         peak = nan if any(x != x for x in mags) else max(mags)
         raise NumericBlowup(f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})")
-    return lam
+    tau_h = [
+        sum(map(mul, a[j], qdd)) + h[j] - sum(row[j] * lk for row, lk in zip(j_c, lam))
+        for j in range(m, len(q))
+    ]
+    return lam, tau_h
 
 
 def _contact_qr(j_c, reason: str = "") -> tuple[list[list[float]], list[list[float]]]:

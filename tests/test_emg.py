@@ -394,6 +394,32 @@ def test_trace_csv_round_trip(tmp_path):
     assert back.t0 == 0.25
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 399).flatmap(lambda n: hnp.arrays(
+    np.float64, n, elements=st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0]))))
+@example(np.array([1.0, 2.0]))
+@example(np.array([-np.inf, np.inf]))
+@example(np.array([-0.0, -0.0]))
+@example(np.array([1e308, 1.5e308, 1.7e308, 1.6e308]))
+def test_median_matches_numpy(x):
+    # odd and even lengths, signed zeros, infinities and a middle pair whose
+    # sum overflows: the same bits as np.median, with no warning of its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(np.median(x)).hex()
+    assert emg._median(x).hex() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 60), st.floats(1e-4, 1.0), st.data())
+def test_trace_time_step_is_numpys_median(tmp_path_factory, n, step, data):
+    # the time step the reader infers from jittered, still uniform times
+    jitter = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e-9, 1e-9)))
+    t = (np.arange(n) + jitter) * step
+    path = tmp_path_factory.mktemp("median") / "trace.csv"
+    path.write_text("t,ch1\n" + "".join(f"{v!r},0.5\n" for v in t.tolist()))
+    assert load_trace_csv(str(path)).fs.hex() == (1.0 / float(np.median(np.diff(t)))).hex()
+
+
 def test_load_trace_errors(tmp_path):
     with pytest.raises(MissingFile):
         load_trace_csv(str(tmp_path / "nope.csv"))

@@ -15,10 +15,10 @@ from conftest import (
     reference_step_kernel,
     scenario_path,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from superlimb import dynamics, harness
+from superlimb import dynamics, harness, plant
 from superlimb.cli import main
 from superlimb.emg import bandpass, envelope, rectify
 from superlimb.errors import (
@@ -208,16 +208,16 @@ def test_cli_run_non_finite_torque_exit_code(tmp_path, capsys):
 
 def advance_outcome(advance, args):
     """What one ``_advance``-shaped call does to fresh copies of ``args``:
-    the result and the three filled lists as ``float.hex``, or the error's
-    class and message."""
+    the two results and the three filled lists as ``float.hex``, or the
+    error's class and message."""
     q, qd, a, h, tau, dt, m, j_c, vt, q_next, qd_next, qdd = args
     q_next, qd_next, qdd = list(q_next), list(qd_next), list(qdd)
     try:
-        lam = advance(list(q), list(qd), [list(r) for r in a], list(h), list(tau), dt, m,
-                      [list(r) for r in j_c], list(vt), q_next, qd_next, qdd)
+        lam, tau_h = advance(list(q), list(qd), [list(r) for r in a], list(h), list(tau), dt,
+                             m, [list(r) for r in j_c], list(vt), q_next, qd_next, qdd)
     except SuperlimbError as exc:
         return type(exc), str(exc)
-    return tuple([float.hex(x) for x in v] for v in (lam, qdd, qd_next, q_next))
+    return tuple([float.hex(x) for x in v] for v in (lam, tau_h, qdd, qd_next, q_next))
 
 
 def assert_same_advance(args):
@@ -251,10 +251,14 @@ def advance_args(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(advance_args())
+# every term of a scripted joint's A qdd and its bias are -0.0, so its
+# tau_h is 0.0 only from sum()'s 0 start
+@example(([0.0, 0.0], [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [0.0, -0.0], [-1.0], 0.01, 1,
+          [], [], [0.0, 0.0], [0.0, 0.0], [0.0, -0.0]))
 def test_generated_advance_matches_reference(args):
-    # lam, qdd, qd_next and q_next to the bit for every (n, m, k) shape with
-    # m = 0-5 free DoFs, up to 2 scripted ones and 0-2 contact rows, or the
-    # same error class and message
+    # lam, tau_h, qdd, qd_next and q_next to the bit for every (n, m, k)
+    # shape with m = 0-5 free DoFs, up to 2 scripted ones and 0-2 contact
+    # rows, or the same error class and message
     assert_same_advance(args)
 
 
@@ -574,6 +578,25 @@ def test_run_evaluates_the_plant_only_on_the_step_kernel(monkeypatch, name):
     assert len(log) == sc.sim.n_steps == 100
     assert states[0] == 0
     assert kernel[0] == len(log) + (sc.controller.x_eq is None)
+
+
+@pytest.mark.parametrize("name", SIM_SCENARIOS)
+def test_load_and_run_compile_only_the_run_kernel(monkeypatch, name):
+    # a scenario's plant compiles one step kernel, the run kernel, and a
+    # whole run never builds the full Kinematics that PlantState reads
+    labels, compile_body = [], plant._function
+
+    def record(signature, body, label, **names):
+        labels.append(label)
+        return compile_body(signature, body, label, **names)
+
+    monkeypatch.setattr(plant, "_function", record)
+    sc = load_scenario(scenario_path(name))
+    sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.25))
+    assert len(run_scenario(sc)) == 50
+    chains = ", ".join(c.name for c in sc.model.chains)
+    assert labels == [f"step kernel: {chains}"]
+    assert "_full_kernel" not in vars(sc.model)
 
 
 @pytest.mark.parametrize("name", SIM_SCENARIOS)

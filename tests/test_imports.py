@@ -1,7 +1,8 @@
 """SciPy is imported only by the calls that use it: ``emg.bandpass``
 (``scipy.signal``) and ``stability.stabilizing_servo_stiffness``
-(``scipy.linalg``).  Each case runs in a fresh interpreter, since this
-suite's own process has long since loaded SciPy."""
+(``scipy.linalg``); and reading a trace loads no ``numpy.ma``.  Each case
+runs in a fresh interpreter, since this suite's own process has long since
+loaded both."""
 
 import os
 import subprocess
@@ -77,3 +78,17 @@ def test_servo_rescue_loads_scipy_linalg(tmp_path):
                                   "--servo-margin", "1.0"])
     assert "scipy.linalg" in loaded
     assert "scipy.signal" not in loaded
+
+
+def test_reading_a_trace_loads_no_numpy_ma(trace_csv):
+    # np.median imports numpy.ma (about 10 ms) on its first call; the trace
+    # reader takes the middle time step without it.  emg-pipeline as a whole
+    # still loads numpy.ma, in SciPy's own import of scipy.signal.
+    code = ("import sys\n"
+            "from superlimb import cli, emg\n"
+            "emg.load_trace_csv(sys.argv[1])\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code, trace_csv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import reference_fd_hessian, reference_fd_jacobian, reference_spd_solve
-from superlimb import numerics
+from superlimb import dynamics, harness, numerics
 from superlimb.dynamics import DEPENDENT_CONTACTS, decouple
 from superlimb.errors import (
     DimensionMismatch,
@@ -342,6 +342,61 @@ def test_generated_code_is_compiled_in_one_place():
     for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
         Visitor(path.stem).visit(ast.parse(path.read_text(), str(path)))
     assert sorted(sites) == [("numerics._function", "compile"), ("numerics._function", "exec")]
+
+
+def test_liveness_pass_drops_only_dead_arithmetic():
+    # stores and updates of +, - and * go when nothing later reads them;
+    # calls, divisions, unpackings, subscript stores and control flow stay
+    body = [
+        "q0, q1, = q",             # an unpacking: it can raise
+        "a = 0.0 + q0 * 2.0",      # read by b
+        "dead = a * q1",           # read by nothing: dropped
+        "dead += 1e-05 * a",       # an update of a dead name: dropped
+        "e = cos(q0)",             # a call: it can raise
+        "f = 1.0 / q1",            # a division: it can raise
+        "b, c = a - 1.5, (a + q1) * -a",
+        "c = 2.0 * q1",            # this c is the one the return reads
+        "dead = 3.0 * q0",         # stored again before anything reads it: dropped
+        "dead = 3.0 * q1",
+        "out[0] = q0 + dead",      # a subscript store
+        "if not b > 0.0:",
+        "    raise NonFinite('b')",
+        "return b, c",
+    ]
+    kept = numerics._live(body)
+    assert kept == [line for i, line in enumerate(body) if i not in (2, 3, 8)]
+    assert numerics._live(kept) == kept
+    # a power may overflow, so it stays as well
+    assert numerics._live(["x = q ** 2.0", "return 0.0"]) == ["x = q ** 2.0", "return 0.0"]
+    assert numerics._live(["x = q * 2.0", "return 0.0"]) == ["return 0.0"]
+
+
+def generated_bodies(monkeypatch, module, generate, shapes) -> list[list[str]]:
+    """The body of each shape's generated function, generated anew (past
+    the generator's cache) through ``module``'s ``_function``."""
+    bodies, compile_body = [], module._function
+
+    def capture(signature, body, label, **names):
+        bodies.append(body)
+        return compile_body(signature, body, label, **names)
+
+    monkeypatch.setattr(module, "_function", capture)
+    for shape in shapes:
+        generate.__wrapped__(*shape)
+    return bodies
+
+
+def test_liveness_pass_leaves_the_generated_solves_alone(monkeypatch):
+    # every statement of the contact solve and of the inverse-dynamics
+    # split is read: the pass is a no-op on them, for every shape up to
+    # n = 5 (the split's check-only factorization included)
+    shapes = [(n, m, k) for n in range(1, 6) for m in range(n + 1) for k in range(3)]
+    bodies = generated_bodies(monkeypatch, harness, harness._contact_step, shapes)
+    shapes = [(n, k, p) for n in range(1, 6) for k in range(1, min(n, 3) + 1)
+              for p in (None, False, True)]
+    bodies += generated_bodies(monkeypatch, dynamics, dynamics._split, shapes)
+    for body in bodies:
+        assert numerics._live(body) == body
 
 
 @settings(max_examples=50, deadline=None)

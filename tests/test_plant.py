@@ -18,10 +18,11 @@ from conftest import SCENARIO_DIR, desk_arm_model, reference_step_kernel, scenar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superlimb import plant
 from superlimb.errors import BadModel, DimensionMismatch, NonFinite
 from superlimb.kinematics import PlantEndpointMap
 from superlimb.numerics import finite_diff_hessian, finite_diff_jacobian
-from superlimb.plant import Chain, Joint, PlantModel
+from superlimb.plant import Chain, Joint, Kinematics, PlantModel, RunKinematics
 from superlimb.scenario import load_scenario
 
 
@@ -394,7 +395,7 @@ def test_generated_kernel_matches_reference_loop(model, data):
     n = model.n_dof
     q, qd = (data.draw(st.lists(COORDS, min_size=n, max_size=n)) for _ in range(2))
     lists = []
-    first, second = model._kernel(q, qd), model._kernel(q, qd)
+    first, second = model._full_kernel(q, qd), model._full_kernel(q, qd)
     bits = kernel_bits(first, lists)
     assert bits == kernel_bits(reference_step_kernel(model)(q, qd), [])
     assert kernel_bits(second, lists) == bits
@@ -414,7 +415,58 @@ def test_thirty_dof_chain_kernel_matches_reference_loop(rng):
     reference = reference_step_kernel(model)
     for _ in range(5):
         q, qd = rng.uniform(-1.0, 1.0, 30).tolist(), rng.standard_normal(30).tolist()
-        assert kernel_bits(model._kernel(q, qd), []) == kernel_bits(reference(q, qd), [])
+        assert kernel_bits(model._full_kernel(q, qd), []) == kernel_bits(reference(q, qd), [])
+        assert run_bits(model._kernel(q, qd), []) == run_bits(reference(q, qd), [])
+
+
+def run_bits(kin, lists: list):
+    """``kernel_bits`` of the ``RunKinematics`` fields of a step kernel's result."""
+    return [kernel_bits(getattr(kin, name), lists) for name in RunKinematics._fields]
+
+
+@settings(max_examples=150, deadline=None)
+@given(plants(), st.data())
+def test_run_kernel_matches_reference_loop(model, data):
+    # the run kernel's 7 fields to the bit, and fresh lists on every call
+    n = model.n_dof
+    q, qd = (data.draw(st.lists(COORDS, min_size=n, max_size=n)) for _ in range(2))
+    lists = []
+    first, second = model._kernel(q, qd), model._kernel(q, qd)
+    assert type(first) is RunKinematics
+    bits = run_bits(first, lists)
+    assert bits == run_bits(reference_step_kernel(model)(q, qd), [])
+    assert run_bits(second, lists) == bits
+    assert len(set(lists)) == len(lists)
+
+
+def kernel_sources(model: PlantModel, monkeypatch) -> dict:
+    """The body lines of ``model``'s run and full kernels, generated anew,
+    by the namedtuple each returns."""
+    bodies, generate = {}, plant._function
+
+    def capture(signature, body, label, **names):
+        (returns,) = names.values()
+        bodies[returns] = body
+        return generate(signature, body, label, **names)
+
+    monkeypatch.setattr(plant, "_function", capture)
+    for returns in (RunKinematics, Kinematics):
+        plant._step_kernel(*model._topology, returns)
+    return bodies
+
+
+@pytest.mark.parametrize("name", bundled_plant_scenarios())
+def test_run_kernel_lines_are_full_kernel_lines(monkeypatch, name):
+    # the liveness pass only drops lines: the run kernel's statements are
+    # the full kernel's, text and order, so they compute the same bits
+    model = load_scenario(os.path.join(SCENARIO_DIR, name)).model
+    bodies = kernel_sources(model, monkeypatch)
+    run, full = bodies[RunKinematics], bodies[Kinematics]
+    assert run[-1].startswith("return RunKinematics(")
+    assert full[-1].startswith("return Kinematics(")
+    rest = iter(full[:-1])
+    assert all(line in rest for line in run[:-1])  # an ordered subset
+    assert len(run) < len(full)
 
 
 def test_kernel_is_named_after_its_chains(desk_model):
@@ -423,6 +475,8 @@ def test_kernel_is_named_after_its_chains(desk_model):
     profile = cProfile.Profile()
     profile.runcall(desk_model._kernel, [0.0] * 4, [0.0] * 4)
     assert (name, 1, "kernel") in pstats.Stats(profile).stats
+    full = desk_model._full_kernel.__code__.co_filename
+    assert full == "<step kernel: arm, trunk (all fields)>"
     with pytest.raises(ValueError) as err:
         desk_model._kernel([0.0], [0.0])
     tb = err.tb
