@@ -11,7 +11,9 @@ the zero-contact-acceleration condition, and it does not drift.  The step,
 its two Cholesky solves and the scripted joints' torques run as
 straight-line code that ``numerics``' emitters generate once per shape
 (DoFs, free DoFs, contact rows), to the bit what a loop over Python float
-lists computes.
+lists computes.  In inverse-dynamics mode every step's state is scripted,
+so the kinematics and the control law run a block of steps per call, and
+only the contact rows, the force split and the log's row stay per step.
 
 Sign conventions: the constraint force returned by the dynamics layer
 acts on the robot; logs report ``lambda`` as the force exerted on the
@@ -41,6 +43,7 @@ from .emg import (
     DEFAULT_WINDOW,
     ActivationProfile,
     EmgTrace,
+    _median,
     bandpass,
     check_samples,
     envelope,
@@ -108,7 +111,7 @@ def generate_emg(
     unit = EmgTrace(fs=fs, channels=(("cal", carrier),))
     env = envelope(rectify(bandpass(unit, *band)), window).channels[0][1]
     settle = min(int(round(window * fs)), n - 1)
-    kappa = float(np.median(env[settle:]))
+    kappa = _median(env[settle:])
     if kappa <= 0.0:
         raise ValidationError("envelope calibration failed")
     with np.errstate(over="ignore"):
@@ -478,6 +481,97 @@ def _contact_velocity(scenario: Scenario, t_sim: np.ndarray) -> np.ndarray:
     return v
 
 
+#: steps per batch-kernel call in an inverse-dynamics run: enough that a
+#: block's numpy calls cost little per step, few enough that its arrays stay
+#: small however long the run
+INVERSE_BLOCK = 512
+
+
+def _columns(values, size: int) -> np.ndarray:
+    """``values``, each a float or an array of ``size`` per-step values, as
+    the columns of one ``(size, len(values))`` array."""
+    out = np.empty((size, len(values)))
+    for j, v in enumerate(values):
+        out[:, j] = v
+    return out
+
+
+def _inverse_dynamics(scenario: Scenario, log: SimLog, task: int, rows: list[int], law,
+                      x_eq: np.ndarray, q_end: np.ndarray, qd_end: np.ndarray,
+                      qdd: np.ndarray, t_sim: np.ndarray):
+    """Fill ``log`` with the inverse-dynamics run: the limb held at ``q0``,
+    the human joints on their script, so every step's state is known before
+    the loop.  Per block of ``INVERSE_BLOCK`` steps, one batch-kernel call
+    gives the steps' kinematics, and one ``control_force`` call on
+    per-component arrays (``law`` holds K, ``f_gravity`` and damping as
+    float lists) their commanded force, to the bit what the run kernel and
+    the law give step by step.  Per step, only the contact rows, the force
+    split (``decouple``) and the log's row remain, in the order of a step
+    that evaluates everything itself, so each error is raised at the same
+    step with the same message."""
+    model = scenario.model
+    n, m = model.n_dof, len(model.srl_indices)
+    spec = scenario.contact.spec if scenario.contact else None
+    contact_link = model.link_index(spec.chain, spec.joint) if spec else None
+    kernel, x_eq = model._batch_kernel, x_eq.T
+    # joint rows of each step's starting state: step 0 at rest at q0, step i
+    # where step i - 1 ended
+    q_start, qd_start = (np.vstack((start, end[:-1])).T.copy()
+                         for start, end in ((model.q0, q_end), (np.zeros(n), qd_end)))
+    mount, logged = [], 0  # each block's mount rows; the steps whose split passed
+    lo, block = 0, INVERSE_BLOCK
+    try:
+        while lo < len(t_sim):
+            hi = min(lo + block, len(t_sim))
+            size, q, qd = hi - lo, q_start[:, lo:hi], qd_start[:, lo:hi]
+            # the scalar step overflows to Inf and NaN without a warning, too
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    kin = kernel(q, qd)
+                except ValueError:
+                    # math.cos or math.sin of an infinite angle, which the run
+                    # kernel raises at its own step: one step per block from here
+                    if size == 1:
+                        raise
+                    block = 1
+                    continue
+                tip = kin.tip[task]
+                x = [tip[r] for r in rows]
+                if scenario.controller.enabled:
+                    vel = kin.tip_vel[task]
+                    f_cmd = control_force(*law, x_eq[:, lo:hi], x, [vel[r] for r in rows])
+                else:
+                    f_cmd = [0.0] * len(rows)
+                if spec is None:  # nothing to split: the joints need A qdd + h
+                    tau = [sum(map(mul, row, qdd[lo:hi].T)) + hj for row, hj in zip(kin.a, kin.h)]
+            head = _columns([*q[:m], *qd[:m], *x, *f_cmd], size).tolist()
+            mount.append(_columns(kin.mount, size))
+            if spec is None:
+                for i, pre, tau_req in zip(range(lo, hi), head, _columns(tau, size).tolist()):
+                    logged = i + 1
+                    log.append(pre + [0.0, 0.0] + tau_req)
+            else:
+                jx, jz = kin.tip_jac[contact_link]
+                jacs = _columns(jx + jz, size).reshape(size, 2, n).tolist()
+                a_rows = _columns([v for row in kin.a for v in row], size)
+                for i, pre, jac, a, h, qdd_i in zip(range(lo, hi), head, jacs,
+                                                    a_rows.reshape(size, n, n).tolist(),
+                                                    _columns(kin.h, size).tolist(),
+                                                    qdd[lo:hi].tolist()):
+                    tau_req, lam = dynamics.decouple((a, h, contact_jacobian(jac, spec), qdd_i))
+                    logged = i + 1
+                    log.append(pre + [-lk for lk in lam]  # force on the supported object
+                               + [0.0, 0.0] + tau_req)  # f_mount, filled after the loop
+            lo = hi
+    except SuperlimbError as exc:
+        # a NaN or Inf mount force of an earlier step, or of an earlier
+        # column of this step's row, is the first error
+        _check_mount_force(log, scenario, np.concatenate(mount)[:logged], qdd, t_sim)
+        _at_step(exc, i, t_sim[i])
+        raise
+    _check_mount_force(log, scenario, np.concatenate(mount) if mount else [], qdd, t_sim)
+
+
 def run_scenario(scenario: Scenario) -> SimLog:
     """Run one scenario to completion and return the log.
 
@@ -485,14 +579,16 @@ def run_scenario(scenario: Scenario) -> SimLog:
     before the loop: the step times, the sEMG activation and gate, the
     equilibrium point with the gated shift, the scripted human trajectory
     and the contact target velocity; the controller was checked at load.
-    Per step, in both modes, the loop makes one call of the plant's run
-    kernel, takes the contact rows and the control law from it in Python
-    floats, then either applies J^T f, gravity load and friction to the
+    Vectors split at ``m``: limb joints come first, then the
+    position-driven human joints, whose required torques are reported, not
+    applied.  In tracking mode, per step, the loop makes one call of the
+    plant's run kernel, takes the contact rows and the control law from it
+    in Python floats, applies J^T f, gravity load and friction to the
     limb's joints and advances them with ``_advance``, which also returns
-    the human joints' torques (tracking), or holds the SRL posture and
-    splits the required force with ``decouple`` (inverse dynamics).  Vectors split at
-    ``m``: limb joints come first, then the position-driven human joints,
-    whose required torques are reported, not applied.
+    the human joints' torques.  In inverse dynamics the SRL posture is
+    held, so ``_inverse_dynamics`` evaluates the kinematics and the control
+    law a block of steps at a time and splits each step's required force
+    with ``decouple``.
     """
     model = scenario.model
     sim = scenario.sim
@@ -511,18 +607,21 @@ def run_scenario(scenario: Scenario) -> SimLog:
     q_end, qd_end, qdd_in = _scripted_motion(scenario, t_sim)
     v_target = _contact_velocity(scenario, t_sim)
     log = SimLog(scenario, t_sim, act, gate, x_eq)
-    x_eq, v_target = x_eq.tolist(), v_target.tolist()
-    q_end, qd_end, qdd_in = q_end.tolist(), qd_end.tolist(), qdd_in.tolist()
 
     # the control law and friction as float lists, once per run
     k_task, f_gravity, damping = (None if v is None else np.asarray(v, dtype=float).tolist()
                                   for v in (ctrl_cfg.table[ctrl_cfg.level - 1],
                                             ctrl_cfg.f_gravity, ctrl_cfg.damping))
+    if sim.mode == "inverse-dynamics":
+        _inverse_dynamics(scenario, log, task, rows, (k_task, f_gravity, damping), x_eq,
+                          q_end, qd_end, qdd_in, t_sim)
+        return log
+    x_eq, v_target = x_eq.tolist(), v_target.tolist()
+    q_end, qd_end, qdd_in = q_end.tolist(), qd_end.tolist(), qdd_in.tolist()
     fr = ctrl_cfg.friction
     friction = fr and (fr.coulomb.tolist(), fr.viscous.tolist(), fr.stiction_breakaway_ratio)
     kernel = model._kernel
     contact_link = model.link_index(spec.chain, spec.joint) if spec else None
-    inverse_mode = sim.mode == "inverse-dynamics"
 
     q, qd = model.q0.tolist(), [0.0] * n
     mount = []  # each logged step's Kinematics.mount, for one mount-force product
@@ -541,29 +640,19 @@ def run_scenario(scenario: Scenario) -> SimLog:
             else:
                 f_cmd = [0.0] * len(rows)
 
-            q_next, qd_next, qdd = q_end[i], qd_end[i], qdd_in[i]
-            if inverse_mode:
-                # hold the SRL posture, drive the human: required torques
-                # and the force split come from inverse dynamics
-                if spec is None:
-                    tau_req = [sum(map(mul, row, qdd)) + hj for row, hj in zip(kin.a, kin.h)]
-                    lam_robot = []
-                else:
-                    tau_req, lam_robot = dynamics.decouple((kin.a, kin.h, j_c, qdd))
-                tau_s, tau_h = tau_req[:m], tau_req[m:]
-            else:
-                # the limb's torque: J^T f on its joints, its gravity load, friction
-                tau_s = [0.0] * m
-                if ctrl_cfg.enabled:
-                    jac = kin.tip_jac[task]
-                    tau_task = task_to_joint_torque(zip(*[jac[r][:m] for r in rows]), f_cmd)
-                    tau_s = list(map(add, tau_task, kin.g))
-                if friction is not None:
-                    tau_s = list(map(add, tau_s, friction_torque(*friction, qd[:m], tau_s)))
-                lam_robot, tau_h = _advance(
-                    q, qd, kin.a, kin.h, tau_s, sim.dt, m,
-                    j_c, v_target[i], q_next, qd_next, qdd,
-                )
+            # the limb's torque: J^T f on its joints, its gravity load, friction
+            tau_s = [0.0] * m
+            if ctrl_cfg.enabled:
+                jac = kin.tip_jac[task]
+                tau_task = task_to_joint_torque(zip(*[jac[r][:m] for r in rows]), f_cmd)
+                tau_s = list(map(add, tau_task, kin.g))
+            if friction is not None:
+                tau_s = list(map(add, tau_s, friction_torque(*friction, qd[:m], tau_s)))
+            q_next, qd_next = q_end[i], qd_end[i]
+            lam_robot, tau_h = _advance(
+                q, qd, kin.a, kin.h, tau_s, sim.dt, m,
+                j_c, v_target[i], q_next, qd_next, qdd_in[i],
+            )
 
             mount.append(kin.mount)
             log.append(

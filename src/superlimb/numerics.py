@@ -131,7 +131,8 @@ def _spd_solve_source(body: list[str], entry, size: int, solves, tag: str, error
     names ``l<tag>...``/``i<tag>...``, raising ``error`` (by its class name)
     with ``reason`` at a pivot that is not positive (or is below ``rtol``
     times its diagonal entry), then solve for each ``(out, rhs)`` of
-    ``solves``, leaving the solution in ``out0``, ...  The operations follow
+    ``solves``, leaving the solution in ``out0``, ...; with none, the factor
+    is a check and its last reciprocal pivot is not computed.  The operations follow
     LAPACK's unblocked ``dpotf2`` and the column order of BLAS ``dtrsm``
     kernels, which multiply by reciprocal pivots; dividing by the pivots
     instead lets the static-hold scenario drift."""
@@ -144,7 +145,9 @@ def _spd_solve_source(body: list[str], entry, size: int, solves, tag: str, error
         text = f"{reason} (leading minor {j + 1} is {{d:.3e}})"
         floor = f" or d < {rtol!r} * {entry(j, j)}" if rtol else ""
         body += [f"d = {entry(j, j)}{s}", f"if not d > 0.0{floor}:  # NaN fails too",
-                 f"    raise {error.__name__}(f{text!r})", f"i{tag}{j} = 1.0 / sqrt(d)"]
+                 f"    raise {error.__name__}(f{text!r})"]
+        if solves or j + 1 < size:  # the last reciprocal pivot serves only the solves
+            body.append(f"i{tag}{j} = 1.0 / sqrt(d)")
         for c in range(j + 1, size):
             s = _sum(body, [f"{f(j, i)} * {f(c, i)}" for i in range(j)])
             body.append(f"{f(c, j)} = ({entry(j, c)}{s}) * i{tag}{j}")

@@ -19,12 +19,14 @@ link by link in the dense composite-rigid-body form
 A = sum_l (m_l J_l^T J_l + I_l w_l w_l^T) + diag(rotor)
 (Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6).  For the few
 degrees of freedom this package targets, Python floats cost less than
-numpy calls on 3-4 element arrays.  The kernel comes in two variants from
+numpy calls on 3-4 element arrays.  The kernel comes in three variants from
 the same lines: the run kernel, built with the model, returns only the
 ``RunKinematics`` fields a scenario run reads; the full kernel, built on
-the first ``PlantState``, returns all of ``Kinematics``.  ``PlantState``
-is the checked, array-valued view of one full-kernel call; the link-wise
-energies stay an independent oracle for ``A`` and ``h``.
+the first ``PlantState``, returns all of ``Kinematics``; the batch kernel,
+built on the first inverse-dynamics run, is the run kernel's lines over
+per-step float64 arrays, a block of steps per call.  ``PlantState`` is the
+checked, array-valued view of one full-kernel call; the link-wise energies
+stay an independent oracle for ``A`` and ``h``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from math import cos, sin
 
 import numpy as np
 
@@ -114,6 +117,12 @@ class Chain:
 
 @dataclass(frozen=True)
 class PlantModel:
+    """The plant's chains and gravity, checked, with the step kernels of
+    their topology: ``_kernel``, the run kernel, compiled at load;
+    ``_full_kernel``, compiled on the first ``PlantState``; and
+    ``_batch_kernel``, the run kernel over blocks of steps, compiled on the
+    first inverse-dynamics run."""
+
     chains: tuple[Chain, ...]
     gravity: float = GRAVITY
 
@@ -172,6 +181,13 @@ class PlantModel:
         scenario run, which calls only the run kernel, compiles one kernel."""
         return _step_kernel(*self._topology)
 
+    @cached_property
+    def _batch_kernel(self):
+        """The run kernel's lines compiled over per-step arrays, which
+        ``run_scenario``'s inverse-dynamics branch calls once per block of
+        steps.  It is generated on the first such run, never at load."""
+        return _step_kernel(*self._topology, RunKinematics, batch=True)
+
     # --- DoF bookkeeping -------------------------------------------------
 
     @property
@@ -228,8 +244,17 @@ Kinematics = namedtuple(
 RunKinematics = namedtuple("RunKinematics", "tip tip_vel tip_jac a g h mount")
 
 
+def _each(f):
+    """``f`` of a float, or of each element of a float64 array.  It is
+    ``math.cos`` or ``math.sin``, which round as libm does: ``np.cos`` and
+    ``np.sin`` need not."""
+    def each(x):
+        return np.fromiter(map(f, x.tolist()), float, x.size) if type(x) is np.ndarray else f(x)
+    return each
+
+
 def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, revolute,
-                 returns=Kinematics):
+                 returns=Kinematics, batch: bool = False):
     """Generate the step kernel of one plant topology: ``kernel(q, qd)`` maps
     two lists of n floats to the state's ``Kinematics`` in one pass, or to
     the fields of ``returns``, a namedtuple of some of them.
@@ -249,7 +274,15 @@ def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, r
     statement that no returned field reads; the lines left are the full
     kernel's, so the fields that stay are the same to the bit.  Its only
     calls, ``cos`` and ``sin``, feed every link's tip, so no statement that
-    could raise goes."""
+    could raise goes.
+
+    With ``batch`` the same lines are compiled as the batch kernel, over a
+    block of steps: ``q`` and ``qd`` hold one float64 array per joint,
+    ``cos`` and ``sin`` apply ``math.cos`` and ``math.sin`` element by
+    element, and every other operation is ``+``, ``-``, ``*`` or unary minus
+    on arrays and float literals, which numpy rounds as Python floats round.
+    So each entry is the array of the scalar kernel's values at those steps,
+    or, where it is a constant, that float."""
     def lit(x) -> str:
         return repr(float(x))
 
@@ -331,8 +364,11 @@ def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, r
     body.append(f"return {returns.__name__}({', '.join(expr(out[f]) for f in returns._fields)})")
     label = ", ".join(c.name for c in chains)
     label += "" if returns is RunKinematics else " (all fields)"
-    return _function("kernel(q, qd)", _live(body), f"step kernel: {label}",
-                     **{returns.__name__: returns})
+    names = {returns.__name__: returns}
+    if batch:
+        names.update(cos=_each(cos), sin=_each(sin))
+    kind = "batch" if batch else "step"
+    return _function("kernel(q, qd)", _live(body), f"{kind} kernel: {label}", **names)
 
 
 @dataclass(frozen=True)

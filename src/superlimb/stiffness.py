@@ -109,7 +109,11 @@ def control_force(k_task, f_gravity, damping, x_eq, x, xdot) -> list[float]:
     """Commanded task force F = K (x_eq - x) + F_gravity - damping * xdot.
 
     Plain float lists in (``k_task`` by its rows, ``damping`` None for no
-    damping term), unchecked: the controller's values are checked at load."""
+    damping term), unchecked: the controller's values are checked at load.
+    ``x_eq``, ``x`` and ``xdot`` hold one entry per component: floats, or
+    per-step arrays, each force component then an array of every step's
+    value, to the bit what one call per step gives, since each operation
+    is element-wise."""
     e = list(map(sub, x_eq, x))
     f = [sum(map(mul, row, e)) + fg for row, fg in zip(k_task, f_gravity)]
     if damping is not None and xdot is not None:

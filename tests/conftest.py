@@ -1,8 +1,9 @@
 """Shared fixtures: the two reference plants used across the test suite,
-the reference loop step kernel, the reference loop Cholesky solve, the
-reference list-based contact solve, Gram-Schmidt QR and inverse-dynamics
-split, the reference CSV block writer, and a reference finite-difference
-stencil."""
+the reference loop step kernel and a batch kernel built from it row by row,
+the reference loop Cholesky solve, the reference list-based contact solve,
+Gram-Schmidt QR and inverse-dynamics split, the step-by-step
+inverse-dynamics run, the reference CSV block writer, and a reference
+finite-difference stencil."""
 
 import csv
 import math
@@ -15,6 +16,8 @@ from operator import mul
 import numpy as np
 import pytest
 
+from superlimb import dynamics, harness
+from superlimb.dynamics import contact_jacobian
 from superlimb.emg import _CSV_BLOCK, _first_line_not_utf8, check_gate
 from superlimb.errors import (
     MissingFile,
@@ -22,11 +25,13 @@ from superlimb.errors import (
     NumericBlowup,
     RankDeficient,
     SingularWeight,
+    SuperlimbError,
     ValidationError,
 )
 from superlimb.harness import BLOWUP_LIMIT
 from superlimb.numerics import GRAM_PIVOT_RTOL, _as_array, check_rank, default_fd_step
-from superlimb.plant import REVOLUTE, Chain, Joint, Kinematics, PlantModel
+from superlimb.plant import AXES, REVOLUTE, Chain, Joint, Kinematics, PlantModel
+from superlimb.stiffness import control_force
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -245,6 +250,40 @@ def reference_step_kernel(model: PlantModel):
     return kernel
 
 
+def kernel_rows(kin, size: int) -> list:
+    """A batch kernel's result as the ``size`` per-step results it holds, in
+    the same containers, each array entry replaced by its step's float and
+    each float entry kept."""
+    def row(v, i: int):
+        if isinstance(v, np.ndarray):
+            return v[i].item()
+        if isinstance(v, float):
+            return v
+        items = [row(x, i) for x in v]
+        return type(v)(*items) if hasattr(v, "_fields") else type(v)(items)
+
+    return [row(kin, i) for i in range(size)]
+
+
+def stacked_kernel(rows: list):
+    """Per-step kernel results as one batch result, every entry an array."""
+    first = rows[0]
+    if isinstance(first, float):
+        return np.array(rows)
+    items = [stacked_kernel([r[j] for r in rows]) for j in range(len(first))]
+    return type(first)(*items) if hasattr(first, "_fields") else type(first)(items)
+
+
+def reference_batch_kernel(model: PlantModel):
+    """A batch kernel built row by row from ``reference_step_kernel``."""
+    kernel = reference_step_kernel(model)
+
+    def batch(q, qd):
+        return stacked_kernel([kernel(*pair) for pair in zip(q.T.tolist(), qd.T.tolist())])
+
+    return batch
+
+
 def reference_spd_solve(m, rhs, error, reason: str, rtol: float = 0.0) -> list[list[float]]:
     """``numerics.spd_solve`` as the loop over float lists that its
     generated straight-line code must match bit for bit, errors included:
@@ -392,6 +431,58 @@ def reference_decouple(rows, projector: bool = False):
         n_kc = [[sum(map(mul, qrow, gc)) for gc in g] for qrow in q1_rows]
     lam = _back_substitute(r, y)
     return (tau, lam, n_kc) if projector else (tau, lam)
+
+
+def reference_inverse_run(scenario) -> harness.SimLog:
+    """``harness.run_scenario`` in inverse-dynamics mode as the loop that
+    evaluates the run kernel, the contact rows, the control law and the split
+    step by step: the oracle that its block-wise branch must match byte for
+    byte, errors included."""
+    model, sim, ctrl_cfg = scenario.model, scenario.sim, scenario.controller
+    n, m = model.n_dof, len(model.srl_indices)
+    spec = scenario.contact.spec if scenario.contact else None
+    t_sim = np.arange(sim.n_steps) * sim.dt
+    act, gate, dxeq = harness._emg_channel(scenario, t_sim)
+    rows = [AXES.index(c) for c in ctrl_cfg.components]
+    task = model.link_index(ctrl_cfg.chain, ctrl_cfg.joint)
+    x_eq = harness._equilibrium_points(scenario, task, rows, dxeq)
+    q_end, qd_end, qdd_in = harness._scripted_motion(scenario, t_sim)
+    log = harness.SimLog(scenario, t_sim, act, gate, x_eq)
+    x_eq, q_end, qd_end, qdd_in = (v.tolist() for v in (x_eq, q_end, qd_end, qdd_in))
+    k_task, f_gravity, damping = (None if v is None else np.asarray(v, dtype=float).tolist()
+                                  for v in (ctrl_cfg.table[ctrl_cfg.level - 1],
+                                            ctrl_cfg.f_gravity, ctrl_cfg.damping))
+    contact_link = model.link_index(spec.chain, spec.joint) if spec else None
+    q, qd = model.q0.tolist(), [0.0] * n
+    mount = []
+    try:
+        for i in range(sim.n_steps):
+            kin = model._kernel(q, qd)
+            j_c = contact_jacobian(kin.tip_jac[contact_link], spec) if spec else []
+            tip = kin.tip[task]
+            x = [tip[r] for r in rows]
+            if ctrl_cfg.enabled:
+                vel = kin.tip_vel[task]
+                f_cmd = control_force(k_task, f_gravity, damping, x_eq[i], x,
+                                      [vel[r] for r in rows])
+            else:
+                f_cmd = [0.0] * len(rows)
+            qdd = qdd_in[i]
+            if spec is None:
+                tau_req = [sum(map(mul, row, qdd)) + hj for row, hj in zip(kin.a, kin.h)]
+                lam_robot = []
+            else:
+                tau_req, lam_robot = dynamics.decouple((kin.a, kin.h, j_c, qdd))
+            mount.append(kin.mount)
+            log.append(q[:m] + qd[:m] + x + f_cmd + [-lk for lk in lam_robot]
+                       + [0.0, 0.0] + tau_req)
+            q, qd = q_end[i], qd_end[i]
+    except SuperlimbError as exc:
+        harness._check_mount_force(log, scenario, mount, qdd_in, t_sim)
+        harness._at_step(exc, i, t_sim[i])
+        raise
+    harness._check_mount_force(log, scenario, mount, qdd_in, t_sim)
+    return log
 
 
 def reference_write_csv(path: str, header: list[str], rows: np.ndarray, flag: int | None = None):

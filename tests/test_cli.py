@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import scenario_path
+from conftest import kernel_rows, scenario_path, stacked_kernel
 
 from superlimb import cli, plant
 from superlimb.cli import main
@@ -832,15 +832,20 @@ def test_run_non_finite_mount_force_exits_2(tmp_path, capsys, monkeypatch, mode)
     # in it still exits 2 and is named at its step, and no log is written
     generate = plant._step_kernel
 
-    def poisoned_kernel(*args):
-        kernel, calls = generate(*args), [0]
+    def inf_mount(kin):
+        return kin._replace(mount=kin.mount[:-2] + (math.inf, kin.mount[-1]))
+
+    def poisoned_kernel(*args, batch=False):
+        kernel, calls = generate(*args, batch=batch), [0]
 
         def poisoned(q, qd):
             calls[0] += 1  # call 1 is the "auto" equilibrium point at q0
             kin = kernel(q, qd)
-            if calls[0] != 5:
-                return kin
-            return kin._replace(mount=kin.mount[:-2] + (math.inf, kin.mount[-1]))
+            if batch:  # one call for the whole run: step 3 is its row 3
+                rows = kernel_rows(kin, q.shape[1])
+                rows[3] = inf_mount(rows[3])
+                return stacked_kernel(rows)
+            return inf_mount(kin) if calls[0] == 5 else kin
 
         return poisoned
 

@@ -4,16 +4,21 @@ logging, and whole-scenario runs."""
 import dataclasses
 import json
 import math
+import sys
 from functools import cache
 
 import numpy as np
 import pytest
 from conftest import (
     desk_arm_dict,
+    kernel_rows,
     reference_advance,
+    reference_batch_kernel,
     reference_decouple,
+    reference_inverse_run,
     reference_step_kernel,
     scenario_path,
+    stacked_kernel,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -66,6 +71,16 @@ def test_generate_emg_deterministic():
     np.testing.assert_array_equal(a.channels[0][1], b.channels[0][1])
     c = generate_emg(FULL_ON, seed=8)
     assert not np.array_equal(a.channels[0][1], c.channels[0][1])
+
+
+@pytest.mark.parametrize("profile", [
+    FULL_ON, ActivationProfile(fs=1000.0, duration=1.5, steps=((0.0, 0.0), (0.5, 0.7)))])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_generate_emg_calibrates_on_numpys_median(monkeypatch, profile, seed):
+    # the calibration median is emg._median, np.median's value to the bit
+    trace = generate_emg(profile, seed=seed).channels[0][1]
+    monkeypatch.setattr(harness, "_median", lambda x: float(np.median(x)))
+    assert trace.tobytes() == generate_emg(profile, seed=seed).channels[0][1].tobytes()
 
 
 @pytest.mark.parametrize("mvc", [1.0, 0.8])
@@ -428,16 +443,22 @@ def count_calls(monkeypatch, cls, name) -> list[int]:
     return cell
 
 
-def count_kernel_calls(model: PlantModel) -> list[int]:
-    """Count calls of ``model``'s step kernel from now on."""
-    original, cell = model._kernel, [0]
+def count_kernel_calls(model: PlantModel, name: str = "_kernel") -> list[int]:
+    """Count calls of ``model``'s step kernel, or of the kernel called
+    ``name`` (``_batch_kernel``, which this builds), from now on."""
+    original, cell = getattr(model, name), [0]
 
     def counted(q, qd):
         cell[0] += 1
         return original(q, qd)
 
-    object.__setattr__(model, "_kernel", counted)
+    object.__setattr__(model, name, counted)
     return cell
+
+
+def blocks(steps: int) -> int:
+    """Batch-kernel calls of an inverse-dynamics run of ``steps`` steps."""
+    return -(-steps // harness.INVERSE_BLOCK)
 
 
 def short_emg_step(seed, onset):
@@ -530,32 +551,37 @@ def test_mount_force_matches_point_newton_sum(rng, name):
 
 
 def test_inverse_step_call_counts(monkeypatch):
-    # one plant evaluation and one decoupling per step, on the kernel's
-    # float lists: no array-valued snapshot and no LAPACK QR in the loop
-    sc = load_scenario(scenario_path("overhead_inverse.json"))
-    sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.25))
-    assert sc.controller.x_eq is None  # "auto": one more kernel call, at q0
-    counters = {
-        "snapshot": count_calls(monkeypatch, dynamics.DynamicsSnapshot, "__post_init__"),
-        "kernel": count_kernel_calls(sc.model),
-        "decouple": count_calls(monkeypatch, dynamics, "decouple"),
-        "qr_full": count_calls(monkeypatch, dynamics, "qr_full"),
-    }
-    log = run_scenario(sc)
-    steps = len(log)
-    assert steps == sc.sim.n_steps == 50
-    counts = {name: cell[0] for name, cell in counters.items()}
-    assert counts == {"snapshot": 0, "kernel": steps + 1, "decouple": steps, "qr_full": 0}
+    # one batch-kernel call per block of steps and one decoupling per step,
+    # on the kernel's float lists: no array-valued snapshot and no LAPACK QR
+    # in the loop
+    for duration, steps in [(0.25, 50), (2.6, 520)]:
+        sc = load_scenario(scenario_path("overhead_inverse.json"))
+        sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=duration))
+        assert sc.controller.x_eq is None  # "auto": one scalar kernel call, at q0
+        counters = {
+            "snapshot": count_calls(monkeypatch, dynamics.DynamicsSnapshot, "__post_init__"),
+            "kernel": count_kernel_calls(sc.model),
+            "batch": count_kernel_calls(sc.model, "_batch_kernel"),
+            "decouple": count_calls(monkeypatch, dynamics, "decouple"),
+            "qr_full": count_calls(monkeypatch, dynamics, "qr_full"),
+        }
+        log = run_scenario(sc)
+        assert len(log) == sc.sim.n_steps == steps
+        counts = {name: cell[0] for name, cell in counters.items()}
+        assert counts == {"snapshot": 0, "kernel": 1, "batch": blocks(steps),
+                          "decouple": steps, "qr_full": 0}
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("name, per_step", [
     ("press_friction.json", [1, 1, 1, 1, 1]),
-    # nothing is applied: no J^T f, no friction, and decouple replaces the step
-    ("overhead_inverse.json", [1, 0, 0, 1, 0]),
+    # nothing is applied: no J^T f, no friction, and decouple replaces the
+    # step; the control law runs once per block of steps
+    ("overhead_inverse.json", ["block", 0, 0, 1, 0]),
 ])
 def test_step_law_call_counts(monkeypatch, name, per_step):
     # the loop calls each step law and the contact solve by its name in
-    # harness, once per step where it applies
+    # harness, once per step (or block) where it applies
     sc = load_scenario(scenario_path(name))
     sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.25))
     laws = ["control_force", "task_to_joint_torque", "friction_torque", "contact_jacobian",
@@ -563,27 +589,34 @@ def test_step_law_call_counts(monkeypatch, name, per_step):
     cells = [count_calls(monkeypatch, harness, law) for law in laws]
     steps = len(run_scenario(sc))
     assert steps == sc.sim.n_steps == 50
-    assert [cell[0] for cell in cells] == [k * steps for k in per_step]
+    assert [cell[0] for cell in cells] == [blocks(steps) if k == "block" else k * steps
+                                           for k in per_step]
 
 
 @pytest.mark.parametrize("name", SIM_SCENARIOS)
 def test_run_evaluates_the_plant_only_on_the_step_kernel(monkeypatch, name):
-    # both sim modes: one kernel call per step, plus one at q0 for an
-    # "auto" equilibrium point, and no array-valued PlantState at all
+    # tracking: one kernel call per step; inverse dynamics: one batch-kernel
+    # call per block; either plus one at q0 for an "auto" equilibrium point,
+    # and no array-valued PlantState at all
     sc = load_scenario(scenario_path(name))
     sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.5))
+    inverse = sc.sim.mode == "inverse-dynamics"
     states = count_calls(monkeypatch, PlantState, "__init__")
     kernel = count_kernel_calls(sc.model)
+    batch = count_kernel_calls(sc.model, "_batch_kernel") if inverse else [0]
     log = run_scenario(sc)
     assert len(log) == sc.sim.n_steps == 100
     assert states[0] == 0
-    assert kernel[0] == len(log) + (sc.controller.x_eq is None)
+    steps = 0 if inverse else len(log)
+    assert kernel[0] == steps + (sc.controller.x_eq is None)
+    assert batch[0] == (blocks(len(log)) if inverse else 0)
 
 
 @pytest.mark.parametrize("name", SIM_SCENARIOS)
 def test_load_and_run_compile_only_the_run_kernel(monkeypatch, name):
-    # a scenario's plant compiles one step kernel, the run kernel, and a
-    # whole run never builds the full Kinematics that PlantState reads
+    # a scenario's plant compiles one step kernel at load, the run kernel;
+    # an inverse-dynamics run adds the batch kernel, and no run builds the
+    # full Kinematics that PlantState reads
     labels, compile_body = [], plant._function
 
     def record(signature, body, label, **names):
@@ -593,22 +626,30 @@ def test_load_and_run_compile_only_the_run_kernel(monkeypatch, name):
     monkeypatch.setattr(plant, "_function", record)
     sc = load_scenario(scenario_path(name))
     sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.25))
-    assert len(run_scenario(sc)) == 50
     chains = ", ".join(c.name for c in sc.model.chains)
     assert labels == [f"step kernel: {chains}"]
+    assert "_batch_kernel" not in vars(sc.model)
+    assert len(run_scenario(sc)) == 50
+    if sc.sim.mode == "inverse-dynamics":
+        assert labels == [f"step kernel: {chains}", f"batch kernel: {chains}"]
+    else:
+        assert labels == [f"step kernel: {chains}"]
+        assert "_batch_kernel" not in vars(sc.model)
     assert "_full_kernel" not in vars(sc.model)
 
 
 @pytest.mark.parametrize("name", SIM_SCENARIOS)
 def test_run_on_reference_kernel_logs_the_same_bytes(name):
-    # the generated step kernel against the loop it unrolls, through a whole
-    # run in either sim mode: every logged value is the same to the bit
+    # the generated step kernel against the loop it unrolls (in inverse
+    # dynamics, a batch of it built row by row), through a whole run in
+    # either sim mode: every logged value is the same to the bit
     logs = []
     for use_reference in (False, True):
         sc = load_scenario(scenario_path(name))
         sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.5))
         if use_reference:
             object.__setattr__(sc.model, "_kernel", reference_step_kernel(sc.model))
+            object.__setattr__(sc.model, "_batch_kernel", reference_batch_kernel(sc.model))
         logs.append(run_scenario(sc))
     assert logs[0].columns == logs[1].columns
     assert logs[0]._data.tobytes() == logs[1]._data.tobytes()
@@ -649,6 +690,72 @@ def test_inverse_run_on_reference_decouple_logs_the_same_bytes(monkeypatch, dire
     reference = run_scenario(parse_scenario(data))
     assert reference.columns == generated.columns
     assert reference._data.tobytes() == generated._data.tobytes()
+
+
+def inverse_variant(edit: str, steps: int, sway: dict, level: int) -> dict:
+    """overhead_inverse with one edit, run for ``steps`` steps."""
+    with open(scenario_path("overhead_inverse.json")) as fh:
+        data = json.load(fh)
+    if edit == "none":
+        del data["contact"]
+    elif edit in ("x", "z", "xz"):
+        data["contact"]["directions"] = list(edit)
+    elif edit == "off":
+        data["controller"]["enabled"] = False
+    elif edit == "damped":
+        data["controller"]["damping"] = [2.0, 3.0]
+    elif edit == "hinged":  # a turning trunk: its state moves its own A, h and tau_h
+        data["plant"]["chains"][1]["joints"][0].update(kind="revolute", length=0.4, com=0.2)
+    data["controller"]["level"] = level
+    data["human_motion"].update(sway)
+    data["sim"]["duration"] = steps * data["sim"]["dt"]
+    return data
+
+
+def log_bits(log: harness.SimLog) -> list[list[str]]:
+    """Every logged value as ``float.hex``, row by row."""
+    return [[v.hex() for v in row] for row in log._data[: len(log)].tolist()]
+
+
+BLOCK = harness.INVERSE_BLOCK
+
+
+@pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("edit", ["z", "xz", "none", "off", "damped", "hinged"])
+@settings(max_examples=3, deadline=None)
+@given(sway=st.fixed_dictionaries({"amplitude": st.lists(st.floats(0.0, 0.05), min_size=1,
+                                                         max_size=1),
+                                   "frequency": st.floats(0.1, 3.0),
+                                   "phase": st.floats(-3.2, 3.2)}),
+       level=st.integers(1, 4))
+def test_inverse_run_logs_the_step_by_step_bytes(edit, steps, sway, level):
+    # blocks of steps through the batch kernel and one control-law call each
+    # log what the step-by-step loop logs, on either side of a block's end
+    data = inverse_variant(edit, steps, sway, level)
+    log, reference = run_scenario(parse_scenario(data)), reference_inverse_run(parse_scenario(data))
+    assert len(log) == len(reference) == steps
+    assert log.columns == reference.columns
+    assert log_bits(log) == log_bits(reference)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+@pytest.mark.parametrize("q0, sway, error, splits", [
+    # the trunk's angle overflows from step 5 on, after step 1's own error
+    (1.79e308, {"amplitude": [1e307]}, "[step 1, t=0.005s] h_bias contains NaN or Inf", 2),
+    # at step 1, where the run kernel's cos raises, after step 0 logged
+    (sys.float_info.max, {"amplitude": [1e303], "frequency": 50.0}, "math domain error", 1),
+])
+def test_inverse_run_raises_an_infinite_angle_at_its_step(monkeypatch, q0, sway, error, splits):
+    # math.cos of an infinite angle raises: a block holding such a step
+    # must not raise it before the steps ahead of it, or their errors
+    data = inverse_variant("hinged", 10, sway, 2)
+    data["plant"]["chains"][1]["joints"][0]["q0"] = q0
+    for run in (run_scenario, reference_inverse_run):
+        cell = count_calls(monkeypatch, dynamics, "decouple")
+        with pytest.raises((NonFinite, ValueError)) as exc:
+            run(parse_scenario(data))
+        assert (str(exc.value), cell[0]) == (error, splits)
+        monkeypatch.undo()
 
 
 # --- physics regression guards --------------------------------------------------
@@ -793,10 +900,12 @@ def test_dependent_contact_directions_report_step():
 
 
 def poison_kernel(sc, edits: dict):
-    """Replace the scenario plant's step kernel by one that applies
-    ``edits[i]`` to the ``Kinematics`` of step i; the call at q0 for an
-    "auto" equilibrium point, which comes first, is left alone."""
+    """Replace the scenario plant's step and batch kernels by ones that
+    apply ``edits[i]`` to the ``Kinematics`` of step i, in a batch to its
+    row; the call at q0 for an "auto" equilibrium point, which comes first,
+    is left alone."""
     kernel, calls = sc.model._kernel, [-int(sc.controller.x_eq is None)]
+    batch, done = sc.model._batch_kernel, [0]
 
     def poisoned(q, qd):
         step = calls[0]
@@ -804,7 +913,15 @@ def poison_kernel(sc, edits: dict):
         edit = edits.get(step)
         return kernel(q, qd) if edit is None else edit(kernel(q, qd))
 
+    def poisoned_batch(q, qd):
+        size, first = q.shape[1], done[0]
+        done[0] += size
+        rows = kernel_rows(batch(q, qd), size)
+        return stacked_kernel([edits.get(first + i, lambda kin: kin)(kin)
+                               for i, kin in enumerate(rows)])
+
     object.__setattr__(sc.model, "_kernel", poisoned)
+    object.__setattr__(sc.model, "_batch_kernel", poisoned_batch)
 
 
 def inf_mount(kin):

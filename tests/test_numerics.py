@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 import warnings
 from operator import mul
 from pathlib import Path
@@ -397,6 +398,20 @@ def test_liveness_pass_leaves_the_generated_solves_alone(monkeypatch):
     bodies += generated_bodies(monkeypatch, dynamics, dynamics._split, shapes)
     for body in bodies:
         assert numerics._live(body) == body
+
+
+def test_split_factor_of_a_computes_no_unread_pivot(monkeypatch):
+    # the check-only Cholesky of A keeps its n pivot checks, and every
+    # reciprocal pivot it assigns is read later (the last one used to be
+    # assigned and never read)
+    shapes = [(n, k, False) for n in range(1, 6) for k in range(1, min(n, 3) + 1)]
+    for (n, _, _), body in zip(shapes, generated_bodies(monkeypatch, dynamics, dynamics._split,
+                                                        shapes)):
+        assert sum("a is not positive definite" in line for line in body) == n
+        for i, line in enumerate(body):
+            if assigned := re.match(r"(ia\d+) = ", line):
+                name = re.compile(rf"\b{assigned[1]}\b")
+                assert any(name.search(later) for later in body[i + 1 :]), line
 
 
 @settings(max_examples=50, deadline=None)

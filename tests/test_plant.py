@@ -14,7 +14,13 @@ import pstats
 
 import numpy as np
 import pytest
-from conftest import SCENARIO_DIR, desk_arm_model, reference_step_kernel, scenario_path
+from conftest import (
+    SCENARIO_DIR,
+    desk_arm_model,
+    kernel_rows,
+    reference_step_kernel,
+    scenario_path,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -437,6 +443,40 @@ def test_run_kernel_matches_reference_loop(model, data):
     assert bits == run_bits(reference_step_kernel(model)(q, qd), [])
     assert run_bits(second, lists) == bits
     assert len(set(lists)) == len(lists)
+
+
+def batch_entries(value):
+    """Every entry of a batch kernel's result, in order."""
+    if isinstance(value, (float, np.ndarray)):
+        return [value]
+    return [e for v in value for e in batch_entries(v)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(plants(), st.data())
+def test_batch_kernel_matches_run_kernel(model, data):
+    # every field of every row of a block of states is, to the bit, what the
+    # run kernel gives for that row's state; a constant entry comes back as
+    # one float, every other as an array of one float64 per step
+    n, steps = model.n_dof, data.draw(st.integers(1, 6))
+    block = st.lists(st.lists(COORDS, min_size=n, max_size=n), min_size=steps, max_size=steps)
+    q, qd = data.draw(block), data.draw(block)
+    kin = model._batch_kernel(np.array(q).T.copy(), np.array(qd).T.copy())
+    assert type(kin) is RunKinematics
+    for entry in batch_entries(kin):
+        assert type(entry) is float or (entry.dtype == np.float64 and entry.shape == (steps,))
+    for row, q_i, qd_i in zip(kernel_rows(kin, steps), q, qd):
+        assert run_bits(row, []) == run_bits(model._kernel(q_i, qd_i), [])
+
+
+def test_batch_kernel_is_built_once_and_named_after_its_chains(desk_model):
+    # built on first use, never at load, and compiled from the run kernel's
+    # lines under its own name
+    assert "_batch_kernel" not in vars(desk_model)
+    kernel = desk_model._batch_kernel
+    assert desk_model._batch_kernel is kernel
+    assert kernel.__code__.co_filename == "<batch kernel: arm, trunk>"
+    assert kernel.__code__.co_code == desk_model._kernel.__code__.co_code
 
 
 def kernel_sources(model: PlantModel, monkeypatch) -> dict:

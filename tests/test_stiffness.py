@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superlimb.errors import BadLevel, DimensionMismatch, SingularStiffness, ValidationError
 from superlimb.stiffness import (
@@ -63,6 +65,30 @@ def test_control_force_damping():
 def test_control_force_no_damping_ignores_velocity():
     f0 = control_force(K, F_G, None, X_EQ, X_EQ, [5.0, 5.0])
     np.testing.assert_array_equal(f0, F_G)
+
+
+#: a float that products and sums can carry past the float range
+WIDE = st.sampled_from([0.0, -0.0]) | st.floats(-1e200, 1e200) | st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_control_force_on_per_step_arrays_matches_per_step_calls(data):
+    # the inverse-dynamics run's one call per block: per-component arrays
+    # in, each step's force to the bit what the list call gives for that step
+    m, steps = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+    vector = st.lists(WIDE, min_size=m, max_size=m)
+    k_task = data.draw(st.lists(vector, min_size=m, max_size=m))
+    f_gravity = data.draw(vector)
+    damping = data.draw(st.none() | st.lists(st.floats(0.0, 1e200), min_size=m, max_size=m))
+    x_eq, x, xdot = (data.draw(st.lists(vector, min_size=steps, max_size=steps))
+                     for _ in range(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = control_force(k_task, f_gravity, damping, *(np.array(v).T for v in (x_eq, x, xdot)))
+    assert len(block) == m
+    for i in range(steps):
+        expected = control_force(k_task, f_gravity, damping, x_eq[i], x[i], xdot[i])
+        assert [f[i].item().hex() for f in block] == [f.hex() for f in expected]
 
 
 def test_damping_must_be_vector():
