@@ -11,9 +11,12 @@ the zero-contact-acceleration condition, and it does not drift.  The step,
 its two Cholesky solves and the scripted joints' torques run as
 straight-line code that ``numerics``' emitters generate once per shape
 (DoFs, free DoFs, contact rows), to the bit what a loop over Python float
-lists computes.  In inverse-dynamics mode every step's state is scripted,
-so the kinematics and the control law run a block of steps per call, and
-only the contact rows, the force split and the log's row stay per step.
+lists computes.  One loop runs both modes a block of steps at a time:
+the block's scripted inputs become float lists, and its mount force is
+filled and checked when it ends.  Tracking steps one at a time inside the
+block; in inverse-dynamics mode every step's state is scripted, so the
+kinematics and the control law run once per block, and only the contact
+rows, the force split and the log's row stay per step.
 
 Sign conventions: the constraint force returned by the dynamics layer
 acts on the robot; logs report ``lambda`` as the force exerted on the
@@ -272,7 +275,7 @@ class SimLog:
     The columns that do not depend on the plant state (``t``, ``a``,
     ``gate`` kept as 0.0/1.0, ``x_eq_*``) are given whole at construction;
     ``append`` fills the rest of one row, and ``run_scenario`` the
-    ``f_mount`` cells of every row at the end of the run."""
+    ``f_mount`` cells of a block's rows when the block ends."""
 
     def __init__(self, scenario: Scenario, t, a, gate, x_eq):
         model = scenario.model
@@ -372,8 +375,8 @@ def _emg_channel(scenario: Scenario, t_sim: np.ndarray):
 
 
 def _mount_force(scenario: Scenario, mount: list, qdd: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Force on the wearer at the harness mount (world x, z) at every step
-    of a run, ``(steps, 2)``.
+    """Force on the wearer at the harness mount (world x, z) at each of a
+    block of steps, ``(steps, 2)``.
 
     Newton over the SRL links: the mount supplies whatever the contact
     force and gravity do not, so a resting unloaded device weighs on the
@@ -405,21 +408,23 @@ def _mount_force(scenario: Scenario, mount: list, qdd: np.ndarray, lam: np.ndarr
     return np.column_stack((cx - fx, cz - fz))
 
 
-def _check_mount_force(log: SimLog, scenario: Scenario, mount: list, qdd: list, t_sim):
-    """Fill the ``f_mount`` cells of the log's first ``len(mount)`` rows
-    from one ``_mount_force`` product, and raise NonFinite, with its step,
-    at the first row that then holds a NaN or Inf: the error the row's own
-    check would have raised."""
+def _check_mount_force(log: SimLog, scenario: Scenario, lo: int, mount, qdd, t_sim):
+    """Fill the ``f_mount`` cells of the log's rows from ``lo`` on, one per
+    row of ``mount`` (that step's ``Kinematics.mount``; ``qdd`` holds the
+    accelerations, from step ``lo`` too), from one ``_mount_force``
+    product, and raise NonFinite, with its step, at the first row that then
+    holds a NaN or Inf: the error the row's own check would have raised."""
     steps = len(mount)
+    hi = lo + steps
     data = log._data
     qdd = np.array(qdd[:steps], dtype=float).reshape(steps, scenario.model.n_dof)
     # the logged support force is the constraint force negated, so negating
     # it back gives each bit of the force on the robot
-    f = _mount_force(scenario, mount, qdd, -data[:steps, log._lambda])
-    data[:steps, log._mount] = f
+    f = _mount_force(scenario, mount, qdd, -data[lo:hi, log._lambda])
+    data[lo:hi, log._mount] = f
     bad = np.flatnonzero(~np.isfinite(f).all(axis=1))
     if bad.size:
-        i = int(bad[0])
+        i = lo + int(bad[0])
         try:
             log._check_row(i)
         except NonFinite as exc:
@@ -481,10 +486,12 @@ def _contact_velocity(scenario: Scenario, t_sim: np.ndarray) -> np.ndarray:
     return v
 
 
-#: steps per batch-kernel call in an inverse-dynamics run: enough that a
-#: block's numpy calls cost little per step, few enough that its arrays stay
-#: small however long the run
-INVERSE_BLOCK = 512
+#: steps per block of a run, in either mode: the block's scripted rows become
+#: float lists, and its mount force is one product; in inverse dynamics its
+#: kinematics are one batch-kernel call.  Enough that a block's numpy calls
+#: cost little per step, few enough that its lists stay small however long
+#: the run
+RUN_BLOCK = 512
 
 
 def _columns(values, size: int) -> np.ndarray:
@@ -496,103 +503,35 @@ def _columns(values, size: int) -> np.ndarray:
     return out
 
 
-def _inverse_dynamics(scenario: Scenario, log: SimLog, task: int, rows: list[int], law,
-                      x_eq: np.ndarray, q_end: np.ndarray, qd_end: np.ndarray,
-                      qdd: np.ndarray, t_sim: np.ndarray):
-    """Fill ``log`` with the inverse-dynamics run: the limb held at ``q0``,
-    the human joints on their script, so every step's state is known before
-    the loop.  Per block of ``INVERSE_BLOCK`` steps, one batch-kernel call
-    gives the steps' kinematics, and one ``control_force`` call on
-    per-component arrays (``law`` holds K, ``f_gravity`` and damping as
-    float lists) their commanded force, to the bit what the run kernel and
-    the law give step by step.  Per step, only the contact rows, the force
-    split (``decouple``) and the log's row remain, in the order of a step
-    that evaluates everything itself, so each error is raised at the same
-    step with the same message."""
-    model = scenario.model
-    n, m = model.n_dof, len(model.srl_indices)
-    spec = scenario.contact.spec if scenario.contact else None
-    contact_link = model.link_index(spec.chain, spec.joint) if spec else None
-    kernel, x_eq = model._batch_kernel, x_eq.T
-    # joint rows of each step's starting state: step 0 at rest at q0, step i
-    # where step i - 1 ended
-    q_start, qd_start = (np.vstack((start, end[:-1])).T.copy()
-                         for start, end in ((model.q0, q_end), (np.zeros(n), qd_end)))
-    mount, logged = [], 0  # each block's mount rows; the steps whose split passed
-    lo, block = 0, INVERSE_BLOCK
-    try:
-        while lo < len(t_sim):
-            hi = min(lo + block, len(t_sim))
-            size, q, qd = hi - lo, q_start[:, lo:hi], qd_start[:, lo:hi]
-            # the scalar step overflows to Inf and NaN without a warning, too
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    kin = kernel(q, qd)
-                except ValueError:
-                    # math.cos or math.sin of an infinite angle, which the run
-                    # kernel raises at its own step: one step per block from here
-                    if size == 1:
-                        raise
-                    block = 1
-                    continue
-                tip = kin.tip[task]
-                x = [tip[r] for r in rows]
-                if scenario.controller.enabled:
-                    vel = kin.tip_vel[task]
-                    f_cmd = control_force(*law, x_eq[:, lo:hi], x, [vel[r] for r in rows])
-                else:
-                    f_cmd = [0.0] * len(rows)
-                if spec is None:  # nothing to split: the joints need A qdd + h
-                    tau = [sum(map(mul, row, qdd[lo:hi].T)) + hj for row, hj in zip(kin.a, kin.h)]
-            head = _columns([*q[:m], *qd[:m], *x, *f_cmd], size).tolist()
-            mount.append(_columns(kin.mount, size))
-            if spec is None:
-                for i, pre, tau_req in zip(range(lo, hi), head, _columns(tau, size).tolist()):
-                    logged = i + 1
-                    log.append(pre + [0.0, 0.0] + tau_req)
-            else:
-                jx, jz = kin.tip_jac[contact_link]
-                jacs = _columns(jx + jz, size).reshape(size, 2, n).tolist()
-                a_rows = _columns([v for row in kin.a for v in row], size)
-                for i, pre, jac, a, h, qdd_i in zip(range(lo, hi), head, jacs,
-                                                    a_rows.reshape(size, n, n).tolist(),
-                                                    _columns(kin.h, size).tolist(),
-                                                    qdd[lo:hi].tolist()):
-                    tau_req, lam = dynamics.decouple((a, h, contact_jacobian(jac, spec), qdd_i))
-                    logged = i + 1
-                    log.append(pre + [-lk for lk in lam]  # force on the supported object
-                               + [0.0, 0.0] + tau_req)  # f_mount, filled after the loop
-            lo = hi
-    except SuperlimbError as exc:
-        # a NaN or Inf mount force of an earlier step, or of an earlier
-        # column of this step's row, is the first error
-        _check_mount_force(log, scenario, np.concatenate(mount)[:logged], qdd, t_sim)
-        _at_step(exc, i, t_sim[i])
-        raise
-    _check_mount_force(log, scenario, np.concatenate(mount) if mount else [], qdd, t_sim)
-
-
 def run_scenario(scenario: Scenario) -> SimLog:
     """Run one scenario to completion and return the log.
 
     Everything that does not depend on the plant state is computed once,
-    before the loop: the step times, the sEMG activation and gate, the
-    equilibrium point with the gated shift, the scripted human trajectory
-    and the contact target velocity; the controller was checked at load.
-    Vectors split at ``m``: limb joints come first, then the
-    position-driven human joints, whose required torques are reported, not
-    applied.  In tracking mode, per step, the loop makes one call of the
-    plant's run kernel, takes the contact rows and the control law from it
-    in Python floats, applies J^T f, gravity load and friction to the
-    limb's joints and advances them with ``_advance``, which also returns
-    the human joints' torques.  In inverse dynamics the SRL posture is
-    held, so ``_inverse_dynamics`` evaluates the kinematics and the control
-    law a block of steps at a time and splits each step's required force
-    with ``decouple``.
+    before the loop, as whole-run arrays: the step times, the sEMG
+    activation and gate, the equilibrium point with the gated shift, the
+    scripted human trajectory and the contact target velocity; the
+    controller was checked at load.  Vectors split at ``m``: limb joints
+    come first, then the position-driven human joints, whose required
+    torques are reported, not applied.
+
+    Both modes walk the run in blocks of ``RUN_BLOCK`` steps: the block's
+    rows of those arrays become float lists, and when the block ends one
+    ``_mount_force`` product fills and checks its ``f_mount`` cells, so
+    what the run holds beside the log is bounded by a block.  In tracking
+    mode, per step, the loop makes one call of the plant's run kernel,
+    takes the contact rows and the control law from it in Python floats,
+    applies J^T f, gravity load and friction to the limb's joints and
+    advances them with ``_advance``, which also returns the human joints'
+    torques.  In inverse dynamics the SRL posture is held and every state
+    is scripted, so one batch-kernel call and one ``control_force`` call
+    on per-component arrays give a block's kinematics and commanded force,
+    to the bit what the run kernel and the law give step by step; per step
+    only the contact rows, the split of the required force (``decouple``)
+    and the log's row remain.  Each error is raised at its step with its
+    message, after a NaN or Inf mount force of an earlier step, or of an
+    earlier column of the same row, which comes first.
     """
-    model = scenario.model
-    sim = scenario.sim
-    ctrl_cfg = scenario.controller
+    model, sim, ctrl_cfg = scenario.model, scenario.sim, scenario.controller
     n, m = model.n_dof, len(model.srl_indices)
     spec = scenario.contact.spec if scenario.contact else None
 
@@ -612,60 +551,99 @@ def run_scenario(scenario: Scenario) -> SimLog:
     k_task, f_gravity, damping = (None if v is None else np.asarray(v, dtype=float).tolist()
                                   for v in (ctrl_cfg.table[ctrl_cfg.level - 1],
                                             ctrl_cfg.f_gravity, ctrl_cfg.damping))
-    if sim.mode == "inverse-dynamics":
-        _inverse_dynamics(scenario, log, task, rows, (k_task, f_gravity, damping), x_eq,
-                          q_end, qd_end, qdd_in, t_sim)
-        return log
-    x_eq, v_target = x_eq.tolist(), v_target.tolist()
-    q_end, qd_end, qdd_in = q_end.tolist(), qd_end.tolist(), qdd_in.tolist()
     fr = ctrl_cfg.friction
     friction = fr and (fr.coulomb.tolist(), fr.viscous.tolist(), fr.stiction_breakaway_ratio)
-    kernel = model._kernel
+    inverse = sim.mode == "inverse-dynamics"
+    kernel = model._batch_kernel if inverse else model._kernel
     contact_link = model.link_index(spec.chain, spec.joint) if spec else None
 
-    q, qd = model.q0.tolist(), [0.0] * n
-    mount = []  # each logged step's Kinematics.mount, for one mount-force product
-    try:
-        for i in range(sim.n_steps):
-            kin = kernel(q, qd)
-            j_c = contact_jacobian(kin.tip_jac[contact_link], spec) if spec else []
-
-            # task point and control law
-            tip = kin.tip[task]
-            x = [tip[r] for r in rows]
-            if ctrl_cfg.enabled:
-                vel = kin.tip_vel[task]
-                f_cmd = control_force(k_task, f_gravity, damping, x_eq[i], x,
-                                      [vel[r] for r in rows])
+    q, qd = model.q0.tolist(), [0.0] * n  # the state the next step starts from
+    written = 0  # the rows handed to the log, one it rejected included
+    for lo in range(0, sim.n_steps, RUN_BLOCK):
+        hi = min(lo + RUN_BLOCK, sim.n_steps)
+        qdd = qdd_in[lo:hi].tolist()
+        if inverse:
+            # the block's starting states, a joint per row: where the last
+            # step ended, then the script's ends of the block's steps
+            q, qd = (np.vstack((start, end[lo : hi - 1])).T.copy()
+                     for start, end in ((q, q_end), (qd, qd_end)))
+            # the scalar step overflows to Inf and NaN without a warning, too
+            with np.errstate(over="ignore", invalid="ignore"):
+                kin = kernel(q, qd)
+                tip = kin.tip[task]
+                x = [tip[r] for r in rows]
+                if ctrl_cfg.enabled:
+                    vel = kin.tip_vel[task]
+                    f_cmd = control_force(k_task, f_gravity, damping, x_eq[lo:hi].T, x,
+                                          [vel[r] for r in rows])
+                else:
+                    f_cmd = [0.0] * len(rows)
+                if spec is None:  # nothing to split: the joints need A qdd + h
+                    tau = [sum(map(mul, row, qdd_in[lo:hi].T)) + hj
+                           for row, hj in zip(kin.a, kin.h)]
+            size = hi - lo
+            heads = _columns([*q[:m], *qd[:m], *x, *f_cmd], size).tolist()
+            if spec is None:
+                tails = _columns(tau, size).tolist()
             else:
-                f_cmd = [0.0] * len(rows)
+                jx, jz = kin.tip_jac[contact_link]
+                jacs = _columns(jx + jz, size).reshape(size, 2, n).tolist()
+                a_rows = _columns([v for row in kin.a for v in row], size)
+                a_rows = a_rows.reshape(size, n, n).tolist()
+                h_rows = _columns(kin.h, size).tolist()
+            mount = _columns(kin.mount, size)
+            q, qd = q_end[hi - 1], qd_end[hi - 1]
+        else:
+            x_eqs, v_targets, q_ends, qd_ends = (
+                v[lo:hi].tolist() for v in (x_eq, v_target, q_end, qd_end))
+            mount = []  # each step's Kinematics.mount
+        try:
+            for j, i in enumerate(range(lo, hi)):
+                if inverse:
+                    head = heads[j]
+                    if spec is None:
+                        tail, lam_robot = tails[j], ()
+                    else:
+                        tail, lam_robot = dynamics.decouple(
+                            (a_rows[j], h_rows[j], contact_jacobian(jacs[j], spec), qdd[j]))
+                else:
+                    kin = kernel(q, qd)
+                    j_c = contact_jacobian(kin.tip_jac[contact_link], spec) if spec else []
 
-            # the limb's torque: J^T f on its joints, its gravity load, friction
-            tau_s = [0.0] * m
-            if ctrl_cfg.enabled:
-                jac = kin.tip_jac[task]
-                tau_task = task_to_joint_torque(zip(*[jac[r][:m] for r in rows]), f_cmd)
-                tau_s = list(map(add, tau_task, kin.g))
-            if friction is not None:
-                tau_s = list(map(add, tau_s, friction_torque(*friction, qd[:m], tau_s)))
-            q_next, qd_next = q_end[i], qd_end[i]
-            lam_robot, tau_h = _advance(
-                q, qd, kin.a, kin.h, tau_s, sim.dt, m,
-                j_c, v_target[i], q_next, qd_next, qdd_in[i],
-            )
+                    # task point and control law
+                    tip = kin.tip[task]
+                    x = [tip[r] for r in rows]
+                    if ctrl_cfg.enabled:
+                        vel = kin.tip_vel[task]
+                        f_cmd = control_force(k_task, f_gravity, damping, x_eqs[j], x,
+                                              [vel[r] for r in rows])
+                    else:
+                        f_cmd = [0.0] * len(rows)
 
-            mount.append(kin.mount)
-            log.append(
-                q[:m] + qd[:m] + x + f_cmd
-                + [-lk for lk in lam_robot]  # force on the supported object
-                + [0.0, 0.0] + tau_s + tau_h  # f_mount, filled after the loop
-            )
-            q, qd = q_next, qd_next
-    except SuperlimbError as exc:
-        # a NaN or Inf mount force of an earlier step, or of an earlier
-        # column of this step's row, is the first error
-        _check_mount_force(log, scenario, mount, qdd_in, t_sim)
-        _at_step(exc, i, t_sim[i])
-        raise
-    _check_mount_force(log, scenario, mount, qdd_in, t_sim)
+                    # the limb's torque: J^T f on its joints, its gravity load, friction
+                    tau_s = [0.0] * m
+                    if ctrl_cfg.enabled:
+                        jac = kin.tip_jac[task]
+                        tau_task = task_to_joint_torque(zip(*[jac[r][:m] for r in rows]), f_cmd)
+                        tau_s = list(map(add, tau_task, kin.g))
+                    if friction is not None:
+                        tau_s = list(map(add, tau_s, friction_torque(*friction, qd[:m], tau_s)))
+                    q_next, qd_next = q_ends[j], qd_ends[j]
+                    lam_robot, tau_h = _advance(
+                        q, qd, kin.a, kin.h, tau_s, sim.dt, m,
+                        j_c, v_targets[j], q_next, qd_next, qdd[j],
+                    )
+                    head, tail = q[:m] + qd[:m] + x + f_cmd, tau_s + tau_h
+                    mount.append(kin.mount)
+                    q, qd = q_next, qd_next
+                written = i + 1
+                log.append(head + [-lk for lk in lam_robot]  # force on the supported object
+                           + [0.0, 0.0] + tail)  # f_mount, filled when the block ends
+        except SuperlimbError as exc:
+            # a NaN or Inf mount force of an earlier step, or of an earlier
+            # column of this step's row, is the first error
+            _check_mount_force(log, scenario, lo, mount[: written - lo], qdd, t_sim)
+            _at_step(exc, len(log), t_sim[len(log)])
+            raise
+        _check_mount_force(log, scenario, lo, mount, qdd, t_sim)
     return log

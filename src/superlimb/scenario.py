@@ -509,6 +509,12 @@ def _parse_human_motion(data, model: PlantModel, path: str = "human_motion") -> 
             raise ParseError(
                 f"{path}.amplitude", f"must have {n_h} entries, got {motion.amplitude.size}"
             )
+        # |sin| <= 1, so a finite |q0| + |amplitude| bounds every scripted angle
+        for j, (q0, a) in enumerate(zip(model.q0[model.human_indices].tolist(),
+                                        motion.amplitude.tolist())):
+            if not math.isfinite(abs(q0) + abs(a)):
+                raise ParseError(f"{path}.amplitude", f"{a:g} about q0 = {q0:g} takes human "
+                                 f"joint {j} past the float range")
     return motion
 
 

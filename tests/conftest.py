@@ -11,7 +11,7 @@ import os
 from array import array
 from itertools import chain
 from math import cos, hypot, isfinite, nan, sin, sqrt
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ from superlimb.errors import (
 from superlimb.harness import BLOWUP_LIMIT
 from superlimb.numerics import GRAM_PIVOT_RTOL, _as_array, check_rank, default_fd_step
 from superlimb.plant import AXES, REVOLUTE, Chain, Joint, Kinematics, PlantModel
-from superlimb.stiffness import control_force
+from superlimb.stiffness import control_force, friction_torque, task_to_joint_torque
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -478,10 +478,87 @@ def reference_inverse_run(scenario) -> harness.SimLog:
                        + [0.0, 0.0] + tau_req)
             q, qd = q_end[i], qd_end[i]
     except SuperlimbError as exc:
-        harness._check_mount_force(log, scenario, mount, qdd_in, t_sim)
+        harness._check_mount_force(log, scenario, 0, mount, qdd_in, t_sim)
         harness._at_step(exc, i, t_sim[i])
         raise
-    harness._check_mount_force(log, scenario, mount, qdd_in, t_sim)
+    harness._check_mount_force(log, scenario, 0, mount, qdd_in, t_sim)
+    return log
+
+
+def reference_tracking_run(scenario) -> harness.SimLog:
+    """``harness.run_scenario`` in tracking mode as the loop that steps the
+    whole run at once, holding every step's ``Kinematics.mount`` and the
+    run's scripted rows as float lists, and computing the mount force after
+    the loop: the oracle that its block loop must match byte for byte,
+    errors included."""
+    model = scenario.model
+    sim = scenario.sim
+    ctrl_cfg = scenario.controller
+    n, m = model.n_dof, len(model.srl_indices)
+    spec = scenario.contact.spec if scenario.contact else None
+    t_sim = np.arange(sim.n_steps) * sim.dt
+    act, gate, dxeq = harness._emg_channel(scenario, t_sim)
+    rows = [AXES.index(c) for c in ctrl_cfg.components]
+    task = model.link_index(ctrl_cfg.chain, ctrl_cfg.joint)
+    x_eq = harness._equilibrium_points(scenario, task, rows, dxeq)
+    q_end, qd_end, qdd_in = harness._scripted_motion(scenario, t_sim)
+    v_target = harness._contact_velocity(scenario, t_sim)
+    log = harness.SimLog(scenario, t_sim, act, gate, x_eq)
+    k_task, f_gravity, damping = (None if v is None else np.asarray(v, dtype=float).tolist()
+                                  for v in (ctrl_cfg.table[ctrl_cfg.level - 1],
+                                            ctrl_cfg.f_gravity, ctrl_cfg.damping))
+    x_eq, v_target = x_eq.tolist(), v_target.tolist()
+    q_end, qd_end, qdd_in = q_end.tolist(), qd_end.tolist(), qdd_in.tolist()
+    fr = ctrl_cfg.friction
+    friction = fr and (fr.coulomb.tolist(), fr.viscous.tolist(), fr.stiction_breakaway_ratio)
+    kernel = model._kernel
+    contact_link = model.link_index(spec.chain, spec.joint) if spec else None
+
+    q, qd = model.q0.tolist(), [0.0] * n
+    mount = []  # each logged step's Kinematics.mount, for one mount-force product
+    try:
+        for i in range(sim.n_steps):
+            kin = kernel(q, qd)
+            j_c = contact_jacobian(kin.tip_jac[contact_link], spec) if spec else []
+
+            # task point and control law
+            tip = kin.tip[task]
+            x = [tip[r] for r in rows]
+            if ctrl_cfg.enabled:
+                vel = kin.tip_vel[task]
+                f_cmd = control_force(k_task, f_gravity, damping, x_eq[i], x,
+                                      [vel[r] for r in rows])
+            else:
+                f_cmd = [0.0] * len(rows)
+
+            # the limb's torque: J^T f on its joints, its gravity load, friction
+            tau_s = [0.0] * m
+            if ctrl_cfg.enabled:
+                jac = kin.tip_jac[task]
+                tau_task = task_to_joint_torque(zip(*[jac[r][:m] for r in rows]), f_cmd)
+                tau_s = list(map(add, tau_task, kin.g))
+            if friction is not None:
+                tau_s = list(map(add, tau_s, friction_torque(*friction, qd[:m], tau_s)))
+            q_next, qd_next = q_end[i], qd_end[i]
+            lam_robot, tau_h = harness._advance(
+                q, qd, kin.a, kin.h, tau_s, sim.dt, m,
+                j_c, v_target[i], q_next, qd_next, qdd_in[i],
+            )
+
+            mount.append(kin.mount)
+            log.append(
+                q[:m] + qd[:m] + x + f_cmd
+                + [-lk for lk in lam_robot]  # force on the supported object
+                + [0.0, 0.0] + tau_s + tau_h  # f_mount, filled after the loop
+            )
+            q, qd = q_next, qd_next
+    except SuperlimbError as exc:
+        # a NaN or Inf mount force of an earlier step, or of an earlier
+        # column of this step's row, is the first error
+        harness._check_mount_force(log, scenario, 0, mount, qdd_in, t_sim)
+        harness._at_step(exc, i, t_sim[i])
+        raise
+    harness._check_mount_force(log, scenario, 0, mount, qdd_in, t_sim)
     return log
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -17,6 +18,7 @@ from conftest import (
     reference_decouple,
     reference_inverse_run,
     reference_step_kernel,
+    reference_tracking_run,
     scenario_path,
     stacked_kernel,
 )
@@ -458,7 +460,7 @@ def count_kernel_calls(model: PlantModel, name: str = "_kernel") -> list[int]:
 
 def blocks(steps: int) -> int:
     """Batch-kernel calls of an inverse-dynamics run of ``steps`` steps."""
-    return -(-steps // harness.INVERSE_BLOCK)
+    return -(-steps // harness.RUN_BLOCK)
 
 
 def short_emg_step(seed, onset):
@@ -717,7 +719,7 @@ def log_bits(log: harness.SimLog) -> list[list[str]]:
     return [[v.hex() for v in row] for row in log._data[: len(log)].tolist()]
 
 
-BLOCK = harness.INVERSE_BLOCK
+BLOCK = harness.RUN_BLOCK
 
 
 @pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
@@ -738,24 +740,78 @@ def test_inverse_run_logs_the_step_by_step_bytes(edit, steps, sway, level):
     assert log_bits(log) == log_bits(reference)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
-@pytest.mark.parametrize("q0, sway, error, splits", [
-    # the trunk's angle overflows from step 5 on, after step 1's own error
-    (1.79e308, {"amplitude": [1e307]}, "[step 1, t=0.005s] h_bias contains NaN or Inf", 2),
-    # at step 1, where the run kernel's cos raises, after step 0 logged
-    (sys.float_info.max, {"amplitude": [1e303], "frequency": 50.0}, "math domain error", 1),
+def tracking_variant(name: str, steps: int, level: int, damping, sway: float,
+                     stiffness) -> dict:
+    """A bundled tracking scenario run for ``steps`` steps, with the trunk
+    on a sway of ``sway`` m: "sweep" is overhead_sweep's swept contact,
+    "friction" press_friction, "gated" emg_step's sEMG-gated shift and
+    "off" overhead_sweep with no controller.  ``damping`` (when given) and
+    a ``stiffness`` on every level (when given; large ones blow the run
+    up) replace the controller's."""
+    file = {"sweep": "overhead_sweep", "off": "overhead_sweep",
+            "friction": "press_friction", "gated": "emg_step"}[name]
+    with open(scenario_path(f"{file}.json")) as fh:
+        data = json.load(fh)
+    ctrl = data["controller"]
+    if name == "off":
+        ctrl["enabled"] = False
+    else:
+        ctrl["level"] = level
+        if damping is not None:
+            ctrl["damping"] = damping
+        if stiffness is not None:
+            ctrl["stiffness_table"] = [[stiffness, stiffness]] * 4
+    data["human_motion"] = {"type": "sine", "amplitude": [sway], "frequency": 0.5}
+    data["sim"]["duration"] = steps * data["sim"]["dt"]
+    return data
+
+
+def outcome(run, data: dict):
+    """The columns and ``log_bits`` of ``run``'s log of ``data``, or the
+    type and message of the error it raised."""
+    try:
+        log = run(parse_scenario(data))
+    except SuperlimbError as exc:
+        return type(exc).__name__, str(exc)
+    return log.columns, log_bits(log)
+
+
+@pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("name", ["sweep", "friction", "gated", "off"])
+@settings(max_examples=3, deadline=None)
+@given(level=st.integers(1, 4),
+       damping=st.none() | st.lists(st.floats(0.0, 50.0), min_size=2, max_size=2),
+       sway=st.floats(0.0, 0.05),
+       stiffness=st.none() | st.floats(1e4, 1e7))
+@example(level=2, damping=None, sway=0.01, stiffness=47200.0)  # "gated" blows up at step 544
+def test_tracking_run_logs_the_whole_run_loop_bytes(name, steps, level, damping, sway,
+                                                    stiffness):
+    # the loop over blocks logs what the loop over the whole run logs, on either
+    # side of a block's end, and raises the same first error
+    data = tracking_variant(name, steps, level, damping, sway, stiffness)
+    assert outcome(run_scenario, data) == outcome(reference_tracking_run, data)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["inverse-dynamics", "tracking"])
+@pytest.mark.parametrize("q0, sway", [
+    (1.79e308, {"amplitude": [1e307]}),
+    (sys.float_info.max, {"amplitude": [1e303], "frequency": 50.0}),
 ])
-def test_inverse_run_raises_an_infinite_angle_at_its_step(monkeypatch, q0, sway, error, splits):
-    # math.cos of an infinite angle raises: a block holding such a step
-    # must not raise it before the steps ahead of it, or their errors
+def test_an_infinite_scripted_angle_exits_1_at_load(tmp_path, capsys, q0, sway, mode):
+    # a scripted angle past the float range is a fault of the file: it is
+    # rejected before the sway is evaluated, with no overflow warning, no
+    # traceback and no log
     data = inverse_variant("hinged", 10, sway, 2)
     data["plant"]["chains"][1]["joints"][0]["q0"] = q0
-    for run in (run_scenario, reference_inverse_run):
-        cell = count_calls(monkeypatch, dynamics, "decouple")
-        with pytest.raises((NonFinite, ValueError)) as exc:
-            run(parse_scenario(data))
-        assert (str(exc.value), cell[0]) == (error, splits)
-        monkeypatch.undo()
+    data["sim"]["mode"] = mode
+    cfg, out = tmp_path / "sway.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: human_motion.amplitude: {sway['amplitude'][0]:g} about q0 = {q0:g} takes "
+        "human joint 0 past the float range\n")
+    assert not out.exists()
 
 
 # --- physics regression guards --------------------------------------------------
@@ -973,19 +1029,50 @@ def both(*edits):
     ("tracking", {5: inf_trunk_bias}, "[step 5, t=0.025s] tau_h0 is inf"),
     ("inverse-dynamics", {3: nan_tip_vel}, "[step 3, t=0.015s] f_cmd_x is nan"),
     ("tracking", {3: nan_tip_vel}, "[step 3, t=0.015s] tau_total contains NaN or Inf"),
+    # across a block's end: a block's error is found when the block ends,
+    # before a later block's
+    ("tracking", {3: inf_mount, BLOCK + 5: inf_trunk_bias}, "[step 3, t=0.015s] f_mount_x is -inf"),
+    ("inverse-dynamics", {3: inf_mount, BLOCK + 5: inf_trunk_bias},
+     "[step 3, t=0.015s] f_mount_x is -inf"),
+    # and a later block's at its own step
+    ("tracking", {BLOCK + 2: inf_mount}, f"[step {BLOCK + 2}, t=2.57s] f_mount_x is -inf"),
+    ("inverse-dynamics", {BLOCK + 2: inf_mount}, f"[step {BLOCK + 2}, t=2.57s] f_mount_x is -inf"),
 ])
 def test_deferred_mount_force_reports_the_first_error(mode, edits, message):
-    # the mount force is computed once, after the loop, but a NaN or Inf in
-    # it is reported at its own step and column, as a row check would have
+    # the mount force is computed once per block, when the block ends, but a
+    # NaN or Inf in it is reported at its own step and column, as a row
+    # check would have
     with open(scenario_path("overhead_inverse.json")) as fh:
         data = json.load(fh)
-    data["sim"].update(mode=mode, duration=0.05)
+    data["sim"].update(mode=mode, duration=0.005 * max(10, max(edits) + 10))
     data["controller"]["damping"] = [2.0, 2.0]
     sc = parse_scenario(data)
     poison_kernel(sc, edits)
     with pytest.raises(NonFinite) as exc:
         run_scenario(sc)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["overhead_sweep.json", "overhead_inverse.json"])
+def test_run_memory_grows_with_the_log(name):
+    # beside the log, a run holds its whole-run scripted arrays and one
+    # block's lists: from 1,024 to 4,096 steps its peak traced memory grows
+    # by at most 2.5 log rows per step (a run that kept every step's
+    # kinematics grew by 6.7 to 12)
+    def peak(steps):
+        with open(scenario_path(name)) as fh:
+            data = json.load(fh)
+        data["sim"]["duration"] = steps * data["sim"]["dt"]
+        sc = parse_scenario(data)
+        tracemalloc.start()
+        try:
+            log = run_scenario(sc)
+            return tracemalloc.get_traced_memory()[1], log._data[0].nbytes
+        finally:
+            tracemalloc.stop()
+
+    (short, row), (long, _) = peak(1024), peak(4096)
+    assert (long - short) / 3072 <= 2.5 * row
 
 
 # --- columnar log ---------------------------------------------------------------
