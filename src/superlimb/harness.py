@@ -12,11 +12,12 @@ its two Cholesky solves and the scripted joints' torques run as
 straight-line code that ``numerics``' emitters generate once per shape
 (DoFs, free DoFs, contact rows), to the bit what a loop over Python float
 lists computes.  One loop runs both modes a block of steps at a time:
-the block's scripted inputs become float lists, and its mount force is
-filled and checked when it ends.  Tracking steps one at a time inside the
-block; in inverse-dynamics mode every step's state is scripted, so the
-kinematics and the control law run once per block, and only the contact
-rows, the force split and the log's row stay per step.
+the block's scripted inputs become float lists, its rows go into the log
+in one write, and its mount force is filled and its rows checked when it
+ends.  Tracking steps one at a time inside the block; in inverse-dynamics
+mode every step's state is scripted, so the kinematics, the control law
+and the contact rows run once per block, and only the force split stays
+per step.
 
 Sign conventions: the constraint force returned by the dynamics layer
 acts on the robot; logs report ``lambda`` as the force exerted on the
@@ -63,7 +64,8 @@ from .errors import (
     SuperlimbError,
     ValidationError,
 )
-from .numerics import GRAM_PIVOT_RTOL, _check_finite, _function, _spd_solve_source, _sum, _unpack
+from .numerics import (GRAM_PIVOT_RTOL, QR_RANK_RTOL, _check_finite, _function, _spd_solve_source,
+                       _sum, _unpack)
 from .plant import AXES, PlantModel
 from .scenario import Scenario
 from .stiffness import check_vectors, control_force, friction_torque, task_to_joint_torque
@@ -274,8 +276,9 @@ class SimLog:
 
     The columns that do not depend on the plant state (``t``, ``a``,
     ``gate`` kept as 0.0/1.0, ``x_eq_*``) are given whole at construction;
-    ``append`` fills the rest of one row, and ``run_scenario`` the
-    ``f_mount`` cells of a block's rows when the block ends."""
+    ``append`` fills the rest of a block's rows, unchecked, and
+    ``_check_mount_force`` their ``f_mount`` cells when the block ends,
+    checking the rows whole."""
 
     def __init__(self, scenario: Scenario, t, a, gate, x_eq):
         model = scenario.model
@@ -303,15 +306,15 @@ class SimLog:
         self._data[:, self._state_end:] = np.column_stack((a, gate, x_eq))
         self._n = 0
 
-    def append(self, row: list):
-        """Store one step's state-dependent values, given as one flat list
-        in column order (``q_s`` through ``tau_h``, any finite placeholder
-        in the ``f_mount`` cells); raises NonFinite naming the first column
-        whose value is NaN or Inf.  A rejected row stays in place, uncounted."""
-        self._data[self._n, 1 : self._state_end] = row
-        if not all(map(isfinite, row)):
-            self._check_row(self._n)
-        self._n += 1
+    def append(self, rows):
+        """Store a block of steps' state-dependent values, unchecked: one
+        row per step in column order (``q_s`` through ``tau_h``, any
+        placeholder in the ``f_mount`` cells), as float lists or one 2-D
+        array.  ``_check_mount_force`` fills the block's ``f_mount`` cells
+        and checks its rows when the block ends."""
+        hi = self._n + len(rows)
+        self._data[self._n : hi, 1 : self._state_end] = np.reshape(rows, (-1, self._state_end - 1))
+        self._n = hi
 
     def _check_row(self, i: int):
         """Raise NonFinite naming the first of row ``i``'s columns ``q_s``
@@ -412,8 +415,9 @@ def _check_mount_force(log: SimLog, scenario: Scenario, lo: int, mount, qdd, t_s
     """Fill the ``f_mount`` cells of the log's rows from ``lo`` on, one per
     row of ``mount`` (that step's ``Kinematics.mount``; ``qdd`` holds the
     accelerations, from step ``lo`` too), from one ``_mount_force``
-    product, and raise NonFinite, with its step, at the first row that then
-    holds a NaN or Inf: the error the row's own check would have raised."""
+    product, and check those rows whole: raise NonFinite, with its step, at
+    the first row that then holds a NaN or Inf, naming its first such
+    column, the error a check of each row at its step would have raised."""
     steps = len(mount)
     hi = lo + steps
     data = log._data
@@ -422,7 +426,7 @@ def _check_mount_force(log: SimLog, scenario: Scenario, lo: int, mount, qdd, t_s
     # it back gives each bit of the force on the robot
     f = _mount_force(scenario, mount, qdd, -data[lo:hi, log._lambda])
     data[lo:hi, log._mount] = f
-    bad = np.flatnonzero(~np.isfinite(f).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(data[lo:hi, 1 : log._state_end]).all(axis=1))
     if bad.size:
         i = lo + int(bad[0])
         try:
@@ -515,21 +519,26 @@ def run_scenario(scenario: Scenario) -> SimLog:
     torques are reported, not applied.
 
     Both modes walk the run in blocks of ``RUN_BLOCK`` steps: the block's
-    rows of those arrays become float lists, and when the block ends one
-    ``_mount_force`` product fills and checks its ``f_mount`` cells, so
-    what the run holds beside the log is bounded by a block.  In tracking
-    mode, per step, the loop makes one call of the plant's run kernel,
-    takes the contact rows and the control law from it in Python floats,
-    applies J^T f, gravity load and friction to the limb's joints and
-    advances them with ``_advance``, which also returns the human joints'
-    torques.  In inverse dynamics the SRL posture is held and every state
-    is scripted, so one batch-kernel call and one ``control_force`` call
-    on per-component arrays give a block's kinematics and commanded force,
-    to the bit what the run kernel and the law give step by step; per step
-    only the contact rows, the split of the required force (``decouple``)
-    and the log's row remain.  Each error is raised at its step with its
-    message, after a NaN or Inf mount force of an earlier step, or of an
-    earlier column of the same row, which comes first.
+    rows of those arrays become float lists, its rows go into the log in
+    one ``append``, unchecked, and when the block ends one ``_mount_force``
+    product fills its ``f_mount`` cells and one scan checks its rows whole,
+    so what the run holds beside the log is bounded by a block.  In
+    tracking mode, per step, the loop makes one call of the plant's run
+    kernel, takes the contact rows and the control law from it in Python
+    floats, applies J^T f, gravity load and friction to the limb's joints
+    and advances them with ``_advance``, which also returns the human
+    joints' torques.  In inverse dynamics the SRL posture is held and every
+    state is scripted, so one batch-kernel call and one ``control_force``
+    call on per-component arrays give a block's kinematics and commanded
+    force, to the bit what the run kernel and the law give step by step,
+    and the block's contact rows come from one array (a step whose
+    Jacobian is not finite, or fails ``contact_jacobian``'s floor, calls
+    it); per step only the split of the required force (``decouple``)
+    remains, and without contact nothing does.  Each error is raised at its
+    step with its message, after the first NaN or Inf of an earlier row
+    (mount cells filled).  Steps past such a row run on to the block's end,
+    where only a ``SuperlimbError`` can stop them: load rules keep every
+    angle that reaches ``cos`` finite.
     """
     model, sim, ctrl_cfg = scenario.model, scenario.sim, scenario.controller
     n, m = model.n_dof, len(model.srl_indices)
@@ -558,10 +567,10 @@ def run_scenario(scenario: Scenario) -> SimLog:
     contact_link = model.link_index(spec.chain, spec.joint) if spec else None
 
     q, qd = model.q0.tolist(), [0.0] * n  # the state the next step starts from
-    written = 0  # the rows handed to the log, one it rejected included
     for lo in range(0, sim.n_steps, RUN_BLOCK):
         hi = min(lo + RUN_BLOCK, sim.n_steps)
-        qdd = qdd_in[lo:hi].tolist()
+        size, qdd, error = hi - lo, qdd_in[lo:hi].tolist(), None
+        block, mount = [], []  # in tracking, each step's row and Kinematics.mount
         if inverse:
             # the block's starting states, a joint per row: where the last
             # step ended, then the script's ends of the block's steps
@@ -579,34 +588,30 @@ def run_scenario(scenario: Scenario) -> SimLog:
                 else:
                     f_cmd = [0.0] * len(rows)
                 if spec is None:  # nothing to split: the joints need A qdd + h
-                    tau = [sum(map(mul, row, qdd_in[lo:hi].T)) + hj
-                           for row, hj in zip(kin.a, kin.h)]
-            size = hi - lo
-            heads = _columns([*q[:m], *qd[:m], *x, *f_cmd], size).tolist()
-            if spec is None:
-                tails = _columns(tau, size).tolist()
-            else:
-                jx, jz = kin.tip_jac[contact_link]
-                jacs = _columns(jx + jz, size).reshape(size, 2, n).tolist()
-                a_rows = _columns([v for row in kin.a for v in row], size)
-                a_rows = a_rows.reshape(size, n, n).tolist()
-                h_rows = _columns(kin.h, size).tolist()
+                    tau = _columns([sum(map(mul, row, qdd_in[lo:hi].T)) + hj
+                                    for row, hj in zip(kin.a, kin.h)], size)
+                    lam = np.empty((size, 0))
+                else:
+                    jx, jz = kin.tip_jac[contact_link]
+                    jac = _columns(jx + jz, size).reshape(size, 2, n)
+                    # a step whose entries are finite and whose rows pass contact_jacobian's
+                    # floor takes its rows from one tolist; any other step calls it, in turn
+                    peak = np.abs(jac).max(axis=2)
+                    floor = QR_RANK_RTOL * peak.max(axis=1, keepdims=True)
+                    clean = np.isfinite(jac).all(axis=(1, 2)) & (peak[:, spec.rows] >= floor).all(1)
+                    j_cs = [r if ok else None for r, ok in zip(jac[:, spec.rows].tolist(), clean)]
+                    a_rows = _columns([v for row in kin.a for v in row], size)
+                    a_rows = a_rows.reshape(size, n, n).tolist()
+                    h_rows = _columns(kin.h, size).tolist()
+            heads = _columns([*q[:m], *qd[:m], *x, *f_cmd], size)
             mount = _columns(kin.mount, size)
             q, qd = q_end[hi - 1], qd_end[hi - 1]
         else:
             x_eqs, v_targets, q_ends, qd_ends = (
                 v[lo:hi].tolist() for v in (x_eq, v_target, q_end, qd_end))
-            mount = []  # each step's Kinematics.mount
         try:
-            for j, i in enumerate(range(lo, hi)):
-                if inverse:
-                    head = heads[j]
-                    if spec is None:
-                        tail, lam_robot = tails[j], ()
-                    else:
-                        tail, lam_robot = dynamics.decouple(
-                            (a_rows[j], h_rows[j], contact_jacobian(jacs[j], spec), qdd[j]))
-                else:
+            if not inverse:
+                for j in range(size):
                     kin = kernel(q, qd)
                     j_c = contact_jacobian(kin.tip_jac[contact_link], spec) if spec else []
 
@@ -633,17 +638,29 @@ def run_scenario(scenario: Scenario) -> SimLog:
                         q, qd, kin.a, kin.h, tau_s, sim.dt, m,
                         j_c, v_targets[j], q_next, qd_next, qdd[j],
                     )
-                    head, tail = q[:m] + qd[:m] + x + f_cmd, tau_s + tau_h
                     mount.append(kin.mount)
+                    block.append(q[:m] + qd[:m] + x + f_cmd
+                                 + [-lk for lk in lam_robot]  # force on the supported object
+                                 + [0.0, 0.0] + tau_s + tau_h)  # f_mount, filled at the end
                     q, qd = q_next, qd_next
-                written = i + 1
-                log.append(head + [-lk for lk in lam_robot]  # force on the supported object
-                           + [0.0, 0.0] + tail)  # f_mount, filled when the block ends
+            elif spec is not None:  # per step, only the split
+                split = []
+                for j, (a_j, h_j, j_c, dd) in enumerate(zip(a_rows, h_rows, j_cs, qdd)):
+                    split.append(dynamics.decouple(
+                        (a_j, h_j, j_c or contact_jacobian(jac[j].tolist(), spec), dd)))
         except SuperlimbError as exc:
-            # a NaN or Inf mount force of an earlier step, or of an earlier
-            # column of this step's row, is the first error
-            _check_mount_force(log, scenario, lo, mount[: written - lo], qdd, t_sim)
-            _at_step(exc, len(log), t_sim[len(log)])
-            raise
+            error = exc
+        if inverse:
+            if spec is not None:
+                size = len(split)  # the steps before an error
+                tau, lam = (np.reshape([s[i] for s in split], (size, w))
+                            for i, w in ((0, n), (1, len(spec.rows))))
+            block = np.hstack((heads[:size], -lam, np.zeros((size, 2)), tau))
+            mount = mount[:size]
+        log.append(block)
+        # a NaN or Inf in a row before a step's own error is the first error
         _check_mount_force(log, scenario, lo, mount, qdd, t_sim)
+        if error is not None:
+            _at_step(error, len(log), t_sim[len(log)])
+            raise error
     return log

@@ -35,7 +35,7 @@ from .emg import (
     load_trace_csv,
 )
 from .errors import BadModel, MissingFile, ParseError, SuperlimbError, ValidationError
-from .plant import AXES, Chain, Joint, PlantModel
+from .plant import AXES, REVOLUTE, Chain, Joint, PlantModel
 from .stability import SupportPosture, named_posture
 from .stiffness import (
     FrictionModel,
@@ -548,6 +548,18 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
                 "emg.enabled", "needs a 'z' task component for the equilibrium shift"
             )
     motion = scenario.human_motion
+    # the kernels sum a chain's revolute angles before cos and sin; a finite
+    # bound on the sums keeps the run from raising anything but its own errors
+    sway = motion.amplitude.tolist() if motion.kind == "sine" else []
+    sway = [0.0] * (model.n_dof - len(sway)) + sway  # human joints come last
+    for ci, c in enumerate(model.chains):
+        first, total = model.chain_slice(c.name).start, abs(c.heading)
+        for j, joint in enumerate(c.joints, first):
+            if joint.kind == REVOLUTE:
+                total += abs(joint.q0) + abs(sway[j])
+        if not math.isfinite(total):
+            raise ParseError(f"plant.chains[{ci}].joints", "|heading| + the sum of |q0| + "
+                             "|amplitude| over the revolute joints passes the float range")
     if motion.kind == "sine":
         w = 2.0 * math.pi * motion.frequency
         if not math.isfinite(w * (sim.n_steps * sim.dt) + motion.phase):

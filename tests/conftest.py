@@ -474,8 +474,9 @@ def reference_inverse_run(scenario) -> harness.SimLog:
             else:
                 tau_req, lam_robot = dynamics.decouple((kin.a, kin.h, j_c, qdd))
             mount.append(kin.mount)
-            log.append(q[:m] + qd[:m] + x + f_cmd + [-lk for lk in lam_robot]
-                       + [0.0, 0.0] + tau_req)
+            log.append([q[:m] + qd[:m] + x + f_cmd + [-lk for lk in lam_robot]
+                        + [0.0, 0.0] + tau_req])
+            log._check_row(i)
             q, qd = q_end[i], qd_end[i]
     except SuperlimbError as exc:
         harness._check_mount_force(log, scenario, 0, mount, qdd_in, t_sim)
@@ -546,11 +547,12 @@ def reference_tracking_run(scenario) -> harness.SimLog:
             )
 
             mount.append(kin.mount)
-            log.append(
+            log.append([
                 q[:m] + qd[:m] + x + f_cmd
                 + [-lk for lk in lam_robot]  # force on the supported object
                 + [0.0, 0.0] + tau_s + tau_h  # f_mount, filled after the loop
-            )
+            ])
+            log._check_row(i)
             q, qd = q_next, qd_next
     except SuperlimbError as exc:
         # a NaN or Inf mount force of an earlier step, or of an earlier

@@ -1,7 +1,9 @@
 """Tests for the deterministic simulator: synthetic sEMG, the integrator,
 logging, and whole-scenario runs."""
 
+import builtins
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -37,6 +39,7 @@ from superlimb.errors import (
     ValidationError,
 )
 from superlimb.harness import _mount_force, generate_emg, integrate_step, run_scenario
+from superlimb.numerics import QR_RANK_RTOL
 from superlimb.plant import Chain, Joint, PlantModel, PlantState
 from superlimb.scenario import (
     ActivationProfile,
@@ -285,6 +288,69 @@ def test_builtin_float_sum_rounds_left_to_right():
     assert sum([0.1] * 10) == 0.9999999999999999, (
         "sum() of floats is compensated on this Python; pyproject.toml caps "
         "requires-python at <3.12 for this reason")
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 computes it: ints add plainly until the first
+    item of another type; from there, while the total is a float, a float
+    item adds with Neumaier's compensation and an int plainly, and the
+    compensation, if nonzero and finite, is added at the end or before the
+    first item of another type, after which every item adds plainly."""
+    mode = {int: "int", float: "float"}.get(type(start), "plain")
+    total, c = start, 0.0
+    for x in iterable:
+        if mode == "int":
+            total = total + x
+            if not isinstance(x, int):
+                mode = "float" if type(total) is float else "plain"
+        elif mode == "float" and type(x) is float:
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        elif mode == "float" and isinstance(x, int):
+            total += float(x)
+        else:
+            if mode == "float" and c and math.isfinite(c):
+                total += c
+            mode, total = "plain", total + x
+    if mode == "float" and c and math.isfinite(c):
+        total += c
+    return total
+
+
+def test_task_space_has_two_axes():
+    # a task-space force has one entry per axis, so control_force's and
+    # task_to_joint_torque's sum()s over float lists add two terms, where a
+    # compensated sum rounds as the plain one does
+    assert len(plant.AXES) == 2
+
+
+def test_bundled_logs_do_not_depend_on_a_compensated_sum(monkeypatch, tmp_path):
+    # the five bundled runs write the same bytes under Python 3.12's
+    # compensated float sum() as under this one's left-to-right sum()
+    assert compensated_sum([0.1, 0.2, 0.3]) == 0.6 != sum([0.1, 0.2, 0.3])
+
+    def digests(tag: str) -> dict:
+        out = {}
+        for name in SIM_SCENARIOS:
+            path = tmp_path / f"{tag}-{name}.csv"
+            assert main(["run", "--config", scenario_path(name), "--out", str(path)]) == 0
+            out[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        return out
+
+    plain = digests("plain")
+    floats = [0]
+
+    def counted(iterable, /, start=0):
+        total = compensated_sum(iterable, start)
+        floats[0] += type(total) is float
+        return total
+
+    monkeypatch.setattr(builtins, "sum", counted)
+    compensated = digests("compensated")
+    monkeypatch.undo()
+    assert floats[0] > 0  # the runs reached it
+    assert compensated == plain
 
 
 def identity(n):
@@ -578,8 +644,10 @@ def test_inverse_step_call_counts(monkeypatch):
 @pytest.mark.parametrize("name, per_step", [
     ("press_friction.json", [1, 1, 1, 1, 1]),
     # nothing is applied: no J^T f, no friction, and decouple replaces the
-    # step; the control law runs once per block of steps
-    ("overhead_inverse.json", ["block", 0, 0, 1, 0]),
+    # step; the control law runs once per block of steps, and the contact
+    # rows come from the block's arrays wherever they are finite and above
+    # the floor
+    ("overhead_inverse.json", ["block", 0, 0, 0, 0]),
 ])
 def test_step_law_call_counts(monkeypatch, name, per_step):
     # the loop calls each step law and the contact solve by its name in
@@ -766,11 +834,15 @@ def tracking_variant(name: str, steps: int, level: int, damping, sway: float,
     return data
 
 
-def outcome(run, data: dict):
+def outcome(run, data: dict, edits: dict | None = None):
     """The columns and ``log_bits`` of ``run``'s log of ``data``, or the
-    type and message of the error it raised."""
+    type and message of the error it raised; with ``edits``, on kernels
+    that ``poison_kernel`` edits with them."""
+    sc = parse_scenario(data)
+    if edits:
+        poison_kernel(sc, edits)
     try:
-        log = run(parse_scenario(data))
+        log = run(sc)
     except SuperlimbError as exc:
         return type(exc).__name__, str(exc)
     return log.columns, log_bits(log)
@@ -811,6 +883,30 @@ def test_an_infinite_scripted_angle_exits_1_at_load(tmp_path, capsys, q0, sway, 
     assert capsys.readouterr().err == (
         f"error: human_motion.amplitude: {sway['amplitude'][0]:g} about q0 = {q0:g} takes "
         "human joint 0 past the float range\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["inverse-dynamics", "tracking"])
+@pytest.mark.parametrize("chain", [0, 1])
+def test_an_infinite_chain_angle_exits_1_at_load(tmp_path, capsys, chain, mode):
+    # two revolute joints at 1e308 on one chain (the arm's first two, or a
+    # trunk of two with no sway): each angle is finite, but the kernel sums
+    # them before cos, which would raise on the first call
+    data = inverse_variant("z", 10, {}, 2)
+    joints = data["plant"]["chains"][chain]["joints"]
+    if chain == 1:
+        joints[:] = [dict(joints[0], kind="revolute", length=0.4, com=0.2) for _ in range(2)]
+        del data["human_motion"]
+    for joint in joints[:2]:
+        joint["q0"] = 1e308
+    data["sim"]["mode"] = mode
+    cfg, out = tmp_path / "chain.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: plant.chains[{chain}].joints: |heading| + the sum of |q0| + |amplitude| over "
+        "the revolute joints passes the float range\n")
     assert not out.exists()
 
 
@@ -1051,6 +1147,116 @@ def test_deferred_mount_force_reports_the_first_error(mode, edits, message):
     with pytest.raises(NonFinite) as exc:
         run_scenario(sc)
     assert str(exc.value) == message
+
+
+def nan_tip(kin):
+    """Every link tip's position at NaN: the logged x, and the commanded
+    force from it, are NaN.  Inverse dynamics logs the row; the tracking
+    step rejects the torque it applies."""
+    return kin._replace(tip=[(math.nan, math.nan)] * len(kin.tip))
+
+
+def nan_limb_bias(kin):
+    """The first limb joint's bias at NaN: the step's own error in either
+    mode with contact (the tracking state blows up, ``decouple`` rejects
+    ``h_bias``), a NaN ``tau_s0`` in inverse dynamics without contact."""
+    return kin._replace(h=[math.nan] + kin.h[1:])
+
+
+#: a fault a step logs in its row without an error of its own, per mode
+ROW_FAULT = {"tracking": inf_trunk_bias, "inverse-dynamics": nan_tip}
+
+
+def block_steps(data, steps: int) -> tuple[int, int]:
+    """Two steps, in order, drawn from one block of a ``steps``-step run
+    (the same step when the block has one)."""
+    lo = data.draw(st.sampled_from(range(0, steps, BLOCK)))
+    hi = min(lo + BLOCK, steps)
+    return tuple(sorted(data.draw(st.lists(st.integers(lo, hi - 1), min_size=2, max_size=2))))
+
+
+def faults_at(first: int, second: int, early, late) -> dict:
+    """``poison_kernel``'s edits: ``early`` at step ``first`` and ``late``
+    at step ``second``, both in turn where the steps are one."""
+    return {first: both(early, late)} if first == second else {first: early, second: late}
+
+
+@pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("mode, contact", [("tracking", "z"), ("inverse-dynamics", "z"),
+                                           ("inverse-dynamics", "none")])
+@pytest.mark.parametrize("case", ["row, then a step's error", "mount, then a row"])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_a_blocks_first_fault_is_the_step_by_step_runs(case, mode, contact, steps, data):
+    # a block's rows are written and checked when the block ends, but the
+    # first NaN or Inf row, the mount cells filled, still wins over a later
+    # step's error or row in the same block, at its step and column: the
+    # step-by-step loop, which checks each row at its step, says the same
+    first, second = block_steps(data, steps)
+    early, late = {"row, then a step's error": (ROW_FAULT[mode], nan_limb_bias),
+                   "mount, then a row": (inf_mount, ROW_FAULT[mode])}[case]
+    edits = faults_at(first, second, early, late)
+    variant = inverse_variant("damped", steps, {}, 2)
+    if contact == "none":
+        del variant["contact"]
+    variant["sim"]["mode"] = mode
+    reference = {"tracking": reference_tracking_run,
+                 "inverse-dynamics": reference_inverse_run}[mode]
+    assert outcome(run_scenario, variant, edits) == outcome(reference, variant, edits)
+
+
+def contact_jacobian_edit(fix):
+    """The contact link's (overhead_inverse's arm tip, link 2) Jacobian
+    rows replaced by ``fix(jx, jz)``."""
+    def edit(kin):
+        tip_jac = list(kin.tip_jac)
+        tip_jac[2] = tuple(map(list, fix(*tip_jac[2])))
+        return kin._replace(tip_jac=tip_jac)
+    return edit
+
+
+def entry(row: int, col: int, value: float):
+    """Entry ``col`` of Jacobian row ``row`` (0: x, 1: z) set to ``value``."""
+    def fix(*rows):
+        rows = [list(r) for r in rows]
+        rows[row][col] = value
+        return rows
+    return fix
+
+
+def floor_z(below: bool):
+    """The z row cut to one entry at ``QR_RANK_RTOL`` times the x row's
+    largest magnitude, the floor itself, or the float just below it."""
+    def fix(jx, jz):
+        floor = QR_RANK_RTOL * max(map(abs, jx))
+        z = math.nextafter(floor, 0.0) if below else floor
+        return jx, [z] + [0.0] * (len(jz) - 1)
+    return fix
+
+
+JACOBIAN_FAULTS = st.one_of(
+    st.builds(entry, st.integers(0, 1), st.integers(0, 3),
+              st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e-300])),
+    st.builds(floor_z, st.booleans()),
+    st.sampled_from([lambda jx, jz: (jx, [0.0] * len(jz)),  # z vanishes
+                     lambda jx, jz: ([0.0] * len(jx), jz)]),  # x vanishes
+).map(contact_jacobian_edit)
+
+
+@pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("directions", ["z", "xz"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_inverse_contact_rows_fall_back_to_contact_jacobian(directions, steps, data):
+    # a step whose contact Jacobian holds a NaN or Inf, or whose row falls
+    # under the floor, takes its rows from contact_jacobian itself: the same
+    # error at the same step where it raises, the same bytes where it passes
+    # (a NaN in the x row of a z contact, a row exactly at the floor)
+    edits = data.draw(st.dictionaries(st.integers(0, steps - 1), JACOBIAN_FAULTS,
+                                      min_size=1, max_size=3))
+    variant = inverse_variant(directions, steps, {}, 2)
+    assert (outcome(run_scenario, variant, edits)
+            == outcome(reference_inverse_run, variant, edits))
 
 
 @pytest.mark.parametrize("name", ["overhead_sweep.json", "overhead_inverse.json"])
