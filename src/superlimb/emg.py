@@ -45,13 +45,6 @@ DEFAULT_FS = 1000.0
 DEFAULT_WINDOW = 0.1
 #: filtfilt's default edge padding of the band-pass biquad: 3 x its 3 coefficients
 FILTER_PAD = 9
-#: rows ``write_csv`` formats at a time; a larger block is no faster, and one of
-#: 256 rows of a 21-column simulation log adds about 0.5 MB to the peak RSS
-_CSV_BLOCK = 64
-#: cells of a block, past its first row and the flag column, equal to the
-#: cell above them, below which ``write_csv`` formats every cell: there the
-#: numpy work of sharing texts costs about what the ``repr`` calls it saves
-_CSV_SHARED = 128
 #: bytes that numpy's float converter strips around a cell and ``float`` does not
 _INFO_SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
@@ -456,45 +449,328 @@ def check_writable(path: str):
 
 
 def write_csv(path: str, header: list[str], rows: np.ndarray, flag: int | None = None):
-    """Write a float table of one or more columns as CSV: every value as its
-    shortest round-trip ``repr``, except column ``flag`` (if given),
-    written as ``0``/``1``.
+    """Write a float table of one or more columns as CSV: every value as
+    ``repr`` writes it, except column ``flag`` (if given), written as
+    ``1``/``0`` by truthiness.
 
-    Rows are formatted ``_CSV_BLOCK`` at a time, column by column.  Inside
-    a block's column, a cell whose 64-bit pattern equals the cell above it
-    reuses that cell's text (so 0.0 and -0.0 never share one), once the
-    block has ``_CSV_SHARED`` such cells.  The bytes are those of
-    formatting each row on its own.  Raises ValidationError, naming the
-    path, when the file cannot be opened for writing."""
-    bits = rows.view(np.uint64)
-    n_blocks = -(-len(rows) // _CSV_BLOCK)
-    shared = np.zeros(n_blocks * _CSV_BLOCK, dtype=np.intp)  # per row, cells equal to the one above
-    same = bits[1:] == bits[:-1]
-    if flag is not None:
-        same[:, flag] = False
-    shared[1 : len(rows)] = np.count_nonzero(same, axis=1)
-    shared[::_CSV_BLOCK] = 0  # a block's first row is formatted whole
+    One numpy kernel formats the body, with no Python object per cell:
+    ``_shortest`` finds each value's shortest round-trip digits by exact
+    integer arithmetic, ``_csv_text`` lays them out as ``float.__repr__``
+    does, and ``_csv_chunks`` writes one byte buffer per chunk of at most
+    ``_CSV_CELLS`` cells (whole rows).  Only cells that differ (in their
+    bits) from the one above them are formatted, ``_CSV_FRESH`` at most at
+    a time; the others copy its text.  The tests hold the bytes to one
+    ``repr`` per cell.  Raises ValidationError, naming the path, when the
+    file cannot be opened for writing."""
+    rows = np.asarray(rows, dtype=float)
     try:
         fh = open(path, "w", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
     with fh:
         fh.write(",".join(header) + "\n")
-        for start, n_shared in zip(range(0, len(rows), _CSV_BLOCK),
-                                   shared.reshape(n_blocks, _CSV_BLOCK).sum(axis=1).tolist()):
-            cols = rows[start : start + _CSV_BLOCK].T
-            if n_shared < _CSV_SHARED:
-                cells = [None if j == flag else list(map(repr, col))
-                         for j, col in enumerate(cols.tolist())]
-            else:
-                col_bits = bits[start : start + _CSV_BLOCK].T
-                fresh = np.ones(cols.shape, dtype=bool)  # the cell differs from the one above
-                np.not_equal(col_bits[:, 1:], col_bits[:, :-1], out=fresh[:, 1:])
-                texts = np.array(list(map(repr, cols[fresh].tolist())), dtype=object)
-                cells = texts[np.cumsum(fresh).reshape(fresh.shape) - 1].tolist()
-            if flag is not None:
-                cells[flag] = ["1" if v else "0" for v in cols[flag].tolist()]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        fh.flush()
+        for text in _csv_chunks(rows, flag):
+            fh.buffer.write(text)
+
+
+# A value c * 2^q (c < 2^53, the hidden bit included) reads back from any
+# decimal in its rounding interval [(4c - 2) 2^(q-2), (4c + 2) 2^(q-2)],
+# whose ends belong to it when c is even (round half to even); just above a
+# power of two the gap below is half the gap above, and the lower end is
+# (4c - 1) 2^(q-2).  With 10^k <= width < 10^(k+1) the interval holds at
+# most one multiple of 10^(k+1) and at least one of 10^k.  So the shortest
+# decimal is that multiple of 10^(k+1), if there is one, with its trailing
+# zeros stripped; otherwise it is s or s + 1 times 10^k for s = floor(v /
+# 10^k), whichever lies in the interval, the nearer one if both do, the even
+# one on a tie (Ryu, Adams 2018; Schubfach, Giulietti 2020).
+#
+# Every test compares x = m 2^q / 10^k with a multiple of 1/4, for m = 4c -
+# 2, 4c - 1, 4c or 4c + 2 (all below 2^55).  x is formed in fixed point as m
+# times ceil(2^(q + 124) / 10^k): exact but for an excess below m 2^-124 <
+# 2^-69.  Over every binary exponent and every m <= 2^55, an x that is not an
+# integer lies at least 2^-65.4 from one (the continued-fraction bound that
+# the tests recompute).  So the product's integer part is floor(x), and x is
+# an integer exactly when its 124-bit fraction is below 2^57 units (2^-67).
+
+#: cells ``write_csv`` writes at a time, in whole rows, and the most of them
+#: it formats at a time (the others repeat the cell above them).  A write's
+#: allocations then peak near 1.6 MB; batches of 2^13 write about 7 %
+#: faster but peak near 2.9 MB
+_CSV_CELLS, _CSV_FRESH = 1 << 11, 1 << 12
+_M32 = 0xFFFFFFFF
+_POW10 = 10 ** np.arange(18, dtype=np.uint64)
+
+
+@cache
+def _multipliers() -> tuple[np.ndarray, np.ndarray]:
+    """Per binary exponent, with 2048 added to the biased exponent just above
+    a power of two: the decimal exponent k = floor(log10(width)) of the
+    rounding interval, and ceil(2^(q + 124) / 10^k) < 2^128 as four 32-bit
+    limbs, least significant first (shape 4 x 4096).  Built on the first
+    write."""
+    ks = np.empty(4096, dtype=np.int64)
+    raw = bytearray()
+    for row in range(4096):
+        q = max(row & 2047, 1) - 1075
+        # floor(q log10 2), or floor(log10(3/4 2^q)) above a power of two
+        k = (q * 661971961083 - (274743187321 if row >> 11 else 0)) >> 41
+        num, den = (5**-k, 1) if k <= 0 else (1, 5**k)
+        e2 = q + 124 - k
+        num, den = (num << e2, den) if e2 >= 0 else (num, den << -e2)
+        ks[row] = k
+        raw += (-(-num // den)).to_bytes(16, "little")
+    limbs = np.ascontiguousarray(np.frombuffer(raw, dtype="<u4").reshape(4096, 4).T, dtype=np.uint64)
+    ks.flags.writeable = limbs.flags.writeable = False
+    return ks, limbs
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shortest round-trip decimal ``d * 10**e`` of each finite nonzero
+    magnitude, as uint64 ``d`` and int ``e``; cells of any other value give
+    junk.  ``bits`` are float64 bit patterns (the sign is ignored)."""
+    m1 = bits >> 52
+    m1 &= 0x7FF  # the biased exponent
+    c = bits & 0xFFFFFFFFFFFFF
+    above = (c == 0) & (m1 > 1)  # just above a power of two
+    row = m1.astype(np.intp)
+    row += above * 2048
+    np.minimum(m1, 1, out=m1)
+    m1 <<= 52
+    c |= m1  # the significand, the hidden bit included
+    k, table = _multipliers()
+    k = k[row]
+    g = np.take(table, row, axis=1, mode="clip")  # limbs, least first
+    del row  # here and below: freed before the next arrays, for a lower peak
+    m0 = c << 2
+    m0 &= _M32
+    np.right_shift(c, 30, out=m1)  # 4c = m1 2^32 + m0
+    x = np.empty((3, 4, len(bits)), dtype=np.uint64)  # the value's 4c g, then its ends
+    np.multiply(m0, g, out=x[0])
+    np.multiply(m1, g, out=x[1])  # at limb j + 1
+    np.right_shift(x[0], 32, out=x[2])
+    x[1] += x[2]  # at limb j + 1 too
+    x[0] &= _M32
+    x[0, 1:] += x[1, :-1]
+    top = x[1, 3] << 4  # limb 4 and up, in units of 2^124
+    g <<= 1
+    np.add(x[0], g, out=x[1])  # (4c + 2) g: the upper end
+    np.right_shift(g, above.view(np.uint8).astype(np.uint64), out=x[2])
+    u = x.view(np.int64)
+    np.subtract(u[0], u[2], out=u[2])  # (4c - 2) g, or (4c - 1) g above a power of two: the lower end
+    for j in range(3):  # carry, the borrows of the lower end too
+        u[:, j + 1] += u[:, j] >> 32
+        u[:, j] &= _M32
+    ends = u[:, 3] >> 28  # the lower end's last limb may borrow from the top
+    ends += top.view(np.int64)
+    xv, xw, xu = ends.view(np.uint64)  # floor(4v / 10^k) < 2^59, and the ends'
+    frac = x[:, 3] & 0x0FFFFFFF  # the 124-bit fractions' top 67 bits
+    frac |= x[:, 2]
+    frac |= x[:, 1] >> 25
+    near, exact_hi, exact_lo = frac == 0  # below 2^57 units: x is an integer
+    even = (c & 1) == 0
+    lo_in = (even & exact_lo).view(np.uint8)  # a lower end at 4N counts as below it
+    hi_in = (even | ~exact_hi).view(np.uint8)  # an upper end at 4N counts as above it
+    del g, x, u, c, top, frac
+    s = xv >> 2
+    s10 = s // 10
+    n4 = s10 * 40
+    short_lo = xu < n4 + lo_in  # 10 s10 is in the interval
+    n4 += 40
+    short_hi = xw + hi_in > n4  # 10 s10 + 10 is
+    short = short_lo != short_hi
+    np.left_shift(s, 2, out=n4)
+    s_in = xu < n4 + lo_in
+    n4 += 4
+    t_in = xw + hi_in > n4
+    nearer_s = (xv & 3) < 2 + (near & ((s & 1) == 0)).view(np.uint8)
+    take_s = np.where(s_in != t_in, s_in, nearer_s)
+    s10 += ~short_lo
+    s += ~take_s
+    return np.where(short, s10, s), k + short
+
+
+# A cell's text row of 48 bytes, as twelve uint32 words: a sign, the first
+# integer digit (or "0", "n", "i") and four words of 4 more (or ".000",
+# "an", "nf"); the point, the first fraction digit and four words of 4 more;
+# "e" and the exponent's sign; 3 exponent digits and the separator.  Both
+# digit runs hold all 17 digits, and the cell's shape picks which bytes of
+# the row its text uses.
+_ROW = 48
+_SIGN, _A, _POINT, _B, _EXP, _SEP = 0, 3, 20, 23, 40, 47
+#: shape codes past fixed notation's: exponent notation, a negative sign, the rest
+_SCI, _NEG, _FLAG, _NAN, _INF = 340, 374, 748, 749, 750
+#: rows of ``_text_tables``'s word table past the 10^4 four-digit words
+_DOT000, _FIRST_A, _FIRST_B = 10000, 10001, 10011
+_E_MINUS, _E_PLUS = np.frombuffer(b"e-00e+00", dtype=np.uint32)
+
+
+@cache
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """``words``: uint32 words of ASCII in memory order: the four digits of
+    each n < 10^4, then ".000", "-" and each first integer digit, "." and
+    each first fraction digit; ``zeros[n]``: n's trailing zero digits (4
+    for 0); ``masks[code]``: the row bytes a cell of each shape code uses;
+    ``exps[n]``: the three digits of each n < 1000, then a 0 byte.
+
+    Fixed notation has code (decpt + 3) * 17 + nsig - 1 for -4 < decpt <=
+    16 (the point's place after the first of nsig digits); exponent
+    notation _SCI + 17 (for a 3-digit exponent) + nsig - 1; _NEG adds a
+    sign; then a flag cell, nan, inf and -inf."""
+    n = np.arange(10000, dtype=np.int16)
+    words = np.zeros((_FIRST_B + 10, 4), dtype=np.uint8)
+    digits = words[:10000]
+    for j in range(4):
+        digits[:, 3 - j] = n // 10**j % 10
+    digits += ord("0")
+    words[_DOT000] = list(b".000")
+    words[_FIRST_A:, 3] = words[:20, 3]  # "0" to "9", twice
+    words[_FIRST_A:_FIRST_B, 0] = ord("-")
+    words[_FIRST_B:, 0] = ord(".")
+    zeros = sum((n % 10**j == 0).view(np.int8) for j in range(1, 5))
+    masks = np.zeros((_INF + 2, _ROW), dtype=bool)
+    for code in range(_NEG):
+        m = masks[code]
+        if code < _SCI:
+            decpt, nsig = code // 17 - 3, code % 17 + 1
+            if decpt <= 0:  # "0." and -decpt zeros in the integer bytes
+                m[_A : _A + 2 - decpt] = m[_B : _B + nsig] = True
+            else:  # an integer ends in ".0"
+                m[_A : _A + decpt] = m[_POINT] = m[_B + decpt : _B + max(nsig, decpt + 1)] = True
+        else:
+            three, nsig = divmod(code - _SCI, 17)
+            m[_A] = m[_EXP : _EXP + 2] = m[_EXP + 5 - three : _EXP + 7] = True
+            m[_POINT] = m[_B + 1 : _B + nsig + 1] = nsig > 0  # nsig - 1 digits after the point
+        masks[code + _NEG] = m
+        masks[code + _NEG, _SIGN] = True
+    masks[_FLAG, _A] = True
+    masks[_NAN:, _A : _A + 3] = True
+    masks[_INF + 1, _SIGN] = True
+    masks[:, _SEP] = True
+    exps = np.zeros((1000, 4), dtype=np.uint8)
+    exps[:, :3] = digits[:1000, 1:]
+    tables = words.view(np.uint32).ravel(), zeros, masks, exps.view(np.uint32).ravel()
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _csv_chunks(rows: np.ndarray, flag: int | None):
+    """Yield the CSV body of a float table as uint8 arrays of at most
+    ``_CSV_CELLS`` cells (whole rows) each.
+
+    Only the cells that differ (in their bits) from the one above them are
+    formatted, in batches of rows holding at most ``_CSV_FRESH`` of them,
+    a batch's first row whole; every other cell copies the text of the last
+    formatted cell above it.  The buffers are reused from batch to batch."""
+    bits = np.ascontiguousarray(rows).view(np.uint64)
+    n_rows, width = bits.shape
+    if not n_rows:
+        return
+    fresh = np.ones(bits.shape, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
+    counted = np.cumsum(np.count_nonzero(fresh, axis=1))  # through each row
+    span = max(1, _CSV_CELLS // width)
+    seps = np.full(width, ord(","), dtype=np.uint32)
+    seps[-1] = ord("\n")
+    seps <<= 24
+    flags = None if flag is None else np.arange(width) == flag
+    text = np.empty((max(width, min(_CSV_FRESH, int(counted[-1]) + width)), _ROW), dtype=np.uint8)
+    cells = min(span, n_rows) * width
+    copies, mask = np.empty((cells, _ROW), dtype=np.uint8), np.empty((cells, _ROW), dtype=bool)
+    masks = _text_tables()[2]
+    start = 0
+    while start < n_rows:
+        stop = max(start + 1, int(np.searchsorted(counted, counted[start] - width + _CSV_FRESH, "right")))
+        fresh[start] = True
+        pick = np.flatnonzero(fresh[start:stop])
+        col = pick % width
+        codes = _csv_text(bits[start:stop].ravel()[pick], seps[col], None if flags is None else flags[col],
+                          text[: pick.size])
+        done = 0  # formatted cells in the batch's earlier chunks
+        for top in range(start, stop, span):
+            chunk = fresh[top : min(top + span, stop)]
+            m = chunk.size
+            # each cell copies the last formatted cell at or above it in its column
+            last = np.cumsum(chunk) + (done - 1)
+            done = last[-1] + 1
+            last = np.where(chunk.ravel(), last, -1).reshape(chunk.shape)
+            if top > start:
+                last[0] = np.maximum(last[0], above)
+            np.maximum.accumulate(last, axis=0, out=last)
+            above = last[-1]
+            np.take(text, last.ravel(), axis=0, out=copies[:m], mode="clip")
+            np.take(masks, codes[last.ravel()], axis=0, out=mask[:m], mode="clip")
+            yield copies[:m][mask[:m]]
+        start = stop
+
+
+def _csv_text(bits: np.ndarray, seps: np.ndarray, flags: np.ndarray | None,
+              text: np.ndarray) -> np.ndarray:
+    """Fill the text rows of cells (float64 bit patterns), n x _ROW bytes,
+    and return their shape codes, which pick the bytes each uses: the cell
+    as ``repr`` writes it, then its separator (the top byte of ``seps``); a
+    cell where ``flags`` is set is written ``1``/``0`` by truthiness."""
+    table, zeros, _, exps = _text_tables()
+    words = text.view(np.uint32)
+    d, e = _shortest(bits)
+    mag = bits & 0x7FFFFFFFFFFFFFFF
+    plain = mag == 0  # zeros and flags: one digit, the point after it
+    if flags is not None:
+        plain |= flags
+    ndig = np.searchsorted(_POW10[:17], d, side="right")
+    d *= _POW10[17 - ndig]  # 17 digits, the first nonzero
+    d[plain] = 0
+    if flags is not None:
+        d[flags & (mag != 0)] = _POW10[16]
+    d = d.view(np.int64)
+    hi = d // 10**8
+    lo = d - hi * 10**8
+    first = hi // 10**8
+    hi -= first * 10**8
+    g1 = hi // 10**4
+    g3 = lo // 10**4
+    hi -= g1 * 10**4
+    lo -= g3 * 10**4
+    groups = (g1, hi, g3, lo)
+    quad = np.empty(len(bits), dtype=np.uint32)
+    for j, group in enumerate(groups):
+        np.take(table, group, out=quad, mode="clip")
+        words[:, 6 + j] = quad
+        if j:
+            words[:, 1 + j] = quad
+    tz = np.zeros(len(bits), dtype=np.int8)  # trailing zero digits
+    run = np.ones(len(bits), dtype=bool)
+    for group in groups[::-1]:
+        tz += zeros[group] * run
+        run &= group == 0
+    tz += run & (first == 0)
+    decpt = np.where(plain, 1, ndig + e)
+    fixed = (decpt > -4) & (decpt <= 16)
+    lead = fixed & (decpt <= 0)  # "0." and zeros before the digits
+    np.take(table, np.where(lead, _DOT000, g1), out=words[:, 1], mode="clip")
+    first += _FIRST_B
+    np.take(table, first, out=words[:, 5], mode="clip")
+    first -= _FIRST_B - _FIRST_A
+    first[lead] = _FIRST_A
+    np.take(table, first, out=words[:, 0], mode="clip")
+    exp10 = np.abs(decpt - 1)
+    words[:, 10] = np.where(decpt < 1, _E_MINUS, _E_PLUS)
+    np.take(exps, np.minimum(exp10, 999), out=words[:, 11], mode="clip")
+    words[:, 11] |= seps
+    neg = (bits >> 63).astype(bool)
+    code = np.where(fixed, decpt * 17 + 51, (exp10 > 99) * 17 + _SCI)
+    code += np.maximum(17 - tz, 1) - 1
+    code += neg * _NEG
+    special = mag >= 0x7FF0000000000000  # nan, inf and -inf
+    if flags is not None:
+        code[flags] = _FLAG
+        special &= ~flags
+    if special.any():
+        nan = mag > 0x7FF0000000000000
+        code[special] = np.where(nan, _NAN, _INF + neg)[special]
+        text[special, _A : _A + 3] = np.where(nan[special, None], *np.frombuffer(b"naninf", np.uint8).reshape(2, 3))
+    return code
 
 
 def _read_csv(

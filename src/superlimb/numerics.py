@@ -33,6 +33,11 @@ from .errors import (
 
 #: relative threshold below which a QR diagonal entry counts as zero
 QR_RANK_RTOL = 1e-10
+#: absolute floor of a QR diagonal entry, the square root of the smallest
+#: normal float: a column shorter than it squares to a subnormal, and a
+#: lone contact row that short gives a force lambda = y / r_11 that
+#: overflows once |y| passes 2.7e154
+QR_RANK_ATOL = sqrt(np.finfo(float).tiny)
 #: relative floor of a Gram matrix's Cholesky pivots: a pivot over its
 #: diagonal entry is the squared sine of the angle between that row and the
 #: span of the rows before it, and where the angle is zero rounding leaves
@@ -43,8 +48,6 @@ GRAM_PIVOT_RTOL = 1e-10
 SVD_CUTOFF_FACTOR = 1e-12
 #: condition-number bound beyond which a weighted Gram matrix is singular
 GRAM_COND_MAX = 1e12
-
-_TINY = np.finfo(float).tiny
 
 
 def _as_array(x, name: str, ndim: int) -> np.ndarray:
@@ -196,9 +199,10 @@ def symmetric_part(a: np.ndarray, error, reason: str) -> np.ndarray:
 
 def check_rank(diag: list[float], reason: str = ""):
     """Raise RankDeficient, saying ``reason`` if given, unless each |r_ii| of a QR
-    factorization, ``diag``, is at least ``QR_RANK_RTOL`` times the largest (NaN fails)."""
+    factorization, ``diag``, is at least ``QR_RANK_RTOL`` times the largest and
+    at least ``QR_RANK_ATOL`` (NaN fails)."""
     lo, hi = min(diag), max(diag)
-    floor = QR_RANK_RTOL * max(hi, _TINY)
+    floor = max(QR_RANK_RTOL * hi, QR_RANK_ATOL)
     if not all(d >= floor for d in diag):
         span = f"|r_ii| range [{lo:.3e}, {hi:.3e}]"
         raise RankDeficient(f"{reason} ({span})" if reason

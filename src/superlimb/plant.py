@@ -453,7 +453,7 @@ class PlantState:
         return t
 
     def potential_energy(self) -> float:
-        return sum(
-            joint.mass * self.model.gravity * z
-            for joint, (_, z) in zip(self.model._joints, self.kin.com)
-        )
+        u = 0.0  # added left to right, whatever the interpreter's sum() does
+        for joint, (_, z) in zip(self.model._joints, self.kin.com):
+            u += joint.mass * self.model.gravity * z
+        return u

@@ -2,13 +2,14 @@
 the reference loop step kernel and a batch kernel built from it row by row,
 the reference loop Cholesky solve, the reference list-based contact solve,
 Gram-Schmidt QR and inverse-dynamics split, the step-by-step
-inverse-dynamics run, the reference CSV block writer, and a reference
+inverse-dynamics run, the reference CSV writer, and a reference
 finite-difference stencil."""
 
 import csv
 import math
 import os
 from array import array
+from functools import reduce
 from itertools import chain
 from math import cos, hypot, isfinite, nan, sin, sqrt
 from operator import add, mul
@@ -18,7 +19,7 @@ import pytest
 
 from superlimb import dynamics, harness
 from superlimb.dynamics import contact_jacobian
-from superlimb.emg import _CSV_BLOCK, _first_line_not_utf8, check_gate
+from superlimb.emg import _first_line_not_utf8, check_gate
 from superlimb.errors import (
     MissingFile,
     NonFinite,
@@ -34,6 +35,14 @@ from superlimb.plant import AXES, REVOLUTE, Chain, Joint, Kinematics, PlantModel
 from superlimb.stiffness import control_force, friction_torque, task_to_joint_torque
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+
+def left_sum(terms):
+    """``sum(terms)`` as one left-to-right fold from 0: the order in which the
+    generated code adds.  The reference loops add with it, so that they do
+    not depend on the interpreter's ``sum()``, which Python 3.12 compensates
+    for floats."""
+    return reduce(add, terms, 0)
 
 
 def scenario_path(name: str) -> str:
@@ -294,13 +303,13 @@ def reference_spd_solve(m, rhs, error, reason: str, rtol: float = 0.0) -> list[l
     inv = []
     for j, mj in enumerate(m):
         cj = cols[j]
-        d = mj[j] - sum(map(mul, cj, cj))
+        d = mj[j] - left_sum(map(mul, cj, cj))
         if not d > 0.0 or d < rtol * mj[j]:  # NaN fails too
             raise error(f"{reason} (leading minor {j + 1} is {d:.3e})")
         d = sqrt(d)
         inv.append(1.0 / d)
         for k in range(j + 1, n):
-            cols[k].append((mj[k] - sum(map(mul, cj, cols[k]))) * inv[j])
+            cols[k].append((mj[k] - left_sum(map(mul, cj, cols[k]))) * inv[j])
         cj.append(d)
     out = []
     for b in rhs:
@@ -321,7 +330,7 @@ def reference_spd_solve(m, rhs, error, reason: str, rtol: float = 0.0) -> list[l
 def reference_advance(
     q, qd, a, h, tau_total, dt: float, m: int, j_c, v_target, q_next, qd_next, qdd
 ) -> tuple[list[float], list[float]]:
-    """``harness._advance`` as list comprehensions, ``sum()`` and two
+    """``harness._advance`` as list comprehensions, ``left_sum`` and two
     ``reference_spd_solve`` calls: the loop its generated straight-line
     solve must match bit for bit, errors included.  The scripted joints'
     torques are the back-out ``run_scenario`` computed after the solve."""
@@ -332,7 +341,7 @@ def reference_advance(
     lam = [0.0] * len(j_c)
     if m:
         qdd_s = qdd[m:]
-        rhs = [t - hi - sum(map(mul, row[m:], qdd_s)) for t, hi, row in zip(tau_total, h, a)]
+        rhs = [t - hi - left_sum(map(mul, row[m:], qdd_s)) for t, hi, row in zip(tau_total, h, a)]
         j_f = [row[:m] for row in j_c]
         # A_ff^-1 rhs, then the columns of A_ff^-1 J_f^T (one per contact row)
         qdd_free, *minv_jt = reference_spd_solve(
@@ -340,11 +349,11 @@ def reference_advance(
             RankDeficient, "inertia of the free joints is not positive definite",
         )
         if j_c:
-            gram = [[sum(map(mul, row, col)) for col in minv_jt] for row in j_f]
+            gram = [[left_sum(map(mul, row, col)) for col in minv_jt] for row in j_f]
             qd_free_pred = [v + dt * x for v, x in zip(qd, qdd_free)]
             qd_s = qd_next[m:]
             resid = [
-                vt - sum(map(mul, row[m:], qd_s)) - sum(map(mul, rf, qd_free_pred))
+                vt - left_sum(map(mul, row[m:], qd_s)) - left_sum(map(mul, rf, qd_free_pred))
                 for vt, row, rf in zip(v_target, j_c, j_f)
             ]
             (lam,) = reference_spd_solve(
@@ -352,7 +361,7 @@ def reference_advance(
                 RankDeficient, "contact directions are not independent at this posture",
                 GRAM_PIVOT_RTOL,
             )
-            qdd_free = [x + sum(map(mul, col, lam)) for x, col in zip(qdd_free, zip(*minv_jt))]
+            qdd_free = [x + left_sum(map(mul, col, lam)) for x, col in zip(qdd_free, zip(*minv_jt))]
         for i, x in enumerate(qdd_free):
             qdd[i] = x
             v = qd_next[i] = qd[i] + dt * x
@@ -363,7 +372,7 @@ def reference_advance(
         peak = nan if any(x != x for x in mags) else max(mags)
         raise NumericBlowup(f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})")
     tau_h = [
-        sum(map(mul, a[j], qdd)) + h[j] - sum(row[j] * lk for row, lk in zip(j_c, lam))
+        left_sum(map(mul, a[j], qdd)) + h[j] - left_sum(row[j] * lk for row, lk in zip(j_c, lam))
         for j in range(m, len(q))
     ]
     return lam, tau_h
@@ -383,8 +392,8 @@ def _contact_qr(j_c, reason: str = "") -> tuple[list[list[float]], list[list[flo
     for j, v in enumerate(j_c):
         if q1:
             for _ in range(2):
-                c = [sum(map(mul, qi, v)) for qi in q1]
-                v = [x - sum(map(mul, c, col)) for x, col in zip(v, zip(*q1))]
+                c = [left_sum(map(mul, qi, v)) for qi in q1]
+                v = [x - left_sum(map(mul, c, col)) for x, col in zip(v, zip(*q1))]
                 for i, ci in enumerate(c):
                     r[i][j] += ci
         d = r[j][j] = hypot(*v)
@@ -397,13 +406,13 @@ def _back_substitute(r, y) -> list[float]:
     """x with R x = y, R upper triangular with a nonzero diagonal."""
     x = list(y)
     for i in range(len(x) - 1, -1, -1):
-        x[i] = (x[i] - sum(map(mul, r[i][i + 1:], x[i + 1:]))) / r[i][i]
+        x[i] = (x[i] - left_sum(map(mul, r[i][i + 1:], x[i + 1:]))) / r[i][i]
     return x
 
 
 def reference_decouple(rows, projector: bool = False):
     """``dynamics.decouple`` on the step kernel's float lists ``(a, h, j_c,
-    qdd)`` as the loop over lists, ``sum()`` and ``reference_spd_solve``
+    qdd)`` as the loop over lists, ``left_sum`` and ``reference_spd_solve``
     that its generated split must match bit for bit, errors included: the
     value rules, ``_contact_qr``, one k-by-k solve and ``_back_substitute``.
     Returns ``(tau, lam)``, and with ``projector`` the rows of ``n_kc``
@@ -415,20 +424,20 @@ def reference_decouple(rows, projector: bool = False):
     reference_spd_solve(a, (), SingularWeight, "a is not positive definite")
     q1, r = _contact_qr(j_c, "contact directions are not independent at this posture")
     n = len(a)
-    b = [sum(map(mul, row, qdd)) + hi for row, hi in zip(a, h)]
+    b = [left_sum(map(mul, row, qdd)) + hi for row, hi in zip(a, h)]
     if len(q1) == n:
         tau = [0.0] * n
-        y = [sum(map(mul, qi, b)) for qi in q1]
+        y = [left_sum(map(mul, qi, b)) for qi in q1]
         n_kc = [[float(i == j) for j in range(n)] for i in range(n)]
     else:
-        aq = [[sum(map(mul, row, qi)) for row in a] for qi in q1]  # rows of Q1^T A
+        aq = [[left_sum(map(mul, row, qi)) for row in a] for qi in q1]  # rows of Q1^T A
         # Q1^T A b, then the columns of Q1^T A for (Q1^T A Q1)^-1 Q1^T A
-        rhs = [[sum(map(mul, aqi, b)) for aqi in aq]] + [list(col) for col in zip(*aq)]
-        y, *g = reference_spd_solve([[sum(map(mul, aqi, qj)) for qj in q1] for aqi in aq], rhs,
+        rhs = [[left_sum(map(mul, aqi, b)) for aqi in aq]] + [list(col) for col in zip(*aq)]
+        y, *g = reference_spd_solve([[left_sum(map(mul, aqi, qj)) for qj in q1] for aqi in aq], rhs,
                                     SingularWeight, "q1^T a q1 is not positive definite")
         q1_rows = list(zip(*q1))
-        tau = [bi - sum(map(mul, qrow, y)) for bi, qrow in zip(b, q1_rows)]
-        n_kc = [[sum(map(mul, qrow, gc)) for gc in g] for qrow in q1_rows]
+        tau = [bi - left_sum(map(mul, qrow, y)) for bi, qrow in zip(b, q1_rows)]
+        n_kc = [[left_sum(map(mul, qrow, gc)) for gc in g] for qrow in q1_rows]
     lam = _back_substitute(r, y)
     return (tau, lam, n_kc) if projector else (tau, lam)
 
@@ -469,7 +478,7 @@ def reference_inverse_run(scenario) -> harness.SimLog:
                 f_cmd = [0.0] * len(rows)
             qdd = qdd_in[i]
             if spec is None:
-                tau_req = [sum(map(mul, row, qdd)) + hj for row, hj in zip(kin.a, kin.h)]
+                tau_req = [left_sum(map(mul, row, qdd)) + hj for row, hj in zip(kin.a, kin.h)]
                 lam_robot = []
             else:
                 tau_req, lam_robot = dynamics.decouple((kin.a, kin.h, j_c, qdd))
@@ -565,16 +574,15 @@ def reference_tracking_run(scenario) -> harness.SimLog:
 
 
 def reference_write_csv(path: str, header: list[str], rows: np.ndarray, flag: int | None = None):
-    """``emg.write_csv`` as the block writer that formats every cell with
-    ``repr``: the oracle its shared texts must match byte for byte."""
+    """``emg.write_csv`` as a row-by-row loop with one ``repr`` per cell:
+    the oracle for the formatting kernel's bytes."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _CSV_BLOCK):
-            cols = rows[start : start + _CSV_BLOCK].T.tolist()
-            cells = [list(map(repr, col)) for col in cols]
+        for row in rows.tolist():
+            cells = list(map(repr, row))
             if flag is not None:
-                cells[flag] = ["1" if v else "0" for v in cols[flag]]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                cells[flag] = "1" if row[flag] else "0"
+            fh.write(",".join(cells) + "\n")
 
 
 def reference_read_csv(

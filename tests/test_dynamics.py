@@ -8,7 +8,7 @@ from operator import mul
 import numpy as np
 import pytest
 from conftest import _back_substitute, _contact_qr, reference_decouple
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import decoupling_instances
@@ -30,7 +30,7 @@ from superlimb.errors import (
     SingularWeight,
     SuperlimbError,
 )
-from superlimb.numerics import qr_full
+from superlimb.numerics import QR_RANK_ATOL, qr_full
 
 
 def random_snapshot(rng, n, k):
@@ -263,14 +263,36 @@ def test_contact_qr_keeps_nearly_parallel_rows_orthonormal():
     assert np.abs(lam - sol.lam).max() <= 1e-9 * np.abs(sol.lam).max()
 
 
-def test_decouple_overflowing_force_reports_a_nan_residual():
+def test_decouple_rejects_a_lone_contact_row_below_the_absolute_floor():
     # a lone contact row at the smallest normal float passes the relative
-    # rank rule, and lambda = y / r_11 overflows: the snapshot form returns
-    # the split's infinite force with a NaN residual, and no RuntimeWarning
+    # rank rule, and lambda = y / r_11 would overflow to inf with a NaN
+    # residual: both library entry points raise RankDeficient instead
     snap = DynamicsSnapshot(a=np.eye(2), h_bias=np.zeros(2), j_c=np.array([[2.0 ** -1022, 0.0]]),
                             qdd=np.array([4.0, 0.0]))
-    sol = decouple(snap)
-    assert sol.lam.tolist() == [math.inf] and math.isnan(sol.residual_inf)
+    with pytest.raises(RankDeficient):
+        decouple(snap)
+    with pytest.raises(RankDeficient):
+        constraint_force(snap, np.zeros(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-1074, 0), st.floats(0.0, 2.0 * math.pi))
+def test_lone_contact_row_floor_is_absolute(exponent, angle):
+    # a lone row of any length and direction: below QR_RANK_ATOL both entry
+    # points raise RankDeficient; at or above it they give a finite force
+    row = 2.0**exponent * np.array([math.cos(angle), math.sin(angle)])
+    length = math.hypot(*row)
+    assume(not 0.5 * QR_RANK_ATOL < length < 2.0 * QR_RANK_ATOL)  # numpy's QR and hypot may differ by an ulp
+    snap = DynamicsSnapshot(a=np.eye(2), h_bias=np.zeros(2), j_c=row[None, :], qdd=np.array([4.0, -1.0]))
+    if length < QR_RANK_ATOL:
+        with pytest.raises(RankDeficient):
+            decouple(snap)
+        with pytest.raises(RankDeficient):
+            constraint_force(snap, np.zeros(2))
+    else:
+        sol = decouple(snap)
+        assert np.isfinite(sol.lam).all() and math.isfinite(sol.residual_inf)
+        assert np.isfinite(constraint_force(snap, sol.tau)).all()
 
 
 def test_decouple_contact_carrying_almost_all_of_b():

@@ -1,5 +1,8 @@
 """Tests for the sEMG processing chain."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import reference_gate_series, reference_read_csv, reference_write_csv
@@ -9,8 +12,6 @@ from hypothesis.extra import numpy as hnp
 
 from superlimb import emg
 from superlimb.emg import (
-    _CSV_BLOCK,
-    _CSV_SHARED,
     DEFAULT_BAND,
     DEFAULT_WINDOW,
     EmgTrace,
@@ -665,15 +666,110 @@ def test_check_writable_raises_what_write_csv_raises(tmp_path, target):
 # --- CSV writer -----------------------------------------------------------------
 
 
-def _rowwise_csv(header: list[str], rows: np.ndarray, flag: int | None = None) -> bytes:
-    """The writer's former row-by-row loop: the oracle for its bytes."""
-    out = [",".join(header) + "\n"]
-    for row in rows.tolist():
-        cells = list(map(repr, row))
-        if flag is not None:
-            cells[flag] = "1" if row[flag] else "0"
-        out.append(",".join(cells) + "\n")
-    return "".join(out).encode()
+def _csv_body(values) -> bytes:
+    """The kernel's text of a column of floats, one cell per line."""
+    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    return b"".join(text.tobytes() for text in emg._csv_chunks(column, None))
+
+
+def _repr_body(values) -> bytes:
+    return "".join(repr(v) + "\n" for v in np.asarray(values, dtype=float).tolist()).encode()
+
+
+def _with_neighbours(values) -> list[float]:
+    """Each value with the floats one ulp below and above it, both signs."""
+    out = [y for x in values for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+    return out + [-y for y in out]
+
+
+def test_kernel_matches_repr_on_every_power_of_two():
+    values = _with_neighbours([math.ldexp(1.0, e) for e in range(-1074, 1024)])
+    assert _csv_body(values) == _repr_body(values)
+
+
+def test_kernel_matches_repr_on_every_power_of_ten():
+    values = _with_neighbours([float(f"1e{e}") for e in range(-323, 309)])
+    assert _csv_body(values) == _repr_body(values)
+
+
+def test_kernel_matches_repr_on_integers_near_2_to_53():
+    # the integers on either side of 2^53, where the spacing goes from 1 to 2
+    values = _with_neighbours([2.0**53 + i for i in range(-64, 65)] + [2.0**53 + 2.0, 2.0**54 + 4.0])
+    assert _csv_body(values) == _repr_body(values)
+
+
+#: the switches between fixed and exponent notation, subnormals, the extremes
+EDGES = [1e16, 9999999999999998.0, 1e-4, 1e-5, 0.00010000000000000002, 123456789012345680.0,
+         5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308, 4.9406564584124654e-320,
+         1.7976931348623157e308, 0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+
+
+def test_kernel_matches_repr_on_edges():
+    values = EDGES + _with_neighbours([x for x in EDGES if math.isfinite(x)])
+    assert _csv_body(values) == _repr_body(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=16, max_size=64))
+def test_kernel_matches_repr_on_any_bit_pattern(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert _csv_body(values) == _repr_body(values)
+
+
+def test_multipliers_are_exact_and_the_margin_holds():
+    # every table row: 10^k <= the interval's width < 10^(k+1), the limbs
+    # are ceil(2^(q + 124) / 10^k), and no product m * 2^q / 10^k with
+    # m <= 2^55 that is not an integer lies within 2^-67 of one, the
+    # threshold below which the kernel reads a fraction as zero (its
+    # fixed-point excess is below 2^-69)
+    ks, limbs = emg._multipliers()
+    worst = Fraction(1)
+    for row in range(4096):
+        q = max(row & 2047, 1) - 1075
+        width = Fraction(2) ** q * (Fraction(3, 4) if row >> 11 else 1)
+        k = int(ks[row])
+        assert Fraction(10) ** k <= width < Fraction(10) ** (k + 1)
+        g = Fraction(2) ** q / Fraction(10) ** k
+        got = sum(int(limbs[j, row]) << (32 * j) for j in range(4))
+        assert got == math.ceil(g * 2**124)
+        worst = min(worst, _nearest_miss(g, 2**55))
+    assert worst > Fraction(1, 2**67)
+
+
+def _nearest_miss(g: Fraction, m_max: int) -> Fraction:
+    """The least nonzero distance from m * g to an integer over 1 <= m <=
+    m_max: 1/den when den <= m_max, else the error of the last continued
+    fraction convergent of g whose denominator is at most m_max."""
+    a, b = g.numerator, g.denominator
+    if b <= m_max:
+        return Fraction(1, b) if b > 1 else Fraction(1)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    x, y = a, b
+    while y:
+        t = x // y
+        p2, q2 = t * p1 + p0, t * q1 + q0
+        if q2 > m_max:
+            break
+        p0, q0, p1, q1 = p1, q1, p2, q2
+        x, y = y, x - t * y
+    return abs(q1 * g - p1)
+
+
+@pytest.mark.parametrize("width", [1, 6])
+@pytest.mark.parametrize("limit", ["cells", "fresh"])
+@pytest.mark.parametrize("rows", ["0", "1", "chunk-1", "chunk", "chunk+1"])
+def test_write_csv_matches_the_oracle_at_chunk_boundaries(tmp_path, width, limit, rows):
+    # cells that all differ from the ones above them: a batch formats
+    # _CSV_FRESH of them, a chunk writes _CSV_CELLS (whole rows each)
+    per = {"cells": emg._CSV_CELLS, "fresh": emg._CSV_FRESH}[limit] // width
+    n = {"0": 0, "1": 1, "chunk-1": per - 1, "chunk": per, "chunk+1": per + 1}[rows]
+    rng = np.random.default_rng(n)
+    table = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-6, 18, (n, width))
+    header = [f"c{i}" for i in range(width)]
+    flag = None if width == 1 else 2
+    write_csv(str(tmp_path / "got.csv"), header, table, flag=flag)
+    reference_write_csv(str(tmp_path / "ref.csv"), header, table, flag=flag)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 #: values whose shortest repr takes every form: signed zero, subnormal,
@@ -682,14 +778,14 @@ AWKWARD = [-0.0, 5e-324, 1e-05, 1e16, 1e22, 0.1 + 0.2, 2.0**53 + 2.0, 1234567890
            -1.0, 0.0, 1.7976931348623157e308]
 
 
-@pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 3])
+@pytest.mark.parametrize("n", [0, 1, 64, 65, 131])
 @pytest.mark.parametrize("flag", [None, 4])
 def test_write_csv_bytes_match_the_rowwise_loop(tmp_path, n, flag):
     header = ["t", "a", "b", "c", "gate", "d"]
     rows = np.resize(np.array(AWKWARD), (n, len(header)))  # each column cycles through AWKWARD
-    path = tmp_path / "out.csv"
-    write_csv(str(path), header, rows, flag=flag)
-    assert path.read_bytes() == _rowwise_csv(header, rows, flag)
+    write_csv(str(tmp_path / "got.csv"), header, rows, flag=flag)
+    reference_write_csv(str(tmp_path / "ref.csv"), header, rows, flag=flag)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 #: run values: both zeros (which must never share text), a subnormal, an
@@ -699,9 +795,9 @@ _RUN_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 0.1 + 0.2, 1.0, float("nan"), 
 
 @st.composite
 def _tables_with_runs(draw):
-    """A table whose columns are runs of equal values (1 to 70 long, so a
-    run may cross a block), with an optional flag column."""
-    n = draw(st.sampled_from([0, 1, _CSV_BLOCK, _CSV_BLOCK + 1]) | st.integers(0, 2 * _CSV_BLOCK + 3))
+    """A table whose columns are runs of equal values (1 to 70 long), with
+    an optional flag column."""
+    n = draw(st.sampled_from([0, 1, 64, 65]) | st.integers(0, 131))
     width = draw(st.integers(1, 5))
     cols = []
     for _ in range(width):
@@ -715,9 +811,8 @@ def _tables_with_runs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_tables_with_runs())
-def test_write_csv_matches_the_block_writer(tmp_path_factory, table):
-    # runs of equal values share their text; the bytes are the block
-    # writer's, which formats every cell
+def test_write_csv_matches_the_oracle_on_runs_of_equal_cells(tmp_path_factory, table):
+    # runs of equal values, NaN, Inf and flag cells: the bytes of one repr per cell
     rows, flag = table
     folder = tmp_path_factory.mktemp("csv")
     header = [f"c{i}" for i in range(rows.shape[1])]
@@ -726,14 +821,28 @@ def test_write_csv_matches_the_block_writer(tmp_path_factory, table):
     assert (folder / "got.csv").read_bytes() == (folder / "ref.csv").read_bytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, _CSV_BLOCK, _CSV_BLOCK + 1, 3 * _CSV_BLOCK])
+@settings(max_examples=100, deadline=None)
+@given(_tables_with_runs(), st.integers(1, 12), st.integers(1, 24))
+def test_write_csv_matches_the_oracle_at_any_chunk_size(tmp_path_factory, table, cells, fresh):
+    # tiny chunks and batches, so that runs of equal cells cross both, and a
+    # batch's first row may hold more cells than it may format
+    rows, flag = table
+    folder = tmp_path_factory.mktemp("csv")
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(emg, "_CSV_CELLS", cells)
+        patch.setattr(emg, "_CSV_FRESH", fresh)
+        write_csv(str(folder / "got.csv"), header, rows, flag=flag)
+    reference_write_csv(str(folder / "ref.csv"), header, rows, flag=flag)
+    assert (folder / "got.csv").read_bytes() == (folder / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 192])
 @pytest.mark.parametrize("held", [0, 4])
 def test_write_csv_keeps_adjacent_zeros_apart(tmp_path, n, held):
     # 0.0 and -0.0 compare equal but differ in their bit patterns, and so
-    # in their text; a flag column of either zero writes 0.  With four held
-    # columns a full block has 4 * 63 >= _CSV_SHARED cells that repeat the
-    # cell above them, so its texts are shared
-    assert 4 * (_CSV_BLOCK - 1) >= _CSV_SHARED
+    # in their text, also where they alternate down a column beside held
+    # values; a flag column of either zero writes 0
     zeros = np.resize([0.0, -0.0, -0.0, 0.0], n)
     rows = np.column_stack((zeros, zeros, np.full((held, n), 0.1 + 0.2).T))
     path = tmp_path / "z.csv"
@@ -744,7 +853,7 @@ def test_write_csv_keeps_adjacent_zeros_apart(tmp_path, n, held):
 
 _TABLES = hnp.arrays(
     float,
-    st.tuples(st.integers(0, _CSV_BLOCK + 2), st.integers(1, 4)),
+    st.tuples(st.integers(0, 66), st.integers(1, 4)),
     elements=st.floats(allow_nan=False, allow_infinity=False),
 )
 

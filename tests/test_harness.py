@@ -282,12 +282,22 @@ def test_generated_advance_matches_reference(args):
     assert_same_advance(args)
 
 
-def test_builtin_float_sum_rounds_left_to_right():
-    # the step laws' sum(map(mul, ...)), the oracles and the bundled CSV bytes
-    # assume it; from Python 3.12 on, sum() of floats is compensated
-    assert sum([0.1] * 10) == 0.9999999999999999, (
-        "sum() of floats is compensated on this Python; pyproject.toml caps "
-        "requires-python at <3.12 for this reason")
+def test_generated_code_parity_holds_under_a_compensated_sum(monkeypatch):
+    # the generated step kernels, contact solve, split and SPD solve match
+    # their reference loops to the bit under Python 3.12's compensated float
+    # sum() too: the loops add with conftest.left_sum, the generated code
+    # adds left to right, and what src still sums with sum() has two terms
+    import test_dynamics
+    import test_numerics
+    import test_plant
+
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert sum([0.1, 0.2, 0.3]) == 0.6  # patched
+    for parity in (test_generated_advance_matches_reference, test_dynamics.test_generated_split_matches_reference,
+                   test_numerics.test_generated_spd_solve_matches_reference,
+                   test_plant.test_generated_kernel_matches_reference_loop,
+                   test_plant.test_run_kernel_matches_reference_loop):
+        parity()
 
 
 def compensated_sum(iterable, /, start=0):
