@@ -502,26 +502,32 @@ _M32 = 0xFFFFFFFF
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
 
 
-@cache
-def _multipliers() -> tuple[np.ndarray, np.ndarray]:
-    """Per binary exponent, with 2048 added to the biased exponent just above
-    a power of two: the decimal exponent k = floor(log10(width)) of the
-    rounding interval, and ceil(2^(q + 124) / 10^k) < 2^128 as four 32-bit
-    limbs, least significant first (shape 4 x 4096).  Built on the first
-    write."""
-    ks = np.empty(4096, dtype=np.int64)
-    raw = bytearray()
-    for row in range(4096):
-        q = max(row & 2047, 1) - 1075
-        # floor(q log10 2), or floor(log10(3/4 2^q)) above a power of two
-        k = (q * 661971961083 - (274743187321 if row >> 11 else 0)) >> 41
-        num, den = (5**-k, 1) if k <= 0 else (1, 5**k)
-        e2 = q + 124 - k
-        num, den = (num << e2, den) if e2 >= 0 else (num, den << -e2)
-        ks[row] = k
-        raw += (-(-num // den)).to_bytes(16, "little")
-    limbs = np.ascontiguousarray(np.frombuffer(raw, dtype="<u4").reshape(4096, 4).T, dtype=np.uint64)
-    ks.flags.writeable = limbs.flags.writeable = False
+#: the multiplier table, per binary exponent with 2048 added to the biased
+#: exponent just above a power of two: the decimal exponent k =
+#: floor(log10(width)) of the rounding interval, ceil(2^(q + 124) / 10^k) <
+#: 2^128 as four 32-bit limbs, least significant first (4 x 4096), and
+#: whether the row is filled yet
+_TABLE = (np.zeros(4096, dtype=np.int64), np.zeros((4, 4096), dtype=np.uint64),
+          np.zeros(4096, dtype=bool))
+
+
+def _multipliers(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplier table's k and limbs, with the ``rows`` given filled:
+    each row is filled the first time it is asked for (a file uses a few
+    dozen binary exponents) and kept."""
+    ks, limbs, filled = _TABLE
+    if not filled[rows].all():
+        for row in set(rows[~filled[rows]].tolist()):  # np.unique would import numpy.ma
+            q = max(row & 2047, 1) - 1075
+            # floor(q log10 2), or floor(log10(3/4 2^q)) above a power of two
+            k = (q * 661971961083 - (274743187321 if row >> 11 else 0)) >> 41
+            num, den = (5**-k, 1) if k <= 0 else (1, 5**k)
+            e2 = q + 124 - k
+            num, den = (num << e2, den) if e2 >= 0 else (num, den << -e2)
+            g = -(-num // den)
+            ks[row] = k
+            limbs[:, row] = [(g >> shift) & _M32 for shift in (0, 32, 64, 96)]
+            filled[row] = True
     return ks, limbs
 
 
@@ -538,7 +544,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.minimum(m1, 1, out=m1)
     m1 <<= 52
     c |= m1  # the significand, the hidden bit included
-    k, table = _multipliers()
+    k, table = _multipliers(row)
     k = k[row]
     g = np.take(table, row, axis=1, mode="clip")  # limbs, least first
     del row  # here and below: freed before the next arrays, for a lower peak

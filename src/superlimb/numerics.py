@@ -320,42 +320,73 @@ def finite_diff_jacobian(f: Callable, p0) -> np.ndarray:
     return jac
 
 
+@cache
+def _stencil_plan(m: int) -> tuple[np.ndarray, ...]:
+    """For an m-D pose: the order that takes the rows p0, p0 + h_i e_i,
+    p0 - h_i e_i and each pair's four corners (pairs in ``np.triu_indices``
+    order) to ``hessian_stencil``'s order; the rows of the points
+    p0 + h_i e_i, p0 - h_i e_i and of each pair's corners in that order; and
+    the pairs' i and j."""
+    i_pair, j_pair = np.triu_indices(m, 1)
+    order, pair = [0], 1 + 2 * m
+    for i in range(m):
+        order += [1 + i, 1 + m + i, *range(pair, pair + 4 * (m - 1 - i))]
+        pair += 4 * (m - 1 - i)
+    at = np.argsort(order)
+    return (np.array(order), at[1 : 1 + m], at[1 + m : 1 + 2 * m],
+            at[1 + 2 * m :].reshape(-1, 4), i_pair, j_pair)
+
+
+def hessian_stencil(p0) -> np.ndarray:
+    """The 1 + 2m + 2m(m - 1) points of ``finite_diff_hessian``'s stencil
+    at p0 (m = p0.size), one per row, in the order it evaluates them: p0 + 0
+    (which reads a -0.0 coordinate as +0.0); then for each i, p0 + h_i e_i
+    and p0 - h_i e_i, followed for each j > i by the corners
+    (p0 + h_i e_i) + h_j e_j, (p0 + h_i e_i) - h_j e_j,
+    (p0 - h_i e_i) + h_j e_j and (p0 - h_i e_i) - h_j e_j, each made by
+    those additions."""
+    p = _as_array(p0, "p0", 1)
+    order, *_, i, j = _stencil_plan(p.size)
+    steps = np.diag(default_fd_step(p))  # row i is h_i e_i
+    up, dn = p + steps, p - steps
+    u, d, s = up[i], dn[i], steps[j]  # per pair: p0 + h_i e_i, p0 - h_i e_i, h_j e_j
+    corners = np.stack((u + s, u - s, d + s, d - s), axis=1).reshape(-1, p.size)
+    return np.concatenate(((p + 0.0)[None], up, dn, corners))[order]
+
+
+def stencil_hessian(values, h) -> np.ndarray:
+    """The central-difference Hessian from a map's ``values`` at the points
+    of ``hessian_stencil``, in its order, with the steps ``h``; symmetric by
+    construction.  Raises NonFinite if a value is NaN or Inf."""
+    u = np.asarray(values, dtype=float)
+    if not np.isfinite(u).all():
+        raise NonFinite("function returned NaN/Inf during differentiation")
+    m = h.size
+    _, up, dn, corners, i, j = _stencil_plan(m)
+    a, b, c, d = u[corners].T
+    hess = np.empty((m, m))
+    hess.flat[:: m + 1] = (u[up] - 2.0 * u[0] + u[dn]) / (h * h)
+    hess[i, j] = hess[j, i] = (a - b - c + d) / (4.0 * h[i] * h[j])
+    return hess
+
+
 def finite_diff_hessian(f: Callable, p0) -> np.ndarray:
     """Central-difference Hessian of a scalar map at p0, symmetric by
-    construction.
+    construction: ``stencil_hessian`` of f at the points of
+    ``hessian_stencil``.
 
     The step is 1e-4 * (1 + |p0_i|) per coordinate.  Each evaluation gets
     its own copy of the pose, so a map that writes into its argument moves
-    no later point.  Raises NonFinite if any function evaluation is NaN or
-    Inf.
+    no later point.  Raises NonFinite at the first function evaluation that
+    is NaN or Inf, and evaluates no point after it.
     """
     p = _as_array(p0, "p0", 1)
-    m = p.size
-    h = default_fd_step(p)
-    steps = np.diag(h)  # row i is h_i e_i
-    up, dn = p + steps, p - steps
-
-    def ev(pp):
-        v = float(f(pp))
-        if not isfinite(v):
-            raise NonFinite("function returned NaN/Inf during differentiation")
-        return v
-
-    hess = np.zeros((m, m))
-    f0 = ev(p + 0.0)  # not p.copy(): p + 0 reads a -0.0 coordinate as +0.0
-    for i in range(m):
-        ui, di = up[i], dn[i]
-        hess[i, i] = (ev(ui.copy()) - 2.0 * f0 + ev(di.copy())) / (h[i] * h[i])
-        for j in range(i + 1, m):
-            # the offsets have disjoint support, so (p + h_i e_i) + h_j e_j
-            # is the point p + (h_i e_i + h_j e_j), bit for bit
-            sj = steps[j]
-            val = (ev(ui + sj) - ev(ui - sj) - ev(di + sj) + ev(di - sj)) / (
-                4.0 * h[i] * h[j]
-            )
-            hess[i, j] = val
-            hess[j, i] = val
-    return hess
+    values = []
+    for pp in hessian_stencil(p):
+        values.append(float(f(pp)))
+        if not isfinite(values[-1]):
+            break
+    return stencil_hessian(values, default_fd_step(p))
 
 
 def psd_check(m, tol: float) -> tuple[bool, float]:

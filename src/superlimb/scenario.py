@@ -23,10 +23,12 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
+from operator import mul
 
 import numpy as np
 
-from .dynamics import ContactSpec
+from . import dynamics
+from .dynamics import DEPENDENT_CONTACTS, ContactSpec, contact_jacobian
 from .emg import (
     ActivationProfile,
     EmgConfig,
@@ -34,7 +36,9 @@ from .emg import (
     load_motion_csv,
     load_trace_csv,
 )
-from .errors import BadModel, MissingFile, ParseError, SuperlimbError, ValidationError
+from .errors import (BadModel, MissingFile, ParseError, RankDeficient, SuperlimbError,
+                     ValidationError)
+from .numerics import GRAM_PIVOT_RTOL, spd_solve
 from .plant import AXES, REVOLUTE, Chain, Joint, PlantModel
 from .stability import SupportPosture, named_posture
 from .stiffness import (
@@ -409,6 +413,31 @@ def _parse_contact(data, model: PlantModel, path: str = "contact") -> ContactCon
     return ContactConfig(spec=spec, motion=motion)
 
 
+def _check_contact_rows(model: PlantModel, spec: ContactSpec, mode: str):
+    """Raise a ``contact.directions`` ParseError if the contact rows are not
+    independent at q0 by the rule of the mode's contact solve: the split's
+    QR rule in inverse dynamics, the Gram matrix J_f A_ff^-1 J_f^T's pivot
+    rule over the limb's free joints in tracking.  The rows come from the
+    compiled run kernel at step 0's state, and the rule runs the code step 0
+    runs, so the load rejects what would stop that step, and only that."""
+    n, m = model.n_dof, len(model.srl_indices)
+    kin = model._kernel(model.q0.tolist(), [0.0] * n)
+    try:
+        j_c = contact_jacobian(kin.tip_jac[model.link_index(spec.chain, spec.joint)], spec)
+        if mode == "inverse-dynamics":
+            dynamics.decouple((kin.a, kin.h, j_c, [0.0] * n))
+        else:  # the Gram matrix as harness._advance forms it
+            u = spd_solve([row[:m] for row in kin.a[:m]], [row[:m] for row in j_c],
+                          RankDeficient, "inertia of the free joints is not positive definite")
+            gram = [[sum(map(mul, row[:m], uc)) for uc in u] for row in j_c]
+            spd_solve(gram, [], RankDeficient, DEPENDENT_CONTACTS, GRAM_PIVOT_RTOL)
+    except SuperlimbError as exc:  # any other error is step 0's to raise, as before
+        if str(exc).startswith(DEPENDENT_CONTACTS):
+            detail = str(exc)[len(DEPENDENT_CONTACTS):]
+            raise ParseError("contact.directions", f"{' and '.join(spec.directions)} are not "
+                             f"independent at q0{detail}") from exc
+
+
 def _parse_controller(
     data, model: PlantModel, path: str = "controller"
 ) -> ControllerConfig:
@@ -580,6 +609,9 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
         # would log the wearer's own weight as support
         raise ParseError("contact.chain", f"{contact.spec.chain!r} is a human chain; the "
                          "contact must be on a limb chain")
+    if contact is not None and len(contact.spec.rows) > 1:
+        # after the angle bound above: the kernel sums a chain's angles before cos
+        _check_contact_rows(model, contact.spec, sim.mode)
     return scenario
 
 

@@ -46,7 +46,11 @@ from .errors import (
     Unachievable,
     ValidationError,
 )
-from .numerics import default_fd_step, finite_diff_hessian, finite_diff_jacobian, psd_check
+# finite_diff_hessian is unused here, but the benchmark's tracer wraps it by
+# this module's name (perfbench/tracer.py, the numerics.finite_diff_hessian span)
+from .numerics import finite_diff_hessian  # noqa: F401
+from .numerics import (default_fd_step, finite_diff_jacobian, hessian_stencil, psd_check,
+                       stencil_hessian)
 from .plant import GRAVITY
 
 RESIDUAL_TOL = 1e-6
@@ -345,20 +349,59 @@ def _residual(posture: SupportPosture) -> tuple[np.ndarray, float]:
     return -posture.mass * GRAVITY * grad_z + j.T @ posture.tau_bar, max(z_abs)
 
 
-def potential(posture: SupportPosture, p: np.ndarray) -> float:
+def _energies(posture: SupportPosture, q: np.ndarray, gz: np.ndarray) -> np.ndarray:
+    """The potential of each pose of a stack from its joint vectors q (one a
+    row) and gravity terms gz = m g z: per row, the BLAS calls and roundings
+    of m g z - tau_bar @ dq + 0.5 dq @ k_q @ dq on that pose alone."""
+    dq = q - posture.q_bar
+    u = gz - (posture.tau_bar @ dq[:, :, None])[:, 0]
+    return u + (((0.5 * dq)[:, None, :] @ posture.k_q) @ dq[:, :, None])[:, 0, 0]
+
+
+def potential(posture: SupportPosture, p: np.ndarray) -> float | np.ndarray:
     """Total potential of the supported body at pose p: gravity term, work
-    of the constant torque offset, and the servo spring energy."""
+    of the constant torque offset, and the servo spring energy.
+
+    p may also be a (k, n_pose) stack of poses; the k values then come back
+    as an array, each bit for bit the value of its pose alone.  ``ik_map``
+    and ``z_of_p`` run on each row in turn, each on its own row, and the
+    energy arithmetic runs on the whole stack, with the BLAS calls one pose
+    makes once per row.  The stack ends at its first row that raises or
+    whose value is not finite, as a loop over the rows that stops there
+    would: that row's error is raised (a floating-point one as the caller's
+    errstate has it), or its value returned with NaN in every later row.
+    """
     pv = np.array(p, dtype=float, ndmin=1, copy=None)
-    if pv.shape != (posture.n_pose,):
-        raise DimensionMismatch(
-            f"p must have shape ({posture.n_pose},), got {pv.shape}"
-        )
-    dq = _ik(posture, pv) - posture.q_bar
-    return float(
-        posture.mass * GRAVITY * _z(posture, pv)
-        - posture.tau_bar @ dq
-        + 0.5 * dq @ posture.k_q @ dq
-    )
+    n = posture.n_pose
+    if pv.shape != (n,) and not (pv.ndim == 2 and pv.shape[1] == n):
+        raise DimensionMismatch(f"p must have shape ({n},) or (k, {n}), got {pv.shape}")
+    rows = pv.reshape(-1, n)  # a view: a closure writing into its pose writes into p
+    qs, zs, failed = [], [], None
+    for row in rows:
+        try:
+            qs.append(_ik(posture, row))
+            zs.append(_z(posture, row))
+        except Exception as exc:  # raised unless a row before it ends the stack
+            failed = exc
+            break
+    q = np.array(qs).reshape(len(qs), posture.n_joint)
+    with np.errstate(all="ignore"):  # the caller's errstate is applied row by row below
+        gz = posture.mass * GRAVITY * np.array(zs)  # inf, with no flag, as on one pose's float
+        u = _energies(posture, q[: gz.size], gz)
+    # an overflow or an invalid operation leaves a NaN or Inf in its row's value:
+    # the first such row is redone alone, or with underflow not ignored, each
+    # row up to it, in turn, so the caller's errstate sees the pose-by-pose flags
+    bad = np.flatnonzero(~np.isfinite(u))[:1]
+    last = bad[0] if bad.size else u.size - 1
+    for k in bad if np.geterr()["under"] == "ignore" else range(last + 1):
+        u[k] = _energies(posture, q[k : k + 1], gz[k : k + 1])[0]
+    if bad.size:
+        u = np.concatenate([u[: last + 1], np.full(len(rows) - last - 1, math.nan)])
+    elif failed is not None:
+        # a failed z_of_p came after its row's offset, which raises as it did
+        np.subtract(q[gz.size :], posture.q_bar)
+        raise failed
+    return u if pv.ndim == 2 else float(u[0])
 
 
 def hessian_ez(posture: SupportPosture, p: np.ndarray) -> np.ndarray:
@@ -431,7 +474,8 @@ def stiffness_matrix_kp(posture: SupportPosture) -> StabilityReport:
     base, j = _base_stiffness(posture)
     k_p = base + j.T @ posture.k_q @ j
     k_p = 0.5 * k_p + 0.5 * k_p.T
-    fd = finite_diff_hessian(lambda pp: potential(posture, pp), posture.p_bar)
+    stencil = hessian_stencil(posture.p_bar)
+    fd = stencil_hessian(potential(posture, stencil), default_fd_step(posture.p_bar))
     denom = max(np.max(np.abs(k_p)), np.max(np.abs(fd)), 1e-30)
     rel_err = float(np.max(np.abs(k_p - fd)) / denom)
     mismatch = denom > 1e-9 and rel_err > CROSSCHECK_RTOL

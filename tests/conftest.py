@@ -2,8 +2,9 @@
 the reference loop step kernel and a batch kernel built from it row by row,
 the reference loop Cholesky solve, the reference list-based contact solve,
 Gram-Schmidt QR and inverse-dynamics split, the step-by-step
-inverse-dynamics run, the reference CSV writer, and a reference
-finite-difference stencil."""
+inverse-dynamics run, the reference CSV writer and its multiplier table, a
+reference finite-difference stencil, and the stability certificate's
+cross-check evaluated one pose at a time."""
 
 import csv
 import math
@@ -17,10 +18,11 @@ from operator import add, mul
 import numpy as np
 import pytest
 
-from superlimb import dynamics, harness
+from superlimb import dynamics, harness, stability
 from superlimb.dynamics import contact_jacobian
 from superlimb.emg import _first_line_not_utf8, check_gate
 from superlimb.errors import (
+    DimensionMismatch,
     MissingFile,
     NonFinite,
     NumericBlowup,
@@ -147,6 +149,49 @@ def reference_fd_hessian(f, p0) -> np.ndarray:
             hess[i, j] = val
             hess[j, i] = val
     return hess
+
+
+def reference_potential(posture, p) -> float:
+    """``stability.potential`` of one pose, as it was before it took stacks
+    of poses: the reference its stacked form must match bit for bit."""
+    pv = np.array(p, dtype=float, ndmin=1, copy=None)
+    if pv.shape != (posture.n_pose,):
+        raise DimensionMismatch(f"p must have shape ({posture.n_pose},), got {pv.shape}")
+    dq = stability._ik(posture, pv) - posture.q_bar
+    return float(
+        posture.mass * stability.GRAVITY * stability._z(posture, pv)
+        - posture.tau_bar @ dq
+        + 0.5 * dq @ posture.k_q @ dq
+    )
+
+
+def _reference_stiffness_matrix_kp(posture):
+    res, z_max = stability._residual(posture)
+    res_inf = float(np.max(np.abs(res))) if res.size else 0.0
+    weight = posture.mass * stability.GRAVITY
+    h_min = float(np.min(default_fd_step(posture.p_bar)))
+    bound = stability.RESIDUAL_TOL * max(1.0, weight) + weight * stability.EPS * z_max / h_min
+    if res_inf > bound:
+        raise ValidationError(
+            f"posture is not an equilibrium (residual {res_inf:.3e} N, bound {bound:.3e} N)"
+        )
+    base, j = stability._base_stiffness(posture)
+    k_p = base + j.T @ posture.k_q @ j
+    k_p = 0.5 * k_p + 0.5 * k_p.T
+    fd = reference_fd_hessian(lambda pp: reference_potential(posture, pp), posture.p_bar)
+    denom = max(np.max(np.abs(k_p)), np.max(np.abs(fd)), 1e-30)
+    rel_err = float(np.max(np.abs(k_p - fd)) / denom)
+    mismatch = denom > 1e-9 and rel_err > stability.CROSSCHECK_RTOL
+    return stability.StabilityReport(k_p, mismatch, rel_err, res_inf)
+
+
+# its numeric errors name the function it stands in for
+_reference_stiffness_matrix_kp.__name__ = "stiffness_matrix_kp"
+#: ``stability.stiffness_matrix_kp`` with the cross-check's Hessian taken one
+#: pose at a time, by ``reference_fd_hessian`` over ``reference_potential``
+#: (no DiagnosticMismatch warning): the reference the certificate's report
+#: and its first error must match
+reference_stiffness_matrix_kp = stability._overflow_is_numeric(_reference_stiffness_matrix_kp)
 
 
 def _upper(idx: tuple) -> tuple:
@@ -583,6 +628,24 @@ def reference_write_csv(path: str, header: list[str], rows: np.ndarray, flag: in
             if flag is not None:
                 cells[flag] = "1" if row[flag] else "0"
             fh.write(",".join(cells) + "\n")
+
+
+def reference_multipliers() -> tuple[np.ndarray, np.ndarray]:
+    """``emg._multipliers``'s whole table, built at once as it was before it
+    filled rows on first use: the reference each filled row must match."""
+    ks = np.empty(4096, dtype=np.int64)
+    raw = bytearray()
+    for row in range(4096):
+        q = max(row & 2047, 1) - 1075
+        # floor(q log10 2), or floor(log10(3/4 2^q)) above a power of two
+        k = (q * 661971961083 - (274743187321 if row >> 11 else 0)) >> 41
+        num, den = (5**-k, 1) if k <= 0 else (1, 5**k)
+        e2 = q + 124 - k
+        num, den = (num << e2, den) if e2 >= 0 else (num, den << -e2)
+        ks[row] = k
+        raw += (-(-num // den)).to_bytes(16, "little")
+    limbs = np.ascontiguousarray(np.frombuffer(raw, dtype="<u4").reshape(4096, 4).T, dtype=np.uint64)
+    return ks, limbs
 
 
 def reference_read_csv(

@@ -157,21 +157,26 @@ def test_run_contact_directions_beyond_the_moving_joints_exit_code(tmp_path, cap
     assert not out.exists()
 
 
-def test_run_tracking_dependent_contact_directions_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("mode, detail", [
+    # the contact Gram matrix's second pivot is positive only by rounding
+    ("tracking", "(leading minor 2 is 1.110e-16)"),
+    ("inverse-dynamics", "(|r_ii| range [2.520e-17, 6.024e-01])"),
+])
+def test_run_dependent_contact_directions_at_q0_exit_1(tmp_path, capsys, mode, detail):
     # the arm's first two links stretched in line and held along x and z:
-    # the directions are dependent at q0, and the contact Gram matrix's
-    # second pivot (1.1e-16) is positive only by rounding
+    # the directions are dependent at q0, which the load rejects in either
+    # mode before a step runs, by the rule and with the detail of the mode's
+    # contact solve
     def stretched(data):
         arm = data["plant"]["chains"][0]
         arm["joints"] = arm["joints"][:2]
         arm["joints"][0]["q0"] = arm["joints"][1]["q0"] = 0.0
         data["contact"]["directions"] = ["x", "z"]
-        data["sim"]["mode"] = "tracking"
+        data["sim"]["mode"] = mode
 
     code, err, wrote = _run_edited(tmp_path, capsys, "overhead_inverse", stretched)
-    assert (code, wrote) == (2, False)
-    assert err.startswith("numeric error: [step 0, t=0s] contact directions are not "
-                          "independent at this posture (leading minor 2 is ")
+    assert (code, wrote) == (1, False)
+    assert err == f"error: contact.directions: x and z are not independent at q0 {detail}\n"
 
 
 def test_run_inverse_dynamics_massless_tip_exit_code(tmp_path, capsys):

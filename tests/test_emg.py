@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import reference_gate_series, reference_read_csv, reference_write_csv
+from conftest import (
+    reference_gate_series,
+    reference_multipliers,
+    reference_read_csv,
+    reference_write_csv,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -722,7 +727,7 @@ def test_multipliers_are_exact_and_the_margin_holds():
     # m <= 2^55 that is not an integer lies within 2^-67 of one, the
     # threshold below which the kernel reads a fraction as zero (its
     # fixed-point excess is below 2^-69)
-    ks, limbs = emg._multipliers()
+    ks, limbs = emg._multipliers(np.arange(4096))
     worst = Fraction(1)
     for row in range(4096):
         q = max(row & 2047, 1) - 1075
@@ -734,6 +739,47 @@ def test_multipliers_are_exact_and_the_margin_holds():
         assert got == math.ceil(g * 2**124)
         worst = min(worst, _nearest_miss(g, 2**55))
     assert worst > Fraction(1, 2**67)
+
+
+def empty_table():
+    return (np.zeros(4096, dtype=np.int64), np.zeros((4, 4096), dtype=np.uint64),
+            np.zeros(4096, dtype=bool))
+
+
+def test_a_write_fills_only_the_multiplier_rows_its_cells_use(tmp_path, monkeypatch):
+    monkeypatch.setattr(emg, "_TABLE", empty_table())
+    rng = np.random.default_rng(33)
+    table = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-3, 4, (300, 3))
+    write_csv(str(tmp_path / "got.csv"), ["a", "b", "c"], table)
+    reference_write_csv(str(tmp_path / "ref.csv"), ["a", "b", "c"], table)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    ks, limbs, filled = emg._TABLE
+    # the biased exponents of the cells, 2048 up just above a power of two
+    bits = table.view(np.uint64)
+    used = bits >> np.uint64(52) & np.uint64(0x7FF)
+    used += ((bits & np.uint64(2**52 - 1) == 0) & (used > 1)) * np.uint64(2048)
+    assert set(np.flatnonzero(filled).tolist()) == set(used.ravel().tolist())
+    ref_ks, ref_limbs = reference_multipliers()
+    assert ks[filled].tobytes() == ref_ks[filled].tobytes()
+    assert limbs[:, filled].tobytes() == ref_limbs[:, filled].tobytes()
+    assert not ks[~filled].any() and not limbs[:, ~filled].any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 4095), max_size=40), min_size=1, max_size=4))
+def test_lazily_filled_multiplier_rows_match_the_full_table(requests):
+    ref_ks, ref_limbs = reference_multipliers()
+    table = empty_table()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emg, "_TABLE", table)
+        asked = set()
+        for rows in requests:  # rows already filled are kept, new ones added
+            ks, limbs = emg._multipliers(np.array(rows, dtype=np.intp))
+            asked |= set(rows)
+            at = sorted(asked)
+            assert ks[at].tobytes() == ref_ks[at].tobytes()
+            assert limbs[:, at].tobytes() == ref_limbs[:, at].tobytes()
+            assert np.flatnonzero(table[2]).tolist() == at
 
 
 def _nearest_miss(g: Fraction, m_max: int) -> Fraction:

@@ -34,6 +34,7 @@ from superlimb.errors import (
     DimensionMismatch,
     NonFinite,
     NumericBlowup,
+    ParseError,
     RankDeficient,
     SuperlimbError,
     ValidationError,
@@ -899,11 +900,13 @@ def test_an_infinite_scripted_angle_exits_1_at_load(tmp_path, capsys, q0, sway, 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", ["inverse-dynamics", "tracking"])
 @pytest.mark.parametrize("chain", [0, 1])
-def test_an_infinite_chain_angle_exits_1_at_load(tmp_path, capsys, chain, mode):
+@pytest.mark.parametrize("directions", ["z", "xz"])
+def test_an_infinite_chain_angle_exits_1_at_load(tmp_path, capsys, chain, mode, directions):
     # two revolute joints at 1e308 on one chain (the arm's first two, or a
     # trunk of two with no sway): each angle is finite, but the kernel sums
-    # them before cos, which would raise on the first call
-    data = inverse_variant("z", 10, {}, 2)
+    # them before cos, which would raise on the first call (two directions
+    # have the load evaluate the kernel for its contact-row check)
+    data = inverse_variant(directions, 10, {}, 2)
     joints = data["plant"]["chains"][chain]["joints"]
     if chain == 1:
         joints[:] = [dict(joints[0], kind="revolute", length=0.4, com=0.2) for _ in range(2)]
@@ -1030,35 +1033,78 @@ def test_blowup_reports_step():
     assert str(exc.value).startswith("[step ")
 
 
-def test_dependent_contact_directions_report_step():
-    # a stretched 2-joint rod: both joints move its tip across the rod, so x
-    # and z are dependent at this posture (a 1-joint rod fails at load)
+def stretched_rod(kin):
+    """The rod's tip Jacobian turned into that of the rod stretched at angle
+    0.5: both joints move the tip across it, so its x and z rows are
+    dependent."""
+    across = (-math.sin(0.5), math.cos(0.5))
+    rows = [[0.6 * a, 0.3 * a] for a in across]
+    return kin._replace(tip_jac=[*kin.tip_jac[:-1], rows])
+
+
+def rod_scenario(mode: str, q0: tuple[float, float]) -> dict:
     link = {"kind": "revolute", "mass": 1.0, "length": 0.3, "com": 0.15, "inertia": 0.01}
-    data = {
+    return {
         "plant": {
             "chains": [
                 {
                     "name": "rod", "role": "srl", "base": [0.0, 0.0],
                     "heading": 0.0,
-                    "joints": [{**link, "q0": 0.5}, {**link, "q0": 0.0}],
+                    "joints": [{**link, "q0": q0[0]}, {**link, "q0": q0[1]}],
                 },
             ],
         },
-        "sim": {"dt": 0.005, "duration": 0.5, "seed": 0},
+        "sim": {"dt": 0.005, "duration": 0.05, "seed": 0, "mode": mode},
         "contact": {"chain": "rod", "directions": ["x", "z"]},
         "controller": {"enabled": False},
     }
-    for mode, detail in [
-        ("inverse-dynamics", "(|r_ii| range ["),
-        # the contact Gram matrix's second pivot rounds to 3.9e-16 of its
-        # diagonal entry, which only a relative floor rejects
-        ("tracking", "(leading minor 2 is "),
-    ]:
-        data["sim"]["mode"] = mode
-        with pytest.raises(RankDeficient) as exc:
-            run_scenario(parse_scenario(data))
-        assert str(exc.value).startswith(
-            "[step 0, t=0s] contact directions are not independent at this posture " + detail)
+
+
+@pytest.mark.parametrize("mode, detail", [
+    ("inverse-dynamics", "(|r_ii| range [0.000e+00, 3.216e-01])"),
+    ("tracking", "(leading minor 2 is 8.882e-16)"),
+])
+def test_dependent_contact_directions_at_q0_fail_at_load(mode, detail):
+    # a stretched 2-joint rod: both joints move its tip across the rod, so x
+    # and z are dependent at q0 (a 1-joint rod fails the joint count first);
+    # the load applies the rule of the mode's contact solve, with its detail
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(rod_scenario(mode, (0.5, 0.0)))
+    assert exc.value.key == "contact.directions"
+    assert str(exc.value) == f"contact.directions: x and z are not independent at q0 {detail}"
+
+
+@pytest.mark.parametrize("mode, dependent", [
+    # the rod's x row is about -(0.6, 0.3) and its z row about -0.3 d (1, 1):
+    # not parallel, so the Gram pivot (sin^2 of their angle, about 0.1)
+    # passes, but |r_22| / |r_11| is about 0.2 d, under the QR rule's 1e-10
+    ("tracking", False),
+    ("inverse-dynamics", True),
+])
+def test_the_load_applies_the_contact_rule_of_its_mode(mode, dependent):
+    # at q0 = (pi/2, d) with d = 3e-10, step 0 of each mode decides as the load does
+    data = rod_scenario(mode, (math.pi / 2, 3e-10))
+    if dependent:
+        with pytest.raises(ParseError, match=r"x and z are not independent at q0 \(\|r_ii\|"):
+            parse_scenario(data)
+    else:
+        assert len(run_scenario(parse_scenario(data))) == 10
+
+
+@pytest.mark.parametrize("mode, detail", [
+    ("inverse-dynamics", "(|r_ii| range ["),
+    # the contact Gram matrix's second pivot rounds to a few ulps of its
+    # diagonal entry, which only a relative floor rejects
+    ("tracking", "(leading minor 2 is "),
+])
+def test_dependent_contact_directions_report_step(mode, detail):
+    # a bent rod passes the load; its contact rows turn dependent at step 3
+    sc = parse_scenario(rod_scenario(mode, (0.5, 0.4)))
+    poison_kernel(sc, {3: stretched_rod})
+    with pytest.raises(RankDeficient) as exc:
+        run_scenario(sc)
+    assert str(exc.value).startswith(
+        "[step 3, t=0.015s] contact directions are not independent at this posture " + detail)
 
 
 def poison_kernel(sc, edits: dict):

@@ -3,11 +3,19 @@
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import reference_fd_hessian, reference_fd_jacobian
+from conftest import (
+    reference_fd_hessian,
+    reference_fd_jacobian,
+    reference_potential,
+    reference_stiffness_matrix_kp,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from superlimb import stability
 from superlimb.errors import (
     DimensionMismatch,
@@ -19,7 +27,7 @@ from superlimb.errors import (
     ValidationError,
 )
 from superlimb.scenario import build_posture
-from superlimb.numerics import finite_diff_hessian
+from superlimb.numerics import finite_diff_hessian, hessian_stencil
 from superlimb.stability import (
     CROSSCHECK_RTOL,
     GRAVITY,
@@ -467,7 +475,7 @@ def test_certificate_matches_the_reference_stencil(name, params, monkeypatch):
     assert (finite_diff_hessian(u, posture.p_bar).tobytes()
             == reference_fd_hessian(u, posture.p_bar).tobytes())
     got = certify(posture)
-    monkeypatch.setattr(stability, "finite_diff_hessian", reference_fd_hessian)
+    # the potential Hessian's stencil is checked against reference_potential below
     monkeypatch.setattr(stability, "finite_diff_jacobian", reference_fd_jacobian)
     assert got == certify(posture)
 
@@ -525,3 +533,204 @@ def test_servo_alpha_certifies_itself_over_a_seeded_grid():
         assert alpha == pytest.approx(max(0.0, margin - np.min(base)), rel=1e-12)
         servo_free, jac = _base_stiffness(posture)
         assert np.linalg.eigvalsh(servo_free + alpha * jac.T @ jac)[0] >= margin
+
+
+# --- the cross-check's stacked potential ----------------------------------------
+
+def drawn_posture(rng, name):
+    """A named posture with drawn parameters, or for "dense" a posture whose
+    torque offset, servo stiffness and ik map couple every coordinate, so
+    that the energy's dot products round in an order of their own."""
+    if name != "dense":
+        return named_posture(name, mass=rng.uniform(0.5, 40.0), k=rng.uniform(0.0, 2e3),
+                             r=rng.uniform(0.05, 2.0), gamma=rng.uniform(-3.0, 3.0))
+    a, k, w = rng.standard_normal((6, 6)), rng.standard_normal((6, 6)), rng.standard_normal(6)
+    return SupportPosture(
+        p_bar=np.zeros(6), q_bar=rng.standard_normal(6), tau_bar=rng.standard_normal(6) * 50.0,
+        k_q=k @ k.T * 100.0, mass=rng.uniform(0.5, 40.0),
+        ik_map=lambda p: np.sin(a @ p), z_of_p=lambda p: float(w @ p), **flat(6),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.sampled_from([*sorted(POSTURES), "dense"]), hs.integers(0, 2**32 - 1),
+       hs.sampled_from([1e-6, 1e-4, 0.05, 1.0, 30.0]), hs.integers(1, 80))
+def test_stacked_potential_is_each_pose_alone_bitwise(name, seed, reach, k):
+    # poses well inside the stencil's 1e-4 steps, at its reach and far outside it
+    rng = np.random.default_rng(seed)
+    posture = drawn_posture(rng, name)
+    poses = rng.standard_normal((k, posture.n_pose)) * reach
+    stacked = potential(posture, poses.copy())
+    assert stacked.shape == (k,)
+    assert ([v.hex() for v in stacked.tolist()]
+            == [reference_potential(posture, pp).hex() for pp in poses])
+    stencil = hessian_stencil(poses[0])
+    assert ([v.hex() for v in potential(posture, stencil).tolist()]
+            == [reference_potential(posture, pp).hex() for pp in stencil])
+
+
+def test_potential_of_one_pose_is_a_float_and_a_stack_checks_its_width():
+    posture = named("toggle_mount")
+    p = np.full(6, 0.01)
+    assert type(potential(posture, p)) is float
+    assert potential(posture, p).hex() == reference_potential(posture, p).hex()
+    assert potential(posture, p[None]).shape == (1,)
+    assert potential(posture, np.zeros((0, 6))).shape == (0,)
+    for bad in (np.zeros((2, 5)), np.zeros((1, 2, 6))):
+        with pytest.raises(DimensionMismatch, match=r"p must have shape \(6,\) or \(k, 6\)"):
+            potential(posture, bad)
+
+
+def certificate(posture):
+    """A report's numbers by bytes, or the error it raised, by type and text."""
+    try:
+        rep = stiffness_matrix_kp(posture)
+    except Exception as exc:  # compared with the reference's error
+        return type(exc), str(exc)
+    return (rep.crosscheck_rel_err.hex(), rep.equilibrium_residual.hex(), rep.margin.hex(),
+            rep.eigenvalues.tobytes(), rep.k_p.tobytes(), rep.is_stable, rep.diagnostic_mismatch)
+
+
+def reference_certificate(posture):
+    try:
+        rep = reference_stiffness_matrix_kp(posture)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (rep.crosscheck_rel_err.hex(), rep.equilibrium_residual.hex(), rep.margin.hex(),
+            rep.eigenvalues.tobytes(), rep.k_p.tobytes(), rep.is_stable, rep.diagnostic_mismatch)
+
+
+@pytest.mark.filterwarnings("ignore::superlimb.stability.DiagnosticMismatch")
+@pytest.mark.parametrize("params", [{}, PARITY, {"r": 1e-7}, {"gamma": 1e200}],
+                         ids=["defaults", "parity", "tiny-r", "overflowing-gamma"])
+@pytest.mark.parametrize("name", sorted(POSTURES))
+def test_certificate_matches_the_pose_by_pose_cross_check(name, params):
+    assert certificate(named_posture(name, **params)) == reference_certificate(
+        named_posture(name, **params))
+
+
+@pytest.mark.filterwarnings("ignore::superlimb.stability.DiagnosticMismatch")
+def test_certificate_matches_the_pose_by_pose_cross_check_over_a_seeded_grid():
+    rng = np.random.default_rng(34)
+    for t in range(60):
+        posture = drawn_posture(rng, sorted(POSTURES)[t % 5])
+        got = certificate(posture)
+        assert got == reference_certificate(posture)
+        assert len(got) == 7  # a report, not an error
+
+
+def faulty(posture, ik_at, ik_fault, z_at, z_fault):
+    """``posture`` whose ik_map misbehaves at the ``ik_at``-th point of the
+    cross-check's stencil and whose z_of_p misbehaves at the ``z_at``-th."""
+    index = {row.tobytes(): k for k, row in enumerate(hessian_stencil(posture.p_bar))}
+    at = {}
+    q_bar = posture.q_bar.copy()
+    if ik_fault == "offset":  # a joint offset q - q_bar that overflows
+        q_bar[5] = -1e308
+
+    def ik_map(p):
+        at["k"] = index.get(np.asarray(p).tobytes())
+        q = posture.ik_map(p) + q_bar
+        if at["k"] == ik_at and ik_fault != "none":
+            if ik_fault == "raise":
+                raise ValueError("ik blew up")
+            q = {"nan": np.full(6, np.nan), "huge": np.full(6, 1e300),
+                 "shape": np.zeros(5), "offset": np.full(6, 1e308)}[ik_fault]
+        return q
+
+    def z_of_p(p):
+        z = posture.z_of_p(p)
+        if at.get("k") == z_at and z_fault == "raise":
+            raise ZeroDivisionError("z blew up")
+        return {"nan": math.nan, "huge": 1e308}.get(z_fault, z) if at.get("k") == z_at else z
+
+    return dataclasses.replace(posture, q_bar=q_bar, ik_map=ik_map, z_of_p=z_of_p)
+
+
+@pytest.mark.filterwarnings("ignore::superlimb.stability.DiagnosticMismatch")
+@settings(max_examples=150, deadline=None)
+@given(hs.sampled_from(sorted(POSTURES)), hs.integers(0, 72), hs.just(0) | hs.integers(0, 72),
+       hs.sampled_from(["raise", "nan", "huge", "shape", "offset", "none"]),
+       hs.sampled_from(["raise", "nan", "huge"]))
+def test_certificate_raises_the_first_failure_of_the_pose_by_pose_loop(
+        name, ik_at, z_later, ik_fault, z_fault):
+    # ik_map fails at one stencil point (or nowhere) and z_of_p at the same
+    # or a later one
+    z_at = min(72, ik_at + z_later)
+    posture = faulty(named(name), ik_at, ik_fault, z_at, z_fault)
+    got = certificate(posture)
+    assert got == reference_certificate(faulty(named(name), ik_at, ik_fault, z_at, z_fault))
+    assert len(got) == 2  # an error, not a report
+
+
+def test_ik_failure_before_a_nan_height_is_the_ik_failure():
+    posture = faulty(named("toggle_mount"), 20, "raise", 40, "nan")
+    kind, text = certificate(posture)
+    assert kind is IkFailure and text.startswith("ik_map failed at p=[")
+    assert (kind, text) == reference_certificate(posture)
+
+
+def scribbles(f):
+    """f, then overwrite the pose it was given."""
+
+    def g(p):
+        value = f(p)
+        p[:] = 1e3
+        return value
+
+    return g
+
+
+@pytest.mark.filterwarnings("ignore::superlimb.stability.DiagnosticMismatch")
+@pytest.mark.parametrize("name", sorted(POSTURES))
+def test_a_closure_writing_into_its_pose_moves_no_other_point(name):
+    posture = named(name)
+    clean = certificate(posture)
+    assert certificate(dataclasses.replace(posture, z_of_p=scribbles(posture.z_of_p))) == clean
+    # ik_map's write reaches z_of_p at its own pose only, as before
+    scribbling_ik = dataclasses.replace(posture, ik_map=scribbles(posture.ik_map))
+    assert certificate(scribbling_ik) == reference_certificate(scribbling_ik)
+
+
+def pose_by_pose(posture, poses):
+    """``reference_potential`` of each pose in turn, up to the first that is
+    not finite, with NaN after it: the values a stack of them must give."""
+    out = []
+    for pp in poses:
+        out.append(reference_potential(posture, pp))
+        if not math.isfinite(out[-1]):
+            break
+    return [v.hex() for v in out + [math.nan] * (len(poses) - len(out))]
+
+
+@pytest.mark.parametrize("setting, flags", [
+    ({"all": "raise"}, "underflow"), ({"under": "raise"}, "underflow"),
+    ({"over": "raise"}, "overflow"), ({}, ["overflow"]),
+    ({"under": "warn", "over": "ignore"}, ["underflow"]), ({"all": "ignore"}, []),
+])
+def test_a_stack_flags_as_its_poses_do_under_the_callers_errstate(setting, flags):
+    # an energy that underflows (dq dq about 1e-340) and then one that
+    # overflows (about 1e400): each flag is raised, warned about or ignored
+    # as the pose-by-pose loop has it, in its order
+    posture = SupportPosture(
+        p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=np.ones(6), k_q=np.eye(6), mass=1.0,
+        ik_map=lambda p: p.copy(), z_of_p=lambda p: float(p[0]), **flat(6))
+    poses = np.array([np.full(6, 0.1), np.full(6, 1e-170), np.full(6, 1e200), np.full(6, 0.2)])
+
+    def outcome(f):
+        with warnings.catch_warnings(record=True) as seen, np.errstate(**setting):
+            warnings.simplefilter("always")
+            try:
+                got = f()
+            except FloatingPointError as exc:
+                got = str(exc)
+        return got, [str(w.message) for w in seen]
+
+    got = outcome(lambda: [v.hex() for v in potential(posture, poses).tolist()])
+    assert got == outcome(lambda: pose_by_pose(posture, poses))
+    # raised, or the values with the warnings
+    if isinstance(flags, str):
+        assert got == (f"{flags} encountered in matmul", [])
+    else:
+        assert got[0][2:] == ["inf", "nan"]
+        assert got[1] == [f"{flag} encountered in matmul" for flag in flags]
