@@ -12,17 +12,17 @@ its two Cholesky solves and the scripted joints' torques run as
 straight-line code that ``numerics``' emitters generate once per shape
 (DoFs, free DoFs, contact rows), to the bit what a loop over Python float
 lists computes.  One loop runs both modes a block of steps at a time:
-the block's scripted inputs become float lists, its rows go into the log
-in one write, and its mount force is filled and its rows checked when it
-ends.  Tracking steps one at a time inside the block; in inverse-dynamics
-mode every step's state is scripted, so the kinematics, the control law
-and the contact rows run once per block, and only the force split stays
-per step.
+the block's scripted inputs become float lists, and when it ends its rows
+go into the log in one ``SimLog.append``, which fills their mount force,
+sets the support force's sign and checks them.  Tracking steps one at a
+time inside the block; in inverse-dynamics mode every step's state is
+scripted, so the kinematics, the control law and the contact rows run
+once per block, and only the force split stays per step.
 
 Sign conventions: the constraint force returned by the dynamics layer
 acts on the robot; logs report ``lambda`` as the force exerted on the
-supported object (the negative), so pressing up against an overhead
-panel logs positive vertical support force.  ``f_mount`` is the force
+supported object (the negative, taken in ``SimLog.append``), so pressing
+up against an overhead panel logs positive vertical support force.  ``f_mount`` is the force
 the wearer feels at the harness mount (device weight plus transmitted
 reaction), and ``tau_h`` the joint torques the scripted human sub-chain
 must supply.
@@ -276,9 +276,7 @@ class SimLog:
 
     The columns that do not depend on the plant state (``t``, ``a``,
     ``gate`` kept as 0.0/1.0, ``x_eq_*``) are given whole at construction;
-    ``append`` fills the rest of a block's rows, unchecked, and
-    ``_check_mount_force`` their ``f_mount`` cells when the block ends,
-    checking the rows whole."""
+    ``append`` logs the rest a block of rows at a time."""
 
     def __init__(self, scenario: Scenario, t, a, gate, x_eq):
         model = scenario.model
@@ -301,27 +299,37 @@ class SimLog:
         cols += ["a", "gate"]
         cols += [f"x_eq_{c}" for c in components]
         self.columns = cols
+        self._scenario = scenario
         self._data = np.empty((scenario.sim.n_steps, len(cols)))
         self._data[:, 0] = t
         self._data[:, self._state_end:] = np.column_stack((a, gate, x_eq))
         self._n = 0
 
-    def append(self, rows):
-        """Store a block of steps' state-dependent values, unchecked: one
-        row per step in column order (``q_s`` through ``tau_h``, any
-        placeholder in the ``f_mount`` cells), as float lists or one 2-D
-        array.  ``_check_mount_force`` fills the block's ``f_mount`` cells
-        and checks its rows when the block ends."""
-        hi = self._n + len(rows)
-        self._data[self._n : hi, 1 : self._state_end] = np.reshape(rows, (-1, self._state_end - 1))
-        self._n = hi
-
-    def _check_row(self, i: int):
-        """Raise NonFinite naming the first of row ``i``'s columns ``q_s``
-        through ``tau_h`` whose value is NaN or Inf."""
-        for col, v in zip(self.columns[1:], self._data[i, 1 : self._state_end].tolist()):
-            if not isfinite(v):
-                raise NonFinite(f"{col} is {v}")
+    def append(self, rows, mount, qdd):
+        """Log a block of steps: ``rows`` holds each step's values ``q_s``
+        through ``tau_h`` in column order, with the constraint force on the
+        robot in the ``lambda`` cells and any placeholder in the ``f_mount``
+        cells, as float lists or one 2-D array; ``mount`` and ``qdd`` hold
+        the steps' ``Kinematics.mount`` and accelerations from the block's
+        first step on (entries past the last row are not read).  One
+        ``_mount_force`` product fills the ``f_mount`` cells, the ``lambda``
+        cells are negated to the force on the supported object, and the rows
+        are checked whole: NonFinite is raised, with its step, at the first
+        row that holds a NaN or Inf, naming its first such column."""
+        lo, data, end = self._n, self._data, self._state_end
+        steps = len(rows)
+        hi = self._n = lo + steps
+        data[lo:hi, 1:end] = np.reshape(rows, (-1, end - 1))
+        lam = data[lo:hi, self._lambda]
+        qdd = np.array(qdd[:steps], dtype=float).reshape(steps, self._scenario.model.n_dof)
+        data[lo:hi, self._mount] = _mount_force(self._scenario, mount[:steps], qdd, lam)
+        np.negative(lam, out=lam)
+        bad = np.flatnonzero(~np.isfinite(data[lo:hi, 1:end]).all(axis=1))
+        if bad.size:
+            i = lo + int(bad[0])
+            for col, v in zip(self.columns[1:], data[i, 1:end].tolist()):
+                if not isfinite(v):
+                    raise _at_step(NonFinite(f"{col} is {v}"), i, data[i, 0])
 
     def __len__(self) -> int:
         return self._n
@@ -411,35 +419,11 @@ def _mount_force(scenario: Scenario, mount: list, qdd: np.ndarray, lam: np.ndarr
     return np.column_stack((cx - fx, cz - fz))
 
 
-def _check_mount_force(log: SimLog, scenario: Scenario, lo: int, mount, qdd, t_sim):
-    """Fill the ``f_mount`` cells of the log's rows from ``lo`` on, one per
-    row of ``mount`` (that step's ``Kinematics.mount``; ``qdd`` holds the
-    accelerations, from step ``lo`` too), from one ``_mount_force``
-    product, and check those rows whole: raise NonFinite, with its step, at
-    the first row that then holds a NaN or Inf, naming its first such
-    column, the error a check of each row at its step would have raised."""
-    steps = len(mount)
-    hi = lo + steps
-    data = log._data
-    qdd = np.array(qdd[:steps], dtype=float).reshape(steps, scenario.model.n_dof)
-    # the logged support force is the constraint force negated, so negating
-    # it back gives each bit of the force on the robot
-    f = _mount_force(scenario, mount, qdd, -data[lo:hi, log._lambda])
-    data[lo:hi, log._mount] = f
-    bad = np.flatnonzero(~np.isfinite(data[lo:hi, 1 : log._state_end]).all(axis=1))
-    if bad.size:
-        i = lo + int(bad[0])
-        try:
-            log._check_row(i)
-        except NonFinite as exc:
-            _at_step(exc, i, t_sim[i])
-            raise exc from None
-
-
-def _at_step(exc: SuperlimbError, i: int, t: float):
+def _at_step(exc: SuperlimbError, i: int, t: float) -> SuperlimbError:
     """Prefix an error's message with the step and time it arose at."""
     first = str(exc.args[0]) if exc.args else str(exc)
     exc.args = (f"[step {i}, t={t:.6g}s] {first}",)
+    return exc
 
 
 def _equilibrium_points(scenario: Scenario, task: int, rows: list[int], dxeq: np.ndarray):
@@ -519,10 +503,10 @@ def run_scenario(scenario: Scenario) -> SimLog:
     torques are reported, not applied.
 
     Both modes walk the run in blocks of ``RUN_BLOCK`` steps: the block's
-    rows of those arrays become float lists, its rows go into the log in
-    one ``append``, unchecked, and when the block ends one ``_mount_force``
-    product fills its ``f_mount`` cells and one scan checks its rows whole,
-    so what the run holds beside the log is bounded by a block.  In
+    rows of those arrays become float lists, and when the block ends its
+    rows go into the log in one ``append``, which fills their ``f_mount``
+    cells, sets the support force's sign and checks them whole, so what
+    the run holds beside the log is bounded by a block.  In
     tracking mode, per step, the loop makes one call of the plant's run
     kernel, takes the contact rows and the control law from it in Python
     floats, applies J^T f, gravity load and friction to the limb's joints
@@ -639,9 +623,8 @@ def run_scenario(scenario: Scenario) -> SimLog:
                         j_c, v_targets[j], q_next, qd_next, qdd[j],
                     )
                     mount.append(kin.mount)
-                    block.append(q[:m] + qd[:m] + x + f_cmd
-                                 + [-lk for lk in lam_robot]  # force on the supported object
-                                 + [0.0, 0.0] + tau_s + tau_h)  # f_mount, filled at the end
+                    block.append(q[:m] + qd[:m] + x + f_cmd + lam_robot
+                                 + [0.0, 0.0] + tau_s + tau_h)  # f_mount, filled by append
                     q, qd = q_next, qd_next
             elif spec is not None:  # per step, only the split
                 split = []
@@ -655,12 +638,9 @@ def run_scenario(scenario: Scenario) -> SimLog:
                 size = len(split)  # the steps before an error
                 tau, lam = (np.reshape([s[i] for s in split], (size, w))
                             for i, w in ((0, n), (1, len(spec.rows))))
-            block = np.hstack((heads[:size], -lam, np.zeros((size, 2)), tau))
-            mount = mount[:size]
-        log.append(block)
+            block = np.hstack((heads[:size], lam, np.zeros((size, 2)), tau))
         # a NaN or Inf in a row before a step's own error is the first error
-        _check_mount_force(log, scenario, lo, mount, qdd, t_sim)
+        log.append(block, mount, qdd)
         if error is not None:
-            _at_step(error, len(log), t_sim[len(log)])
-            raise error
+            raise _at_step(error, len(log), t_sim[len(log)])
     return log

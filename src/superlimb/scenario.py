@@ -55,7 +55,10 @@ from .stiffness import (
 def _num(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(path, f"must be a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer past the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ParseError(path, "must be finite")
     return v
@@ -616,14 +619,16 @@ def parse_scenario(data: dict, base_dir: str = ".") -> Scenario:
 
 
 def _load_json(path: str, what: str):
-    """Decoded contents of a JSON file; ``what`` names it in MissingFile."""
+    """Decoded contents of a JSON file, read as UTF-8 whatever the locale;
+    ``what`` names it in MissingFile."""
     if not os.path.isfile(path):
         raise MissingFile(f"{what} file not found: {path}")
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParseError("(root)", f"invalid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
+        raise ParseError("(root)", f"invalid JSON: {exc}") from exc
 
 
 def load_scenario(path: str) -> Scenario:

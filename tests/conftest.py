@@ -490,8 +490,8 @@ def reference_decouple(rows, projector: bool = False):
 def reference_inverse_run(scenario) -> harness.SimLog:
     """``harness.run_scenario`` in inverse-dynamics mode as the loop that
     evaluates the run kernel, the contact rows, the control law and the split
-    step by step: the oracle that its block-wise branch must match byte for
-    byte, errors included."""
+    step by step, logging each step as a block of one: the oracle that its
+    block-wise branch must match byte for byte, errors included."""
     model, sim, ctrl_cfg = scenario.model, scenario.sim, scenario.controller
     n, m = model.n_dof, len(model.srl_indices)
     spec = scenario.contact.spec if scenario.contact else None
@@ -508,9 +508,8 @@ def reference_inverse_run(scenario) -> harness.SimLog:
                                             ctrl_cfg.f_gravity, ctrl_cfg.damping))
     contact_link = model.link_index(spec.chain, spec.joint) if spec else None
     q, qd = model.q0.tolist(), [0.0] * n
-    mount = []
-    try:
-        for i in range(sim.n_steps):
+    for i in range(sim.n_steps):
+        try:
             kin = model._kernel(q, qd)
             j_c = contact_jacobian(kin.tip_jac[contact_link], spec) if spec else []
             tip = kin.tip[task]
@@ -527,25 +526,19 @@ def reference_inverse_run(scenario) -> harness.SimLog:
                 lam_robot = []
             else:
                 tau_req, lam_robot = dynamics.decouple((kin.a, kin.h, j_c, qdd))
-            mount.append(kin.mount)
-            log.append([q[:m] + qd[:m] + x + f_cmd + [-lk for lk in lam_robot]
-                        + [0.0, 0.0] + tau_req])
-            log._check_row(i)
-            q, qd = q_end[i], qd_end[i]
-    except SuperlimbError as exc:
-        harness._check_mount_force(log, scenario, 0, mount, qdd_in, t_sim)
-        harness._at_step(exc, i, t_sim[i])
-        raise
-    harness._check_mount_force(log, scenario, 0, mount, qdd_in, t_sim)
+        except SuperlimbError as exc:
+            raise harness._at_step(exc, i, t_sim[i])
+        log.append([q[:m] + qd[:m] + x + f_cmd + lam_robot + [0.0, 0.0] + tau_req],
+                   [kin.mount], [qdd])
+        q, qd = q_end[i], qd_end[i]
     return log
 
 
 def reference_tracking_run(scenario) -> harness.SimLog:
     """``harness.run_scenario`` in tracking mode as the loop that steps the
-    whole run at once, holding every step's ``Kinematics.mount`` and the
-    run's scripted rows as float lists, and computing the mount force after
-    the loop: the oracle that its block loop must match byte for byte,
-    errors included."""
+    whole run at once, holding the run's scripted rows as float lists, and
+    logs each step as a block of one: the oracle that its block loop must
+    match byte for byte, errors included."""
     model = scenario.model
     sim = scenario.sim
     ctrl_cfg = scenario.controller
@@ -570,9 +563,8 @@ def reference_tracking_run(scenario) -> harness.SimLog:
     contact_link = model.link_index(spec.chain, spec.joint) if spec else None
 
     q, qd = model.q0.tolist(), [0.0] * n
-    mount = []  # each logged step's Kinematics.mount, for one mount-force product
-    try:
-        for i in range(sim.n_steps):
+    for i in range(sim.n_steps):
+        try:
             kin = kernel(q, qd)
             j_c = contact_jacobian(kin.tip_jac[contact_link], spec) if spec else []
 
@@ -599,22 +591,11 @@ def reference_tracking_run(scenario) -> harness.SimLog:
                 q, qd, kin.a, kin.h, tau_s, sim.dt, m,
                 j_c, v_target[i], q_next, qd_next, qdd_in[i],
             )
-
-            mount.append(kin.mount)
-            log.append([
-                q[:m] + qd[:m] + x + f_cmd
-                + [-lk for lk in lam_robot]  # force on the supported object
-                + [0.0, 0.0] + tau_s + tau_h  # f_mount, filled after the loop
-            ])
-            log._check_row(i)
-            q, qd = q_next, qd_next
-    except SuperlimbError as exc:
-        # a NaN or Inf mount force of an earlier step, or of an earlier
-        # column of this step's row, is the first error
-        harness._check_mount_force(log, scenario, 0, mount, qdd_in, t_sim)
-        harness._at_step(exc, i, t_sim[i])
-        raise
-    harness._check_mount_force(log, scenario, 0, mount, qdd_in, t_sim)
+        except SuperlimbError as exc:
+            raise harness._at_step(exc, i, t_sim[i])
+        log.append([q[:m] + qd[:m] + x + f_cmd + lam_robot + [0.0, 0.0] + tau_s + tau_h],
+                   [kin.mount], [qdd_in[i]])
+        q, qd = q_next, qd_next
     return log
 
 

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from conftest import kernel_rows, scenario_path, stacked_kernel
 
 from superlimb import cli, plant
 from superlimb.cli import main
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 def run_cli(argv, capsys):
@@ -52,6 +56,82 @@ def test_run_invalid_json(tmp_path, capsys):
     )
     assert code == 1
     assert "invalid JSON" in err
+
+
+#: per command: a bundled input file, the command's arguments (``{cfg}`` the
+#: file's edited copy, ``{out}`` the output), and one of the file's numbers as
+#: JSON text and by its key
+JSON_INPUTS = {
+    "run": ("static_hold.json", "run --config {cfg} --out {out}", '"duration": 2.0',
+            "sim.duration"),
+    "analyze-stability": ("posture_hanging.json", "analyze-stability --config {cfg}",
+                          '"mass": 4.0', "stability.mass"),
+    "gen-emg": ("emg_profile_step.json", "gen-emg --profile {cfg} --seed 1 --out {out}",
+                '"duration": 3.0', "profile.duration"),
+}
+
+
+def _edited_argv(tmp_path, command: str, old: str, new: str) -> list[str]:
+    """``command``'s arguments on a copy of its bundled input file with
+    ``old`` replaced by ``new``, its output at ``tmp_path/out.csv``."""
+    name, args = JSON_INPUTS[command][:2]
+    with open(scenario_path(name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    cfg = tmp_path / name
+    cfg.write_bytes(text.replace(old, new).encode("utf-8"))
+    return [a.format(cfg=cfg, out=tmp_path / "out.csv") for a in args.split()]
+
+
+@pytest.mark.parametrize("command", sorted(JSON_INPUTS))
+@pytest.mark.parametrize("digits, error", [
+    (5000, "(root): invalid JSON: Exceeds the limit (4300 digits)"),  # json's int-digit limit
+    (400, "{key}: must be finite"),  # an integer past the float range
+], ids=["int-digits", "int-overflow"])
+def test_json_integer_too_long_exits_1(tmp_path, capsys, command, digits, error):
+    number, key = JSON_INPUTS[command][2:]
+    long = f"{number.split(':')[0]}: 1{'0' * digits}"
+    code, _, err = run_cli(_edited_argv(tmp_path, command, number, long), capsys)
+    assert code == 1
+    assert err.startswith(f"error: {error.format(key=key)}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command, old, new", [
+    # a chain renamed: the log holds no names, so it has the bundled bytes
+    ("run", '"arm"', '"bräs"'),
+    # a key beside the stability section, where any key is ignored
+    ("analyze-stability", '"stability"', '"note": "coté", "stability"'),
+], ids=["chain-name", "ignored-key"])
+def test_non_ascii_json_reads_as_utf8_whatever_the_locale(tmp_path, command, old, new):
+    argv = _edited_argv(tmp_path, command, old, new)
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONUTF8"))}
+    env.update(PYTHONPATH=SRC, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="utf-8")
+    child = ("import locale, sys; from superlimb.cli import main; "
+             "print(locale.getpreferredencoding(False)); sys.stdout.flush(); sys.exit(main())")
+    outcomes = []
+    for utf8 in (0, 1):  # the C locale's own text encoding, then UTF-8 mode
+        proc = subprocess.run([sys.executable, "-X", f"utf8={utf8}", "-c", child, *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        encoding, _, stdout = proc.stdout.partition("\n")
+        log = tmp_path / "out.csv"
+        outcomes.append((encoding, proc.returncode, stdout, proc.stderr,
+                         log.read_bytes() if log.exists() else None))
+        log.unlink(missing_ok=True)
+    (locale_encoding, *c_locale), (_, *utf8_mode) = outcomes
+    if locale_encoding.lower().replace("-", "") == "utf8":
+        pytest.skip("the C locale's text encoding is UTF-8 on this platform")
+    assert c_locale == utf8_mode
+    code, stdout, err, log = c_locale
+    assert (code, err) == (0, "")
+    if command == "run":
+        expected = tmp_path / "bundled.csv"
+        assert main(["run", "--config", scenario_path("static_hold.json"),
+                     "--out", str(expected)]) == 0
+        assert log == expected.read_bytes()
+    else:
+        assert stdout.startswith("posture=")
 
 
 def test_run_unknown_key_exit_code(tmp_path, capsys):
