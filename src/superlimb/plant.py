@@ -245,11 +245,15 @@ RunKinematics = namedtuple("RunKinematics", "tip tip_vel tip_jac a g h mount")
 
 
 def _each(f):
-    """``f`` of a float, or of each element of a float64 array.  It is
-    ``math.cos`` or ``math.sin``, which round as libm does: ``np.cos`` and
-    ``np.sin`` need not."""
+    """``f`` of a float, or of each element of a float64 array (of a 0-d
+    array's element as a numpy scalar).  It is ``float``, or ``math.cos``,
+    ``math.sin`` or numpy's scalar ``x ** 2``, which round as libm does one
+    element at a time: ``np.cos``, ``np.sin`` and an array's ``** 2`` need
+    not."""
     def each(x):
-        return np.fromiter(map(f, x.tolist()), float, x.size) if type(x) is np.ndarray else f(x)
+        if type(x) is not np.ndarray:
+            return f(x)
+        return np.fromiter(map(f, x.tolist()), float, x.size) if x.ndim else f(x[()])
     return each
 
 

@@ -627,7 +627,9 @@ def _load_json(path: str, what: str):
         raw = fh.read()
     try:
         return json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an integer past the digit limit, or arrays or
+        # objects nested past the recursion limit
         raise ParseError("(root)", f"invalid JSON: {exc}") from exc
 
 

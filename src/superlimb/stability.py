@@ -51,7 +51,7 @@ from .errors import (
 from .numerics import finite_diff_hessian  # noqa: F401
 from .numerics import (default_fd_step, finite_diff_jacobian, hessian_stencil, psd_check,
                        stencil_hessian)
-from .plant import GRAVITY
+from .plant import GRAVITY, _each
 
 RESIDUAL_TOL = 1e-6
 EPS = float(np.finfo(float).eps)
@@ -87,6 +87,13 @@ class SupportPosture:
     of the pose: ik_jac, the Jacobian of ik_map (n_joint, n_pose); z_hess,
     the Hessian of z_of_p (n_pose, n_pose); and ik_hess, the Hessians of
     the joint coordinates (n_joint, n_pose, n_pose).
+
+    An ik_map or z_of_p marked by ``_on_stacks`` (those of the named
+    postures) also maps a (k, n_pose) stack of poses to its k values in one
+    call, each bit for bit the value of its row alone; any other closure
+    is called one pose at a time.  The mark is an attribute of the callable,
+    so a closure swapped in by ``dataclasses.replace`` drops it (a wrapper
+    made with ``functools.wraps`` copies it).
     """
 
     p_bar: np.ndarray
@@ -148,6 +155,23 @@ def _finite(value: float, what: str, key: str) -> None:
         raise ValidationError(f"gives {what} = {value}, which is not finite", key)
 
 
+def _on_stacks(f):
+    """Mark ``f``, a closure written on the coordinates ``p[..., i]``, as
+    taking a (k, n_pose) stack of poses as well as one pose, each row's
+    value bit for bit its value alone.  A coordinate it reads bare goes
+    through ``_float``, a cosine through ``_cos`` and a square through
+    ``_square``: one element at a time, by libm's cos and pow, and on one
+    pose as the numpy scalar or float a one-pose formula has."""
+    f.on_stacks = True
+    return f
+
+
+_float, _cos = _each(float), _each(math.cos)
+# x ** 2 as a numpy scalar takes it, by libm pow (an array's ** 2 is x * x)
+_square = _each(np.float64(2.0).__rpow__)
+
+
+@_on_stacks
 def _identity_ik(p) -> np.ndarray:
     return np.array(p, dtype=float)
 
@@ -178,6 +202,10 @@ def _rigid_panel(tilt_stiffness, com_side: float):
         offset = com_side * r
         _finite(mass * GRAVITY * offset, "gravity stiffness m g r", "r")
 
+        @_on_stacks
+        def z(p):
+            return _float(p[..., 2]) + offset * _cos(p[..., 3]) * _cos(p[..., 4])
+
         def z_hess(p):
             c3, s3, c4, s4 = math.cos(p[3]), math.sin(p[3]), math.cos(p[4]), math.sin(p[4])
             h = np.zeros((6, 6))
@@ -188,9 +216,8 @@ def _rigid_panel(tilt_stiffness, com_side: float):
         return SupportPosture(
             p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=_weight_on_z(mass),
             k_q=np.diag([k, k, k, kt, kt, kt]), mass=mass,
-            ik_map=_identity_ik,
-            z_of_p=lambda p: float(p[2]) + offset * math.cos(p[3]) * math.cos(p[4]),
-            ik_jac=_identity_jac, z_hess=z_hess, ik_hess=_zero_ik_hess,
+            ik_map=_identity_ik, z_of_p=z, ik_jac=_identity_jac, z_hess=z_hess,
+            ik_hess=_zero_ik_hess,
         )
 
     return build
@@ -204,8 +231,9 @@ def _posture_cradle(mass: float, k: float, r: float, gamma: float) -> SupportPos
     return SupportPosture(
         p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=np.zeros(6),
         k_q=np.diag([0.01 * k] * 6), mass=mass, ik_map=_identity_ik,
-        z_of_p=lambda p: 0.5 * a * (p[0] ** 2 + p[1] ** 2), ik_jac=_identity_jac,
-        z_hess=lambda p: np.diag([a, a, 0.0, 0.0, 0.0, 0.0]), ik_hess=_zero_ik_hess,
+        z_of_p=_on_stacks(lambda p: 0.5 * a * (_square(p[..., 0]) + _square(p[..., 1]))),
+        ik_jac=_identity_jac, z_hess=lambda p: np.diag([a, a, 0.0, 0.0, 0.0, 0.0]),
+        ik_hess=_zero_ik_hess,
     )
 
 
@@ -214,9 +242,10 @@ def _posture_toggle(mass: float, k: float, r: float, gamma: float) -> SupportPos
     # (toggle linkage): the torque-times-curvature term eats servo stiffness
     _finite(2.0 * gamma * mass * GRAVITY, "coupling stiffness 2 gamma m g", "gamma")
 
+    @_on_stacks
     def ik(p):
         q = np.array(p, dtype=float)
-        q[2] = p[2] + gamma * (p[3] ** 2 + p[4] ** 2)
+        q[..., 2] = _float(p[..., 2]) + gamma * (_square(p[..., 3]) + _square(p[..., 4]))
         return q
 
     def jac(p):
@@ -233,7 +262,7 @@ def _posture_toggle(mass: float, k: float, r: float, gamma: float) -> SupportPos
     return SupportPosture(
         p_bar=np.zeros(6), q_bar=np.zeros(6), tau_bar=_weight_on_z(mass),
         k_q=np.diag([k, k, k, 2.0, 2.0, 2.0]), mass=mass,
-        ik_map=ik, z_of_p=lambda p: float(p[2]), ik_jac=jac,
+        ik_map=ik, z_of_p=_on_stacks(lambda p: _float(p[..., 2])), ik_jac=jac,
         z_hess=lambda p: np.zeros((6, 6)), ik_hess=ik_hess,
     )
 
@@ -358,17 +387,40 @@ def _energies(posture: SupportPosture, q: np.ndarray, gz: np.ndarray) -> np.ndar
     return u + (((0.5 * dq)[:, None, :] @ posture.k_q) @ dq[:, :, None])[:, 0, 0]
 
 
+def _stacked_maps(posture: SupportPosture, rows: np.ndarray):
+    """``ik_map`` and ``z_of_p`` of every row, one call each, where both are
+    marked by ``_on_stacks``, the caller's errstate ignores underflow (the
+    one flag a finite value can carry) and every value comes back finite;
+    otherwise None, for the row loop to give the values, flags and first
+    error of the poses one at a time."""
+    ik, z = posture.ik_map, posture.z_of_p
+    if not (getattr(ik, "on_stacks", False) and getattr(z, "on_stacks", False)
+            and np.geterr()["under"] == "ignore"):
+        return None
+    try:
+        with np.errstate(all="ignore"):
+            q, zs = ik(rows), z(rows)
+    except Exception:  # the row loop raises it at its own row
+        return None
+    if (q.shape, zs.shape) != ((len(rows), posture.n_joint), (len(rows),)):
+        return None
+    return (q, zs) if np.isfinite(q).all() and np.isfinite(zs).all() else None
+
+
 def potential(posture: SupportPosture, p: np.ndarray) -> float | np.ndarray:
     """Total potential of the supported body at pose p: gravity term, work
     of the constant torque offset, and the servo spring energy.
 
     p may also be a (k, n_pose) stack of poses; the k values then come back
-    as an array, each bit for bit the value of its pose alone.  ``ik_map``
-    and ``z_of_p`` run on each row in turn, each on its own row, and the
-    energy arithmetic runs on the whole stack, with the BLAS calls one pose
-    makes once per row.  The stack ends at its first row that raises or
-    whose value is not finite, as a loop over the rows that stops there
-    would: that row's error is raised (a floating-point one as the caller's
+    as an array, each bit for bit the value of its pose alone.  Where
+    ``ik_map`` and ``z_of_p`` both take stacks (the named postures'), each
+    runs once on the whole stack, under ignored flags; that result is kept
+    when every value is finite and the caller's errstate ignores underflow.
+    Otherwise they run on each row in turn, each on its own row.  The energy
+    arithmetic runs on the whole stack, with the BLAS calls one pose makes
+    once per row.  The stack ends at its first row that raises or whose
+    value is not finite, as a loop over the rows that stops there would:
+    that row's error is raised (a floating-point one as the caller's
     errstate has it), or its value returned with NaN in every later row.
     """
     pv = np.array(p, dtype=float, ndmin=1, copy=None)
@@ -376,17 +428,20 @@ def potential(posture: SupportPosture, p: np.ndarray) -> float | np.ndarray:
     if pv.shape != (n,) and not (pv.ndim == 2 and pv.shape[1] == n):
         raise DimensionMismatch(f"p must have shape ({n},) or (k, {n}), got {pv.shape}")
     rows = pv.reshape(-1, n)  # a view: a closure writing into its pose writes into p
-    qs, zs, failed = [], [], None
-    for row in rows:
-        try:
-            qs.append(_ik(posture, row))
-            zs.append(_z(posture, row))
-        except Exception as exc:  # raised unless a row before it ends the stack
-            failed = exc
-            break
-    q = np.array(qs).reshape(len(qs), posture.n_joint)
+    failed, stacked = None, _stacked_maps(posture, rows)
+    if stacked is None:
+        qs, zs = [], []
+        for row in rows:
+            try:
+                qs.append(_ik(posture, row))
+                zs.append(_z(posture, row))
+            except Exception as exc:  # raised unless a row before it ends the stack
+                failed = exc
+                break
+        stacked = np.array(qs).reshape(len(qs), posture.n_joint), np.array(zs)
+    q, z = stacked
     with np.errstate(all="ignore"):  # the caller's errstate is applied row by row below
-        gz = posture.mass * GRAVITY * np.array(zs)  # inf, with no flag, as on one pose's float
+        gz = posture.mass * GRAVITY * z  # inf, with no flag, as on one pose's float
         u = _energies(posture, q[: gz.size], gz)
     # an overflow or an invalid operation leaves a NaN or Inf in its row's value:
     # the first such row is redone alone, or with underflow not ignored, each

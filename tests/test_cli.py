@@ -98,6 +98,20 @@ def test_json_integer_too_long_exits_1(tmp_path, capsys, command, digits, error)
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", sorted(JSON_INPUTS))
+def test_json_nested_past_the_recursion_limit_exits_1(tmp_path, capsys, command):
+    cfg = tmp_path / "nested.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000)
+    args = JSON_INPUTS[command][1]
+    code, out, err = run_cli([a.format(cfg=cfg, out=tmp_path / "out.csv") for a in args.split()],
+                             capsys)
+    assert code == 1
+    assert err.startswith("error: (root): invalid JSON: maximum recursion depth exceeded")
+    assert "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("command, old, new", [
     # a chain renamed: the log holds no names, so it has the bundled bytes
     ("run", '"arm"', '"bräs"'),

@@ -734,3 +734,121 @@ def test_a_stack_flags_as_its_poses_do_under_the_callers_errstate(setting, flags
     else:
         assert got[0][2:] == ["inf", "nan"]
         assert got[1] == [f"{flag} encountered in matmul" for flag in flags]
+
+
+# --- the named postures' closures on stacks of poses ----------------------------
+
+def scalar_maps(name, r=0.3, gamma=0.5):
+    """A named posture's ik_map and z_of_p as one-pose formulas on numpy
+    scalars: ``float``, ``math.cos`` and ``np.float64 ** 2`` (libm pow)."""
+    if name == "cradle":
+        a = 2.0 / r
+        return lambda p: np.array(p, dtype=float), lambda p: 0.5 * a * (p[0] ** 2 + p[1] ** 2)
+    if name == "toggle_mount":
+        def ik(p):
+            q = np.array(p, dtype=float)
+            q[2] = p[2] + gamma * (p[3] ** 2 + p[4] ** 2)
+            return q
+        return ik, lambda p: float(p[2])
+    offset = {"column": 0.0, "hanging_panel": -1.0, "inverted_panel": 1.0}[name] * r
+    return (lambda p: np.array(p, dtype=float),
+            lambda p: float(p[2]) + offset * math.cos(p[3]) * math.cos(p[4]))
+
+
+def _pow_is_not_product(n):
+    """The first n of a seeded draw of floats whose square by libm pow is not
+    their product with themselves."""
+    x = np.random.default_rng(36).standard_normal(20_000) * np.exp(
+        np.random.default_rng(37).uniform(-30.0, 30.0, 20_000))
+    return [v for v in x.tolist() if np.float64(v) ** 2 != v * v][:n]
+
+
+#: a pose coordinate: signed zeros, subnormals, squares that underflow or
+#: overflow, values whose pow and product squares differ, and any float
+#: but an infinite one (whose cosine raises in either form)
+COORDINATE = hs.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-160, 1e-150, 1.4e154, -1e155, 1e300, math.nan,
+    *_pow_is_not_product(12),
+]) | hs.floats(allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.lists(hs.lists(COORDINATE, min_size=6, max_size=6), min_size=0, max_size=12))
+@pytest.mark.parametrize("name", sorted(POSTURES))
+def test_a_named_stack_form_is_each_pose_alone_bitwise(name, poses):
+    # the stack form, row by row, against the one-pose closure and the
+    # one-pose formula on numpy scalars
+    posture = named(name)
+    stack = np.array(poses, dtype=float).reshape(-1, 6)
+    assert posture.ik_map.on_stacks and posture.z_of_p.on_stacks
+    with np.errstate(all="ignore"):
+        q, zs = posture.ik_map(stack.copy()), posture.z_of_p(stack.copy())
+        assert (q.shape, zs.shape) == ((len(stack), 6), (len(stack),))
+        for p, q_row, z_row in zip(stack, q.tolist(), zs.tolist()):
+            want = [v.hex() for v in [*q_row, z_row]]
+            for ik, z in ((posture.ik_map, posture.z_of_p), scalar_maps(name)):
+                assert [v.hex() for v in [*ik(p.copy()).tolist(), float(z(p.copy()))]] == want
+
+
+def flagged(f, **setting):
+    """f() under np.errstate(**setting): its value, or its error by type and
+    text, and the RuntimeWarnings it gave, in order."""
+    with warnings.catch_warnings(record=True) as seen, np.errstate(**setting):
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            got = f()
+        except Exception as exc:  # compared with the reference's error
+            got = type(exc), str(exc)
+    return got, [str(w.message) for w in seen if w.category is RuntimeWarning]
+
+
+@pytest.mark.filterwarnings("ignore::superlimb.stability.DiagnosticMismatch")
+@pytest.mark.parametrize("under", ["raise", "warn", "ignore"])
+@pytest.mark.parametrize("name", sorted(POSTURES))
+def test_squares_that_underflow_certify_as_the_pose_by_pose_loop(name, under):
+    # every stencil point keeps four coordinates at 1e-160, whose squares
+    # (and servo energies) underflow: the stacked maps run only where the
+    # caller ignores underflow, and the certificate, its error and its
+    # warnings are the reference's (the stack gives its warnings in another
+    # order: each closure's for all rows, then each energy's)
+    posture = dataclasses.replace(named(name), p_bar=np.full(6, 1e-160))
+    got, seen = flagged(lambda: certificate(posture), under=under)
+    want, want_seen = flagged(lambda: reference_certificate(posture), under=under)
+    assert (got, sorted(seen)) == (want, sorted(want_seen))
+    if under == "raise":
+        assert got[0] is NonFinite and "underflow encountered" in got[1]
+    else:
+        assert len(got) == 7 and bool(seen) == (under == "warn")
+
+
+@pytest.mark.parametrize("over", ["raise", "warn", "ignore"])
+@pytest.mark.parametrize("name", sorted(POSTURES))
+def test_squares_that_overflow_end_a_named_stack_as_the_pose_by_pose_loop(name, over):
+    # the middle pose's squares (cradle, toggle_mount) or servo energy
+    # overflow: the stack ends there with the flags and the error of the
+    # poses taken one at a time
+    posture = named(name)
+    poses = np.array([np.full(6, 0.1), np.full(6, 1e200), np.full(6, 0.2)])
+    got = flagged(lambda: [v.hex() for v in potential(posture, poses).tolist()], over=over)
+    assert got == flagged(lambda: pose_by_pose(posture, poses), over=over)
+
+
+@pytest.mark.parametrize("swapped", ["ik_map", "z_of_p"])
+@pytest.mark.parametrize("name", sorted(POSTURES))
+def test_a_swapped_closure_is_called_once_per_row(name, swapped):
+    posture = named(name)
+    stencil = hessian_stencil(posture.p_bar)
+    shapes = []
+
+    def counted(p):
+        shapes.append(p.shape)
+        return getattr(posture, swapped)(p)
+
+    swap = dataclasses.replace(posture, **{swapped: counted})
+    assert potential(swap, stencil).tobytes() == potential(posture, stencil).tobytes()
+    assert shapes == [(6,)] * len(stencil)
+    # marked as taking stacks, the same closure is called once, on the stack
+    shapes.clear()
+    counted.on_stacks = True
+    assert potential(swap, stencil).tobytes() == potential(posture, stencil).tobytes()
+    assert shapes == [stencil.shape]
