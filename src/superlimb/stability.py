@@ -90,10 +90,12 @@ class SupportPosture:
 
     An ik_map or z_of_p marked by ``_on_stacks`` (those of the named
     postures) also maps a (k, n_pose) stack of poses to its k values in one
-    call, each bit for bit the value of its row alone; any other closure
-    is called one pose at a time.  The mark is an attribute of the callable,
-    so a closure swapped in by ``dataclasses.replace`` drops it (a wrapper
-    made with ``functools.wraps`` copies it).
+    call, each bit for bit the value of its row alone.  Where both are
+    marked, ``potential`` evaluates a stack in one pass; otherwise it takes
+    the poses one at a time, closures and energy alike.  The mark is an
+    attribute of the callable, so a closure swapped in by
+    ``dataclasses.replace`` drops it (a wrapper made with
+    ``functools.wraps`` copies it).
     """
 
     p_bar: np.ndarray
@@ -378,33 +380,12 @@ def _residual(posture: SupportPosture) -> tuple[np.ndarray, float]:
     return -posture.mass * GRAVITY * grad_z + j.T @ posture.tau_bar, max(z_abs)
 
 
-def _energies(posture: SupportPosture, q: np.ndarray, gz: np.ndarray) -> np.ndarray:
-    """The potential of each pose of a stack from its joint vectors q (one a
+def _energies(posture: SupportPosture, dq: np.ndarray, gz: np.ndarray) -> np.ndarray:
+    """The potential of each pose of a stack from its joint offsets dq (one a
     row) and gravity terms gz = m g z: per row, the BLAS calls and roundings
     of m g z - tau_bar @ dq + 0.5 dq @ k_q @ dq on that pose alone."""
-    dq = q - posture.q_bar
     u = gz - (posture.tau_bar @ dq[:, :, None])[:, 0]
     return u + (((0.5 * dq)[:, None, :] @ posture.k_q) @ dq[:, :, None])[:, 0, 0]
-
-
-def _stacked_maps(posture: SupportPosture, rows: np.ndarray):
-    """``ik_map`` and ``z_of_p`` of every row, one call each, where both are
-    marked by ``_on_stacks``, the caller's errstate ignores underflow (the
-    one flag a finite value can carry) and every value comes back finite;
-    otherwise None, for the row loop to give the values, flags and first
-    error of the poses one at a time."""
-    ik, z = posture.ik_map, posture.z_of_p
-    if not (getattr(ik, "on_stacks", False) and getattr(z, "on_stacks", False)
-            and np.geterr()["under"] == "ignore"):
-        return None
-    try:
-        with np.errstate(all="ignore"):
-            q, zs = ik(rows), z(rows)
-    except Exception:  # the row loop raises it at its own row
-        return None
-    if (q.shape, zs.shape) != ((len(rows), posture.n_joint), (len(rows),)):
-        return None
-    return (q, zs) if np.isfinite(q).all() and np.isfinite(zs).all() else None
 
 
 def potential(posture: SupportPosture, p: np.ndarray) -> float | np.ndarray:
@@ -413,49 +394,39 @@ def potential(posture: SupportPosture, p: np.ndarray) -> float | np.ndarray:
 
     p may also be a (k, n_pose) stack of poses; the k values then come back
     as an array, each bit for bit the value of its pose alone.  Where
-    ``ik_map`` and ``z_of_p`` both take stacks (the named postures'), each
-    runs once on the whole stack, under ignored flags; that result is kept
-    when every value is finite and the caller's errstate ignores underflow.
-    Otherwise they run on each row in turn, each on its own row.  The energy
-    arithmetic runs on the whole stack, with the BLAS calls one pose makes
-    once per row.  The stack ends at its first row that raises or whose
-    value is not finite, as a loop over the rows that stops there would:
-    that row's error is raised (a floating-point one as the caller's
-    errstate has it), or its value returned with NaN in every later row.
+    ``ik_map`` and ``z_of_p`` both take stacks (the named postures') and the
+    caller's errstate ignores underflow, the maps and the energies run once
+    on the whole stack, under ignored flags, and that result is kept when
+    its shapes are right and every value is finite: an overflow or invalid
+    operation leaves a NaN or Inf in its row's value, so a kept pass raised
+    no flag but underflow.  Otherwise the poses run one at a time, under
+    the caller's errstate, up to the first that raises (its error
+    propagates) or whose value is not finite (every later row is NaN).
     """
     pv = np.array(p, dtype=float, ndmin=1, copy=None)
     n = posture.n_pose
     if pv.shape != (n,) and not (pv.ndim == 2 and pv.shape[1] == n):
         raise DimensionMismatch(f"p must have shape ({n},) or (k, {n}), got {pv.shape}")
     rows = pv.reshape(-1, n)  # a view: a closure writing into its pose writes into p
-    failed, stacked = None, _stacked_maps(posture, rows)
-    if stacked is None:
-        qs, zs = [], []
-        for row in rows:
-            try:
-                qs.append(_ik(posture, row))
-                zs.append(_z(posture, row))
-            except Exception as exc:  # raised unless a row before it ends the stack
-                failed = exc
-                break
-        stacked = np.array(qs).reshape(len(qs), posture.n_joint), np.array(zs)
-    q, z = stacked
-    with np.errstate(all="ignore"):  # the caller's errstate is applied row by row below
-        gz = posture.mass * GRAVITY * z  # inf, with no flag, as on one pose's float
-        u = _energies(posture, q[: gz.size], gz)
-    # an overflow or an invalid operation leaves a NaN or Inf in its row's value:
-    # the first such row is redone alone, or with underflow not ignored, each
-    # row up to it, in turn, so the caller's errstate sees the pose-by-pose flags
-    bad = np.flatnonzero(~np.isfinite(u))[:1]
-    last = bad[0] if bad.size else u.size - 1
-    for k in bad if np.geterr()["under"] == "ignore" else range(last + 1):
-        u[k] = _energies(posture, q[k : k + 1], gz[k : k + 1])[0]
-    if bad.size:
-        u = np.concatenate([u[: last + 1], np.full(len(rows) - last - 1, math.nan)])
-    elif failed is not None:
-        # a failed z_of_p came after its row's offset, which raises as it did
-        np.subtract(q[gz.size :], posture.q_bar)
-        raise failed
+    ik, z = posture.ik_map, posture.z_of_p
+    if (getattr(ik, "on_stacks", False) and getattr(z, "on_stacks", False)
+            and np.geterr()["under"] == "ignore"):
+        try:
+            with np.errstate(all="ignore"):
+                q, zs = ik(rows), z(rows)
+                if (q.shape, zs.shape) == ((len(rows), posture.n_joint), (len(rows),)):
+                    u = _energies(posture, q - posture.q_bar, posture.mass * GRAVITY * zs)
+                    if np.isfinite(u).all():
+                        return u if pv.ndim == 2 else float(u[0])
+        except Exception:  # the loop raises it at its own row
+            pass
+    u = np.full(len(rows), math.nan)
+    for k, row in enumerate(rows):
+        dq = _ik(posture, row) - posture.q_bar
+        u[k] = (posture.mass * GRAVITY * _z(posture, row) - posture.tau_bar @ dq
+                + 0.5 * dq @ posture.k_q @ dq)
+        if not math.isfinite(u[k]):
+            break
     return u if pv.ndim == 2 else float(u[0])
 
 

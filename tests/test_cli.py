@@ -488,7 +488,9 @@ def test_analyze_stability_missing_section(tmp_path, capsys):
     ("cradle", "mass", 1e308, 1, "error: stability.mass: "),
     ("cradle", "r", 1e-308, 1, "error: stability.r: "),  # 2 m g / r overflows
     ("inverted_panel", "r", 1e308, 1, "error: stability.r: "),
-    ("toggle_mount", "gamma", 1e200, 2, "numeric error: "),  # the FD cross-check overflows
+    # the FD cross-check overflows: the whole line
+    ("toggle_mount", "gamma", 1e200, 2,
+     "numeric error: stiffness_matrix_kp: overflow encountered in matmul\n"),
     ("column", "k", 1e308, 0, ""),
 ])
 def test_analyze_stability_extreme_parameter_exit_codes(tmp_path, capsys, name, key, value,

@@ -1,27 +1,36 @@
 """Seeded in-process fuzz of the CLI's file and flag inputs: mutated trace
-and motion CSV bytes, and extreme values of the numeric flags of
-``emg-pipeline``, ``gen-emg`` and ``analyze-stability``.  Every case must
-exit 0, 1 (``error:``) or 2 (``numeric error:``), with no exception and no
-floating-point warning escaping."""
+and motion CSV bytes, extreme values of the numeric flags of
+``emg-pipeline``, ``gen-emg`` and ``analyze-stability``, and structurally
+mutated posture JSON.  Every case must exit 0, 1 (``error:``) or 2
+(``numeric error:``), with no exception and no floating-point warning
+escaping."""
 
 import itertools
 import json
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import scenario_path
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
 
 from superlimb.cli import main
+from superlimb.stability import POSTURES, DiagnosticMismatch
 
 FLAG_VALUES = ["0", "-0", "1e-320", "-1", "1e308", "-1e308", "inf", "-inf", "nan"]
 
 
-def check_exit(argv, capsys) -> int:
+def check_exit(argv, capsys, allow=()) -> int:
     """Run ``main(argv)`` and return its exit code; fail on an escaping
-    exception or warning and on an exit code without its stderr prefix."""
+    exception or warning (but the warning categories in ``allow``) and on an
+    exit code without its stderr prefix."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for category in allow:
+            warnings.simplefilter("ignore", category)
         try:
             code = main(argv)
         except BaseException as exc:  # noqa: BLE001 - the escape under test
@@ -116,3 +125,74 @@ def test_numeric_flag_fuzz_exits_cleanly(tmp_path, capsys):
               for name in ("posture_hanging", "posture_inverted") for v in FLAG_VALUES]
     codes = {check_exit(argv, capsys) for argv in cases}
     assert codes == {0, 1, 2}
+
+
+#: JSON text of a numeric leaf: FLAG_VALUES, magnitudes whose squares or
+#: weights underflow or overflow, an integer past the float range and one
+#: past the decoder's 4,300-digit limit
+NUMBERS = [json.dumps(float(v)) for v in FLAG_VALUES] + [
+    "1e-300", "1e-160", "1e200", "1e300", "1" + "0" * 400, "1" + "0" * 5000]
+NAMES = [json.dumps(name) for name in sorted(POSTURES)]
+#: any leaf: a number, a value of the wrong type or a posture's name
+LEAVES = NUMBERS + NAMES + ["null", "true", '"4.0"', "[]", "{}", "[4.0]", '"Column"']
+NON_ASCII_KEYS = ["masse\u0301", "\u03ba", "r\u00e9", "\U0001f600"]
+#: each posture file's stability section as (key, JSON text) pairs
+POSTURE_PAIRS = [
+    [(key, json.dumps(value)) for key, value in
+     json.loads(Path(scenario_path(f"{name}.json")).read_text())["stability"].items()]
+    for name in ("posture_hanging", "posture_inverted")
+]
+
+
+def posture_json(pairs) -> bytes:
+    """A config whose stability section has ``pairs``, duplicates kept."""
+    body = ", ".join(f"{json.dumps(key, ensure_ascii=False)}: {text}" for key, text in pairs)
+    return ('{"stability": {' + body + "}}").encode()
+
+
+@hs.composite
+def posture_config(draw) -> bytes:
+    """A posture file with one structural mutation."""
+    pairs = list(draw(hs.sampled_from(POSTURE_PAIRS)))
+    at = hs.integers(0, len(pairs) - 1)
+    kind = draw(hs.sampled_from(
+        ["leaf", "two leaves", "remove", "duplicate", "add", "nest", "truncate", "not utf-8"]))
+    if kind == "leaf":
+        i = draw(at)
+        pairs[i] = (pairs[i][0], draw(hs.sampled_from(LEAVES)))
+    elif kind == "two leaves":  # on any posture, gamma included
+        section = dict(pairs, posture=draw(hs.sampled_from(NAMES)))
+        for key in draw(hs.lists(hs.sampled_from(["mass", "k", "r", "gamma"]),
+                                 min_size=2, max_size=2, unique=True)):
+            section[key] = draw(hs.sampled_from(NUMBERS))
+        pairs = list(section.items())
+    elif kind == "remove":
+        del pairs[draw(at)]
+    elif kind == "duplicate":  # the key again, later or earlier in the text
+        key = pairs[draw(at)][0]
+        pairs.insert(draw(hs.integers(0, len(pairs))), (key, draw(hs.sampled_from(LEAVES))))
+    elif kind == "add":
+        pairs.append((draw(hs.sampled_from(NON_ASCII_KEYS)), draw(hs.sampled_from(LEAVES))))
+    elif kind == "nest":  # the section nested past the recursion limit
+        depth = draw(hs.sampled_from([sys.getrecursionlimit() + 1, 100_000]))
+        return b'{"stability": ' + b"[" * depth + b"]" * depth + b"}"
+    data = posture_json(pairs)
+    if kind == "truncate":
+        return data[: draw(hs.integers(0, len(data) - 1))]
+    if kind == "not utf-8":
+        i = draw(hs.integers(0, len(data)))
+        return data[:i] + draw(hs.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])) + data[i:]
+    return data
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(posture_config())
+def test_posture_json_fuzz_exits_cleanly(tmp_path, capsys, data):
+    # the certificate's DiagnosticMismatch is its documented warning; any
+    # other warning is an error
+    cfg = tmp_path / "posture.json"
+    cfg.write_bytes(data)
+    argv = ["analyze-stability", "--config", str(cfg)]
+    for margin in ([], ["--servo-margin", "1.0"], ["--servo-margin", "1e300"]):
+        check_exit(argv + margin, capsys, allow=(DiagnosticMismatch,))

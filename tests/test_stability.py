@@ -833,6 +833,34 @@ def test_squares_that_overflow_end_a_named_stack_as_the_pose_by_pose_loop(name, 
     assert got == flagged(lambda: pose_by_pose(posture, poses), over=over)
 
 
+TILTED = [0.1, 0.1, 0.1, math.inf, 0.1, 0.1]
+
+
+@pytest.mark.parametrize("setting", [{}, {"invalid": "raise"}, {"all": "ignore"}])
+@pytest.mark.parametrize("poses", [[[0.1] * 6, TILTED, [0.2] * 6],
+                                   [[0.1] * 6, [0.1, 0.1, 1e308, 0.1, 0.1, 0.1], TILTED]],
+                         ids=["raising", "overflowing-first"])
+@pytest.mark.parametrize("name", ["hanging_panel", "toggle_mount", "cradle"])
+def test_a_named_stack_whose_map_raises_mid_stack_is_the_pose_by_pose_loop(name, poses, setting):
+    # an infinite tilt: the panel's height raises in math.cos, on the stack
+    # and on that pose alone, unless an earlier pose (at a height whose
+    # energy overflows) ends the stack first, with that pose's flags by their
+    # one-pose names (its m g z - tau_bar @ dq is inf - inf in a scalar
+    # subtract); the toggle's squares and the cradle's joint offset make the
+    # tilted pose's value NaN
+    posture = named(name)
+    poses = np.array(poses)
+    got = flagged(lambda: [v.hex() for v in potential(posture, poses).tolist()], **setting)
+    assert got == flagged(lambda: pose_by_pose(posture, poses), **setting)
+    if name == "hanging_panel":
+        with pytest.raises(ValueError, match="math domain error"):
+            posture.z_of_p(poses)  # the stacked pass hands the stack to the loop
+    if name == "hanging_panel" and poses[1, 3] == math.inf:
+        assert got == ((ValueError, "math domain error"), [])
+    else:  # a value that is not finite ends the stack, or its flag raises
+        assert got[0][0] is FloatingPointError or got[0][-1] == "nan"
+
+
 @pytest.mark.parametrize("swapped", ["ik_map", "z_of_p"])
 @pytest.mark.parametrize("name", sorted(POSTURES))
 def test_a_swapped_closure_is_called_once_per_row(name, swapped):
