@@ -456,22 +456,23 @@ def write_csv(path: str, header: list[str], rows: np.ndarray, flag: int | None =
     One numpy kernel formats the body, with no Python object per cell:
     ``_shortest`` finds each value's shortest round-trip digits by exact
     integer arithmetic, ``_csv_text`` lays them out as ``float.__repr__``
-    does, and ``_csv_chunks`` writes one byte buffer per chunk of at most
-    ``_CSV_CELLS`` cells (whole rows).  Only cells that differ (in their
-    bits) from the one above them are formatted, ``_CSV_FRESH`` at most at
-    a time; the others copy its text.  The tests hold the bytes to one
-    ``repr`` per cell.  Raises ValidationError, naming the path, when the
-    file cannot be opened for writing."""
+    does in fixed 48-byte rows whose unused bytes are NUL, and
+    ``_csv_chunks`` writes those rows as one byte string per chunk of at
+    most ``_CSV_CELLS`` cells (whole rows), with the NUL bytes dropped.
+    Only cells that differ (in their bits) from the one above them are
+    formatted, ``_CSV_FRESH`` at most at a time; the others copy its text.
+    The tests hold the bytes to one ``repr`` per cell.  Raises
+    ValidationError, naming the path, when the file cannot be opened or
+    written (a full disk, say)."""
     rows = np.asarray(rows, dtype=float)
     try:
-        fh = open(path, "w", newline="")
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.flush()
+            for text in _csv_chunks(rows, flag):
+                fh.buffer.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
-    with fh:
-        fh.write(",".join(header) + "\n")
-        fh.flush()
-        for text in _csv_chunks(rows, flag):
-            fh.buffer.write(text)
 
 
 # A value c * 2^q (c < 2^53, the hidden bit included) reads back from any
@@ -495,9 +496,9 @@ def write_csv(path: str, header: list[str], rows: np.ndarray, flag: int | None =
 
 #: cells ``write_csv`` writes at a time, in whole rows, and the most of them
 #: it formats at a time (the others repeat the cell above them).  A write's
-#: allocations then peak near 1.6 MB; batches of 2^13 write about 7 %
-#: faster but peak near 2.9 MB
-_CSV_CELLS, _CSV_FRESH = 1 << 11, 1 << 12
+#: allocations then peak near 3.5 MB (a test holds them to 4 MB); batches
+#: twice as large hold twice that for at most 2 % of speed
+_CSV_CELLS, _CSV_FRESH = 1 << 12, 1 << 13
 _M32 = 0xFFFFFFFF
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
 
@@ -590,7 +591,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n4 += 4
     t_in = xw + hi_in > n4
     nearer_s = (xv & 3) < 2 + (near & ((s & 1) == 0)).view(np.uint8)
-    take_s = np.where(s_in != t_in, s_in, nearer_s)
+    take_s = nearer_s ^ ((s_in ^ nearer_s) & (s_in ^ t_in))  # s_in where s_in != t_in, else nearer_s
     s10 += ~short_lo
     s += ~take_s
     return np.where(short, s10, s), k + short
@@ -598,137 +599,153 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # A cell's text row of 48 bytes, as twelve uint32 words: a sign, the first
 # integer digit (or "0", "n", "i") and four words of 4 more (or ".000",
-# "an", "nf"); the point, the first fraction digit and four words of 4 more;
-# "e" and the exponent's sign; 3 exponent digits and the separator.  Both
-# digit runs hold all 17 digits, and the cell's shape picks which bytes of
-# the row its text uses.
+# "an", "nf"); the point, the "0" of an integer's fraction, the first
+# fraction digit and four words of 4 more; "e" and the exponent's sign; 3
+# exponent digits and the separator.  Both digit runs hold all 17 digits,
+# the second with its trailing zeros NUL.
+# The cell's shape code zeroes the bytes its text does not use, and the
+# writer drops every NUL byte (ASCII text holds none).
 _ROW = 48
 _SIGN, _A, _POINT, _B, _EXP, _SEP = 0, 3, 20, 23, 40, 47
-#: shape codes past fixed notation's: exponent notation, a negative sign, the rest
-_SCI, _NEG, _FLAG, _NAN, _INF = 340, 374, 748, 749, 750
+#: shape codes past fixed notation's (decpt + 3 for -4 < decpt <= 16):
+#: exponent notation, a negative sign, nan and inf
+_SCI, _NEG, _NAN, _INF = 20, 24, 48, 49
 #: rows of ``_text_tables``'s word table past the 10^4 four-digit words
-_DOT000, _FIRST_A, _FIRST_B = 10000, 10001, 10011
-_E_MINUS, _E_PLUS = np.frombuffer(b"e-00e+00", dtype=np.uint32)
+_TRIM, _DOT000, _FIRST_A, _FIRST_B = 10000, 20000, 20001, 20011
+#: decimal exponents (decpt - 1) that the exponent table spells out
+_EXPS = 999
 
 
 @cache
 def _text_tables() -> tuple[np.ndarray, ...]:
     """``words``: uint32 words of ASCII in memory order: the four digits of
-    each n < 10^4, then ".000", "-" and each first integer digit, "." and
-    each first fraction digit; ``zeros[n]``: n's trailing zero digits (4
-    for 0); ``masks[code]``: the row bytes a cell of each shape code uses;
-    ``exps[n]``: the three digits of each n < 1000, then a 0 byte.
+    each n < 10^4, the same with their trailing zeros NUL, ".000", "-" and
+    each first integer digit, "." and each first fraction digit, then the
+    same with "0" after the point;
+    ``masks[code]``: 0xFF on the row bytes a cell of each shape code uses;
+    ``exps[decpt + _EXPS - 1]``: the row's last 8 bytes, "e", the
+    exponent's sign and its three digits; ``codes[decpt + _EXPS - 1]``, and
+    ``codes[decpt + 3 * _EXPS]`` for a cell with more than one digit: the
+    shape code; ``digits[e]``: the digits of 2^(e - 1023), for e the biased
+    exponent of a float64 of at least 1.
 
-    Fixed notation has code (decpt + 3) * 17 + nsig - 1 for -4 < decpt <=
-    16 (the point's place after the first of nsig digits); exponent
-    notation _SCI + 17 (for a 3-digit exponent) + nsig - 1; _NEG adds a
-    sign; then a flag cell, nan, inf and -inf."""
+    Exponent notation has code _SCI + 2 (for a 3-digit exponent) + 1 (for
+    a point and more digits); _NEG adds a sign; then nan, inf and -inf."""
     n = np.arange(10000, dtype=np.int16)
-    words = np.zeros((_FIRST_B + 10, 4), dtype=np.uint8)
-    digits = words[:10000]
+    words = np.zeros((_FIRST_B + 20, 4), dtype=np.uint8)
+    digits, trimmed = words[:_TRIM], words[_TRIM:_DOT000]
     for j in range(4):
         digits[:, 3 - j] = n // 10**j % 10
     digits += ord("0")
+    for j in range(4):
+        trimmed[:, 3 - j] = digits[:, 3 - j] * (n % 10 ** (j + 1) != 0)
     words[_DOT000] = list(b".000")
-    words[_FIRST_A:, 3] = words[:20, 3]  # "0" to "9", twice
+    words[_FIRST_A:, 3] = words[:30, 3]  # "0" to "9", three times
     words[_FIRST_A:_FIRST_B, 0] = ord("-")
     words[_FIRST_B:, 0] = ord(".")
-    zeros = sum((n % 10**j == 0).view(np.int8) for j in range(1, 5))
+    words[_FIRST_B + 10 :, 1] = ord("0")
     masks = np.zeros((_INF + 2, _ROW), dtype=bool)
     for code in range(_NEG):
         m = masks[code]
         if code < _SCI:
-            decpt, nsig = code // 17 - 3, code % 17 + 1
+            decpt = code - 3
             if decpt <= 0:  # "0." and -decpt zeros in the integer bytes
-                m[_A : _A + 2 - decpt] = m[_B : _B + nsig] = True
-            else:  # an integer ends in ".0"
-                m[_A : _A + decpt] = m[_POINT] = m[_B + decpt : _B + max(nsig, decpt + 1)] = True
+                m[_A : _A + 2 - decpt] = m[_B : _B + 17] = True
+            else:  # an integer's fraction is the "0" after the point
+                m[_A : _A + decpt] = m[_POINT : _POINT + 2] = m[_B + decpt : _B + 17] = True
         else:
-            three, nsig = divmod(code - _SCI, 17)
-            m[_A] = m[_EXP : _EXP + 2] = m[_EXP + 5 - three : _EXP + 7] = True
-            m[_POINT] = m[_B + 1 : _B + nsig + 1] = nsig > 0  # nsig - 1 digits after the point
+            three, point = divmod(code - _SCI, 2)
+            m[_A] = m[_B + 1 : _B + 17] = m[_EXP : _EXP + 2] = m[_EXP + 5 - three : _EXP + 7] = True
+            m[_POINT] = point
         masks[code + _NEG] = m
         masks[code + _NEG, _SIGN] = True
-    masks[_FLAG, _A] = True
     masks[_NAN:, _A : _A + 3] = True
     masks[_INF + 1, _SIGN] = True
-    masks[:, _SEP] = True
-    exps = np.zeros((1000, 4), dtype=np.uint8)
-    exps[:, :3] = digits[:1000, 1:]
-    tables = words.view(np.uint32).ravel(), zeros, masks, exps.view(np.uint32).ravel()
+    x = np.arange(-_EXPS, _EXPS + 1)  # decpt - 1
+    exps = np.zeros((x.size, 8), dtype=np.uint8)
+    exps[:, 0] = ord("e")
+    exps[:, 1] = np.where(x < 0, ord("-"), ord("+"))
+    exps[:, 4:7] = digits[abs(x), 1:]
+    fixed = (x >= -4) & (x < 16)
+    codes = np.where(fixed, x + 4, _SCI + 2 * (abs(x) > 99))
+    codes = np.concatenate((codes, codes + ~fixed))
+    powers = (np.arange(1087) - 1023).clip(0)  # a float64 below 2^64 has e < 1087
+    tables = (words.view(np.uint32).ravel(), (masks * np.uint8(0xFF)).view(np.uint32),
+              exps.view(np.uint32).T.copy(), codes, (powers * 1233 >> 12) + 1)
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
 def _csv_chunks(rows: np.ndarray, flag: int | None):
-    """Yield the CSV body of a float table as uint8 arrays of at most
-    ``_CSV_CELLS`` cells (whole rows) each.
+    """Yield the CSV body of a float table as bytes, at most ``_CSV_CELLS``
+    cells (whole rows) at a time.
 
     Only the cells that differ (in their bits) from the one above them are
     formatted, in batches of rows holding at most ``_CSV_FRESH`` of them,
-    a batch's first row whole; every other cell copies the text of the last
-    formatted cell above it.  The buffers are reused from batch to batch."""
+    a batch's first row whole; every other cell copies the text row of the
+    last formatted cell above it, and a cell of the flag column the text
+    row of ``1`` or ``0`` by its truthiness.  The separators are written
+    into the copies.  The buffers are reused from batch to batch."""
     bits = np.ascontiguousarray(rows).view(np.uint64)
     n_rows, width = bits.shape
     if not n_rows:
         return
     fresh = np.ones(bits.shape, dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
-    counted = np.cumsum(np.count_nonzero(fresh, axis=1))  # through each row
+    if flag is not None:
+        fresh[1:, flag] = False
+    counted = np.zeros(n_rows, dtype=np.intp)
+    for column in fresh.T:  # faster than a reduction along the short axis
+        counted += column
+    np.cumsum(counted, out=counted)  # fresh cells through each row
     span = max(1, _CSV_CELLS // width)
-    seps = np.full(width, ord(","), dtype=np.uint32)
+    seps = np.full(width, ord(","), dtype=np.uint8)
     seps[-1] = ord("\n")
-    seps <<= 24
-    flags = None if flag is None else np.arange(width) == flag
-    text = np.empty((max(width, min(_CSV_FRESH, int(counted[-1]) + width)), _ROW), dtype=np.uint8)
-    cells = min(span, n_rows) * width
-    copies, mask = np.empty((cells, _ROW), dtype=np.uint8), np.empty((cells, _ROW), dtype=bool)
-    masks = _text_tables()[2]
+    text = np.zeros((max(width, min(_CSV_FRESH, int(counted[-1]) + width)) + 2, _ROW), dtype=np.uint8)
+    text[-2:, _A] = list(b"01")  # the flag column's texts
+    copies = np.empty((min(span, n_rows), width, _ROW), dtype=np.uint8)
     start = 0
     while start < n_rows:
         stop = max(start + 1, int(np.searchsorted(counted, counted[start] - width + _CSV_FRESH, "right")))
         fresh[start] = True
         pick = np.flatnonzero(fresh[start:stop])
-        col = pick % width
-        codes = _csv_text(bits[start:stop].ravel()[pick], seps[col], None if flags is None else flags[col],
-                          text[: pick.size])
+        _csv_text(bits[start:stop].ravel()[pick], text[: pick.size])
         done = 0  # formatted cells in the batch's earlier chunks
         for top in range(start, stop, span):
-            chunk = fresh[top : min(top + span, stop)]
-            m = chunk.size
+            end = min(top + span, stop)
             # each cell copies the last formatted cell at or above it in its column
-            last = np.cumsum(chunk) + (done - 1)
-            done = last[-1] + 1
-            last = np.where(chunk.ravel(), last, -1).reshape(chunk.shape)
+            upto = int(np.searchsorted(pick, (end - start) * width))
+            last = np.full((end - top, width), -1)
+            last.ravel()[pick[done:upto] - (top - start) * width] = np.arange(done, upto)
+            done = upto
             if top > start:
-                last[0] = np.maximum(last[0], above)
+                np.maximum(last[0], above, out=last[0])
             np.maximum.accumulate(last, axis=0, out=last)
             above = last[-1]
-            np.take(text, last.ravel(), axis=0, out=copies[:m], mode="clip")
-            np.take(masks, codes[last.ravel()], axis=0, out=mask[:m], mode="clip")
-            yield copies[:m][mask[:m]]
+            if flag is not None:  # the row of "1" if the value is truthy, else of "0"
+                last[:, flag] = (bits[top:end, flag] & 0x7FFFFFFFFFFFFFFF) != 0
+                last[:, flag] += len(text) - 2
+            cells = copies[: end - top]
+            np.take(text, last, axis=0, out=cells, mode="clip")
+            cells[..., _SEP] = seps
+            yield cells.tobytes().translate(None, b"\0")
         start = stop
 
 
-def _csv_text(bits: np.ndarray, seps: np.ndarray, flags: np.ndarray | None,
-              text: np.ndarray) -> np.ndarray:
+def _csv_text(bits: np.ndarray, text: np.ndarray):
     """Fill the text rows of cells (float64 bit patterns), n x _ROW bytes,
-    and return their shape codes, which pick the bytes each uses: the cell
-    as ``repr`` writes it, then its separator (the top byte of ``seps``); a
-    cell where ``flags`` is set is written ``1``/``0`` by truthiness."""
-    table, zeros, _, exps = _text_tables()
-    words = text.view(np.uint32)
+    with each cell as ``repr`` writes it and NUL in every other byte."""
+    table, masks, exps, codes, pow2_digits = _text_tables()
+    words = np.empty((_ROW // 4, len(bits)), dtype=np.uint32)  # by word, then cell
     d, e = _shortest(bits)
     mag = bits & 0x7FFFFFFFFFFFFFFF
-    plain = mag == 0  # zeros and flags: one digit, the point after it
-    if flags is not None:
-        plain |= flags
-    ndig = np.searchsorted(_POW10[:17], d, side="right")
-    d *= _POW10[17 - ndig]  # 17 digits, the first nonzero
-    d[plain] = 0
-    if flags is not None:
-        d[flags & (mag != 0)] = _POW10[16]
+    zero = mag == 0  # one digit, the point after it
+    # d's digits: those of the power of two at or below it, or one more
+    ndig = np.take(pow2_digits, d.astype(float).view(np.uint64) >> 52, mode="clip")
+    ndig += d >= np.take(_POW10, ndig, mode="clip")
+    d *= np.take(_POW10, 17 - ndig, mode="clip")  # 17 digits, the first nonzero
+    d[zero] = 0
     d = d.view(np.int64)
     hi = d // 10**8
     lo = d - hi * 10**8
@@ -738,45 +755,39 @@ def _csv_text(bits: np.ndarray, seps: np.ndarray, flags: np.ndarray | None,
     g3 = lo // 10**4
     hi -= g1 * 10**4
     lo -= g3 * 10**4
-    groups = (g1, hi, g3, lo)
-    quad = np.empty(len(bits), dtype=np.uint32)
-    for j, group in enumerate(groups):
-        np.take(table, group, out=quad, mode="clip")
-        words[:, 6 + j] = quad
+    # the fraction run's words, trailing zeros NUL: all of a group after
+    # which every group is zero
+    np.take(table, lo + _TRIM, out=words[9], mode="clip")
+    np.take(table, lo, out=words[4], mode="clip")
+    trail = lo == 0
+    for j, group in ((2, g3), (1, hi), (0, g1)):
+        np.take(table, np.where(trail, group + _TRIM, group), out=words[6 + j], mode="clip")
         if j:
-            words[:, 1 + j] = quad
-    tz = np.zeros(len(bits), dtype=np.int8)  # trailing zero digits
-    run = np.ones(len(bits), dtype=bool)
-    for group in groups[::-1]:
-        tz += zeros[group] * run
-        run &= group == 0
-    tz += run & (first == 0)
-    decpt = np.where(plain, 1, ndig + e)
-    fixed = (decpt > -4) & (decpt <= 16)
-    lead = fixed & (decpt <= 0)  # "0." and zeros before the digits
-    np.take(table, np.where(lead, _DOT000, g1), out=words[:, 1], mode="clip")
-    first += _FIRST_B
-    np.take(table, first, out=words[:, 5], mode="clip")
-    first -= _FIRST_B - _FIRST_A
-    first[lead] = _FIRST_A
-    np.take(table, first, out=words[:, 0], mode="clip")
-    exp10 = np.abs(decpt - 1)
-    words[:, 10] = np.where(decpt < 1, _E_MINUS, _E_PLUS)
-    np.take(exps, np.minimum(exp10, 999), out=words[:, 11], mode="clip")
-    words[:, 11] |= seps
+            np.take(table, group, out=words[1 + j], mode="clip")
+        trail &= group == 0
+    # decpt, the point's place after the first digit, as a row of the
+    # exponent and code tables
+    at = np.where(zero, 1, ndig + e)
+    at += _EXPS - 1
+    np.take(exps, at, axis=1, out=words[_EXP // 4 :], mode="clip")
+    code = np.take(codes, at + ~trail * (2 * _EXPS + 1), mode="clip")
+    lead = code <= 3  # "0." and zeros before the digits
+    np.take(table, np.where(lead, _DOT000, g1), out=words[1], mode="clip")
+    x = bits.view(np.float64)
+    with np.errstate(invalid="ignore"):  # the floor of a signaling NaN
+        whole = x == np.floor(x)  # below 10^16, exactly the values repr writes with fraction 0
+    np.take(table, first + _FIRST_B + 10 * whole, out=words[5], mode="clip")
+    first += _FIRST_A
+    np.take(table, np.where(lead, _FIRST_A, first), out=words[0], mode="clip")
+    text.view(np.uint32)[...] = words.T
     neg = (bits >> 63).astype(bool)
-    code = np.where(fixed, decpt * 17 + 51, (exp10 > 99) * 17 + _SCI)
-    code += np.maximum(17 - tz, 1) - 1
     code += neg * _NEG
     special = mag >= 0x7FF0000000000000  # nan, inf and -inf
-    if flags is not None:
-        code[flags] = _FLAG
-        special &= ~flags
     if special.any():
         nan = mag > 0x7FF0000000000000
         code[special] = np.where(nan, _NAN, _INF + neg)[special]
         text[special, _A : _A + 3] = np.where(nan[special, None], *np.frombuffer(b"naninf", np.uint8).reshape(2, 3))
-    return code
+    text.view(np.uint32)[...] &= np.take(masks, code, axis=0, mode="clip")
 
 
 def _read_csv(

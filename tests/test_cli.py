@@ -419,6 +419,22 @@ def test_unwritable_out_exits_1(tmp_path, monkeypatch, capsys, trace_csv, comman
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("command", ["run", "emg-pipeline", "gen-emg"])
+def test_out_on_a_full_device_exits_1(capsys, trace_csv, command):
+    # /dev/full opens for writing but fails every write: the error comes
+    # from a write, flush or close after the open, and still exits 1 with
+    # the writer's one-line message
+    argv = {
+        "run": ["run", "--config", scenario_path("static_hold.json")],
+        "emg-pipeline": ["emg-pipeline", "--in", trace_csv],
+        "gen-emg": ["gen-emg", "--profile", scenario_path("emg_profile_step.json"),
+                    "--seed", "1"],
+    }[command]
+    code, stdout, err = run_cli(argv + ["--out", "/dev/full"], capsys)
+    assert (code, stdout, err) == (1, "", "error: cannot write /dev/full: No space left on device\n")
+
+
 # --- analyze-stability ----------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Tests for the sEMG processing chain."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -674,7 +675,7 @@ def test_check_writable_raises_what_write_csv_raises(tmp_path, target):
 def _csv_body(values) -> bytes:
     """The kernel's text of a column of floats, one cell per line."""
     column = np.asarray(values, dtype=float).reshape(-1, 1)
-    return b"".join(text.tobytes() for text in emg._csv_chunks(column, None))
+    return b"".join(emg._csv_chunks(column, None))
 
 
 def _repr_body(values) -> bytes:
@@ -711,6 +712,14 @@ EDGES = [1e16, 9999999999999998.0, 1e-4, 1e-5, 0.00010000000000000002, 123456789
 
 def test_kernel_matches_repr_on_edges():
     values = EDGES + _with_neighbours([x for x in EDGES if math.isfinite(x)])
+    assert _csv_body(values) == _repr_body(values)
+
+
+def test_kernel_writes_signaling_nans_without_a_warning():
+    # a signaling NaN raises the invalid flag in float arithmetic; the
+    # kernel writes it as repr does, and no RuntimeWarning escapes
+    values = np.array([0x7FF0000000000001, 0xFFF0000000000001, 0x7FF4000000000000, 0x7FF7FFFFFFFFFFFF],
+                      dtype=np.uint64).view(np.float64)
     assert _csv_body(values) == _repr_body(values)
 
 
@@ -895,6 +904,39 @@ def test_write_csv_keeps_adjacent_zeros_apart(tmp_path, n, held):
     write_csv(str(path), ["a", "gate"] + [f"h{i}" for i in range(held)], rows, flag=1)
     body = path.read_text().splitlines()[1:]
     assert body == [",".join([repr(z), "0"] + ["0.30000000000000004"] * held) for z in zeros.tolist()]
+
+
+def _pipeline_table(n: int) -> np.ndarray:
+    """An ``emg-pipeline``-shaped table: time at 2 kHz, three signals, a
+    gate that opens and closes every 1,500 rows, a shift that is 0 while
+    it is shut."""
+    rng = np.random.default_rng(38)
+    signals = rng.random((n, 3))
+    gate = (np.arange(n) // 1500 % 2).astype(float)
+    return np.column_stack((np.arange(n) / 2000.0, signals, gate, 1e-4 * gate * signals[:, 2]))
+
+
+def test_write_csv_memory_is_its_batches_plus_a_few_bytes_a_row(tmp_path):
+    # a write holds one batch's buffers whatever the table's length, and
+    # per row only the fresh mask and its running count: at most 4 MB for
+    # 20,000 x 6 cells, and at most 16 B more per row from there (larger
+    # batches write faster but would break the first bound)
+    path = str(tmp_path / "m.csv")
+    header = ["t", "envelope", "activation", "force_n", "gate", "dxeq_m"]
+    write_csv(path, header, _pipeline_table(100), flag=4)  # the lookup tables, built once
+
+    def peak(n):
+        table = _pipeline_table(n)
+        tracemalloc.start()
+        try:
+            write_csv(path, header, table, flag=4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(20_000), peak(80_000)
+    assert short <= 4_000_000
+    assert (long - short) / 60_000 <= 16
 
 
 _TABLES = hnp.arrays(
