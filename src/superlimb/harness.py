@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import isfinite, nan
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
@@ -68,7 +68,10 @@ from .numerics import (GRAM_PIVOT_RTOL, QR_RANK_RTOL, _check_finite, _function, 
                        _sum, _unpack)
 from .plant import AXES, PlantModel
 from .scenario import Scenario
-from .stiffness import check_vectors, control_force, friction_torque, task_to_joint_torque
+# task_to_joint_torque and friction_torque stay module attributes, for the
+# benchmark's tracer to wrap; the tracking block inlines them
+from .stiffness import (V_EPS, check_vectors, control_force, friction_torque,  # noqa: F401
+                        task_to_joint_torque)
 
 BLOWUP_LIMIT = 1e9
 
@@ -148,43 +151,41 @@ def _blowup(values):
     raise NumericBlowup(f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})")
 
 
-@cache
-def _contact_step(n: int, m: int, k: int):
-    """Generate ``_advance`` for n DoFs, the first m free, and k contact
-    rows as straight-line source over named floats, compiled once per shape
-    (the code-generation approach of RobCoGen, Frigerio et al., JOSER 2016).
-    Every operation keeps the order of the list-and-``sum()`` loop it
-    unrolls, so the result is the same to the bit."""
-    free, scripted, rows, body = range(m), range(m, n), range(k), []
-    for name, src in ("q", "q"), ("v", "qd"), ("dd", "qdd"), ("qn", "q_next"), ("vn", "qd_next"):
-        _unpack(body, name, src, n)
-    _unpack(body, "h", "h", n)
-    for i in range(n):
-        _unpack(body, f"a{i}_", f"a[{i}]", n)
-    for r in rows:
-        _unpack(body, f"c{r}_", f"j_c[{r}]", n)
+def _solve_source(body: list[str], n: int, m: int, k: int, c):
+    """Append the contact solve of n DoFs, the first m free, and k contact
+    rows as straight-line source over named floats (the code-generation
+    approach of RobCoGen, Frigerio et al., JOSER 2016).  It reads the names
+    ``q``, ``v`` (the state), ``dd`` (the accelerations), ``qn``, ``vn``
+    (the end of step, scripted entries set), ``h``, ``a<i>_<j>``, ``t``
+    (the free joints' torque), ``vt`` (the contact targets) and ``dt``,
+    and row r's entry i of the contact Jacobian as ``c(r, i)``; it fills
+    the lists ``qdd``, ``qd_next`` and ``q_next`` from entry m on and
+    leaves the force on the robot in ``lam<r>`` and the scripted joints'
+    torques in ``th<j>``.  Every operation keeps the order of the
+    list-and-``sum()`` loop it unrolls, so the result is the same to the
+    bit."""
+    free, scripted, rows = range(m), range(m, n), range(k)
     if m:
-        _unpack(body, "t", "tau_total", m)
         _check_finite(body, [f"t{i}" for i in free], "tau_total")
         for i in free:  # tau - h - A_fs qdd_s, then A_ff^-1 of it and of each J_f row
             s = _sum(body, [f"a{i}_{j} * dd{j}" for j in scripted])
             body.append(f"r{i} = t{i} - h{i}{s}")
         solves = [("x", [f"r{i}" for i in free])]
-        solves += [(f"u{r}_", [f"c{r}_{i}" for i in free]) for r in rows]
-        _spd_solve_source(body, lambda j, c: f"a{j}_{c}", m, solves,
+        solves += [(f"u{r}_", [c(r, i) for i in free]) for r in rows]
+        _spd_solve_source(body, lambda j, col: f"a{j}_{col}", m, solves,
                           "a", RankDeficient, "inertia of the free joints is not positive definite")
         if k:
-            _unpack(body, "vt", "v_target", k)
             for r in rows:  # the Gram matrix's factored triangle
-                for c in range(r, k):
-                    _sum(body, [f"c{r}_{i} * u{c}_{i}" for i in free], f"G{r}_{c}")
+                for col in range(r, k):
+                    _sum(body, [f"{c(r, i)} * u{col}_{i}" for i in free], f"G{r}_{col}")
             body += [f"p{i} = v{i} + dt * x{i}" for i in free]
             for r in rows:  # the contact velocity's residual, over dt
-                s = _sum(body, [f"c{r}_{j} * vn{j}" for j in scripted])
+                s = _sum(body, [f"{c(r, j)} * vn{j}" for j in scripted])
                 body.append(f"e{r} = vt{r}{s}")
-                s = _sum(body, [f"c{r}_{i} * p{i}" for i in free])
+                s = _sum(body, [f"{c(r, i)} * p{i}" for i in free])
                 body.append(f"e{r} = (e{r}{s}) / dt")
-            _spd_solve_source(body, lambda j, c: f"G{j}_{c}", k, [("lam", [f"e{r}" for r in rows])],
+            _spd_solve_source(body, lambda j, col: f"G{j}_{col}", k,
+                              [("lam", [f"e{r}" for r in rows])],
                               "g", RankDeficient, DEPENDENT_CONTACTS, GRAM_PIVOT_RTOL)
             for i in free:
                 _sum(body, [f"u{r}_{i} * lam{r}" for r in rows])
@@ -200,12 +201,145 @@ def _contact_step(n: int, m: int, k: int):
     body += [f"if not ({within}):  # NaN fails the comparison", "    _blowup(q_next + qd_next)"]
     for j in scripted:  # tau_h: A qdd + h - J_c^T lam, as two sum()s over the rows
         _sum(body, [f"a{j}_{i} * {'x' if i < m else 'dd'}{i}" for i in range(n)], f"th{j}")
-        s = _sum(body, [f"c{r}_{j} * lam{r}" for r in rows])
+        s = _sum(body, [f"{c(r, j)} * lam{r}" for r in rows])
         body.append(f"th{j} = th{j} + h{j}{s}")
-    body.append(f"return [{', '.join(f'lam{r}' for r in rows)}], "
-                f"[{', '.join(f'th{j}' for j in scripted)}]")
+
+
+def _unpack_state(body: list[str], n: int, a: str, h: str):
+    """Append the unpacking of the names ``_solve_source`` reads of the
+    lists ``q``, ``qd``, ``qdd``, ``q_next`` and ``qd_next`` and of ``h``
+    and ``a`` (rows), the sources of the last two."""
+    for name, src in ("q", "q"), ("v", "qd"), ("dd", "qdd"), ("qn", "q_next"), ("vn", "qd_next"):
+        _unpack(body, name, src, n)
+    _unpack(body, "h", h, n)
+    for i in range(n):
+        _unpack(body, f"a{i}_", f"{a}[{i}]", n)
+
+
+@cache
+def _contact_step(n: int, m: int, k: int):
+    """Generate ``_advance`` for n DoFs, the first m free, and k contact
+    rows: ``_solve_source`` over its arguments' entries, compiled once per
+    shape."""
+    body = []
+    _unpack_state(body, n, "a", "h")
+    for r in range(k):
+        _unpack(body, f"c{r}_", f"j_c[{r}]", n)
+    if m:
+        _unpack(body, "t", "tau_total", m)
+    if k:
+        _unpack(body, "vt", "v_target", k)
+    _solve_source(body, n, m, k, lambda r, i: f"c{r}_{i}")
+    body.append(f"return [{', '.join(f'lam{r}' for r in range(k))}], "
+                f"[{', '.join(f'th{j}' for j in range(m, n))}]")
     return _function("step(q, qd, a, h, tau_total, dt, j_c, v_target, q_next, qd_next, qdd)",
                      body, f"contact solve: n={n}, m={m}, k={k}", _blowup=_blowup)
+
+
+def _max_abs(names: list[str]) -> str:
+    """``max(map(abs, row))`` of a row given by its entries' names: the same
+    builtins over the same order, so a NaN's place decides as it does."""
+    terms = ", ".join(f"abs({v})" for v in names)
+    return f"max({terms})" if len(names) > 1 else terms
+
+
+@cache
+def _tracking_block(n: int, m: int, task: int, rows: tuple[int, ...], contact: int | None,
+                    directions: tuple[str, ...], enabled: bool, damped: bool, friction: bool):
+    """Generate the tracking loop over a block of steps for one shape: n
+    DoFs, the first m the limb's; the task point at link ``task``'s tip
+    with the controller's components on ``rows`` of it; the contact at
+    link ``contact``'s tip on ``directions`` (none without contact); the
+    control law on or off, with or without damping, and friction on or off.
+
+    ``block(kernel, q, qd, x_eqs, v_targets, q_ends, qd_ends, qdds, k_task,
+    f_gravity, damping, friction, dt, out, mount)`` steps from the state
+    lists ``q``, ``qd`` once per entry of the per-step lists: one call of
+    the plant's run kernel, then, inline as straight-line code, what
+    ``contact_jacobian``, ``control_force``, ``task_to_joint_torque`` (J^T f
+    on the limb's joints, plus their gravity load), ``friction_torque``
+    and ``_advance``'s ``_solve_source`` compute, with the same builtins in
+    the same order, so every value and error is the same to the bit.  Each
+    step appends its log row to ``out`` and its ``Kinematics.mount`` to
+    ``mount``, so the steps before one that raises are kept; the block
+    returns the state lists its last step ends at.  The controller's and
+    friction's values are arguments, read once per block, so the variants
+    of one scenario share one block."""
+    comps, k = range(len(rows)), len(directions)
+    body, step = [], []
+    if enabled:
+        for c in comps:
+            _unpack(body, f"k{c}_", f"k_task[{c}]", len(rows))
+        _unpack(body, "fg", "f_gravity", len(rows))
+        if damped:
+            _unpack(body, "kd", "damping", len(rows))
+    if friction:  # friction_torque's constants: -c, and the breakaway band +-ratio c
+        _unpack(body, "cc", "friction[0]", m)
+        _unpack(body, "cv", "friction[1]", m)
+        body.append("ratio = friction[2]")
+        for i in range(m):
+            body += [f"nc{i} = -cc{i}", f"bk{i} = ratio * cc{i}", f"nb{i} = -bk{i}"]
+    body += ["row = out.append", "keep = mount.append",
+             "for xeq, vts, q_next, qd_next, qdd in zip(x_eqs, v_targets, q_ends, qd_ends, qdds):"]
+
+    def jac(link: int, axis: int) -> str:  # the prefix of a tip Jacobian row's entries
+        return f"j{link}{AXES[axis]}_"
+
+    step.append("kin = kernel(q, qd)")
+    if contact is not None:  # contact_jacobian: every row against the floor of the largest
+        step.append(f"jr = kin.tip_jac[{contact}]")
+        for axis in range(len(AXES)):
+            _unpack(step, jac(contact, axis), f"jr[{axis}]", n)
+            step.append(f"sz{axis} = {_max_abs([f'{jac(contact, axis)}{i}' for i in range(n)])}")
+        sizes = ", ".join(f"sz{axis}" for axis in range(len(AXES)))
+        step.append(f"floor = {QR_RANK_RTOL!r} * max({sizes})")
+        for d in directions:
+            text = f"contact Jacobian lost rank: direction {d!r} vanishes at this posture"
+            step += [f"if sz{AXES.index(d)} < floor:", f"    raise RankDeficient({text!r})"]
+    _unpack_state(step, n, "kin.a", "kin.h")
+    step.append(f"tp = kin.tip[{task}]")
+    step += [f"xp{c} = tp[{r}]" for c, r in zip(comps, rows)]
+    force = ["0.0"] * len(rows)
+    if enabled:  # control_force, then J^T f on the limb's joints and their gravity load
+        force = [f"f{c}" for c in comps]
+        _unpack(step, "xe", "xeq", len(rows))
+        step += [f"er{c} = xe{c} - xp{c}" for c in comps]
+        for c in comps:
+            _sum(step, [f"k{c}_{col} * er{col}" for col in comps], f"f{c}")
+            step.append(f"f{c} = f{c} + fg{c}")
+        if damped:
+            step.append(f"tv = kin.tip_vel[{task}]")
+            step += [f"f{c} = f{c} - kd{c} * tv[{r}]" for c, r in zip(comps, rows)]
+        if task != contact:
+            step.append(f"jt = kin.tip_jac[{task}]")
+            for r in sorted(rows):
+                _unpack(step, jac(task, r), f"jt[{r}]", n)
+        _unpack(step, "g", "kin.g", n)
+        for i in range(m):
+            _sum(step, [f"{jac(task, r)}{i} * f{c}" for c, r in zip(comps, rows)], f"t{i}")
+            step.append(f"t{i} = t{i} + g{i}")
+    else:
+        step += [f"t{i} = 0.0" for i in range(m)]
+    if friction:  # friction_torque of the velocity and the torque so far, added
+        for i in range(m):
+            step += [f"if abs(v{i}) > {V_EPS!r}:",
+                     f"    t{i} = t{i} + ((nc{i} if v{i} > 0.0 else cc{i}) - cv{i} * v{i})",
+                     "else:",
+                     f"    t{i} = t{i} + -min(max(t{i}, nb{i}), bk{i})"]
+    if k:
+        _unpack(step, "vt", "vts", k)
+    _solve_source(step, n, m, k, lambda r, i: f"{jac(contact, AXES.index(directions[r]))}{i}")
+    cells = ([f"q{i}" for i in range(m)] + [f"v{i}" for i in range(m)]
+             + [f"xp{c}" for c in comps] + force + [f"lam{r}" for r in range(k)]
+             + ["0.0", "0.0"]  # f_mount, filled by SimLog.append
+             + [f"t{i}" for i in range(m)] + [f"th{j}" for j in range(m, n)])
+    step += [f"row([{', '.join(cells)}])", "keep(kin.mount)", "q, qd = q_next, qd_next"]
+    body += [f"    {line}" for line in step] + ["return q, qd"]
+    label = (f"tracking block: n={n}, m={m}, task={task}{list(rows)}, contact={contact}"
+             f"{list(directions)}, law={enabled}, damping={damped}, friction={friction}")
+    return _function("block(kernel, q, qd, x_eqs, v_targets, q_ends, qd_ends, qdds, k_task, "
+                     "f_gravity, damping, friction, dt, out, mount)",
+                     body, label, _blowup=_blowup)
 
 
 def _advance(
@@ -507,11 +641,12 @@ def run_scenario(scenario: Scenario) -> SimLog:
     rows go into the log in one ``append``, which fills their ``f_mount``
     cells, sets the support force's sign and checks them whole, so what
     the run holds beside the log is bounded by a block.  In
-    tracking mode, per step, the loop makes one call of the plant's run
-    kernel, takes the contact rows and the control law from it in Python
-    floats, applies J^T f, gravity load and friction to the limb's joints
-    and advances them with ``_advance``, which also returns the human
-    joints' torques.  In inverse dynamics the SRL posture is held and every
+    tracking mode a block is one call of the code ``_tracking_block``
+    generates for the run's shape, compiled on the first run of that shape:
+    per step, one call of the plant's run kernel, then inline the contact
+    rows and their floor, the control law, J^T f, gravity load and friction
+    on the limb's joints, and the contact solve that advances them and
+    gives the human joints' torques.  In inverse dynamics the SRL posture is held and every
     state is scripted, so one batch-kernel call and one ``control_force``
     call on per-component arrays give a block's kinematics and commanded
     force, to the bit what the run kernel and the law give step by step,
@@ -549,6 +684,10 @@ def run_scenario(scenario: Scenario) -> SimLog:
     inverse = sim.mode == "inverse-dynamics"
     kernel = model._batch_kernel if inverse else model._kernel
     contact_link = model.link_index(spec.chain, spec.joint) if spec else None
+    if not inverse:
+        track = _tracking_block(n, m, task, tuple(rows), contact_link,
+                                spec.directions if spec else (), ctrl_cfg.enabled,
+                                damping is not None, friction is not None)
 
     q, qd = model.q0.tolist(), [0.0] * n  # the state the next step starts from
     for lo in range(0, sim.n_steps, RUN_BLOCK):
@@ -595,37 +734,8 @@ def run_scenario(scenario: Scenario) -> SimLog:
                 v[lo:hi].tolist() for v in (x_eq, v_target, q_end, qd_end))
         try:
             if not inverse:
-                for j in range(size):
-                    kin = kernel(q, qd)
-                    j_c = contact_jacobian(kin.tip_jac[contact_link], spec) if spec else []
-
-                    # task point and control law
-                    tip = kin.tip[task]
-                    x = [tip[r] for r in rows]
-                    if ctrl_cfg.enabled:
-                        vel = kin.tip_vel[task]
-                        f_cmd = control_force(k_task, f_gravity, damping, x_eqs[j], x,
-                                              [vel[r] for r in rows])
-                    else:
-                        f_cmd = [0.0] * len(rows)
-
-                    # the limb's torque: J^T f on its joints, its gravity load, friction
-                    tau_s = [0.0] * m
-                    if ctrl_cfg.enabled:
-                        jac = kin.tip_jac[task]
-                        tau_task = task_to_joint_torque(zip(*[jac[r][:m] for r in rows]), f_cmd)
-                        tau_s = list(map(add, tau_task, kin.g))
-                    if friction is not None:
-                        tau_s = list(map(add, tau_s, friction_torque(*friction, qd[:m], tau_s)))
-                    q_next, qd_next = q_ends[j], qd_ends[j]
-                    lam_robot, tau_h = _advance(
-                        q, qd, kin.a, kin.h, tau_s, sim.dt, m,
-                        j_c, v_targets[j], q_next, qd_next, qdd[j],
-                    )
-                    mount.append(kin.mount)
-                    block.append(q[:m] + qd[:m] + x + f_cmd + lam_robot
-                                 + [0.0, 0.0] + tau_s + tau_h)  # f_mount, filled by append
-                    q, qd = q_next, qd_next
+                q, qd = track(kernel, q, qd, x_eqs, v_targets, q_ends, qd_ends, qdd, k_task,
+                              f_gravity, damping, friction, sim.dt, block, mount)
             elif spec is not None:  # per step, only the split
                 split = []
                 for j, (a_j, h_j, j_c, dd) in enumerate(zip(a_rows, h_rows, j_cs, qdd)):

@@ -562,41 +562,52 @@ def reference_tracking_run(scenario) -> harness.SimLog:
     kernel = model._kernel
     contact_link = model.link_index(spec.chain, spec.joint) if spec else None
 
+    law = (m, task, rows, spec, contact_link, ctrl_cfg.enabled, k_task, f_gravity, damping,
+           friction, sim.dt)
     q, qd = model.q0.tolist(), [0.0] * n
     for i in range(sim.n_steps):
         try:
             kin = kernel(q, qd)
-            j_c = contact_jacobian(kin.tip_jac[contact_link], spec) if spec else []
-
-            # task point and control law
-            tip = kin.tip[task]
-            x = [tip[r] for r in rows]
-            if ctrl_cfg.enabled:
-                vel = kin.tip_vel[task]
-                f_cmd = control_force(k_task, f_gravity, damping, x_eq[i], x,
-                                      [vel[r] for r in rows])
-            else:
-                f_cmd = [0.0] * len(rows)
-
-            # the limb's torque: J^T f on its joints, its gravity load, friction
-            tau_s = [0.0] * m
-            if ctrl_cfg.enabled:
-                jac = kin.tip_jac[task]
-                tau_task = task_to_joint_torque(zip(*[jac[r][:m] for r in rows]), f_cmd)
-                tau_s = list(map(add, tau_task, kin.g))
-            if friction is not None:
-                tau_s = list(map(add, tau_s, friction_torque(*friction, qd[:m], tau_s)))
-            q_next, qd_next = q_end[i], qd_end[i]
-            lam_robot, tau_h = harness._advance(
-                q, qd, kin.a, kin.h, tau_s, sim.dt, m,
-                j_c, v_target[i], q_next, qd_next, qdd_in[i],
-            )
+            row = reference_tracking_step(kin, law, q, qd, x_eq[i], v_target[i], q_end[i],
+                                          qd_end[i], qdd_in[i])
         except SuperlimbError as exc:
             raise harness._at_step(exc, i, t_sim[i])
-        log.append([q[:m] + qd[:m] + x + f_cmd + lam_robot + [0.0, 0.0] + tau_s + tau_h],
-                   [kin.mount], [qdd_in[i]])
-        q, qd = q_next, qd_next
+        log.append([row], [kin.mount], [qdd_in[i]])
+        q, qd = q_end[i], qd_end[i]
     return log
+
+
+def reference_tracking_step(kin, law, q, qd, x_eq, v_target, q_next, qd_next, qdd) -> list:
+    """One tracking step on the run kernel's ``kin`` as the list-form chain
+    of the step laws and ``harness._advance``: its log row (``f_mount``
+    cells 0.0), with ``q_next``, ``qd_next`` and ``qdd`` filled in place.
+    ``law`` is (m, task link, the controller's rows, the ContactSpec or
+    None, the contact link, controller on, k_task, f_gravity, damping,
+    friction, dt) as ``reference_tracking_run`` takes them from its
+    scenario."""
+    m, task, rows, spec, contact_link, enabled, k_task, f_gravity, damping, friction, dt = law
+    j_c = contact_jacobian(kin.tip_jac[contact_link], spec) if spec else []
+
+    # task point and control law
+    tip = kin.tip[task]
+    x = [tip[r] for r in rows]
+    if enabled:
+        vel = kin.tip_vel[task]
+        f_cmd = control_force(k_task, f_gravity, damping, x_eq, x, [vel[r] for r in rows])
+    else:
+        f_cmd = [0.0] * len(rows)
+
+    # the limb's torque: J^T f on its joints, its gravity load, friction
+    tau_s = [0.0] * m
+    if enabled:
+        jac = kin.tip_jac[task]
+        tau_task = task_to_joint_torque(zip(*[jac[r][:m] for r in rows]), f_cmd)
+        tau_s = list(map(add, tau_task, kin.g))
+    if friction is not None:
+        tau_s = list(map(add, tau_s, friction_torque(*friction, qd[:m], tau_s)))
+    lam_robot, tau_h = harness._advance(q, qd, kin.a, kin.h, tau_s, dt, m, j_c, v_target,
+                                        q_next, qd_next, qdd)
+    return q[:m] + qd[:m] + x + f_cmd + lam_robot + [0.0, 0.0] + tau_s + tau_h
 
 
 def reference_write_csv(path: str, header: list[str], rows: np.ndarray, flag: int | None = None):

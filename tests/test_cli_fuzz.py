@@ -1,10 +1,11 @@
 """Seeded in-process fuzz of the CLI's file and flag inputs: mutated trace
 and motion CSV bytes, extreme values of the numeric flags of
 ``emg-pipeline``, ``gen-emg`` and ``analyze-stability``, and structurally
-mutated posture JSON.  Every case must exit 0, 1 (``error:``) or 2
+mutated posture and scenario JSON.  Every case must exit 0, 1 (``error:``) or 2
 (``numeric error:``), with no exception and no floating-point warning
 escaping."""
 
+import copy
 import itertools
 import json
 import sys
@@ -196,3 +197,139 @@ def test_posture_json_fuzz_exits_cleanly(tmp_path, capsys, data):
     argv = ["analyze-stability", "--config", str(cfg)]
     for margin in ([], ["--servo-margin", "1.0"], ["--servo-margin", "1e300"]):
         check_exit(argv + margin, capsys, allow=(DiagnosticMismatch,))
+
+
+#: the bundled scenario files the scenario fuzz mutates
+SIM_FILES = ["overhead_sweep", "press_friction", "emg_step", "static_hold", "overhead_inverse"]
+#: the fuzz's run length, short enough for a case to cost milliseconds
+FUZZ_DURATION = 0.05
+
+
+class Pairs(list):
+    """A JSON object as its (key, value) pairs, so that a key can repeat."""
+
+
+class Text(str):
+    """A leaf given as its JSON text."""
+
+
+def as_pairs(value):
+    """``value`` parsed from JSON with each object as ``Pairs``."""
+    if isinstance(value, dict):
+        return Pairs((key, as_pairs(v)) for key, v in value.items())
+    if isinstance(value, list):
+        return [as_pairs(v) for v in value]
+    return value
+
+
+def dump(value) -> str:
+    """The JSON text of an ``as_pairs`` tree, duplicate keys kept."""
+    if isinstance(value, Text):
+        return value
+    if isinstance(value, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k, ensure_ascii=False)}: {dump(v)}"
+                               for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(dump, value)) + "]"
+    return json.dumps(value)
+
+
+def nodes(value, path=()):
+    """Every (path, node) of an ``as_pairs`` tree, the root first; a path
+    holds list indices and, into ``Pairs``, pair indices."""
+    yield path, value
+    if isinstance(value, Pairs):
+        for i, (_, v) in enumerate(value):
+            yield from nodes(v, path + (i,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from nodes(v, path + (i,))
+
+
+def replace(tree, path, new):
+    """Set the node at ``path`` of ``tree`` to ``new``, in place."""
+    *head, last = path
+    for i in head:
+        tree = tree[i][1] if isinstance(tree, Pairs) else tree[i]
+    if isinstance(tree, Pairs):
+        tree[last] = (tree[last][0], new)
+    else:
+        tree[last] = new
+
+
+def sim_tree(name: str):
+    """A bundled scenario, run for ``FUZZ_DURATION``, as an ``as_pairs`` tree."""
+    data = json.loads(Path(scenario_path(f"{name}.json")).read_text())
+    data["sim"]["duration"] = FUZZ_DURATION
+    return as_pairs(data)
+
+
+SIM_TREES = {name: sim_tree(name) for name in SIM_FILES}
+
+
+@hs.composite
+def scenario_config(draw) -> bytes:
+    """A bundled scenario file with one structural mutation; its
+    ``sim.duration`` stays at ``FUZZ_DURATION``."""
+    tree = copy.deepcopy(SIM_TREES[draw(hs.sampled_from(SIM_FILES))])
+    sim = next(i for i, (key, _) in enumerate(tree) if key == "sim")
+    duration = next(i for i, (key, _) in enumerate(tree[sim][1]) if key == "duration")
+    leaves = [(p, v) for p, v in nodes(tree) if not isinstance(v, list)
+              and p != (sim, duration)]
+    numeric = [p for p, v in leaves if type(v) in (int, float)]
+    objects = [p for p, v in nodes(tree) if isinstance(v, Pairs) and v]
+    kind = draw(hs.sampled_from(
+        ["leaf", "two leaves", "remove", "duplicate", "add", "nest", "truncate", "not utf-8"]))
+    leaf = hs.sampled_from(LEAVES).map(Text)
+
+    def object_at(path):
+        node = tree
+        for i in path:
+            node = node[i][1] if isinstance(node, Pairs) else node[i]
+        return node
+
+    if kind == "leaf":
+        replace(tree, draw(hs.sampled_from([p for p, _ in leaves])), draw(leaf))
+    elif kind == "two leaves":
+        for path in draw(hs.lists(hs.sampled_from(numeric), min_size=2, max_size=2,
+                                  unique=True)):
+            replace(tree, path, Text(draw(hs.sampled_from(NUMBERS))))
+    elif kind in ("remove", "duplicate", "add", "nest"):
+        node = object_at(draw(hs.sampled_from(objects)))
+        at = draw(hs.integers(0, len(node) - 1))
+        if kind == "remove":
+            del node[at]
+        elif kind == "duplicate":  # the key again, later or earlier in the text
+            node.insert(draw(hs.integers(0, len(node))), (node[at][0], draw(leaf)))
+        elif kind == "add":
+            node.append((draw(hs.sampled_from(NON_ASCII_KEYS)), draw(leaf)))
+        else:  # a value nested past the recursion limit
+            depth = draw(hs.sampled_from([sys.getrecursionlimit() + 1, 100_000]))
+            node[at] = (node[at][0], Text("[" * depth + "]" * depth))
+    data = dump(tree).encode()
+    if kind == "truncate":
+        return data[: draw(hs.integers(0, len(data) - 1))]
+    if kind == "not utf-8":
+        i = draw(hs.integers(0, len(data)))
+        bad = draw(hs.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]))
+        return data[:i] + bad + data[i:]
+    return data
+
+
+def test_scenario_trees_round_trip():
+    # the fuzz's unmutated files are the bundled ones at FUZZ_DURATION
+    for name, tree in SIM_TREES.items():
+        data = json.loads(Path(scenario_path(f"{name}.json")).read_text())
+        data["sim"]["duration"] = FUZZ_DURATION
+        assert json.loads(dump(tree)) == data
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scenario_config())
+def test_scenario_json_fuzz_exits_cleanly(tmp_path, capsys, data):
+    # a mutated scenario file runs, or exits 1 or 2 with its message, and
+    # never escapes with a traceback or a floating-point warning
+    cfg = tmp_path / "scenario.json"
+    cfg.write_bytes(data)
+    check_exit(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv")], capsys)

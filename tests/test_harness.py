@@ -21,6 +21,7 @@ from conftest import (
     reference_inverse_run,
     reference_step_kernel,
     reference_tracking_run,
+    reference_tracking_step,
     scenario_path,
     stacked_kernel,
 )
@@ -41,7 +42,9 @@ from superlimb.errors import (
 )
 from superlimb.harness import _mount_force, generate_emg, integrate_step, run_scenario
 from superlimb.numerics import QR_RANK_RTOL
-from superlimb.plant import Chain, Joint, PlantModel, PlantState
+from superlimb.stiffness import V_EPS
+from superlimb.dynamics import ContactSpec
+from superlimb.plant import AXES, Chain, Joint, PlantModel, PlantState
 from superlimb.scenario import (
     ActivationProfile,
     ContactMotion,
@@ -350,17 +353,21 @@ def test_bundled_logs_do_not_depend_on_a_compensated_sum(monkeypatch, tmp_path):
         return out
 
     plain = digests("plain")
-    floats = [0]
+    calls, floats = [0], [0]
 
     def counted(iterable, /, start=0):
         total = compensated_sum(iterable, start)
+        calls[0] += 1
         floats[0] += type(total) is float
         return total
 
     monkeypatch.setattr(builtins, "sum", counted)
     compensated = digests("compensated")
     monkeypatch.undo()
-    assert floats[0] > 0  # the runs reached it
+    # the runs reached it, in the inverse-dynamics control law over arrays;
+    # the generated code adds floats left to right, so no sum() of the runs
+    # totals a float
+    assert calls[0] > 0 and floats[0] == 0
     assert compensated == plain
 
 
@@ -653,7 +660,9 @@ def test_inverse_step_call_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("name, per_step", [
-    ("press_friction.json", [1, 1, 1, 1, 1]),
+    # the tracking block inlines all five: one kernel call per step is all
+    # it calls
+    ("press_friction.json", [0, 0, 0, 0, 0]),
     # nothing is applied: no J^T f, no friction, and decouple replaces the
     # step; the control law runs once per block of steps, and the contact
     # rows come from the block's arrays wherever they are finite and above
@@ -662,16 +671,20 @@ def test_inverse_step_call_counts(monkeypatch):
 ])
 def test_step_law_call_counts(monkeypatch, name, per_step):
     # the loop calls each step law and the contact solve by its name in
-    # harness, once per step (or block) where it applies
+    # harness once per block where it applies (inverse dynamics), or not at
+    # all (tracking, where the generated block inlines them)
     sc = load_scenario(scenario_path(name))
     sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.25))
     laws = ["control_force", "task_to_joint_torque", "friction_torque", "contact_jacobian",
             "_advance"]
     cells = [count_calls(monkeypatch, harness, law) for law in laws]
+    kernel = count_kernel_calls(sc.model)
     steps = len(run_scenario(sc))
     assert steps == sc.sim.n_steps == 50
     assert [cell[0] for cell in cells] == [blocks(steps) if k == "block" else k * steps
                                            for k in per_step]
+    tracking = sc.sim.mode == "tracking"
+    assert kernel[0] == tracking * steps + (sc.controller.x_eq is None)
 
 
 @pytest.mark.parametrize("name", SIM_SCENARIOS)
@@ -743,19 +756,159 @@ def full_run(name: str) -> harness.SimLog:
 
 
 @pytest.mark.parametrize("name", SIM_SCENARIOS)
-def test_run_on_reference_advance_logs_the_same_bytes(monkeypatch, name):
-    # the generated contact solve against the list-based loop, through a
-    # whole bundled run: every logged value is the same to the bit
-    monkeypatch.setattr(harness, "_advance", reference_advance)
-    log = run_scenario(load_scenario(scenario_path(name)))
-    assert log.columns == full_run(name).columns
-    assert log._data.tobytes() == full_run(name)._data.tobytes()
+def test_run_on_reference_tracking_run_logs_the_same_bytes(name):
+    # the generated tracking block against the list-form chain of step laws
+    # and the contact solve, through a whole bundled run at its own length
+    # (the inverse-dynamics one in tracking mode): every logged value is the
+    # same to the bit
+    sc = load_scenario(scenario_path(name))
+    if sc.sim.mode != "tracking":
+        sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, mode="tracking"))
+        log = run_scenario(sc)
+    else:
+        log = full_run(name)
+    reference = reference_tracking_run(sc)
+    assert log.columns == reference.columns
+    assert len(log) == len(reference) == sc.sim.n_steps
+    assert log._data.tobytes() == reference._data.tobytes()
 
 
 def test_contact_solve_is_generated_once_per_shape():
     step = harness._contact_step(4, 3, 1)
     assert harness._contact_step(4, 3, 1) is step
     assert step.__code__.co_filename == "<contact solve: n=4, m=3, k=1>"
+
+
+def test_tracking_block_is_generated_once_per_shape(monkeypatch):
+    # loading compiles the run kernel and nothing else; the first run of a
+    # shape compiles its tracking block, and a variant of the same template
+    # with other gains, damping, friction and step shares it
+    labels, compile_body = [], harness._function
+
+    def record(signature, body, label, **names):
+        labels.append(label)
+        return compile_body(signature, body, label, **names)
+
+    for module in (harness, plant, dynamics):
+        monkeypatch.setattr(module, "_function", record)
+    harness._tracking_block.cache_clear()
+    variants = []
+    for level, damping, coulomb, dt in ((2, [3.0, 1.0], 0.4, 0.005), (4, [0.5, 7.0], 1.5, 0.004)):
+        with open(scenario_path("press_friction.json")) as fh:
+            data = json.load(fh)
+        ctrl = data["controller"]
+        ctrl.update(level=level, damping=damping)
+        ctrl["friction"]["coulomb"] = coulomb
+        data["sim"].update(duration=50 * dt, dt=dt)
+        variants.append(parse_scenario(data))
+    chains = ", ".join(c.name for c in variants[0].model.chains)
+    assert labels == [f"step kernel: {chains}"] * 2
+    blocks_compiled = []
+    for sc in variants:
+        del labels[:]
+        assert len(run_scenario(sc)) == 50
+        blocks_compiled.append(labels[:])
+    assert len(blocks_compiled[0]) == 1
+    assert blocks_compiled[0][0].startswith("tracking block: n=")
+    assert blocks_compiled[1] == []
+    assert harness._tracking_block.cache_info().currsize == 1
+
+
+@cache
+def bundled_model(name: str) -> PlantModel:
+    return load_scenario(scenario_path(name)).model
+
+
+#: values a drawn kernel output may take in place of an entry
+SPECIAL = st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf])
+#: a joint velocity on either side of friction's deadband, or at it
+NEAR_V_EPS = st.sampled_from([V_EPS, -V_EPS, math.nextafter(V_EPS, 0.0),
+                              math.nextafter(V_EPS, 1.0), -math.nextafter(V_EPS, 0.0), 0.0, -0.0])
+
+
+def scatter(data, values: list) -> list:
+    """``values`` with a few entries drawn over by ``SPECIAL``."""
+    values = list(values)
+    for i in data.draw(st.lists(st.integers(0, len(values) - 1), max_size=2)):
+        values[i] = data.draw(SPECIAL)
+    return values
+
+
+def step_outcome(run):
+    """What one step does: ``run()``'s row and the three filled lists as
+    ``float.hex``, or its error's type and message."""
+    try:
+        return [[float.hex(v) for v in out] for out in run()]
+    except SuperlimbError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tracking_block_step_matches_the_list_form_chain(data):
+    # one step of the generated tracking block against the chain the oracle
+    # run steps with (contact_jacobian, control_force, task_to_joint_torque,
+    # friction_torque, _advance), on a bundled plant's kernel output with
+    # -0.0, NaN and Inf scattered in: the row, the next state and the
+    # accelerations to the bit, or the same error
+    model = bundled_model(data.draw(st.sampled_from(SIM_SCENARIOS)))
+    n, m = model.n_dof, len(model.srl_indices)
+    directions = data.draw(st.sampled_from([(), ("z",), ("x",), ("x", "z"), ("z", "x")]))
+    rows = [AXES.index(c) for c in data.draw(st.sampled_from([("x", "z"), ("z",), ("z", "x")]))]
+    limb = st.integers(0, len(model.chains[0].joints) - 1)  # links of the first, limb chain
+    task, contact = data.draw(limb), data.draw(limb)
+    spec = ContactSpec(chain=model.chains[0].name, directions=directions, joint=contact) \
+        if directions else None
+    enabled = data.draw(st.booleans())
+    value = st.floats(-5.0, 5.0) | st.sampled_from([0.0, -0.0])
+
+    def vec(size):
+        return data.draw(st.lists(value, min_size=size, max_size=size))
+
+    damping = vec(len(rows)) if data.draw(st.booleans()) else None
+    friction = data.draw(st.none() | st.tuples(
+        st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m),
+        st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m), st.floats(1.0, 3.0)))
+    q = (model.q0 + np.array(vec(n)) * 0.1).tolist()
+    qd = [data.draw(NEAR_V_EPS | value) for _ in range(n)]
+    kin = model._kernel(q, qd)
+    jac = [list(map(list, pair)) for pair in kin.tip_jac]
+    if spec is not None and data.draw(st.booleans()):  # a constrained row at the floor
+        axis = spec.rows[data.draw(st.integers(0, len(spec.rows) - 1))]
+        floor = QR_RANK_RTOL * max(map(abs, jac[contact][1 - axis]))
+        z = floor if data.draw(st.booleans()) else math.nextafter(floor, 0.0)
+        jac[contact][axis] = [z] + [0.0] * (n - 1)
+    for link in {task, contact}:
+        jac[link] = [scatter(data, r) for r in jac[link]]
+    kin = kin._replace(
+        tip=[tuple(scatter(data, p)) for p in kin.tip],
+        tip_vel=[tuple(scatter(data, p)) for p in kin.tip_vel],
+        tip_jac=[tuple(r) for r in jac], a=[scatter(data, r) for r in kin.a],
+        g=scatter(data, kin.g), h=scatter(data, kin.h))
+    k_task = [vec(len(rows)) for _ in rows]
+    f_gravity, x_eq, v_target = vec(len(rows)), vec(len(rows)), vec(len(directions))
+    scripted = [vec(n) for _ in range(3)]
+    dt = data.draw(st.sampled_from([0.005, 0.001]))
+    link = model.link_index(model.chains[0].name, contact)
+    law = (m, task, rows, spec, link, enabled, k_task, f_gravity, damping, friction, dt)
+    block = harness._tracking_block(n, m, task, tuple(rows), link if spec else None, directions,
+                                    enabled, damping is not None, friction is not None)
+
+    def generated():
+        q_next, qd_next, qdd = (list(v) for v in scripted)
+        out, mount = [], []
+        block(lambda *_: kin, list(q), list(qd), [x_eq], [v_target], [q_next], [qd_next],
+              [qdd], k_task, f_gravity, damping, friction, dt, out, mount)
+        assert mount == [kin.mount]
+        return out[0], q_next, qd_next, qdd
+
+    def chain():
+        q_next, qd_next, qdd = (list(v) for v in scripted)
+        row = reference_tracking_step(kin, law, list(q), list(qd), x_eq, v_target, q_next,
+                                      qd_next, qdd)
+        return row, q_next, qd_next, qdd
+
+    assert step_outcome(generated) == step_outcome(chain)
 
 
 @pytest.mark.parametrize("directions", [["z"], ["x", "z"]])
