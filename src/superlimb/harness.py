@@ -15,7 +15,8 @@ lists computes.  One loop runs both modes a block of steps at a time:
 the block's scripted inputs become float lists, and when it ends its rows
 go into the log in one ``SimLog.append``, which fills their mount force,
 sets the support force's sign and checks them.  Tracking steps one at a
-time inside the block; in inverse-dynamics mode every step's state is
+time inside the block, in generated code that inlines the plant's run
+kernel as well; in inverse-dynamics mode every step's state is
 scripted, so the kinematics, the control law and the contact rows run
 once per block, and only the force split stays per step.
 
@@ -34,7 +35,7 @@ byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from math import isfinite, nan
 from operator import mul
 
@@ -64,9 +65,9 @@ from .errors import (
     SuperlimbError,
     ValidationError,
 )
-from .numerics import (GRAM_PIVOT_RTOL, QR_RANK_RTOL, _check_finite, _function, _spd_solve_source,
-                       _sum, _unpack)
-from .plant import AXES, PlantModel
+from .numerics import (GRAM_PIVOT_RTOL, QR_RANK_RTOL, _check_finite, _function, _live,
+                       _spd_solve_source, _sum, _unpack)
+from .plant import AXES, KernelSource, PlantModel
 from .scenario import Scenario
 # task_to_joint_torque and friction_torque stay module attributes, for the
 # benchmark's tracer to wrap; the tracking block inlines them
@@ -151,48 +152,49 @@ def _blowup(values):
     raise NumericBlowup(f"state magnitude exceeded {BLOWUP_LIMIT:g} (max {peak:.3e})")
 
 
-def _solve_source(body: list[str], n: int, m: int, k: int, c):
+def _solve_source(body: list[str], n: int, m: int, k: int, c, a, h):
     """Append the contact solve of n DoFs, the first m free, and k contact
     rows as straight-line source over named floats (the code-generation
     approach of RobCoGen, Frigerio et al., JOSER 2016).  It reads the names
-    ``q``, ``v`` (the state), ``dd`` (the accelerations), ``qn``, ``vn``
-    (the end of step, scripted entries set), ``h``, ``a<i>_<j>``, ``t``
-    (the free joints' torque), ``vt`` (the contact targets) and ``dt``,
-    and row r's entry i of the contact Jacobian as ``c(r, i)``; it fills
-    the lists ``qdd``, ``qd_next`` and ``q_next`` from entry m on and
-    leaves the force on the robot in ``lam<r>`` and the scripted joints'
-    torques in ``th<j>``.  Every operation keeps the order of the
-    list-and-``sum()`` loop it unrolls, so the result is the same to the
-    bit."""
+    ``q``, ``qd`` (the state), ``dd`` (the accelerations), ``qn``, ``vn``
+    (the end of step, scripted entries set), ``t`` (the free joints'
+    torque), ``vt`` (the contact targets) and ``dt``, row r's entry i of
+    the contact Jacobian as ``c(r, i)``, and entry (i, j) of the inertia
+    matrix and entry i of the bias as ``a[i][j]`` and ``h[i]``, names or
+    float literals; it fills the lists ``qdd``, ``qd_next`` and ``q_next``
+    from entry m on and leaves the force on the robot in ``lam<r>`` and the
+    scripted joints' torques in ``th<j>``.  Every operation keeps the order
+    of the list-and-``sum()`` loop it unrolls, so the result is the same to
+    the bit."""
     free, scripted, rows = range(m), range(m, n), range(k)
     if m:
         _check_finite(body, [f"t{i}" for i in free], "tau_total")
         for i in free:  # tau - h - A_fs qdd_s, then A_ff^-1 of it and of each J_f row
-            s = _sum(body, [f"a{i}_{j} * dd{j}" for j in scripted])
-            body.append(f"r{i} = t{i} - h{i}{s}")
-        solves = [("x", [f"r{i}" for i in free])]
+            s = _sum(body, [f"{a[i][j]} * dd{j}" for j in scripted])
+            body.append(f"r{i} = t{i} - {h[i]}{s}")
+        solves = [("ac", [f"r{i}" for i in free])]
         solves += [(f"u{r}_", [c(r, i) for i in free]) for r in rows]
-        _spd_solve_source(body, lambda j, col: f"a{j}_{col}", m, solves,
+        _spd_solve_source(body, lambda j, col: a[j][col], m, solves,
                           "a", RankDeficient, "inertia of the free joints is not positive definite")
         if k:
             for r in rows:  # the Gram matrix's factored triangle
                 for col in range(r, k):
                     _sum(body, [f"{c(r, i)} * u{col}_{i}" for i in free], f"G{r}_{col}")
-            body += [f"p{i} = v{i} + dt * x{i}" for i in free]
+            body += [f"pv{i} = qd{i} + dt * ac{i}" for i in free]
             for r in rows:  # the contact velocity's residual, over dt
                 s = _sum(body, [f"{c(r, j)} * vn{j}" for j in scripted])
                 body.append(f"e{r} = vt{r}{s}")
-                s = _sum(body, [f"{c(r, i)} * p{i}" for i in free])
+                s = _sum(body, [f"{c(r, i)} * pv{i}" for i in free])
                 body.append(f"e{r} = (e{r}{s}) / dt")
             _spd_solve_source(body, lambda j, col: f"G{j}_{col}", k,
                               [("lam", [f"e{r}" for r in rows])],
                               "g", RankDeficient, DEPENDENT_CONTACTS, GRAM_PIVOT_RTOL)
             for i in free:
                 _sum(body, [f"u{r}_{i} * lam{r}" for r in rows])
-                body.append(f"x{i} = x{i} + s")
+                body.append(f"ac{i} = ac{i} + s")
         for i in free:
-            body += [f"vn{i} = v{i} + dt * x{i}", f"qn{i} = q{i} + dt * vn{i}"]
-        for name, out in (("x", "qdd"), ("vn", "qd_next"), ("qn", "q_next")):
+            body += [f"vn{i} = qd{i} + dt * ac{i}", f"qn{i} = q{i} + dt * vn{i}"]
+        for name, out in (("ac", "qdd"), ("vn", "qd_next"), ("qn", "q_next")):
             body.append(f"{out}[:{m}] = {', '.join(f'{name}{i}' for i in free)},")
     else:  # nothing free: the force is left to the caller, zero here
         body += [f"lam{r} = 0.0" for r in rows]
@@ -200,20 +202,17 @@ def _solve_source(body: list[str], n: int, m: int, k: int, c):
                           for v in ("qn", "vn") for i in range(n))
     body += [f"if not ({within}):  # NaN fails the comparison", "    _blowup(q_next + qd_next)"]
     for j in scripted:  # tau_h: A qdd + h - J_c^T lam, as two sum()s over the rows
-        _sum(body, [f"a{j}_{i} * {'x' if i < m else 'dd'}{i}" for i in range(n)], f"th{j}")
+        _sum(body, [f"{a[j][i]} * {'ac' if i < m else 'dd'}{i}" for i in range(n)], f"th{j}")
         s = _sum(body, [f"{c(r, j)} * lam{r}" for r in rows])
-        body.append(f"th{j} = th{j} + h{j}{s}")
+        body.append(f"th{j} = th{j} + {h[j]}{s}")
 
 
-def _unpack_state(body: list[str], n: int, a: str, h: str):
+def _unpack_state(body: list[str], n: int):
     """Append the unpacking of the names ``_solve_source`` reads of the
-    lists ``q``, ``qd``, ``qdd``, ``q_next`` and ``qd_next`` and of ``h``
-    and ``a`` (rows), the sources of the last two."""
-    for name, src in ("q", "q"), ("v", "qd"), ("dd", "qdd"), ("qn", "q_next"), ("vn", "qd_next"):
+    lists ``q``, ``qd``, ``qdd``, ``q_next`` and ``qd_next``; ``q<i>`` and
+    ``qd<i>`` are also the names the plant's step kernel lines read."""
+    for name, src in ("q", "q"), ("qd", "qd"), ("dd", "qdd"), ("qn", "q_next"), ("vn", "qd_next"):
         _unpack(body, name, src, n)
-    _unpack(body, "h", h, n)
-    for i in range(n):
-        _unpack(body, f"a{i}_", f"{a}[{i}]", n)
 
 
 @cache
@@ -222,50 +221,65 @@ def _contact_step(n: int, m: int, k: int):
     rows: ``_solve_source`` over its arguments' entries, compiled once per
     shape."""
     body = []
-    _unpack_state(body, n, "a", "h")
+    _unpack_state(body, n)
+    _unpack(body, "h", "h", n)
+    for i in range(n):
+        _unpack(body, f"a{i}_", f"a[{i}]", n)
     for r in range(k):
         _unpack(body, f"c{r}_", f"j_c[{r}]", n)
     if m:
         _unpack(body, "t", "tau_total", m)
     if k:
         _unpack(body, "vt", "v_target", k)
-    _solve_source(body, n, m, k, lambda r, i: f"c{r}_{i}")
+    _solve_source(body, n, m, k, lambda r, i: f"c{r}_{i}",
+                  [[f"a{i}_{j}" for j in range(n)] for i in range(n)], [f"h{i}" for i in range(n)])
     body.append(f"return [{', '.join(f'lam{r}' for r in range(k))}], "
                 f"[{', '.join(f'th{j}' for j in range(m, n))}]")
     return _function("step(q, qd, a, h, tau_total, dt, j_c, v_target, q_next, qd_next, qdd)",
                      body, f"contact solve: n={n}, m={m}, k={k}", _blowup=_blowup)
 
 
-def _max_abs(names: list[str]) -> str:
+def _max_abs(names: tuple[str, ...]) -> str:
     """``max(map(abs, row))`` of a row given by its entries' names: the same
     builtins over the same order, so a NaN's place decides as it does."""
     terms = ", ".join(f"abs({v})" for v in names)
     return f"max({terms})" if len(names) > 1 else terms
 
 
-@cache
-def _tracking_block(n: int, m: int, task: int, rows: tuple[int, ...], contact: int | None,
-                    directions: tuple[str, ...], enabled: bool, damped: bool, friction: bool):
-    """Generate the tracking loop over a block of steps for one shape: n
-    DoFs, the first m the limb's; the task point at link ``task``'s tip
-    with the controller's components on ``rows`` of it; the contact at
-    link ``contact``'s tip on ``directions`` (none without contact); the
-    control law on or off, with or without damping, and friction on or off.
+#: tracking blocks kept: one per plant and shape, and a parameter study over
+#: link masses or lengths makes a new plant per run
+TRACKING_BLOCKS = 32
+
+
+@lru_cache(maxsize=TRACKING_BLOCKS)
+def _tracking_block(source: KernelSource, n: int, m: int, task: int, rows: tuple[int, ...],
+                    contact: int | None, directions: tuple[str, ...], enabled: bool,
+                    damped: bool, friction: bool):
+    """Generate the tracking loop over a block of steps for one plant's run
+    kernel, given as ``source``, and one shape: n DoFs, the first m the
+    limb's; the task point at link ``task``'s tip with the controller's
+    components on ``rows`` of it; the contact at link ``contact``'s tip on
+    ``directions`` (none without contact); the control law on or off, with
+    or without damping, and friction on or off.
 
     ``block(kernel, q, qd, x_eqs, v_targets, q_ends, qd_ends, qdds, k_task,
     f_gravity, damping, friction, dt, out, mount)`` steps from the state
-    lists ``q``, ``qd`` once per entry of the per-step lists: one call of
-    the plant's run kernel, then, inline as straight-line code, what
+    lists ``q``, ``qd`` once per entry of the per-step lists.  Each step is
+    straight-line code: the run kernel's lines, then what
     ``contact_jacobian``, ``control_force``, ``task_to_joint_torque`` (J^T f
-    on the limb's joints, plus their gravity load), ``friction_torque``
-    and ``_advance``'s ``_solve_source`` compute, with the same builtins in
-    the same order, so every value and error is the same to the bit.  Each
-    step appends its log row to ``out`` and its ``Kinematics.mount`` to
+    on the limb's joints, plus their gravity load), ``friction_torque`` and
+    ``_advance``'s ``_solve_source`` compute, reading the kernel's values by
+    the names of ``source.names``, with the same builtins in the same order,
+    so every value and error is the same to the bit.  ``numerics._live``
+    drops the kernel's lines that nothing in the step reads.  Each step
+    appends its log row to ``out`` and its ``Kinematics.mount`` to
     ``mount``, so the steps before one that raises are kept; the block
     returns the state lists its last step ends at.  The controller's and
-    friction's values are arguments, read once per block, so the variants
-    of one scenario share one block."""
-    comps, k = range(len(rows)), len(directions)
+    friction's values are arguments, read once per block, and the kernel's
+    lines hold no ``q0``, so the variants of one scenario share one block.
+    ``kernel``, the plant's run kernel, is what a source whose lines call it
+    calls: the seam where a test puts in kernel outputs of its own."""
+    names, comps, k = source.names, range(len(rows)), len(directions)
     body, step = [], []
     if enabled:
         for c in comps:
@@ -282,59 +296,51 @@ def _tracking_block(n: int, m: int, task: int, rows: tuple[int, ...], contact: i
     body += ["row = out.append", "keep = mount.append",
              "for xeq, vts, q_next, qd_next, qdd in zip(x_eqs, v_targets, q_ends, qd_ends, qdds):"]
 
-    def jac(link: int, axis: int) -> str:  # the prefix of a tip Jacobian row's entries
-        return f"j{link}{AXES[axis]}_"
-
-    step.append("kin = kernel(q, qd)")
+    _unpack_state(step, n)
+    step += source.lines[:-1]  # all but the kernel's return
     if contact is not None:  # contact_jacobian: every row against the floor of the largest
-        step.append(f"jr = kin.tip_jac[{contact}]")
-        for axis in range(len(AXES)):
-            _unpack(step, jac(contact, axis), f"jr[{axis}]", n)
-            step.append(f"sz{axis} = {_max_abs([f'{jac(contact, axis)}{i}' for i in range(n)])}")
+        for axis, jac_row in enumerate(names.tip_jac[contact]):
+            step.append(f"sz{axis} = {_max_abs(jac_row)}")
         sizes = ", ".join(f"sz{axis}" for axis in range(len(AXES)))
         step.append(f"floor = {QR_RANK_RTOL!r} * max({sizes})")
         for d in directions:
             text = f"contact Jacobian lost rank: direction {d!r} vanishes at this posture"
             step += [f"if sz{AXES.index(d)} < floor:", f"    raise RankDeficient({text!r})"]
-    _unpack_state(step, n, "kin.a", "kin.h")
-    step.append(f"tp = kin.tip[{task}]")
-    step += [f"xp{c} = tp[{r}]" for c, r in zip(comps, rows)]
+    tip = [names.tip[task][r] for r in rows]
     force = ["0.0"] * len(rows)
     if enabled:  # control_force, then J^T f on the limb's joints and their gravity load
         force = [f"f{c}" for c in comps]
         _unpack(step, "xe", "xeq", len(rows))
-        step += [f"er{c} = xe{c} - xp{c}" for c in comps]
+        step += [f"er{c} = xe{c} - {x}" for c, x in zip(comps, tip)]
         for c in comps:
             _sum(step, [f"k{c}_{col} * er{col}" for col in comps], f"f{c}")
             step.append(f"f{c} = f{c} + fg{c}")
         if damped:
-            step.append(f"tv = kin.tip_vel[{task}]")
-            step += [f"f{c} = f{c} - kd{c} * tv[{r}]" for c, r in zip(comps, rows)]
-        if task != contact:
-            step.append(f"jt = kin.tip_jac[{task}]")
-            for r in sorted(rows):
-                _unpack(step, jac(task, r), f"jt[{r}]", n)
-        _unpack(step, "g", "kin.g", n)
+            vel = names.tip_vel[task]
+            step += [f"f{c} = f{c} - kd{c} * {vel[r]}" for c, r in zip(comps, rows)]
+        jac = names.tip_jac[task]
         for i in range(m):
-            _sum(step, [f"{jac(task, r)}{i} * f{c}" for c, r in zip(comps, rows)], f"t{i}")
-            step.append(f"t{i} = t{i} + g{i}")
+            _sum(step, [f"{jac[r][i]} * f{c}" for c, r in zip(comps, rows)], f"t{i}")
+            step.append(f"t{i} = t{i} + {names.g[i]}")
     else:
         step += [f"t{i} = 0.0" for i in range(m)]
     if friction:  # friction_torque of the velocity and the torque so far, added
         for i in range(m):
-            step += [f"if abs(v{i}) > {V_EPS!r}:",
-                     f"    t{i} = t{i} + ((nc{i} if v{i} > 0.0 else cc{i}) - cv{i} * v{i})",
+            step += [f"if abs(qd{i}) > {V_EPS!r}:",
+                     f"    t{i} = t{i} + ((nc{i} if qd{i} > 0.0 else cc{i}) - cv{i} * qd{i})",
                      "else:",
                      f"    t{i} = t{i} + -min(max(t{i}, nb{i}), bk{i})"]
     if k:
         _unpack(step, "vt", "vts", k)
-    _solve_source(step, n, m, k, lambda r, i: f"{jac(contact, AXES.index(directions[r]))}{i}")
-    cells = ([f"q{i}" for i in range(m)] + [f"v{i}" for i in range(m)]
-             + [f"xp{c}" for c in comps] + force + [f"lam{r}" for r in range(k)]
+    contact_rows = [names.tip_jac[contact][AXES.index(d)] for d in directions]
+    _solve_source(step, n, m, k, lambda r, i: contact_rows[r][i], names.a, names.h)
+    cells = ([f"q{i}" for i in range(m)] + [f"qd{i}" for i in range(m)] + tip + force
+             + [f"lam{r}" for r in range(k)]
              + ["0.0", "0.0"]  # f_mount, filled by SimLog.append
              + [f"t{i}" for i in range(m)] + [f"th{j}" for j in range(m, n)])
-    step += [f"row([{', '.join(cells)}])", "keep(kin.mount)", "q, qd = q_next, qd_next"]
-    body += [f"    {line}" for line in step] + ["return q, qd"]
+    step += [f"row([{', '.join(cells)}])", f"keep(({''.join(f'{v}, ' for v in names.mount)}))"]
+    body += [f"    {line}" for line in _live(step) + ["q, qd = q_next, qd_next"]]
+    body.append("return q, qd")
     label = (f"tracking block: n={n}, m={m}, task={task}{list(rows)}, contact={contact}"
              f"{list(directions)}, law={enabled}, damping={damped}, friction={friction}")
     return _function("block(kernel, q, qd, x_eqs, v_targets, q_ends, qd_ends, qdds, k_task, "
@@ -642,11 +648,13 @@ def run_scenario(scenario: Scenario) -> SimLog:
     cells, sets the support force's sign and checks them whole, so what
     the run holds beside the log is bounded by a block.  In
     tracking mode a block is one call of the code ``_tracking_block``
-    generates for the run's shape, compiled on the first run of that shape:
-    per step, one call of the plant's run kernel, then inline the contact
-    rows and their floor, the control law, J^T f, gravity load and friction
-    on the limb's joints, and the contact solve that advances them and
-    gives the human joints' torques.  In inverse dynamics the SRL posture is held and every
+    generates for the plant's run-kernel source and the run's shape,
+    compiled on the first run of that shape: per step, inline, the run
+    kernel's lines, the contact rows and their floor, the control law, J^T
+    f, gravity load and friction on the limb's joints, and the contact
+    solve that advances them and gives the human joints' torques; the
+    block is passed the run kernel too, which only a test's source calls.
+    In inverse dynamics the SRL posture is held and every
     state is scripted, so one batch-kernel call and one ``control_force``
     call on per-component arrays give a block's kinematics and commanded
     force, to the bit what the run kernel and the law give step by step,
@@ -682,10 +690,11 @@ def run_scenario(scenario: Scenario) -> SimLog:
     fr = ctrl_cfg.friction
     friction = fr and (fr.coulomb.tolist(), fr.viscous.tolist(), fr.stiction_breakaway_ratio)
     inverse = sim.mode == "inverse-dynamics"
-    kernel = model._batch_kernel if inverse else model._kernel
     contact_link = model.link_index(spec.chain, spec.joint) if spec else None
-    if not inverse:
-        track = _tracking_block(n, m, task, tuple(rows), contact_link,
+    if inverse:
+        kernel = model._batch_kernel
+    else:
+        track = _tracking_block(model._kernel_source, n, m, task, tuple(rows), contact_link,
                                 spec.directions if spec else (), ctrl_cfg.enabled,
                                 damping is not None, friction is not None)
 
@@ -734,8 +743,8 @@ def run_scenario(scenario: Scenario) -> SimLog:
                 v[lo:hi].tolist() for v in (x_eq, v_target, q_end, qd_end))
         try:
             if not inverse:
-                q, qd = track(kernel, q, qd, x_eqs, v_targets, q_ends, qd_ends, qdd, k_task,
-                              f_gravity, damping, friction, sim.dt, block, mount)
+                q, qd = track(model._kernel, q, qd, x_eqs, v_targets, q_ends, qd_ends, qdd,
+                              k_task, f_gravity, damping, friction, sim.dt, block, mount)
             elif spec is not None:  # per step, only the split
                 split = []
                 for j, (a_j, h_j, j_c, dd) in enumerate(zip(a_rows, h_rows, j_cs, qdd)):

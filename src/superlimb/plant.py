@@ -19,12 +19,16 @@ link by link in the dense composite-rigid-body form
 A = sum_l (m_l J_l^T J_l + I_l w_l w_l^T) + diag(rotor)
 (Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6).  For the few
 degrees of freedom this package targets, Python floats cost less than
-numpy calls on 3-4 element arrays.  The kernel comes in three variants from
-the same lines: the run kernel, built with the model, returns only the
-``RunKinematics`` fields a scenario run reads; the full kernel, built on
-the first ``PlantState``, returns all of ``Kinematics``; the batch kernel,
-built on the first inverse-dynamics run, is the run kernel's lines over
-per-step float64 arrays, a block of steps per call.  ``PlantState`` is the
+numpy calls on 3-4 element arrays.  The kernel's lines come in two sets:
+the full kernel's, which return all of ``Kinematics``, and the run
+kernel's, the subset that returns only the ``RunKinematics`` fields a
+scenario run reads.  The run kernel's lines are generated with the model
+and kept as its ``KernelSource``, for three uses: compiled as the run
+kernel, at load; inlined, by the names of their values, into the tracking
+block that ``harness`` generates on the first tracking run of its shape;
+and compiled over per-step float64 arrays as the batch kernel, a block of
+steps per call, on the first inverse-dynamics run.  The full kernel is
+compiled on the first ``PlantState``, the
 checked, array-valued view of one full-kernel call; the link-wise energies
 stay an independent oracle for ``A`` and ``h``.
 """
@@ -118,10 +122,10 @@ class Chain:
 @dataclass(frozen=True)
 class PlantModel:
     """The plant's chains and gravity, checked, with the step kernels of
-    their topology: ``_kernel``, the run kernel, compiled at load;
-    ``_full_kernel``, compiled on the first ``PlantState``; and
-    ``_batch_kernel``, the run kernel over blocks of steps, compiled on the
-    first inverse-dynamics run."""
+    their topology: ``_kernel``, the run kernel, compiled at load from
+    ``_kernel_source``, which the tracking block inlines; ``_full_kernel``,
+    compiled on the first ``PlantState``; and ``_batch_kernel``, the run
+    kernel over blocks of steps, compiled on the first inverse-dynamics run."""
 
     chains: tuple[Chain, ...]
     gravity: float = GRAVITY
@@ -151,7 +155,7 @@ class PlantModel:
     def _derive_structure(self):
         """Static facts every state reuses: the DoF count, chain slices,
         the limb's links as (index, mass) pairs, and the run kernel of this
-        topology (links and joints share indices)."""
+        topology, as source and compiled (links and joints share indices)."""
         joints = tuple(j for c in self.chains for j in c.joints)
         n = len(joints)
         slices, srl_links, ancestors, off = {}, [], [], 0
@@ -171,22 +175,24 @@ class PlantModel:
             self, "_srl_chains", frozenset(c.name for c in self.chains if c.role == ROLE_SRL)
         )
         topology = (self.chains, n, self.gravity, tuple(ancestors), revolute)
+        source = _step_source(*topology, RunKinematics)
         object.__setattr__(self, "_topology", topology)
-        object.__setattr__(self, "_kernel", _step_kernel(*topology, RunKinematics))
+        object.__setattr__(self, "_kernel_source", source)
+        object.__setattr__(self, "_kernel", _step_kernel(source, self.chains))
 
     @cached_property
     def _full_kernel(self):
         """The step kernel returning every ``Kinematics`` field, which
         ``PlantState`` reads.  It is generated on the first state, so that a
         scenario run, which calls only the run kernel, compiles one kernel."""
-        return _step_kernel(*self._topology)
+        return _step_kernel(_step_source(*self._topology), self.chains)
 
     @cached_property
     def _batch_kernel(self):
         """The run kernel's lines compiled over per-step arrays, which
         ``run_scenario``'s inverse-dynamics branch calls once per block of
         steps.  It is generated on the first such run, never at load."""
-        return _step_kernel(*self._topology, RunKinematics, batch=True)
+        return _step_kernel(self._kernel_source, self.chains, batch=True)
 
     # --- DoF bookkeeping -------------------------------------------------
 
@@ -257,11 +263,25 @@ def _each(f):
     return each
 
 
-def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, revolute,
-                 returns=Kinematics, batch: bool = False):
-    """Generate the step kernel of one plant topology: ``kernel(q, qd)`` maps
-    two lists of n floats to the state's ``Kinematics`` in one pass, or to
-    the fields of ``returns``, a namedtuple of some of them.
+#: A step kernel as source.  ``lines`` are straight-line statements that read
+#: the joints' coordinates and velocities as the names ``q<i>`` and ``qd<i>``
+#: and end in the kernel's return; ``names`` is the returned namedtuple with
+#: each entry replaced by the name or float literal that holds it (its lists
+#: as tuples), so that generated code that inlines the lines but the return
+#: reads the entries it needs by name.
+KernelSource = namedtuple("KernelSource", "lines names")
+
+
+def _frozen(v):
+    """A nest of lists and tuples of names as tuples alone."""
+    return v if isinstance(v, str) else tuple(map(_frozen, v))
+
+
+def _step_source(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, revolute,
+                 returns=Kinematics) -> KernelSource:
+    """Generate the step kernel of one plant topology as source: its lines
+    map the names ``q<i>``, ``qd<i>`` to the state's ``Kinematics`` in one
+    pass, or to the fields of ``returns``, a namedtuple of some of them.
 
     A point at distance r along a joint's unit axis e (turning at the link
     rate phid, r changing at rate rd) moves at rd e + r phid perp(e) with
@@ -278,21 +298,12 @@ def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, r
     statement that no returned field reads; the lines left are the full
     kernel's, so the fields that stay are the same to the bit.  Its only
     calls, ``cos`` and ``sin``, feed every link's tip, so no statement that
-    could raise goes.
-
-    With ``batch`` the same lines are compiled as the batch kernel, over a
-    block of steps: ``q`` and ``qd`` hold one float64 array per joint,
-    ``cos`` and ``sin`` apply ``math.cos`` and ``math.sin`` element by
-    element, and every other operation is ``+``, ``-``, ``*`` or unary minus
-    on arrays and float literals, which numpy rounds as Python floats round.
-    So each entry is the array of the scalar kernel's values at those steps,
-    or, where it is a constant, that float."""
+    could raise goes.  Code that inlines the lines must store none of the
+    names they store while it still reads one of their values."""
     def lit(x) -> str:
         return repr(float(x))
 
     body = []
-    _unpack(body, "q", "q", n)
-    _unpack(body, "qd", "qd", n)
     out = {name: [] for name in Kinematics._fields}
     pivot, direction = [], []  # each joint's origin and sliding axis ((0, 0) if revolute)
     sums, h_sums = {}, {}  # each sum's terms in the loop's order: link by link
@@ -365,14 +376,34 @@ def _step_kernel(chains: tuple[Chain, ...], n: int, gravity: float, ancestors, r
         return v if isinstance(v, str) else (
             f"[{', '.join(map(expr, v))}]" if isinstance(v, list) else f"({', '.join(map(expr, v))})")
 
-    body.append(f"return {returns.__name__}({', '.join(expr(out[f]) for f in returns._fields)})")
+    fields = [out[f] for f in returns._fields]
+    body.append(f"return {returns.__name__}({', '.join(map(expr, fields))})")
+    return KernelSource(tuple(_live(body)), returns(*map(_frozen, fields)))
+
+
+def _step_kernel(source: KernelSource, chains: tuple[Chain, ...], batch: bool = False):
+    """Compile ``source`` as a step kernel of ``chains``: ``kernel(q, qd)``
+    maps two lists of n floats to the namedtuple of ``source.names``.
+
+    With ``batch`` the same lines are compiled as the batch kernel, over a
+    block of steps: ``q`` and ``qd`` hold one float64 array per joint,
+    ``cos`` and ``sin`` apply ``math.cos`` and ``math.sin`` element by
+    element, and every other operation is ``+``, ``-``, ``*`` or unary minus
+    on arrays and float literals, which numpy rounds as Python floats round.
+    So each entry is the array of the scalar kernel's values at those steps,
+    or, where it is a constant, that float."""
+    returns, n = type(source.names), len(source.names.g)
+    body = []
+    _unpack(body, "q", "q", n)
+    _unpack(body, "qd", "qd", n)
+    body += source.lines
     label = ", ".join(c.name for c in chains)
     label += "" if returns is RunKinematics else " (all fields)"
     names = {returns.__name__: returns}
     if batch:
         names.update(cos=_each(cos), sin=_each(sin))
     kind = "batch" if batch else "step"
-    return _function("kernel(q, qd)", _live(body), f"{kind} kernel: {label}", **names)
+    return _function("kernel(q, qd)", body, f"{kind} kernel: {label}", **names)
 
 
 @dataclass(frozen=True)

@@ -98,12 +98,20 @@ def _each(parse):
     return read
 
 
+def _check_count(size: int, length: int, path: str):
+    """Raise a ParseError at ``path`` unless a list of ``size`` entries has
+    the ``length`` it needs: the one rule of a file's lists and of a
+    ``Scenario`` put together in code."""
+    if size != length:
+        raise ParseError(path, f"must have {length} entries, got {size}")
+
+
 def _num_list(value, path: str, length: int | None = None) -> np.ndarray:
     if not isinstance(value, list):
         raise ParseError(path, f"must be a list of numbers, got {value!r}")
     out = np.array(_each(_num)(value, path))
-    if length is not None and out.size != length:
-        raise ParseError(path, f"must have {length} entries, got {out.size}")
+    if length is not None:
+        _check_count(out.size, length, path)
     return out
 
 
@@ -333,6 +341,14 @@ class Scenario:
     contact: ContactConfig | None = None
     emg: EmgConfig = field(default_factory=lambda: EmgConfig(enabled=False))
     human_motion: HumanMotion = field(default_factory=HumanMotion)
+
+    def __post_init__(self):
+        # friction has a coefficient per limb joint (FrictionModel gives
+        # viscous the length of coulomb), which the model alone knows
+        friction = self.controller.friction
+        if friction is not None:
+            _check_count(friction.coulomb.size, len(self.model.srl_indices),
+                         "controller.friction.coulomb")
 
 
 # --- section schemas ----------------------------------------------------------

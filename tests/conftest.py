@@ -1,10 +1,12 @@
 """Shared fixtures: the two reference plants used across the test suite,
 the reference loop step kernel and a batch kernel built from it row by row,
-the reference loop Cholesky solve, the reference list-based contact solve,
-Gram-Schmidt QR and inverse-dynamics split, the step-by-step
-inverse-dynamics run, the reference CSV writer and its multiplier table, a
-reference finite-difference stencil, and the stability certificate's
-cross-check evaluated one pose at a time."""
+the kernel-source seam through which a tracking block steps on a kernel's
+outputs and the kernel poisoning that uses it, the reference loop Cholesky
+solve, the reference list-based contact solve, Gram-Schmidt QR and
+inverse-dynamics split, the step-by-step inverse-dynamics run, the
+reference CSV writer and its multiplier table, a reference
+finite-difference stencil, and the stability certificate's cross-check
+evaluated one pose at a time."""
 
 import csv
 import math
@@ -33,7 +35,7 @@ from superlimb.errors import (
 )
 from superlimb.harness import BLOWUP_LIMIT
 from superlimb.numerics import GRAM_PIVOT_RTOL, _as_array, check_rank, default_fd_step
-from superlimb.plant import AXES, REVOLUTE, Chain, Joint, Kinematics, PlantModel
+from superlimb.plant import AXES, REVOLUTE, Chain, Joint, KernelSource, Kinematics, PlantModel
 from superlimb.stiffness import control_force, friction_torque, task_to_joint_torque
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -336,6 +338,53 @@ def reference_batch_kernel(model: PlantModel):
         return stacked_kernel([kernel(*pair) for pair in zip(q.T.tolist(), qd.T.tolist())])
 
     return batch
+
+
+def called_kernel_source(source: KernelSource) -> KernelSource:
+    """A run-kernel source whose lines call ``kernel(q, qd)`` and unpack
+    its result into names of their own, one per entry, in ``source.names``'
+    layout: the seam through which the tracking block steps on the outputs
+    of whatever kernel it is passed, every entry as that kernel gives it."""
+    def layout(v, name: str):
+        return name if isinstance(v, str) else tuple(
+            layout(x, f"{name}_{i}") for i, x in enumerate(v))
+
+    def target(v) -> str:
+        return v if isinstance(v, str) else f"({''.join(f'{target(x)}, ' for x in v)})"
+
+    fields = type(source.names)._fields
+    names = type(source.names)(*(layout(v, f"kin_{f}") for f, v in zip(fields, source.names)))
+    lines = ["kin = kernel(q, qd)"]
+    lines += [f"{target(v)} = kin.{f}" for f, v in zip(fields, names)]
+    return KernelSource(tuple(lines + ["return kin"]), names)
+
+
+def poison_kernel(model: PlantModel, edits: dict, skip: int = 0):
+    """Replace ``model``'s run and batch kernels by ones that apply
+    ``edits[i]`` to the kernel result of step i (in a batch, to its row),
+    the first ``skip`` run-kernel calls left alone (the load's, or the one
+    at q0 for an "auto" equilibrium point), and its kernel source by
+    ``called_kernel_source``'s, so that a tracking block steps on the
+    poisoned run kernel."""
+    kernel, calls = model._kernel, [-skip]
+    batch, done = model._batch_kernel, [0]
+
+    def poisoned(q, qd):
+        step = calls[0]
+        calls[0] += 1
+        edit = edits.get(step)
+        return kernel(q, qd) if edit is None else edit(kernel(q, qd))
+
+    def poisoned_batch(q, qd):
+        size, first = q.shape[1], done[0]
+        done[0] += size
+        rows = kernel_rows(batch(q, qd), size)
+        return stacked_kernel([edits.get(first + i, lambda kin: kin)(kin)
+                               for i, kin in enumerate(rows)])
+
+    object.__setattr__(model, "_kernel", poisoned)
+    object.__setattr__(model, "_batch_kernel", poisoned_batch)
+    object.__setattr__(model, "_kernel_source", called_kernel_source(model._kernel_source))
 
 
 def reference_spd_solve(m, rhs, error, reason: str, rtol: float = 0.0) -> list[list[float]]:

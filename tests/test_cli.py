@@ -8,10 +8,11 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import kernel_rows, scenario_path, stacked_kernel
+from conftest import poison_kernel, scenario_path
 
-from superlimb import cli, plant
+from superlimb import cli
 from superlimb.cli import main
+from superlimb.plant import PlantModel
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -947,26 +948,16 @@ def test_run_inverse_dynamics_non_finite_commanded_force_exits_2(tmp_path, capsy
 def test_run_non_finite_mount_force_exits_2(tmp_path, capsys, monkeypatch, mode):
     # the mount force of a whole run is one product after the loop; an Inf
     # in it still exits 2 and is named at its step, and no log is written
-    generate = plant._step_kernel
+    derive = PlantModel._derive_structure
 
     def inf_mount(kin):
         return kin._replace(mount=kin.mount[:-2] + (math.inf, kin.mount[-1]))
 
-    def poisoned_kernel(*args, batch=False):
-        kernel, calls = generate(*args, batch=batch), [0]
+    def poisoned(model):  # the run kernel's first call is the "auto" equilibrium point
+        derive(model)
+        poison_kernel(model, {3: inf_mount}, skip=1)
 
-        def poisoned(q, qd):
-            calls[0] += 1  # call 1 is the "auto" equilibrium point at q0
-            kin = kernel(q, qd)
-            if batch:  # one call for the whole run: step 3 is its row 3
-                rows = kernel_rows(kin, q.shape[1])
-                rows[3] = inf_mount(rows[3])
-                return stacked_kernel(rows)
-            return inf_mount(kin) if calls[0] == 5 else kin
-
-        return poisoned
-
-    monkeypatch.setattr(plant, "_step_kernel", poisoned_kernel)
+    monkeypatch.setattr(PlantModel, "_derive_structure", poisoned)
     code, err, wrote = _run_edited(tmp_path, capsys, "overhead_inverse",
                                    lambda d: d["sim"].update(duration=0.05, mode=mode))
     assert (code, wrote) == (2, False)

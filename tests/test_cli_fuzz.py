@@ -1,9 +1,9 @@
 """Seeded in-process fuzz of the CLI's file and flag inputs: mutated trace
 and motion CSV bytes, extreme values of the numeric flags of
 ``emg-pipeline``, ``gen-emg`` and ``analyze-stability``, and structurally
-mutated posture and scenario JSON.  Every case must exit 0, 1 (``error:``) or 2
-(``numeric error:``), with no exception and no floating-point warning
-escaping."""
+mutated posture, scenario and activation-profile JSON.  Every case must
+exit 0, 1 (``error:``) or 2 (``numeric error:``), with no exception and no
+floating-point warning escaping."""
 
 import copy
 import itertools
@@ -267,15 +267,28 @@ def sim_tree(name: str):
 SIM_TREES = {name: sim_tree(name) for name in SIM_FILES}
 
 
+#: the bundled profile the profile fuzz mutates, at a duration (not
+#: mutated) short enough for a case to cost milliseconds
+PROFILE_TREE = as_pairs(dict(json.loads(Path(scenario_path("emg_profile_step.json")).read_text()),
+                             duration=0.1))
+
+
+def key_path(tree, keys) -> tuple:
+    """The ``nodes`` path of the object member at ``keys`` of ``tree``."""
+    path = ()
+    for key in keys:
+        i = next(i for i, (k, _) in enumerate(tree) if k == key)
+        path, tree = path + (i,), tree[i][1]
+    return path
+
+
 @hs.composite
-def scenario_config(draw) -> bytes:
-    """A bundled scenario file with one structural mutation; its
-    ``sim.duration`` stays at ``FUZZ_DURATION``."""
-    tree = copy.deepcopy(SIM_TREES[draw(hs.sampled_from(SIM_FILES))])
-    sim = next(i for i, (key, _) in enumerate(tree) if key == "sim")
-    duration = next(i for i, (key, _) in enumerate(tree[sim][1]) if key == "duration")
-    leaves = [(p, v) for p, v in nodes(tree) if not isinstance(v, list)
-              and p != (sim, duration)]
+def mutated_config(draw, trees: list, held: tuple[str, ...]) -> bytes:
+    """One of the config files ``trees`` with one structural mutation; the
+    leaf at the keys ``held`` (its duration) is kept."""
+    tree = copy.deepcopy(draw(hs.sampled_from(trees)))
+    hold = key_path(tree, held)
+    leaves = [(p, v) for p, v in nodes(tree) if not isinstance(v, list) and p != hold]
     numeric = [p for p, v in leaves if type(v) in (int, float)]
     objects = [p for p, v in nodes(tree) if isinstance(v, Pairs) and v]
     kind = draw(hs.sampled_from(
@@ -326,10 +339,23 @@ def test_scenario_trees_round_trip():
 
 @settings(max_examples=1000, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(scenario_config())
+@given(mutated_config([SIM_TREES[name] for name in SIM_FILES], ("sim", "duration")))
 def test_scenario_json_fuzz_exits_cleanly(tmp_path, capsys, data):
     # a mutated scenario file runs, or exits 1 or 2 with its message, and
     # never escapes with a traceback or a floating-point warning
     cfg = tmp_path / "scenario.json"
     cfg.write_bytes(data)
     check_exit(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv")], capsys)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_config([PROFILE_TREE], ("duration",)))
+def test_profile_json_fuzz_exits_cleanly(tmp_path, capsys, data):
+    # a mutated activation profile synthesizes its trace, or exits 1 or 2
+    # with its message, and never escapes with a traceback or a
+    # floating-point warning
+    cfg = tmp_path / "profile.json"
+    cfg.write_bytes(data)
+    check_exit(["gen-emg", "--profile", str(cfg), "--seed", "42",
+                "--out", str(tmp_path / "trace.csv")], capsys)

@@ -13,8 +13,9 @@ from functools import cache
 import numpy as np
 import pytest
 from conftest import (
+    called_kernel_source,
     desk_arm_dict,
-    kernel_rows,
+    poison_kernel,
     reference_advance,
     reference_batch_kernel,
     reference_decouple,
@@ -23,7 +24,6 @@ from conftest import (
     reference_tracking_run,
     reference_tracking_step,
     scenario_path,
-    stacked_kernel,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -47,12 +47,16 @@ from superlimb.dynamics import ContactSpec
 from superlimb.plant import AXES, Chain, Joint, PlantModel, PlantState
 from superlimb.scenario import (
     ActivationProfile,
+    ContactConfig,
     ContactMotion,
+    ControllerConfig,
     HumanMotion,
+    Scenario,
+    SimParams,
     load_scenario,
     parse_scenario,
 )
-from superlimb.stiffness import TaskSpaceController
+from superlimb.stiffness import FrictionModel, TaskSpaceController
 
 
 def single_slider(mass=3.0, heading=math.pi / 2.0, q0=0.4):
@@ -660,8 +664,7 @@ def test_inverse_step_call_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("name, per_step", [
-    # the tracking block inlines all five: one kernel call per step is all
-    # it calls
+    # the tracking block inlines all five, and the run kernel too
     ("press_friction.json", [0, 0, 0, 0, 0]),
     # nothing is applied: no J^T f, no friction, and decouple replaces the
     # step; the control law runs once per block of steps, and the contact
@@ -672,7 +675,8 @@ def test_inverse_step_call_counts(monkeypatch):
 def test_step_law_call_counts(monkeypatch, name, per_step):
     # the loop calls each step law and the contact solve by its name in
     # harness once per block where it applies (inverse dynamics), or not at
-    # all (tracking, where the generated block inlines them)
+    # all (tracking, where the generated block inlines them); neither mode
+    # calls the run kernel but for an "auto" equilibrium point
     sc = load_scenario(scenario_path(name))
     sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.25))
     laws = ["control_force", "task_to_joint_torque", "friction_torque", "contact_jacobian",
@@ -683,15 +687,15 @@ def test_step_law_call_counts(monkeypatch, name, per_step):
     assert steps == sc.sim.n_steps == 50
     assert [cell[0] for cell in cells] == [blocks(steps) if k == "block" else k * steps
                                            for k in per_step]
-    tracking = sc.sim.mode == "tracking"
-    assert kernel[0] == tracking * steps + (sc.controller.x_eq is None)
+    assert kernel[0] == (sc.controller.x_eq is None)
 
 
 @pytest.mark.parametrize("name", SIM_SCENARIOS)
 def test_run_evaluates_the_plant_only_on_the_step_kernel(monkeypatch, name):
-    # tracking: one kernel call per step; inverse dynamics: one batch-kernel
-    # call per block; either plus one at q0 for an "auto" equilibrium point,
-    # and no array-valued PlantState at all
+    # tracking: no run-kernel call (the tracking block inlines its lines);
+    # inverse dynamics: one batch-kernel call per block; either plus one
+    # run-kernel call at q0 for an "auto" equilibrium point, and no
+    # array-valued PlantState at all
     sc = load_scenario(scenario_path(name))
     sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.5))
     inverse = sc.sim.mode == "inverse-dynamics"
@@ -701,8 +705,7 @@ def test_run_evaluates_the_plant_only_on_the_step_kernel(monkeypatch, name):
     log = run_scenario(sc)
     assert len(log) == sc.sim.n_steps == 100
     assert states[0] == 0
-    steps = 0 if inverse else len(log)
-    assert kernel[0] == steps + (sc.controller.x_eq is None)
+    assert kernel[0] == (sc.controller.x_eq is None)
     assert batch[0] == (blocks(len(log)) if inverse else 0)
 
 
@@ -735,15 +738,18 @@ def test_load_and_run_compile_only_the_run_kernel(monkeypatch, name):
 @pytest.mark.parametrize("name", SIM_SCENARIOS)
 def test_run_on_reference_kernel_logs_the_same_bytes(name):
     # the generated step kernel against the loop it unrolls (in inverse
-    # dynamics, a batch of it built row by row), through a whole run in
-    # either sim mode: every logged value is the same to the bit
+    # dynamics, a batch of it built row by row; in tracking, stepped through
+    # the kernel source's seam), through a whole run in either sim mode:
+    # every logged value is the same to the bit
     logs = []
     for use_reference in (False, True):
         sc = load_scenario(scenario_path(name))
         sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, duration=0.5))
         if use_reference:
-            object.__setattr__(sc.model, "_kernel", reference_step_kernel(sc.model))
-            object.__setattr__(sc.model, "_batch_kernel", reference_batch_kernel(sc.model))
+            model = sc.model
+            object.__setattr__(model, "_kernel", reference_step_kernel(model))
+            object.__setattr__(model, "_batch_kernel", reference_batch_kernel(model))
+            object.__setattr__(model, "_kernel_source", called_kernel_source(model._kernel_source))
         logs.append(run_scenario(sc))
     assert logs[0].columns == logs[1].columns
     assert logs[0]._data.tobytes() == logs[1]._data.tobytes()
@@ -755,18 +761,27 @@ def full_run(name: str) -> harness.SimLog:
     return run_scenario(load_scenario(scenario_path(name)))
 
 
-@pytest.mark.parametrize("name", SIM_SCENARIOS)
+@pytest.mark.parametrize("name", SIM_SCENARIOS + ["overhead_inverse.json xz"])
 def test_run_on_reference_tracking_run_logs_the_same_bytes(name):
     # the generated tracking block against the list-form chain of step laws
     # and the contact solve, through a whole bundled run at its own length
-    # (the inverse-dynamics one in tracking mode): every logged value is the
+    # (the inverse-dynamics one in tracking mode, also with x and z contact
+    # rows, a block shape no bundled file has): every logged value is the
     # same to the bit
-    sc = load_scenario(scenario_path(name))
-    if sc.sim.mode != "tracking":
+    file, _, edit = name.partition(" ")
+    sc = load_scenario(scenario_path(file))
+    if edit == "xz":  # loaded in tracking mode, as the contact-row check reads the mode
+        with open(scenario_path(file)) as fh:
+            data = json.load(fh)
+        data["sim"]["mode"] = "tracking"
+        data["contact"]["directions"] = ["x", "z"]
+        sc = parse_scenario(data)
+        log = run_scenario(sc)
+    elif sc.sim.mode != "tracking":
         sc = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, mode="tracking"))
         log = run_scenario(sc)
     else:
-        log = full_run(name)
+        log = full_run(file)
     reference = reference_tracking_run(sc)
     assert log.columns == reference.columns
     assert len(log) == len(reference) == sc.sim.n_steps
@@ -782,7 +797,8 @@ def test_contact_solve_is_generated_once_per_shape():
 def test_tracking_block_is_generated_once_per_shape(monkeypatch):
     # loading compiles the run kernel and nothing else; the first run of a
     # shape compiles its tracking block, and a variant of the same template
-    # with other gains, damping, friction and step shares it
+    # with other gains, damping, friction, step and limb q0 shares it: the
+    # kernel's lines hold no q0
     labels, compile_body = [], harness._function
 
     def record(signature, body, label, **names):
@@ -793,14 +809,18 @@ def test_tracking_block_is_generated_once_per_shape(monkeypatch):
         monkeypatch.setattr(module, "_function", record)
     harness._tracking_block.cache_clear()
     variants = []
-    for level, damping, coulomb, dt in ((2, [3.0, 1.0], 0.4, 0.005), (4, [0.5, 7.0], 1.5, 0.004)):
+    for level, damping, coulomb, dt, dq in ((2, [3.0, 1.0], 0.4, 0.005, 0.0),
+                                            (4, [0.5, 7.0], 1.5, 0.004, 0.02)):
         with open(scenario_path("press_friction.json")) as fh:
             data = json.load(fh)
         ctrl = data["controller"]
         ctrl.update(level=level, damping=damping)
         ctrl["friction"]["coulomb"] = coulomb
+        for joint in data["plant"]["chains"][0]["joints"]:
+            joint["q0"] = joint.get("q0", 0.0) + dq
         data["sim"].update(duration=50 * dt, dt=dt)
         variants.append(parse_scenario(data))
+    assert variants[0].model.q0.tolist() != variants[1].model.q0.tolist()
     chains = ", ".join(c.name for c in variants[0].model.chains)
     assert labels == [f"step kernel: {chains}"] * 2
     blocks_compiled = []
@@ -849,8 +869,9 @@ def test_tracking_block_step_matches_the_list_form_chain(data):
     # one step of the generated tracking block against the chain the oracle
     # run steps with (contact_jacobian, control_force, task_to_joint_torque,
     # friction_torque, _advance), on a bundled plant's kernel output with
-    # -0.0, NaN and Inf scattered in: the row, the next state and the
-    # accelerations to the bit, or the same error
+    # -0.0, NaN and Inf scattered in, which the block reads through the
+    # kernel source's seam: the row, the next state and the accelerations
+    # to the bit, or the same error
     model = bundled_model(data.draw(st.sampled_from(SIM_SCENARIOS)))
     n, m = model.n_dof, len(model.srl_indices)
     directions = data.draw(st.sampled_from([(), ("z",), ("x",), ("x", "z"), ("z", "x")]))
@@ -891,8 +912,9 @@ def test_tracking_block_step_matches_the_list_form_chain(data):
     dt = data.draw(st.sampled_from([0.005, 0.001]))
     link = model.link_index(model.chains[0].name, contact)
     law = (m, task, rows, spec, link, enabled, k_task, f_gravity, damping, friction, dt)
-    block = harness._tracking_block(n, m, task, tuple(rows), link if spec else None, directions,
-                                    enabled, damping is not None, friction is not None)
+    block = harness._tracking_block(called_kernel_source(model._kernel_source), n, m, task,
+                                    tuple(rows), link if spec else None, directions, enabled,
+                                    damping is not None, friction is not None)
 
     def generated():
         q_next, qd_next, qdd = (list(v) for v in scripted)
@@ -909,6 +931,67 @@ def test_tracking_block_step_matches_the_list_form_chain(data):
         return row, q_next, qd_next, qdd
 
     assert step_outcome(generated) == step_outcome(chain)
+
+
+@st.composite
+def drawn_tracking_run(draw) -> Scenario:
+    """A short tracking run of a drawn plant: 1-2 chains of 1-4 revolute or
+    prismatic joints with zero or nonzero inertias and rotors, the first
+    chain the limb; the control law, damping and friction each on or off;
+    0-2 contact rows at a link of the limb."""
+    extra = st.sampled_from([0.0]) | st.floats(1e-3, 0.5)
+    chains = []
+    for k in range(draw(st.integers(1, 2))):
+        joints = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["revolute", "prismatic"]))
+            joints.append(Joint(
+                kind=kind, mass=draw(st.floats(0.1, 10.0)),
+                length=draw(st.floats(0.05 if kind == "revolute" else 0.0, 1.0)),
+                com=draw(st.floats(-0.5, 1.0)), inertia=draw(extra), rotor=draw(extra),
+                axis=draw(st.floats(-3.2, 3.2)), q0=draw(st.floats(-1.0, 1.0))))
+        role = "srl" if k == 0 else draw(st.sampled_from(["srl", "human"]))
+        chains.append(Chain(name=f"c{k}", role=role, joints=tuple(joints),
+                            base=(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))),
+                            heading=draw(st.floats(-3.2, 3.2))))
+    model = PlantModel(chains=tuple(chains), gravity=draw(st.sampled_from([0.0, 9.81])))
+    m, links = len(model.srl_indices), range(len(chains[0].joints))
+    components = draw(st.sampled_from([("x", "z"), ("z",), ("x",), ("z", "x")]))
+    value = st.floats(-5.0, 5.0)
+
+    def vec(size):
+        return draw(st.lists(value, min_size=size, max_size=size))
+
+    friction = draw(st.none() | st.builds(
+        FrictionModel, st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m),
+        st.lists(st.floats(0.0, 2.0), min_size=m, max_size=m), st.floats(1.0, 3.0)))
+    controller = ControllerConfig(
+        chain="c0", enabled=draw(st.booleans()), joint=draw(st.sampled_from(links)),
+        components=components, level=draw(st.integers(1, 4)),
+        x_eq=draw(st.none() | st.just(vec(len(components)))), f_gravity=vec(len(components)),
+        damping=draw(st.none() | st.just([abs(v) for v in vec(len(components))])),
+        friction=friction)
+    directions = draw(st.sampled_from([(), ("z",), ("x",), ("x", "z"), ("z", "x")]))
+    contact = ContactConfig(ContactSpec("c0", directions, draw(st.sampled_from(links)))) \
+        if directions else None
+    sim = SimParams(dt=0.005, duration=0.005 * draw(st.integers(1, 12)))
+    return Scenario(model, sim, controller, contact)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sc=drawn_tracking_run())
+def test_fused_tracking_run_matches_the_run_kernel_oracle(sc):
+    # the tracking block with the run kernel's lines inlined against the
+    # whole-run oracle that calls model._kernel each step, on drawn plants
+    # and controllers: every logged value to the bit, or the same error
+    def outcome(run):
+        try:
+            log = run(sc)
+        except SuperlimbError as exc:
+            return type(exc), str(exc)
+        return log.columns, log_bits(log)
+
+    assert outcome(run_scenario) == outcome(reference_tracking_run)
 
 
 @pytest.mark.parametrize("directions", [["z"], ["x", "z"]])
@@ -1004,7 +1087,7 @@ def outcome(run, data: dict, edits: dict | None = None):
     that ``poison_kernel`` edits with them."""
     sc = parse_scenario(data)
     if edits:
-        poison_kernel(sc, edits)
+        poison_kernel(sc.model, edits, int(sc.controller.x_eq is None))
     try:
         log = run(sc)
     except SuperlimbError as exc:
@@ -1253,36 +1336,11 @@ def test_the_load_applies_the_contact_rule_of_its_mode(mode, dependent):
 def test_dependent_contact_directions_report_step(mode, detail):
     # a bent rod passes the load; its contact rows turn dependent at step 3
     sc = parse_scenario(rod_scenario(mode, (0.5, 0.4)))
-    poison_kernel(sc, {3: stretched_rod})
+    poison_kernel(sc.model, {3: stretched_rod}, int(sc.controller.x_eq is None))
     with pytest.raises(RankDeficient) as exc:
         run_scenario(sc)
     assert str(exc.value).startswith(
         "[step 3, t=0.015s] contact directions are not independent at this posture " + detail)
-
-
-def poison_kernel(sc, edits: dict):
-    """Replace the scenario plant's step and batch kernels by ones that
-    apply ``edits[i]`` to the ``Kinematics`` of step i, in a batch to its
-    row; the call at q0 for an "auto" equilibrium point, which comes first,
-    is left alone."""
-    kernel, calls = sc.model._kernel, [-int(sc.controller.x_eq is None)]
-    batch, done = sc.model._batch_kernel, [0]
-
-    def poisoned(q, qd):
-        step = calls[0]
-        calls[0] += 1
-        edit = edits.get(step)
-        return kernel(q, qd) if edit is None else edit(kernel(q, qd))
-
-    def poisoned_batch(q, qd):
-        size, first = q.shape[1], done[0]
-        done[0] += size
-        rows = kernel_rows(batch(q, qd), size)
-        return stacked_kernel([edits.get(first + i, lambda kin: kin)(kin)
-                               for i, kin in enumerate(rows)])
-
-    object.__setattr__(sc.model, "_kernel", poisoned)
-    object.__setattr__(sc.model, "_batch_kernel", poisoned_batch)
 
 
 def inf_mount(kin):
@@ -1352,7 +1410,7 @@ def test_deferred_mount_force_reports_the_first_error(mode, edits, message):
     data["sim"].update(mode=mode, duration=0.005 * max(10, max(edits) + 10))
     data["controller"]["damping"] = [2.0, 2.0]
     sc = parse_scenario(data)
-    poison_kernel(sc, edits)
+    poison_kernel(sc.model, edits, int(sc.controller.x_eq is None))
     with pytest.raises(NonFinite) as exc:
         run_scenario(sc)
     assert str(exc.value) == message

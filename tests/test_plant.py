@@ -479,28 +479,21 @@ def test_batch_kernel_is_built_once_and_named_after_its_chains(desk_model):
     assert kernel.__code__.co_code == desk_model._kernel.__code__.co_code
 
 
-def kernel_sources(model: PlantModel, monkeypatch) -> dict:
-    """The body lines of ``model``'s run and full kernels, generated anew,
-    by the namedtuple each returns."""
-    bodies, generate = {}, plant._function
-
-    def capture(signature, body, label, **names):
-        (returns,) = names.values()
-        bodies[returns] = body
-        return generate(signature, body, label, **names)
-
-    monkeypatch.setattr(plant, "_function", capture)
-    for returns in (RunKinematics, Kinematics):
-        plant._step_kernel(*model._topology, returns)
-    return bodies
+def kernel_sources(model: PlantModel) -> dict:
+    """The lines of ``model``'s run and full kernels, generated anew, by the
+    namedtuple each returns."""
+    return {returns: plant._step_source(*model._topology, returns).lines
+            for returns in (RunKinematics, Kinematics)}
 
 
 @pytest.mark.parametrize("name", bundled_plant_scenarios())
-def test_run_kernel_lines_are_full_kernel_lines(monkeypatch, name):
+def test_run_kernel_lines_are_full_kernel_lines(name):
     # the liveness pass only drops lines: the run kernel's statements are
-    # the full kernel's, text and order, so they compute the same bits
+    # the full kernel's, text and order, so they compute the same bits; the
+    # model keeps its run kernel's lines as they are generated
     model = load_scenario(os.path.join(SCENARIO_DIR, name)).model
-    bodies = kernel_sources(model, monkeypatch)
+    bodies = kernel_sources(model)
+    assert model._kernel_source.lines == bodies[RunKinematics]
     run, full = bodies[RunKinematics], bodies[Kinematics]
     assert run[-1].startswith("return RunKinematics(")
     assert full[-1].startswith("return Kinematics(")

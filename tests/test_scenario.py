@@ -9,6 +9,7 @@ import pytest
 from conftest import desk_arm_dict, scenario_path
 
 from superlimb.errors import MissingFile, ParseError
+from superlimb.harness import run_scenario
 from superlimb.scenario import (
     ActivationProfile,
     ContactMotion,
@@ -19,6 +20,7 @@ from superlimb.scenario import (
     parse_profile,
     parse_scenario,
 )
+from superlimb.stiffness import FrictionModel
 
 
 def base_scenario() -> dict:
@@ -94,6 +96,26 @@ def test_parse_friction_broadcast():
     sc = parse_scenario(data)
     np.testing.assert_array_equal(sc.controller.friction.coulomb, [0.5] * 3)
     np.testing.assert_array_equal(sc.controller.friction.viscous, [0.0] * 3)
+
+
+@pytest.mark.parametrize("mode", ["tracking", "inverse-dynamics"])
+def test_friction_needs_a_coefficient_per_limb_joint(mode):
+    # a Scenario put together in code is checked as the file reader checks
+    # one: a short coefficient list is a keyed error where the scenario is
+    # built, with the reader's message, in either sim mode
+    sc = load_scenario(scenario_path("press_friction.json"))
+    sim = dataclasses.replace(sc.sim, mode=mode, duration=0.05)
+    controller = dataclasses.replace(sc.controller, friction=FrictionModel(coulomb=[0.5]))
+    with pytest.raises(ParseError) as exc:
+        run_scenario(dataclasses.replace(sc, sim=sim, controller=controller))
+    assert exc.value.key == "controller.friction.coulomb"
+    assert str(exc.value) == "controller.friction.coulomb: must have 2 entries, got 1"
+    with open(scenario_path("press_friction.json")) as fh:
+        data = json.load(fh)
+    data["controller"]["friction"]["coulomb"] = [0.5]
+    with pytest.raises(ParseError) as parsed:
+        parse_scenario(data)
+    assert str(parsed.value) == str(exc.value)
 
 
 def test_parse_emg_profile_and_seed_default():
